@@ -310,18 +310,15 @@ impl MissingTagApp {
                 );
                 ctx.wait(TimeCategory::Turnaround, ctx.link.t1);
                 ctx.wait(TimeCategory::WastedSlot, ctx.link.t3);
-                ctx.counters.reader_bits += 4 + vector_bits;
-                ctx.counters.query_rep_bits += 4;
-                ctx.trace(|| Event::ReaderBroadcast {
+                ctx.emit(Event::ReaderBroadcast {
                     what: BroadcastKind::QueryRep,
                     bits: 4,
                 });
-                ctx.trace(|| Event::ReaderBroadcast {
+                ctx.emit(Event::ReaderBroadcast {
                     what: BroadcastKind::Probe,
                     bits: vector_bits,
                 });
-                ctx.counters.empty_slots += 1;
-                ctx.trace(|| Event::SlotEmpty);
+                ctx.emit(Event::SlotEmpty);
                 missing.push(id);
             }
         }
@@ -432,20 +429,17 @@ impl MissingTagDetector {
                         // tag for later rounds, so wake it back up is not
                         // possible — instead charge the exchange manually.
                         ctx.wait(TimeCategory::ReaderCommand, ctx.link.reader_tx(4 + bits));
-                        ctx.counters.reader_bits += 4 + bits;
-                        ctx.counters.query_rep_bits += 4;
-                        ctx.trace(|| Event::ReaderBroadcast {
+                        ctx.emit(Event::ReaderBroadcast {
                             what: BroadcastKind::QueryRep,
                             bits: 4,
                         });
-                        ctx.trace(|| Event::ReaderBroadcast {
+                        ctx.emit(Event::ReaderBroadcast {
                             what: BroadcastKind::Probe,
                             bits,
                         });
                         ctx.wait(TimeCategory::Turnaround, ctx.link.t1);
                         ctx.wait(TimeCategory::TagReply, ctx.link.tag_tx(1));
-                        ctx.counters.tag_bits += 1;
-                        ctx.trace(|| Event::TagReply {
+                        ctx.emit(Event::TagReply {
                             tag: handle,
                             bits: 1,
                         });
@@ -453,20 +447,17 @@ impl MissingTagDetector {
                     }
                     _ => {
                         ctx.wait(TimeCategory::ReaderCommand, ctx.link.reader_tx(4 + bits));
-                        ctx.counters.reader_bits += 4 + bits;
-                        ctx.counters.query_rep_bits += 4;
-                        ctx.trace(|| Event::ReaderBroadcast {
+                        ctx.emit(Event::ReaderBroadcast {
                             what: BroadcastKind::QueryRep,
                             bits: 4,
                         });
-                        ctx.trace(|| Event::ReaderBroadcast {
+                        ctx.emit(Event::ReaderBroadcast {
                             what: BroadcastKind::Probe,
                             bits,
                         });
                         ctx.wait(TimeCategory::Turnaround, ctx.link.t1);
                         ctx.wait(TimeCategory::WastedSlot, ctx.link.t3);
-                        ctx.counters.empty_slots += 1;
-                        ctx.trace(|| Event::SlotEmpty);
+                        ctx.emit(Event::SlotEmpty);
                         return DetectionOutcome {
                             missing_witness: Some(id),
                             rounds: round,

@@ -106,9 +106,7 @@ pub fn run_hpp_with_aliens(
             let repliers = repliers_of.get(&idx).cloned().unwrap_or_default();
             match ctx.slot(&repliers, 4 + h as u64) {
                 SlotOutcome::Singleton(tag) if tag == target => {
-                    ctx.counters.vector_bits += h as u64;
-                    let bits = h as u64;
-                    ctx.trace(|| rfid_system::Event::VectorCharged { bits });
+                    ctx.emit(rfid_system::Event::VectorCharged { bits: h as u64 });
                     ctx.mark_read(tag);
                     read_now.push(target);
                 }

@@ -231,8 +231,7 @@ impl ProtocolStepper for BinSplitStepper {
             }
             SlotOutcome::Singleton(tag) => {
                 let top_up = reply_bits - ctx.population.get(tag).info.len() as u64;
-                ctx.counters.tag_bits += top_up;
-                ctx.trace(|| rfid_system::Event::TagReply { tag, bits: top_up });
+                ctx.emit(rfid_system::Event::TagReply { tag, bits: top_up });
                 ctx.wait(TimeCategory::TagReply, ctx.link.tag_tx(top_up));
                 ctx.mark_read(tag);
                 self.remaining -= 1;

@@ -144,13 +144,10 @@ impl ProtocolStepper for QAlgorithmStepper {
                 QUERY_BITS,
                 TimeCategory::ReaderCommand,
             );
-            ctx.counters.rounds += 1;
-            let round = ctx.counters.rounds as usize;
-            let unread = ctx.population.active_count();
-            ctx.trace(|| Event::RoundStarted {
-                round,
+            ctx.emit(Event::RoundStarted {
+                round: ctx.counters.rounds as usize + 1,
                 h: q,
-                unread,
+                unread: ctx.population.active_count(),
             });
             let frame = 1u64 << q;
 
@@ -207,20 +204,17 @@ impl ProtocolStepper for QAlgorithmStepper {
                     rfid_c1g2::QUERY_REP_BITS,
                     TimeCategory::ReaderCommand,
                 );
-                ctx.counters.query_rep_bits += rfid_c1g2::QUERY_REP_BITS;
                 ctx.wait(TimeCategory::Turnaround, ctx.link.t1);
                 let outcome = ctx.channel.resolve(repliers, &mut ctx.rng);
                 match outcome {
                     SlotOutcome::Empty => {
                         ctx.wait(TimeCategory::WastedSlot, ctx.link.t3);
-                        ctx.counters.empty_slots += 1;
-                        ctx.trace(|| Event::SlotEmpty);
+                        ctx.emit(Event::SlotEmpty);
                         self.q_fp = (self.q_fp - self.cfg.c).max(0.0);
                     }
                     SlotOutcome::Singleton(tag) => {
                         ctx.wait(TimeCategory::TagReply, ctx.link.tag_tx(RN16_BITS));
-                        ctx.counters.tag_bits += RN16_BITS;
-                        ctx.trace(|| Event::TagReply {
+                        ctx.emit(Event::TagReply {
                             tag,
                             bits: RN16_BITS,
                         });
@@ -228,8 +222,7 @@ impl ProtocolStepper for QAlgorithmStepper {
                         ctx.reader_tx(BroadcastKind::Ack, ACK_BITS, TimeCategory::ReaderCommand);
                         ctx.wait(TimeCategory::Turnaround, ctx.link.t1);
                         ctx.wait(TimeCategory::TagReply, ctx.link.tag_tx(EPC_REPLY_BITS));
-                        ctx.counters.tag_bits += EPC_REPLY_BITS;
-                        ctx.trace(|| Event::TagReply {
+                        ctx.emit(Event::TagReply {
                             tag,
                             bits: EPC_REPLY_BITS,
                         });
@@ -239,8 +232,7 @@ impl ProtocolStepper for QAlgorithmStepper {
                     SlotOutcome::Collision(count) => {
                         ctx.wait(TimeCategory::WastedSlot, ctx.link.tag_tx(RN16_BITS));
                         ctx.wait(TimeCategory::Turnaround, ctx.link.t2);
-                        ctx.counters.collision_slots += 1;
-                        ctx.trace(|| Event::SlotCollision { count });
+                        ctx.emit(Event::SlotCollision { count });
                         self.q_fp = (self.q_fp + self.cfg.c).min(15.0);
                     }
                     SlotOutcome::Corrupted(tag) => {
@@ -249,8 +241,7 @@ impl ProtocolStepper for QAlgorithmStepper {
                         // slot was neither empty nor a collision).
                         ctx.wait(TimeCategory::WastedSlot, ctx.link.tag_tx(RN16_BITS));
                         ctx.wait(TimeCategory::Turnaround, ctx.link.t2);
-                        ctx.counters.corrupted_replies += 1;
-                        ctx.trace(|| Event::ReplyCorrupted { tag });
+                        ctx.emit(Event::ReplyCorrupted { tag });
                     }
                 }
                 slot += 1;

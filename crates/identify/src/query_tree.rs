@@ -179,7 +179,6 @@ impl ProtocolStepper for QueryTreeStepper {
             self.cfg.command_bits,
             TimeCategory::ReaderCommand,
         );
-        ctx.counters.query_rep_bits += self.cfg.command_bits;
         ctx.reader_tx(
             BroadcastKind::Probe,
             len as u64,
@@ -192,30 +191,23 @@ impl ProtocolStepper for QueryTreeStepper {
             SlotOutcome::Empty => {
                 if repliers.is_empty() {
                     ctx.wait(TimeCategory::WastedSlot, ctx.link.t3);
-                    ctx.counters.empty_slots += 1;
-                    ctx.trace(|| Event::SlotEmpty);
+                    ctx.emit(Event::SlotEmpty);
                 } else {
                     // A reply was lost; the subtree must be revisited.
                     ctx.wait(TimeCategory::WastedSlot, ctx.link.t3);
-                    ctx.counters.lost_replies += 1;
-                    let lost = repliers[0];
-                    ctx.trace(|| Event::ReplyLost { tag: lost });
-                    ctx.counters.empty_slots += 1;
-                    ctx.trace(|| Event::SlotEmpty);
+                    ctx.emit(Event::ReplyLost { tag: repliers[0] });
+                    ctx.emit(Event::SlotEmpty);
                     self.stack.push(prefix);
                 }
             }
             SlotOutcome::Singleton(tag) => {
                 ctx.wait(TimeCategory::TagReply, ctx.link.tag_tx(reply_bits));
-                ctx.counters.tag_bits += reply_bits;
-                ctx.trace(|| Event::TagReply {
+                ctx.emit(Event::TagReply {
                     tag,
                     bits: reply_bits,
                 });
                 ctx.wait(TimeCategory::Turnaround, ctx.link.t2);
-                ctx.counters.vector_bits += len as u64;
-                let bits = len as u64;
-                ctx.trace(|| Event::VectorCharged { bits });
+                ctx.emit(Event::VectorCharged { bits: len as u64 });
                 ctx.mark_read(tag);
                 if self.cfg.verify_singletons {
                     self.stack.push(prefix);
@@ -225,8 +217,7 @@ impl ProtocolStepper for QueryTreeStepper {
                 // Collided replies occupy the slot, then split.
                 ctx.wait(TimeCategory::WastedSlot, ctx.link.tag_tx(reply_bits));
                 ctx.wait(TimeCategory::Turnaround, ctx.link.t2);
-                ctx.counters.collision_slots += 1;
-                ctx.trace(|| Event::SlotCollision { count });
+                ctx.emit(Event::SlotCollision { count });
                 debug_assert!(
                     (len as usize) < EPC_BITS,
                     "full-length prefix cannot collide among unique IDs"
@@ -240,8 +231,7 @@ impl ProtocolStepper for QueryTreeStepper {
                 // tag whose replies keep getting mangled).
                 ctx.wait(TimeCategory::WastedSlot, ctx.link.tag_tx(reply_bits));
                 ctx.wait(TimeCategory::Turnaround, ctx.link.t2);
-                ctx.counters.corrupted_replies += 1;
-                ctx.trace(|| Event::ReplyCorrupted { tag });
+                ctx.emit(Event::ReplyCorrupted { tag });
                 self.stack.push(prefix);
             }
         }

@@ -1,12 +1,14 @@
 //! The trace→counters reconciliation validator.
 //!
-//! Every [`rfid_system::Counters`] bump in the simulator has a matching
-//! trace event, so replaying a trace must recompute the run's counters
-//! exactly. [`reconcile`] checks that invariant field by field; the CI
-//! reconciliation slice (`obs_report --reconcile`) runs it against one
-//! seeded run of every protocol. A mismatch always means an
-//! instrumentation bug — a counter bumped without an event, an event
-//! recorded without a bump, or a truncated trace — never legitimate noise.
+//! The simulator writes counters and trace through one call,
+//! [`rfid_system::SimContext::emit`], which applies
+//! [`Counters::apply`] and records the same event. Replaying a complete
+//! trace therefore recomputes the run's counters by construction;
+//! [`reconcile`] checks the trace is complete (enabled, nothing evicted)
+//! and then compares field by field, so a counter written outside `emit`
+//! still shows up as a named mismatch. The CI reconciliation slice
+//! (`obs_report --reconcile`) runs it against one seeded run of every
+//! protocol.
 //!
 //! One field is exempt: `tag_listen_us` is a continuous time integral
 //! (every elapsed interval weighted by the live listener count), not a
@@ -15,50 +17,20 @@
 
 use std::fmt;
 
-use rfid_system::{Counters, Event, EventLog, TimedEvent};
+use rfid_system::{Counters, EventLog, TimedEvent};
 
-/// Replays events into the counters they imply.
-///
-/// The mapping mirrors the simulator's accounting: broadcast bits split by
-/// [`rfid_system::BroadcastKind`] into total/QueryRep/vector charges,
-/// [`Event::VectorCharged`] covers protocols that attribute vector bits on
-/// success (Query Tree, alien-resistant polling), and every remaining
-/// counter is a straight event count. `tag_listen_us` stays zero.
+/// Replays events into the counters they imply: a fold of
+/// [`Counters::apply`], the same mapping the simulator's
+/// [`rfid_system::SimContext::emit`] applies live. `tag_listen_us` stays
+/// zero.
 pub fn counters_from_events<'a, I>(events: I) -> Counters
 where
     I: IntoIterator<Item = &'a TimedEvent>,
 {
-    let mut c = Counters::default();
-    for te in events {
-        match te.event {
-            Event::RoundStarted { .. } => c.rounds += 1,
-            Event::CircleStarted { .. } => c.circles += 1,
-            Event::ReaderBroadcast { what, bits } => {
-                c.reader_bits += bits;
-                if what.counts_as_query_rep() {
-                    c.query_rep_bits += bits;
-                }
-                if what.counts_as_vector() {
-                    c.vector_bits += bits;
-                }
-            }
-            Event::TagPolled { .. } => c.polls += 1,
-            Event::TagReply { bits, .. } => c.tag_bits += bits,
-            Event::VectorCharged { bits } => c.vector_bits += bits,
-            Event::SlotEmpty => c.empty_slots += 1,
-            Event::SlotCollision { .. } => c.collision_slots += 1,
-            Event::ReplyLost { .. } => c.lost_replies += 1,
-            Event::DownlinkLost { .. } => c.downlink_losses += 1,
-            Event::ReplyCorrupted { .. } => c.corrupted_replies += 1,
-            Event::Retransmission { .. } => c.retransmissions += 1,
-            Event::DesyncRecovered { .. } => c.desync_recoveries += 1,
-            Event::StallTick { .. } => {}
-            Event::RecoveryPassStarted { .. } => c.recovery_passes += 1,
-            Event::BackoffWaited { us, .. } => c.recovery_backoff_us += us,
-            Event::CircuitOpened { .. } => {}
-        }
-    }
-    c
+    events.into_iter().fold(Counters::default(), |mut c, te| {
+        c.apply(&te.event);
+        c
+    })
 }
 
 /// Why a reconciliation failed.
@@ -174,7 +146,7 @@ pub fn reconcile(log: &EventLog, counters: &Counters) -> Result<(), ReconcileErr
 mod tests {
     use super::*;
     use rfid_c1g2::Micros;
-    use rfid_system::BroadcastKind;
+    use rfid_system::{BroadcastKind, Event};
 
     fn at(us: f64) -> Micros {
         Micros::from_us(us)

@@ -165,8 +165,9 @@ impl StallGuard {
             return false;
         }
         self.streak += 1;
-        let streak = self.streak;
-        ctx.trace(|| rfid_system::Event::StallTick { streak });
+        ctx.emit(rfid_system::Event::StallTick {
+            streak: self.streak,
+        });
         self.streak >= self.cap
     }
 }

@@ -171,6 +171,42 @@ crate::impl_json_struct!(Counters {
 });
 
 impl Counters {
+    /// Folds one event into the counters: broadcast bits split by
+    /// [`BroadcastKind`] into total/QueryRep/vector charges, and every
+    /// other counter is an event count. The single event→counter mapping —
+    /// [`SimContext::emit`] applies it live, and trace replay folds it over
+    /// a recorded log. `tag_listen_us` is a continuous integral, not an
+    /// event, and is never touched here.
+    #[inline]
+    pub fn apply(&mut self, event: &Event) {
+        match *event {
+            Event::RoundStarted { .. } => self.rounds += 1,
+            Event::CircleStarted { .. } => self.circles += 1,
+            Event::ReaderBroadcast { what, bits } => {
+                self.reader_bits += bits;
+                if what.counts_as_query_rep() {
+                    self.query_rep_bits += bits;
+                }
+                if what.counts_as_vector() {
+                    self.vector_bits += bits;
+                }
+            }
+            Event::TagPolled { .. } => self.polls += 1,
+            Event::TagReply { bits, .. } => self.tag_bits += bits,
+            Event::VectorCharged { bits } => self.vector_bits += bits,
+            Event::SlotEmpty => self.empty_slots += 1,
+            Event::SlotCollision { .. } => self.collision_slots += 1,
+            Event::ReplyLost { .. } => self.lost_replies += 1,
+            Event::DownlinkLost { .. } => self.downlink_losses += 1,
+            Event::ReplyCorrupted { .. } => self.corrupted_replies += 1,
+            Event::Retransmission { .. } => self.retransmissions += 1,
+            Event::DesyncRecovered { .. } => self.desync_recoveries += 1,
+            Event::RecoveryPassStarted { .. } => self.recovery_passes += 1,
+            Event::BackoffWaited { us, .. } => self.recovery_backoff_us += us,
+            Event::StallTick { .. } | Event::CircuitOpened { .. } => {}
+        }
+    }
+
     /// Average polling-vector length `w` = vector bits per successful poll.
     pub fn mean_vector_bits(&self) -> f64 {
         if self.polls == 0 {
@@ -378,20 +414,22 @@ impl SimContext {
         self.counters.tag_listen_us += dt.as_f64() * self.population.listening_count() as f64;
     }
 
-    /// Records `make()` in the event trace, stamped with the current
-    /// simulation time. No-op (and closure never called) when tracing is
-    /// off — protocols can call this unconditionally.
+    /// The one write path for counters and events: applies `event` to the
+    /// [`Counters`] and, when tracing is on, records it stamped with the
+    /// current simulation time. Counters and trace therefore agree by
+    /// construction.
     #[inline]
-    pub fn trace(&mut self, make: impl FnOnce() -> Event) {
+    pub fn emit(&mut self, event: Event) {
+        self.counters.apply(&event);
         if self.log.is_enabled() {
             let now = self.clock.total();
-            self.log.record(now, make);
+            self.log.record(now, || event);
         }
     }
 
     /// Opens a profiling span named `name`, stamped with the current sim
     /// clock. No-op (clock never read) when profiling is off — callers keep
-    /// the call unconditional, same discipline as [`SimContext::trace`].
+    /// the call unconditional, same discipline as [`SimContext::emit`].
     #[inline]
     pub fn span_enter(&mut self, name: &'static str) {
         if self.profiler.is_enabled() {
@@ -415,16 +453,16 @@ impl SimContext {
     pub fn reader_tx(&mut self, kind: BroadcastKind, bits: u64, category: TimeCategory) {
         let dt = self.link.reader_tx(bits);
         self.advance(category, dt);
-        self.counters.reader_bits += bits;
-        self.trace(|| Event::ReaderBroadcast { what: kind, bits });
+        self.emit(Event::ReaderBroadcast { what: kind, bits });
     }
 
     /// Records the start of an inventory round with index length `h`.
     pub fn begin_round(&mut self, h: u32, round_init_bits: u64) {
-        self.counters.rounds += 1;
-        let round = self.counters.rounds as usize;
-        let unread = self.population.active_count();
-        self.trace(|| Event::RoundStarted { round, h, unread });
+        self.emit(Event::RoundStarted {
+            round: self.counters.rounds as usize + 1,
+            h,
+            unread: self.population.active_count(),
+        });
         if round_init_bits > 0 {
             self.reader_tx(
                 BroadcastKind::RoundInit,
@@ -438,9 +476,10 @@ impl SimContext {
     /// Records the start of an EHPP circle of `selected` tags, charging the
     /// `l_c`-bit circle command.
     pub fn begin_circle(&mut self, selected: usize, circle_cmd_bits: u64) {
-        self.counters.circles += 1;
-        let circle = self.counters.circles as usize;
-        self.trace(|| Event::CircleStarted { circle, selected });
+        self.emit(Event::CircleStarted {
+            circle: self.counters.circles as usize + 1,
+            selected,
+        });
         if circle_cmd_bits > 0 {
             self.reader_tx(
                 BroadcastKind::CircleCommand,
@@ -471,8 +510,7 @@ impl SimContext {
                         self.synced[idx] = true;
                         self.desynced_words[w] &= !(1u64 << (idx % 64));
                         self.desynced_count -= 1;
-                        self.counters.desync_recoveries += 1;
-                        self.trace(|| Event::DesyncRecovered { tag: idx });
+                        self.emit(Event::DesyncRecovered { tag: idx });
                     }
                 }
             }
@@ -488,8 +526,7 @@ impl SimContext {
                 bits &= bits - 1;
                 let missed = forced || (rate > 0.0 && self.rng.chance(rate));
                 if missed {
-                    self.counters.downlink_losses += 1;
-                    self.trace(|| Event::DownlinkLost { tag: idx });
+                    self.emit(Event::DownlinkLost { tag: idx });
                     if self.synced[idx] {
                         self.synced[idx] = false;
                         self.desynced_words[w] |= 1u64 << (idx % 64);
@@ -499,8 +536,7 @@ impl SimContext {
                     self.synced[idx] = true;
                     self.desynced_words[w] &= !(1u64 << (idx % 64));
                     self.desynced_count -= 1;
-                    self.counters.desync_recoveries += 1;
-                    self.trace(|| Event::DesyncRecovered { tag: idx });
+                    self.emit(Event::DesyncRecovered { tag: idx });
                 }
             }
         }
@@ -552,8 +588,7 @@ impl SimContext {
     /// The reader's view of a silent polling slot: `T3` timeout, wasted.
     fn poll_timeout(&mut self) -> bool {
         self.advance(TimeCategory::WastedSlot, self.link.t3);
-        self.counters.empty_slots += 1;
-        self.trace(|| Event::SlotEmpty);
+        self.emit(Event::SlotEmpty);
         false
     }
 
@@ -615,7 +650,6 @@ impl SimContext {
                 rfid_c1g2::QUERY_REP_BITS,
                 TimeCategory::ReaderCommand,
             );
-            self.counters.query_rep_bits += rfid_c1g2::QUERY_REP_BITS;
         }
         self.reader_tx(
             BroadcastKind::PollingVector,
@@ -623,7 +657,6 @@ impl SimContext {
             TimeCategory::PollingVector,
         );
         self.advance(TimeCategory::Turnaround, self.link.t1);
-        self.counters.vector_bits += vector_bits;
 
         if self.fault_active {
             // A desynchronized tag never recognised this round's commands
@@ -638,8 +671,7 @@ impl SimContext {
                 || (self.fault.downlink_loss_rate > 0.0
                     && self.rng.chance(self.fault.downlink_loss_rate))
             {
-                self.counters.downlink_losses += 1;
-                self.trace(|| Event::DownlinkLost { tag: target });
+                self.emit(Event::DownlinkLost { tag: target });
                 return self.poll_timeout();
             }
         }
@@ -660,15 +692,13 @@ impl SimContext {
                 || (self.channel.reply_loss_rate > 0.0
                     && self.rng.chance(self.channel.reply_loss_rate));
             if lost {
-                self.counters.lost_replies += 1;
-                self.trace(|| Event::ReplyLost { tag: target });
+                self.emit(Event::ReplyLost { tag: target });
                 return self.poll_timeout();
             }
             // The reply arrives and occupies the air either way.
             let info_bits = self.population.get(target).info.len() as u64;
             self.advance(TimeCategory::TagReply, self.link.tag_tx(info_bits));
-            self.counters.tag_bits += info_bits;
-            self.trace(|| Event::TagReply {
+            self.emit(Event::TagReply {
                 tag: target,
                 bits: info_bits,
             });
@@ -680,23 +710,20 @@ impl SimContext {
                 && self.crc_rejects_corruption(target);
             if !corrupted {
                 self.population.sleep(target);
-                self.counters.polls += 1;
-                self.trace(|| Event::TagPolled {
+                self.emit(Event::TagPolled {
                     tag: target,
                     vector_bits,
                 });
                 return true;
             }
-            self.counters.corrupted_replies += 1;
-            self.trace(|| Event::ReplyCorrupted { tag: target });
+            self.emit(Event::ReplyCorrupted { tag: target });
             if attempts >= self.fault.max_poll_retries {
                 // Retry budget exhausted: give up this exchange, leave the
                 // tag active for a later round.
                 return false;
             }
             attempts += 1;
-            self.counters.retransmissions += 1;
-            self.trace(|| Event::Retransmission {
+            self.emit(Event::Retransmission {
                 tag: target,
                 attempt: attempts,
             });
@@ -737,7 +764,6 @@ impl SimContext {
                 prefix_bits,
                 TimeCategory::ReaderCommand,
             );
-            self.counters.query_rep_bits += prefix_bits;
         }
         self.advance(TimeCategory::Turnaround, self.link.t1);
         let outcome = if !self.fault_active {
@@ -748,14 +774,12 @@ impl SimContext {
         match outcome {
             SlotOutcome::Empty => {
                 self.advance(TimeCategory::WastedSlot, self.link.t3);
-                self.counters.empty_slots += 1;
-                self.trace(|| Event::SlotEmpty);
+                self.emit(Event::SlotEmpty);
             }
             SlotOutcome::Singleton(tag) => {
                 let info_bits = self.population.get(tag).info.len() as u64;
                 self.advance(TimeCategory::TagReply, self.link.tag_tx(info_bits));
-                self.counters.tag_bits += info_bits;
-                self.trace(|| Event::TagReply {
+                self.emit(Event::TagReply {
                     tag,
                     bits: info_bits,
                 });
@@ -771,8 +795,7 @@ impl SimContext {
                     .unwrap_or(0);
                 self.advance(TimeCategory::WastedSlot, self.link.tag_tx(max_bits));
                 self.advance(TimeCategory::Turnaround, self.link.t2);
-                self.counters.collision_slots += 1;
-                self.trace(|| Event::SlotCollision { count });
+                self.emit(Event::SlotCollision { count });
             }
             SlotOutcome::Corrupted(tag) => {
                 // The reply filled its slot but failed the CRC; the caller
@@ -781,8 +804,7 @@ impl SimContext {
                 let info_bits = self.population.get(tag).info.len() as u64;
                 self.advance(TimeCategory::WastedSlot, self.link.tag_tx(info_bits));
                 self.advance(TimeCategory::Turnaround, self.link.t2);
-                self.counters.corrupted_replies += 1;
-                self.trace(|| Event::ReplyCorrupted { tag });
+                self.emit(Event::ReplyCorrupted { tag });
             }
         }
         outcome
@@ -799,8 +821,7 @@ impl SimContext {
                 continue;
             }
             if forced_up || self.burst_attempt_lost() {
-                self.counters.lost_replies += 1;
-                self.trace(|| Event::ReplyLost { tag: t });
+                self.emit(Event::ReplyLost { tag: t });
                 continue;
             }
             survivors.push(t);
@@ -822,8 +843,7 @@ impl SimContext {
     /// Marks `tag` successfully read after a singleton slot.
     pub fn mark_read(&mut self, tag: usize) {
         self.population.sleep(tag);
-        self.counters.polls += 1;
-        self.trace(|| Event::TagPolled {
+        self.emit(Event::TagPolled {
             tag,
             vector_bits: 0,
         });
@@ -838,8 +858,7 @@ impl SimContext {
     /// is the initial attempt and is *not* recorded — recovery is zero-cost
     /// when nothing fails) over `uncollected` remaining tags.
     pub fn note_recovery_pass(&mut self, pass: u64, uncollected: usize) {
-        self.counters.recovery_passes += 1;
-        self.trace(|| Event::RecoveryPassStarted { pass, uncollected });
+        self.emit(Event::RecoveryPassStarted { pass, uncollected });
     }
 
     /// Idles `us` microseconds of recovery backoff on the C1G2 clock after
@@ -847,14 +866,13 @@ impl SimContext {
     /// in execution-time results.
     pub fn charge_recovery_backoff(&mut self, pass: u64, us: u64) {
         self.advance(TimeCategory::WastedSlot, Micros::from_us(us as f64));
-        self.counters.recovery_backoff_us += us;
-        self.trace(|| Event::BackoffWaited { pass, us });
+        self.emit(Event::BackoffWaited { pass, us });
     }
 
     /// Records the recovery circuit breaker opening after `passes` passes
     /// with `uncollected` tags still unread.
     pub fn note_circuit_opened(&mut self, passes: u64, uncollected: usize) {
-        self.trace(|| Event::CircuitOpened {
+        self.emit(Event::CircuitOpened {
             passes,
             uncollected,
         });
@@ -1354,39 +1372,53 @@ mod tests {
         let pop = TagPopulation::sequential(4, |i| BitVec::from_value(i as u64, 4));
         let c = SimContext::new(pop, &cfg);
         let good = c.snapshot();
-
-        // All-zero RNG state.
-        let mut bad = good.clone();
-        if let Json::Obj(fields) = &mut bad {
-            for (k, v) in fields.iter_mut() {
-                if k == "rng" {
-                    *v = Json::Arr(vec![Json::UInt(0); 4]);
+        // `doc` with its top-level `key` replaced by `value`.
+        fn set(doc: &Json, key: &str, value: Json) -> Json {
+            let mut out = doc.clone();
+            if let Json::Obj(fields) = &mut out {
+                for (k, v) in fields.iter_mut() {
+                    if k == key {
+                        *v = value.clone();
+                    }
                 }
             }
+            out
         }
+
+        // All-zero RNG state.
+        let bad = set(&good, "rng", Json::Arr(vec![Json::UInt(0); 4]));
         assert!(SimContext::restore(&cfg, &bad).is_err());
 
         // Wrong-shape RNG state.
-        let mut bad = good.clone();
-        if let Json::Obj(fields) = &mut bad {
-            for (k, v) in fields.iter_mut() {
-                if k == "rng" {
-                    *v = Json::Arr(vec![Json::UInt(1); 3]);
-                }
-            }
-        }
+        let bad = set(&good, "rng", Json::Arr(vec![Json::UInt(1); 3]));
         assert!(SimContext::restore(&cfg, &bad).is_err());
 
         // Sync vector length disagrees with the population.
-        let mut bad = good.clone();
-        if let Json::Obj(fields) = &mut bad {
-            for (k, v) in fields.iter_mut() {
-                if k == "synced" {
-                    *v = Json::Arr(vec![Json::Bool(true); 3]);
-                }
-            }
-        }
+        let bad = set(&good, "synced", Json::Arr(vec![Json::Bool(true); 3]));
         assert!(SimContext::restore(&cfg, &bad).is_err());
+
+        // A ring log holding more events than its capacity.
+        let mut ring = EventLog::ring(2);
+        ring.record(Micros::ZERO, || Event::SlotEmpty);
+        ring.record(Micros::ZERO, || Event::SlotEmpty);
+        let bad = set(
+            &good,
+            "log",
+            set(&ring.to_json(), "capacity", Json::UInt(1)),
+        );
+        let err = SimContext::restore(&cfg, &bad).unwrap_err();
+        assert!(err.0.contains("over its capacity"), "{err:?}");
+
+        // A disabled log carrying events.
+        let mut on = EventLog::enabled();
+        on.record(Micros::ZERO, || Event::SlotEmpty);
+        let bad = set(
+            &good,
+            "log",
+            set(&on.to_json(), "enabled", Json::Bool(false)),
+        );
+        let err = SimContext::restore(&cfg, &bad).unwrap_err();
+        assert!(err.0.contains("disabled event log"), "{err:?}");
 
         // Missing field.
         let bad = Json::Obj(vec![]);

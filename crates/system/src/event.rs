@@ -5,10 +5,10 @@
 //! implementations, asserting fine-grained behaviour in tests (e.g. "TPP
 //! never broadcast the same prefix twice in a round"), producing the worked
 //! examples in the documentation (Figs. 2, 6 and 7 of the paper are
-//! reproduced from traces by the `obs_report` binary), and — via
-//! `rfid-obs` — recomputing the run's [`crate::Counters`] bit-for-bit so
-//! traces can never silently diverge from the metrics the figures are
-//! built on.
+//! reproduced from traces by the `obs_report` binary), and recomputing the
+//! run's [`crate::Counters`]: both are written by the same
+//! [`crate::SimContext::emit`], so a complete trace folds back into the
+//! exact counters the figures are built on.
 //!
 //! Every recorded event carries the C1G2 clock's microsecond timestamp
 //! ([`TimedEvent`]). The log itself has three modes: disabled (the default —
@@ -78,12 +78,14 @@ impl BroadcastKind {
 
     /// Whether this broadcast's bits are charged to
     /// [`crate::Counters::query_rep_bits`].
+    #[inline]
     pub fn counts_as_query_rep(&self) -> bool {
         matches!(self, BroadcastKind::QueryRep | BroadcastKind::SlotPrefix)
     }
 
     /// Whether this broadcast's bits are charged to
     /// [`crate::Counters::vector_bits`] at transmission time.
+    #[inline]
     pub fn counts_as_vector(&self) -> bool {
         matches!(self, BroadcastKind::PollingVector)
     }
@@ -97,10 +99,11 @@ impl fmt::Display for BroadcastKind {
 
 /// One recorded protocol action.
 ///
-/// The variant set mirrors the counter set: every [`crate::Counters`] bump
-/// has a matching event, so `rfid-obs` can replay a trace into the exact
-/// end-of-run counters (the reconciliation invariant). The one exception is
-/// `tag_listen_us`, a continuous time integral documented in DESIGN.md §9.
+/// The variant set mirrors the counter set: [`crate::Counters`] are a
+/// function of the events ([`crate::Counters::apply`]), so replaying a
+/// complete trace reproduces the end-of-run counters exactly. The one
+/// exception is `tag_listen_us`, a continuous time integral documented in
+/// DESIGN.md §9.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Event {
     /// A new inventory round began (HPP/TPP round or ALOHA frame).
@@ -506,6 +509,7 @@ impl EventLog {
     }
 
     /// Whether recording is on.
+    #[inline]
     pub fn is_enabled(&self) -> bool {
         self.enabled
     }
@@ -591,12 +595,29 @@ impl crate::json::ToJson for EventLog {
 impl crate::json::FromJson for EventLog {
     fn from_json(json: &crate::json::Json) -> Result<Self, crate::json::JsonError> {
         let events: Vec<TimedEvent> = json.field("events")?;
-        Ok(EventLog {
+        let log = EventLog {
             enabled: json.field("enabled")?,
             capacity: json.field("capacity")?,
             dropped: json.field("dropped")?,
             events: events.into(),
-        })
+        };
+        // `record` evicts only at `len == capacity`: a ring restored over
+        // capacity would never evict again.
+        if log.capacity > 0 && log.events.len() > log.capacity {
+            return Err(crate::json::JsonError(format!(
+                "ring event log holds {} events over its capacity of {}",
+                log.events.len(),
+                log.capacity
+            )));
+        }
+        if !log.enabled && (!log.events.is_empty() || log.dropped > 0) {
+            return Err(crate::json::JsonError(format!(
+                "disabled event log carries {} events and {} drops",
+                log.events.len(),
+                log.dropped
+            )));
+        }
+        Ok(log)
     }
 }
 

@@ -8,6 +8,10 @@
 //! accumulation, or trace event. These literals were produced by the
 //! pre-change simulator (same scenarios, same seeds); any drift here means
 //! the rework changed observable behaviour, not just its cost.
+//!
+//! Every case also runs untraced and must produce the same report: the
+//! counters are written by the same call that records the trace, and
+//! switching the trace off must not change them.
 
 use fast_rfid_polling::baselines::{
     CodedPollingConfig, CppConfig, EcppConfig, FsaConfig, LowerBound, MicConfig,
@@ -45,6 +49,36 @@ fn fnv64(s: &str) -> u64 {
     h
 }
 
+/// Runs `protocol` under `cfg` traced and untraced, checks both reports
+/// against `golden_json` and the traced run's trace digest against
+/// `golden_trace`.
+fn check(protocol: &dyn PollingProtocol, cfg: SimConfig, scenario: &Scenario, golden: (&str, u64)) {
+    let name = protocol.name();
+    let (golden_json, golden_trace) = golden;
+    for traced in [true, false] {
+        let cfg = SimConfig {
+            trace: traced,
+            ..cfg.clone()
+        };
+        let mut ctx = SimContext::new(scenario.build_population(), &cfg);
+        let report = protocol.try_run(&mut ctx).expect("run converges");
+        assert_eq!(
+            report.to_json().to_string(),
+            golden_json,
+            "{name} (traced: {traced}): report drifted from the pre-change capture"
+        );
+        if traced {
+            assert_eq!(
+                fnv64(&ctx.log.to_jsonl()),
+                golden_trace,
+                "{name}: event trace drifted from the pre-change capture"
+            );
+        } else {
+            assert!(ctx.log.is_empty(), "{name}: untraced run recorded events");
+        }
+    }
+}
+
 /// Pre-change golden (protocol name, report JSON, FNV-1a of the JSONL
 /// trace) on the fault-free `uniform(150, 4)` scenario at seed 31.
 const CLEAN_GOLDEN: &[(&str, &str, u64)] = &[
@@ -78,18 +112,12 @@ fn clean_runs_are_bit_identical_to_pre_change_capture() {
     let scenario = Scenario::uniform(150, 4).with_seed(31);
     for (protocol, &(name, golden_json, golden_trace)) in all_protocols().iter().zip(CLEAN_GOLDEN) {
         assert_eq!(protocol.name(), name, "protocol order drifted");
-        let cfg = SimConfig::paper(scenario.protocol_seed()).with_trace();
-        let mut ctx = SimContext::new(scenario.build_population(), &cfg);
-        let report = protocol.try_run(&mut ctx).expect("fault-free run");
-        assert_eq!(
-            report.to_json().to_string(),
-            golden_json,
-            "{name}: report drifted from the pre-change capture"
-        );
-        assert_eq!(
-            fnv64(&ctx.log.to_jsonl()),
-            golden_trace,
-            "{name}: event trace drifted from the pre-change capture"
+        let cfg = SimConfig::paper(scenario.protocol_seed());
+        check(
+            protocol.as_ref(),
+            cfg,
+            &scenario,
+            (golden_json, golden_trace),
         );
     }
 }
@@ -109,20 +137,12 @@ fn impaired_runs_are_bit_identical_to_pre_change_capture() {
             .with_downlink_loss(0.2)
             .with_corruption(0.2)
             .with_burst(GilbertElliott::new(0.1, 0.5, 0.0, 0.8));
-        let cfg = SimConfig::paper(scenario.protocol_seed())
-            .with_trace()
-            .with_fault(fault);
-        let mut ctx = SimContext::new(scenario.build_population(), &cfg);
-        let report = protocol.try_run(&mut ctx).expect("impaired run converges");
-        assert_eq!(
-            report.to_json().to_string(),
-            golden_json,
-            "{name}: impaired report drifted from the pre-change capture"
-        );
-        assert_eq!(
-            fnv64(&ctx.log.to_jsonl()),
-            golden_trace,
-            "{name}: impaired trace drifted from the pre-change capture"
+        let cfg = SimConfig::paper(scenario.protocol_seed()).with_fault(fault);
+        check(
+            protocol.as_ref(),
+            cfg,
+            &scenario,
+            (golden_json, golden_trace),
         );
     }
 }
