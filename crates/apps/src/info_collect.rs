@@ -1,28 +1,34 @@
 //! Information collection: the paper's driving application (Section II-C).
 //!
 //! "Collect m-bit information from each tag in a request-response way as
-//! quickly as possible." [`run_polling`] builds the population from a
-//! [`Scenario`], runs any [`PollingProtocol`] to completion, verifies the
-//! polling invariant (every tag interrogated exactly once, nothing missed),
-//! and returns the collected `(id, payload)` pairs with the cost report.
+//! quickly as possible." [`collect`] runs a configured [`Session`] — bare,
+//! or with a recovery policy, a deadline or a flight recorder — to its
+//! end, verifies the polling invariant on a complete run (every tag
+//! interrogated exactly once, nothing missed), and returns the collected
+//! `(id, payload)` pairs with the session's ending. [`run_polling`] is the
+//! scenario shorthand for a bare session over a perfect channel.
 
-use rfid_protocols::{
-    run_recovered, PollingError, PollingProtocol, RecoveryOutcome, RecoveryPolicy, Report, Session,
-    SessionEnd,
-};
-use rfid_system::{BitVec, SimConfig, SimContext, TagId};
+use rfid_protocols::{PollingProtocol, Report, Session, SessionEnd};
+use rfid_system::{BitVec, SimConfig, SimContext, TagId, TagState};
 use rfid_workloads::Scenario;
 
 /// The result of one collection run.
 #[derive(Debug, Clone)]
-pub struct CollectionOutcome {
-    /// Cost report of the run.
-    pub report: Report,
-    /// Collected `(tag id, payload)` pairs, in tag order.
+pub struct Collection {
+    /// How the session ended — complete, stalled, or degraded with its
+    /// coverage — carrying the (possibly partial) cost report.
+    pub end: SessionEnd,
+    /// Payloads of the tags actually read, in tag order. A complete run
+    /// collects the whole population; any other end the covered subset.
     pub collected: Vec<(TagId, BitVec)>,
 }
 
-impl CollectionOutcome {
+impl Collection {
+    /// The cost report of the run (partial unless complete).
+    pub fn report(&self) -> &Report {
+        self.end.report()
+    }
+
     /// Looks up the collected payload of one tag.
     pub fn payload_of(&self, id: TagId) -> Option<&BitVec> {
         self.collected
@@ -32,146 +38,13 @@ impl CollectionOutcome {
     }
 }
 
-/// Runs `protocol` over the population described by `scenario` and returns
-/// the validated outcome.
+/// Runs `session` on `ctx` to its end and gathers what was read.
 ///
 /// # Panics
-/// Panics if the protocol fails the polling invariant (a tag was never
+/// Panics if a complete run fails the polling invariant (a tag was never
 /// interrogated, or poll counts disagree) — protocol bugs must not be
-/// silently reported as results — or if the run stalls; fault-injecting
-/// callers should use [`try_run_polling`] instead.
-pub fn run_polling(protocol: &dyn PollingProtocol, scenario: &Scenario) -> CollectionOutcome {
-    match try_run_polling(protocol, scenario) {
-        Ok(outcome) => outcome,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible variant of [`run_polling`]: a stalled run (possible only under
-/// injected faults) comes back as `Err(PollingError::Stalled { .. })` with
-/// the partial report intact.
-pub fn try_run_polling(
-    protocol: &dyn PollingProtocol,
-    scenario: &Scenario,
-) -> Result<CollectionOutcome, PollingError> {
-    let population = scenario.build_population();
-    let mut ctx = SimContext::new(population, &SimConfig::paper(scenario.protocol_seed()));
-    run_polling_in(protocol, &mut ctx)
-}
-
-/// Runs `protocol` over an existing context (for callers that customize the
-/// channel, link parameters, or fault model) and returns the validated
-/// outcome, or the stall error if the protocol could not converge.
-pub fn run_polling_in(
-    protocol: &dyn PollingProtocol,
-    ctx: &mut SimContext,
-) -> Result<CollectionOutcome, PollingError> {
-    let report = protocol.try_run(ctx)?;
-    ctx.assert_complete();
-    let collected = ctx
-        .population
-        .iter()
-        .map(|(_, tag)| (tag.id, tag.info.clone()))
-        .collect();
-    Ok(CollectionOutcome { report, collected })
-}
-
-/// The result of a recovery-wrapped collection run: never an error — a run
-/// the recovery layer could not complete degrades to the collected subset.
-#[derive(Debug, Clone)]
-pub struct RecoveredCollection {
-    /// How the recovered run ended (complete or degraded, with pass count
-    /// and coverage).
-    pub outcome: RecoveryOutcome,
-    /// Payloads of the tags actually read, in tag order. Complete runs
-    /// collect the whole population; degraded runs the covered subset.
-    pub collected: Vec<(TagId, BitVec)>,
-}
-
-impl RecoveredCollection {
-    /// Looks up the collected payload of one tag.
-    pub fn payload_of(&self, id: TagId) -> Option<&BitVec> {
-        self.collected
-            .iter()
-            .find(|(tid, _)| *tid == id)
-            .map(|(_, p)| p)
-    }
-}
-
-/// Runs `protocol` under `policy` on the scenario's population over a
-/// perfect channel. For faulted channels build the context yourself and use
-/// [`run_polling_recovered_in`].
-pub fn run_polling_recovered(
-    protocol: &dyn PollingProtocol,
-    policy: &RecoveryPolicy,
-    scenario: &Scenario,
-) -> RecoveredCollection {
-    let population = scenario.build_population();
-    let mut ctx = SimContext::new(population, &SimConfig::paper(scenario.protocol_seed()));
-    run_polling_recovered_in(protocol, policy, &mut ctx)
-}
-
-/// Recovery-wrapped variant of [`run_polling_in`]: instead of surfacing
-/// [`PollingError::Stalled`], re-polls the uncollected remainder (with
-/// backoff) until complete or the circuit breaker opens, then returns
-/// whatever was collected. A lossy run therefore yields a complete
-/// inventory; only a dead configuration yields a partial one.
-pub fn run_polling_recovered_in(
-    protocol: &dyn PollingProtocol,
-    policy: &RecoveryPolicy,
-    ctx: &mut SimContext,
-) -> RecoveredCollection {
-    let outcome = run_recovered(protocol, policy, ctx);
-    if outcome.is_complete() {
-        ctx.assert_complete();
-    }
-    let collected = ctx
-        .population
-        .iter()
-        .filter(|(_, tag)| !tag.is_active())
-        .map(|(_, tag)| (tag.id, tag.info.clone()))
-        .collect();
-    RecoveredCollection { outcome, collected }
-}
-
-/// The result of a deadline-budgeted collection run: the session engine's
-/// typed ending, plus whatever payloads were read before it ended.
-#[derive(Debug, Clone)]
-pub struct DeadlineCollection {
-    /// How the session ended — `Complete`, or `Degraded` with
-    /// [`rfid_protocols::DegradeCause::Deadline`] and the partial coverage
-    /// when the sim-time budget ran out first.
-    pub end: SessionEnd,
-    /// Payloads of the tags actually read, in tag order.
-    pub collected: Vec<(TagId, BitVec)>,
-}
-
-impl DeadlineCollection {
-    /// Looks up the collected payload of one tag.
-    pub fn payload_of(&self, id: TagId) -> Option<&BitVec> {
-        self.collected
-            .iter()
-            .find(|(tid, _)| *tid == id)
-            .map(|(_, p)| p)
-    }
-}
-
-/// Runs `protocol` with a sim-time budget: the collection stops — with a
-/// typed `Degraded` ending and the partial inventory, never a panic or a
-/// hang — once the air-interface clock passes `deadline_us`. An optional
-/// recovery `policy` lets lossy runs re-poll within the budget. The
-/// real-world shape: "collect what you can in the 2 s the conveyor gives
-/// you".
-pub fn run_polling_with_deadline(
-    protocol: &dyn PollingProtocol,
-    policy: Option<&RecoveryPolicy>,
-    deadline_us: f64,
-    ctx: &mut SimContext,
-) -> DeadlineCollection {
-    let mut session = Session::open(protocol, ctx).with_deadline_us(deadline_us);
-    if let Some(policy) = policy {
-        session = session.with_policy(policy.clone());
-    }
+/// silently reported as results.
+pub fn collect(mut session: Session, ctx: &mut SimContext) -> Collection {
     let end = session.run(ctx);
     if end.is_complete() {
         ctx.assert_complete();
@@ -179,17 +52,34 @@ pub fn run_polling_with_deadline(
     let collected = ctx
         .population
         .iter()
-        .filter(|(_, tag)| !tag.is_active())
+        .filter(|(_, tag)| tag.state == TagState::Asleep)
         .map(|(_, tag)| (tag.id, tag.info.clone()))
         .collect();
-    DeadlineCollection { end, collected }
+    Collection { end, collected }
+}
+
+/// Runs `protocol` over the population described by `scenario` on a
+/// perfect channel, through a bare session.
+///
+/// # Panics
+/// Panics if the run stalls (the stall error's display is the message);
+/// fault-injecting callers build their own context and call [`collect`].
+pub fn run_polling(protocol: &dyn PollingProtocol, scenario: &Scenario) -> Collection {
+    let population = scenario.build_population();
+    let mut ctx = SimContext::new(population, &SimConfig::paper(scenario.protocol_seed()));
+    let collection = collect(Session::open(protocol, &ctx), &mut ctx);
+    if let SessionEnd::Stalled(err) = &collection.end {
+        panic!("{err}");
+    }
+    collection
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rfid_baselines::{CppConfig, MicConfig};
-    use rfid_protocols::{EhppConfig, HppConfig, TppConfig};
+    use rfid_protocols::{DegradeCause, EhppConfig, HppConfig, RecoveryPolicy, TppConfig};
+    use rfid_system::FaultModel;
     use rfid_workloads::PayloadKind;
 
     #[test]
@@ -227,9 +117,9 @@ mod tests {
         let hpp = run_polling(&HppConfig::default().into_protocol(), &scenario);
         let ehpp = run_polling(&EhppConfig::default().into_protocol(), &scenario);
         let cpp = run_polling(&CppConfig::default().into_protocol(), &scenario);
-        assert!(tpp.report.total_time < ehpp.report.total_time);
-        assert!(ehpp.report.total_time < hpp.report.total_time);
-        assert!(hpp.report.total_time < cpp.report.total_time);
+        assert!(tpp.report().total_time < ehpp.report().total_time);
+        assert!(ehpp.report().total_time < hpp.report().total_time);
+        assert!(hpp.report().total_time < cpp.report().total_time);
     }
 
     #[test]
@@ -243,7 +133,6 @@ mod tests {
 
     #[test]
     fn recovered_collection_completes_on_a_lossy_channel() {
-        use rfid_system::{FaultModel, SimConfig, SimContext};
         let scenario = Scenario::uniform(300, 8)
             .with_seed(21)
             .with_payload(PayloadKind::Random);
@@ -255,8 +144,9 @@ mod tests {
         let cfg = SimConfig::paper(scenario.protocol_seed())
             .with_fault(FaultModel::perfect().with_downlink_loss(0.3));
         let mut ctx = SimContext::new(scenario.build_population(), &cfg);
-        let r = run_polling_recovered_in(&protocol, &RecoveryPolicy::unbounded(), &mut ctx);
-        assert!(r.outcome.is_complete(), "loss 0.3 must recover fully");
+        let session = Session::open(&protocol, &ctx).with_policy(RecoveryPolicy::unbounded());
+        let r = collect(session, &mut ctx);
+        assert!(r.end.is_complete(), "loss 0.3 must recover fully");
         assert_eq!(r.collected.len(), 300);
         let reference = scenario.build_population();
         for (_, tag) in reference.iter() {
@@ -266,8 +156,6 @@ mod tests {
 
     #[test]
     fn deadline_collection_degrades_with_the_partial_inventory() {
-        use rfid_protocols::DegradeCause;
-        use rfid_system::{SimConfig, SimContext};
         let scenario = Scenario::uniform(150, 4)
             .with_seed(31)
             .with_payload(PayloadKind::Random);
@@ -276,7 +164,10 @@ mod tests {
 
         // TPP needs ~87 ms of air time here; a 20 ms budget must stop early.
         let mut ctx = SimContext::new(scenario.build_population(), &cfg);
-        let r = run_polling_with_deadline(&protocol, None, 20_000.0, &mut ctx);
+        let r = collect(
+            Session::open(&protocol, &ctx).with_deadline_us(20_000.0),
+            &mut ctx,
+        );
         let SessionEnd::Degraded {
             coverage, cause, ..
         } = r.end
@@ -295,7 +186,10 @@ mod tests {
 
         // A generous budget collects everything.
         let mut ctx = SimContext::new(scenario.build_population(), &cfg);
-        let r = run_polling_with_deadline(&protocol, None, 10_000_000.0, &mut ctx);
+        let r = collect(
+            Session::open(&protocol, &ctx).with_deadline_us(10_000_000.0),
+            &mut ctx,
+        );
         assert!(r.end.is_complete());
         assert_eq!(r.collected.len(), 150);
     }
@@ -303,7 +197,6 @@ mod tests {
     #[test]
     fn recovered_collection_degrades_to_the_covered_subset() {
         use rfid_system::fault::{FaultPlan, KillRule};
-        use rfid_system::{FaultModel, SimConfig, SimContext};
         let scenario = Scenario::uniform(60, 4).with_seed(5);
         let plan = FaultPlan {
             kill_after_replies: vec![KillRule {
@@ -316,11 +209,12 @@ mod tests {
             .with_fault(FaultModel::perfect().with_plan(plan));
         let mut ctx = SimContext::new(scenario.build_population(), &cfg);
         let protocol = HppConfig::default().into_protocol();
-        let r = run_polling_recovered_in(&protocol, &RecoveryPolicy::unbounded(), &mut ctx);
-        assert!(!r.outcome.is_complete());
+        let session = Session::open(&protocol, &ctx).with_policy(RecoveryPolicy::unbounded());
+        let r = collect(session, &mut ctx);
+        assert!(!r.end.is_complete());
         assert_eq!(r.collected.len(), 59, "everything but the dead tag");
         let dead_id = ctx.population.get(3).id;
         assert!(r.payload_of(dead_id).is_none());
-        assert!((r.outcome.coverage() - 59.0 / 60.0).abs() < 1e-12);
+        assert!((r.end.coverage() - 59.0 / 60.0).abs() < 1e-12);
     }
 }

@@ -4,9 +4,9 @@
 //! implemented on top of the protocol crates:
 //!
 //! * [`info_collect`] — collect `m`-bit sensor information from every tag
-//!   (battery levels, chilled-food temperatures) through any
-//!   [`rfid_protocols::PollingProtocol`], with end-to-end payload
-//!   validation,
+//!   (battery levels, chilled-food temperatures): [`collect`] runs any
+//!   configured [`rfid_protocols::Session`] and returns a [`Collection`]
+//!   with end-to-end payload validation,
 //! * [`missing`] — detect and *identify* missing tags: the reader polls its
 //!   expected ID list with 1-bit presence replies; a silent singleton poll
 //!   pinpoints a missing tag,
@@ -28,10 +28,7 @@ pub mod monitor;
 pub mod multi_reader;
 pub mod unknown;
 
-pub use info_collect::{
-    run_polling, run_polling_recovered, run_polling_recovered_in, run_polling_with_deadline,
-    try_run_polling, CollectionOutcome, DeadlineCollection, RecoveredCollection,
-};
+pub use info_collect::{collect, run_polling, Collection};
 pub use missing::{
     DetectionOutcome, MissingTagApp, MissingTagDetector, MissingTagReport, RecoveredMissing,
 };

@@ -484,7 +484,7 @@ fn energy(engine: &mut SweepEngine, opts: &ReproOptions) {
 /// passes-to-completion and time overhead vs the fault-free baseline.
 fn recovery(engine: &mut SweepEngine, opts: &ReproOptions) {
     use rfid_obs::{metrics_from_log, reconcile};
-    use rfid_protocols::{run_recovered, RecoveryOutcome, RecoveryPolicy};
+    use rfid_protocols::{RecoveryPolicy, Session, SessionEnd};
     use rfid_system::fault::{FaultPlan, KillRule};
     use rfid_system::{FaultModel, GilbertElliott, Json, SimConfig, SimContext, ToJson};
 
@@ -656,8 +656,8 @@ fn recovery(engine: &mut SweepEngine, opts: &ReproOptions) {
         .with_trace();
     let mut ctx = SimContext::new(sc.build_population(), &cfg);
     let protocol = HppConfig::default().into_protocol();
-    let out = run_recovered(&protocol, &RecoveryPolicy::unbounded(), &mut ctx);
-    let RecoveryOutcome::Degraded { coverage, .. } = out else {
+    let mut session = Session::open(&protocol, &ctx).with_policy(RecoveryPolicy::unbounded());
+    let SessionEnd::Degraded { coverage, .. } = session.run(&mut ctx) else {
         panic!("a killed tag must degrade the run");
     };
     reconcile(&ctx.log, &ctx.counters).expect("recovery trace reconciles against counters");

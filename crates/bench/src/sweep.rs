@@ -34,9 +34,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use rfid_apps::info_collect::{run_polling, run_polling_in};
+use rfid_apps::info_collect::collect;
 use rfid_obs::MetricsRegistry;
-use rfid_protocols::{run_recovered, RecoveryPolicy, Report};
+use rfid_protocols::{RecoveryPolicy, Report, Session, SessionEnd};
 use rfid_system::{to_json_string, FaultModel, FromJson, Json, SimConfig, SimContext, ToJson};
 use rfid_workloads::Scenario;
 
@@ -379,29 +379,28 @@ impl SweepEngine {
     }
 }
 
-/// Executes one Monte-Carlo run of a cell. Plain cells keep the validated
-/// [`run_polling`] path bit-for-bit; faulted or recovered cells build the
-/// context explicitly. A recovered run that degrades still returns its
-/// partial report (the recovery counters inside carry passes and backoff).
+/// Executes one Monte-Carlo run of a cell through the validated
+/// [`collect`] path, with the cell's fault model and recovery policy. A
+/// recovered run that degrades still returns its partial report (the
+/// recovery counters inside carry passes and backoff); a stall without a
+/// policy panics.
 fn execute_run(
     cell: &Cell<'_>,
     protocol: &dyn rfid_protocols::PollingProtocol,
     sc: &Scenario,
 ) -> Report {
-    if cell.fault.is_none() && cell.recovery.is_none() {
-        return run_polling(protocol, sc).report;
-    }
     let mut cfg = SimConfig::paper(sc.protocol_seed());
     if let Some(fault) = &cell.fault {
         cfg = cfg.with_fault(fault.clone());
     }
     let mut ctx = SimContext::new(sc.build_population(), &cfg);
-    match &cell.recovery {
-        Some(policy) => run_recovered(protocol, policy, &mut ctx).report().clone(),
-        None => match run_polling_in(protocol, &mut ctx) {
-            Ok(outcome) => outcome.report,
-            Err(e) => panic!("{e}"),
-        },
+    let mut session = Session::open(protocol, &ctx);
+    if let Some(policy) = cell.recovery {
+        session = session.with_policy(policy);
+    }
+    match collect(session, &mut ctx).end {
+        SessionEnd::Complete { report, .. } | SessionEnd::Degraded { report, .. } => report,
+        SessionEnd::Stalled(e) => panic!("{e}"),
     }
 }
 

@@ -15,9 +15,9 @@
 //!
 //! * **budget** — the per-pass step cap ([`StepDiscipline::max_steps`])
 //!   and the no-progress [`StallGuard`], applied uniformly;
-//! * **recovery** — the multi-pass backoff loop of
-//!   [`RecoveryPolicy`](crate::RecoveryPolicy), folded into the same
-//!   driver so a pass boundary is just another step boundary;
+//! * **recovery** — the multi-pass backoff loop of [`RecoveryPolicy`],
+//!   installed with [`Session::with_policy`] so a pass boundary is just
+//!   another step boundary;
 //! * **deadline** — an optional sim-time watchdog that converts an
 //!   overrun into a typed [`SessionEnd::Degraded`] result instead of an
 //!   unbounded run;
@@ -28,10 +28,9 @@
 //!   stream, same trace, same report. The crash-chaos bench
 //!   (`BENCH_session.json`) enforces this for every protocol.
 //!
-//! [`PollingProtocol::try_run`] is now a thin wrapper over
-//! [`run_session`], and [`run_recovered`](crate::run_recovered) over a
-//! policy-carrying session — the legacy control flow is reproduced
-//! operation-for-operation, so all golden traces are unchanged.
+//! [`PollingProtocol::try_run`] is a bare session (no policy, no
+//! deadline); every other way of running a protocol configures a
+//! [`Session`] and calls [`Session::run`].
 
 use std::path::PathBuf;
 
@@ -39,9 +38,103 @@ use rfid_obs::FlightRecorder;
 use rfid_system::{Json, JsonError, SimConfig, SimContext, ToJson};
 
 use crate::error::{PollingError, StallCause, StallGuard};
-use crate::recovery::RecoveryPolicy;
 use crate::report::Report;
 use crate::PollingProtocol;
+
+/// How a session with [`Session::with_policy`] re-polls, backs off, and
+/// gives up.
+///
+/// A stall no longer ends the session: the driver idles a sim-time
+/// exponential backoff (jitter drawn from the context's RNG, charged on
+/// the C1G2 clock), reselects the population and starts a fresh pass over
+/// the uncollected remainder — polled tags are asleep, so counters, clock
+/// and trace accumulate in place. Pass 1 is the bare run: no RNG draws,
+/// events or time, so a run that never stalls is bit-identical to
+/// [`PollingProtocol::try_run`].
+///
+/// The circuit breaker weighs evidence in *idle rounds*, not passes: a
+/// zero-progress [`StallCause::RoundCap`] pass contributes only its small
+/// round budget, a [`StallCause::NoProgress`] stall a full
+/// [`DEFAULT_STALL_ROUNDS`](crate::DEFAULT_STALL_ROUNDS) window, and any
+/// progress resets the count. With unbounded passes, coverage therefore
+/// reaches 1.0 whenever loss < 1.0; only a dead configuration (permanent
+/// jam, killed tag) ends [`SessionEnd::Degraded`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecoveryPolicy {
+    /// Maximum polling passes (including the initial attempt); `0` means
+    /// unbounded — the session runs until complete or until the
+    /// zero-progress breaker opens.
+    pub max_passes: u64,
+    /// Backoff after the first stalled pass, in C1G2 microseconds. Doubles
+    /// each further pass (exponential), capped by `max_backoff_us`.
+    pub base_backoff_us: u64,
+    /// Ceiling on one backoff interval, in microseconds.
+    pub max_backoff_us: u64,
+    /// Circuit breaker threshold, in units of stall-guard windows: the
+    /// session gives up once `zero_progress_limit ·`
+    /// [`DEFAULT_STALL_ROUNDS`](crate::DEFAULT_STALL_ROUNDS) consecutive
+    /// idle rounds (rounds that polled nothing) accumulate across passes.
+    pub zero_progress_limit: u64,
+}
+
+impl Default for RecoveryPolicy {
+    fn default() -> Self {
+        RecoveryPolicy {
+            max_passes: 0,
+            base_backoff_us: 1_000,
+            max_backoff_us: 64_000,
+            zero_progress_limit: 2,
+        }
+    }
+}
+
+impl RecoveryPolicy {
+    /// Unbounded passes with the default backoff — drives any survivable
+    /// fault configuration to completion.
+    pub fn unbounded() -> Self {
+        RecoveryPolicy::default()
+    }
+
+    /// Caps the number of passes (`0` = unbounded).
+    pub fn with_max_passes(mut self, max_passes: u64) -> Self {
+        self.max_passes = max_passes;
+        self
+    }
+
+    /// Sets the backoff ladder: first interval and its ceiling.
+    pub fn with_backoff(mut self, base_us: u64, max_us: u64) -> Self {
+        self.base_backoff_us = base_us;
+        self.max_backoff_us = max_us;
+        self
+    }
+
+    /// Sets the circuit-breaker threshold, in stall-guard windows of
+    /// consecutive idle rounds (see [`RecoveryPolicy::zero_progress_limit`]).
+    ///
+    /// # Panics
+    /// Panics if `limit` is zero (the breaker would open before pass 1).
+    pub fn with_zero_progress_limit(mut self, limit: u64) -> Self {
+        assert!(limit > 0, "zero-progress limit must be positive");
+        self.zero_progress_limit = limit;
+        self
+    }
+
+    /// The backoff charged after stalled pass `pass` (1-based), before
+    /// jitter: `base · 2^(pass-1)`, saturating, capped at `max_backoff_us`.
+    pub fn backoff_us(&self, pass: u64) -> u64 {
+        let shift = (pass - 1).min(32) as u32;
+        self.base_backoff_us
+            .saturating_mul(1u64 << shift)
+            .min(self.max_backoff_us)
+    }
+}
+
+rfid_system::impl_json_struct!(RecoveryPolicy {
+    max_passes,
+    base_backoff_us,
+    max_backoff_us,
+    zero_progress_limit,
+});
 
 /// What one [`ProtocolStepper::step`] reported.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -187,21 +280,37 @@ impl SessionEnd {
     pub fn is_complete(&self) -> bool {
         matches!(self, SessionEnd::Complete { .. })
     }
+
+    /// Passes used (a stalled session had no policy, so ran one pass).
+    pub fn passes(&self) -> u64 {
+        match self {
+            SessionEnd::Complete { passes, .. } | SessionEnd::Degraded { passes, .. } => *passes,
+            SessionEnd::Stalled(_) => 1,
+        }
+    }
+
+    /// Fraction of the population collected, in `[0, 1]`: `1.0` when
+    /// complete.
+    pub fn coverage(&self) -> f64 {
+        match self {
+            SessionEnd::Complete { .. } => 1.0,
+            SessionEnd::Stalled(PollingError::Stalled {
+                partial_report,
+                uncollected,
+                ..
+            }) => coverage_of(partial_report.tags, uncollected.len()),
+            SessionEnd::Degraded { coverage, .. } => *coverage,
+        }
+    }
 }
 
-/// Runs `protocol` on `ctx` through a bare session (no recovery policy,
-/// no deadline) — the engine behind [`PollingProtocol::try_run`].
-pub fn run_session<P: PollingProtocol + ?Sized>(
-    protocol: &P,
-    ctx: &mut SimContext,
-) -> Result<Report, PollingError> {
-    let mut session = Session::open(protocol, ctx);
-    match session.run(ctx) {
-        SessionEnd::Complete { report, .. } => Ok(report),
-        SessionEnd::Stalled(err) => Err(err),
-        SessionEnd::Degraded { .. } => {
-            unreachable!("a bare session has no policy or deadline to degrade through")
-        }
+/// Fraction of `tags` collected with `uncollected` still unread (`1.0`
+/// for an empty population).
+fn coverage_of(tags: usize, uncollected: usize) -> f64 {
+    if tags == 0 {
+        1.0
+    } else {
+        (tags - uncollected) as f64 / tags as f64
     }
 }
 
@@ -389,28 +498,13 @@ impl Session {
     /// captures the still-open span stack first), then close the driver's
     /// `pass` and `session` spans.
     fn finish_end(&mut self, ctx: &mut SimContext, end: SessionEnd) -> SessionEnd {
-        match &end {
-            SessionEnd::Complete { .. } => {}
-            SessionEnd::Stalled(err) => {
-                let report = err.partial_report();
-                let uncollected = match err {
-                    PollingError::Stalled { uncollected, .. } => uncollected.len(),
-                };
-                let coverage = if report.tags == 0 {
-                    1.0
-                } else {
-                    (report.tags - uncollected) as f64 / report.tags as f64
-                };
-                self.dump_postmortem(ctx, "stalled", report, coverage);
-            }
-            SessionEnd::Degraded {
-                report,
-                coverage,
-                cause,
-                ..
-            } => {
-                self.dump_postmortem(ctx, cause.label(), report, *coverage);
-            }
+        let cause = match &end {
+            SessionEnd::Complete { .. } => None,
+            SessionEnd::Stalled(_) => Some("stalled"),
+            SessionEnd::Degraded { cause, .. } => Some(cause.label()),
+        };
+        if let Some(cause) = cause {
+            self.dump_postmortem(ctx, cause, end.report(), end.coverage());
         }
         if self.spans_open {
             ctx.span_exit();
@@ -477,15 +571,9 @@ impl Session {
         let out_of_passes = policy.max_passes != 0 && self.passes >= policy.max_passes;
         if out_of_passes || self.idle_rounds >= idle_cap {
             ctx.note_circuit_opened(self.passes, uncollected.len());
-            let tags = partial_report.tags;
-            let coverage = if tags == 0 {
-                1.0
-            } else {
-                (tags - uncollected.len()) as f64 / tags as f64
-            };
             return Some(SessionEnd::Degraded {
+                coverage: coverage_of(partial_report.tags, uncollected.len()),
                 report: partial_report,
-                coverage,
                 passes: self.passes,
                 cause: if out_of_passes {
                     DegradeCause::OutOfPasses
@@ -526,16 +614,9 @@ impl Session {
     /// no circuit event — the breaker did not open, time simply ran out).
     fn degraded_now(&self, ctx: &SimContext, cause: DegradeCause) -> SessionEnd {
         let report = Report::from_context(self.name, ctx);
-        let uncollected = ctx.uncollected_handles().len();
-        let tags = report.tags;
-        let coverage = if tags == 0 {
-            1.0
-        } else {
-            (tags - uncollected) as f64 / tags as f64
-        };
         SessionEnd::Degraded {
+            coverage: coverage_of(report.tags, ctx.uncollected_handles().len()),
             report,
-            coverage,
             passes: self.passes,
             cause,
         }
@@ -619,17 +700,6 @@ impl Session {
     }
 }
 
-/// Drives `protocol` under `policy` through a session — the engine behind
-/// [`run_recovered`](crate::run_recovered).
-pub fn run_recovered_session<P: PollingProtocol + ?Sized>(
-    protocol: &P,
-    policy: &RecoveryPolicy,
-    ctx: &mut SimContext,
-) -> SessionEnd {
-    let mut session = Session::open(protocol, ctx).with_policy(*policy);
-    session.run(ctx)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -642,11 +712,178 @@ mod tests {
     }
 
     fn small_budget_hpp() -> crate::hpp::Hpp {
+        // A tiny per-pass round budget forces multi-pass recovery even at
+        // moderate loss, exercising the backoff and merge paths.
         HppConfig {
             max_rounds: 4,
             ..HppConfig::default()
         }
         .into_protocol()
+    }
+
+    fn faulted(n: usize, seed: u64, fault: FaultModel) -> SimContext {
+        SimContext::new(population(n), &SimConfig::paper(seed).with_fault(fault))
+    }
+
+    /// Runs `protocol` under `policy` to its end.
+    fn recover(
+        protocol: &dyn PollingProtocol,
+        policy: RecoveryPolicy,
+        ctx: &mut SimContext,
+    ) -> SessionEnd {
+        Session::open(protocol, ctx).with_policy(policy).run(ctx)
+    }
+
+    #[test]
+    fn perfect_channel_completes_in_one_pass() {
+        let mut ctx = faulted(100, 1, FaultModel::perfect());
+        let protocol = HppConfig::default().into_protocol();
+        let end = recover(&protocol, RecoveryPolicy::unbounded(), &mut ctx);
+        assert!(end.is_complete());
+        assert_eq!(end.passes(), 1);
+        assert_eq!(end.coverage(), 1.0);
+        assert_eq!(ctx.counters.recovery_passes, 0);
+        assert_eq!(ctx.counters.recovery_backoff_us, 0);
+    }
+
+    #[test]
+    fn lossy_channel_converges_over_multiple_passes() {
+        let fault = FaultModel::perfect().with_downlink_loss(0.4);
+        let mut ctx = faulted(200, 7, fault);
+        let end = recover(&small_budget_hpp(), RecoveryPolicy::unbounded(), &mut ctx);
+        assert!(end.is_complete(), "survivable loss must converge");
+        assert!(end.passes() > 1, "a 4-round budget cannot finish pass 1");
+        ctx.assert_complete();
+        assert_eq!(ctx.counters.recovery_passes, end.passes() - 1);
+        assert!(ctx.counters.recovery_backoff_us > 0);
+        assert_eq!(end.report().counters.polls, 200, "partial reports merged");
+    }
+
+    #[test]
+    fn dead_channel_degrades_with_consistent_coverage() {
+        let fault = FaultModel::perfect().with_downlink_loss(1.0);
+        let mut ctx = faulted(50, 3, fault);
+        let end = recover(&small_budget_hpp(), RecoveryPolicy::unbounded(), &mut ctx);
+        let SessionEnd::Degraded {
+            report,
+            coverage,
+            passes,
+            cause,
+        } = end
+        else {
+            panic!("a jammed downlink cannot complete");
+        };
+        assert_eq!(cause, DegradeCause::CircuitOpen);
+        assert_eq!(coverage, 0.0);
+        assert_eq!(report.counters.polls, 0);
+        // With a 4-round budget every pass is a zero-progress RoundCap
+        // stall worth 4 idle rounds, so the breaker needs 512 / 4 = 128
+        // passes — bounded, unlike a streak counter that ignores RoundCap.
+        assert_eq!(passes, 128);
+        assert_eq!(ctx.counters.recovery_passes, 127);
+    }
+
+    #[test]
+    fn killed_tag_degrades_with_partial_coverage() {
+        use rfid_system::fault::{FaultPlan, KillRule};
+        let plan = FaultPlan {
+            kill_after_replies: vec![KillRule {
+                tag: 5,
+                after_replies: 0,
+            }],
+            ..FaultPlan::none()
+        };
+        let mut ctx = faulted(40, 11, FaultModel::perfect().with_plan(plan));
+        // Default (large) round budget: each pass ends in a NoProgress
+        // stall, so the breaker opens after `zero_progress_limit` passes
+        // beyond the last progress.
+        let protocol = HppConfig::default().into_protocol();
+        let end = recover(&protocol, RecoveryPolicy::unbounded(), &mut ctx);
+        assert!(!end.is_complete(), "a dead tag can never be collected");
+        assert_eq!(end.report().counters.polls, 39);
+        assert!((end.coverage() - 39.0 / 40.0).abs() < 1e-12);
+        assert_eq!(ctx.uncollected_handles(), vec![5]);
+    }
+
+    #[test]
+    fn max_passes_caps_the_session() {
+        let fault = FaultModel::perfect().with_downlink_loss(1.0);
+        let mut ctx = faulted(30, 5, fault);
+        let policy = RecoveryPolicy::unbounded().with_max_passes(3);
+        let end = recover(&small_budget_hpp(), policy, &mut ctx);
+        assert!(matches!(
+            end,
+            SessionEnd::Degraded {
+                cause: DegradeCause::OutOfPasses,
+                passes: 3,
+                ..
+            }
+        ));
+        assert_eq!(ctx.counters.recovery_passes, 2);
+    }
+
+    #[test]
+    fn stalled_end_reports_one_pass_and_its_coverage() {
+        let fault = FaultModel::perfect().with_downlink_loss(1.0);
+        let mut ctx = faulted(10, 13, fault);
+        let end = Session::open(&small_budget_hpp(), &ctx).run(&mut ctx);
+        assert!(matches!(end, SessionEnd::Stalled(_)));
+        assert_eq!(end.passes(), 1);
+        assert_eq!(end.coverage(), 0.0);
+    }
+
+    #[test]
+    fn backoff_ladder_is_exponential_and_capped() {
+        let p = RecoveryPolicy::default().with_backoff(1_000, 16_000);
+        assert_eq!(p.backoff_us(1), 1_000);
+        assert_eq!(p.backoff_us(2), 2_000);
+        assert_eq!(p.backoff_us(3), 4_000);
+        assert_eq!(p.backoff_us(5), 16_000);
+        assert_eq!(p.backoff_us(60), 16_000, "shift saturates, cap holds");
+    }
+
+    #[test]
+    fn recovery_is_deterministic_per_seed() {
+        let run_once = |seed: u64| {
+            let fault = FaultModel::perfect().with_downlink_loss(0.5);
+            let mut ctx = faulted(120, seed, fault);
+            let end = recover(&small_budget_hpp(), RecoveryPolicy::unbounded(), &mut ctx);
+            (end.passes(), ctx.counters, ctx.clock.total())
+        };
+        assert_eq!(run_once(9), run_once(9));
+        assert_ne!(run_once(9).2, run_once(10).2);
+    }
+
+    #[test]
+    fn tpp_recovers_by_re_descending_the_tree() {
+        let fault = FaultModel::perfect().with_downlink_loss(0.4);
+        let protocol = crate::tpp::TppConfig {
+            max_rounds: 4,
+            ..crate::tpp::TppConfig::default()
+        }
+        .into_protocol();
+        let mut ctx = faulted(150, 13, fault);
+        let end = recover(&protocol, RecoveryPolicy::unbounded(), &mut ctx);
+        assert!(end.is_complete());
+        assert!(end.passes() > 1);
+        ctx.assert_complete();
+    }
+
+    #[test]
+    fn policy_round_trips_through_json() {
+        let p = RecoveryPolicy::unbounded()
+            .with_max_passes(9)
+            .with_backoff(500, 8_000)
+            .with_zero_progress_limit(3);
+        let json = rfid_system::to_json_string(&p);
+        let back: RecoveryPolicy = rfid_system::from_json_str(&json).expect("parses");
+        assert_eq!(back, p);
+    }
+
+    #[test]
+    #[should_panic(expected = "zero-progress limit")]
+    fn zero_progress_limit_zero_is_rejected() {
+        let _ = RecoveryPolicy::default().with_zero_progress_limit(0);
     }
 
     #[test]

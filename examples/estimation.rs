@@ -51,9 +51,9 @@ fn main() {
         est.estimate
     );
     let fsa = FsaConfig::default().into_protocol();
-    let report = fast_rfid_polling::apps::info_collect::run_polling_in(&fsa, &mut ctx)
-        .expect("completes")
-        .report;
+    let outcome = collect(Session::open(&fsa, &ctx), &mut ctx);
+    assert!(outcome.end.is_complete());
+    let report = outcome.report();
     println!(
         "  estimation {} + identification {} = {} total",
         est.time,

@@ -68,9 +68,9 @@ fn main() {
     println!(
         "{:<12} {:>12} {:>12} {:>16}",
         "TPP (poll)",
-        outcome.report.total_time.to_string(),
-        outcome.report.time_per_tag().to_string(),
-        outcome.report.counters.polls
+        outcome.report().total_time.to_string(),
+        outcome.report().time_per_tag().to_string(),
+        outcome.report().counters.polls
     );
 
     println!("\nidentification pays once; every later presence check or sensor");

@@ -12,11 +12,18 @@
 //! and Gilbert–Elliott burst loss, and the last part shows HPP's adaptive
 //! index widening coping with unknown (alien) tags in the zone.
 
-use fast_rfid_polling::apps::info_collect::run_polling_in;
 use fast_rfid_polling::apps::unknown::run_hpp_with_aliens;
 use fast_rfid_polling::baselines::MicConfig;
 use fast_rfid_polling::prelude::*;
 use fast_rfid_polling::system::{Channel, SimConfig, SimContext};
+
+/// Runs `protocol` to completion through a bare session; every loss rate
+/// shown here is survivable, so anything else is a bug.
+fn collect_all(protocol: &dyn PollingProtocol, ctx: &mut SimContext) -> Collection {
+    let outcome = collect(Session::open(protocol, ctx), ctx);
+    assert!(outcome.end.is_complete(), "{:?}", outcome.end);
+    outcome
+}
 
 fn main() {
     let n = 2_000usize;
@@ -32,9 +39,9 @@ fn main() {
             let scenario = Scenario::uniform(n, 1).with_seed(42);
             let cfg = SimConfig::paper(scenario.protocol_seed()).with_channel(Channel::lossy(loss));
             let mut ctx = SimContext::new(scenario.build_population(), &cfg);
-            let outcome = run_polling_in(protocol, &mut ctx).expect("survivable loss rate");
-            assert_eq!(outcome.report.counters.polls as usize, n);
-            row.push(outcome.report.total_time.as_secs());
+            let outcome = collect_all(protocol, &mut ctx);
+            assert_eq!(outcome.report().counters.polls as usize, n);
+            row.push(outcome.report().total_time.as_secs());
         }
         println!(
             "{loss:>6.1} {:>11.3}s {:>11.3}s {:>11.3}s",
@@ -53,13 +60,12 @@ fn main() {
         let cfg = SimConfig::paper(scenario.protocol_seed())
             .with_fault(FaultModel::perfect().with_downlink_loss(loss));
         let mut ctx = SimContext::new(scenario.build_population(), &cfg);
-        let outcome = run_polling_in(&HppConfig::default().into_protocol(), &mut ctx)
-            .expect("survivable downlink loss");
-        assert_eq!(outcome.report.counters.polls as usize, n);
-        let c = &outcome.report.counters;
+        let outcome = collect_all(&HppConfig::default().into_protocol(), &mut ctx);
+        assert_eq!(outcome.report().counters.polls as usize, n);
+        let c = &outcome.report().counters;
         println!(
             "{loss:>6.1} {:>11.3}s {:>12} {:>12}",
-            outcome.report.total_time.as_secs(),
+            outcome.report().total_time.as_secs(),
             c.downlink_losses,
             c.desync_recoveries
         );
@@ -74,15 +80,14 @@ fn main() {
         let cfg = SimConfig::paper(scenario.protocol_seed())
             .with_fault(FaultModel::perfect().with_burst(burst));
         let mut ctx = SimContext::new(scenario.build_population(), &cfg);
-        let outcome = run_polling_in(&TppConfig::default().into_protocol(), &mut ctx)
-            .expect("survivable burst loss");
-        assert_eq!(outcome.report.counters.polls as usize, n);
+        let outcome = collect_all(&TppConfig::default().into_protocol(), &mut ctx);
+        assert_eq!(outcome.report().counters.polls as usize, n);
         // Fraction of time spent in the bad state ~ p_enter/(p_enter+p_exit).
         let bad = p_enter / (p_enter + p_exit);
         println!(
             "{bad:>10.2} {:>11.3}s {:>12}",
-            outcome.report.total_time.as_secs(),
-            outcome.report.counters.lost_replies
+            outcome.report().total_time.as_secs(),
+            outcome.report().counters.lost_replies
         );
     }
     println!("\nclustered losses cost more rounds than independent ones, never correctness.");

@@ -11,7 +11,7 @@ fn mean_w(protocol: &dyn PollingProtocol, n: usize, seeds: std::ops::Range<u64>)
     let count = (seeds.end - seeds.start) as f64;
     for seed in seeds {
         let scenario = Scenario::uniform(n, 1).with_seed(seed);
-        acc += run_polling(protocol, &scenario).report.mean_vector_bits();
+        acc += run_polling(protocol, &scenario).report().mean_vector_bits();
     }
     acc / count
 }
@@ -74,7 +74,7 @@ fn ehpp_simulation_tracks_circle_model() {
     for seed in 40..44u64 {
         let scenario = Scenario::uniform(n, 1).with_seed(seed);
         acc += run_polling(&EhppConfig::default().into_protocol(), &scenario)
-            .report
+            .report()
             .mean_vector_bits_with_overhead();
     }
     let simulated = acc / 4.0;
@@ -96,9 +96,9 @@ fn execution_times_match_the_timing_model() {
         let outcome = run_polling(&CppConfig::default().into_protocol(), &scenario);
         let model = analysis::timing::cpp_time_per_tag(&LinkParams::paper(), l as u64) * n as u64;
         assert!(
-            (outcome.report.total_time.as_f64() - model.as_f64()).abs() < 1e-6,
+            (outcome.report().total_time.as_f64() - model.as_f64()).abs() < 1e-6,
             "l = {l}: simulated {} vs model {}",
-            outcome.report.total_time,
+            outcome.report().total_time,
             model
         );
     }
@@ -110,7 +110,7 @@ fn round_counts_track_the_recurrences() {
     let scenario = Scenario::uniform(n, 1).with_seed(60);
     let hpp = run_polling(&HppConfig::default().into_protocol(), &scenario);
     let expected = analysis::hpp::expected_rounds(n as u64) as i64;
-    let got = hpp.report.counters.rounds as i64;
+    let got = hpp.report().counters.rounds as i64;
     assert!(
         (got - expected).abs() <= 4,
         "HPP rounds {got} vs recurrence {expected}"

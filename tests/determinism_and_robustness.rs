@@ -1,7 +1,7 @@
 //! Full-stack determinism (same seed ⇒ identical runs) and robustness
 //! under channel impairments.
 
-use fast_rfid_polling::apps::info_collect::{run_polling, run_polling_in};
+use fast_rfid_polling::apps::info_collect::{collect, run_polling};
 use fast_rfid_polling::baselines::MicConfig;
 use fast_rfid_polling::prelude::*;
 use fast_rfid_polling::system::{Channel, SimConfig, SimContext};
@@ -19,12 +19,15 @@ fn identical_seeds_produce_identical_runs() {
         let a = run_polling(protocol.as_ref(), &scenario);
         let b = run_polling(protocol.as_ref(), &scenario);
         assert_eq!(
-            a.report.total_time,
-            b.report.total_time,
+            a.report().total_time,
+            b.report().total_time,
             "{} not deterministic",
             protocol.name()
         );
-        assert_eq!(a.report.counters.reader_bits, b.report.counters.reader_bits);
+        assert_eq!(
+            a.report().counters.reader_bits,
+            b.report().counters.reader_bits
+        );
         assert_eq!(a.collected.len(), b.collected.len());
         for (x, y) in a.collected.iter().zip(&b.collected) {
             assert_eq!(x, y);
@@ -38,8 +41,8 @@ fn different_seeds_change_the_run_but_not_the_result() {
     let s2 = Scenario::uniform(500, 2).with_seed(2);
     let a = run_polling(&TppConfig::default().into_protocol(), &s1);
     let b = run_polling(&TppConfig::default().into_protocol(), &s2);
-    assert_ne!(a.report.total_time, b.report.total_time);
-    assert_eq!(a.report.counters.polls, b.report.counters.polls);
+    assert_ne!(a.report().total_time, b.report().total_time);
+    assert_eq!(a.report().counters.polls, b.report().counters.polls);
 }
 
 #[test]
@@ -56,10 +59,15 @@ fn protocols_survive_heavy_loss() {
             let population = scenario.build_population();
             let cfg = SimConfig::paper(scenario.protocol_seed()).with_channel(Channel::lossy(loss));
             let mut ctx = SimContext::new(population, &cfg);
-            let outcome = run_polling_in(protocol.as_ref(), &mut ctx)
-                .unwrap_or_else(|e| panic!("{} at loss {loss}: {e}", protocol.name()));
+            let outcome = collect(Session::open(protocol.as_ref(), &ctx), &mut ctx);
+            assert!(
+                outcome.end.is_complete(),
+                "{} at loss {loss}: {:?}",
+                protocol.name(),
+                outcome.end
+            );
             assert_eq!(
-                outcome.report.counters.polls,
+                outcome.report().counters.polls,
                 200,
                 "{} at loss {loss}",
                 protocol.name()
@@ -67,7 +75,8 @@ fn protocols_survive_heavy_loss() {
             // Direct polls record losses explicitly; MIC's frame slots see
             // a lost reply as an empty slot instead.
             assert!(
-                outcome.report.counters.lost_replies > 0 || outcome.report.counters.empty_slots > 0,
+                outcome.report().counters.lost_replies > 0
+                    || outcome.report().counters.empty_slots > 0,
                 "{} at loss {loss} saw no channel impairment",
                 protocol.name()
             );
@@ -85,9 +94,10 @@ fn loss_increases_cost_monotonically_in_expectation() {
             let population = scenario.build_population();
             let cfg = SimConfig::paper(scenario.protocol_seed()).with_channel(Channel::lossy(loss));
             let mut ctx = SimContext::new(population, &cfg);
-            let outcome =
-                run_polling_in(&TppConfig::default().into_protocol(), &mut ctx).expect("completes");
-            acc += outcome.report.total_time.as_secs();
+            let tpp = TppConfig::default().into_protocol();
+            let outcome = collect(Session::open(&tpp, &ctx), &mut ctx);
+            assert!(outcome.end.is_complete());
+            acc += outcome.report().total_time.as_secs();
         }
         let mean = acc / 5.0;
         assert!(
@@ -110,10 +120,10 @@ fn capture_effect_only_helps_aloha() {
             capture_any: false,
         });
         let mut ctx = SimContext::new(population, &cfg);
-        run_polling_in(&FsaConfig::default().into_protocol(), &mut ctx)
-            .expect("completes")
-            .report
-            .total_time
+        let fsa = FsaConfig::default().into_protocol();
+        let outcome = collect(Session::open(&fsa, &ctx), &mut ctx);
+        assert!(outcome.end.is_complete());
+        outcome.report().total_time
     };
     let plain = run_fsa(0.0);
     let captured = run_fsa(0.7);

@@ -7,7 +7,10 @@ use fast_rfid_polling::prelude::*;
 
 fn time_of(protocol: &dyn PollingProtocol, n: usize, l: usize, seed: u64) -> f64 {
     let scenario = Scenario::uniform(n, l).with_seed(seed);
-    run_polling(protocol, &scenario).report.total_time.as_secs()
+    run_polling(protocol, &scenario)
+        .report()
+        .total_time
+        .as_secs()
 }
 
 #[test]
@@ -78,16 +81,16 @@ fn headline_vector_lengths() {
     // HPP grows with n.
     let scenario = Scenario::uniform(5_000, 1).with_seed(6);
     let tpp = run_polling(&TppConfig::default().into_protocol(), &scenario);
-    let w = tpp.report.mean_vector_bits();
+    let w = tpp.report().mean_vector_bits();
     assert!((2.7..=3.4).contains(&w), "TPP w = {w}");
     assert!(96.0 / w > 28.0, "reduction factor {}", 96.0 / w);
 
     let ehpp = run_polling(&EhppConfig::default().into_protocol(), &scenario);
-    let we = ehpp.report.mean_vector_bits_with_overhead();
+    let we = ehpp.report().mean_vector_bits_with_overhead();
     assert!((8.0..=10.0).contains(&we), "EHPP w = {we}");
 
     let hpp = run_polling(&HppConfig::default().into_protocol(), &scenario);
-    let wh = hpp.report.mean_vector_bits();
+    let wh = hpp.report().mean_vector_bits();
     assert!((11.0..=13.0).contains(&wh), "HPP w = {wh} at n = 5000");
 }
 

@@ -18,7 +18,9 @@ fn recovered_passes(protocol: &dyn PollingProtocol, loss: f64) -> u64 {
     let cfg = SimConfig::paper(scenario.protocol_seed())
         .with_fault(FaultModel::perfect().with_downlink_loss(loss));
     let mut ctx = SimContext::new(scenario.build_population(), &cfg);
-    let outcome = run_recovered(protocol, &RecoveryPolicy::unbounded(), &mut ctx);
+    let outcome = Session::open(protocol, &ctx)
+        .with_policy(RecoveryPolicy::unbounded())
+        .run(&mut ctx);
     assert!(
         outcome.is_complete(),
         "{} did not converge at loss {loss}",

@@ -1,7 +1,7 @@
 //! Satellite: on a perfect channel the recovery layer must be invisible.
 //!
-//! Wrapping any protocol in [`run_recovered`] with any policy must produce a
-//! run that is *bit-identical* to the bare `try_run` — same counters, same
+//! Running any protocol in a [`Session`] with a recovery policy must produce
+//! a run that is *bit-identical* to the bare `try_run` — same counters, same
 //! event trace, same report JSON — because pass 1 of a recovery session is
 //! the bare protocol run and a fault-free channel never stalls. This pins
 //! the zero-cost contract from DESIGN.md: recovery is pure wrapping, not a
@@ -47,11 +47,9 @@ fn recovery_is_bit_identical_to_bare_try_run_on_a_perfect_channel() {
             .unwrap_or_else(|e| panic!("{} stalled fault-free: {e}", protocol.name()));
 
         let mut wrapped_ctx = traced_context(&scenario);
-        let outcome = run_recovered(
-            protocol.as_ref(),
-            &RecoveryPolicy::unbounded(),
-            &mut wrapped_ctx,
-        );
+        let outcome = Session::open(protocol.as_ref(), &wrapped_ctx)
+            .with_policy(RecoveryPolicy::unbounded())
+            .run(&mut wrapped_ctx);
         assert!(
             outcome.is_complete(),
             "{} did not complete under recovery",
@@ -94,18 +92,20 @@ fn recovery_is_bit_identical_to_bare_try_run_on_a_perfect_channel() {
 }
 
 #[test]
-fn session_wrapper_matches_the_free_function() {
+fn collect_matches_the_bare_session() {
     let scenario = Scenario::uniform(80, 1).with_seed(5);
     let mut a = traced_context(&scenario);
     let mut b = traced_context(&scenario);
     let protocol = TppConfig::default().into_protocol();
     let policy = RecoveryPolicy::default();
 
-    let via_fn = run_recovered(&protocol, &policy, &mut a);
-    let via_session = RecoverySession::new(protocol, policy).run(&mut b);
+    let via_session = Session::open(&protocol, &a).with_policy(policy).run(&mut a);
+    let via_collect = collect(Session::open(&protocol, &b).with_policy(policy), &mut b);
     assert_eq!(a.counters, b.counters);
+    assert_eq!(a.log.to_jsonl(), b.log.to_jsonl());
     assert_eq!(
-        via_fn.report().to_json().to_string(),
-        via_session.report().to_json().to_string()
+        via_session.report().to_json().to_string(),
+        via_collect.report().to_json().to_string()
     );
+    assert_eq!(via_collect.collected.len(), 80);
 }

@@ -157,7 +157,9 @@ fn mid_recovery_kill_restore_is_bit_identical() {
     let policy = RecoveryPolicy::unbounded();
 
     let mut ctx = SimContext::new(scenario.build_population(), &cfg);
-    let golden = run_recovered_session(&protocol, &policy, &mut ctx);
+    let golden = Session::open(&protocol, &ctx)
+        .with_policy(policy)
+        .run(&mut ctx);
     let SessionEnd::Complete {
         report: golden_report,
         passes: golden_passes,
