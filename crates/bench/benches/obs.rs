@@ -1,7 +1,7 @@
 //! Telemetry overhead guard: a full HPP run with tracing disabled must cost
-//! the same as before the observability layer existed — `SimContext::trace`
-//! is a branch on a cold flag, and the event constructors live behind a
-//! closure that never runs. The enabled and ring variants quantify what a
+//! the same as before the observability layer existed — `SimContext::emit`
+//! applies the event to the counters and only then branches on a cold flag
+//! before recording it. The enabled and ring variants quantify what a
 //! consumer pays when they *do* ask for a trace, and the derive benchmarks
 //! price the trace→metrics and trace→counters replays.
 

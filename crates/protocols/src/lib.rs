@@ -20,6 +20,12 @@
 //! All three implement [`PollingProtocol`] over a
 //! [`rfid_system::SimContext`] and produce a [`Report`].
 //!
+//! Every run goes through one [`Session`]: [`PollingProtocol::try_run`] is
+//! a bare session, while recovery passes, sim-time deadlines and
+//! checkpoints are configured on it ([`Session::with_policy`],
+//! [`Session::with_deadline_us`], [`Session::snapshot`]), and every ending
+//! is a [`SessionEnd`].
+//!
 //! ```
 //! use rfid_protocols::{PollingProtocol, TppConfig};
 //! use rfid_system::{SimConfig, SimContext, TagPopulation, BitVec};
