@@ -44,10 +44,10 @@ use crate::PollingProtocol;
 /// How a session with [`Session::with_policy`] re-polls, backs off, and
 /// gives up.
 ///
-/// A stall no longer ends the session: the driver idles a sim-time
-/// exponential backoff (jitter drawn from the context's RNG, charged on
-/// the C1G2 clock), reselects the population and starts a fresh pass over
-/// the uncollected remainder — polled tags are asleep, so counters, clock
+/// Under a policy a stall does not end the session: the driver idles a
+/// sim-time exponential backoff (jitter drawn from the context's RNG,
+/// charged on the C1G2 clock), reselects the population and starts a fresh
+/// pass over the uncollected remainder — polled tags are asleep, so counters, clock
 /// and trace accumulate in place. Pass 1 is the bare run: no RNG draws,
 /// events or time, so a run that never stalls is bit-identical to
 /// [`PollingProtocol::try_run`].

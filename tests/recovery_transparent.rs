@@ -92,7 +92,7 @@ fn recovery_is_bit_identical_to_bare_try_run_on_a_perfect_channel() {
 }
 
 #[test]
-fn collect_matches_the_bare_session() {
+fn collect_matches_the_policy_session() {
     let scenario = Scenario::uniform(80, 1).with_seed(5);
     let mut a = traced_context(&scenario);
     let mut b = traced_context(&scenario);
