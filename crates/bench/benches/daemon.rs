@@ -6,20 +6,17 @@
 //! (the gate), and the report records sessions/sec alongside the latency
 //! distribution.
 //!
-//! Writes `BENCH_daemon.json` (schema: `{"group":"daemon","results":
-//! [{"name","protocol","clients","sessions","expected","completed","n",
-//! "sessions_per_sec","latency_p50_us","latency_p90_us","latency_p99_us",
-//! "latency_mean_us"}]}`) next to the other bench reports so
-//! `scripts/verify.sh` and `obs_report --check-daemon` can gate on it.
+//! Records per case in `BENCH_daemon.json`: `completed` (gated at the
+//! expected session count), `sessions_per_sec` and the latency mean and
+//! p50/p90/p99.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use rfid_bench::find_target_dir;
+use rfid_bench::{Bench, BenchRecord, Gate};
 use rfid_daemon::{serve_connection, Daemon, DaemonClient, RunEnd, Service};
 use rfid_obs::Log2Histogram;
-use rfid_system::{Json, ToJson};
 use rfid_wire::{loopback, OpenRequest, Transport};
 
 const PROTOCOL: &str = "TPP";
@@ -27,7 +24,6 @@ const N: u64 = 64;
 const INFO_BITS: u64 = 4;
 
 struct CaseResult {
-    name: &'static str,
     clients: u64,
     expected: u64,
     completed: u64,
@@ -94,7 +90,6 @@ fn tcp_fanout(clients: usize, sessions_per_client: usize) -> CaseResult {
         }
     }
     CaseResult {
-        name: "tcp_fanout",
         clients: clients as u64,
         expected: (clients * sessions_per_client) as u64,
         completed,
@@ -129,7 +124,6 @@ fn loopback_serial(sessions: usize) -> CaseResult {
     drop(client);
     server.join().expect("server thread").expect("serve ok");
     CaseResult {
-        name: "loopback_serial",
         clients: 1,
         expected: sessions as u64,
         completed,
@@ -139,88 +133,37 @@ fn loopback_serial(sessions: usize) -> CaseResult {
 }
 
 fn main() {
-    let filter = std::env::args()
-        .skip(1)
-        .find(|a| !a.starts_with('-'))
-        .filter(|a| !a.is_empty());
-    let mut results: Vec<Json> = Vec::new();
-    let mut failures: Vec<String> = Vec::new();
-
-    let cases: Vec<CaseResult> = [
-        (
-            "tcp_fanout",
-            Box::new(|| tcp_fanout(8, 25)) as Box<dyn Fn() -> CaseResult>,
-        ),
-        ("loopback_serial", Box::new(|| loopback_serial(50))),
-    ]
-    .into_iter()
-    .filter(|(name, _)| filter.as_deref().map_or(true, |f| name.contains(f)))
-    .map(|(_, run)| run())
-    .collect();
-
-    for case in &cases {
+    let mut b = Bench::new("daemon");
+    let cases: [(&str, fn() -> CaseResult); 2] = [
+        ("tcp_fanout", || tcp_fanout(8, 25)),
+        ("loopback_serial", || loopback_serial(50)),
+    ];
+    for (name, run) in cases {
+        if !b.wants(name) {
+            continue;
+        }
+        let case = run();
+        let record = |metric, unit, value| {
+            BenchRecord::new(name, metric, unit, value)
+                .param("protocol", PROTOCOL)
+                .param("n", &N)
+                .param("clients", &case.clients)
+                .param("sessions", &case.expected)
+        };
         let pct = |q: f64| case.latencies.percentile(q).unwrap_or(0) as f64;
-        let sessions_per_sec = case.completed as f64 / case.seconds.max(1e-9);
-        println!(
-            "daemon/{}: {} clients, {}/{} sessions in {:.3}s ({:.0}/s), \
-             latency p50≤{:.0}µs p90≤{:.0}µs p99≤{:.0}µs mean {:.0}µs",
-            case.name,
-            case.clients,
-            case.completed,
-            case.expected,
-            case.seconds,
-            sessions_per_sec,
-            pct(0.5),
-            pct(0.9),
-            pct(0.99),
-            case.latencies.mean(),
+        b.record(
+            record("completed", "sessions", case.completed as f64)
+                .gate(Gate::AtLeast(case.expected as f64)),
         );
-        if case.completed != case.expected {
-            failures.push(format!(
-                "{}: only {}/{} sessions completed",
-                case.name, case.completed, case.expected
-            ));
-        }
-        results.push(Json::Obj(vec![
-            ("name".to_string(), case.name.to_json()),
-            ("protocol".to_string(), PROTOCOL.to_json()),
-            ("clients".to_string(), case.clients.to_json()),
-            ("sessions".to_string(), case.expected.to_json()),
-            ("expected".to_string(), case.expected.to_json()),
-            ("completed".to_string(), case.completed.to_json()),
-            ("n".to_string(), N.to_json()),
-            ("sessions_per_sec".to_string(), sessions_per_sec.to_json()),
-            ("latency_p50_us".to_string(), pct(0.5).to_json()),
-            ("latency_p90_us".to_string(), pct(0.9).to_json()),
-            ("latency_p99_us".to_string(), pct(0.99).to_json()),
-            (
-                "latency_mean_us".to_string(),
-                case.latencies.mean().to_json(),
-            ),
-        ]));
+        b.record(record(
+            "sessions_per_sec",
+            "sessions/s",
+            case.completed as f64 / case.seconds.max(1e-9),
+        ));
+        b.record(record("latency_p50_us", "us", pct(0.5)));
+        b.record(record("latency_p90_us", "us", pct(0.9)));
+        b.record(record("latency_p99_us", "us", pct(0.99)));
+        b.record(record("latency_mean_us", "us", case.latencies.mean()));
     }
-
-    if !results.is_empty() {
-        let report = Json::Obj(vec![
-            ("group".to_string(), "daemon".to_json()),
-            ("results".to_string(), Json::Arr(results)),
-        ])
-        .to_pretty_string();
-        let file = "BENCH_daemon.json";
-        let path = find_target_dir()
-            .map(|d| d.join(file))
-            .unwrap_or_else(|| file.into());
-        match std::fs::write(&path, report + "\n") {
-            Ok(()) => println!("report: {}", path.display()),
-            Err(e) => eprintln!("could not write {}: {e}", path.display()),
-        }
-    }
-
-    if !failures.is_empty() {
-        eprintln!("daemon serving gate FAILED:");
-        for f in &failures {
-            eprintln!("  {f}");
-        }
-        std::process::exit(1);
-    }
+    b.finish();
 }

@@ -13,18 +13,17 @@
 //! frame), gate at constant-factor floors; the rest are tracked for
 //! regressions.
 //!
-//! Writes `BENCH_hotpath.json` (schema: `{"group":"hotpath","results":
-//! [{"name","n","seconds","tags_per_sec","slots_per_sec","baseline_tags_per_sec",
-//! "speedup"}]}`) next to the other bench reports so `scripts/verify.sh`
-//! can check it stays present and well-formed.
+//! Records `tags_per_sec`, `slots_per_sec` and `speedup` per case in
+//! `BENCH_hotpath.json`; each gated case's `speedup` is gated at
+//! `min_speedup`.
 
 use std::time::Instant;
 
 use rfid_baselines::{FsaConfig, LowerBound, MicConfig};
-use rfid_bench::find_target_dir;
+use rfid_bench::{Bench, BenchRecord, Gate};
 use rfid_identify::{BinarySplitConfig, QAlgorithmConfig, QueryTreeConfig};
 use rfid_protocols::{EhppConfig, HppConfig, PollingProtocol, TppConfig};
-use rfid_system::{BitVec, Json, SimConfig, SimContext, TagPopulation, ToJson};
+use rfid_system::{BitVec, SimConfig, SimContext, TagPopulation};
 
 /// One throughput case: a protocol at a population size, with the
 /// throughput the pre-change simulator achieved there (tags/sec, measured
@@ -164,19 +163,11 @@ fn run_case(case: &Case) -> (f64, u64) {
 }
 
 fn main() {
-    let filter = std::env::args()
-        .skip(1)
-        .find(|a| !a.starts_with('-'))
-        .filter(|a| !a.is_empty());
-    let mut results: Vec<Json> = Vec::new();
-    let mut failures: Vec<String> = Vec::new();
-
+    let mut b = Bench::new("hotpath");
     for case in CASES {
         let label = format!("{}_{}", case.name, case.n);
-        if let Some(f) = &filter {
-            if !label.contains(f.as_str()) {
-                continue;
-            }
+        if !b.wants(&label) {
+            continue;
         }
         // Best-of-3 for the fast cases; single shot once a run is slow
         // enough that timer noise is irrelevant.
@@ -191,57 +182,18 @@ fn main() {
             }
         }
         let tags_per_sec = case.n as f64 / seconds;
-        let slots_per_sec = slots as f64 / seconds;
-        let speedup = tags_per_sec / case.baseline_tags_per_sec;
-        println!(
-            "hotpath/{label}: {seconds:.3}s  {tags_per_sec:.0} tags/s  \
-             {slots_per_sec:.0} slots/s  ({speedup:.1}x pre-change)"
+        let record = |metric, unit, value| {
+            BenchRecord::new(&label, metric, unit, value)
+                .param("protocol", case.name)
+                .param("n", &case.n)
+        };
+        b.record(record("tags_per_sec", "tags/s", tags_per_sec));
+        b.record(record("slots_per_sec", "slots/s", slots as f64 / seconds));
+        b.record(
+            record("speedup", "x", tags_per_sec / case.baseline_tags_per_sec)
+                .param("baseline_tags_per_sec", &case.baseline_tags_per_sec)
+                .gate(case.min_speedup.map(Gate::AtLeast)),
         );
-        if let Some(floor) = case.min_speedup {
-            if speedup < floor {
-                failures.push(format!(
-                    "{label}: {speedup:.1}x < required {floor:.0}x \
-                     ({tags_per_sec:.0} vs baseline {:.0} tags/s)",
-                    case.baseline_tags_per_sec
-                ));
-            }
-        }
-        results.push(Json::Obj(vec![
-            ("name".to_string(), case.name.to_json()),
-            ("n".to_string(), (case.n as u64).to_json()),
-            ("seconds".to_string(), seconds.to_json()),
-            ("tags_per_sec".to_string(), tags_per_sec.to_json()),
-            ("slots_per_sec".to_string(), slots_per_sec.to_json()),
-            (
-                "baseline_tags_per_sec".to_string(),
-                case.baseline_tags_per_sec.to_json(),
-            ),
-            ("speedup".to_string(), speedup.to_json()),
-            ("gated".to_string(), case.min_speedup.is_some().to_json()),
-        ]));
     }
-
-    if !results.is_empty() {
-        let report = Json::Obj(vec![
-            ("group".to_string(), "hotpath".to_json()),
-            ("results".to_string(), Json::Arr(results)),
-        ])
-        .to_pretty_string();
-        let file = "BENCH_hotpath.json";
-        let path = find_target_dir()
-            .map(|d| d.join(file))
-            .unwrap_or_else(|| file.into());
-        match std::fs::write(&path, report + "\n") {
-            Ok(()) => println!("report: {}", path.display()),
-            Err(e) => eprintln!("could not write {}: {e}", path.display()),
-        }
-    }
-
-    if !failures.is_empty() {
-        eprintln!("hot-path throughput gate FAILED:");
-        for f in &failures {
-            eprintln!("  {f}");
-        }
-        std::process::exit(1);
-    }
+    b.finish();
 }

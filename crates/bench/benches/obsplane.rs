@@ -1,8 +1,6 @@
 //! Profiling-plane overhead and bit-identity gates (DESIGN.md §14).
 //!
-//! Three gates, all written to `BENCH_obsplane.json` (schema:
-//! `{"group":"obsplane","results":[...]}`) for `obs_report
-//! --check-obsplane` and `scripts/verify.sh`:
+//! Three gates, each a gated record in `BENCH_obsplane.json`:
 //!
 //! 1. **Disabled span path is free.** `SimContext::span_enter/span_exit`
 //!    guard on a cold `is_enabled()` flag exactly like the trace log; a
@@ -21,9 +19,9 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use rfid_bench::{find_target_dir, fnv64, Bench};
+use rfid_bench::{fnv64, Bench, BenchRecord, Gate};
 use rfid_protocols::{HppConfig, Session};
-use rfid_system::{BitVec, FaultModel, Json, SimConfig, SimContext, TagPopulation, ToJson};
+use rfid_system::{BitVec, FaultModel, SimConfig, SimContext, TagPopulation, ToJson};
 
 /// Population for the disabled-path and bit-identity gates.
 const N_SMALL: usize = 500;
@@ -54,37 +52,24 @@ fn best_of(k: usize, n: usize, cfg: &SimConfig) -> f64 {
     best
 }
 
-/// Builds one gate row. `ratio` is the caller's gated quotient (off/on for
-/// the disabled gate, on/off for the enabled one) and must stay ≤ `ceiling`.
-fn gate_result(
-    name: &str,
+/// Records one overhead gate: both timings and their `ratio` (off/on for
+/// the disabled gate, on/off for the enabled one), gated ≤ `ceiling`.
+fn record_ratio(
+    b: &mut Bench,
+    case: &str,
     n: usize,
     off_ns: f64,
     on_ns: f64,
     ratio: f64,
     ceiling: f64,
-) -> (Json, bool) {
-    let gated = ratio <= ceiling;
-    println!(
-        "obsplane/{name}: off {off_ns:.0} ns, on {on_ns:.0} ns, \
-         ratio {ratio:.2} (ceiling {ceiling})"
-    );
-    let json = Json::Obj(vec![
-        ("name".to_string(), name.to_json()),
-        ("n".to_string(), (n as u64).to_json()),
-        ("off_ns".to_string(), off_ns.to_json()),
-        ("on_ns".to_string(), on_ns.to_json()),
-        ("ratio".to_string(), ratio.to_json()),
-        ("ceiling".to_string(), ceiling.to_json()),
-        ("gated".to_string(), gated.to_json()),
-    ]);
-    (json, gated)
+) {
+    let record = |metric, unit, value| BenchRecord::new(case, metric, unit, value).param("n", &n);
+    b.record(record("off_ns", "ns", off_ns));
+    b.record(record("on_ns", "ns", on_ns));
+    b.record(record("ratio", "x", ratio).gate(Gate::AtMost(ceiling)));
 }
 
 fn main() {
-    let mut results: Vec<Json> = Vec::new();
-    let mut failures: Vec<String> = Vec::new();
-
     // Gate 1: the disabled span path. Functional zero-cost proof first —
     // an unprofiled run must record nothing at all.
     let off_cfg = SimConfig::paper(7);
@@ -97,20 +82,16 @@ fn main() {
 
     let mut b = Bench::new("obsplane");
     b.sample_size(20);
-    b.bench(&format!("hpp_{N_SMALL}/profile_disabled"), || {
+    let off = b.bench(&format!("hpp_{N_SMALL}/profile_disabled"), || {
         black_box(session_run(N_SMALL, &off_cfg).counters.polls)
     });
-    b.bench(&format!("hpp_{N_SMALL}/profile_enabled"), || {
+    let on = b.bench(&format!("hpp_{N_SMALL}/profile_enabled"), || {
         black_box(session_run(N_SMALL, &on_cfg).counters.polls)
     });
-    let min_of = |name: &str| {
-        b.results()
-            .iter()
-            .find(|m| m.name.contains(name))
-            .map(|m| m.nanos.min)
-    };
-    if let (Some(off), Some(on)) = (min_of("profile_disabled"), min_of("profile_enabled")) {
-        let (json, ok) = gate_result(
+    if let (Some(off), Some(on)) = (off, on) {
+        let (off, on) = (off.min, on.min);
+        record_ratio(
+            &mut b,
             "disabled_span_path",
             N_SMALL,
             off,
@@ -118,10 +99,6 @@ fn main() {
             off / on,
             DISABLED_CEILING,
         );
-        results.push(json);
-        if !ok {
-            failures.push("disabled span path costs more than the profiled run".into());
-        }
     }
 
     // Gate 2: full profiling on a 100 k-tag session stays under the
@@ -129,7 +106,8 @@ fn main() {
     // best of three so both sides see warm caches.
     let off = best_of(3, N_LARGE, &off_cfg);
     let on = best_of(3, N_LARGE, &on_cfg);
-    let (json, ok) = gate_result(
+    record_ratio(
+        &mut b,
         "enabled_profiling_overhead",
         N_LARGE,
         off,
@@ -137,12 +115,6 @@ fn main() {
         on / off,
         ENABLED_CEILING,
     );
-    results.push(json);
-    if !ok {
-        failures.push(format!(
-            "enabled profiling overhead exceeds {ENABLED_CEILING}×"
-        ));
-    }
 
     // Gate 3: bit-identity on an impaired traced run — profiling must not
     // move a single RNG draw, counter, or trace event.
@@ -162,45 +134,20 @@ fn main() {
     };
     let (plain_report, plain) = reported_run(&base_cfg);
     let (prof_report, profiled) = reported_run(&prof_cfg);
-    let report_match = plain_report == prof_report;
-    let counters_match = plain.counters == profiled.counters;
-    let trace_match = fnv64(&plain.log.to_jsonl()) == fnv64(&profiled.log.to_jsonl());
-    let identical = report_match && counters_match && trace_match;
-    println!(
-        "obsplane/bit_identity: report {report_match}, counters {counters_match}, \
-         trace {trace_match}"
-    );
-    results.push(Json::Obj(vec![
-        ("name".to_string(), "bit_identity".to_json()),
-        ("n".to_string(), (N_SMALL as u64).to_json()),
-        ("report_match".to_string(), report_match.to_json()),
-        ("counters_match".to_string(), counters_match.to_json()),
-        ("trace_match".to_string(), trace_match.to_json()),
-        ("identical".to_string(), identical.to_json()),
-    ]));
-    if !identical {
-        failures.push("profiling perturbed the run".into());
+    for (metric, same) in [
+        ("report_identical", plain_report == prof_report),
+        ("counters_identical", plain.counters == profiled.counters),
+        (
+            "trace_identical",
+            fnv64(&plain.log.to_jsonl()) == fnv64(&profiled.log.to_jsonl()),
+        ),
+    ] {
+        b.record(
+            BenchRecord::new("bit_identity", metric, "bool", f64::from(u8::from(same)))
+                .param("n", &N_SMALL)
+                .gate(Gate::AtLeast(1.0)),
+        );
     }
 
-    let report = Json::Obj(vec![
-        ("group".to_string(), "obsplane".to_json()),
-        ("results".to_string(), Json::Arr(results)),
-    ])
-    .to_pretty_string();
-    let file = "BENCH_obsplane.json";
-    let path = find_target_dir()
-        .map(|d| d.join(file))
-        .unwrap_or_else(|| file.into());
-    match std::fs::write(&path, report + "\n") {
-        Ok(()) => println!("report: {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
-
-    if !failures.is_empty() {
-        eprintln!("obsplane gate FAILED:");
-        for f in &failures {
-            eprintln!("  {f}");
-        }
-        std::process::exit(1);
-    }
+    b.finish();
 }

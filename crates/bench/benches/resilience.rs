@@ -6,25 +6,22 @@
 //! finite fault budget, the link is eventually usable, so the gate
 //! demands a 100% recovery rate.
 //!
-//! Writes `BENCH_resilience.json` (schema: `{"group":"resilience",
-//! "results":[{"name","protocol","n","sessions","recovered",
-//! "recovery_rate","retries","reconnects","faults_injected",
-//! "resurrections","shed","drains",("latency_p50_us","latency_p90_us",
-//! "latency_p99_us")}]}`) next to the other bench reports so
-//! `scripts/verify.sh` and `obs_report --check-resilience` can gate on
-//! it.
+//! Gates, per case in `BENCH_resilience.json`: `sessions ≥ 1` and
+//! `recovery_rate ≥ 1`; on each `chaos_*` arm `faults_injected ≥ 1` and
+//! `retries_plus_reconnects ≥ 1`; `resurrections ≥ 1` on `chaos_kill`,
+//! `shed ≥ 1` on `shed_pressure` and `drains ≥ 1` on `drain_shutdown`.
 
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
-use rfid_bench::{find_target_dir, fnv64};
+use rfid_bench::{fnv64, Bench, BenchRecord, Gate};
 use rfid_daemon::{
     install_killpoint_hook, DaemonClient, FleetLimits, ResilientClient, RetryPolicy,
 };
 use rfid_obs::Log2Histogram;
 use rfid_protocols::{Session, SessionEnd, TppConfig};
-use rfid_system::{GilbertElliott, Json, SimConfig, SimContext, ToJson};
+use rfid_system::{GilbertElliott, SimConfig, SimContext, ToJson};
 use rfid_wire::{ChaosDirector, ChaosPlan, OpenRequest};
 use rfid_workloads::Scenario;
 
@@ -33,34 +30,20 @@ const N: u64 = 96;
 const INFO_BITS: u64 = 4;
 const SEEDS: [u64; 3] = [11, 47, 203];
 
-struct CaseResult {
-    name: &'static str,
-    sessions: u64,
-    recovered: u64,
-    retries: u64,
-    reconnects: u64,
-    faults_injected: u64,
-    resurrections: u64,
-    shed: u64,
-    drains: u64,
-    latencies: Option<Log2Histogram>,
+/// One record of case `name`.
+fn record(name: &str, metric: &str, unit: &str, value: f64) -> BenchRecord {
+    BenchRecord::new(name, metric, unit, value)
+        .param("protocol", PROTOCOL)
+        .param("n", &N)
 }
 
-impl CaseResult {
-    fn zero(name: &'static str) -> CaseResult {
-        CaseResult {
-            name,
-            sessions: 0,
-            recovered: 0,
-            retries: 0,
-            reconnects: 0,
-            faults_injected: 0,
-            resurrections: 0,
-            shed: 0,
-            drains: 0,
-            latencies: None,
-        }
-    }
+/// Records the gates every case shares: at least one session attempted
+/// (a drain that checkpoints nothing must not pass 0/0), and every
+/// attempted session recovered bit-identically.
+fn record_recovery(b: &mut Bench, name: &str, sessions: u64, recovered: u64) {
+    b.record(record(name, "sessions", "sessions", sessions as f64).gate(Gate::AtLeast(1.0)));
+    let rate = recovered as f64 / (sessions as f64).max(1.0);
+    b.record(record(name, "recovery_rate", "ratio", rate).gate(Gate::AtLeast(1.0)));
 }
 
 /// The unfaulted in-process reference identity for one seed.
@@ -99,14 +82,13 @@ fn outcome_identity(outcome: &rfid_wire::SessionOutcome) -> Option<(String, u64)
 
 /// Clean serving baseline: a plain client on an unfaulted link must
 /// match the in-process reference (the control arm of the soak).
-fn reference_case() -> CaseResult {
-    let mut case = CaseResult::zero("reference");
+fn reference_case(b: &mut Bench) {
+    let mut recovered = 0;
     let daemon = rfid_daemon::Daemon::bind("127.0.0.1:0").expect("bind");
     let addr = daemon.local_addr();
     let stop = daemon.stop_handle();
     let server = std::thread::spawn(move || daemon.run());
     for seed in SEEDS {
-        case.sessions += 1;
         let mut client = DaemonClient::connect(addr).expect("connect");
         let session = client.open(open_req(seed)).expect("open");
         let outcome = match client.run(session, None, |_, _, _, _| {}).expect("run") {
@@ -115,25 +97,22 @@ fn reference_case() -> CaseResult {
         };
         client.close(session).expect("close");
         if outcome_identity(&outcome) == Some(local_identity(seed)) {
-            case.recovered += 1;
+            recovered += 1;
         }
     }
     stop.store(true, Ordering::Relaxed);
     server.join().expect("daemon thread").expect("daemon ok");
-    case
+    record_recovery(b, "reference", SEEDS.len() as u64, recovered);
 }
 
 /// One chaos arm: every seed runs through a fresh daemon and a chaos
 /// link built from `mk_plan(seed)`; the resilient client must land on
-/// the bit-identical reference.
-fn chaos_case(
-    name: &'static str,
-    kill_after: Option<u64>,
-    mk_plan: impl Fn(u64) -> ChaosPlan,
-) -> CaseResult {
-    let mut case = CaseResult::zero(name);
+/// the bit-identical reference. The link must really have hurt: faults
+/// injected and the client made to retry or reconnect; a kill arm must
+/// also have resurrected a session.
+fn chaos_case(b: &mut Bench, name: &str, kill_after: Option<u64>, mk_plan: fn(u64) -> ChaosPlan) {
+    let (mut recovered, mut retried, mut faults, mut resurrections) = (0, 0, 0, 0);
     for seed in SEEDS {
-        case.sessions += 1;
         let mut daemon = rfid_daemon::Daemon::bind("127.0.0.1:0")
             .expect("bind")
             .with_shards(2)
@@ -161,25 +140,31 @@ fn chaos_case(
         );
         let outcome = client.run_to_done(&open_req(seed)).expect("chaos run");
         if outcome_identity(&outcome) == Some(local_identity(seed)) {
-            case.recovered += 1;
+            recovered += 1;
         }
-        case.retries += client.retries();
-        case.reconnects += client.reconnects();
-        case.faults_injected += director.faults_injected();
+        retried += client.retries() + client.reconnects();
+        faults += director.faults_injected();
 
         stop.store(true, Ordering::Relaxed);
         server.join().expect("daemon thread").expect("daemon ok");
-        case.resurrections += supervisor.counter("sessions_resurrected");
+        resurrections += supervisor.counter("sessions_resurrected");
         supervisor.reconcile().expect("session conservation");
     }
-    case
+    record_recovery(b, name, SEEDS.len() as u64, recovered);
+    let at_least_one = |metric, unit, value: u64| {
+        record(name, metric, unit, value as f64).gate(Gate::AtLeast(1.0))
+    };
+    b.record(at_least_one("faults_injected", "faults", faults));
+    b.record(at_least_one("retries_plus_reconnects", "count", retried));
+    if kill_after.is_some() {
+        b.record(at_least_one("resurrections", "sessions", resurrections));
+    }
 }
 
 /// Shedding pressure: more resilient clients than the admission budget
 /// allows. Every client must complete bit-identically; per-session wall
 /// latency (including Busy backoff) lands in the percentile histogram.
-fn shed_pressure_case(clients: usize) -> CaseResult {
-    let mut case = CaseResult::zero("shed_pressure");
+fn shed_pressure_case(b: &mut Bench, clients: usize) {
     let daemon = rfid_daemon::Daemon::bind("127.0.0.1:0")
         .expect("bind")
         .with_shards(4)
@@ -216,22 +201,30 @@ fn shed_pressure_case(clients: usize) -> CaseResult {
     server.join().expect("daemon thread").expect("daemon ok");
 
     let mut latencies = Log2Histogram::new();
-    for (ok, us) in outcomes {
-        case.sessions += 1;
-        case.recovered += ok as u64;
+    let mut recovered = 0;
+    for &(ok, us) in &outcomes {
+        recovered += ok as u64;
         latencies.record(us);
     }
-    case.shed = supervisor.counter("sessions_shed");
-    case.latencies = Some(latencies);
     supervisor.reconcile().expect("session conservation");
-    case
+    let name = "shed_pressure";
+    record_recovery(b, name, outcomes.len() as u64, recovered);
+    let shed = supervisor.counter("sessions_shed") as f64;
+    b.record(record(name, "shed", "sessions", shed).gate(Gate::AtLeast(1.0)));
+    for (metric, q) in [
+        ("latency_p50_us", 0.5),
+        ("latency_p90_us", 0.9),
+        ("latency_p99_us", 0.99),
+    ] {
+        let us = latencies.percentile(q).unwrap_or(0) as f64;
+        b.record(record(name, metric, "us", us));
+    }
 }
 
 /// Drain-on-shutdown: sessions still live when the listener closes are
 /// checkpointed; each drained snapshot must restore in-process to the
 /// bit-identical reference.
-fn drain_shutdown_case() -> CaseResult {
-    let mut case = CaseResult::zero("drain_shutdown");
+fn drain_shutdown_case(b: &mut Bench) {
     let daemon = rfid_daemon::Daemon::bind("127.0.0.1:0")
         .expect("bind")
         .with_shards(2);
@@ -251,14 +244,14 @@ fn drain_shutdown_case() -> CaseResult {
     drop(client);
     server.join().expect("daemon thread").expect("daemon ok");
 
-    case.drains = supervisor.counter("drain_checkpoints");
+    let drains = supervisor.counter("drain_checkpoints") as f64;
     let drained = supervisor.drained();
     let protocol = rfid_daemon::protocol_by_name(PROTOCOL).expect("servable");
     // Drain order is session-table order, not open order: match each
     // finished snapshot against the reference identity *set*.
     let mut expected: Vec<(String, u64)> = SEEDS.iter().map(|&s| local_identity(s)).collect();
+    let mut recovered = 0;
     for (_gid, snapshot) in &drained {
-        case.sessions += 1;
         let (mut ctx, mut session) =
             Session::restore(protocol.as_ref(), snapshot).expect("drained snapshot restores");
         let SessionEnd::Complete { report, .. } = session.run(&mut ctx) else {
@@ -267,135 +260,45 @@ fn drain_shutdown_case() -> CaseResult {
         let identity = (report.to_json().to_string(), fnv64(&ctx.log.to_jsonl()));
         if let Some(at) = expected.iter().position(|e| *e == identity) {
             expected.remove(at);
-            case.recovered += 1;
+            recovered += 1;
         }
     }
     supervisor.reconcile().expect("session conservation");
-    case
+    let name = "drain_shutdown";
+    record_recovery(b, name, drained.len() as u64, recovered);
+    b.record(record(name, "drains", "sessions", drains).gate(Gate::AtLeast(1.0)));
 }
 
 fn main() {
     install_killpoint_hook();
-    let filter = std::env::args()
-        .skip(1)
-        .find(|a| !a.starts_with('-'))
-        .filter(|a| !a.is_empty());
-    let mut results: Vec<Json> = Vec::new();
-    let mut failures: Vec<String> = Vec::new();
-
-    let cases: Vec<CaseResult> = [
-        (
-            "reference",
-            Box::new(reference_case) as Box<dyn Fn() -> CaseResult>,
-        ),
-        (
-            "chaos_flips",
-            Box::new(|| {
-                chaos_case("chaos_flips", None, |seed| {
-                    ChaosPlan::flips(seed, 0.002, 30)
-                })
-            }),
-        ),
-        (
-            "chaos_cuts",
-            Box::new(|| chaos_case("chaos_cuts", None, |seed| ChaosPlan::cuts(seed, 0.0008, 12))),
-        ),
-        (
-            "chaos_burst",
-            Box::new(|| {
-                chaos_case("chaos_burst", None, |seed| {
-                    ChaosPlan::flips(seed, 0.02, 30)
-                        .with_burst(GilbertElliott::new(0.002, 0.05, 0.0, 1.0))
-                })
-            }),
-        ),
-        (
-            "chaos_kill",
-            Box::new(|| {
-                // A mild flip plan plus a fire-once daemon-side kill at
-                // step 4 (sessions run 6–8 steps): both fault planes in
-                // one arm.
-                chaos_case("chaos_kill", Some(4), |seed| {
-                    ChaosPlan::flips(seed, 0.0005, 10)
-                })
-            }),
-        ),
-        ("shed_pressure", Box::new(|| shed_pressure_case(6))),
-        ("drain_shutdown", Box::new(drain_shutdown_case)),
-    ]
-    .into_iter()
-    .filter(|(name, _)| filter.as_deref().map_or(true, |f| name.contains(f)))
-    .map(|(_, run)| run())
-    .collect();
-
-    for case in &cases {
-        let rate = case.recovered as f64 / (case.sessions as f64).max(1.0);
-        println!(
-            "resilience/{}: {}/{} recovered bit-identically ({} retries, {} reconnects, \
-             {} faults, {} resurrected, {} shed, {} drained)",
-            case.name,
-            case.recovered,
-            case.sessions,
-            case.retries,
-            case.reconnects,
-            case.faults_injected,
-            case.resurrections,
-            case.shed,
-            case.drains,
-        );
-        if case.recovered != case.sessions {
-            failures.push(format!(
-                "{}: only {}/{} sessions recovered bit-identically",
-                case.name, case.recovered, case.sessions
-            ));
-        }
-        let mut fields = vec![
-            ("name".to_string(), case.name.to_json()),
-            ("protocol".to_string(), PROTOCOL.to_json()),
-            ("n".to_string(), N.to_json()),
-            ("sessions".to_string(), case.sessions.to_json()),
-            ("recovered".to_string(), case.recovered.to_json()),
-            ("recovery_rate".to_string(), rate.to_json()),
-            ("retries".to_string(), case.retries.to_json()),
-            ("reconnects".to_string(), case.reconnects.to_json()),
-            (
-                "faults_injected".to_string(),
-                case.faults_injected.to_json(),
-            ),
-            ("resurrections".to_string(), case.resurrections.to_json()),
-            ("shed".to_string(), case.shed.to_json()),
-            ("drains".to_string(), case.drains.to_json()),
-        ];
-        if let Some(latencies) = &case.latencies {
-            let pct = |q: f64| latencies.percentile(q).unwrap_or(0) as f64;
-            fields.push(("latency_p50_us".to_string(), pct(0.5).to_json()));
-            fields.push(("latency_p90_us".to_string(), pct(0.9).to_json()));
-            fields.push(("latency_p99_us".to_string(), pct(0.99).to_json()));
-        }
-        results.push(Json::Obj(fields));
+    let mut b = Bench::new("resilience");
+    if b.wants("reference") {
+        reference_case(&mut b);
     }
-
-    if !results.is_empty() {
-        let report = Json::Obj(vec![
-            ("group".to_string(), "resilience".to_json()),
-            ("results".to_string(), Json::Arr(results)),
-        ])
-        .to_pretty_string();
-        let file = "BENCH_resilience.json";
-        let path = find_target_dir()
-            .map(|d| d.join(file))
-            .unwrap_or_else(|| file.into());
-        match std::fs::write(&path, report + "\n") {
-            Ok(()) => println!("report: {}", path.display()),
-            Err(e) => eprintln!("could not write {}: {e}", path.display()),
+    let chaos_arms: [(&str, Option<u64>, fn(u64) -> ChaosPlan); 4] = [
+        ("chaos_flips", None, |seed| {
+            ChaosPlan::flips(seed, 0.002, 30)
+        }),
+        ("chaos_cuts", None, |seed| ChaosPlan::cuts(seed, 0.0008, 12)),
+        ("chaos_burst", None, |seed| {
+            ChaosPlan::flips(seed, 0.02, 30).with_burst(GilbertElliott::new(0.002, 0.05, 0.0, 1.0))
+        }),
+        // A mild flip plan plus a fire-once daemon-side kill at step 4
+        // (sessions run 6–8 steps): both fault planes in one arm.
+        ("chaos_kill", Some(4), |seed| {
+            ChaosPlan::flips(seed, 0.0005, 10)
+        }),
+    ];
+    for (name, kill_after, plan) in chaos_arms {
+        if b.wants(name) {
+            chaos_case(&mut b, name, kill_after, plan);
         }
     }
-
-    if !failures.is_empty() {
-        eprintln!("resilience gate FAILED:");
-        for f in &failures {
-            eprintln!("  {f}");
-        }
-        std::process::exit(1);
+    if b.wants("shed_pressure") {
+        shed_pressure_case(&mut b, 6);
     }
+    if b.wants("drain_shutdown") {
+        drain_shutdown_case(&mut b);
+    }
+    b.finish();
 }

@@ -12,13 +12,12 @@
 //! budget, unbounded passes) additionally kills the session *between
 //! recovery passes* with backoff charged.
 //!
-//! Writes `BENCH_session.json` (schema: `{"group":"session","results":
-//! [{"name","channel","kill_step","snapshot_bytes","passes","identical"}]}`)
-//! next to the other bench reports so `scripts/verify.sh` and
-//! `obs_report --check-session` can gate on it.
+//! Gates, per case in `BENCH_session.json`: `identical` (report and trace
+//! bit-identical) and `snapshot_bytes ≥ 1` (the kill really snapshotted
+//! and restored); the recovery case also gates `passes ≥ 2`.
 
 use rfid_baselines::{CodedPollingConfig, CppConfig, EcppConfig, FsaConfig, LowerBound, MicConfig};
-use rfid_bench::{find_target_dir, fnv64};
+use rfid_bench::{fnv64, Bench, BenchRecord, Gate};
 use rfid_hash::Xoshiro256;
 use rfid_identify::{BinarySplitConfig, QAlgorithmConfig, QueryTreeConfig};
 use rfid_protocols::{
@@ -177,61 +176,50 @@ fn chaos_case(
     }
 }
 
+/// Records one case: bit-identity and a real snapshot are gated on every
+/// case; `min_passes` gates the multi-pass recovery case.
+fn record_case(
+    b: &mut Bench,
+    protocol: &str,
+    channel: &str,
+    outcome: Outcome,
+    min_passes: Option<f64>,
+) {
+    let label = format!("{protocol}_{channel}");
+    if !outcome.identical {
+        eprintln!("session/{label}: {}", outcome.detail);
+    }
+    let record = |metric, unit, value| {
+        BenchRecord::new(&label, metric, unit, value)
+            .param("protocol", protocol)
+            .param("channel", channel)
+    };
+    b.record(
+        record("identical", "bool", f64::from(u8::from(outcome.identical)))
+            .gate(Gate::AtLeast(1.0)),
+    );
+    // A kill that lands after completion never exercises restore.
+    b.record(
+        record("snapshot_bytes", "bytes", outcome.snapshot_bytes as f64).gate(Gate::AtLeast(1.0)),
+    );
+    b.record(record("kill_step", "steps", outcome.kill_step as f64));
+    b.record(record("passes", "passes", outcome.passes as f64).gate(min_passes.map(Gate::AtLeast)));
+}
+
 fn main() {
-    let filter = std::env::args()
-        .skip(1)
-        .find(|a| !a.starts_with('-'))
-        .filter(|a| !a.is_empty());
-    let mut results: Vec<Json> = Vec::new();
-    let mut failures: Vec<String> = Vec::new();
+    let mut b = Bench::new("session");
     // Seeded kill-point stream: reproducible chaos, different per case.
     let mut chaos_rng = Xoshiro256::seed_from_u64(0x5E55_1017);
-
-    let run = |label: String,
-               name: &str,
-               channel: &str,
-               outcome: Outcome,
-               results: &mut Vec<Json>,
-               failures: &mut Vec<String>| {
-        println!(
-            "session/{label}: kill@{} snapshot {}B passes {} -> {}",
-            outcome.kill_step, outcome.snapshot_bytes, outcome.passes, outcome.detail
-        );
-        if !outcome.identical {
-            failures.push(format!("{label}: {}", outcome.detail));
-        }
-        results.push(Json::Obj(vec![
-            ("name".to_string(), name.to_json()),
-            ("channel".to_string(), channel.to_json()),
-            ("kill_step".to_string(), outcome.kill_step.to_json()),
-            (
-                "snapshot_bytes".to_string(),
-                (outcome.snapshot_bytes as u64).to_json(),
-            ),
-            ("passes".to_string(), outcome.passes.to_json()),
-            ("identical".to_string(), outcome.identical.to_json()),
-        ]));
-    };
 
     // Clean channel: all 12 protocols at the golden scenario.
     let clean = Scenario::uniform(150, 4).with_seed(31);
     let clean_cfg = SimConfig::paper(clean.protocol_seed()).with_trace();
     for protocol in all_protocols() {
-        let label = format!("{}_clean", protocol.name());
-        if let Some(f) = &filter {
-            if !label.contains(f.as_str()) {
-                continue;
-            }
+        if !b.wants(&format!("{}_clean", protocol.name())) {
+            continue;
         }
         let outcome = chaos_case(protocol.as_ref(), &clean, &clean_cfg, None, &mut chaos_rng);
-        run(
-            label,
-            protocol.name(),
-            "clean",
-            outcome,
-            &mut results,
-            &mut failures,
-        );
+        record_case(&mut b, protocol.name(), "clean", outcome, None);
     }
 
     // Impaired channel: the four paper protocols under loss + corruption +
@@ -247,11 +235,8 @@ fn main() {
         Box::new(MicConfig::default().into_protocol()),
     ];
     for protocol in paper {
-        let label = format!("{}_impaired", protocol.name());
-        if let Some(f) = &filter {
-            if !label.contains(f.as_str()) {
-                continue;
-            }
+        if !b.wants(&format!("{}_impaired", protocol.name())) {
+            continue;
         }
         let outcome = chaos_case(
             protocol.as_ref(),
@@ -260,21 +245,12 @@ fn main() {
             None,
             &mut chaos_rng,
         );
-        run(
-            label,
-            protocol.name(),
-            "impaired",
-            outcome,
-            &mut results,
-            &mut failures,
-        );
+        record_case(&mut b, protocol.name(), "impaired", outcome, None);
     }
 
     // Recovery case: a 2-round budget forces several passes even on a clean
     // channel; the seeded kill lands inside the multi-pass schedule.
-    let label = "HPP_recovery".to_string();
-    let skip = filter.as_ref().is_some_and(|f| !label.contains(f.as_str()));
-    if !skip {
+    if b.wants("HPP_recovery") {
         let protocol = HppConfig {
             max_rounds: 2,
             ..HppConfig::default()
@@ -282,37 +258,8 @@ fn main() {
         .into_protocol();
         let policy = RecoveryPolicy::unbounded();
         let outcome = chaos_case(&protocol, &clean, &clean_cfg, Some(&policy), &mut chaos_rng);
-        run(
-            label,
-            "HPP",
-            "recovery",
-            outcome,
-            &mut results,
-            &mut failures,
-        );
+        record_case(&mut b, "HPP", "recovery", outcome, Some(2.0));
     }
 
-    if !results.is_empty() {
-        let report = Json::Obj(vec![
-            ("group".to_string(), "session".to_json()),
-            ("results".to_string(), Json::Arr(results)),
-        ])
-        .to_pretty_string();
-        let file = "BENCH_session.json";
-        let path = find_target_dir()
-            .map(|d| d.join(file))
-            .unwrap_or_else(|| file.into());
-        match std::fs::write(&path, report + "\n") {
-            Ok(()) => println!("report: {}", path.display()),
-            Err(e) => eprintln!("could not write {}: {e}", path.display()),
-        }
-    }
-
-    if !failures.is_empty() {
-        eprintln!("crash-chaos bit-identity gate FAILED:");
-        for f in &failures {
-            eprintln!("  {f}");
-        }
-        std::process::exit(1);
-    }
+    b.finish();
 }

@@ -21,7 +21,7 @@ use rfid_analysis as analysis;
 use rfid_baselines::{CppConfig, EcppConfig, LowerBound, MicConfig};
 use rfid_bench::anchors;
 use rfid_bench::cli::{self, ReproOptions};
-use rfid_bench::{Cell, Summary, SweepEngine};
+use rfid_bench::{BenchRecord, Cell, Summary, SweepEngine};
 use rfid_c1g2::LinkParams;
 use rfid_protocols::{EhppConfig, HppConfig, IndexRule, PollingProtocol, Report, TppConfig};
 use rfid_system::to_json_string;
@@ -142,9 +142,15 @@ fn report_sweep_stats(engine: &SweepEngine) {
     if let Some(dir) = rfid_bench::find_target_dir() {
         match engine.write_bench_entry(&dir) {
             Ok(path) => eprintln!("sweep report: {}", path.display()),
-            Err(e) => eprintln!("could not write BENCH_sweep.json: {e}"),
+            Err(e) => exit_unwritten("BENCH_sweep.json", &e),
         }
     }
+}
+
+/// A bench report that cannot be written fails the run.
+fn exit_unwritten(file: &str, e: &std::io::Error) -> ! {
+    eprintln!("could not write {file}: {e}");
+    std::process::exit(1);
 }
 
 fn sweep_ns(max_n: u64) -> Vec<u64> {
@@ -486,7 +492,7 @@ fn recovery(engine: &mut SweepEngine, opts: &ReproOptions) {
     use rfid_obs::{metrics_from_log, reconcile};
     use rfid_protocols::{RecoveryPolicy, Session, SessionEnd};
     use rfid_system::fault::{FaultPlan, KillRule};
-    use rfid_system::{FaultModel, GilbertElliott, Json, SimConfig, SimContext, ToJson};
+    use rfid_system::{FaultModel, GilbertElliott, SimConfig, SimContext};
 
     let n = 1_000.min(opts.max_n) as usize;
     let runs = opts.runs;
@@ -567,7 +573,14 @@ fn recovery(engine: &mut SweepEngine, opts: &ReproOptions) {
         "{:<12} {:<12} {:>10} {:>10} {:>12} {:>10}",
         "fault", "protocol", "coverage", "passes", "time (s)", "overhead"
     );
-    let mut entries: Vec<Json> = Vec::new();
+    let record = |fault: &str, protocol: &str, runs: u64, metric: &str, unit: &str, value| {
+        BenchRecord::new(&format!("{protocol}/{fault}"), metric, unit, value)
+            .param("fault", fault)
+            .param("protocol", protocol)
+            .param("n", &n)
+            .param("runs", &runs)
+    };
+    let mut records = Vec::new();
     let mut baseline: Vec<f64> = vec![0.0; rows.len()];
     for (fi, (flabel, _)) in faults.iter().enumerate() {
         for (ri, row) in rows.iter().enumerate() {
@@ -592,17 +605,14 @@ fn recovery(engine: &mut SweepEngine, opts: &ReproOptions) {
                 "{flabel:<12} {:<12} {:>10.3} {:>10.2} {:>12.3} {:>9.2}x",
                 row.label, 1.0, passes.mean, secs.mean, overhead
             );
-            entries.push(Json::Obj(vec![
-                ("fault".to_string(), Json::str(*flabel)),
-                ("protocol".to_string(), Json::str(row.label)),
-                ("n".to_string(), (n as u64).to_json()),
-                ("runs".to_string(), runs.to_json()),
-                ("coverage".to_string(), 1.0f64.to_json()),
-                ("mean_passes".to_string(), passes.mean.to_json()),
-                ("max_passes".to_string(), passes.max.to_json()),
-                ("mean_time_s".to_string(), secs.mean.to_json()),
-                ("overhead_vs_fault_free".to_string(), overhead.to_json()),
-            ]));
+            let cell = |metric, unit, value| record(flabel, row.label, runs, metric, unit, value);
+            records.extend([
+                cell("coverage", "ratio", 1.0),
+                cell("mean_passes", "passes", passes.mean),
+                cell("max_passes", "passes", passes.max),
+                cell("mean_time_s", "s", secs.mean),
+                cell("overhead_vs_fault_free", "x", overhead),
+            ]);
         }
     }
 
@@ -630,15 +640,11 @@ fn recovery(engine: &mut SweepEngine, opts: &ReproOptions) {
         "{:<12} {:<12} {:>10.3} {:>10.2} (degraded by design: circuit at {} passes)",
         "loss 1.0", "HPP", 0.0, 4.0, 4
     );
-    entries.push(Json::Obj(vec![
-        ("fault".to_string(), Json::str("loss 1.0")),
-        ("protocol".to_string(), Json::str("HPP")),
-        ("n".to_string(), (n as u64).to_json()),
-        ("runs".to_string(), runs.min(4).to_json()),
-        ("coverage".to_string(), 0.0f64.to_json()),
-        ("mean_passes".to_string(), 4.0f64.to_json()),
-        ("max_passes".to_string(), 4.0f64.to_json()),
-    ]));
+    records.extend([
+        record("loss 1.0", "HPP", runs.min(4), "coverage", "ratio", 0.0),
+        record("loss 1.0", "HPP", runs.min(4), "mean_passes", "passes", 4.0),
+        record("loss 1.0", "HPP", runs.min(4), "max_passes", "passes", 4.0),
+    ]);
 
     // Trace cross-check (one traced degraded run, outside the engine): the
     // recovery events must reconcile bit-for-bit with the counters, and the
@@ -674,14 +680,9 @@ fn recovery(engine: &mut SweepEngine, opts: &ReproOptions) {
     println!("trace cross-check: degraded coverage {coverage:.4} == trace series, reconciled OK");
 
     if let Some(dir) = rfid_bench::find_target_dir() {
-        let doc = Json::Obj(vec![
-            ("group".to_string(), Json::str("recovery")),
-            ("entries".to_string(), Json::Arr(entries)),
-        ]);
-        let path = dir.join("BENCH_recovery.json");
-        match std::fs::write(&path, doc.to_pretty_string() + "\n") {
-            Ok(()) => println!("recovery report: {}", path.display()),
-            Err(e) => eprintln!("could not write BENCH_recovery.json: {e}"),
+        match rfid_bench::write_report(&dir, "recovery", &records) {
+            Ok(path) => println!("recovery report: {}", path.display()),
+            Err(e) => exit_unwritten("BENCH_recovery.json", &e),
         }
     }
 }

@@ -190,23 +190,6 @@ pub const OBS_MODES: &[(&str, &str)] = &[
         "span profile of the paper protocols (flame table + folded stacks)",
     ),
     ("--reconcile", "trace→counters gate over every protocol"),
-    (
-        "--check-hotpath FILE",
-        "validate a BENCH_hotpath.json report",
-    ),
-    (
-        "--check-session FILE",
-        "validate a BENCH_session.json report",
-    ),
-    (
-        "--check-obsplane FILE",
-        "validate a BENCH_obsplane.json report",
-    ),
-    ("--check-daemon FILE", "validate a BENCH_daemon.json report"),
-    (
-        "--check-resilience FILE",
-        "validate a BENCH_resilience.json report",
-    ),
 ];
 
 /// Which `obs_report` mode was selected (modes are mutually exclusive).
@@ -219,16 +202,6 @@ pub enum ObsMode {
     Flame,
     /// Run the trace→counters reconciliation gate.
     Reconcile,
-    /// Validate a `BENCH_hotpath.json` report.
-    CheckHotpath(PathBuf),
-    /// Validate a `BENCH_session.json` report.
-    CheckSession(PathBuf),
-    /// Validate a `BENCH_obsplane.json` report.
-    CheckObsplane(PathBuf),
-    /// Validate a `BENCH_daemon.json` report.
-    CheckDaemon(PathBuf),
-    /// Validate a `BENCH_resilience.json` report.
-    CheckResilience(PathBuf),
 }
 
 /// Validated `obs_report` invocation.
@@ -252,9 +225,7 @@ pub fn obs_usage() -> String {
     }
     out.push_str(
         "\n--n (default 200; the reconcile gate caps it at 120) sets the\n\
-         population, --seed (default 1) the master seed. The check modes\n\
-         validate bench reports written by `cargo bench` and exit nonzero\n\
-         on any malformed or failing gate.\n",
+         population, --seed (default 1) the master seed.\n",
     );
     out
 }
@@ -279,26 +250,6 @@ pub fn parse_obs_args(args: &[String]) -> Result<ObsReportOptions, String> {
         match a.as_str() {
             "--flame" => set_mode(&mut opts, ObsMode::Flame)?,
             "--reconcile" => set_mode(&mut opts, ObsMode::Reconcile)?,
-            "--check-hotpath" => {
-                let path = it.next().ok_or("--check-hotpath needs a file")?;
-                set_mode(&mut opts, ObsMode::CheckHotpath(PathBuf::from(path)))?;
-            }
-            "--check-session" => {
-                let path = it.next().ok_or("--check-session needs a file")?;
-                set_mode(&mut opts, ObsMode::CheckSession(PathBuf::from(path)))?;
-            }
-            "--check-obsplane" => {
-                let path = it.next().ok_or("--check-obsplane needs a file")?;
-                set_mode(&mut opts, ObsMode::CheckObsplane(PathBuf::from(path)))?;
-            }
-            "--check-daemon" => {
-                let path = it.next().ok_or("--check-daemon needs a file")?;
-                set_mode(&mut opts, ObsMode::CheckDaemon(PathBuf::from(path)))?;
-            }
-            "--check-resilience" => {
-                let path = it.next().ok_or("--check-resilience needs a file")?;
-                set_mode(&mut opts, ObsMode::CheckResilience(PathBuf::from(path)))?;
-            }
             "--n" => opts.n = Some(parse_value(it.next(), "--n", |v: usize| v >= 1)?),
             "--seed" => opts.seed = Some(parse_value(it.next(), "--seed", |_: u64| true)?),
             other => return Err(format!("unknown option {other}")),
@@ -538,25 +489,6 @@ mod tests {
         assert_eq!(opts.seed, Some(9));
         let opts = parse_obs(&["--reconcile"]).unwrap();
         assert_eq!(opts.mode, ObsMode::Reconcile);
-        let opts = parse_obs(&["--check-obsplane", "/tmp/r.json"]).unwrap();
-        assert_eq!(
-            opts.mode,
-            ObsMode::CheckObsplane(PathBuf::from("/tmp/r.json"))
-        );
-        let opts = parse_obs(&["--check-hotpath", "a", "--seed", "2"]).unwrap();
-        assert_eq!(opts.mode, ObsMode::CheckHotpath(PathBuf::from("a")));
-        let opts = parse_obs(&["--check-session", "b"]).unwrap();
-        assert_eq!(opts.mode, ObsMode::CheckSession(PathBuf::from("b")));
-        let opts = parse_obs(&["--check-daemon", "target/BENCH_daemon.json"]).unwrap();
-        assert_eq!(
-            opts.mode,
-            ObsMode::CheckDaemon(PathBuf::from("target/BENCH_daemon.json"))
-        );
-        let opts = parse_obs(&["--check-resilience", "target/BENCH_resilience.json"]).unwrap();
-        assert_eq!(
-            opts.mode,
-            ObsMode::CheckResilience(PathBuf::from("target/BENCH_resilience.json"))
-        );
     }
 
     #[test]
@@ -567,11 +499,7 @@ mod tests {
             &["--n", "lots"],
             &["--seed"],
             &["--seed", "x"],
-            &["--check-hotpath"],
-            &["--check-session"],
-            &["--check-obsplane"],
-            &["--check-daemon"],
-            &["--check-resilience"],
+            &["--check-hotpath", "target/BENCH_hotpath.json"],
             &["--frobnicate"],
         ] {
             assert!(parse_obs(args).is_err(), "{args:?} should be rejected");

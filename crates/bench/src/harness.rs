@@ -1,26 +1,33 @@
-//! A dependency-free wall-clock micro-bench harness.
+//! A dependency-free bench harness and the one bench-report schema.
 //!
 //! Stands in for Criterion with the subset these benches need: per-bench
 //! iteration-count calibration against a target sample duration, repeated
 //! samples summarized by [`crate::stats::Summary`], an optional substring
-//! filter from the command line, and machine-readable `BENCH_<group>.json`
-//! reports written through `rfid_system::json`. Building it in-repo keeps
-//! `cargo bench` working offline with an empty cargo registry.
+//! filter from the command line, and gated custom measurements. Building it
+//! in-repo keeps `cargo bench` working offline with an empty cargo registry.
+//!
+//! Every bench report is `BENCH_<group>.json` = `{"group", "records": [...]}`,
+//! one [`BenchRecord`] per measured value, written by [`write_report`] and
+//! nothing else. A record that carries a [`Gate`] is checked where it is
+//! measured: [`Bench::finish`] writes the report first, then exits nonzero
+//! if any gate failed or any value is not finite.
 //!
 //! A bench binary is a plain `fn main()` (the workspace sets
 //! `harness = false` for every `[[bench]]` target):
 //!
 //! ```no_run
-//! use rfid_bench::Bench;
+//! use rfid_bench::{Bench, BenchRecord, Gate};
 //!
 //! let mut b = Bench::new("example");
 //! b.bench("add", || std::hint::black_box(2u64) + 2);
+//! b.record(BenchRecord::new("sum", "value", "count", 4.0).gate(Gate::AtLeast(4.0)));
 //! b.finish();
 //! ```
 
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use rfid_system::{Json, ToJson};
+use rfid_system::{FromJson, Json, JsonError, ToJson};
 
 use crate::stats::Summary;
 
@@ -31,41 +38,180 @@ const TARGET_SAMPLE_NANOS: u128 = 5_000_000;
 /// Never fold more than this many iterations into one sample.
 const MAX_ITERS_PER_SAMPLE: u64 = 1_000_000;
 
-/// One benchmark's timing result (per-iteration nanoseconds).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Measurement {
-    /// Benchmark name within its group.
-    pub name: String,
-    /// Iterations folded into each timed sample.
-    pub iters_per_sample: u64,
-    /// Per-iteration nanoseconds across the samples.
-    pub nanos: Summary,
+/// A pass condition on a record's value. Both bounds are inclusive; a NaN
+/// value passes neither.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Gate {
+    /// The value must be ≥ the bound.
+    AtLeast(f64),
+    /// The value must be ≤ the bound.
+    AtMost(f64),
 }
 
-impl ToJson for Measurement {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("name".to_string(), self.name.to_json()),
-            (
-                "iters_per_sample".to_string(),
-                self.iters_per_sample.to_json(),
-            ),
-            ("samples".to_string(), self.nanos.count.to_json()),
-            ("mean_ns".to_string(), self.nanos.mean.to_json()),
-            ("std_ns".to_string(), self.nanos.std.to_json()),
-            ("min_ns".to_string(), self.nanos.min.to_json()),
-            ("max_ns".to_string(), self.nanos.max.to_json()),
-        ])
+impl Gate {
+    /// Whether `value` meets this gate.
+    pub fn passes(self, value: f64) -> bool {
+        match self {
+            Gate::AtLeast(bound) => value >= bound,
+            Gate::AtMost(bound) => value <= bound,
+        }
     }
 }
 
-/// A group of related benchmarks sharing a report file.
+/// One measured value of a bench report.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BenchRecord {
+    /// What was measured within the group (a bench name or case label).
+    pub case: String,
+    /// Inputs that identify the case, such as population size.
+    pub params: Vec<(String, Json)>,
+    /// Name of the measured quantity.
+    pub metric: String,
+    /// Unit of `value`.
+    pub unit: String,
+    /// The measurement.
+    pub value: f64,
+    /// Per-sample statistics when `value` is a mean over timed samples.
+    pub summary: Option<Summary>,
+    /// Pass condition checked by [`Bench::finish`].
+    pub gate: Option<Gate>,
+}
+
+impl BenchRecord {
+    /// An ungated record without parameters or samples.
+    pub fn new(case: &str, metric: &str, unit: &str, value: f64) -> Self {
+        BenchRecord {
+            case: case.to_string(),
+            params: Vec::new(),
+            metric: metric.to_string(),
+            unit: unit.to_string(),
+            value,
+            summary: None,
+            gate: None,
+        }
+    }
+
+    /// Adds a parameter.
+    #[must_use]
+    pub fn param(mut self, name: &str, value: &(impl ToJson + ?Sized)) -> Self {
+        self.params.push((name.to_string(), value.to_json()));
+        self
+    }
+
+    /// Sets (or, with `None`, clears) the gate.
+    #[must_use]
+    pub fn gate(mut self, gate: impl Into<Option<Gate>>) -> Self {
+        self.gate = gate.into();
+        self
+    }
+
+    /// Whether the value is finite and meets its gate, if any.
+    pub fn passes(&self) -> bool {
+        self.value.is_finite() && self.gate.map_or(true, |g| g.passes(self.value))
+    }
+
+    /// One human-readable line: case, metric, value and gate verdict.
+    fn describe(&self) -> String {
+        let value = if self.value.abs() >= 100.0 {
+            format!("{:.0}", self.value)
+        } else {
+            format!("{:.3}", self.value)
+        };
+        let verdict = match self.gate {
+            _ if !self.value.is_finite() => " (not finite: FAILED)".to_string(),
+            None => String::new(),
+            Some(g) => {
+                let (op, bound) = match g {
+                    Gate::AtLeast(b) => ("≥", b),
+                    Gate::AtMost(b) => ("≤", b),
+                };
+                let ok = if self.passes() { "ok" } else { "FAILED" };
+                format!(" ({op} {bound}: {ok})")
+            }
+        };
+        format!(
+            "{}: {} = {value} {}{verdict}",
+            self.case, self.metric, self.unit
+        )
+    }
+}
+
+impl ToJson for BenchRecord {
+    fn to_json(&self) -> Json {
+        let mut fields = vec![
+            ("case".to_string(), self.case.to_json()),
+            ("params".to_string(), Json::Obj(self.params.clone())),
+            ("metric".to_string(), self.metric.to_json()),
+            ("unit".to_string(), self.unit.to_json()),
+            ("value".to_string(), self.value.to_json()),
+        ];
+        if let Some(summary) = &self.summary {
+            fields.push(("summary".to_string(), summary.to_json()));
+        }
+        if let Some(gate) = self.gate {
+            let (key, bound) = match gate {
+                Gate::AtLeast(b) => ("at_least", b),
+                Gate::AtMost(b) => ("at_most", b),
+            };
+            let gate = Json::Obj(vec![
+                (key.to_string(), bound.to_json()),
+                ("pass".to_string(), self.passes().to_json()),
+            ]);
+            fields.push(("gate".to_string(), gate));
+        }
+        Json::Obj(fields)
+    }
+}
+
+impl FromJson for BenchRecord {
+    fn from_json(json: &Json) -> Result<Self, JsonError> {
+        let params = match json.get("params") {
+            Some(Json::Obj(fields)) => fields.clone(),
+            _ => Vec::new(),
+        };
+        let gate = match json.get("gate") {
+            None => None,
+            Some(g) => Some(match (g.get("at_least"), g.get("at_most")) {
+                (Some(b), _) => Gate::AtLeast(b.as_f64()?),
+                (_, Some(b)) => Gate::AtMost(b.as_f64()?),
+                _ => return Err(JsonError("gate needs `at_least` or `at_most`".into())),
+            }),
+        };
+        Ok(BenchRecord {
+            case: json.field("case")?,
+            params,
+            metric: json.field("metric")?,
+            unit: json.field("unit")?,
+            // Non-finite values are written as `null`.
+            value: json.field::<Option<f64>>("value")?.unwrap_or(f64::NAN),
+            summary: json.get("summary").map(Summary::from_json).transpose()?,
+            gate,
+        })
+    }
+}
+
+/// Writes `BENCH_<group>.json` = `{"group", "records"}` into `dir` and
+/// returns its path. The only writer of bench reports.
+pub fn write_report(dir: &Path, group: &str, records: &[BenchRecord]) -> std::io::Result<PathBuf> {
+    let path = dir.join(format!("BENCH_{group}.json"));
+    let doc = Json::Obj(vec![
+        ("group".to_string(), group.to_json()),
+        (
+            "records".to_string(),
+            Json::Arr(records.iter().map(ToJson::to_json).collect()),
+        ),
+    ]);
+    std::fs::write(&path, doc.to_pretty_string() + "\n")?;
+    Ok(path)
+}
+
+/// A group of related measurements sharing one report file.
 #[derive(Debug)]
 pub struct Bench {
     group: String,
     samples: usize,
     filter: Option<String>,
-    results: Vec<Measurement>,
+    records: Vec<BenchRecord>,
 }
 
 impl Bench {
@@ -81,7 +227,7 @@ impl Bench {
             group: group.to_string(),
             samples: DEFAULT_SAMPLES,
             filter,
-            results: Vec::new(),
+            records: Vec::new(),
         }
     }
 
@@ -92,15 +238,21 @@ impl Bench {
         self
     }
 
-    /// Times `f`, recording per-iteration nanoseconds. The iteration count
-    /// per sample is calibrated from one untimed warm-up run so that cheap
-    /// operations are batched while multi-millisecond runs execute once per
-    /// sample.
-    pub fn bench<R>(&mut self, name: &str, mut f: impl FnMut() -> R) {
-        if let Some(filter) = &self.filter {
-            if !name.contains(filter.as_str()) {
-                return;
-            }
+    /// Whether the command-line filter selects `label` (always true with no
+    /// filter).
+    pub fn wants(&self, label: &str) -> bool {
+        self.filter.as_deref().map_or(true, |f| label.contains(f))
+    }
+
+    /// Times `f`, recording per-iteration nanoseconds (metric
+    /// `ns_per_iter`, the mean, with the per-sample summary), and returns
+    /// the summary — `None` when the filter skips `name`. The iteration
+    /// count per sample is calibrated from one untimed warm-up run so that
+    /// cheap operations are batched while multi-millisecond runs execute
+    /// once per sample.
+    pub fn bench<R>(&mut self, name: &str, mut f: impl FnMut() -> R) -> Option<Summary> {
+        if !self.wants(name) {
+            return None;
         }
         let start = Instant::now();
         std::hint::black_box(f());
@@ -123,44 +275,52 @@ impl Bench {
             format_nanos(nanos.std),
             nanos.count,
         );
-        self.results.push(Measurement {
-            name: name.to_string(),
-            iters_per_sample: iters,
-            nanos,
-        });
+        let mut record = BenchRecord::new(name, "ns_per_iter", "ns", nanos.mean)
+            .param("iters_per_sample", &iters);
+        record.summary = Some(nanos);
+        self.records.push(record);
+        Some(nanos)
     }
 
-    /// The measurements recorded so far.
-    pub fn results(&self) -> &[Measurement] {
-        &self.results
-    }
-
-    /// Renders the group report as pretty JSON.
-    pub fn report_json(&self) -> String {
-        Json::Obj(vec![
-            ("group".to_string(), self.group.to_json()),
-            ("results".to_string(), self.results.to_json()),
-        ])
-        .to_pretty_string()
+    /// Adds a custom record, printing it with its gate verdict at once.
+    pub fn record(&mut self, record: BenchRecord) {
+        println!("{}/{}", self.group, record.describe());
+        self.records.push(record);
     }
 
     /// Writes `BENCH_<group>.json` into the nearest enclosing `target/`
     /// directory (cargo runs benches from the package dir, so the workspace
     /// `target/` may be a few levels up; falls back to the current
-    /// directory) and returns the results. Skipped when a filter excluded
-    /// every benchmark.
-    pub fn finish(self) -> Vec<Measurement> {
-        if !self.results.is_empty() {
-            let file = format!("BENCH_{}.json", self.group);
-            let path = find_target_dir()
-                .map(|d| d.join(&file))
-                .unwrap_or_else(|| file.clone().into());
-            match std::fs::write(&path, self.report_json() + "\n") {
-                Ok(()) => println!("report: {}", path.display()),
-                Err(e) => eprintln!("could not write {}: {e}", path.display()),
-            }
+    /// directory), then exits nonzero if the report could not be written,
+    /// any gate failed or any value is not finite. Writes nothing when a
+    /// filter excluded every measurement.
+    pub fn finish(self) {
+        if self.records.is_empty() {
+            return;
         }
-        self.results
+        if let Err(e) = self.conclude(&find_target_dir().unwrap_or_default()) {
+            eprintln!("{}: {e}", self.group);
+            std::process::exit(1);
+        }
+    }
+
+    /// [`Bench::finish`] without the exit: writes the report into `dir`,
+    /// then fails on a write error or any record that does not pass.
+    fn conclude(&self, dir: &Path) -> Result<(), String> {
+        let path = write_report(dir, &self.group, &self.records)
+            .map_err(|e| format!("could not write report in {}: {e}", dir.display()))?;
+        println!("report: {}", path.display());
+        let failed: Vec<String> = self
+            .records
+            .iter()
+            .filter(|r| !r.passes())
+            .map(BenchRecord::describe)
+            .collect();
+        if failed.is_empty() {
+            Ok(())
+        } else {
+            Err(format!("gate FAILED:\n  {}", failed.join("\n  ")))
+        }
     }
 }
 
@@ -175,9 +335,9 @@ pub use rfid_hash::fnv64;
 /// The nearest `target/` directory at or above the current directory —
 /// honours `CARGO_TARGET_DIR` when set. Shared by the bench reports
 /// (`BENCH_*.json`) and the sweep engine's default cache root.
-pub fn find_target_dir() -> Option<std::path::PathBuf> {
+pub fn find_target_dir() -> Option<PathBuf> {
     if let Some(dir) = std::env::var_os("CARGO_TARGET_DIR") {
-        let dir = std::path::PathBuf::from(dir);
+        let dir = PathBuf::from(dir);
         if dir.is_dir() {
             return Some(dir);
         }
@@ -217,41 +377,120 @@ mod tests {
             group: group.to_string(),
             samples: 3,
             filter: None,
-            results: Vec::new(),
+            records: Vec::new(),
         }
+    }
+
+    /// A fresh, empty scratch directory unique to this test process.
+    fn scratch_dir(name: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("rfid-bench-harness-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
     }
 
     #[test]
     fn bench_records_positive_timings() {
         let mut b = quiet_bench("t");
-        b.bench("count", || (0..1000u64).sum::<u64>());
-        assert_eq!(b.results().len(), 1);
-        let m = &b.results()[0];
-        assert!(m.nanos.mean > 0.0);
-        assert!(m.iters_per_sample >= 1);
-        assert_eq!(m.nanos.count, 3);
+        let nanos = b.bench("count", || (0..1000u64).sum::<u64>()).unwrap();
+        assert_eq!(b.records.len(), 1);
+        let r = &b.records[0];
+        assert_eq!(r.metric, "ns_per_iter");
+        assert_eq!(r.summary, Some(nanos));
+        assert_eq!(r.value, nanos.mean);
+        assert!(nanos.mean > 0.0);
+        assert_eq!(nanos.count, 3);
+        assert!(r.params[0].1.as_u64().unwrap() >= 1);
     }
 
     #[test]
     fn filter_skips_non_matching_names() {
         let mut b = quiet_bench("t");
         b.filter = Some("tree".to_string());
-        b.bench("hash", || 1u64);
-        b.bench("tree_build", || 1u64);
-        assert_eq!(b.results().len(), 1);
-        assert_eq!(b.results()[0].name, "tree_build");
+        assert!(b.bench("hash", || 1u64).is_none());
+        assert!(b.bench("tree_build", || 1u64).is_some());
+        assert_eq!(b.records.len(), 1);
+        assert_eq!(b.records[0].case, "tree_build");
+        assert!(b.wants("tree_walk") && !b.wants("bitvec"));
     }
 
     #[test]
-    fn report_json_is_parseable_and_tagged() {
+    fn gates_pass_exactly_at_the_bound_and_fail_just_past_it() {
+        for bound in [0.0, 1.0, 1.05, 1e6] {
+            assert!(Gate::AtLeast(bound).passes(bound));
+            assert!(!Gate::AtLeast(bound).passes(bound - 1e-9));
+            assert!(Gate::AtMost(bound).passes(bound));
+            assert!(!Gate::AtMost(bound).passes(bound + 1e-9));
+        }
+        let mut b = quiet_bench("gates");
+        b.record(BenchRecord::new("c", "m", "x", 2.0).gate(Gate::AtLeast(2.0)));
+        b.record(BenchRecord::new("c", "m", "x", 2.0).gate(Gate::AtMost(1.99)));
+        assert!(b.records[0].passes() && !b.records[1].passes());
+        let err = b.conclude(&scratch_dir("gates")).unwrap_err();
+        assert!(err.contains("FAILED") && err.contains("≤ 1.99"), "{err}");
+    }
+
+    #[test]
+    fn non_finite_values_fail_finish_but_still_write_the_report() {
+        for value in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let dir = scratch_dir("nonfinite");
+            let mut b = quiet_bench("nonfinite");
+            b.record(BenchRecord::new("c", "m", "x", 1.0).gate(Gate::AtLeast(0.0)));
+            assert!(b.conclude(&dir).is_ok());
+            let report = dir.join("BENCH_nonfinite.json");
+            std::fs::remove_file(&report).unwrap();
+            b.record(BenchRecord::new("c", "ungated", "x", value));
+            assert!(!b.records[1].passes());
+            assert!(b.conclude(&dir).unwrap_err().contains("not finite"));
+            assert!(report.is_file());
+        }
+    }
+
+    #[test]
+    fn report_round_trips_with_every_record_tagged() {
+        let dir = scratch_dir("roundtrip");
         let mut b = quiet_bench("grp");
         b.bench("x", || 7u64);
-        let parsed = Json::parse(&b.report_json()).expect("valid JSON");
+        b.record(
+            BenchRecord::new("case_a", "speedup", "x", 12.5)
+                .param("n", &100_000u64)
+                .gate(Gate::AtLeast(10.0)),
+        );
+        b.record(BenchRecord::new("case_b", "ratio", "x", 0.9).gate(Gate::AtMost(1.05)));
+        b.conclude(&dir).unwrap();
+
+        let text = std::fs::read_to_string(dir.join("BENCH_grp.json")).unwrap();
+        let parsed = Json::parse(&text).expect("valid JSON");
         assert_eq!(parsed.get("group").unwrap().as_str().unwrap(), "grp");
-        let results = parsed.get("results").unwrap().as_arr().unwrap();
-        assert_eq!(results.len(), 1);
-        assert_eq!(results[0].get("name").unwrap().as_str().unwrap(), "x");
-        assert!(results[0].get("mean_ns").unwrap().as_f64().unwrap() > 0.0);
+        let records = parsed.get("records").unwrap().as_arr().unwrap();
+        assert_eq!(records.len(), 3);
+        for r in records {
+            for key in ["case", "metric", "unit"] {
+                assert!(r.get(key).unwrap().as_str().is_ok(), "{key} in {r}");
+            }
+            assert!(r.get("value").unwrap().as_f64().unwrap() > 0.0);
+        }
+        let gate = records[1].get("gate").unwrap();
+        assert_eq!(gate.get("at_least").unwrap().as_f64().unwrap(), 10.0);
+        assert!(gate.get("pass").unwrap().as_bool().unwrap());
+        assert!(records[2].get("gate").unwrap().get("at_most").is_some());
+        let back: Vec<BenchRecord> = records
+            .iter()
+            .map(|r| BenchRecord::from_json(r).unwrap())
+            .collect();
+        assert_eq!(back, b.records);
+    }
+
+    #[test]
+    fn write_report_returns_the_io_error() {
+        let dir = scratch_dir("unwritable");
+        std::fs::create_dir(dir.join("BENCH_blocked.json")).unwrap();
+        let records = [BenchRecord::new("c", "m", "x", 1.0)];
+        assert!(write_report(&dir, "blocked", &records).is_err());
+        let mut b = quiet_bench("blocked");
+        b.record(records[0].clone());
+        assert!(b.conclude(&dir).unwrap_err().contains("could not write"));
     }
 
     #[test]

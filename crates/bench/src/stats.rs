@@ -15,6 +15,14 @@ pub struct Summary {
     pub count: usize,
 }
 
+rfid_system::impl_json_struct!(Summary {
+    count,
+    mean,
+    std,
+    min,
+    max
+});
+
 impl Summary {
     /// Summarizes a sample.
     ///

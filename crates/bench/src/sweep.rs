@@ -40,6 +40,7 @@ use rfid_protocols::{RecoveryPolicy, Report, Session, SessionEnd};
 use rfid_system::{to_json_string, FaultModel, FromJson, Json, SimConfig, SimContext, ToJson};
 use rfid_workloads::Scenario;
 
+use crate::harness::{write_report, BenchRecord};
 use crate::runner::ProtocolFactory;
 
 /// Code-version salt folded into every cache key. Bump whenever simulator
@@ -305,39 +306,32 @@ impl SweepEngine {
             .collect()
     }
 
-    /// Appends this engine's cumulative stats as one entry of
-    /// `BENCH_sweep.json` under `dir` and returns the file path. Entries
+    /// Appends this engine's cumulative stats to the records of
+    /// `BENCH_sweep.json` under `dir` and returns the file path. Records
     /// accumulate across invocations (e.g. a cold `--workers 1` run
     /// followed by a warm default-width run), seeding the sweep-throughput
     /// bench trajectory with cells/sec, cache-hit-rate and worker-count
     /// scaling data.
     pub fn write_bench_entry(&self, dir: &Path) -> std::io::Result<PathBuf> {
-        let path = dir.join("BENCH_sweep.json");
-        let mut entries: Vec<Json> = std::fs::read_to_string(&path)
+        let mut records: Vec<BenchRecord> = std::fs::read_to_string(dir.join("BENCH_sweep.json"))
             .ok()
             .and_then(|text| Json::parse(&text).ok())
-            .and_then(|doc| {
-                doc.get("entries")
-                    .and_then(|e| e.as_arr().ok().map(<[Json]>::to_vec))
-            })
+            .and_then(|doc| doc.field("records").ok())
             .unwrap_or_default();
         let s = self.stats();
-        entries.push(Json::Obj(vec![
-            ("workers".to_string(), (self.workers as u64).to_json()),
-            ("cells".to_string(), s.cells.to_json()),
-            ("jobs".to_string(), s.jobs.to_json()),
-            ("runs".to_string(), s.runs.to_json()),
-            ("cache_hits".to_string(), s.cache_hits.to_json()),
-            ("cache_hit_rate".to_string(), s.cache_hit_rate().to_json()),
-            ("elapsed_s".to_string(), s.elapsed_s.to_json()),
-            ("cells_per_sec".to_string(), s.cells_per_sec().to_json()),
-        ]));
-        let doc = Json::Obj(vec![
-            ("group".to_string(), Json::str("sweep")),
-            ("entries".to_string(), Json::Arr(entries)),
-        ]);
-        std::fs::write(&path, doc.to_pretty_string() + "\n")?;
-        Ok(path)
+        let case = format!("workers_{}", self.workers);
+        let record = |metric: &str, unit: &str, value: f64| {
+            BenchRecord::new(&case, metric, unit, value)
+                .param("workers", &self.workers)
+                .param("cells", &s.cells)
+                .param("jobs", &s.jobs)
+                .param("runs", &s.runs)
+                .param("cache_hits", &s.cache_hits)
+        };
+        records.push(record("cells_per_sec", "cells/s", s.cells_per_sec()));
+        records.push(record("cache_hit_rate", "ratio", s.cache_hit_rate()));
+        records.push(record("elapsed_s", "s", s.elapsed_s));
+        write_report(dir, "sweep", &records)
     }
 
     fn expand_jobs(&self, cells: &[Cell<'_>]) -> Vec<Job> {
@@ -583,6 +577,22 @@ mod tests {
 
     fn tpp_factory() -> Box<dyn Fn() -> Box<dyn rfid_protocols::PollingProtocol> + Sync> {
         Box::new(|| Box::new(TppConfig::default().into_protocol()))
+    }
+
+    #[test]
+    fn bench_entries_append_across_invocations() {
+        let dir = std::env::temp_dir().join(format!("rfid-sweep-bench-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let engine = SweepEngine::new().with_workers(1);
+        engine.write_bench_entry(&dir).unwrap();
+        let path = engine.write_bench_entry(&dir).unwrap();
+        let doc = Json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+        assert_eq!(doc.get("group").unwrap().as_str().unwrap(), "sweep");
+        let records: Vec<BenchRecord> = doc.field("records").unwrap();
+        assert_eq!(records.len(), 6);
+        assert!(records.iter().all(|r| r.case == "workers_1"));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -17,8 +17,8 @@ use rfid_system::json::{Json, ToJson};
 use crate::histogram::Log2Histogram;
 
 /// Canonical names of the wire/fleet resilience counters, so the
-/// resilient client, the daemon supervisor, the chaos-soak bench and the
-/// `BENCH_resilience.json` checker all agree on one vocabulary. Each is
+/// resilient client, the daemon supervisor and the chaos-soak bench all
+/// agree on one vocabulary. Each is
 /// an ordinary [`MetricsRegistry`] counter (incremented with
 /// [`MetricsRegistry::inc`], rendered by
 /// [`MetricsRegistry::expose_text`] with the `rfid_` prefix) and is

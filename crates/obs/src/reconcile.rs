@@ -155,19 +155,28 @@ mod tests {
     #[test]
     fn replay_attributes_broadcast_bits_by_kind() {
         let mut log = EventLog::enabled();
-        log.record(at(0.0), || Event::ReaderBroadcast {
-            what: BroadcastKind::QueryRep,
-            bits: 4,
-        });
-        log.record(at(1.0), || Event::ReaderBroadcast {
-            what: BroadcastKind::PollingVector,
-            bits: 7,
-        });
-        log.record(at(2.0), || Event::ReaderBroadcast {
-            what: BroadcastKind::Probe,
-            bits: 9,
-        });
-        log.record(at(3.0), || Event::VectorCharged { bits: 2 });
+        log.record(
+            at(0.0),
+            Event::ReaderBroadcast {
+                what: BroadcastKind::QueryRep,
+                bits: 4,
+            },
+        );
+        log.record(
+            at(1.0),
+            Event::ReaderBroadcast {
+                what: BroadcastKind::PollingVector,
+                bits: 7,
+            },
+        );
+        log.record(
+            at(2.0),
+            Event::ReaderBroadcast {
+                what: BroadcastKind::Probe,
+                bits: 9,
+            },
+        );
+        log.record(at(3.0), Event::VectorCharged { bits: 2 });
         let c = counters_from_events(log.events());
         assert_eq!(c.reader_bits, 20);
         assert_eq!(c.query_rep_bits, 4);
@@ -182,8 +191,8 @@ mod tests {
             Err(ReconcileError::TraceDisabled)
         );
         let mut ring = EventLog::ring(1);
-        ring.record(at(0.0), || Event::SlotEmpty);
-        ring.record(at(1.0), || Event::SlotEmpty);
+        ring.record(at(0.0), Event::SlotEmpty);
+        ring.record(at(1.0), Event::SlotEmpty);
         assert_eq!(
             reconcile(&ring, &counters),
             Err(ReconcileError::TraceTruncated {
@@ -200,7 +209,7 @@ mod tests {
         // not fabricate a counter mismatch from the partial replay.
         let mut ring = EventLog::ring(2);
         for i in 0..5 {
-            ring.record(at(i as f64), || Event::SlotEmpty);
+            ring.record(at(i as f64), Event::SlotEmpty);
         }
         let counters = Counters {
             empty_slots: 5,
@@ -226,7 +235,7 @@ mod tests {
     #[test]
     fn mismatch_names_the_field() {
         let mut log = EventLog::enabled();
-        log.record(at(0.0), || Event::SlotEmpty);
+        log.record(at(0.0), Event::SlotEmpty);
         let counters = Counters::default();
         let err = reconcile(&log, &counters).unwrap_err();
         assert_eq!(
@@ -243,15 +252,21 @@ mod tests {
     #[test]
     fn recovery_events_replay_into_recovery_counters() {
         let mut log = EventLog::enabled();
-        log.record(at(0.0), || Event::BackoffWaited { pass: 1, us: 1_500 });
-        log.record(at(1.0), || Event::RecoveryPassStarted {
-            pass: 2,
-            uncollected: 7,
-        });
-        log.record(at(2.0), || Event::CircuitOpened {
-            passes: 2,
-            uncollected: 7,
-        });
+        log.record(at(0.0), Event::BackoffWaited { pass: 1, us: 1_500 });
+        log.record(
+            at(1.0),
+            Event::RecoveryPassStarted {
+                pass: 2,
+                uncollected: 7,
+            },
+        );
+        log.record(
+            at(2.0),
+            Event::CircuitOpened {
+                passes: 2,
+                uncollected: 7,
+            },
+        );
         let c = counters_from_events(log.events());
         assert_eq!(c.recovery_passes, 1);
         assert_eq!(c.recovery_backoff_us, 1_500);

@@ -143,7 +143,7 @@ mod tests {
     fn log_with(events: &[(f64, Event)]) -> EventLog {
         let mut log = EventLog::enabled();
         for &(t, e) in events {
-            log.record(Micros::from_us(t), || e);
+            log.record(Micros::from_us(t), e);
         }
         log
     }

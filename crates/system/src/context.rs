@@ -423,7 +423,7 @@ impl SimContext {
         self.counters.apply(&event);
         if self.log.is_enabled() {
             let now = self.clock.total();
-            self.log.record(now, || event);
+            self.log.record(now, event);
         }
     }
 
@@ -1399,8 +1399,8 @@ mod tests {
 
         // A ring log holding more events than its capacity.
         let mut ring = EventLog::ring(2);
-        ring.record(Micros::ZERO, || Event::SlotEmpty);
-        ring.record(Micros::ZERO, || Event::SlotEmpty);
+        ring.record(Micros::ZERO, Event::SlotEmpty);
+        ring.record(Micros::ZERO, Event::SlotEmpty);
         let bad = set(
             &good,
             "log",
@@ -1411,7 +1411,7 @@ mod tests {
 
         // A disabled log carrying events.
         let mut on = EventLog::enabled();
-        on.record(Micros::ZERO, || Event::SlotEmpty);
+        on.record(Micros::ZERO, Event::SlotEmpty);
         let bad = set(
             &good,
             "log",

@@ -514,10 +514,9 @@ impl EventLog {
         self.enabled
     }
 
-    /// Records an event at sim-time `at` (no-op when disabled). The closure
-    /// form avoids constructing event payloads on the hot path.
+    /// Records an event at sim-time `at` (no-op when disabled).
     #[inline]
-    pub fn record(&mut self, at: Micros, make: impl FnOnce() -> Event) {
+    pub fn record(&mut self, at: Micros, event: Event) {
         if !self.enabled {
             return;
         }
@@ -525,7 +524,7 @@ impl EventLog {
             self.events.pop_front();
             self.dropped += 1;
         }
-        self.events.push_back(TimedEvent { at, event: make() });
+        self.events.push_back(TimedEvent { at, event });
     }
 
     /// The recorded events, oldest first.
@@ -632,7 +631,7 @@ mod tests {
     #[test]
     fn disabled_log_records_nothing() {
         let mut log = EventLog::disabled();
-        log.record(at(1.0), || Event::SlotEmpty);
+        log.record(at(1.0), Event::SlotEmpty);
         assert!(log.is_empty());
         assert!(!log.is_enabled());
     }
@@ -640,15 +639,21 @@ mod tests {
     #[test]
     fn enabled_log_records_in_order_with_timestamps() {
         let mut log = EventLog::enabled();
-        log.record(at(0.0), || Event::RoundStarted {
-            round: 1,
-            h: 2,
-            unread: 4,
-        });
-        log.record(at(37.45), || Event::TagPolled {
-            tag: 2,
-            vector_bits: 2,
-        });
+        log.record(
+            at(0.0),
+            Event::RoundStarted {
+                round: 1,
+                h: 2,
+                unread: 4,
+            },
+        );
+        log.record(
+            at(37.45),
+            Event::TagPolled {
+                tag: 2,
+                vector_bits: 2,
+            },
+        );
         assert_eq!(log.len(), 2);
         assert!(matches!(
             log.events()[0].event,
@@ -661,10 +666,13 @@ mod tests {
     fn ring_mode_keeps_the_newest_events() {
         let mut log = EventLog::ring(3);
         for i in 0..10usize {
-            log.record(at(i as f64), || Event::TagPolled {
-                tag: i,
-                vector_bits: 1,
-            });
+            log.record(
+                at(i as f64),
+                Event::TagPolled {
+                    tag: i,
+                    vector_bits: 1,
+                },
+            );
         }
         assert_eq!(log.len(), 3);
         assert_eq!(log.dropped(), 7);
@@ -687,8 +695,8 @@ mod tests {
     #[test]
     fn render_is_line_per_event() {
         let mut log = EventLog::enabled();
-        log.record(at(1.5), || Event::SlotEmpty);
-        log.record(at(2.5), || Event::SlotCollision { count: 3 });
+        log.record(at(1.5), Event::SlotEmpty);
+        log.record(at(2.5), Event::SlotCollision { count: 3 });
         let text = log.render();
         assert_eq!(text.lines().count(), 2);
         assert!(text.contains("collision (3 tags)"));
@@ -697,21 +705,30 @@ mod tests {
     #[test]
     fn jsonl_round_trips() {
         let mut log = EventLog::enabled();
-        log.record(at(0.0), || Event::ReaderBroadcast {
-            what: BroadcastKind::PollingVector,
-            bits: 7,
-        });
-        log.record(at(262.15), || Event::TagReply { tag: 3, bits: 1 });
-        log.record(at(300.0), || Event::StallTick { streak: 2 });
-        log.record(at(301.0), || Event::RecoveryPassStarted {
-            pass: 2,
-            uncollected: 5,
-        });
-        log.record(at(302.0), || Event::BackoffWaited { pass: 1, us: 1500 });
-        log.record(at(303.0), || Event::CircuitOpened {
-            passes: 3,
-            uncollected: 4,
-        });
+        log.record(
+            at(0.0),
+            Event::ReaderBroadcast {
+                what: BroadcastKind::PollingVector,
+                bits: 7,
+            },
+        );
+        log.record(at(262.15), Event::TagReply { tag: 3, bits: 1 });
+        log.record(at(300.0), Event::StallTick { streak: 2 });
+        log.record(
+            at(301.0),
+            Event::RecoveryPassStarted {
+                pass: 2,
+                uncollected: 5,
+            },
+        );
+        log.record(at(302.0), Event::BackoffWaited { pass: 1, us: 1500 });
+        log.record(
+            at(303.0),
+            Event::CircuitOpened {
+                passes: 3,
+                uncollected: 4,
+            },
+        );
         let text = log.to_jsonl();
         assert_eq!(text.lines().count(), 6);
         let back = EventLog::from_jsonl(&text).expect("parses");

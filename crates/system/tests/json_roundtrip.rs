@@ -171,7 +171,7 @@ fn events_and_log_round_trip() {
     });
     let mut log = EventLog::enabled();
     for (i, e) in events.iter().enumerate() {
-        log.record(Micros::from_us(i as f64 * 37.45), || *e);
+        log.record(Micros::from_us(i as f64 * 37.45), *e);
     }
     round_trip(&log);
     round_trip(&EventLog::disabled());
@@ -207,10 +207,13 @@ fn broadcast_kinds_round_trip_as_strings() {
 fn ring_log_round_trips_with_drop_count() {
     let mut log = EventLog::ring(2);
     for i in 0..5usize {
-        log.record(Micros::from_us(i as f64), || Event::TagPolled {
-            tag: i,
-            vector_bits: 2,
-        });
+        log.record(
+            Micros::from_us(i as f64),
+            Event::TagPolled {
+                tag: i,
+                vector_bits: 2,
+            },
+        );
     }
     assert_eq!(log.dropped(), 3);
     round_trip(&log);
