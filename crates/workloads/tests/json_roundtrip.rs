@@ -16,16 +16,39 @@ where
     assert_eq!(&back, value, "pretty round-trip");
 }
 
+/// Round-trips `value` and pins its compact encoding to `text` byte for byte.
+fn pinned<T>(value: &T, text: &str)
+where
+    T: ToJson + FromJson + PartialEq + std::fmt::Debug,
+{
+    round_trip(value);
+    assert_eq!(to_json_string(value), text);
+    let back: T = from_json_str(text).expect("pinned text parses");
+    assert_eq!(&back, value, "parse of {text}");
+}
+
 #[test]
 fn every_id_distribution_variant_round_trips() {
-    round_trip(&IdDistribution::UniformRandom);
-    round_trip(&IdDistribution::Sequential { start: 1_000_000 });
-    round_trip(&IdDistribution::Clustered { categories: 12 });
-    round_trip(&IdDistribution::Zipf {
-        categories: 40,
-        exponent: 1.25,
-    });
-    round_trip(&IdDistribution::SharedPrefix { prefix_bits: 48 });
+    pinned(&IdDistribution::UniformRandom, r#""UniformRandom""#);
+    pinned(
+        &IdDistribution::Sequential { start: 1_000_000 },
+        r#"{"Sequential":{"start":1000000}}"#,
+    );
+    pinned(
+        &IdDistribution::Clustered { categories: 12 },
+        r#"{"Clustered":{"categories":12}}"#,
+    );
+    pinned(
+        &IdDistribution::Zipf {
+            categories: 40,
+            exponent: 1.25,
+        },
+        r#"{"Zipf":{"categories":40,"exponent":1.25}}"#,
+    );
+    pinned(
+        &IdDistribution::SharedPrefix { prefix_bits: 48 },
+        r#"{"SharedPrefix":{"prefix_bits":48}}"#,
+    );
     // Unit variant serializes as a bare string (serde-compatible tagging).
     assert_eq!(
         to_json_string(&IdDistribution::UniformRandom),
@@ -35,10 +58,13 @@ fn every_id_distribution_variant_round_trips() {
 
 #[test]
 fn every_payload_kind_variant_round_trips() {
-    round_trip(&PayloadKind::Presence);
-    round_trip(&PayloadKind::Random);
-    round_trip(&PayloadKind::BatteryLevel);
-    round_trip(&PayloadKind::Temperature { base_quarters: -80 });
+    pinned(&PayloadKind::Presence, r#""Presence""#);
+    pinned(&PayloadKind::Random, r#""Random""#);
+    pinned(&PayloadKind::BatteryLevel, r#""BatteryLevel""#);
+    pinned(
+        &PayloadKind::Temperature { base_quarters: -80 },
+        r#"{"Temperature":{"base_quarters":-80}}"#,
+    );
     round_trip(&PayloadKind::Temperature { base_quarters: 88 });
 }
 
@@ -52,8 +78,12 @@ fn churn_model_round_trips() {
 
 #[test]
 fn scenario_round_trips_with_nested_enums() {
-    round_trip(&Scenario::uniform(500, 16));
-    round_trip(
+    // Scenario JSON is part of the sweep cache key: its bytes are pinned.
+    pinned(
+        &Scenario::uniform(500, 16),
+        r#"{"n":500,"id_dist":"UniformRandom","info_bits":16,"payload":"Presence","seed":0}"#,
+    );
+    pinned(
         &Scenario::uniform(64, 8)
             .with_seed(0xDEAD_BEEF_F00D_D00D)
             .with_ids(IdDistribution::Zipf {
@@ -61,6 +91,11 @@ fn scenario_round_trips_with_nested_enums() {
                 exponent: 0.8,
             })
             .with_payload(PayloadKind::Temperature { base_quarters: 100 }),
+        concat!(
+            r#"{"n":64,"id_dist":{"Zipf":{"categories":9,"exponent":0.8}},"#,
+            r#""info_bits":8,"payload":{"Temperature":{"base_quarters":100}},"#,
+            r#""seed":16045690985124843533}"#
+        ),
     );
 }
 
@@ -69,4 +104,9 @@ fn malformed_scenario_is_rejected() {
     assert!(from_json_str::<Scenario>("{\"n\": 5}").is_err());
     assert!(from_json_str::<IdDistribution>("{\"Nope\": {}}").is_err());
     assert!(from_json_str::<PayloadKind>("\"Sideways\"").is_err());
+    // A unit tag in object form and a struct tag in string form are errors.
+    assert!(from_json_str::<IdDistribution>(r#"{"UniformRandom":{}}"#).is_err());
+    assert!(from_json_str::<IdDistribution>(r#""Zipf""#).is_err());
+    assert!(from_json_str::<PayloadKind>(r#"{"Presence":{}}"#).is_err());
+    assert!(from_json_str::<PayloadKind>(r#""Temperature""#).is_err());
 }
