@@ -1,7 +1,7 @@
 //! Tag-side energy model.
 //!
 //! The closest prior work (Qiao et al., *Energy-efficient polling protocols
-//! in RFID systems*, MobiHoc 2011 — the paper's reference [19]) evaluates
+//! in RFID systems*, MobiHoc 2011 — the paper's reference \[19\]) evaluates
 //! polling by the energy battery-powered (active/semi-passive) tags spend
 //! listening to reader transmissions and backscattering replies. Shrinking
 //! the polling vector helps twice: tags listen to fewer reader bits *and*

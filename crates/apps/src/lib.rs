@@ -29,9 +29,7 @@ pub mod multi_reader;
 pub mod unknown;
 
 pub use info_collect::{collect, run_polling, Collection};
-pub use missing::{
-    DetectionOutcome, MissingTagApp, MissingTagDetector, MissingTagReport, RecoveredMissing,
-};
+pub use missing::{DetectionOutcome, MissingTagApp, MissingTagDetector, MissingTagReport};
 pub use monitor::{EpochReport, InventoryMonitor, MonitorConfig};
 pub use multi_reader::{DeploymentPlan, MultiReaderOutcome, ReaderZone};
 pub use unknown::{run_hpp_with_aliens, InterferenceReport};

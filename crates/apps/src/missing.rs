@@ -16,7 +16,7 @@ use std::collections::HashMap;
 use rfid_analysis::{hpp::index_length, tpp::optimal_index_length};
 use rfid_c1g2::TimeCategory;
 use rfid_hash::TagHash;
-use rfid_protocols::{PollingError, PollingTree, RecoveryPolicy, Report, StallCause};
+use rfid_protocols::{PollingError, PollingTree, Report, StallCause};
 use rfid_system::{BroadcastKind, Event, SimContext, TagId};
 
 /// Which broadcast scheme carries the singleton indices.
@@ -62,20 +62,6 @@ pub struct MissingTagReport {
     pub rounds: u64,
 }
 
-/// Result of a recovery-wrapped missing-tag run: never panics — an
-/// unconvergeable run degrades to whatever was resolved.
-#[derive(Debug, Clone)]
-pub struct RecoveredMissing {
-    /// The (possibly partial) identification report.
-    pub report: MissingTagReport,
-    /// Identification passes used (1 = no recovery was needed).
-    pub passes: u64,
-    /// Whether every expected tag was resolved.
-    pub complete: bool,
-    /// Expected IDs never resolved (empty when `complete`).
-    pub unresolved: Vec<TagId>,
-}
-
 impl MissingTagApp {
     /// Runs identification: `expected` is the reader's inventory list; the
     /// context's population contains the tags physically present.
@@ -87,7 +73,7 @@ impl MissingTagApp {
     /// # Panics
     /// Panics (via the enriched [`PollingError::Stalled`] display) if the
     /// run exceeds `max_rounds`; fault-injecting callers should use
-    /// [`MissingTagApp::try_run`] or [`MissingTagApp::run_recovered`].
+    /// [`MissingTagApp::try_run`].
     pub fn run(&self, ctx: &mut SimContext, expected: &[TagId]) -> MissingTagReport {
         match self.try_run(ctx, expected) {
             Ok(report) => report,
@@ -103,114 +89,22 @@ impl MissingTagApp {
         ctx: &mut SimContext,
         expected: &[TagId],
     ) -> Result<MissingTagReport, PollingError> {
-        let handle_of = Self::handle_map(ctx);
-        let mut unresolved: Vec<TagId> = expected.to_vec();
-        let mut missing = Vec::new();
-        let mut present = Vec::new();
-        let (rounds, done) =
-            self.run_rounds(ctx, &handle_of, &mut unresolved, &mut present, &mut missing);
-        if !done {
-            return Err(PollingError::Stalled {
-                partial_report: Report::from_context("missing-id", ctx),
-                uncollected: unresolved,
-                cause: StallCause::RoundCap,
-            });
-        }
-        Ok(MissingTagReport {
-            missing,
-            present,
-            total_time: ctx.clock.total(),
-            rounds,
-        })
-    }
-
-    /// Recovery-wrapped identification: after a round-cap stall, waits out
-    /// an exponential backoff (charged on the C1G2 clock), then re-runs a
-    /// fresh round budget over only the still-unresolved IDs, merging the
-    /// verdicts. Gives up — returning the partial report — once
-    /// `policy.max_passes` passes run out or `policy.zero_progress_limit`
-    /// consecutive passes resolve nothing.
-    pub fn run_recovered(
-        &self,
-        ctx: &mut SimContext,
-        expected: &[TagId],
-        policy: &RecoveryPolicy,
-    ) -> RecoveredMissing {
-        let handle_of = Self::handle_map(ctx);
-        let mut unresolved: Vec<TagId> = expected.to_vec();
-        let mut missing = Vec::new();
-        let mut present = Vec::new();
-        let mut passes = 1u64;
-        let mut total_rounds = 0u64;
-        let mut idle_passes = 0u64;
-        loop {
-            let before = unresolved.len();
-            let (rounds, done) =
-                self.run_rounds(ctx, &handle_of, &mut unresolved, &mut present, &mut missing);
-            total_rounds += rounds;
-            let report = MissingTagReport {
-                missing: missing.clone(),
-                present: present.clone(),
-                total_time: ctx.clock.total(),
-                rounds: total_rounds,
-            };
-            if done {
-                return RecoveredMissing {
-                    report,
-                    passes,
-                    complete: true,
-                    unresolved: Vec::new(),
-                };
-            }
-            if unresolved.len() < before {
-                idle_passes = 0;
-            } else {
-                idle_passes += 1;
-            }
-            let out_of_passes = policy.max_passes != 0 && passes >= policy.max_passes;
-            if out_of_passes || idle_passes >= policy.zero_progress_limit {
-                ctx.note_circuit_opened(passes, unresolved.len());
-                return RecoveredMissing {
-                    report,
-                    passes,
-                    complete: false,
-                    unresolved,
-                };
-            }
-            let base = policy.backoff_us(passes);
-            let jitter = if base > 1 {
-                ctx.rng.below(base / 2 + 1)
-            } else {
-                0
-            };
-            ctx.charge_recovery_backoff(passes, base + jitter);
-            passes += 1;
-            ctx.note_recovery_pass(passes, unresolved.len());
-        }
-    }
-
-    fn handle_map(ctx: &SimContext) -> HashMap<TagId, usize> {
-        ctx.population
+        let handle_of: HashMap<TagId, usize> = ctx
+            .population
             .iter()
             .map(|(handle, tag)| (tag.id, handle))
-            .collect()
-    }
-
-    /// Runs up to `max_rounds` identification rounds over `unresolved`,
-    /// moving verdicts into `present`/`missing`. Returns the rounds spent
-    /// and whether the set fully resolved.
-    fn run_rounds(
-        &self,
-        ctx: &mut SimContext,
-        handle_of: &HashMap<TagId, usize>,
-        unresolved: &mut Vec<TagId>,
-        present: &mut Vec<TagId>,
-        missing: &mut Vec<TagId>,
-    ) -> (u64, bool) {
+            .collect();
+        let mut unresolved: Vec<TagId> = expected.to_vec();
+        let mut missing = Vec::new();
+        let mut present = Vec::new();
         let mut rounds = 0u64;
         while !unresolved.is_empty() {
             if rounds >= self.max_rounds {
-                return (rounds, false);
+                return Err(PollingError::Stalled {
+                    partial_report: Report::from_context("missing-id", ctx),
+                    uncollected: unresolved,
+                    cause: StallCause::RoundCap,
+                });
             }
             rounds += 1;
             let n = unresolved.len() as u64;
@@ -223,7 +117,7 @@ impl MissingTagApp {
             if h == 0 {
                 // One expected tag left; a bare poll resolves it.
                 let id = unresolved.pop().expect("nonempty");
-                self.probe(ctx, handle_of, id, 0, present, missing);
+                self.probe(ctx, &handle_of, id, 0, &mut present, &mut missing);
                 continue;
             }
 
@@ -256,7 +150,7 @@ impl MissingTagApp {
             match self.strategy {
                 MissingStrategy::Hpp => {
                     for &(_, id) in &singles {
-                        self.probe(ctx, handle_of, id, h as u64, present, missing);
+                        self.probe(ctx, &handle_of, id, h as u64, &mut present, &mut missing);
                     }
                 }
                 MissingStrategy::Tpp => {
@@ -265,13 +159,25 @@ impl MissingTagApp {
                         &singles.iter().map(|&(i, _)| i).collect::<Vec<_>>(),
                     );
                     for (segment, &(_, id)) in tree.preorder_segments().iter().zip(&singles) {
-                        self.probe(ctx, handle_of, id, segment.len() as u64, present, missing);
+                        self.probe(
+                            ctx,
+                            &handle_of,
+                            id,
+                            segment.len() as u64,
+                            &mut present,
+                            &mut missing,
+                        );
                     }
                 }
             }
             unresolved.retain(|id| !resolved.contains(id));
         }
-        (rounds, true)
+        Ok(MissingTagReport {
+            missing,
+            present,
+            total_time: ctx.clock.total(),
+            rounds,
+        })
     }
 
     /// Polls one expected tag: a present tag answers (1-bit presence), an
@@ -326,7 +232,7 @@ impl MissingTagApp {
 }
 
 /// Probabilistic missing-tag *detection* (after Tan et al.'s Trusted Reader
-/// Protocol, the paper's reference [11]): instead of identifying every
+/// Protocol, the paper's reference \[11\]): instead of identifying every
 /// missing tag, decide *whether any tag is missing* with confidence `α`,
 /// far faster than full identification when everything is in place.
 ///
@@ -475,7 +381,7 @@ impl MissingTagDetector {
     }
 }
 
-rfid_system::impl_json_enum_units!(MissingStrategy { Hpp, Tpp });
+rfid_system::impl_json_enum!(MissingStrategy { Hpp, Tpp });
 
 #[cfg(test)]
 mod tests {
@@ -629,26 +535,6 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.contains("missing-id stalled"), "{msg}");
         assert!(msg.contains("cause: round cap"), "{msg}");
-    }
-
-    #[test]
-    fn recovered_run_finishes_what_a_small_budget_starts() {
-        let (expected, mut ctx, truth) = setup(400, 30, 10);
-        let app = MissingTagApp {
-            max_rounds: 2,
-            ..MissingTagApp::default()
-        };
-        let r = app.run_recovered(&mut ctx, &expected, &RecoveryPolicy::unbounded());
-        assert!(r.complete, "unbounded recovery must finish");
-        assert!(r.passes > 1, "a 2-round budget cannot finish pass 1");
-        assert!(r.unresolved.is_empty());
-        let mut found = r.report.missing.clone();
-        found.sort();
-        let mut want = truth;
-        want.sort();
-        assert_eq!(found, want, "verdicts merged across passes");
-        assert_eq!(ctx.counters.recovery_passes, r.passes - 1);
-        assert!(ctx.counters.recovery_backoff_us > 0);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use rfid_bench::{fnv64, Bench, BenchRecord, Gate};
+use rfid_bench::{Bench, BenchRecord, Gate};
 use rfid_protocols::{HppConfig, Session};
 use rfid_system::{BitVec, FaultModel, SimConfig, SimContext, TagPopulation, ToJson};
 
@@ -139,7 +139,7 @@ fn main() {
         ("counters_identical", plain.counters == profiled.counters),
         (
             "trace_identical",
-            fnv64(&plain.log.to_jsonl()) == fnv64(&profiled.log.to_jsonl()),
+            plain.log.digest() == profiled.log.digest(),
         ),
     ] {
         b.record(

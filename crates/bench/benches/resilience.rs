@@ -15,7 +15,7 @@ use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
-use rfid_bench::{fnv64, Bench, BenchRecord, Gate};
+use rfid_bench::{Bench, BenchRecord, Gate};
 use rfid_daemon::{
     install_killpoint_hook, DaemonClient, FleetLimits, ResilientClient, RetryPolicy,
 };
@@ -56,7 +56,7 @@ fn local_identity(seed: u64) -> (String, u64) {
     let SessionEnd::Complete { report, .. } = session.run(&mut ctx) else {
         panic!("reference run did not complete (seed {seed})");
     };
-    (report.to_json().to_string(), fnv64(&ctx.log.to_jsonl()))
+    (report.to_json().to_string(), ctx.log.digest())
 }
 
 fn open_req(seed: u64) -> OpenRequest {
@@ -257,7 +257,7 @@ fn drain_shutdown_case(b: &mut Bench) {
         let SessionEnd::Complete { report, .. } = session.run(&mut ctx) else {
             panic!("drained snapshot did not complete");
         };
-        let identity = (report.to_json().to_string(), fnv64(&ctx.log.to_jsonl()));
+        let identity = (report.to_json().to_string(), ctx.log.digest());
         if let Some(at) = expected.iter().position(|e| *e == identity) {
             expected.remove(at);
             recovered += 1;

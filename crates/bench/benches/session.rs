@@ -17,7 +17,7 @@
 //! and restored); the recovery case also gates `passes ≥ 2`.
 
 use rfid_baselines::{CodedPollingConfig, CppConfig, EcppConfig, FsaConfig, LowerBound, MicConfig};
-use rfid_bench::{fnv64, Bench, BenchRecord, Gate};
+use rfid_bench::{Bench, BenchRecord, Gate};
 use rfid_hash::Xoshiro256;
 use rfid_identify::{BinarySplitConfig, QAlgorithmConfig, QueryTreeConfig};
 use rfid_protocols::{
@@ -97,7 +97,7 @@ fn chaos_case(
         };
     };
     let ref_json = ref_report.to_json().to_string();
-    let ref_trace = fnv64(&ctx.log.to_jsonl());
+    let ref_trace = ctx.log.digest();
     let kill_step = 1 + rng.below(boundaries.max(1));
 
     // Killed run: crash at the seeded step, survive only as a JSON string.
@@ -151,7 +151,7 @@ fn chaos_case(
         };
     };
     let json = report.to_json().to_string();
-    let trace = fnv64(&ctx.log.to_jsonl());
+    let trace = ctx.log.digest();
 
     let mut mismatches = Vec::new();
     if json != ref_json {

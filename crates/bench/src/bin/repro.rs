@@ -700,7 +700,6 @@ fn recovery(engine: &mut SweepEngine, opts: &ReproOptions) {
 /// demonstrate a cross-process crash/restore cycle).
 fn session(opts: &ReproOptions) {
     use rfid_baselines::{CodedPollingConfig, FsaConfig};
-    use rfid_bench::fnv64;
     use rfid_hash::Xoshiro256;
     use rfid_identify::{BinarySplitConfig, QAlgorithmConfig, QueryTreeConfig};
     use rfid_protocols::{Session, SessionEnd};
@@ -788,7 +787,7 @@ fn session(opts: &ReproOptions) {
             panic!("{name}: reference run did not complete");
         };
         let ref_json = report.to_json().to_string();
-        let ref_trace = fnv64(&ctx.log.to_jsonl());
+        let ref_trace = ctx.log.digest();
 
         // Killed run: crash at a seeded boundary, survive as JSON only.
         let kill = 1 + rng.below(boundaries.max(1));
@@ -818,8 +817,7 @@ fn session(opts: &ReproOptions) {
         let SessionEnd::Complete { report, .. } = end else {
             panic!("{name}: restored run did not complete: {end:?}");
         };
-        let identical =
-            report.to_json().to_string() == ref_json && fnv64(&ctx.log.to_jsonl()) == ref_trace;
+        let identical = report.to_json().to_string() == ref_json && ctx.log.digest() == ref_trace;
         println!(
             "{name:<12} {kill:>6} {:>9}B {:>10} {:>10}",
             snap.len(),

@@ -324,14 +324,6 @@ impl Bench {
     }
 }
 
-/// FNV-1a over a string — cheap, stable, and order sensitive. The shared
-/// digest for trace bit-identity gates (golden tests, the crash-chaos
-/// session bench, the daemon's wire reports, `repro session`): any
-/// reordered, dropped, or extra event in a serialized trace changes the
-/// digest. The definition lives in `rfid-hash` so the serving layer can
-/// digest traces without depending on the bench harness.
-pub use rfid_hash::fnv64;
-
 /// The nearest `target/` directory at or above the current directory —
 /// honours `CARGO_TARGET_DIR` when set. Shared by the bench reports
 /// (`BENCH_*.json`) and the sweep engine's default cache root.

@@ -19,7 +19,7 @@ pub mod runner;
 pub mod stats;
 pub mod sweep;
 
-pub use harness::{find_target_dir, fnv64, write_report, Bench, BenchRecord, Gate};
+pub use harness::{find_target_dir, write_report, Bench, BenchRecord, Gate};
 pub use runner::{montecarlo, ProtocolFactory};
 pub use stats::Summary;
 pub use sweep::{Cell, SweepEngine, SweepStats, CACHE_SALT};

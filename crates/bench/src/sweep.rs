@@ -35,6 +35,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use rfid_apps::info_collect::collect;
+use rfid_hash::fnv64;
 use rfid_obs::MetricsRegistry;
 use rfid_protocols::{RecoveryPolicy, Report, Session, SessionEnd};
 use rfid_system::{to_json_string, FaultModel, FromJson, Json, SimConfig, SimContext, ToJson};
@@ -558,16 +559,6 @@ fn cache_line(key: &str, id: &str, reports: &[Report]) -> String {
         ),
     ])
     .to_string()
-}
-
-/// FNV-1a over the cache-key preimage: stable across runs and platforms.
-fn fnv64(s: &str) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 #[cfg(test)]

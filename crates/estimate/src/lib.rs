@@ -4,7 +4,7 @@
 //! (and hence `n`). In deployments where only the ID *list* is stale or the
 //! population must be sized first, readers run a quick cardinality
 //! estimation phase — the literature the paper builds on (its reference
-//! [23], Li et al., *Energy efficient algorithms for the RFID estimation
+//! \[23\], Li et al., *Energy efficient algorithms for the RFID estimation
 //! problem*) supplies the standard estimators implemented here:
 //!
 //! * [`estimators::zero_estimator`] — invert the empty-slot probability

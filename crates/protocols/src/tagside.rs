@@ -154,43 +154,6 @@ impl TagMachine {
     }
 }
 
-impl rfid_system::ToJson for Broadcast {
-    fn to_json(&self) -> rfid_system::Json {
-        use rfid_system::Json;
-        match self {
-            Broadcast::RoundInit { h, seed } => Json::Obj(vec![(
-                "RoundInit".to_string(),
-                Json::Obj(vec![
-                    ("h".to_string(), h.to_json()),
-                    ("seed".to_string(), seed.to_json()),
-                ]),
-            )]),
-            Broadcast::PollIndex(v) => Json::Obj(vec![("PollIndex".to_string(), v.to_json())]),
-            Broadcast::TreeSegment(v) => Json::Obj(vec![("TreeSegment".to_string(), v.to_json())]),
-        }
-    }
-}
-
-impl rfid_system::FromJson for Broadcast {
-    fn from_json(json: &rfid_system::Json) -> Result<Self, rfid_system::JsonError> {
-        use rfid_system::{Json, JsonError};
-        let fields = match json {
-            Json::Obj(fields) if fields.len() == 1 => fields,
-            other => return Err(JsonError(format!("malformed Broadcast: {other}"))),
-        };
-        let (tag, body) = &fields[0];
-        match tag.as_str() {
-            "RoundInit" => Ok(Broadcast::RoundInit {
-                h: body.field("h")?,
-                seed: body.field("seed")?,
-            }),
-            "PollIndex" => Ok(Broadcast::PollIndex(BitVec::from_json(body)?)),
-            "TreeSegment" => Ok(Broadcast::TreeSegment(BitVec::from_json(body)?)),
-            other => Err(JsonError(format!("unknown Broadcast variant '{other}'"))),
-        }
-    }
-}
-
 rfid_system::impl_json_struct!(TagMachine {
     id,
     read,

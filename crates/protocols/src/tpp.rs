@@ -184,7 +184,7 @@ pub(crate) fn tpp_round(ctx: &mut SimContext, cfg: &TppConfig) -> usize {
     polled
 }
 
-rfid_system::impl_json_enum_units!(IndexRule {
+rfid_system::impl_json_enum!(IndexRule {
     Eq15Optimal,
     HppRule
 });

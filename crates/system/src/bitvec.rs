@@ -223,7 +223,7 @@ impl BitVec {
 
     /// Overwrites the *last* `k` bits with the bits of `patch` — exactly the
     /// tag-side update rule of TPP's array `A` ("update the last k bits of A
-    /// with Seq[j]").
+    /// with `Seq[j]`").
     ///
     /// # Panics
     /// Panics if `patch.len() > self.len()`.

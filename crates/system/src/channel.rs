@@ -150,43 +150,6 @@ crate::impl_json_struct!(Channel {
     capture_any
 });
 
-impl crate::json::ToJson for SlotOutcome {
-    fn to_json(&self) -> crate::json::Json {
-        use crate::json::Json;
-        match *self {
-            SlotOutcome::Empty => Json::str("Empty"),
-            SlotOutcome::Singleton(tag) => {
-                Json::Obj(vec![("Singleton".to_string(), tag.to_json())])
-            }
-            SlotOutcome::Collision(count) => {
-                Json::Obj(vec![("Collision".to_string(), count.to_json())])
-            }
-            SlotOutcome::Corrupted(tag) => {
-                Json::Obj(vec![("Corrupted".to_string(), tag.to_json())])
-            }
-        }
-    }
-}
-
-impl crate::json::FromJson for SlotOutcome {
-    fn from_json(json: &crate::json::Json) -> Result<Self, crate::json::JsonError> {
-        use crate::json::{Json, JsonError};
-        match json {
-            Json::Str(tag) if tag == "Empty" => Ok(SlotOutcome::Empty),
-            Json::Obj(fields) if fields.len() == 1 => {
-                let (tag, body) = &fields[0];
-                match tag.as_str() {
-                    "Singleton" => Ok(SlotOutcome::Singleton(usize::from_json(body)?)),
-                    "Collision" => Ok(SlotOutcome::Collision(usize::from_json(body)?)),
-                    "Corrupted" => Ok(SlotOutcome::Corrupted(usize::from_json(body)?)),
-                    other => Err(JsonError(format!("unknown SlotOutcome variant '{other}'"))),
-                }
-            }
-            other => Err(JsonError(format!("malformed SlotOutcome: {other}"))),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

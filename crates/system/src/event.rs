@@ -255,7 +255,7 @@ impl fmt::Display for Event {
     }
 }
 
-crate::impl_json_enum_units!(BroadcastKind {
+crate::impl_json_enum!(BroadcastKind {
     RoundInit,
     CircleCommand,
     PollingVector,
@@ -271,184 +271,25 @@ crate::impl_json_enum_units!(BroadcastKind {
     Probe,
 });
 
-impl crate::json::ToJson for Event {
-    fn to_json(&self) -> crate::json::Json {
-        use crate::json::Json;
-        fn tagged(tag: &str, fields: Vec<(String, Json)>) -> Json {
-            Json::Obj(vec![(tag.to_string(), Json::Obj(fields))])
-        }
-        match self {
-            Event::RoundStarted { round, h, unread } => tagged(
-                "RoundStarted",
-                vec![
-                    ("round".to_string(), round.to_json()),
-                    ("h".to_string(), h.to_json()),
-                    ("unread".to_string(), unread.to_json()),
-                ],
-            ),
-            Event::CircleStarted { circle, selected } => tagged(
-                "CircleStarted",
-                vec![
-                    ("circle".to_string(), circle.to_json()),
-                    ("selected".to_string(), selected.to_json()),
-                ],
-            ),
-            Event::ReaderBroadcast { what, bits } => tagged(
-                "ReaderBroadcast",
-                vec![
-                    ("what".to_string(), what.to_json()),
-                    ("bits".to_string(), bits.to_json()),
-                ],
-            ),
-            Event::TagPolled { tag, vector_bits } => tagged(
-                "TagPolled",
-                vec![
-                    ("tag".to_string(), tag.to_json()),
-                    ("vector_bits".to_string(), vector_bits.to_json()),
-                ],
-            ),
-            Event::TagReply { tag, bits } => tagged(
-                "TagReply",
-                vec![
-                    ("tag".to_string(), tag.to_json()),
-                    ("bits".to_string(), bits.to_json()),
-                ],
-            ),
-            Event::VectorCharged { bits } => {
-                tagged("VectorCharged", vec![("bits".to_string(), bits.to_json())])
-            }
-            Event::SlotEmpty => Json::str("SlotEmpty"),
-            Event::SlotCollision { count } => tagged(
-                "SlotCollision",
-                vec![("count".to_string(), count.to_json())],
-            ),
-            Event::ReplyLost { tag } => {
-                tagged("ReplyLost", vec![("tag".to_string(), tag.to_json())])
-            }
-            Event::DownlinkLost { tag } => {
-                tagged("DownlinkLost", vec![("tag".to_string(), tag.to_json())])
-            }
-            Event::ReplyCorrupted { tag } => {
-                tagged("ReplyCorrupted", vec![("tag".to_string(), tag.to_json())])
-            }
-            Event::Retransmission { tag, attempt } => tagged(
-                "Retransmission",
-                vec![
-                    ("tag".to_string(), tag.to_json()),
-                    ("attempt".to_string(), attempt.to_json()),
-                ],
-            ),
-            Event::DesyncRecovered { tag } => {
-                tagged("DesyncRecovered", vec![("tag".to_string(), tag.to_json())])
-            }
-            Event::StallTick { streak } => {
-                tagged("StallTick", vec![("streak".to_string(), streak.to_json())])
-            }
-            Event::RecoveryPassStarted { pass, uncollected } => tagged(
-                "RecoveryPassStarted",
-                vec![
-                    ("pass".to_string(), pass.to_json()),
-                    ("uncollected".to_string(), uncollected.to_json()),
-                ],
-            ),
-            Event::BackoffWaited { pass, us } => tagged(
-                "BackoffWaited",
-                vec![
-                    ("pass".to_string(), pass.to_json()),
-                    ("us".to_string(), us.to_json()),
-                ],
-            ),
-            Event::CircuitOpened {
-                passes,
-                uncollected,
-            } => tagged(
-                "CircuitOpened",
-                vec![
-                    ("passes".to_string(), passes.to_json()),
-                    ("uncollected".to_string(), uncollected.to_json()),
-                ],
-            ),
-        }
-    }
-}
-
-impl crate::json::FromJson for Event {
-    fn from_json(json: &crate::json::Json) -> Result<Self, crate::json::JsonError> {
-        use crate::json::{Json, JsonError};
-        if let Json::Str(tag) = json {
-            return match tag.as_str() {
-                "SlotEmpty" => Ok(Event::SlotEmpty),
-                other => Err(JsonError(format!("unknown Event variant '{other}'"))),
-            };
-        }
-        let fields = match json {
-            Json::Obj(fields) if fields.len() == 1 => fields,
-            other => return Err(JsonError(format!("malformed Event: {other}"))),
-        };
-        let (tag, body) = &fields[0];
-        match tag.as_str() {
-            "RoundStarted" => Ok(Event::RoundStarted {
-                round: body.field("round")?,
-                h: body.field("h")?,
-                unread: body.field("unread")?,
-            }),
-            "CircleStarted" => Ok(Event::CircleStarted {
-                circle: body.field("circle")?,
-                selected: body.field("selected")?,
-            }),
-            "ReaderBroadcast" => Ok(Event::ReaderBroadcast {
-                what: body.field("what")?,
-                bits: body.field("bits")?,
-            }),
-            "TagPolled" => Ok(Event::TagPolled {
-                tag: body.field("tag")?,
-                vector_bits: body.field("vector_bits")?,
-            }),
-            "TagReply" => Ok(Event::TagReply {
-                tag: body.field("tag")?,
-                bits: body.field("bits")?,
-            }),
-            "VectorCharged" => Ok(Event::VectorCharged {
-                bits: body.field("bits")?,
-            }),
-            "SlotCollision" => Ok(Event::SlotCollision {
-                count: body.field("count")?,
-            }),
-            "ReplyLost" => Ok(Event::ReplyLost {
-                tag: body.field("tag")?,
-            }),
-            "DownlinkLost" => Ok(Event::DownlinkLost {
-                tag: body.field("tag")?,
-            }),
-            "ReplyCorrupted" => Ok(Event::ReplyCorrupted {
-                tag: body.field("tag")?,
-            }),
-            "Retransmission" => Ok(Event::Retransmission {
-                tag: body.field("tag")?,
-                attempt: body.field("attempt")?,
-            }),
-            "DesyncRecovered" => Ok(Event::DesyncRecovered {
-                tag: body.field("tag")?,
-            }),
-            "StallTick" => Ok(Event::StallTick {
-                streak: body.field("streak")?,
-            }),
-            "RecoveryPassStarted" => Ok(Event::RecoveryPassStarted {
-                pass: body.field("pass")?,
-                uncollected: body.field("uncollected")?,
-            }),
-            "BackoffWaited" => Ok(Event::BackoffWaited {
-                pass: body.field("pass")?,
-                us: body.field("us")?,
-            }),
-            "CircuitOpened" => Ok(Event::CircuitOpened {
-                passes: body.field("passes")?,
-                uncollected: body.field("uncollected")?,
-            }),
-            other => Err(JsonError(format!("unknown Event variant '{other}'"))),
-        }
-    }
-}
+crate::impl_json_enum!(Event {
+    RoundStarted { round, h, unread },
+    CircleStarted { circle, selected },
+    ReaderBroadcast { what, bits },
+    TagPolled { tag, vector_bits },
+    TagReply { tag, bits },
+    VectorCharged { bits },
+    SlotEmpty,
+    SlotCollision { count },
+    ReplyLost { tag },
+    DownlinkLost { tag },
+    ReplyCorrupted { tag },
+    Retransmission { tag, attempt },
+    DesyncRecovered { tag },
+    StallTick { streak },
+    RecoveryPassStarted { pass, uncollected },
+    BackoffWaited { pass, us },
+    CircuitOpened { passes, uncollected },
+});
 
 /// An event plus the C1G2 clock's reading at the moment it was recorded.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -566,6 +407,12 @@ impl EventLog {
             out.push('\n');
         }
         out
+    }
+
+    /// The trace digest every bit-identity gate compares: FNV-1a
+    /// ([`rfid_hash::fnv64`]) of [`EventLog::to_jsonl`].
+    pub fn digest(&self) -> u64 {
+        rfid_hash::fnv64(&self.to_jsonl())
     }
 
     /// Parses a JSON-Lines trace back into timed events (blank lines are
@@ -736,6 +583,23 @@ mod tests {
         for (a, b) in back.iter().zip(log.events()) {
             assert_eq!(a, b);
         }
+    }
+
+    #[test]
+    fn digest_is_fnv64_of_the_jsonl_trace() {
+        let mut unbounded = EventLog::enabled();
+        let mut ring = EventLog::ring(2);
+        let mut disabled = EventLog::disabled();
+        for log in [&mut unbounded, &mut ring, &mut disabled] {
+            for tag in 0..5usize {
+                log.record(at(tag as f64), Event::ReplyLost { tag });
+            }
+        }
+        for log in [&unbounded, &ring, &disabled] {
+            assert_eq!(log.digest(), rfid_hash::fnv64(&log.to_jsonl()));
+        }
+        assert_ne!(unbounded.digest(), ring.digest());
+        assert_eq!(disabled.digest(), rfid_hash::fnv64(""));
     }
 
     #[test]

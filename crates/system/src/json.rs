@@ -15,8 +15,8 @@
 //!   2-space-indented form for files meant to be read by humans.
 //! * [`ToJson`] / [`FromJson`] — conversion traits with impls for the std
 //!   primitives, plus the [`crate::impl_json_struct!`] and
-//!   [`crate::impl_json_enum_units!`] macros that give every config/result
-//!   struct in the workspace a three-line round-trip implementation
+//!   [`crate::impl_json_enum!`] macros that give every persisted struct and
+//!   enum in the workspace a one-declaration round-trip implementation
 //!   (replacing the old `#[derive(Serialize, Deserialize)]`).
 //!
 //! Float formatting is stable by construction: finite `f64`s are written
@@ -25,7 +25,8 @@
 //! as `null` (JSON has no NaN/∞) and parse back as NaN.
 //!
 //! Enum encodings follow serde's externally-tagged convention: unit
-//! variants are `"Name"`, data variants `{"Name": {...fields...}}`.
+//! variants are `"Name"`, struct variants `{"Name": {...fields...}}`.
+//! [`crate::impl_json_enum!`] is the only place that encoding is written.
 
 use std::fmt;
 
@@ -71,6 +72,27 @@ impl JsonError {
 
     fn in_field(self, field: &str) -> Self {
         JsonError(format!("in field '{field}': {}", self.0))
+    }
+
+    /// `tag` names no variant of enum `ty` (used by [`crate::impl_json_enum!`]).
+    #[doc(hidden)]
+    pub fn unknown_variant(ty: &str, tag: &str) -> Self {
+        JsonError(format!("unknown {ty} variant '{tag}'"))
+    }
+
+    /// Variant `tag` of `ty` came in the other variant kind's form: a unit
+    /// tag as an object or a struct tag as a string (used by
+    /// [`crate::impl_json_enum!`]).
+    #[doc(hidden)]
+    pub fn variant_form(ty: &str, tag: &str, unit: bool) -> Self {
+        let (kind, form) = if unit {
+            ("unit", "an object")
+        } else {
+            ("struct", "a string")
+        };
+        JsonError(format!(
+            "{ty} variant '{tag}' is a {kind} variant, not {form}"
+        ))
     }
 }
 
@@ -515,6 +537,17 @@ impl Json {
         }
     }
 
+    /// Splits an externally-tagged enum value of type `ty` into its tag and,
+    /// for the object form, its body (used by [`crate::impl_json_enum!`]).
+    #[doc(hidden)]
+    pub fn enum_parts(&self, ty: &str) -> Result<(&str, Option<&Json>), JsonError> {
+        match self {
+            Json::Str(tag) => Ok((tag, None)),
+            Json::Obj(fields) if fields.len() == 1 => Ok((&fields[0].0, Some(&fields[0].1))),
+            other => Err(JsonError::new(format!("malformed {ty}: {other}"))),
+        }
+    }
+
     /// Extracts and converts an object field.
     pub fn field<T: FromJson>(&self, key: &str) -> Result<T, JsonError> {
         match self.get(key) {
@@ -714,35 +747,84 @@ macro_rules! impl_json_struct {
     };
 }
 
-/// Implements [`ToJson`]/[`FromJson`] for an enum of unit variants as a
-/// plain string tag (serde's externally-tagged unit encoding).
+/// Implements [`ToJson`]/[`FromJson`] for an enum of unit and struct
+/// variants in serde's externally-tagged encoding: a unit variant is
+/// `"Name"`, a struct variant `{"Name": {fields in the listed order}}`.
+/// Decoding rejects an unknown tag, a unit tag in object form and a struct
+/// tag in string form.
+///
+/// ```
+/// # use rfid_system::impl_json_enum;
+/// # use rfid_system::json::{to_json_string, from_json_str};
+/// #[derive(Debug, PartialEq)]
+/// enum Shape { Dot, Rect { w: u32, h: u32 } }
+/// impl_json_enum!(Shape { Dot, Rect { w, h } });
+/// assert_eq!(to_json_string(&Shape::Dot), r#""Dot""#);
+/// let rect = Shape::Rect { w: 2, h: 3 };
+/// assert_eq!(to_json_string(&rect), r#"{"Rect":{"w":2,"h":3}}"#);
+/// assert_eq!(from_json_str::<Shape>(r#"{"Rect":{"w":2,"h":3}}"#).unwrap(), rect);
+/// assert!(from_json_str::<Shape>(r#"{"Dot":{}}"#).is_err());
+/// assert!(from_json_str::<Shape>(r#""Rect""#).is_err());
+/// ```
 #[macro_export]
-macro_rules! impl_json_enum_units {
-    ($ty:ty { $($variant:ident),+ $(,)? }) => {
+macro_rules! impl_json_enum {
+    (@encode $variant:ident) => {
+        $crate::json::Json::str(stringify!($variant))
+    };
+    (@encode $variant:ident { $($field:ident),* }) => {
+        $crate::json::Json::Obj(vec![(
+            stringify!($variant).to_string(),
+            $crate::json::Json::Obj(vec![$((
+                stringify!($field).to_string(),
+                $crate::json::ToJson::to_json($field),
+            )),*]),
+        )])
+    };
+    (@decode $ty:ty, $body:ident, $variant:ident) => {
+        match $body {
+            None => Ok(Self::$variant),
+            Some(_) => Err($crate::json::JsonError::variant_form(
+                stringify!($ty),
+                stringify!($variant),
+                true,
+            )),
+        }
+    };
+    (@decode $ty:ty, $body:ident, $variant:ident { $($field:ident),* }) => {
+        match $body {
+            Some(body) => Ok(Self::$variant {
+                $($field: body.field(stringify!($field))?,)*
+            }),
+            None => Err($crate::json::JsonError::variant_form(
+                stringify!($ty),
+                stringify!($variant),
+                false,
+            )),
+        }
+    };
+    ($ty:ty { $($variant:ident $({ $($field:ident),* $(,)? })?),+ $(,)? }) => {
         impl $crate::json::ToJson for $ty {
             fn to_json(&self) -> $crate::json::Json {
-                $(
-                    if *self == <$ty>::$variant {
-                        return $crate::json::Json::str(stringify!($variant));
-                    }
-                )+
-                unreachable!("variant of {} missing from impl_json_enum_units!", stringify!($ty))
+                match self {
+                    $(Self::$variant $({ $($field),* })? => {
+                        $crate::impl_json_enum!(@encode $variant $({ $($field),* })?)
+                    })+
+                }
             }
         }
         impl $crate::json::FromJson for $ty {
             fn from_json(
                 json: &$crate::json::Json,
             ) -> Result<Self, $crate::json::JsonError> {
-                let tag = json.as_str()?;
+                let (tag, body) = json.enum_parts(stringify!($ty))?;
                 $(
                     if tag == stringify!($variant) {
-                        return Ok(<$ty>::$variant);
+                        return $crate::impl_json_enum!(
+                            @decode $ty, body, $variant $({ $($field),* })?
+                        );
                     }
                 )+
-                Err($crate::json::JsonError(format!(
-                    "unknown {} variant '{tag}'",
-                    stringify!($ty)
-                )))
+                Err($crate::json::JsonError::unknown_variant(stringify!($ty), tag))
             }
         }
     };
@@ -962,7 +1044,7 @@ mod tests {
         Fast,
         Slow,
     }
-    impl_json_enum_units!(Mode { Fast, Slow });
+    impl_json_enum!(Mode { Fast, Slow });
 
     #[test]
     fn unit_enum_macro_round_trips() {

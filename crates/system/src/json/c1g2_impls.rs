@@ -5,13 +5,14 @@
 //! local. `rfid-system` is the lowest crate that depends on `rfid-c1g2`,
 //! so every downstream crate (protocols, baselines, bench, …) picks these
 //! impls up for free.
+//!
+//! Only the types a persisted document reaches carry a codec: link timing
+//! and the C1G2 clock travel in session snapshots and reports. The reader
+//! command vocabulary (`Command`, `QueryCommand`, …) is never persisted.
 
 use super::{FromJson, Json, JsonError, ToJson};
-use crate::{impl_json_enum_units, impl_json_struct};
-use rfid_c1g2::{
-    Clock, Command, DivideRatio, LinkParams, MemBank, Micros, QueryCommand, ReaderEncoding,
-    SelField, Session, TagEncoding, Target, TimeBreakdown, TimeCategory, UpDn,
-};
+use crate::{impl_json_enum, impl_json_struct};
+use rfid_c1g2::{Clock, LinkParams, Micros, TimeBreakdown, TimeCategory};
 
 impl ToJson for Micros {
     fn to_json(&self) -> Json {
@@ -32,38 +33,7 @@ impl_json_struct!(LinkParams {
     t2,
     t3
 });
-impl_json_struct!(QueryCommand {
-    dr,
-    m,
-    trext,
-    sel,
-    session,
-    target,
-    q
-});
-
-impl_json_enum_units!(DivideRatio { Dr8, Dr64Over3 });
-impl_json_enum_units!(TagEncoding {
-    Fm0,
-    Miller2,
-    Miller4,
-    Miller8
-});
-impl_json_enum_units!(Session { S0, S1, S2, S3 });
-impl_json_enum_units!(SelField { All, NotSl, Sl });
-impl_json_enum_units!(Target { A, B });
-impl_json_enum_units!(UpDn {
-    Unchanged,
-    Increment,
-    Decrement
-});
-impl_json_enum_units!(MemBank {
-    Reserved,
-    Epc,
-    Tid,
-    User
-});
-impl_json_enum_units!(TimeCategory {
+impl_json_enum!(TimeCategory {
     ReaderCommand,
     PollingVector,
     IndicatorVector,
@@ -71,25 +41,6 @@ impl_json_enum_units!(TimeCategory {
     TagReply,
     WastedSlot,
 });
-
-impl ToJson for ReaderEncoding {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![(
-            "data1_tari".to_string(),
-            Json::Float(self.data1_tari()),
-        )])
-    }
-}
-
-impl FromJson for ReaderEncoding {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        let data1: f64 = json.field("data1_tari")?;
-        if !(1.5..=2.0).contains(&data1) {
-            return Err(JsonError(format!("PIE data-1 {data1} outside [1.5, 2.0]")));
-        }
-        Ok(ReaderEncoding::pie(data1))
-    }
-}
 
 impl ToJson for TimeBreakdown {
     fn to_json(&self) -> Json {
@@ -147,104 +98,6 @@ impl FromJson for Clock {
     }
 }
 
-impl ToJson for Command {
-    fn to_json(&self) -> Json {
-        // serde's externally-tagged encoding: unit → "Name",
-        // data → {"Name": {fields}}.
-        fn tagged(tag: &str, fields: Vec<(String, Json)>) -> Json {
-            Json::Obj(vec![(tag.to_string(), Json::Obj(fields))])
-        }
-        match *self {
-            Command::Query => Json::str("Query"),
-            Command::QueryRep => Json::str("QueryRep"),
-            Command::Ack => Json::str("Ack"),
-            Command::Select { mask_bits } => tagged(
-                "Select",
-                vec![("mask_bits".to_string(), mask_bits.to_json())],
-            ),
-            Command::RoundInit { bits } => {
-                tagged("RoundInit", vec![("bits".to_string(), bits.to_json())])
-            }
-            Command::CircleInit { bits } => {
-                tagged("CircleInit", vec![("bits".to_string(), bits.to_json())])
-            }
-            Command::Poll {
-                vector_bits,
-                with_query_rep,
-            } => tagged(
-                "Poll",
-                vec![
-                    ("vector_bits".to_string(), vector_bits.to_json()),
-                    ("with_query_rep".to_string(), with_query_rep.to_json()),
-                ],
-            ),
-            Command::TreeSegment {
-                segment_bits,
-                with_query_rep,
-            } => tagged(
-                "TreeSegment",
-                vec![
-                    ("segment_bits".to_string(), segment_bits.to_json()),
-                    ("with_query_rep".to_string(), with_query_rep.to_json()),
-                ],
-            ),
-            Command::IndicatorVector { bits } => tagged(
-                "IndicatorVector",
-                vec![("bits".to_string(), bits.to_json())],
-            ),
-            Command::Raw { bits } => tagged("Raw", vec![("bits".to_string(), bits.to_json())]),
-        }
-    }
-}
-
-impl FromJson for Command {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        if let Json::Str(tag) = json {
-            return match tag.as_str() {
-                "Query" => Ok(Command::Query),
-                "QueryRep" => Ok(Command::QueryRep),
-                "Ack" => Ok(Command::Ack),
-                other => Err(JsonError(format!("unknown Command variant '{other}'"))),
-            };
-        }
-        let fields = match json {
-            Json::Obj(fields) if fields.len() == 1 => fields,
-            other => {
-                return Err(JsonError(format!(
-                    "expected Command tag string or single-key object, got {other}"
-                )))
-            }
-        };
-        let (tag, body) = &fields[0];
-        match tag.as_str() {
-            "Select" => Ok(Command::Select {
-                mask_bits: body.field("mask_bits")?,
-            }),
-            "RoundInit" => Ok(Command::RoundInit {
-                bits: body.field("bits")?,
-            }),
-            "CircleInit" => Ok(Command::CircleInit {
-                bits: body.field("bits")?,
-            }),
-            "Poll" => Ok(Command::Poll {
-                vector_bits: body.field("vector_bits")?,
-                with_query_rep: body.field("with_query_rep")?,
-            }),
-            "TreeSegment" => Ok(Command::TreeSegment {
-                segment_bits: body.field("segment_bits")?,
-                with_query_rep: body.field("with_query_rep")?,
-            }),
-            "IndicatorVector" => Ok(Command::IndicatorVector {
-                bits: body.field("bits")?,
-            }),
-            "Raw" => Ok(Command::Raw {
-                bits: body.field("bits")?,
-            }),
-            other => Err(JsonError(format!("unknown Command variant '{other}'"))),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::{from_json_str, to_json_string};
@@ -272,67 +125,17 @@ mod tests {
 
     #[test]
     fn unit_enums_round_trip() {
-        round_trip(&DivideRatio::Dr64Over3);
-        for m in [
-            TagEncoding::Fm0,
-            TagEncoding::Miller2,
-            TagEncoding::Miller4,
-            TagEncoding::Miller8,
+        for cat in [
+            TimeCategory::ReaderCommand,
+            TimeCategory::PollingVector,
+            TimeCategory::IndicatorVector,
+            TimeCategory::Turnaround,
+            TimeCategory::TagReply,
+            TimeCategory::WastedSlot,
         ] {
-            round_trip(&m);
+            round_trip(&cat);
         }
-        round_trip(&Session::S2);
-        round_trip(&SelField::NotSl);
-        round_trip(&Target::B);
-        round_trip(&UpDn::Decrement);
-        round_trip(&MemBank::Epc);
-        round_trip(&TimeCategory::PollingVector);
-        assert!(from_json_str::<Session>("\"S9\"").is_err());
-    }
-
-    #[test]
-    fn query_command_round_trip() {
-        round_trip(&QueryCommand {
-            dr: DivideRatio::Dr8,
-            m: TagEncoding::Miller4,
-            trext: true,
-            sel: SelField::All,
-            session: Session::S0,
-            target: Target::A,
-            q: 7,
-        });
-    }
-
-    #[test]
-    fn reader_encoding_round_trip_and_validation() {
-        round_trip(&ReaderEncoding::pie(1.5));
-        round_trip(&ReaderEncoding::pie(2.0));
-        assert!(from_json_str::<ReaderEncoding>(r#"{"data1_tari": 3.0}"#).is_err());
-    }
-
-    #[test]
-    fn commands_round_trip() {
-        for cmd in [
-            Command::Query,
-            Command::QueryRep,
-            Command::Ack,
-            Command::Select { mask_bits: 96 },
-            Command::RoundInit { bits: 40 },
-            Command::CircleInit { bits: 128 },
-            Command::Poll {
-                vector_bits: 3,
-                with_query_rep: true,
-            },
-            Command::TreeSegment {
-                segment_bits: 2,
-                with_query_rep: false,
-            },
-            Command::IndicatorVector { bits: 512 },
-            Command::Raw { bits: 7 },
-        ] {
-            round_trip(&cmd);
-        }
-        assert!(from_json_str::<Command>("\"Nak\"").is_err());
+        assert!(from_json_str::<TimeCategory>("\"Idle\"").is_err());
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! * [`SpanProfiler`] — hierarchical span profiling (sim-time and host
 //!   wall-time per scope) with a zero-cost disabled path,
 //! * [`json`] — the zero-dependency JSON writer/parser (with the
-//!   [`impl_json_struct!`] / [`impl_json_enum_units!`] macros) that persists
+//!   [`impl_json_struct!`] / [`impl_json_enum!`] macros) that persists
 //!   configurations and results without `serde`,
 //! * [`SimContext`] — the facility a protocol drives: it owns the clock, the
 //!   population, the channel and the counters, and exposes the composite

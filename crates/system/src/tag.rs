@@ -72,7 +72,7 @@ impl Tag {
     }
 }
 
-crate::impl_json_enum_units!(TagState {
+crate::impl_json_enum!(TagState {
     Active,
     Asleep,
     Deselected

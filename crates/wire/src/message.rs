@@ -127,7 +127,7 @@ pub enum ErrorCode {
     Resync,
 }
 
-rfid_system::impl_json_enum_units!(ErrorCode {
+rfid_system::impl_json_enum!(ErrorCode {
     BadFrame,
     BadPayload,
     UnknownProtocol,

@@ -155,75 +155,13 @@ impl ZipfSampler {
     }
 }
 
-impl rfid_system::ToJson for IdDistribution {
-    fn to_json(&self) -> rfid_system::Json {
-        use rfid_system::Json;
-        fn tagged(tag: &str, fields: Vec<(String, Json)>) -> Json {
-            Json::Obj(vec![(tag.to_string(), Json::Obj(fields))])
-        }
-        match self {
-            IdDistribution::UniformRandom => Json::str("UniformRandom"),
-            IdDistribution::Sequential { start } => {
-                tagged("Sequential", vec![("start".to_string(), start.to_json())])
-            }
-            IdDistribution::Clustered { categories } => tagged(
-                "Clustered",
-                vec![("categories".to_string(), categories.to_json())],
-            ),
-            IdDistribution::Zipf {
-                categories,
-                exponent,
-            } => tagged(
-                "Zipf",
-                vec![
-                    ("categories".to_string(), categories.to_json()),
-                    ("exponent".to_string(), exponent.to_json()),
-                ],
-            ),
-            IdDistribution::SharedPrefix { prefix_bits } => tagged(
-                "SharedPrefix",
-                vec![("prefix_bits".to_string(), prefix_bits.to_json())],
-            ),
-        }
-    }
-}
-
-impl rfid_system::FromJson for IdDistribution {
-    fn from_json(json: &rfid_system::Json) -> Result<Self, rfid_system::JsonError> {
-        use rfid_system::{Json, JsonError};
-        if let Json::Str(tag) = json {
-            return match tag.as_str() {
-                "UniformRandom" => Ok(IdDistribution::UniformRandom),
-                other => Err(JsonError(format!(
-                    "unknown IdDistribution variant '{other}'"
-                ))),
-            };
-        }
-        let fields = match json {
-            Json::Obj(fields) if fields.len() == 1 => fields,
-            other => return Err(JsonError(format!("malformed IdDistribution: {other}"))),
-        };
-        let (tag, body) = &fields[0];
-        match tag.as_str() {
-            "Sequential" => Ok(IdDistribution::Sequential {
-                start: body.field("start")?,
-            }),
-            "Clustered" => Ok(IdDistribution::Clustered {
-                categories: body.field("categories")?,
-            }),
-            "Zipf" => Ok(IdDistribution::Zipf {
-                categories: body.field("categories")?,
-                exponent: body.field("exponent")?,
-            }),
-            "SharedPrefix" => Ok(IdDistribution::SharedPrefix {
-                prefix_bits: body.field("prefix_bits")?,
-            }),
-            other => Err(JsonError(format!(
-                "unknown IdDistribution variant '{other}'"
-            ))),
-        }
-    }
-}
+rfid_system::impl_json_enum!(IdDistribution {
+    UniformRandom,
+    Sequential { start },
+    Clustered { categories },
+    Zipf { categories, exponent },
+    SharedPrefix { prefix_bits },
+});
 
 #[cfg(test)]
 mod tests {

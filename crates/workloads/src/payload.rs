@@ -72,40 +72,12 @@ pub fn decode_temperature(info: &BitVec) -> f64 {
     (info.to_value() as f64 - 160.0) / 4.0
 }
 
-impl rfid_system::ToJson for PayloadKind {
-    fn to_json(&self) -> rfid_system::Json {
-        use rfid_system::Json;
-        match self {
-            PayloadKind::Presence => Json::str("Presence"),
-            PayloadKind::Random => Json::str("Random"),
-            PayloadKind::BatteryLevel => Json::str("BatteryLevel"),
-            PayloadKind::Temperature { base_quarters } => Json::Obj(vec![(
-                "Temperature".to_string(),
-                Json::Obj(vec![("base_quarters".to_string(), base_quarters.to_json())]),
-            )]),
-        }
-    }
-}
-
-impl rfid_system::FromJson for PayloadKind {
-    fn from_json(json: &rfid_system::Json) -> Result<Self, rfid_system::JsonError> {
-        use rfid_system::{Json, JsonError};
-        match json {
-            Json::Str(tag) => match tag.as_str() {
-                "Presence" => Ok(PayloadKind::Presence),
-                "Random" => Ok(PayloadKind::Random),
-                "BatteryLevel" => Ok(PayloadKind::BatteryLevel),
-                other => Err(JsonError(format!("unknown PayloadKind variant '{other}'"))),
-            },
-            Json::Obj(fields) if fields.len() == 1 && fields[0].0 == "Temperature" => {
-                Ok(PayloadKind::Temperature {
-                    base_quarters: fields[0].1.field("base_quarters")?,
-                })
-            }
-            other => Err(JsonError(format!("malformed PayloadKind: {other}"))),
-        }
-    }
-}
+rfid_system::impl_json_enum!(PayloadKind {
+    Presence,
+    Random,
+    BatteryLevel,
+    Temperature { base_quarters },
+});
 
 #[cfg(test)]
 mod tests {

@@ -8,6 +8,9 @@ cd "$(dirname "$0")/.."
 cargo build --release --offline
 cargo test -q --offline
 cargo fmt --check
+# Rustdoc runs under the workspace's `warnings = "deny"`, so a doc link to a
+# renamed or deleted item fails the gate.
+cargo doc --workspace --no-deps --offline
 # The benchmark crate sits outside the workspace; build it so an API change
 # in the rfid-* crates that breaks it fails here. Its artifacts go under the
 # ignored root target/.

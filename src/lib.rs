@@ -28,7 +28,7 @@
 //! | [`obs`] | `rfid-obs` | sim-time traces, metrics, trace→counter reconciliation |
 //! | [`wire`] | `rfid-wire` | framed wire protocol: codec, transports, loopback |
 //! | [`daemon`] | `rfid-daemon` | reader-fleet daemon: TCP server, typed client |
-//! | [`bench`] | `rfid-bench` | parallel sweep engine, Monte-Carlo runner, micro-bench harness |
+//! | [`bench`](mod@bench) | `rfid-bench` | parallel sweep engine, Monte-Carlo runner, micro-bench harness |
 //!
 //! ## Quickstart
 //!

@@ -11,7 +11,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use fast_rfid_polling::bench::fnv64;
 use fast_rfid_polling::daemon::{
     install_killpoint_hook, protocol_by_name, serve_connection, ClientError, Daemon, DaemonClient,
     FleetLimits, ResilientClient, RetryPolicy, RunEnd, Service,
@@ -52,7 +51,7 @@ fn local_reference(config: Option<SimConfig>) -> (String, u64) {
     let SessionEnd::Complete { report, .. } = session.run(&mut ctx) else {
         panic!("reference run did not complete");
     };
-    (report.to_json().to_string(), fnv64(&ctx.log.to_jsonl()))
+    (report.to_json().to_string(), ctx.log.digest())
 }
 
 fn outcome_identity(outcome: &SessionOutcome) -> (String, u64) {
@@ -478,7 +477,7 @@ fn shutdown_drains_live_sessions_with_resumable_checkpoints() {
         panic!("drained snapshot did not run to completion");
     };
     assert_eq!(
-        (report.to_json().to_string(), fnv64(&ctx.log.to_jsonl())),
+        (report.to_json().to_string(), ctx.log.digest()),
         reference,
         "drained checkpoint drifted from the reference"
     );

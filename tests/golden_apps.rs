@@ -11,19 +11,10 @@
 
 use fast_rfid_polling::apps::missing::{MissingStrategy, MissingTagApp, MissingTagDetector};
 use fast_rfid_polling::apps::unknown::run_hpp_with_aliens;
+use fast_rfid_polling::hash::fnv64;
 use fast_rfid_polling::prelude::*;
 use fast_rfid_polling::system::json::ToJson;
 use fast_rfid_polling::system::Channel;
-
-/// FNV-1a over the serialized event trace.
-fn fnv64(s: &str) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
 
 fn config(seed: u64, channel: Channel, traced: bool) -> SimConfig {
     let cfg = SimConfig::paper(seed).with_channel(channel);
@@ -90,7 +81,7 @@ fn run_case(name: &str, traced: bool) -> (String, u64) {
         other => panic!("unknown case {other}"),
     };
     let report = Report::from_context(name, &ctx);
-    (report.to_json().to_string(), fnv64(&ctx.log.to_jsonl()))
+    (report.to_json().to_string(), ctx.log.digest())
 }
 
 /// Captured before the counter/event write path was unified: (case,

@@ -38,17 +38,6 @@ fn all_protocols() -> Vec<Box<dyn PollingProtocol>> {
     ]
 }
 
-/// FNV-1a over the serialized event trace — cheap, stable, and order
-/// sensitive, so any reordered/dropped/extra event changes the digest.
-fn fnv64(s: &str) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 /// Runs `protocol` under `cfg` traced and untraced, checks both reports
 /// against `golden_json` and the traced run's trace digest against
 /// `golden_trace`.
@@ -69,7 +58,7 @@ fn check(protocol: &dyn PollingProtocol, cfg: SimConfig, scenario: &Scenario, go
         );
         if traced {
             assert_eq!(
-                fnv64(&ctx.log.to_jsonl()),
+                ctx.log.digest(),
                 golden_trace,
                 "{name}: event trace drifted from the pre-change capture"
             );

@@ -35,16 +35,6 @@ fn all_protocols() -> Vec<Box<dyn PollingProtocol>> {
     ]
 }
 
-/// FNV-1a over the serialized event trace (same digest as the golden gate).
-fn fnv64(s: &str) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 fn impaired_fault() -> FaultModel {
     FaultModel::perfect()
         .with_downlink_loss(0.2)
@@ -60,7 +50,7 @@ fn uninterrupted(
 ) -> (String, u64) {
     let mut ctx = SimContext::new(scenario.build_population(), cfg);
     let report = protocol.try_run(&mut ctx).expect("uninterrupted run");
-    (report.to_json().to_string(), fnv64(&ctx.log.to_jsonl()))
+    (report.to_json().to_string(), ctx.log.digest())
 }
 
 /// Runs to `kill_steps`, "crashes" (drops the session AND the context so
@@ -77,7 +67,7 @@ fn killed_and_restored(
     match session.run_for(&mut ctx, kill_steps) {
         Some(SessionEnd::Complete { report, .. }) => {
             // Finished before the kill point — still a valid comparison.
-            (report.to_json().to_string(), fnv64(&ctx.log.to_jsonl()))
+            (report.to_json().to_string(), ctx.log.digest())
         }
         Some(other) => panic!("{}: unexpected early end {other:?}", protocol.name()),
         None => {
@@ -89,7 +79,7 @@ fn killed_and_restored(
                 Session::restore(protocol, &doc).expect("snapshot restores");
             match session.run(&mut ctx) {
                 SessionEnd::Complete { report, .. } => {
-                    (report.to_json().to_string(), fnv64(&ctx.log.to_jsonl()))
+                    (report.to_json().to_string(), ctx.log.digest())
                 }
                 other => panic!("{}: restored run ended {other:?}", protocol.name()),
             }
@@ -172,7 +162,7 @@ fn mid_recovery_kill_restore_is_bit_identical() {
         "scenario must actually recover (got {golden_passes} passes)"
     );
     let golden_json = golden_report.to_json().to_string();
-    let golden_trace = fnv64(&ctx.log.to_jsonl());
+    let golden_trace = ctx.log.digest();
 
     // Interrupted: single-step until the second pass has begun, then crash.
     let mut ctx = SimContext::new(scenario.build_population(), &cfg);
@@ -194,7 +184,7 @@ fn mid_recovery_kill_restore_is_bit_identical() {
     };
     assert_eq!(passes, golden_passes, "pass count drifted across restore");
     assert_eq!(report.to_json().to_string(), golden_json);
-    assert_eq!(fnv64(&ctx.log.to_jsonl()), golden_trace);
+    assert_eq!(ctx.log.digest(), golden_trace);
 }
 
 #[test]
@@ -257,7 +247,7 @@ fn deadline_survives_snapshot_restore() {
     };
     let golden_json = report.to_json().to_string();
     let golden_coverage = coverage;
-    let golden_trace = fnv64(&ctx.log.to_jsonl());
+    let golden_trace = ctx.log.digest();
 
     let mut ctx = SimContext::new(scenario.build_population(), &cfg);
     let mut session = Session::open(&protocol, &ctx).with_deadline_us(20_000.0);
@@ -284,7 +274,7 @@ fn deadline_survives_snapshot_restore() {
     assert_eq!(cause, DegradeCause::Deadline);
     assert_eq!(coverage, golden_coverage);
     assert_eq!(report.to_json().to_string(), golden_json);
-    assert_eq!(fnv64(&ctx.log.to_jsonl()), golden_trace);
+    assert_eq!(ctx.log.digest(), golden_trace);
 }
 
 #[test]
