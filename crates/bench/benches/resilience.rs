@@ -115,7 +115,6 @@ fn chaos_case(b: &mut Bench, name: &str, kill_after: Option<u64>, mk_plan: fn(u6
     for seed in SEEDS {
         let mut daemon = rfid_daemon::Daemon::bind("127.0.0.1:0")
             .expect("bind")
-            .with_shards(2)
             .with_supervise_every(2);
         if let Some(after) = kill_after {
             daemon = daemon.with_kill_after(after);
@@ -167,7 +166,6 @@ fn chaos_case(b: &mut Bench, name: &str, kill_after: Option<u64>, mk_plan: fn(u6
 fn shed_pressure_case(b: &mut Bench, clients: usize) {
     let daemon = rfid_daemon::Daemon::bind("127.0.0.1:0")
         .expect("bind")
-        .with_shards(4)
         .with_limits(FleetLimits::bounded(2, 2).with_retry_after_us(2_000));
     let addr = daemon.local_addr();
     let stop = daemon.stop_handle();
@@ -225,9 +223,7 @@ fn shed_pressure_case(b: &mut Bench, clients: usize) {
 /// checkpointed; each drained snapshot must restore in-process to the
 /// bit-identical reference.
 fn drain_shutdown_case(b: &mut Bench) {
-    let daemon = rfid_daemon::Daemon::bind("127.0.0.1:0")
-        .expect("bind")
-        .with_shards(2);
+    let daemon = rfid_daemon::Daemon::bind("127.0.0.1:0").expect("bind");
     let addr = daemon.local_addr();
     let supervisor = daemon.supervisor();
     let server = std::thread::spawn(move || daemon.run());

@@ -16,32 +16,15 @@
 //! bit-identical) and `snapshot_bytes ≥ 1` (the kill really snapshotted
 //! and restored); the recovery case also gates `passes ≥ 2`.
 
-use rfid_baselines::{CodedPollingConfig, CppConfig, EcppConfig, FsaConfig, LowerBound, MicConfig};
+use rfid_baselines::MicConfig;
 use rfid_bench::{Bench, BenchRecord, Gate};
+use rfid_daemon::all_protocols;
 use rfid_hash::Xoshiro256;
-use rfid_identify::{BinarySplitConfig, QAlgorithmConfig, QueryTreeConfig};
 use rfid_protocols::{
     EhppConfig, HppConfig, PollingProtocol, RecoveryPolicy, Session, SessionEnd, TppConfig,
 };
 use rfid_system::{FaultModel, GilbertElliott, Json, SimConfig, SimContext, ToJson};
 use rfid_workloads::Scenario;
-
-fn all_protocols() -> Vec<Box<dyn PollingProtocol>> {
-    vec![
-        Box::new(CppConfig::default().into_protocol()),
-        Box::new(EcppConfig::default().into_protocol()),
-        Box::new(CodedPollingConfig::default().into_protocol()),
-        Box::new(HppConfig::default().into_protocol()),
-        Box::new(EhppConfig::default().into_protocol()),
-        Box::new(TppConfig::default().into_protocol()),
-        Box::new(MicConfig::default().into_protocol()),
-        Box::new(FsaConfig::default().into_protocol()),
-        Box::new(LowerBound),
-        Box::new(QueryTreeConfig::default().into_protocol()),
-        Box::new(BinarySplitConfig::default().into_protocol()),
-        Box::new(QAlgorithmConfig::default().into_protocol()),
-    ]
-}
 
 fn impaired_fault() -> FaultModel {
     FaultModel::perfect()

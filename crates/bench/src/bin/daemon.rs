@@ -51,9 +51,6 @@ fn main() {
 
 fn build_daemon(addr: &str, opts: &DaemonOptions) -> Result<Daemon, String> {
     let mut daemon = Daemon::bind(addr).map_err(|e| format!("cannot bind {addr}: {e}"))?;
-    if let Some(shards) = opts.shards {
-        daemon = daemon.with_shards(shards);
-    }
     if let Some(dir) = &opts.flight_dir {
         daemon = daemon.with_flight_dir(dir);
     }

@@ -11,18 +11,11 @@
 //! * `--flame` — runs the three paper protocols with span profiling on and
 //!   renders the session→pass→round→poll hierarchy as a flame table plus
 //!   deterministic folded stacks (DESIGN.md §14).
-//! * `--reconcile` — the CI gate: one traced run of *every* protocol (plus
-//!   an impaired run of each fault-tolerant one) replayed through
-//!   `rfid_obs::reconcile`; any counter/trace disagreement exits nonzero.
 
-use rfid_baselines::{CodedPollingConfig, CppConfig, EcppConfig, FsaConfig, LowerBound, MicConfig};
 use rfid_bench::cli::{obs_usage, parse_obs_args, ObsMode};
-use rfid_identify::{BinarySplitConfig, QAlgorithmConfig, QueryTreeConfig};
-use rfid_obs::{metrics_from_log, reconcile, render_flame, Log2Histogram, MetricsRegistry};
+use rfid_obs::{metrics_from_log, render_flame, Log2Histogram, MetricsRegistry};
 use rfid_protocols::{EhppConfig, HppConfig, PollingProtocol, TppConfig};
-use rfid_system::{
-    BitVec, Event, FaultModel, GilbertElliott, SimConfig, SimContext, TagPopulation, TimedEvent,
-};
+use rfid_system::{BitVec, Event, SimConfig, SimContext, TagPopulation, TimedEvent};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -36,18 +29,10 @@ fn main() {
     };
     let n = opts.n.unwrap_or(200);
     let seed = opts.seed.unwrap_or(1);
-    let code = match opts.mode {
-        ObsMode::Reconcile => run_reconcile_gate(n.min(120), seed),
-        ObsMode::Flame => {
-            render_flame_profiles(n, seed);
-            0
-        }
-        ObsMode::Examples => {
-            render_worked_examples(n, seed);
-            0
-        }
-    };
-    std::process::exit(code);
+    match opts.mode {
+        ObsMode::Flame => render_flame_profiles(n, seed),
+        ObsMode::Examples => render_worked_examples(n, seed),
+    }
 }
 
 fn traced_run(protocol: &dyn PollingProtocol, n: usize, cfg: &SimConfig) -> SimContext {
@@ -281,69 +266,5 @@ fn render_flame_profiles(n: usize, seed: u64) {
             println!("  {line}");
         }
         println!();
-    }
-}
-
-// ---------------------------------------------------------------------------
-// --reconcile: the CI gate
-// ---------------------------------------------------------------------------
-
-fn run_reconcile_gate(n: usize, seed: u64) -> i32 {
-    let protocols: Vec<Box<dyn PollingProtocol>> = vec![
-        Box::new(HppConfig::default().into_protocol()),
-        Box::new(EhppConfig::default().into_protocol()),
-        Box::new(TppConfig::default().into_protocol()),
-        Box::new(LowerBound),
-        Box::new(FsaConfig::default().into_protocol()),
-        Box::new(CppConfig::default().into_protocol()),
-        Box::new(EcppConfig::default().into_protocol()),
-        Box::new(CodedPollingConfig::default().into_protocol()),
-        Box::new(MicConfig::default().into_protocol()),
-        Box::new(QAlgorithmConfig::default().into_protocol()),
-        Box::new(QueryTreeConfig::default().into_protocol()),
-        Box::new(BinarySplitConfig::default().into_protocol()),
-    ];
-    let mut failures = 0usize;
-    let mut check = |label: String, ctx: &SimContext| match reconcile(&ctx.log, &ctx.counters) {
-        Ok(()) => println!("reconcile {label:<28} ok ({} events)", ctx.log.len()),
-        Err(e) => {
-            eprintln!("reconcile {label:<28} FAILED: {e}");
-            failures += 1;
-        }
-    };
-
-    let clean = SimConfig::paper(seed).with_trace();
-    for protocol in &protocols {
-        let ctx = traced_run(protocol.as_ref(), n, &clean);
-        check(protocol.name().to_string(), &ctx);
-    }
-
-    // The fault-tolerant family must also reconcile mid-impairment, where
-    // retransmission/loss/desync events carry the counter deltas.
-    let fault = FaultModel::perfect()
-        .with_downlink_loss(0.3)
-        .with_corruption(0.3)
-        .with_burst(GilbertElliott::new(0.1, 0.5, 0.0, 0.8));
-    let impaired = SimConfig::paper(seed).with_trace().with_fault(fault);
-    let fault_tolerant: Vec<Box<dyn PollingProtocol>> = vec![
-        Box::new(HppConfig::default().into_protocol()),
-        Box::new(EhppConfig::default().into_protocol()),
-        Box::new(TppConfig::default().into_protocol()),
-        Box::new(MicConfig::default().into_protocol()),
-    ];
-    for protocol in &fault_tolerant {
-        let ctx = traced_run(protocol.as_ref(), n, &impaired);
-        check(format!("{} (impaired)", protocol.name()), &ctx);
-    }
-
-    if failures == 0 {
-        println!(
-            "reconciliation gate: all {} runs ok",
-            protocols.len() + fault_tolerant.len()
-        );
-        0
-    } else {
-        eprintln!("reconciliation gate: {failures} run(s) FAILED");
-        1
     }
 }

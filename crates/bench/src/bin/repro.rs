@@ -699,26 +699,11 @@ fn recovery(engine: &mut SweepEngine, opts: &ReproOptions) {
 /// the given snapshot and runs it to completion (the two flags together
 /// demonstrate a cross-process crash/restore cycle).
 fn session(opts: &ReproOptions) {
-    use rfid_baselines::{CodedPollingConfig, FsaConfig};
     use rfid_hash::Xoshiro256;
-    use rfid_identify::{BinarySplitConfig, QAlgorithmConfig, QueryTreeConfig};
     use rfid_protocols::{Session, SessionEnd};
     use rfid_system::{Json, SimConfig, SimContext, ToJson};
 
-    let protocols: Vec<Box<dyn PollingProtocol>> = vec![
-        Box::new(CppConfig::default().into_protocol()),
-        Box::new(EcppConfig::default().into_protocol()),
-        Box::new(CodedPollingConfig::default().into_protocol()),
-        Box::new(HppConfig::default().into_protocol()),
-        Box::new(EhppConfig::default().into_protocol()),
-        Box::new(TppConfig::default().into_protocol()),
-        Box::new(MicConfig::default().into_protocol()),
-        Box::new(FsaConfig::default().into_protocol()),
-        Box::new(LowerBound),
-        Box::new(QueryTreeConfig::default().into_protocol()),
-        Box::new(BinarySplitConfig::default().into_protocol()),
-        Box::new(QAlgorithmConfig::default().into_protocol()),
-    ];
+    let protocols = rfid_daemon::all_protocols();
 
     // --resume: restore a snapshot written by a previous (crashed or
     // checkpointed) invocation and finish the inventory.

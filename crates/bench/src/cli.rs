@@ -189,7 +189,6 @@ pub const OBS_MODES: &[(&str, &str)] = &[
         "--flame",
         "span profile of the paper protocols (flame table + folded stacks)",
     ),
-    ("--reconcile", "trace→counters gate over every protocol"),
 ];
 
 /// Which `obs_report` mode was selected (modes are mutually exclusive).
@@ -200,8 +199,6 @@ pub enum ObsMode {
     Examples,
     /// Render the span profile (flame table + folded stacks).
     Flame,
-    /// Run the trace→counters reconciliation gate.
-    Reconcile,
 }
 
 /// Validated `obs_report` invocation.
@@ -209,9 +206,9 @@ pub enum ObsMode {
 pub struct ObsReportOptions {
     /// The selected mode.
     pub mode: ObsMode,
-    /// Population size for the example/flame/reconcile runs.
+    /// Population size for the example/flame runs.
     pub n: Option<usize>,
-    /// Seed for the example/flame/reconcile runs.
+    /// Seed for the example/flame runs.
     pub seed: Option<u64>,
 }
 
@@ -224,8 +221,8 @@ pub fn obs_usage() -> String {
         out.push_str(&format!("  {name:<24} {desc}\n"));
     }
     out.push_str(
-        "\n--n (default 200; the reconcile gate caps it at 120) sets the\n\
-         population, --seed (default 1) the master seed.\n",
+        "\n--n (default 200) sets the population, --seed (default 1) the\n\
+         master seed.\n",
     );
     out
 }
@@ -249,7 +246,6 @@ pub fn parse_obs_args(args: &[String]) -> Result<ObsReportOptions, String> {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--flame" => set_mode(&mut opts, ObsMode::Flame)?,
-            "--reconcile" => set_mode(&mut opts, ObsMode::Reconcile)?,
             "--n" => opts.n = Some(parse_value(it.next(), "--n", |v: usize| v >= 1)?),
             "--seed" => opts.seed = Some(parse_value(it.next(), "--seed", |_: u64| true)?),
             other => return Err(format!("unknown option {other}")),
@@ -281,8 +277,6 @@ pub struct DaemonOptions {
     pub mode: DaemonMode,
     /// Bind address for `Serve` (port 0 picks a free port).
     pub addr: String,
-    /// Accept shards for `Serve` (`None` = one per core).
-    pub shards: Option<usize>,
     /// Flight-bundle directory override for `Serve`.
     pub flight_dir: Option<PathBuf>,
     /// Protocol the `Client`/`Smoke` session runs.
@@ -300,7 +294,6 @@ impl Default for DaemonOptions {
         DaemonOptions {
             mode: DaemonMode::Serve,
             addr: "127.0.0.1:0".to_string(),
-            shards: None,
             flight_dir: None,
             protocol: "TPP".to_string(),
             n: 150,
@@ -322,7 +315,6 @@ pub fn daemon_usage() -> String {
      \x20                     link must finish bit-identically to a clean run\n\n\
      serve options:\n\
      \x20 --addr HOST:PORT    bind address (default 127.0.0.1:0)\n\
-     \x20 --shards N          accept shards (default: one per core)\n\
      \x20 --flight-dir PATH   where postmortem flight bundles are written\n\n\
      session options (client/smoke):\n\
      \x20 --protocol NAME     protocol to serve (default TPP)\n\
@@ -356,9 +348,6 @@ pub fn parse_daemon_args(args: &[String]) -> Result<DaemonOptions, String> {
             "--smoke" => set_mode(&mut mode, DaemonMode::Smoke)?,
             "--chaos-smoke" => set_mode(&mut mode, DaemonMode::ChaosSmoke)?,
             "--addr" => opts.addr = it.next().ok_or("--addr needs HOST:PORT")?.clone(),
-            "--shards" => {
-                opts.shards = Some(parse_value(it.next(), "--shards", |v: usize| v >= 1)?)
-            }
             "--flight-dir" => {
                 opts.flight_dir = Some(PathBuf::from(it.next().ok_or("--flight-dir needs a path")?))
             }
@@ -487,8 +476,6 @@ mod tests {
         assert_eq!(opts.mode, ObsMode::Flame);
         assert_eq!(opts.n, Some(50));
         assert_eq!(opts.seed, Some(9));
-        let opts = parse_obs(&["--reconcile"]).unwrap();
-        assert_eq!(opts.mode, ObsMode::Reconcile);
     }
 
     #[test]
@@ -500,11 +487,12 @@ mod tests {
             &["--seed"],
             &["--seed", "x"],
             &["--check-hotpath", "target/BENCH_hotpath.json"],
+            &["--reconcile"],
             &["--frobnicate"],
         ] {
             assert!(parse_obs(args).is_err(), "{args:?} should be rejected");
         }
-        let err = parse_obs(&["--flame", "--reconcile"]).unwrap_err();
+        let err = parse_obs(&["--flame", "--flame"]).unwrap_err();
         assert!(err.contains("pick one"), "{err}");
     }
 
@@ -527,15 +515,13 @@ mod tests {
         assert_eq!(opts, DaemonOptions::default());
         assert_eq!(opts.mode, DaemonMode::Serve);
         assert_eq!(opts.addr, "127.0.0.1:0");
-        assert_eq!(opts.shards, None);
     }
 
     #[test]
     fn daemon_modes_and_knobs_parse_in_any_order() {
-        let opts = parse_daemon(&["--shards", "4", "--serve", "--addr", "0.0.0.0:9000"]).unwrap();
+        let opts = parse_daemon(&["--serve", "--addr", "0.0.0.0:9000"]).unwrap();
         assert_eq!(opts.mode, DaemonMode::Serve);
         assert_eq!(opts.addr, "0.0.0.0:9000");
-        assert_eq!(opts.shards, Some(4));
         let opts = parse_daemon(&[
             "--client",
             "localhost:9000",
@@ -567,9 +553,7 @@ mod tests {
         for args in [
             &["--client"][..],
             &["--addr"],
-            &["--shards"],
-            &["--shards", "0"],
-            &["--shards", "many"],
+            &["--shards", "4"],
             &["--flight-dir"],
             &["--protocol"],
             &["--n", "0"],
@@ -597,7 +581,6 @@ mod tests {
             "--smoke",
             "--chaos-smoke",
             "--addr",
-            "--shards",
             "--flight-dir",
             "--protocol",
             "--n",

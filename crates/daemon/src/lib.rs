@@ -11,7 +11,8 @@
 //! * [`registry`] — wire names → the twelve servable protocols,
 //! * [`service`] — the per-connection dispatcher ([`Service`]) and the
 //!   shared read→dispatch→write loop ([`serve_connection`]),
-//! * [`server`] — the sharded-accept TCP [`Daemon`],
+//! * [`server`] — the TCP [`Daemon`]: one accept loop, one handler
+//!   thread per connection,
 //! * [`client`] — the typed [`DaemonClient`] over any [`Transport`],
 //! * [`supervisor`] — the fleet resilience layer (DESIGN.md §16):
 //!   admission control with typed `Busy` shedding, periodic session

@@ -3,8 +3,10 @@
 //! Maps wire protocol names to the workspace's twelve inventory
 //! protocols — the paper's three (HPP, EHPP, TPP) plus every baseline —
 //! so an [`crate::service::Service`] can open or resume a session from a
-//! name alone. The list mirrors the crash-chaos bench's `all_protocols`
-//! so anything the bit-identity gate covers is also servable.
+//! name alone. It is the workspace's one protocol list: the bit-identity
+//! tests, the crash-chaos bench and `repro session` iterate it too, so
+//! anything they cover is also servable, and the golden pins fix its
+//! order.
 
 use rfid_baselines::{CodedPollingConfig, CppConfig, EcppConfig, FsaConfig, LowerBound, MicConfig};
 use rfid_identify::{BinarySplitConfig, QAlgorithmConfig, QueryTreeConfig};

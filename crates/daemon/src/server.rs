@@ -1,8 +1,6 @@
 //! The TCP daemon: hundreds of virtual readers over `std::net`.
 //!
-//! [`Daemon`] binds a `TcpListener`, shares it across a thread-per-core
-//! set of acceptor shards (a `TcpListener` handle can be cloned; the
-//! kernel hands each incoming connection to exactly one accepter), and
+//! [`Daemon`] binds a `TcpListener`, runs one accept loop over it, and
 //! gives every accepted connection its own scoped handler thread running
 //! [`serve_connection`] over a fresh [`Service`]. Everything lives inside
 //! one `std::thread::scope`, so [`Daemon::run`] returns only after every
@@ -34,67 +32,49 @@ use rfid_wire::StreamTransport;
 use crate::service::{serve_connection, Service};
 use crate::supervisor::{FleetLimits, KillPoint, KillSwitch, Supervisor};
 
-/// How long accept loops sleep when idle, and how long connection reads
+/// How long the accept loop sleeps when idle, and how long connection reads
 /// block before re-checking the stop flag.
 const TICK: Duration = Duration::from_millis(25);
 
-/// A multi-shard TCP server for the wire protocol.
+/// A TCP server for the wire protocol.
 pub struct Daemon {
     listener: TcpListener,
     local_addr: SocketAddr,
-    shards: usize,
     stop: Arc<AtomicBool>,
-    flight_dir: Option<PathBuf>,
     supervisor: Arc<Supervisor>,
     supervise_every: u64,
     kill_switch: Option<Arc<KillSwitch>>,
 }
 
 impl Daemon {
-    /// Binds `addr` (use port 0 for an OS-assigned port) with one accept
-    /// shard per available core and an unlimited (never-shedding)
-    /// supervisor.
+    /// Binds `addr` (use port 0 for an OS-assigned port) with an
+    /// unlimited (never-shedding) supervisor.
     pub fn bind(addr: impl ToSocketAddrs) -> std::io::Result<Daemon> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
-        let shards = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
         Ok(Daemon {
             listener,
             local_addr,
-            shards,
             stop: Arc::new(AtomicBool::new(false)),
-            flight_dir: None,
             supervisor: Arc::new(Supervisor::unlimited()),
             supervise_every: 0,
             kill_switch: None,
         })
     }
 
-    /// Overrides the number of accept shards (clamped to ≥ 1).
-    pub fn with_shards(mut self, shards: usize) -> Daemon {
-        self.shards = shards.max(1);
-        self
-    }
-
     /// Sets the directory served sessions dump flight bundles into (also
     /// where the supervisor dumps failed-resurrection bundles).
-    pub fn with_flight_dir(mut self, dir: impl Into<PathBuf>) -> Daemon {
-        let dir = dir.into();
-        self.supervisor.set_flight_dir(&dir);
-        self.flight_dir = Some(dir);
+    pub fn with_flight_dir(self, dir: impl Into<PathBuf>) -> Daemon {
+        self.supervisor.set_flight_dir(dir);
         self
     }
 
     /// Replaces the supervisor with one enforcing `limits` (admission
-    /// control / shedding).
+    /// control / shedding), keeping the flight dir.
     pub fn with_limits(mut self, limits: FleetLimits) -> Daemon {
         let sup = Supervisor::new(limits);
-        if let Some(dir) = &self.flight_dir {
-            sup.set_flight_dir(dir);
-        }
+        sup.set_flight_dir(self.supervisor.flight_dir());
         self.supervisor = Arc::new(sup);
         self
     }
@@ -137,26 +117,13 @@ impl Daemon {
     /// its orphaned sessions to the supervisor — never the daemon.
     pub fn run(&self) -> std::io::Result<()> {
         std::thread::scope(|scope| {
-            for _shard in 0..self.shards {
-                let listener = self
-                    .listener
-                    .try_clone()
-                    .expect("listener handles are cloneable");
-                let stop = &self.stop;
-                let this = self;
-                scope.spawn(move || {
-                    while !stop.load(Ordering::Relaxed) {
-                        match listener.accept() {
-                            Ok((stream, _peer)) => {
-                                scope.spawn(move || this.handle(stream));
-                            }
-                            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                                std::thread::sleep(TICK);
-                            }
-                            Err(_) => std::thread::sleep(TICK),
-                        }
+            while !self.stop.load(Ordering::Relaxed) {
+                match self.listener.accept() {
+                    Ok((stream, _peer)) => {
+                        scope.spawn(move || self.handle(stream));
                     }
-                });
+                    Err(_) => std::thread::sleep(TICK),
+                }
             }
         });
         Ok(())
@@ -173,9 +140,6 @@ impl Daemon {
         let mut service = Service::new()
             .with_supervisor(Arc::clone(&self.supervisor))
             .with_supervise_every(self.supervise_every);
-        if let Some(dir) = &self.flight_dir {
-            service = service.with_flight_dir(dir);
-        }
         if let Some(switch) = &self.kill_switch {
             service = service.with_kill_switch(Arc::clone(switch));
         }
@@ -218,7 +182,7 @@ mod tests {
 
     #[test]
     fn daemon_binds_port_zero_and_stops() {
-        let daemon = Daemon::bind("127.0.0.1:0").unwrap().with_shards(2);
+        let daemon = Daemon::bind("127.0.0.1:0").unwrap();
         assert_ne!(daemon.local_addr().port(), 0);
         let stop = daemon.stop_handle();
         let t = std::thread::spawn(move || {
@@ -227,5 +191,15 @@ mod tests {
         });
         daemon.run().unwrap();
         t.join().unwrap();
+    }
+
+    #[test]
+    fn with_limits_keeps_the_flight_dir() {
+        let dir = std::env::temp_dir().join("rfid-daemon-with-limits-flight");
+        let daemon = Daemon::bind("127.0.0.1:0")
+            .unwrap()
+            .with_flight_dir(&dir)
+            .with_limits(FleetLimits::bounded(2, 2));
+        assert_eq!(daemon.supervisor().flight_dir(), dir);
     }
 }

@@ -13,7 +13,6 @@
 //! can never wedge the connection state machine.
 
 use std::collections::HashMap;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -55,7 +54,6 @@ pub struct Service {
     sessions: HashMap<u64, ReaderSession>,
     next_id: u64,
     shutdown: bool,
-    flight_dir: PathBuf,
     supervisor: Arc<Supervisor>,
     /// Deposit a supervisor checkpoint every this many driver steps
     /// during `Run` (0 = only at natural boundaries).
@@ -91,26 +89,19 @@ impl Drop for RunSlot {
 }
 
 impl Service {
-    /// A fresh service with no sessions. Flight bundles go under the OS
-    /// temp dir unless [`Service::with_flight_dir`] overrides it; a
-    /// private never-shedding supervisor is used unless
-    /// [`Service::with_supervisor`] attaches the daemon's shared one.
+    /// A fresh service with no sessions. A private never-shedding
+    /// supervisor is used unless [`Service::with_supervisor`] attaches the
+    /// daemon's shared one; flight bundles go to the supervisor's
+    /// [`Supervisor::flight_dir`].
     pub fn new() -> Service {
         Service {
             sessions: HashMap::new(),
             next_id: 1,
             shutdown: false,
-            flight_dir: std::env::temp_dir().join("rfid-daemon-flight"),
             supervisor: Arc::new(Supervisor::unlimited()),
             supervise_every: 0,
             kill_switch: None,
         }
-    }
-
-    /// Sets the directory postmortem flight bundles are dumped into.
-    pub fn with_flight_dir(mut self, dir: impl Into<PathBuf>) -> Service {
-        self.flight_dir = dir.into();
-        self
     }
 
     /// Attaches the fleet supervisor every session on this connection is
@@ -291,7 +282,8 @@ impl Service {
             session = session.with_deadline_us(deadline);
         }
         if req.flight {
-            session = session.with_flight_recorder(FlightRecorder::new(&self.flight_dir), &config);
+            session = session
+                .with_flight_recorder(FlightRecorder::new(self.supervisor.flight_dir()), &config);
         }
         // Admission control: the supervisor either registers the newborn
         // session (with its birth checkpoint) or sheds it.
@@ -586,6 +578,30 @@ mod tests {
         assert_eq!(outcome.coverage, 0.0);
         assert_eq!(outcome.cause.as_deref(), Some("no progress"));
         assert!(outcome.trace_digest.is_some(), "traced config digests");
+    }
+
+    #[test]
+    fn flight_bundles_go_to_the_supervisor_flight_dir() {
+        let dir = std::env::temp_dir().join(format!("rfid-service-flight-{}", std::process::id()));
+        let supervisor = Arc::new(Supervisor::unlimited());
+        supervisor.set_flight_dir(&dir);
+        let mut service = Service::new().with_supervisor(supervisor);
+        let mut req = open_req(64);
+        req.config = Some(
+            SimConfig::paper(31)
+                .with_trace()
+                .with_channel(rfid_system::Channel::lossy(1.0)),
+        );
+        req.flight = true;
+        let id = opened(&mut service, req);
+        service.handle(Command::Run {
+            session: id,
+            max_steps: None,
+        });
+        let bundle = service.sessions[&id].session.last_postmortem().cloned();
+        let _ = std::fs::remove_dir_all(&dir);
+        let bundle = bundle.expect("a stalled session dumps a bundle");
+        assert!(bundle.starts_with(&dir), "{bundle:?} is not under {dir:?}");
     }
 
     #[test]

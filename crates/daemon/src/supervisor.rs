@@ -140,9 +140,17 @@ impl Supervisor {
         self.limits
     }
 
-    /// Where failed-resurrection flight bundles are dumped.
+    /// Sets where flight bundles are dumped: failed resurrections here,
+    /// and sessions of every [`crate::Service`] attached to this
+    /// supervisor.
     pub fn set_flight_dir(&self, dir: impl Into<PathBuf>) {
         self.lock().flight_dir = dir.into();
+    }
+
+    /// Where flight bundles are dumped (`rfid-daemon-flight` under the OS
+    /// temp dir unless [`Supervisor::set_flight_dir`] moved it).
+    pub fn flight_dir(&self) -> PathBuf {
+        self.lock().flight_dir.clone()
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, SupState> {

@@ -36,7 +36,7 @@ fn traced_ctx(n: usize, cfg: &SimConfig) -> SimContext {
 #[test]
 fn every_protocol_reconciles_on_a_clean_channel() {
     for protocol in &all_protocols() {
-        for (n, seed) in [(1usize, 7u64), (60, 11), (200, 13)] {
+        for (n, seed) in [(1usize, 7u64), (60, 11), (200, 13), (120, 1)] {
             let cfg = SimConfig::paper(seed).with_trace();
             let mut ctx = traced_ctx(n, &cfg);
             protocol.run(&mut ctx);
@@ -55,24 +55,28 @@ fn fault_tolerant_protocols_reconcile_across_the_impairment_matrix() {
         Box::new(MicConfig::default().into_protocol()),
     ];
     for protocol in &faulty {
-        for downlink in [0.0f64, 0.3] {
-            for corruption in [0.0f64, 0.3] {
-                let fault = FaultModel::perfect()
-                    .with_downlink_loss(downlink)
-                    .with_corruption(corruption)
-                    .with_burst(GilbertElliott::new(0.1, 0.5, 0.0, 0.8));
-                let cfg = SimConfig::paper(42).with_trace().with_fault(fault);
-                let mut ctx = traced_ctx(80, &cfg);
-                // Reconciliation must hold whether the run completed or
-                // stalled — the trace covers everything that happened.
-                let _ = protocol.try_run(&mut ctx);
-                reconcile(&ctx.log, &ctx.counters).unwrap_or_else(|e| {
-                    panic!(
-                        "{} (dl={downlink}, corr={corruption}): {e}",
-                        protocol.name()
-                    )
-                });
-            }
+        for (n, seed, downlink, corruption) in [
+            (80usize, 42u64, 0.0f64, 0.0f64),
+            (80, 42, 0.0, 0.3),
+            (80, 42, 0.3, 0.0),
+            (80, 42, 0.3, 0.3),
+            (120, 1, 0.3, 0.3),
+        ] {
+            let fault = FaultModel::perfect()
+                .with_downlink_loss(downlink)
+                .with_corruption(corruption)
+                .with_burst(GilbertElliott::new(0.1, 0.5, 0.0, 0.8));
+            let cfg = SimConfig::paper(seed).with_trace().with_fault(fault);
+            let mut ctx = traced_ctx(n, &cfg);
+            // Reconciliation must hold whether the run completed or
+            // stalled — the trace covers everything that happened.
+            let _ = protocol.try_run(&mut ctx);
+            reconcile(&ctx.log, &ctx.counters).unwrap_or_else(|e| {
+                panic!(
+                    "{} (n={n}, seed={seed}, dl={downlink}, corr={corruption}): {e}",
+                    protocol.name()
+                )
+            });
         }
     }
 }

@@ -18,9 +18,6 @@ CARGO_TARGET_DIR=target/benchmark cargo build --release --offline --manifest-pat
 # Fast single-seed slice of the chaos fault-matrix gate (scripts/chaos.sh
 # runs the full multi-seed sweep).
 cargo run --release --offline --example chaos_sweep -- --seeds 1
-# Trace→counters reconciliation gate: one traced seed per protocol (clean
-# and impaired) must replay into its counters bit-for-bit (DESIGN.md §9).
-cargo run --release --offline -p rfid-bench --bin obs_report -- --reconcile
 # Every bench below writes target/BENCH_<group>.json ({"group", "records"},
 # one record per measured value) and exits nonzero if any of its gated
 # records misses its bound; the report is written first either way.

@@ -82,7 +82,7 @@ fn with_loopback_client<R>(f: impl FnOnce(&mut DaemonClient<StreamTransport<Pipe
 
 /// Drives `f` with a client connected to a real TCP daemon on port 0.
 fn with_tcp_client<R>(f: impl FnOnce(&mut DaemonClient<StreamTransport<TcpStream>>) -> R) -> R {
-    let daemon = Daemon::bind("127.0.0.1:0").expect("bind").with_shards(2);
+    let daemon = Daemon::bind("127.0.0.1:0").expect("bind");
     let addr = daemon.local_addr();
     let stop = daemon.stop_handle();
     let server = std::thread::spawn(move || daemon.run());
@@ -91,7 +91,7 @@ fn with_tcp_client<R>(f: impl FnOnce(&mut DaemonClient<StreamTransport<TcpStream
     client.shutdown().expect("shutdown");
     drop(client);
     // The wire Shutdown raises the daemon's stop flag; joining proves the
-    // accept shards and handlers drained.
+    // accept loop and handlers drained.
     server.join().expect("daemon thread").expect("daemon ok");
     assert!(stop.load(Ordering::Relaxed), "shutdown must raise stop");
     result
@@ -178,7 +178,7 @@ fn checkpoint_over_tcp_resumes_over_loopback_bit_identically() {
 #[test]
 fn concurrent_tcp_sessions_stay_deterministic() {
     let reference = local_reference(None);
-    let daemon = Daemon::bind("127.0.0.1:0").expect("bind").with_shards(4);
+    let daemon = Daemon::bind("127.0.0.1:0").expect("bind");
     let addr = daemon.local_addr();
     let stop = daemon.stop_handle();
     let server = std::thread::spawn(move || daemon.run());
@@ -271,7 +271,7 @@ fn stalled_server_times_out_then_reconnects_cleanly() {
 #[test]
 fn chaos_client_recovers_bit_identically() {
     let reference = local_reference(None);
-    let daemon = Daemon::bind("127.0.0.1:0").expect("bind").with_shards(2);
+    let daemon = Daemon::bind("127.0.0.1:0").expect("bind");
     let addr = daemon.local_addr();
     let stop = daemon.stop_handle();
     let supervisor = daemon.supervisor();
@@ -323,7 +323,6 @@ fn chaos_client_recovers_bit_identically() {
 fn admission_budget_sheds_with_typed_busy() {
     let daemon = Daemon::bind("127.0.0.1:0")
         .expect("bind")
-        .with_shards(2)
         .with_limits(FleetLimits::bounded(2, 8).with_retry_after_us(1234));
     let addr = daemon.local_addr();
     let supervisor = daemon.supervisor();
@@ -360,7 +359,6 @@ fn shedding_pressure_still_recovers_every_client() {
     let reference = local_reference(None);
     let daemon = Daemon::bind("127.0.0.1:0")
         .expect("bind")
-        .with_shards(4)
         .with_limits(FleetLimits::bounded(2, 2).with_retry_after_us(2_000));
     let addr = daemon.local_addr();
     let stop = daemon.stop_handle();
@@ -405,7 +403,6 @@ fn killed_handler_resurrects_and_client_recovers() {
     let reference = local_reference(None);
     let daemon = Daemon::bind("127.0.0.1:0")
         .expect("bind")
-        .with_shards(2)
         .with_supervise_every(2)
         .with_kill_after(4);
     let addr = daemon.local_addr();
@@ -450,7 +447,7 @@ fn killed_handler_resurrects_and_client_recovers() {
 #[test]
 fn shutdown_drains_live_sessions_with_resumable_checkpoints() {
     let reference = local_reference(None);
-    let daemon = Daemon::bind("127.0.0.1:0").expect("bind").with_shards(2);
+    let daemon = Daemon::bind("127.0.0.1:0").expect("bind");
     let addr = daemon.local_addr();
     let supervisor = daemon.supervisor();
     let server = std::thread::spawn(move || daemon.run());

@@ -7,30 +7,10 @@
 //! the zero-cost contract from DESIGN.md: recovery is pure wrapping, not a
 //! different execution path.
 
-use fast_rfid_polling::baselines::{
-    CodedPollingConfig, CppConfig, EcppConfig, FsaConfig, LowerBound, MicConfig,
-};
-use fast_rfid_polling::identify::{BinarySplitConfig, QAlgorithmConfig, QueryTreeConfig};
+use fast_rfid_polling::daemon::all_protocols;
 use fast_rfid_polling::prelude::*;
 use fast_rfid_polling::system::json::ToJson;
 use fast_rfid_polling::system::{SimConfig, SimContext};
-
-fn all_protocols() -> Vec<Box<dyn PollingProtocol>> {
-    vec![
-        Box::new(CppConfig::default().into_protocol()),
-        Box::new(EcppConfig::default().into_protocol()),
-        Box::new(CodedPollingConfig::default().into_protocol()),
-        Box::new(HppConfig::default().into_protocol()),
-        Box::new(EhppConfig::default().into_protocol()),
-        Box::new(TppConfig::default().into_protocol()),
-        Box::new(MicConfig::default().into_protocol()),
-        Box::new(FsaConfig::default().into_protocol()),
-        Box::new(LowerBound),
-        Box::new(QueryTreeConfig::default().into_protocol()),
-        Box::new(BinarySplitConfig::default().into_protocol()),
-        Box::new(QAlgorithmConfig::default().into_protocol()),
-    ]
-}
 
 fn traced_context(scenario: &Scenario) -> SimContext {
     let cfg = SimConfig::paper(scenario.protocol_seed()).with_trace();
