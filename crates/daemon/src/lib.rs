@@ -47,5 +47,6 @@ pub use resilient::{ResilientClient, RetryPolicy};
 pub use server::Daemon;
 pub use service::{serve_connection, Service, SERVER_NAME};
 pub use supervisor::{
-    install_killpoint_hook, FleetLimits, KillPoint, KillSwitch, Resurrection, Retire, Supervisor,
+    install_killpoint_hook, FleetLimits, KillPoint, KillSwitch, RecoveryPoint, Resurrection,
+    Retire, Supervisor,
 };

@@ -186,7 +186,7 @@ where
                             return Err(e);
                         }
                     }
-                    match self.recover(&e)? {
+                    match self.recover(e)? {
                         Recovery::SameConnection { sleep_us } => {
                             // The server never started what it didn't
                             // ack; the session (if any) is untouched and
@@ -258,11 +258,11 @@ where
     }
 
     /// Classifies a failure: sleep-and-resend, reconnect-and-resume, or
-    /// permanent (returned as `Err`).
-    fn recover(&mut self, e: &ClientError) -> Result<Recovery, ClientError> {
+    /// permanent (handed back as `Err`).
+    fn recover(&mut self, e: ClientError) -> Result<Recovery, ClientError> {
         match e {
             ClientError::Busy { retry_after_us } => Ok(Recovery::SameConnection {
-                sleep_us: *retry_after_us,
+                sleep_us: retry_after_us,
             }),
             ClientError::Server { code, .. } => match code {
                 // Our command was corrupted in flight; the stream
@@ -273,7 +273,7 @@ where
                 // After a daemon-side crash the old ids are gone even if
                 // the socket survived: start over from the checkpoint.
                 ErrorCode::UnknownSession | ErrorCode::BadState => Ok(Recovery::Reconnect),
-                ErrorCode::UnknownProtocol | ErrorCode::Rejected => Err(clone_error(e)),
+                ErrorCode::UnknownProtocol | ErrorCode::Rejected => Err(e),
             },
             // An out-of-phase response (e.g. a stale reply to a verb the
             // client gave up on, surfacing mid-conversation) means the
@@ -296,24 +296,6 @@ where
 
     fn jitter_us(&mut self) -> u64 {
         self.rng.below(self.policy.backoff_base_us.max(1))
-    }
-}
-
-/// `ClientError` deliberately owns `WireError` (not `Clone`); permanent
-/// failures are rebuilt field-by-field instead.
-fn clone_error(e: &ClientError) -> ClientError {
-    match e {
-        ClientError::Server { code, message } => ClientError::Server {
-            code: *code,
-            message: message.clone(),
-        },
-        ClientError::Busy { retry_after_us } => ClientError::Busy {
-            retry_after_us: *retry_after_us,
-        },
-        ClientError::TimedOut => ClientError::TimedOut,
-        ClientError::Closed => ClientError::Closed,
-        ClientError::Unexpected(what) => ClientError::Unexpected(what.clone()),
-        ClientError::Wire(_) => ClientError::Unexpected("wire error".to_string()),
     }
 }
 

@@ -10,7 +10,7 @@
 //! [`Supervisor`] (DESIGN.md §16): admission budgets shed load with
 //! typed `Busy` responses; a connection that dies — handler panic,
 //! poisoned byte stream, vanished client — has its unfinished sessions
-//! resurrected from their last supervisor checkpoints; and shutdown is a
+//! resurrected from their supervisor recovery points; and shutdown is a
 //! *drain*, depositing one final checkpoint per live session before the
 //! listener closes. Handler panics are caught per-connection
 //! (`catch_unwind`), so a crashing session never takes the fleet down.
@@ -158,18 +158,14 @@ impl Daemon {
                 // the supervisor before the listener closes.
                 service.drain();
             }
-            Ok(Ok(())) => {
-                // The peer hung up with sessions still open: they are
-                // orphans now, and the supervisor finishes their work.
-                self.supervisor.connection_lost(&service.orphan_gids());
-            }
-            Ok(Err(_wire_error)) => {
-                // A poisoned byte stream tore the connection down.
-                self.supervisor.connection_lost(&service.orphan_gids());
-            }
-            Err(payload) => {
-                let kill_point = payload.is::<KillPoint>();
-                self.supervisor.note_panic(kill_point);
+            ended => {
+                if let Err(payload) = &ended {
+                    self.supervisor.note_panic(payload.is::<KillPoint>());
+                }
+                // The peer hung up, a poisoned byte stream tore the
+                // connection down, or the handler panicked: the open
+                // sessions are orphans now, and the supervisor finishes
+                // their work.
                 self.supervisor.connection_lost(&service.orphan_gids());
             }
         }

@@ -25,7 +25,9 @@ use rfid_wire::{
 use rfid_workloads::Scenario;
 
 use crate::registry::{protocol_by_name, protocol_names};
-use crate::supervisor::{outcome_from_end, KillPoint, KillSwitch, Retire, Supervisor};
+use crate::supervisor::{
+    outcome_from_end, KillPoint, KillSwitch, RecoveryPoint, Retire, Supervisor,
+};
 
 /// What the server calls itself in the `Hello` handshake.
 pub const SERVER_NAME: &str = "rfid-daemon/0.1";
@@ -154,11 +156,9 @@ impl Service {
     /// session into the supervisor (retiring it as drained) so the
     /// fleet's work survives the listener closing.
     pub fn drain(&mut self) {
-        let sup = Arc::clone(&self.supervisor);
-        for rs in self.sessions.values_mut() {
-            if !rs.done {
-                sup.drain_session(rs.gid, rs.session.snapshot(&rs.ctx, &rs.config));
-            }
+        for rs in self.sessions.values().filter(|rs| !rs.done) {
+            let snapshot = rs.session.snapshot(&rs.ctx, &rs.config);
+            self.supervisor.drain_session(rs.gid, snapshot);
         }
         self.sessions.clear();
     }
@@ -171,15 +171,26 @@ impl Service {
                 version: WIRE_VERSION,
                 server: SERVER_NAME.to_string(),
             }],
-            Command::Open(req) => vec![self.open(req)],
+            Command::Open(req) => vec![match open_session(&req, &self.supervisor) {
+                Ok(live) => self.admit(live, RecoveryPoint::Open(req.into())),
+                Err(e) => e,
+            }],
             Command::Run { session, max_steps } => self.run(session, max_steps),
             Command::Checkpoint { session } => vec![self.checkpoint(session)],
-            Command::Resume { snapshot } => vec![self.resume(&snapshot)],
-            Command::Inject { session, fault } => vec![match self.get(session) {
+            Command::Resume { snapshot } => vec![match restore_session(&snapshot) {
+                Ok(live) => self.admit(live, RecoveryPoint::Resume(snapshot)),
                 Err(e) => e,
-                Ok(rs) => match rs.ctx.inject_fault(fault.clone()) {
+            }],
+            Command::Inject { session, fault } => vec![match self.sessions.get_mut(&session) {
+                None => unknown_session(session),
+                Some(rs) => match rs.ctx.inject_fault(fault.clone()) {
                     Ok(()) => {
                         rs.config.fault = fault;
+                        // Neither the request nor an older checkpoint
+                        // recreates the injected model: deposit one that
+                        // does.
+                        let snapshot = rs.session.snapshot(&rs.ctx, &rs.config);
+                        self.supervisor.deposit(rs.gid, snapshot);
                         Response::Opened { session }
                     }
                     Err(msg) => err(ErrorCode::Rejected, format!("fault rejected: {msg}")),
@@ -204,25 +215,19 @@ impl Service {
             }],
             Command::Flight { session } => vec![match self.get(session) {
                 Err(e) => e,
-                Ok(rs) => match rs.session.last_postmortem() {
-                    None => Response::FlightInfo {
-                        session,
-                        bundle: None,
-                    },
-                    Some(path) => match std::fs::read_to_string(path)
-                        .map_err(|e| e.to_string())
-                        .and_then(|text| Json::parse(&text).map_err(|e| e.to_string()))
-                    {
-                        Ok(bundle) => Response::FlightInfo {
-                            session,
-                            bundle: Some(bundle),
-                        },
+                Ok(rs) => {
+                    let read = |path: &std::path::PathBuf| -> Result<Json, String> {
+                        let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
+                        Json::parse(&text).map_err(|e| e.to_string())
+                    };
+                    match rs.session.last_postmortem().map(read).transpose() {
+                        Ok(bundle) => Response::FlightInfo { session, bundle },
                         Err(e) => err(
                             ErrorCode::Rejected,
                             format!("flight bundle unreadable: {e}"),
                         ),
-                    },
-                },
+                    }
+                }
             }],
             Command::Close { session } => vec![match self.sessions.remove(&session) {
                 Some(rs) => {
@@ -244,117 +249,53 @@ impl Service {
             .ok_or_else(|| unknown_session(session))
     }
 
-    fn open(&mut self, req: OpenRequest) -> Response {
-        let Some(protocol) = protocol_by_name(&req.protocol) else {
-            return err(
-                ErrorCode::UnknownProtocol,
-                format!(
-                    "unknown protocol '{}'; servable: {}",
-                    req.protocol,
-                    protocol_names().join(", ")
-                ),
-            );
+    /// Admission control: the supervisor either registers a built
+    /// session with the command that recreates it, or sheds it.
+    fn admit(&mut self, (ctx, session, config): Live, record: RecoveryPoint) -> Response {
+        // Snapshots carry no progress cadence: only an `Open` asks for one.
+        let progress_every = match &record {
+            RecoveryPoint::Open(req) => req.progress_every.unwrap_or(0),
+            RecoveryPoint::Resume(_) => 0,
         };
-        if req.n == 0 {
-            return err(ErrorCode::Rejected, "population must be non-empty");
-        }
-        let scenario =
-            Scenario::uniform(req.n as usize, req.info_bits as usize).with_seed(req.seed);
-        // The default config keeps tracing on: served runs are auditable
-        // (trace digests, metrics, flight bundles) unless the caller
-        // explicitly opts out by sending a config with `trace: false`.
-        let config = req
-            .config
-            .clone()
-            .unwrap_or_else(|| SimConfig::paper(scenario.protocol_seed()).with_trace());
-        if let Err(msg) = config.channel.try_validate() {
-            return err(ErrorCode::Rejected, format!("invalid channel: {msg}"));
-        }
-        if let Err(msg) = config.fault.try_validate() {
-            return err(ErrorCode::Rejected, format!("invalid fault model: {msg}"));
-        }
-        let ctx = SimContext::new(scenario.build_population(), &config);
-        let mut session = Session::open(protocol.as_ref(), &ctx);
-        if let Some(policy) = req.policy.clone() {
-            session = session.with_policy(policy);
-        }
-        if let Some(deadline) = req.deadline_us {
-            session = session.with_deadline_us(deadline);
-        }
-        if req.flight {
-            session = session
-                .with_flight_recorder(FlightRecorder::new(self.supervisor.flight_dir()), &config);
-        }
-        // Admission control: the supervisor either registers the newborn
-        // session (with its birth checkpoint) or sheds it.
-        let gid = match self.supervisor.admit(session.snapshot(&ctx, &config)) {
+        let gid = match self.supervisor.admit(record) {
             Ok(gid) => gid,
             Err(retry_after_us) => return Response::Busy { retry_after_us },
         };
-        self.insert(ReaderSession {
-            session,
-            ctx,
-            gid,
-            config,
-            progress_every: req.progress_every.unwrap_or(0),
-            cursor: DeltaCursor::new(),
-            done: false,
-        })
-    }
-
-    fn insert(&mut self, rs: ReaderSession) -> Response {
         let id = self.next_id;
         self.next_id += 1;
-        self.sessions.insert(id, rs);
+        self.sessions.insert(
+            id,
+            ReaderSession {
+                session,
+                ctx,
+                gid,
+                config,
+                progress_every,
+                cursor: DeltaCursor::new(),
+                done: false,
+            },
+        );
         Response::Opened { session: id }
     }
 
-    fn resume(&mut self, snapshot: &Json) -> Response {
-        let name: String = match snapshot.field("protocol") {
-            Ok(name) => name,
-            Err(e) => return err(ErrorCode::BadPayload, format!("snapshot: {e}")),
-        };
-        let Some(protocol) = protocol_by_name(&name) else {
-            return err(
-                ErrorCode::UnknownProtocol,
-                format!("snapshot protocol '{name}' is not servable"),
-            );
-        };
-        let config: SimConfig = match snapshot.field("config") {
-            Ok(config) => config,
-            Err(e) => return err(ErrorCode::BadPayload, format!("snapshot: {e}")),
-        };
-        match Session::restore(protocol.as_ref(), snapshot) {
-            Ok((ctx, session)) => {
-                let gid = match self.supervisor.admit(snapshot.clone()) {
-                    Ok(gid) => gid,
-                    Err(retry_after_us) => return Response::Busy { retry_after_us },
-                };
-                self.insert(ReaderSession {
-                    session,
-                    ctx,
-                    gid,
-                    config,
-                    progress_every: 0,
-                    cursor: DeltaCursor::new(),
-                    done: false,
-                })
-            }
-            Err(e) => err(ErrorCode::Rejected, format!("snapshot rejected: {e}")),
+    /// A session that has not ended: `Run` and `Checkpoint` answer the
+    /// rest with `BadState`.
+    fn unfinished(&mut self, session: u64) -> Result<&mut ReaderSession, Response> {
+        let rs = self.get(session)?;
+        if rs.done {
+            return Err(err(
+                ErrorCode::BadState,
+                format!("session {session} already ended"),
+            ));
         }
+        Ok(rs)
     }
 
     fn checkpoint(&mut self, session: u64) -> Response {
         let sup = Arc::clone(&self.supervisor);
-        match self.get(session) {
+        match self.unfinished(session) {
             Err(e) => e,
             Ok(rs) => {
-                if rs.done {
-                    return err(
-                        ErrorCode::BadState,
-                        format!("session {session} already ended"),
-                    );
-                }
                 let snapshot = rs.session.snapshot(&rs.ctx, &rs.config);
                 // A client-requested checkpoint is also the freshest
                 // possible recovery point — deposit it.
@@ -373,16 +314,10 @@ impl Service {
             Ok(slot) => slot,
             Err(retry_after_us) => return vec![Response::Busy { retry_after_us }],
         };
-        let rs = match self.get(session) {
+        let rs = match self.unfinished(session) {
             Err(e) => return vec![e],
             Ok(rs) => rs,
         };
-        if rs.done {
-            return vec![err(
-                ErrorCode::BadState,
-                format!("session {session} already ended"),
-            )];
-        }
         let mut out = Vec::new();
         let budget_end = max_steps.map(|b| rs.session.steps_taken() + b);
         let end = loop {
@@ -450,6 +385,76 @@ impl Service {
         out.push(Response::Done { session, outcome });
         out
     }
+}
+
+/// A built or restored session with the config its context was built
+/// from.
+pub(crate) type Live = (SimContext, Session, SimConfig);
+
+/// Builds the session an `Open` request describes. The `Open` verb and
+/// the resurrection of a never-checkpointed session both call it, so a
+/// resurrected session is the one its request built, flight recorder
+/// (dumping to `sup`'s flight dir) included.
+pub(crate) fn open_session(req: &OpenRequest, sup: &Supervisor) -> Result<Live, Response> {
+    let Some(protocol) = protocol_by_name(&req.protocol) else {
+        return Err(err(
+            ErrorCode::UnknownProtocol,
+            format!(
+                "unknown protocol '{}'; servable: {}",
+                req.protocol,
+                protocol_names().join(", ")
+            ),
+        ));
+    };
+    if req.n == 0 {
+        return Err(err(ErrorCode::Rejected, "population must be non-empty"));
+    }
+    let scenario = Scenario::uniform(req.n as usize, req.info_bits as usize).with_seed(req.seed);
+    // The default config keeps tracing on: served runs are auditable
+    // (trace digests, metrics, flight bundles) unless the caller
+    // explicitly opts out by sending a config with `trace: false`.
+    let config = req
+        .config
+        .clone()
+        .unwrap_or_else(|| SimConfig::paper(scenario.protocol_seed()).with_trace());
+    if let Err(msg) = config.channel.try_validate() {
+        return Err(err(ErrorCode::Rejected, format!("invalid channel: {msg}")));
+    }
+    if let Err(msg) = config.fault.try_validate() {
+        return Err(err(
+            ErrorCode::Rejected,
+            format!("invalid fault model: {msg}"),
+        ));
+    }
+    let ctx = SimContext::new(scenario.build_population(), &config);
+    let mut session = Session::open(protocol.as_ref(), &ctx);
+    if let Some(policy) = req.policy {
+        session = session.with_policy(policy);
+    }
+    if let Some(deadline) = req.deadline_us {
+        session = session.with_deadline_us(deadline);
+    }
+    if req.flight {
+        session = session.with_flight_recorder(FlightRecorder::new(sup.flight_dir()), &config);
+    }
+    Ok((ctx, session, config))
+}
+
+/// Restores the session a snapshot describes. The `Resume` verb and the
+/// resurrection of a checkpointed session both call it.
+pub(crate) fn restore_session(snapshot: &Json) -> Result<Live, Response> {
+    let bad = |e| err(ErrorCode::BadPayload, format!("snapshot: {e}"));
+    let name: String = snapshot.field("protocol").map_err(bad)?;
+    let protocol = protocol_by_name(&name).ok_or_else(|| {
+        err(
+            ErrorCode::UnknownProtocol,
+            format!("snapshot protocol '{name}' is not servable"),
+        )
+    })?;
+    let config: SimConfig = snapshot.field("config").map_err(bad)?;
+    let (ctx, session) = Session::restore(protocol.as_ref(), snapshot)
+        .map_err(|e| err(ErrorCode::Rejected, format!("snapshot rejected: {e}")))?;
+    Ok((ctx, session, config))
 }
 
 fn err(code: ErrorCode, message: impl Into<String>) -> Response {
@@ -599,9 +604,25 @@ mod tests {
             max_steps: None,
         });
         let bundle = service.sessions[&id].session.last_postmortem().cloned();
+        let fetched = service.handle(Command::Flight { session: id }).remove(0);
         let _ = std::fs::remove_dir_all(&dir);
         let bundle = bundle.expect("a stalled session dumps a bundle");
         assert!(bundle.starts_with(&dir), "{bundle:?} is not under {dir:?}");
+        // The `Flight` verb serves the dumped bundle, parsed.
+        let Response::FlightInfo {
+            bundle: Some(fetched),
+            ..
+        } = fetched
+        else {
+            panic!("expected a FlightInfo bundle, got {fetched:?}");
+        };
+        assert_eq!(fetched.field::<String>("cause").unwrap(), "stalled");
+        // A session with no postmortem has no bundle to serve.
+        let clean = opened(&mut service, open_req(8));
+        assert!(matches!(
+            service.handle(Command::Flight { session: clean }).remove(0),
+            Response::FlightInfo { bundle: None, .. }
+        ));
     }
 
     #[test]
@@ -724,6 +745,112 @@ mod tests {
             service.handle(Command::Resume { snapshot }).remove(0),
             Response::Opened { .. }
         ));
+    }
+
+    /// Runs `id` to its end and returns the `Done` outcome.
+    fn run_to_done(service: &mut Service, id: u64) -> rfid_wire::SessionOutcome {
+        match service
+            .handle(Command::Run {
+                session: id,
+                max_steps: None,
+            })
+            .pop()
+        {
+            Some(Response::Done { outcome, .. }) => outcome,
+            other => panic!("expected Done, got {other:?}"),
+        }
+    }
+
+    /// Orphans every unfinished session of `service` and returns the one
+    /// resurrected outcome.
+    fn resurrect_orphan(service: &Service) -> rfid_wire::SessionOutcome {
+        let sup = service.supervisor();
+        sup.connection_lost(&service.orphan_gids());
+        let resurrections = sup.resurrections();
+        assert_eq!(resurrections.len(), 1, "one orphan, one resurrection");
+        sup.reconcile().unwrap();
+        resurrections[0].outcome.clone()
+    }
+
+    #[test]
+    fn injected_fault_survives_resurrection() {
+        use rfid_system::FaultModel;
+        let inject = |service: &mut Service, id| {
+            let fault = FaultModel::perfect().with_corruption(0.3);
+            let responses = service.handle(Command::Inject { session: id, fault });
+            assert!(matches!(responses[0], Response::Opened { .. }));
+        };
+        let mut reference = Service::new();
+        let id = opened(&mut reference, open_req(64));
+        inject(&mut reference, id);
+        let expected = run_to_done(&mut reference, id);
+
+        let mut service = Service::new();
+        let id = opened(&mut service, open_req(64));
+        inject(&mut service, id);
+        assert_eq!(
+            resurrect_orphan(&service),
+            expected,
+            "resurrection dropped the injected fault"
+        );
+    }
+
+    #[test]
+    fn open_replay_resurrects_every_protocol_bit_identically() {
+        use crate::registry::all_protocols;
+        use rfid_protocols::RecoveryPolicy;
+        use rfid_system::{Channel, FaultModel, FaultPlan, KillRule};
+        let root = std::env::temp_dir().join(format!("rfid-open-replay-{}", std::process::id()));
+        let service_in = |dir: &str| {
+            let supervisor = Arc::new(Supervisor::unlimited());
+            supervisor.set_flight_dir(root.join(dir));
+            Service::new().with_supervisor(supervisor)
+        };
+        // A dead tag on a lossy link: passes recover under the policy
+        // until the breaker opens or the deadline bites, and each such
+        // end dumps a flight bundle.
+        let dead_tag = FaultPlan {
+            kill_after_replies: vec![KillRule {
+                tag: 0,
+                after_replies: 0,
+            }],
+            ..FaultPlan::none()
+        };
+        let impaired_config = SimConfig::paper(17)
+            .with_trace()
+            .with_channel(Channel::lossy(0.3))
+            .with_fault(FaultModel::perfect().with_plan(dead_tag));
+        for protocol in all_protocols() {
+            let name = protocol.name();
+            let plain = OpenRequest::new(name, 48, 4, 17);
+            let impaired = OpenRequest {
+                config: Some(impaired_config.clone()),
+                policy: Some(RecoveryPolicy::default()),
+                deadline_us: Some(2.0e6),
+                flight: true,
+                ..plain.clone()
+            };
+            for req in [plain, impaired] {
+                let mut reference = service_in("reference");
+                let id = opened(&mut reference, req.clone());
+                let expected = run_to_done(&mut reference, id);
+                let mut service = service_in("resurrected");
+                opened(&mut service, req.clone());
+                assert_eq!(
+                    resurrect_orphan(&service),
+                    expected,
+                    "{name} drifted when replayed from {req:?}"
+                );
+                if let (true, Some(cause)) = (req.flight, &expected.cause) {
+                    let bundle = format!("postmortem-{}-{cause}-17.json", name.to_lowercase());
+                    assert!(
+                        root.join("resurrected").join(&bundle).exists(),
+                        "the resurrected {name} run lost its flight recorder"
+                    );
+                }
+            }
+        }
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -3,17 +3,19 @@
 //! A [`Supervisor`] is the daemon's cross-connection safety net. Every
 //! served session is *admitted* through it (which is where the
 //! [`FleetLimits`] admission budget sheds load with typed
-//! `Busy{retry_after_us}` responses), deposits periodic checkpoints into
-//! it, and is *retired* when it completes or is closed. When a
-//! connection dies with live sessions on it — a handler panic, a
-//! poisoned byte stream, a client that vanished — the supervisor
-//! *resurrects* each orphan from its last deposited checkpoint and runs
-//! it to completion, so the inventory the reader was collecting is never
-//! lost. Deterministic replay makes resurrection exact: the restored run
-//! finishes with the same report JSON and FNV-1a trace digest the
-//! uninterrupted run would have produced (the resilience gate pins
-//! this). If a checkpoint cannot be restored, the supervisor dumps a
-//! flight bundle for the postmortem instead of dying quietly.
+//! `Busy{retry_after_us}` responses) with its [`RecoveryPoint`]: the
+//! `Open` request that built it, until its first deposited checkpoint
+//! turns that into a `Resume` of the snapshot. A session is *retired*
+//! when it completes or is closed. When a connection dies with live
+//! sessions on it — a handler panic, a poisoned byte stream, a client
+//! that vanished — the supervisor *resurrects* each orphan by replaying
+//! its recovery point through the verb's own build or restore path and
+//! runs it to completion, so the inventory the reader was collecting is
+//! never lost. Deterministic replay makes resurrection exact: the
+//! rebuilt run finishes with the same report JSON and FNV-1a trace
+//! digest the uninterrupted run would have produced (the resilience gate
+//! pins this). If a recovery point cannot be replayed, the supervisor
+//! dumps a flight bundle for the postmortem instead of dying quietly.
 //!
 //! Shutdown is a *drain*: the serving loop deposits one final checkpoint
 //! per live session before the listener closes, so a controller can
@@ -31,11 +33,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 use rfid_obs::{wire_counters, MetricsRegistry};
-use rfid_protocols::{Session, SessionEnd};
+use rfid_protocols::SessionEnd;
 use rfid_system::{Json, SimContext, ToJson};
-use rfid_wire::SessionOutcome;
+use rfid_wire::{OpenRequest, SessionOutcome};
 
-use crate::registry::protocol_by_name;
+use crate::service::{open_session, restore_session};
 
 /// Admission-control budgets for a served fleet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,13 +77,22 @@ impl FleetLimits {
     }
 }
 
+/// The command that recreates a live session: what resurrection replays.
+#[derive(Debug)]
+pub enum RecoveryPoint {
+    /// No checkpoint yet: replay the `Open` that built the session.
+    Open(Box<OpenRequest>),
+    /// The last deposited checkpoint: replay a `Resume` of it.
+    Resume(Json),
+}
+
 /// One resurrected orphan: which global session, and how its restored
 /// run ended.
 #[derive(Debug, Clone)]
 pub struct Resurrection {
     /// The supervisor-global session id.
     pub gid: u64,
-    /// The outcome of running the restored checkpoint to completion.
+    /// The outcome of running the rebuilt session to completion.
     pub outcome: SessionOutcome,
 }
 
@@ -96,8 +107,8 @@ pub enum Retire {
 
 #[derive(Debug)]
 struct SupState {
-    /// gid → last deposited checkpoint, for every live session.
-    live: HashMap<u64, Json>,
+    /// gid → recovery point, for every live session.
+    live: HashMap<u64, RecoveryPoint>,
     next_gid: u64,
     inflight: usize,
     metrics: MetricsRegistry,
@@ -157,10 +168,10 @@ impl Supervisor {
         self.state.lock().expect("supervisor lock")
     }
 
-    /// Admits a new session with its initial checkpoint, or sheds it.
-    /// `Ok` carries the global session id; `Err` carries the suggested
-    /// retry backoff in microseconds.
-    pub fn admit(&self, checkpoint: Json) -> Result<u64, u64> {
+    /// Admits a new session with the command that recreates it, or sheds
+    /// it. `Ok` carries the global session id; `Err` carries the
+    /// suggested retry backoff in microseconds.
+    pub fn admit(&self, record: RecoveryPoint) -> Result<u64, u64> {
         let mut s = self.lock();
         if s.live.len() >= self.limits.max_sessions {
             s.metrics.inc(wire_counters::SESSIONS_SHED, 1);
@@ -168,17 +179,17 @@ impl Supervisor {
         }
         let gid = s.next_gid;
         s.next_gid += 1;
-        s.live.insert(gid, checkpoint);
+        s.live.insert(gid, record);
         s.metrics.inc("sessions_admitted", 1);
         Ok(gid)
     }
 
-    /// Deposits a fresher checkpoint for a live session (no-op once the
-    /// session has been retired).
+    /// Deposits a fresher checkpoint for a live session, which becomes its
+    /// recovery point (no-op once the session has been retired).
     pub fn deposit(&self, gid: u64, checkpoint: Json) {
         let mut s = self.lock();
         if let Some(slot) = s.live.get_mut(&gid) {
-            *slot = checkpoint;
+            *slot = RecoveryPoint::Resume(checkpoint);
             s.metrics.inc("supervisor_checkpoints", 1);
         }
     }
@@ -225,17 +236,17 @@ impl Supervisor {
         }
     }
 
-    /// Resurrects every still-live session in `gids` from its last
-    /// deposited checkpoint: restore, run to completion, record the
-    /// outcome. Called by the serving layer when a connection dies with
-    /// sessions on it. Restoration failures dump a flight bundle and are
-    /// counted, never propagated — the fleet outlives any one corpse.
+    /// Resurrects every still-live session in `gids` from its recovery
+    /// point: rebuild, run to completion, record the outcome. Called by
+    /// the serving layer when a connection dies with sessions on it.
+    /// Replay failures dump a flight bundle and are counted, never
+    /// propagated — the fleet outlives any one corpse.
     pub fn connection_lost(&self, gids: &[u64]) {
         for &gid in gids {
-            let Some(checkpoint) = self.lock().live.remove(&gid) else {
+            let Some(record) = self.lock().live.remove(&gid) else {
                 continue; // already retired
             };
-            match resurrect(&checkpoint) {
+            match self.resurrect(&record) {
                 Ok(outcome) => {
                     let mut s = self.lock();
                     s.metrics.inc(wire_counters::SESSIONS_RESURRECTED, 1);
@@ -244,7 +255,7 @@ impl Supervisor {
                 Err(why) => {
                     let mut s = self.lock();
                     s.metrics.inc("sessions_resurrect_failed", 1);
-                    dump_flight_bundle(&s.flight_dir, gid, &why, &checkpoint);
+                    dump_flight_bundle(&s.flight_dir, gid, &why, &record);
                 }
             }
         }
@@ -297,6 +308,19 @@ impl Supervisor {
         self.lock().drained.clone()
     }
 
+    /// Rebuilds a session through the same function its verb used and
+    /// runs it to completion, producing the same outcome shape the wire's
+    /// `Done` response carries.
+    fn resurrect(&self, record: &RecoveryPoint) -> Result<SessionOutcome, String> {
+        let (mut ctx, mut session, _) = match record {
+            RecoveryPoint::Open(req) => open_session(req, self),
+            RecoveryPoint::Resume(snapshot) => restore_session(snapshot),
+        }
+        .map_err(|e| format!("{e:?}"))?;
+        let end = session.run(&mut ctx);
+        Ok(outcome_from_end(end, &ctx))
+    }
+
     /// The conservation law: every admitted session is accounted for
     /// exactly once — completed, closed, resurrected, failed, drained,
     /// or still live.
@@ -316,20 +340,6 @@ impl Supervisor {
         }
         Ok(())
     }
-}
-
-/// Restores a checkpoint and runs it to completion, producing the same
-/// outcome shape the wire's `Done` response carries.
-fn resurrect(checkpoint: &Json) -> Result<SessionOutcome, String> {
-    let name: String = checkpoint
-        .field("protocol")
-        .map_err(|e| format!("checkpoint has no protocol: {e}"))?;
-    let protocol =
-        protocol_by_name(&name).ok_or_else(|| format!("protocol '{name}' is not servable"))?;
-    let (mut ctx, mut session) = Session::restore(protocol.as_ref(), checkpoint)
-        .map_err(|e| format!("checkpoint rejected: {e}"))?;
-    let end = session.run(&mut ctx);
-    Ok(outcome_from_end(end, &ctx))
 }
 
 /// Builds the serializable outcome for a finished session — shared by
@@ -352,12 +362,16 @@ pub(crate) fn outcome_from_end(end: SessionEnd, ctx: &SimContext) -> SessionOutc
     }
 }
 
-fn dump_flight_bundle(dir: &PathBuf, gid: u64, why: &str, checkpoint: &Json) {
+fn dump_flight_bundle(dir: &PathBuf, gid: u64, why: &str, record: &RecoveryPoint) {
+    let record = match record {
+        RecoveryPoint::Open(req) => ("request".to_string(), req.to_json()),
+        RecoveryPoint::Resume(snapshot) => ("checkpoint".to_string(), snapshot.clone()),
+    };
     let bundle = Json::Obj(vec![
         ("kind".to_string(), Json::str("resurrection_failure")),
         ("gid".to_string(), gid.to_json()),
         ("error".to_string(), why.to_json()),
-        ("checkpoint".to_string(), checkpoint.clone()),
+        record,
     ]);
     if std::fs::create_dir_all(dir).is_ok() {
         let path = dir.join(format!("resurrect-{gid}.json"));
@@ -427,8 +441,15 @@ pub fn install_killpoint_hook() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::protocol_by_name;
+    use rfid_protocols::Session;
     use rfid_system::SimConfig;
     use rfid_workloads::Scenario;
+
+    /// A record the admission tests never replay.
+    fn open_record() -> RecoveryPoint {
+        RecoveryPoint::Open(Box::new(OpenRequest::new("TPP", 8, 1, 1)))
+    }
 
     fn checkpoint_at(steps: u64) -> (Json, SessionOutcome) {
         let scenario = Scenario::uniform(48, 4).with_seed(9);
@@ -450,7 +471,7 @@ mod tests {
         for steps in [0, 5] {
             let (snapshot, reference) = checkpoint_at(steps);
             let sup = Supervisor::unlimited();
-            let gid = sup.admit(snapshot.clone()).unwrap();
+            let gid = sup.admit(RecoveryPoint::Resume(snapshot.clone())).unwrap();
             sup.deposit(gid, snapshot);
             sup.connection_lost(&[gid]);
             let records = sup.resurrections();
@@ -469,11 +490,11 @@ mod tests {
     #[test]
     fn admission_budget_sheds_then_readmits() {
         let sup = Supervisor::new(FleetLimits::bounded(1, 4).with_retry_after_us(123));
-        let gid = sup.admit(Json::Obj(vec![])).unwrap();
-        assert_eq!(sup.admit(Json::Obj(vec![])), Err(123));
+        let gid = sup.admit(open_record()).unwrap();
+        assert_eq!(sup.admit(open_record()), Err(123));
         assert_eq!(sup.counter(wire_counters::SESSIONS_SHED), 1);
         sup.retire(gid, Retire::Completed);
-        assert!(sup.admit(Json::Obj(vec![])).is_ok());
+        assert!(sup.admit(open_record()).is_ok());
         sup.reconcile().unwrap();
     }
 
@@ -491,13 +512,15 @@ mod tests {
     fn drain_keeps_the_snapshot_and_counts() {
         let (snapshot, reference) = checkpoint_at(3);
         let sup = Supervisor::unlimited();
-        let gid = sup.admit(snapshot.clone()).unwrap();
+        let gid = sup.admit(RecoveryPoint::Resume(snapshot.clone())).unwrap();
         sup.drain_session(gid, snapshot);
         assert_eq!(sup.counter(wire_counters::DRAIN_CHECKPOINTS), 1);
         let drained = sup.drained();
         assert_eq!(drained.len(), 1);
         // The drained snapshot must still finish bit-identically.
-        let outcome = resurrect(&drained[0].1).unwrap();
+        let outcome = sup
+            .resurrect(&RecoveryPoint::Resume(drained[0].1.clone()))
+            .unwrap();
         assert_eq!(outcome, reference);
         sup.reconcile().unwrap();
     }
@@ -513,13 +536,17 @@ mod tests {
         let sup = Supervisor::unlimited();
         sup.set_flight_dir(&dir);
         let bogus = Json::Obj(vec![("protocol".to_string(), Json::str("TPP"))]);
-        let gid = sup.admit(bogus).unwrap();
+        let gid = sup.admit(RecoveryPoint::Resume(bogus)).unwrap();
         sup.connection_lost(&[gid]);
         assert_eq!(sup.counter("sessions_resurrect_failed"), 1);
         assert!(sup.resurrections().is_empty());
         let bundle = std::fs::read_to_string(dir.join(format!("resurrect-{gid}.json")))
             .expect("flight bundle written");
         assert!(bundle.contains("resurrection_failure"));
+        assert!(
+            bundle.contains("\"checkpoint\""),
+            "the bundle carries the record"
+        );
         sup.reconcile().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -527,7 +554,7 @@ mod tests {
     #[test]
     fn retire_is_idempotent_and_deposit_ignores_retired() {
         let sup = Supervisor::unlimited();
-        let gid = sup.admit(Json::Obj(vec![])).unwrap();
+        let gid = sup.admit(open_record()).unwrap();
         sup.retire(gid, Retire::Closed);
         sup.retire(gid, Retire::Closed);
         sup.deposit(gid, Json::Obj(vec![]));

@@ -11,10 +11,12 @@ cargo fmt --check
 # Rustdoc runs under the workspace's `warnings = "deny"`, so a doc link to a
 # renamed or deleted item fails the gate.
 cargo doc --workspace --no-deps --offline
-# The benchmark crate sits outside the workspace; build it so an API change
-# in the rfid-* crates that breaks it fails here. Its artifacts go under the
-# ignored root target/.
-CARGO_TARGET_DIR=target/benchmark cargo build --release --offline --manifest-path benchmark/Cargo.toml
+# The benchmark crate sits outside the workspace. Its own check builds it
+# (so an API change in the rfid-* crates that breaks it fails here), runs
+# its unit tests, including the served-vs-in-process digest check through
+# rfid_daemon::Service, and makes a --quick pass over every workload. Its
+# artifacts go under the ignored benchmark/target/.
+benchmark/check.sh
 # Fast single-seed slice of the chaos fault-matrix gate (scripts/chaos.sh
 # runs the full multi-seed sweep).
 cargo run --release --offline --example chaos_sweep -- --seeds 1
