@@ -84,6 +84,9 @@ impl MissingTagApp {
     /// Fallible variant of [`MissingTagApp::run`]: exceeding the round cap
     /// comes back as a typed [`PollingError::Stalled`] whose `uncollected`
     /// list holds the expected IDs still unresolved.
+    // The stall carries its partial report by value; callers match on it
+    // directly, so it is not boxed.
+    #[allow(clippy::result_large_err)]
     pub fn try_run(
         &self,
         ctx: &mut SimContext,

@@ -38,6 +38,9 @@ pub struct InterferenceReport {
 /// Returns `Err(PollingError::Stalled)` (with the partial report) if
 /// convergence needs more than `max_rounds` rounds or progress stops — a
 /// jammed channel or kill rule, not mere interference.
+// The stall carries its partial report by value; callers match on it
+// directly, so it is not boxed.
+#[allow(clippy::result_large_err)]
 pub fn run_hpp_with_aliens(
     ctx: &mut SimContext,
     known: &[usize],

@@ -142,8 +142,7 @@ impl ProtocolStepper for FsaStepper {
                 ends[pair[1]] += 1;
             }
             let mut start = 0usize;
-            for s in 0..frame as usize {
-                let end = ends[s];
+            for &end in &ends[..frame as usize] {
                 let repliers = &ordered[start..end];
                 start = end;
                 match ctx.slot(repliers, rfid_c1g2::QUERY_REP_BITS) {

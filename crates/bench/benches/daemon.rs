@@ -132,9 +132,12 @@ fn loopback_serial(sessions: usize) -> CaseResult {
     }
 }
 
+/// A named case and the function that runs it.
+type Case = (&'static str, fn() -> CaseResult);
+
 fn main() {
     let mut b = Bench::new("daemon");
-    let cases: [(&str, fn() -> CaseResult); 2] = [
+    let cases: [Case; 2] = [
         ("tcp_fanout", || tcp_fanout(8, 25)),
         ("loopback_serial", || loopback_serial(50)),
     ];

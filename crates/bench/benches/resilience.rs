@@ -265,13 +265,17 @@ fn drain_shutdown_case(b: &mut Bench) {
     b.record(record(name, "drains", "sessions", drains).gate(Gate::AtLeast(1.0)));
 }
 
+/// A named chaos arm: an optional daemon-side kill step and the seeded
+/// link plan.
+type ChaosArm = (&'static str, Option<u64>, fn(u64) -> ChaosPlan);
+
 fn main() {
     install_killpoint_hook();
     let mut b = Bench::new("resilience");
     if b.wants("reference") {
         reference_case(&mut b);
     }
-    let chaos_arms: [(&str, Option<u64>, fn(u64) -> ChaosPlan); 4] = [
+    let chaos_arms: [ChaosArm; 4] = [
         ("chaos_flips", None, |seed| {
             ChaosPlan::flips(seed, 0.002, 30)
         }),

@@ -518,7 +518,7 @@ fn recovery(engine: &mut SweepEngine, opts: &ReproOptions) {
             Box::new(hpp_cfg.into_protocol())
         }),
         Row::new("EHPP", to_json_string(&ehpp_cfg), move || {
-            Box::new(ehpp_cfg.clone().into_protocol())
+            Box::new(ehpp_cfg.into_protocol())
         }),
         Row::new("TPP", to_json_string(&tpp_cfg), move || {
             Box::new(tpp_cfg.into_protocol())
@@ -748,8 +748,8 @@ fn session(opts: &ReproOptions) {
 
     println!("\n== Session — crash-chaos checkpoint/restore gate (n = 150, seed 31) ==");
     println!(
-        "{:<12} {:>6} {:>10} {:>10}  {}",
-        "protocol", "kill@", "snapshot", "restored", "bit-identical"
+        "{:<12} {:>6} {:>10} {:>10}  bit-identical",
+        "protocol", "kill@", "snapshot", "restored"
     );
     let scenario = Scenario::uniform(150, 4).with_seed(31);
     let cfg = SimConfig::paper(scenario.protocol_seed()).with_trace();
@@ -845,7 +845,7 @@ fn ablations(engine: &mut SweepEngine, opts: &ReproOptions) {
         };
         let json = to_json_string(&cfg);
         rows.push(Row::new("EHPP-subset", json, move || {
-            Box::new(cfg.clone().into_protocol())
+            Box::new(cfg.into_protocol())
         }));
     }
     let mic_ks = [1usize, 2, 4, 7];
@@ -856,7 +856,7 @@ fn ablations(engine: &mut SweepEngine, opts: &ReproOptions) {
         };
         let json = to_json_string(&cfg);
         rows.push(Row::new("MIC-k", json, move || {
-            Box::new(cfg.clone().into_protocol())
+            Box::new(cfg.into_protocol())
         }));
     }
     rows.push(Row::new(

@@ -262,12 +262,6 @@ pub enum DaemonMode {
     Serve,
     /// Connect to a running daemon and drive one session.
     Client(String),
-    /// In-process end-to-end smoke: port 0, one clean + one impaired
-    /// session over real TCP, clean shutdown.
-    Smoke,
-    /// In-process resilience smoke: a chaos-impaired resilient client
-    /// must finish bit-identically to a clean in-process run.
-    ChaosSmoke,
 }
 
 /// Validated `rfid_daemon` invocation.
@@ -279,9 +273,9 @@ pub struct DaemonOptions {
     pub addr: String,
     /// Flight-bundle directory override for `Serve`.
     pub flight_dir: Option<PathBuf>,
-    /// Protocol the `Client`/`Smoke` session runs.
+    /// Protocol the `Client` session runs.
     pub protocol: String,
-    /// Population size for the `Client`/`Smoke` session.
+    /// Population size for the `Client` session.
     pub n: u64,
     /// Bits of information per tag.
     pub info_bits: u64,
@@ -308,15 +302,11 @@ pub fn daemon_usage() -> String {
     "usage: rfid_daemon [mode] [options]\n\n\
      modes (mutually exclusive; default --serve):\n\
      \x20 --serve             bind --addr and serve until a Shutdown command\n\
-     \x20 --client ADDR       connect and run one session against a daemon\n\
-     \x20 --smoke             in-process TCP smoke: one clean + one impaired\n\
-     \x20                     session on port 0, then a clean shutdown\n\
-     \x20 --chaos-smoke       in-process resilience smoke: a chaos-impaired\n\
-     \x20                     link must finish bit-identically to a clean run\n\n\
+     \x20 --client ADDR       connect and run one session against a daemon\n\n\
      serve options:\n\
      \x20 --addr HOST:PORT    bind address (default 127.0.0.1:0)\n\
      \x20 --flight-dir PATH   where postmortem flight bundles are written\n\n\
-     session options (client/smoke):\n\
+     session options (client):\n\
      \x20 --protocol NAME     protocol to serve (default TPP)\n\
      \x20 --n N               population size (default 150)\n\
      \x20 --info-bits N       information bits per tag (default 4)\n\
@@ -345,8 +335,6 @@ pub fn parse_daemon_args(args: &[String]) -> Result<DaemonOptions, String> {
                 let addr = it.next().ok_or("--client needs an address")?;
                 set_mode(&mut mode, DaemonMode::Client(addr.clone()))?;
             }
-            "--smoke" => set_mode(&mut mode, DaemonMode::Smoke)?,
-            "--chaos-smoke" => set_mode(&mut mode, DaemonMode::ChaosSmoke)?,
             "--addr" => opts.addr = it.next().ok_or("--addr needs HOST:PORT")?.clone(),
             "--flight-dir" => {
                 opts.flight_dir = Some(PathBuf::from(it.next().ok_or("--flight-dir needs a path")?))
@@ -540,12 +528,9 @@ mod tests {
         assert_eq!(opts.n, 500);
         assert_eq!(opts.info_bits, 16);
         assert_eq!(opts.seed, 7);
-        let opts = parse_daemon(&["--smoke", "--flight-dir", "/tmp/f"]).unwrap();
-        assert_eq!(opts.mode, DaemonMode::Smoke);
+        let opts = parse_daemon(&["--flight-dir", "/tmp/f", "--serve"]).unwrap();
+        assert_eq!(opts.mode, DaemonMode::Serve);
         assert_eq!(opts.flight_dir, Some(PathBuf::from("/tmp/f")));
-        let opts = parse_daemon(&["--chaos-smoke", "--seed", "11"]).unwrap();
-        assert_eq!(opts.mode, DaemonMode::ChaosSmoke);
-        assert_eq!(opts.seed, 11);
     }
 
     #[test]
@@ -564,9 +549,14 @@ mod tests {
         ] {
             assert!(parse_daemon(args).is_err(), "{args:?} should be rejected");
         }
-        let err = parse_daemon(&["--smoke", "--serve"]).unwrap_err();
-        assert!(err.contains("pick one"), "{err}");
-        let err = parse_daemon(&["--chaos-smoke", "--smoke"]).unwrap_err();
+        // The removed in-process smoke modes live on as the tests in
+        // `tests/daemon_serving.rs`; their flags are unknown now.
+        for removed in ["", "chaos-"] {
+            let flag = format!("--{removed}smoke");
+            let err = parse_daemon(&[&flag]).unwrap_err();
+            assert!(err.contains("unknown option"), "{flag}: {err}");
+        }
+        let err = parse_daemon(&["--client", "a:1", "--serve"]).unwrap_err();
         assert!(err.contains("pick one"), "{err}");
         let err = parse_daemon(&["--client", "a:1", "--client", "b:2"]).unwrap_err();
         assert!(err.contains("pick one"), "{err}");
@@ -578,8 +568,6 @@ mod tests {
         for flag in [
             "--serve",
             "--client",
-            "--smoke",
-            "--chaos-smoke",
             "--addr",
             "--flight-dir",
             "--protocol",

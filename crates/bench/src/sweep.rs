@@ -423,47 +423,45 @@ fn run_jobs(
     let cursor = AtomicUsize::new(0);
     let done = AtomicUsize::new(0);
     let mut slots: Vec<Option<Vec<Report>>> = (0..pending.len()).map(|_| None).collect();
-    let worker_results: Vec<(Vec<(usize, Vec<Report>)>, MetricsRegistry)> =
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local = Vec::new();
-                        let mut metrics = MetricsRegistry::enabled();
-                        loop {
-                            let j = cursor.fetch_add(1, Ordering::Relaxed);
-                            if j >= pending.len() {
-                                break;
-                            }
-                            let job = pending[j];
-                            let cell = &cells[job.cell];
-                            let jt = Instant::now();
-                            let mut reports = Vec::with_capacity(job.len as usize);
-                            for r in job.start..job.start + job.len {
-                                let sc = cell.scenario.for_run(r);
-                                let protocol = (cell.factory)();
-                                reports.push(execute_run(cell, protocol.as_ref(), &sc));
-                            }
-                            metrics.observe("sweep_job_us", jt.elapsed().as_micros() as u64);
-                            metrics.inc("sweep_runs", job.len);
-                            local.push((j, reports));
-                            let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-                            if progress
-                                && finished * 10 / pending.len()
-                                    != (finished - 1) * 10 / pending.len()
-                            {
-                                eprintln!("sweep: {finished}/{} jobs", pending.len());
-                            }
+    let worker_results: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut local = Vec::new();
+                    let mut metrics = MetricsRegistry::enabled();
+                    loop {
+                        let j = cursor.fetch_add(1, Ordering::Relaxed);
+                        if j >= pending.len() {
+                            break;
                         }
-                        (local, metrics)
-                    })
+                        let job = pending[j];
+                        let cell = &cells[job.cell];
+                        let jt = Instant::now();
+                        let mut reports = Vec::with_capacity(job.len as usize);
+                        for r in job.start..job.start + job.len {
+                            let sc = cell.scenario.for_run(r);
+                            let protocol = (cell.factory)();
+                            reports.push(execute_run(cell, protocol.as_ref(), &sc));
+                        }
+                        metrics.observe("sweep_job_us", jt.elapsed().as_micros() as u64);
+                        metrics.inc("sweep_runs", job.len);
+                        local.push((j, reports));
+                        let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
+                        if progress
+                            && finished * 10 / pending.len() != (finished - 1) * 10 / pending.len()
+                        {
+                            eprintln!("sweep: {finished}/{} jobs", pending.len());
+                        }
+                    }
+                    (local, metrics)
                 })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("sweep worker panicked"))
-                .collect()
-        });
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("sweep worker panicked"))
+            .collect()
+    });
     let mut merged = MetricsRegistry::enabled();
     for (local, metrics) in worker_results {
         merged.merge(&metrics);

@@ -88,23 +88,25 @@ fn engine_reproduces_montecarlo_run_for_run() {
 }
 
 fn random_counters(g: &mut Gen) -> Counters {
-    let mut c = Counters::default();
-    c.reader_bits = g.u64_below(1 << 20);
-    c.tag_bits = g.u64_below(1 << 20);
-    c.vector_bits = g.u64_below(1 << 20);
-    c.query_rep_bits = g.u64_below(1 << 16);
-    c.polls = g.u64_below(1 << 16);
-    c.rounds = g.u64_below(1 << 10);
-    c.circles = g.u64_below(1 << 10);
-    c.empty_slots = g.u64_below(1 << 12);
-    c.collision_slots = g.u64_below(1 << 12);
-    c.lost_replies = g.u64_below(1 << 8);
-    c.downlink_losses = g.u64_below(1 << 8);
-    c.corrupted_replies = g.u64_below(1 << 8);
-    c.desync_recoveries = g.u64_below(1 << 8);
-    c.retransmissions = g.u64_below(1 << 8);
-    c.tag_listen_us = g.f64_in(0.0, 1e9);
-    c
+    // Initializers run in the order written, fixing the draw order.
+    Counters {
+        reader_bits: g.u64_below(1 << 20),
+        tag_bits: g.u64_below(1 << 20),
+        vector_bits: g.u64_below(1 << 20),
+        query_rep_bits: g.u64_below(1 << 16),
+        polls: g.u64_below(1 << 16),
+        rounds: g.u64_below(1 << 10),
+        circles: g.u64_below(1 << 10),
+        empty_slots: g.u64_below(1 << 12),
+        collision_slots: g.u64_below(1 << 12),
+        lost_replies: g.u64_below(1 << 8),
+        downlink_losses: g.u64_below(1 << 8),
+        corrupted_replies: g.u64_below(1 << 8),
+        desync_recoveries: g.u64_below(1 << 8),
+        retransmissions: g.u64_below(1 << 8),
+        tag_listen_us: g.f64_in(0.0, 1e9),
+        ..Counters::default()
+    }
 }
 
 /// Exact equality on integer fields; `tag_listen_us` compared within one

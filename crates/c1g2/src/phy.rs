@@ -102,7 +102,7 @@ pub fn fm0_encode(bits: &[bool]) -> Vec<bool> {
 /// stripping the dummy-1 terminator. Returns `None` for any violated
 /// invariant — a corrupted waveform is detected, not misread.
 pub fn fm0_decode(levels: &[bool]) -> Option<Vec<bool>> {
-    if levels.len() < 2 || !levels.len().is_multiple_of(2) {
+    if levels.len() < 2 || levels.len() % 2 != 0 {
         return None;
     }
     let mut bits = Vec::with_capacity(levels.len() / 2);
@@ -149,7 +149,7 @@ pub fn miller_baseband(bits: &[bool]) -> Vec<bool> {
 /// Returns `None` on a waveform that no Miller encoding produces (e.g. a
 /// boundary inversion after a 1).
 pub fn miller_baseband_decode(levels: &[bool]) -> Option<Vec<bool>> {
-    if !levels.len().is_multiple_of(2) {
+    if levels.len() % 2 != 0 {
         return None;
     }
     let mut bits = Vec::with_capacity(levels.len() / 2);

@@ -4,7 +4,7 @@
 //! protocols — the paper's three (HPP, EHPP, TPP) plus every baseline —
 //! so an [`crate::service::Service`] can open or resume a session from a
 //! name alone. It is the workspace's one protocol list: the bit-identity
-//! tests, the crash-chaos bench and `repro session` iterate it too, so
+//! tests, the crash-chaos test and `repro session` iterate it too, so
 //! anything they cover is also servable, and the golden pins fix its
 //! order.
 

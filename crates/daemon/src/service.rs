@@ -13,6 +13,7 @@
 //! can never wedge the connection state machine.
 
 use std::collections::HashMap;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -177,8 +178,14 @@ impl Service {
             }],
             Command::Run { session, max_steps } => self.run(session, max_steps),
             Command::Checkpoint { session } => vec![self.checkpoint(session)],
-            Command::Resume { snapshot } => vec![match restore_session(&snapshot) {
-                Ok(live) => self.admit(live, RecoveryPoint::Resume(snapshot)),
+            Command::Resume { snapshot } => vec![match restore_session(&snapshot, None) {
+                Ok(live) => self.admit(
+                    live,
+                    RecoveryPoint::Resume {
+                        snapshot,
+                        flight: false,
+                    },
+                ),
                 Err(e) => e,
             }],
             Command::Inject { session, fault } => vec![match self.sessions.get_mut(&session) {
@@ -255,7 +262,7 @@ impl Service {
         // Snapshots carry no progress cadence: only an `Open` asks for one.
         let progress_every = match &record {
             RecoveryPoint::Open(req) => req.progress_every.unwrap_or(0),
-            RecoveryPoint::Resume(_) => 0,
+            RecoveryPoint::Resume { .. } => 0,
         };
         let gid = match self.supervisor.admit(record) {
             Ok(gid) => gid,
@@ -328,8 +335,9 @@ impl Service {
             // even when the supervise cadence differs.
             let mut target = budget_end;
             for stride in [rs.progress_every, supervise] {
-                if stride > 0 {
-                    let boundary = (now / stride + 1) * stride;
+                // A zero stride is off.
+                if let Some(done) = now.checked_div(stride) {
+                    let boundary = (done + 1) * stride;
                     target = Some(target.map_or(boundary, |t| t.min(boundary)));
                 }
             }
@@ -440,9 +448,13 @@ pub(crate) fn open_session(req: &OpenRequest, sup: &Supervisor) -> Result<Live, 
     Ok((ctx, session, config))
 }
 
-/// Restores the session a snapshot describes. The `Resume` verb and the
-/// resurrection of a checkpointed session both call it.
-pub(crate) fn restore_session(snapshot: &Json) -> Result<Live, Response> {
+/// Restores the session a snapshot describes, recording flight bundles
+/// into `flight_dir` if given. The `Resume` verb and the resurrection of
+/// a checkpointed session both call it.
+pub(crate) fn restore_session(
+    snapshot: &Json,
+    flight_dir: Option<PathBuf>,
+) -> Result<Live, Response> {
     let bad = |e| err(ErrorCode::BadPayload, format!("snapshot: {e}"));
     let name: String = snapshot.field("protocol").map_err(bad)?;
     let protocol = protocol_by_name(&name).ok_or_else(|| {
@@ -452,8 +464,11 @@ pub(crate) fn restore_session(snapshot: &Json) -> Result<Live, Response> {
         )
     })?;
     let config: SimConfig = snapshot.field("config").map_err(bad)?;
-    let (ctx, session) = Session::restore(protocol.as_ref(), snapshot)
+    let (ctx, mut session) = Session::restore(protocol.as_ref(), snapshot)
         .map_err(|e| err(ErrorCode::Rejected, format!("snapshot rejected: {e}")))?;
+    if let Some(dir) = flight_dir {
+        session = session.with_flight_recorder(FlightRecorder::new(dir), &config);
+    }
     Ok((ctx, session, config))
 }
 
@@ -793,6 +808,64 @@ mod tests {
             expected,
             "resurrection dropped the injected fault"
         );
+    }
+
+    #[test]
+    fn flight_bundle_records_the_injected_fault() {
+        use rfid_system::FaultModel;
+        let dir = std::env::temp_dir().join(format!("rfid-inject-flight-{}", std::process::id()));
+        let supervisor = Arc::new(Supervisor::unlimited());
+        supervisor.set_flight_dir(&dir);
+        let mut service = Service::new().with_supervisor(supervisor);
+        let mut req = open_req(64);
+        req.flight = true;
+        let id = opened(&mut service, req);
+        let fault = FaultModel::perfect().with_downlink_loss(1.0);
+        let responses = service.handle(Command::Inject {
+            session: id,
+            fault: fault.clone(),
+        });
+        assert!(matches!(responses[0], Response::Opened { .. }));
+        assert_eq!(run_to_done(&mut service, id).status, "stalled");
+        let fetched = service.handle(Command::Flight { session: id }).remove(0);
+        let _ = std::fs::remove_dir_all(&dir);
+        let Response::FlightInfo {
+            bundle: Some(bundle),
+            ..
+        } = fetched
+        else {
+            panic!("expected a FlightInfo bundle, got {fetched:?}");
+        };
+        let config: SimConfig = bundle.field("config").unwrap();
+        assert_eq!(config.fault, fault, "the bundle lost the injected fault");
+    }
+
+    #[test]
+    fn checkpointed_resurrection_keeps_its_flight_recorder() {
+        let dir = std::env::temp_dir().join(format!("rfid-resume-flight-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let supervisor = Arc::new(Supervisor::unlimited());
+        supervisor.set_flight_dir(&dir);
+        let mut service = Service::new().with_supervisor(supervisor);
+        let mut req = open_req(64);
+        req.config = Some(
+            SimConfig::paper(31)
+                .with_trace()
+                .with_channel(rfid_system::Channel::lossy(1.0)),
+        );
+        req.flight = true;
+        let id = opened(&mut service, req);
+        // The checkpoint turns the recovery point into a `Resume`.
+        assert!(matches!(
+            service
+                .handle(Command::Checkpoint { session: id })
+                .remove(0),
+            Response::Snapshot { .. }
+        ));
+        assert_eq!(resurrect_orphan(&service).status, "stalled");
+        let written = dir.join("postmortem-hpp-stalled-31.json").exists();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(written, "the resurrected run lost its flight recorder");
     }
 
     #[test]

@@ -82,8 +82,25 @@ impl FleetLimits {
 pub enum RecoveryPoint {
     /// No checkpoint yet: replay the `Open` that built the session.
     Open(Box<OpenRequest>),
-    /// The last deposited checkpoint: replay a `Resume` of it.
-    Resume(Json),
+    /// The last deposited checkpoint: replay a `Resume` of it, with the
+    /// flight recorder the session's `Open` asked for (a snapshot does not
+    /// carry one).
+    Resume {
+        /// The checkpoint.
+        snapshot: Json,
+        /// Whether the rebuilt session records flight bundles.
+        flight: bool,
+    },
+}
+
+impl RecoveryPoint {
+    /// Whether the session this point recreates records flight bundles.
+    fn flight(&self) -> bool {
+        match self {
+            RecoveryPoint::Open(req) => req.flight,
+            RecoveryPoint::Resume { flight, .. } => *flight,
+        }
+    }
 }
 
 /// One resurrected orphan: which global session, and how its restored
@@ -189,7 +206,10 @@ impl Supervisor {
     pub fn deposit(&self, gid: u64, checkpoint: Json) {
         let mut s = self.lock();
         if let Some(slot) = s.live.get_mut(&gid) {
-            *slot = RecoveryPoint::Resume(checkpoint);
+            *slot = RecoveryPoint::Resume {
+                snapshot: checkpoint,
+                flight: slot.flight(),
+            };
             s.metrics.inc("supervisor_checkpoints", 1);
         }
     }
@@ -314,7 +334,9 @@ impl Supervisor {
     fn resurrect(&self, record: &RecoveryPoint) -> Result<SessionOutcome, String> {
         let (mut ctx, mut session, _) = match record {
             RecoveryPoint::Open(req) => open_session(req, self),
-            RecoveryPoint::Resume(snapshot) => restore_session(snapshot),
+            RecoveryPoint::Resume { snapshot, flight } => {
+                restore_session(snapshot, flight.then(|| self.flight_dir()))
+            }
         }
         .map_err(|e| format!("{e:?}"))?;
         let end = session.run(&mut ctx);
@@ -365,7 +387,7 @@ pub(crate) fn outcome_from_end(end: SessionEnd, ctx: &SimContext) -> SessionOutc
 fn dump_flight_bundle(dir: &PathBuf, gid: u64, why: &str, record: &RecoveryPoint) {
     let record = match record {
         RecoveryPoint::Open(req) => ("request".to_string(), req.to_json()),
-        RecoveryPoint::Resume(snapshot) => ("checkpoint".to_string(), snapshot.clone()),
+        RecoveryPoint::Resume { snapshot, .. } => ("checkpoint".to_string(), snapshot.clone()),
     };
     let bundle = Json::Obj(vec![
         ("kind".to_string(), Json::str("resurrection_failure")),
@@ -451,6 +473,13 @@ mod tests {
         RecoveryPoint::Open(Box::new(OpenRequest::new("TPP", 8, 1, 1)))
     }
 
+    fn resume_record(snapshot: Json) -> RecoveryPoint {
+        RecoveryPoint::Resume {
+            snapshot,
+            flight: false,
+        }
+    }
+
     fn checkpoint_at(steps: u64) -> (Json, SessionOutcome) {
         let scenario = Scenario::uniform(48, 4).with_seed(9);
         let config = SimConfig::paper(scenario.protocol_seed()).with_trace();
@@ -471,7 +500,7 @@ mod tests {
         for steps in [0, 5] {
             let (snapshot, reference) = checkpoint_at(steps);
             let sup = Supervisor::unlimited();
-            let gid = sup.admit(RecoveryPoint::Resume(snapshot.clone())).unwrap();
+            let gid = sup.admit(resume_record(snapshot.clone())).unwrap();
             sup.deposit(gid, snapshot);
             sup.connection_lost(&[gid]);
             let records = sup.resurrections();
@@ -512,15 +541,13 @@ mod tests {
     fn drain_keeps_the_snapshot_and_counts() {
         let (snapshot, reference) = checkpoint_at(3);
         let sup = Supervisor::unlimited();
-        let gid = sup.admit(RecoveryPoint::Resume(snapshot.clone())).unwrap();
+        let gid = sup.admit(resume_record(snapshot.clone())).unwrap();
         sup.drain_session(gid, snapshot);
         assert_eq!(sup.counter(wire_counters::DRAIN_CHECKPOINTS), 1);
         let drained = sup.drained();
         assert_eq!(drained.len(), 1);
         // The drained snapshot must still finish bit-identically.
-        let outcome = sup
-            .resurrect(&RecoveryPoint::Resume(drained[0].1.clone()))
-            .unwrap();
+        let outcome = sup.resurrect(&resume_record(drained[0].1.clone())).unwrap();
         assert_eq!(outcome, reference);
         sup.reconcile().unwrap();
     }
@@ -536,7 +563,7 @@ mod tests {
         let sup = Supervisor::unlimited();
         sup.set_flight_dir(&dir);
         let bogus = Json::Obj(vec![("protocol".to_string(), Json::str("TPP"))]);
-        let gid = sup.admit(RecoveryPoint::Resume(bogus)).unwrap();
+        let gid = sup.admit(resume_record(bogus)).unwrap();
         sup.connection_lost(&[gid]);
         assert_eq!(sup.counter("sessions_resurrect_failed"), 1);
         assert!(sup.resurrections().is_empty());

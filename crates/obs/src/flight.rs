@@ -78,6 +78,13 @@ impl FlightRecorder {
     /// Writes a postmortem bundle for a run that ended in `cause`
     /// (`"stalled"`, `"circuit-open"`, `"out-of-passes"`, `"deadline"`).
     /// Returns the bundle path: `postmortem-<protocol>-<cause>-<seed>.json`.
+    ///
+    /// `config` is the [`SimConfig`] the context was built with; the
+    /// bundle records it with the context's live fault model, so a fault
+    /// injected mid-run shows in the postmortem.
+    // Every argument is a distinct bundle field; a struct would only
+    // rename them at the single call site.
+    #[allow(clippy::too_many_arguments)]
     pub fn dump(
         &self,
         protocol: &str,
@@ -89,6 +96,10 @@ impl FlightRecorder {
         coverage: f64,
     ) -> io::Result<PathBuf> {
         fs::create_dir_all(&self.dir)?;
+        let live_config = SimConfig {
+            fault: ctx.fault.clone(),
+            ..config.clone()
+        };
         let events = ctx.log.events();
         let skip = events.len().saturating_sub(self.last_events);
         let tail: Vec<Json> = events.iter().skip(skip).map(|e| e.to_json()).collect();
@@ -105,7 +116,7 @@ impl FlightRecorder {
         let bundle = Json::Obj(vec![
             ("protocol".to_string(), Json::Str(protocol.to_string())),
             ("cause".to_string(), Json::Str(cause.to_string())),
-            ("config".to_string(), config.to_json()),
+            ("config".to_string(), live_config.to_json()),
             ("population".to_string(), ctx.population.to_json()),
             (
                 "rng_state".to_string(),

@@ -83,8 +83,11 @@ impl fmt::Display for ReconcileError {
 
 impl std::error::Error for ReconcileError {}
 
+/// A counter field's name and accessor.
+type Field = (&'static str, fn(&Counters) -> u64);
+
 /// The discrete (event-countable) counter fields, with accessors.
-const FIELDS: [(&str, fn(&Counters) -> u64); 16] = [
+const FIELDS: [Field; 16] = [
     ("reader_bits", |c| c.reader_bits),
     ("tag_bits", |c| c.tag_bits),
     ("vector_bits", |c| c.vector_bits),

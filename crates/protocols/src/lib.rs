@@ -93,6 +93,9 @@ pub trait PollingProtocol {
     /// faulty channel they must retry lost tags until done, returning
     /// [`PollingError::Stalled`] — with the partial report and the
     /// uncollected IDs — once progress provably stops.
+    // The stall carries its partial report by value; callers match on it
+    // directly, so it is not boxed.
+    #[allow(clippy::result_large_err)]
     fn try_run(&self, ctx: &mut SimContext) -> Result<Report, PollingError> {
         match Session::open(self, ctx).run(ctx) {
             SessionEnd::Complete { report, .. } => Ok(report),

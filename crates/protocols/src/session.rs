@@ -25,8 +25,8 @@
 //!   state + stepper state + full [`SimContext`]) serializes to JSON via
 //!   [`Session::snapshot`] and restores into a fresh process image via
 //!   [`Session::restore`], continuing **bit-identically**: same RNG
-//!   stream, same trace, same report. The crash-chaos bench
-//!   (`BENCH_session.json`) enforces this for every protocol.
+//!   stream, same trace, same report. The `session_roundtrip` test
+//!   enforces this for every protocol.
 //!
 //! [`PollingProtocol::try_run`] is a bare session (no policy, no
 //! deadline); every other way of running a protocol configures a
@@ -395,8 +395,8 @@ impl Session {
     /// Installs a flight recorder: every non-complete end (`Stalled`, or
     /// `Degraded` via circuit-open / out-of-passes / deadline) dumps a
     /// postmortem bundle before the session returns. `config` must be the
-    /// [`SimConfig`] the context was built with — it goes into the bundle
-    /// so the failure reproduces from t = 0.
+    /// [`SimConfig`] the context was built with — it goes into the bundle,
+    /// with the context's live fault model, so the failure reproduces.
     pub fn with_flight_recorder(mut self, recorder: FlightRecorder, config: &SimConfig) -> Session {
         self.flight = Some((recorder, config.clone()));
         self

@@ -329,8 +329,7 @@ mod tests {
 
     #[test]
     fn unmatched_exit_is_ignored_in_release() {
-        let mut p = SpanProfiler::default();
-        p.enabled = true;
+        let mut p = SpanProfiler::enabled();
         // Only exercise the no-stack path when debug assertions are off;
         // under debug the contract is enforced loudly.
         if !cfg!(debug_assertions) {

@@ -352,21 +352,23 @@ fn sim_config_round_trips() {
 
 #[test]
 fn counters_round_trip() {
-    let mut c = Counters::default();
-    c.reader_bits = 123_456;
-    c.tag_bits = 98_304;
-    c.vector_bits = 3_000;
-    c.query_rep_bits = 4_000;
-    c.polls = 1_000;
-    c.rounds = 5;
-    c.circles = 2;
-    c.empty_slots = 17;
-    c.collision_slots = 3;
-    c.lost_replies = 1;
-    c.downlink_losses = 11;
-    c.corrupted_replies = 6;
-    c.desync_recoveries = 9;
-    c.retransmissions = 4;
-    c.tag_listen_us = 8.25e6;
+    let c = Counters {
+        reader_bits: 123_456,
+        tag_bits: 98_304,
+        vector_bits: 3_000,
+        query_rep_bits: 4_000,
+        polls: 1_000,
+        rounds: 5,
+        circles: 2,
+        empty_slots: 17,
+        collision_slots: 3,
+        lost_replies: 1,
+        downlink_losses: 11,
+        corrupted_replies: 6,
+        desync_recoveries: 9,
+        retransmissions: 4,
+        tag_listen_us: 8.25e6,
+        ..Counters::default()
+    };
     round_trip(&c);
 }

@@ -176,6 +176,9 @@ impl Decoder {
     }
 
     /// Attempts to decode the next frame. `Ok(None)` = need more bytes.
+    // Fallible and resumable, so not an `Iterator`; the name is the
+    // decoder's public API.
+    #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Result<Option<Frame>, FrameError> {
         // Resynchronize: discard everything up to the next SOF, reporting
         // the skip as a typed error so callers can count/log it.

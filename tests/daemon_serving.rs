@@ -20,6 +20,7 @@ use fast_rfid_polling::system::ToJson;
 use fast_rfid_polling::wire::Transport;
 use fast_rfid_polling::wire::{
     loopback, ChaosDirector, ChaosPlan, OpenRequest, Pipe, SessionOutcome, StreamTransport,
+    WIRE_VERSION,
 };
 
 const N: u64 = 120;
@@ -113,6 +114,8 @@ fn loopback_and_tcp_match_the_inprocess_reference() {
             outcome_identity(&run_to_done(client, open_request(config.clone())))
         });
         let via_tcp = with_tcp_client(|client| {
+            let (version, _) = client.hello().expect("hello");
+            assert_eq!(version, WIRE_VERSION, "the TCP handshake's wire version");
             outcome_identity(&run_to_done(client, open_request(config.clone())))
         });
         assert_eq!(via_loopback, reference, "loopback drifted from in-process");
@@ -271,7 +274,11 @@ fn stalled_server_times_out_then_reconnects_cleanly() {
 #[test]
 fn chaos_client_recovers_bit_identically() {
     let reference = local_reference(None);
-    let daemon = Daemon::bind("127.0.0.1:0").expect("bind");
+    // The supervisor deposits every 2 steps, so a cut connection's orphan
+    // resurrects from a mid-run checkpoint rather than its `Open`.
+    let daemon = Daemon::bind("127.0.0.1:0")
+        .expect("bind")
+        .with_supervise_every(2);
     let addr = daemon.local_addr();
     let stop = daemon.stop_handle();
     let supervisor = daemon.supervisor();

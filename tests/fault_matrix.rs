@@ -8,7 +8,7 @@ use fast_rfid_polling::apps::info_collect::collect;
 use fast_rfid_polling::apps::unknown::run_hpp_with_aliens;
 use fast_rfid_polling::baselines::MicConfig;
 use fast_rfid_polling::prelude::*;
-use fast_rfid_polling::system::{KillRule, SimConfig, SimContext};
+use fast_rfid_polling::system::{Counters, KillRule, SimConfig, SimContext};
 
 const N: usize = 150;
 
@@ -33,53 +33,76 @@ fn every_protocol_completes_or_stalls_cleanly_across_the_matrix() {
         None,
         Some(GilbertElliott::new(0.1, 0.5, 0.0, 0.8)), // ~1/6 of attempts in the bad state
     ];
+    // Summed over the matrix, every fault path must have fired.
+    let mut totals = Counters::default();
     for protocol in &protocols() {
-        for downlink in [0.0f64, 0.3] {
-            for corruption in [0.0f64, 0.3] {
-                for burst in bursts {
-                    let mut fault = FaultModel::perfect()
-                        .with_downlink_loss(downlink)
-                        .with_corruption(corruption);
-                    if let Some(ge) = burst {
-                        fault = fault.with_burst(ge);
-                    }
-                    let label = format!(
-                        "{} dl={downlink} corr={corruption} burst={}",
-                        protocol.name(),
-                        burst.is_some()
-                    );
-                    let mut ctx = ctx_with(fault, 99);
-                    match protocol.try_run(&mut ctx) {
-                        Ok(report) => {
-                            ctx.assert_complete();
-                            assert_eq!(report.counters.polls as usize, N, "{label}");
-                            if downlink > 0.0 {
-                                assert!(report.counters.downlink_losses > 0, "{label}");
-                            }
-                            if corruption > 0.0 {
-                                assert!(report.counters.corrupted_replies > 0, "{label}");
-                            }
+        for seed in [1, 2, 3, 99] {
+            for downlink in [0.0f64, 0.15, 0.3] {
+                for corruption in [0.0f64, 0.3] {
+                    for burst in bursts {
+                        let mut fault = FaultModel::perfect()
+                            .with_downlink_loss(downlink)
+                            .with_corruption(corruption);
+                        if let Some(ge) = burst {
+                            fault = fault.with_burst(ge);
                         }
-                        Err(PollingError::Stalled {
-                            partial_report,
-                            uncollected,
-                            ..
-                        }) => {
-                            // A stall at these survivable rates would be a
-                            // bug for the polling family, but whatever the
-                            // verdict, the partial state must be coherent.
-                            assert_eq!(
-                                partial_report.counters.polls as usize + uncollected.len(),
-                                N,
-                                "{label}: partial report inconsistent"
-                            );
-                            panic!("{label}: stalled at a survivable fault rate");
+                        let label = format!(
+                            "{} seed={seed} dl={downlink} corr={corruption} burst={}",
+                            protocol.name(),
+                            burst.is_some()
+                        );
+                        let mut ctx = ctx_with(fault, seed);
+                        match protocol.try_run(&mut ctx) {
+                            Ok(report) => {
+                                ctx.assert_complete();
+                                let c = &report.counters;
+                                assert_eq!(c.polls as usize, N, "{label}");
+                                if downlink > 0.0 {
+                                    assert!(c.downlink_losses > 0, "{label}");
+                                }
+                                if corruption > 0.0 {
+                                    assert!(c.corrupted_replies > 0, "{label}");
+                                }
+                                totals.downlink_losses += c.downlink_losses;
+                                totals.corrupted_replies += c.corrupted_replies;
+                                totals.retransmissions += c.retransmissions;
+                                totals.desync_recoveries += c.desync_recoveries;
+                            }
+                            Err(PollingError::Stalled {
+                                partial_report,
+                                uncollected,
+                                ..
+                            }) => {
+                                // A stall at these survivable rates would be
+                                // a bug for the polling family, but whatever
+                                // the verdict, the partial state must be
+                                // coherent.
+                                assert_eq!(
+                                    partial_report.counters.polls as usize + uncollected.len(),
+                                    N,
+                                    "{label}: partial report inconsistent"
+                                );
+                                panic!("{label}: stalled at a survivable fault rate");
+                            }
                         }
                     }
                 }
             }
         }
     }
+    assert!(totals.downlink_losses > 0, "no downlink losses injected");
+    assert!(
+        totals.corrupted_replies > 0,
+        "no corrupted replies injected"
+    );
+    assert!(
+        totals.retransmissions > 0,
+        "no NAK retransmissions happened"
+    );
+    assert!(
+        totals.desync_recoveries > 0,
+        "no desync recoveries happened"
+    );
 }
 
 #[test]
@@ -113,24 +136,46 @@ fn moderate_faults_collect_every_payload_intact() {
     }
 }
 
+/// A jammed downlink stalls every protocol, and the flight recorder
+/// leaves a postmortem bundle that parses and names the failure.
 #[test]
 fn jammed_downlink_stalls_every_protocol_without_panicking() {
+    let flight_dir =
+        std::env::temp_dir().join(format!("fault-matrix-flight-{}", std::process::id()));
     for protocol in &protocols() {
-        let mut ctx = ctx_with(FaultModel::perfect().with_downlink_loss(1.0), 7);
-        match protocol.try_run(&mut ctx) {
-            Ok(_) => panic!("{} completed on a jammed downlink", protocol.name()),
-            Err(err @ PollingError::Stalled { .. }) => {
+        let name = protocol.name();
+        let scenario = Scenario::uniform(N, 4).with_seed(7);
+        let cfg = SimConfig::paper(scenario.protocol_seed())
+            .with_fault(FaultModel::perfect().with_downlink_loss(1.0));
+        let mut ctx = SimContext::new(scenario.build_population(), &cfg);
+        let mut session = Session::open(protocol.as_ref(), &ctx)
+            .with_flight_recorder(FlightRecorder::new(&flight_dir), &cfg);
+        match session.run(&mut ctx) {
+            SessionEnd::Stalled(err) => {
                 let PollingError::Stalled {
                     partial_report,
                     uncollected,
                     ..
                 } = &err;
-                assert_eq!(partial_report.counters.polls, 0, "{}", protocol.name());
-                assert_eq!(uncollected.len(), N, "{}", protocol.name());
-                assert!(err.to_string().contains("stalled"), "{}", protocol.name());
+                assert_eq!(partial_report.counters.polls, 0, "{name}");
+                assert_eq!(uncollected.len(), N, "{name}");
+                assert!(err.to_string().contains("stalled"), "{name}");
             }
+            other => panic!("{name} did not stall on a jammed downlink: {other:?}"),
         }
+        let path = session
+            .last_postmortem()
+            .unwrap_or_else(|| panic!("{name}: no postmortem dumped"));
+        let bundle = FlightBundle::load(path)
+            .unwrap_or_else(|e| panic!("{name}: {} does not parse: {e}", path.display()));
+        assert_eq!(bundle.cause, "stalled", "{name}");
+        assert_eq!(bundle.protocol, name);
+        assert_eq!(
+            bundle.coverage, 0.0,
+            "{name}: a jammed downlink collected a tag"
+        );
     }
+    let _ = std::fs::remove_dir_all(&flight_dir);
 }
 
 #[test]

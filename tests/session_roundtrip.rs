@@ -1,16 +1,18 @@
-//! Checkpoint/restore gate for the session engine: killing a run at an
-//! arbitrary slot boundary, serializing the session to JSON, restoring it
+//! Checkpoint/restore gate for the session engine: killing a run at a
+//! seeded step boundary, serializing the session to JSON, restoring it
 //! into a *fresh* context, and finishing must be **bit-identical** to the
-//! uninterrupted run — same `Report` JSON, same FNV-1a trace digest, for
-//! every protocol on clean and impaired channels, and across recovery
-//! passes (mid-backoff kills included).
+//! uninterrupted run — same `Report` JSON, same FNV-1a trace digest, same
+//! pass count — for every protocol on clean and impaired channels, and
+//! across recovery passes (mid-backoff kills included). Kill points are
+//! drawn from the run's own step boundaries, so every row really
+//! snapshots and restores.
 //!
 //! The suite also fuzzes the restore path: randomly corrupted snapshot
 //! bytes must either fail to parse, fail to restore with a typed
 //! [`JsonError`], or restore into a session that runs without panicking.
 
 use fast_rfid_polling::daemon::all_protocols;
-use fast_rfid_polling::hash::prop;
+use fast_rfid_polling::hash::{prop, Xoshiro256};
 use fast_rfid_polling::prelude::*;
 use fast_rfid_polling::system::json::{Json, ToJson};
 use fast_rfid_polling::system::{SimConfig, SimContext};
@@ -22,91 +24,162 @@ fn impaired_fault() -> FaultModel {
         .with_burst(GilbertElliott::new(0.1, 0.5, 0.0, 0.8))
 }
 
-/// Report JSON + trace digest of the uninterrupted run.
-fn uninterrupted(
-    protocol: &dyn PollingProtocol,
-    scenario: &Scenario,
-    cfg: &SimConfig,
-) -> (String, u64) {
-    let mut ctx = SimContext::new(scenario.build_population(), cfg);
-    let report = protocol.try_run(&mut ctx).expect("uninterrupted run");
-    (report.to_json().to_string(), ctx.log.digest())
+/// The seeded kill-point stream: reproducible, a different kill per row.
+fn kill_points() -> Xoshiro256 {
+    Xoshiro256::seed_from_u64(0x5E55_1017)
 }
 
-/// Runs to `kill_steps`, "crashes" (drops the session AND the context so
-/// nothing but the snapshot string survives), restores into a fresh image,
-/// finishes, and returns the same observables as [`uninterrupted`].
+/// What a finished run must reproduce across a restore.
+#[derive(Debug, PartialEq)]
+struct Finish {
+    report: String,
+    digest: u64,
+    passes: u64,
+}
+
+fn finish(end: SessionEnd, ctx: &SimContext, what: &str) -> Finish {
+    match end {
+        SessionEnd::Complete { report, passes } => Finish {
+            report: report.to_json().to_string(),
+            digest: ctx.log.digest(),
+            passes,
+        },
+        other => panic!("{what} ended {other:?}"),
+    }
+}
+
+fn open(
+    protocol: &dyn PollingProtocol,
+    ctx: &SimContext,
+    policy: Option<RecoveryPolicy>,
+) -> Session {
+    let session = Session::open(protocol, ctx);
+    match policy {
+        Some(policy) => session.with_policy(policy),
+        None => session,
+    }
+}
+
+/// Runs to step `kill`, snapshots to a JSON string, drops the session AND
+/// the context so nothing but the string survives, restores the parsed
+/// snapshot into a fresh image and runs to the end. The run must still
+/// be live at the kill.
 fn killed_and_restored(
     protocol: &dyn PollingProtocol,
     scenario: &Scenario,
     cfg: &SimConfig,
-    kill_steps: u64,
-) -> (String, u64) {
+    policy: Option<RecoveryPolicy>,
+    kill: u64,
+) -> Finish {
+    let name = protocol.name();
     let mut ctx = SimContext::new(scenario.build_population(), cfg);
-    let mut session = Session::open(protocol, &ctx);
-    match session.run_for(&mut ctx, kill_steps) {
-        Some(SessionEnd::Complete { report, .. }) => {
-            // Finished before the kill point — still a valid comparison.
-            (report.to_json().to_string(), ctx.log.digest())
-        }
-        Some(other) => panic!("{}: unexpected early end {other:?}", protocol.name()),
-        None => {
-            let snap = session.snapshot(&ctx, cfg).to_string();
-            drop(session);
-            drop(ctx);
-            let doc = Json::parse(&snap).expect("snapshot parses");
-            let (mut ctx, mut session) =
-                Session::restore(protocol, &doc).expect("snapshot restores");
-            match session.run(&mut ctx) {
-                SessionEnd::Complete { report, .. } => {
-                    (report.to_json().to_string(), ctx.log.digest())
-                }
-                other => panic!("{}: restored run ended {other:?}", protocol.name()),
-            }
-        }
+    let mut session = open(protocol, &ctx, policy);
+    if let Some(end) = session.run_for(&mut ctx, kill) {
+        panic!("{name}: ended before the kill at step {kill}: {end:?}");
     }
+    let snap = session.snapshot(&ctx, cfg).to_string();
+    drop(session);
+    drop(ctx);
+    let doc = Json::parse(&snap).expect("snapshot parses");
+    let (mut ctx, mut session) = Session::restore(protocol, &doc).expect("snapshot restores");
+    let end = session.run(&mut ctx);
+    finish(
+        end,
+        &ctx,
+        &format!("{name}: the run restored at step {kill}"),
+    )
+}
+
+fn assert_same_finish(replayed: &Finish, golden: &Finish, name: &str, kill: u64) {
+    assert_eq!(
+        replayed.report, golden.report,
+        "{name}: report drifted across a restore at step {kill}"
+    );
+    assert_eq!(
+        replayed.digest, golden.digest,
+        "{name}: trace drifted across a restore at step {kill}"
+    );
+    assert_eq!(
+        replayed.passes, golden.passes,
+        "{name}: pass count drifted across a restore at step {kill}"
+    );
+}
+
+/// One row: the uninterrupted run, stepped one driver step at a time to
+/// count its step boundaries, against a run killed at a boundary drawn
+/// from `kills`. Returns the uninterrupted run's finish.
+fn assert_seeded_kill_is_bit_identical(
+    protocol: &dyn PollingProtocol,
+    scenario: &Scenario,
+    cfg: &SimConfig,
+    policy: Option<RecoveryPolicy>,
+    kills: &mut Xoshiro256,
+) -> Finish {
+    let name = protocol.name();
+    let mut ctx = SimContext::new(scenario.build_population(), cfg);
+    let mut session = open(protocol, &ctx, policy);
+    let mut boundaries = 0u64;
+    let end = loop {
+        match session.run_for(&mut ctx, 1) {
+            Some(end) => break end,
+            None => boundaries += 1,
+        }
+    };
+    let golden = finish(end, &ctx, &format!("{name}: the uninterrupted run"));
+    assert!(boundaries > 0, "{name}: no step boundary to kill at");
+    let kill = 1 + kills.below(boundaries);
+    let replayed = killed_and_restored(protocol, scenario, cfg, policy, kill);
+    assert_same_finish(&replayed, &golden, name, kill);
+    golden
 }
 
 #[test]
 fn clean_kill_restore_is_bit_identical_for_every_protocol() {
     let scenario = Scenario::uniform(150, 4).with_seed(31);
     let cfg = SimConfig::paper(scenario.protocol_seed()).with_trace();
-    for (i, protocol) in all_protocols().iter().enumerate() {
-        let name = protocol.name();
-        let golden = uninterrupted(protocol.as_ref(), &scenario, &cfg);
-        // Vary the kill point per protocol so snapshots land in different
-        // phases (mid-round, mid-frame, mid-traversal).
-        let kill = 1 + (i as u64 * 37) % 100;
-        let replayed = killed_and_restored(protocol.as_ref(), &scenario, &cfg, kill);
-        assert_eq!(
-            replayed.0, golden.0,
-            "{name}: report drifted across restore"
-        );
-        assert_eq!(replayed.1, golden.1, "{name}: trace drifted across restore");
+    let mut kills = kill_points();
+    let protocols = all_protocols();
+    assert_eq!(protocols.len(), 12);
+    for protocol in &protocols {
+        assert_seeded_kill_is_bit_identical(protocol.as_ref(), &scenario, &cfg, None, &mut kills);
     }
 }
 
+/// Loss, corruption and Gilbert–Elliott bursts on the four paper
+/// protocols, so fault-model state (burst channel, desync) is live at the
+/// kill.
 #[test]
 fn impaired_kill_restore_is_bit_identical() {
     let scenario = Scenario::uniform(150, 4).with_seed(99);
+    let cfg = SimConfig::paper(scenario.protocol_seed())
+        .with_trace()
+        .with_fault(impaired_fault());
     let protocols: Vec<Box<dyn PollingProtocol>> = vec![
         Box::new(HppConfig::default().into_protocol()),
         Box::new(EhppConfig::default().into_protocol()),
         Box::new(TppConfig::default().into_protocol()),
         Box::new(MicConfig::default().into_protocol()),
     ];
-    for (i, protocol) in protocols.iter().enumerate() {
-        let name = protocol.name();
-        let cfg = SimConfig::paper(scenario.protocol_seed())
-            .with_trace()
-            .with_fault(impaired_fault());
-        let golden = uninterrupted(protocol.as_ref(), &scenario, &cfg);
-        // Impaired runs take many more rounds; kill deep enough that fault
-        // state (burst channel, desync) is mid-flight at the snapshot.
-        let kill = 3 + i as u64 * 4;
-        let replayed = killed_and_restored(protocol.as_ref(), &scenario, &cfg, kill);
-        assert_eq!(replayed.0, golden.0, "{name}: impaired report drifted");
-        assert_eq!(replayed.1, golden.1, "{name}: impaired trace drifted");
+    let mut kills = kill_points();
+    for protocol in &protocols {
+        let protocol = protocol.as_ref();
+        let golden =
+            assert_seeded_kill_is_bit_identical(protocol, &scenario, &cfg, None, &mut kills);
+        // Also kill at the first boundary where the burst channel sits in
+        // its bad state, which only the snapshot's `ge_bad` carries.
+        let mut ctx = SimContext::new(scenario.build_population(), &cfg);
+        let mut session = Session::open(protocol, &ctx);
+        let mut kill = 0;
+        while ctx.snapshot().get("ge_bad") != Some(&Json::Bool(true)) {
+            kill += 1;
+            assert!(
+                session.run_for(&mut ctx, 1).is_none(),
+                "{}: the burst channel never went bad",
+                protocol.name()
+            );
+        }
+        let replayed = killed_and_restored(protocol, &scenario, &cfg, None, kill);
+        assert_same_finish(&replayed, &golden, protocol.name(), kill);
     }
 }
 
@@ -126,25 +199,21 @@ fn mid_recovery_kill_restore_is_bit_identical() {
     let cfg = SimConfig::paper(scenario.protocol_seed()).with_trace();
     let policy = RecoveryPolicy::unbounded();
 
-    let mut ctx = SimContext::new(scenario.build_population(), &cfg);
-    let golden = Session::open(&protocol, &ctx)
-        .with_policy(policy)
-        .run(&mut ctx);
-    let SessionEnd::Complete {
-        report: golden_report,
-        passes: golden_passes,
-    } = golden
-    else {
-        panic!("baseline recovered run must complete, got {golden:?}");
-    };
-    assert!(
-        golden_passes > 1,
-        "scenario must actually recover (got {golden_passes} passes)"
+    // A seeded kill anywhere in the multi-pass schedule.
+    let golden = assert_seeded_kill_is_bit_identical(
+        &protocol,
+        &scenario,
+        &cfg,
+        Some(policy),
+        &mut kill_points(),
     );
-    let golden_json = golden_report.to_json().to_string();
-    let golden_trace = ctx.log.digest();
+    assert!(
+        golden.passes >= 2,
+        "scenario must actually recover (got {} passes)",
+        golden.passes
+    );
 
-    // Interrupted: single-step until the second pass has begun, then crash.
+    // A kill just after the second pass has begun.
     let mut ctx = SimContext::new(scenario.build_population(), &cfg);
     let mut session = Session::open(&protocol, &ctx).with_policy(policy);
     while session.passes() < 2 {
@@ -159,12 +228,11 @@ fn mid_recovery_kill_restore_is_bit_identical() {
     let doc = Json::parse(&snap).expect("snapshot parses");
     let (mut ctx, mut session) = Session::restore(&protocol, &doc).expect("snapshot restores");
     let end = session.run(&mut ctx);
-    let SessionEnd::Complete { report, passes } = end else {
-        panic!("restored recovered run must complete, got {end:?}");
-    };
-    assert_eq!(passes, golden_passes, "pass count drifted across restore");
-    assert_eq!(report.to_json().to_string(), golden_json);
-    assert_eq!(ctx.log.digest(), golden_trace);
+    assert_eq!(
+        finish(end, &ctx, "the restored recovered run"),
+        golden,
+        "recovered run drifted across a restore in its second pass"
+    );
 }
 
 #[test]
