@@ -3,12 +3,15 @@
 //! applies the event to the counters and only then branches on a cold flag
 //! before recording it. The enabled and ring variants quantify what a
 //! consumer pays when they *do* ask for a trace, and the derive benchmarks
-//! price the trace→metrics and trace→counters replays.
+//! price the trace→metrics and trace→counters replays. The digest guard
+//! holds `EventLog::digest`, which streams each event's compact JSON into
+//! FNV-1a, well under the cost of building every event's `Json` tree.
 
 use std::hint::black_box;
 
 use rfid_bench::{Bench, BenchRecord, Gate};
 use rfid_protocols::{HppConfig, PollingProtocol};
+use rfid_system::json::ToJson;
 use rfid_system::{BitVec, SimConfig, SimContext, TagPopulation};
 
 const N: usize = 500;
@@ -58,6 +61,20 @@ fn main() {
     b.bench(&format!("hpp_{N}/counters_from_events"), || {
         black_box(rfid_obs::counters_from_events(traced.log.events()).polls)
     });
+    let digest = b.bench(&format!("hpp_{N}/trace_digest"), || {
+        black_box(traced.log.digest())
+    });
+    // The same digest through a `Json` tree per event, then one JSONL
+    // string: what `digest` cost before it streamed.
+    let tree = b.bench(&format!("hpp_{N}/trace_digest_via_tree"), || {
+        let jsonl: String = traced
+            .log
+            .events()
+            .iter()
+            .map(|e| e.to_json().to_string() + "\n")
+            .collect();
+        black_box(rfid_hash::fnv64(&jsonl))
+    });
 
     // Overhead bound: with telemetry off the run must never cost more than
     // the traced run — the disabled path is a cold branch, not a cheaper
@@ -73,6 +90,22 @@ fn main() {
             )
             .param("n", &N)
             .gate(Gate::AtMost(1.05)),
+        );
+    }
+    // Digest bound: the tree path costs over 4x the streamed digest on
+    // this trace, so a regression to tree building fails the gate. A
+    // best-of-sample ratio cancels machine speed.
+    if let (Some(digest), Some(tree)) = (digest, tree) {
+        b.record(
+            BenchRecord::new(
+                "digest_bound",
+                "digest_over_tree",
+                "x",
+                digest.min / tree.min,
+            )
+            .param("n", &N)
+            .param("events", &traced.log.len())
+            .gate(Gate::AtMost(0.5)),
         );
     }
 

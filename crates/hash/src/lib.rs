@@ -31,5 +31,5 @@ pub mod rng;
 pub mod uniformity;
 
 pub use family::HashFamily;
-pub use mix::{fnv64, TagHash};
+pub use mix::{fnv64, Fnv64, TagHash};
 pub use rng::{split_seed, Xoshiro256};

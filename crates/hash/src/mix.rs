@@ -34,16 +34,63 @@ pub fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Streaming 64-bit FNV-1a: feed bytes in any number of
+/// [`Fnv64::write`] calls; [`Fnv64::finish`] equals [`fnv64`] of their
+/// concatenation, so a digest never needs its input in one buffer.
+///
+/// ```
+/// use rfid_hash::{fnv64, Fnv64};
+///
+/// let mut h = Fnv64::new();
+/// h.write(b"{\"at\":0,");
+/// h.write(b"\"event\":\"SlotEmpty\"}\n");
+/// assert_eq!(h.finish(), fnv64("{\"at\":0,\"event\":\"SlotEmpty\"}\n"));
+/// ```
+#[derive(Debug, Clone)]
+pub struct Fnv64 {
+    state: u64,
+}
+
+impl Fnv64 {
+    /// The FNV-1a state before any byte (the 64-bit offset basis).
+    #[inline]
+    pub const fn new() -> Self {
+        Fnv64 {
+            state: 0xCBF2_9CE4_8422_2325,
+        }
+    }
+
+    /// Absorbs `bytes`.
+    #[inline]
+    pub fn write(&mut self, bytes: &[u8]) {
+        let mut h = self.state;
+        for &b in bytes {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+        self.state = h;
+    }
+
+    /// The digest of every byte written so far.
+    #[inline]
+    pub fn finish(&self) -> u64 {
+        self.state
+    }
+}
+
+impl Default for Fnv64 {
+    fn default() -> Self {
+        Fnv64::new()
+    }
+}
+
 /// FNV-1a over a string: the workspace's canonical content digest for
 /// bit-identity gates (event-trace digests, sweep cache keys). Shared here
 /// so the serving layer and the bench harness agree on one definition.
 pub fn fnv64(s: &str) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+    let mut h = Fnv64::new();
+    h.write(s.as_bytes());
+    h.finish()
 }
 
 impl TagHash {

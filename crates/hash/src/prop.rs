@@ -50,16 +50,6 @@ impl SplitMix64 {
     }
 }
 
-/// FNV-1a over the property name: a stable, platform-independent base seed.
-fn name_seed(name: &str) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for b in name.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 /// The random-case generator handed to each property closure.
 ///
 /// All draws are deterministic functions of the case seed. The `shrink`
@@ -179,7 +169,8 @@ pub type CaseResult = Result<(), String>;
 /// # Panics
 /// Panics with full reproduction details if any case fails.
 pub fn check(name: &str, cases: u64, f: impl Fn(&mut Gen) -> CaseResult) {
-    let base = name_seed(name);
+    // FNV-1a over the name: a stable, platform-independent base seed.
+    let base = crate::fnv64(name);
     for case in 0..cases {
         let case_seed = SplitMix64::new(base.wrapping_add(case)).next_u64();
         if let Err(first) = f(&mut Gen::new(case_seed, 0)) {
@@ -322,6 +313,31 @@ mod tests {
             assert!(v.iter().all(|&x| x < 64));
             assert!(!v.is_empty());
         }
+    }
+
+    #[test]
+    fn fnv64_is_split_invariant() {
+        check("fnv64 streams over any chunking", 256, |g| {
+            let bytes = g.vec(0, 200, Gen::u8);
+            let text: String = bytes.iter().map(|&b| char::from(b)).collect();
+            let mut h = crate::Fnv64::new();
+            let mut rest = text.as_bytes();
+            while !rest.is_empty() {
+                if g.bool() {
+                    h.write(&[]);
+                }
+                let cut = g.len_in(1, rest.len() + 1);
+                h.write(&rest[..cut]);
+                rest = &rest[cut..];
+            }
+            prop_assert_eq!(h.finish(), crate::fnv64(&text));
+            Ok(())
+        });
+        assert_eq!(
+            crate::fnv64("a"),
+            0xAF63_DC4C_8601_EC8C,
+            "FNV-1a test vector"
+        );
     }
 
     #[test]

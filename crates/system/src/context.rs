@@ -1420,6 +1420,17 @@ mod tests {
         let err = SimContext::restore(&cfg, &bad).unwrap_err();
         assert!(err.0.contains("disabled event log"), "{err:?}");
 
+        // Drops in an unbounded log, and in a ring that is not full: a live
+        // log evicts only from a full ring.
+        for log in [
+            r#"{"enabled":true,"capacity":0,"dropped":3,"events":[]}"#,
+            r#"{"enabled":true,"capacity":4,"dropped":3,"events":[{"at":0,"event":"SlotEmpty"}]}"#,
+        ] {
+            let bad = set(&good, "log", Json::parse(log).unwrap());
+            let err = SimContext::restore(&cfg, &bad).unwrap_err();
+            assert!(err.0.contains("claims 3 drops"), "{log}: {err:?}");
+        }
+
         // Missing field.
         let bad = Json::Obj(vec![]);
         assert!(SimContext::restore(&cfg, &bad).is_err());

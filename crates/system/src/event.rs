@@ -20,6 +20,8 @@ use std::fmt;
 
 use rfid_c1g2::Micros;
 
+use crate::json::ToJson as _;
+
 /// What a [`Event::ReaderBroadcast`] payload was — a closed enum instead of
 /// a `String` so an enabled trace never allocates on the broadcast path,
 /// and so trace replay can attribute the bits to the right counter.
@@ -403,16 +405,26 @@ impl EventLog {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for e in &self.events {
-            out.push_str(&crate::json::to_json_string(e));
+            e.write_json(&mut out);
             out.push('\n');
         }
         out
     }
 
     /// The trace digest every bit-identity gate compares: FNV-1a
-    /// ([`rfid_hash::fnv64`]) of [`EventLog::to_jsonl`].
+    /// ([`rfid_hash::fnv64`]) of [`EventLog::to_jsonl`]. It streams each
+    /// line through one reused buffer into [`rfid_hash::Fnv64`], so the
+    /// JSONL text is never built.
     pub fn digest(&self) -> u64 {
-        rfid_hash::fnv64(&self.to_jsonl())
+        let mut hash = rfid_hash::Fnv64::new();
+        let mut line = String::new();
+        for e in &self.events {
+            line.clear();
+            e.write_json(&mut line);
+            line.push('\n');
+            hash.write(line.as_bytes());
+        }
+        hash.finish()
     }
 
     /// Parses a JSON-Lines trace back into timed events (blank lines are
@@ -461,6 +473,16 @@ impl crate::json::FromJson for EventLog {
                 "disabled event log carries {} events and {} drops",
                 log.events.len(),
                 log.dropped
+            )));
+        }
+        // Only a full ring has ever evicted: a restored log with drops
+        // below capacity would record without evicting until it filled.
+        if log.dropped > 0 && (log.capacity == 0 || log.events.len() != log.capacity) {
+            return Err(crate::json::JsonError(format!(
+                "event log claims {} drops but holds {} events at capacity {}",
+                log.dropped,
+                log.events.len(),
+                log.capacity
             )));
         }
         Ok(log)
@@ -587,17 +609,69 @@ mod tests {
 
     #[test]
     fn digest_is_fnv64_of_the_jsonl_trace() {
+        let every_event = [
+            Event::RoundStarted {
+                round: 1,
+                h: 3,
+                unread: 100,
+            },
+            Event::CircleStarted {
+                circle: 2,
+                selected: 40,
+            },
+            Event::ReaderBroadcast {
+                what: BroadcastKind::Nak,
+                bits: 8,
+            },
+            Event::TagPolled {
+                tag: 5,
+                vector_bits: 3,
+            },
+            Event::TagReply { tag: 5, bits: 16 },
+            Event::VectorCharged { bits: 7 },
+            Event::SlotEmpty,
+            Event::SlotCollision { count: 4 },
+            Event::ReplyLost { tag: 3 },
+            Event::DownlinkLost { tag: 9 },
+            Event::ReplyCorrupted { tag: 12 },
+            Event::Retransmission {
+                tag: 12,
+                attempt: 2,
+            },
+            Event::DesyncRecovered { tag: 9 },
+            Event::StallTick { streak: 5 },
+            Event::RecoveryPassStarted {
+                pass: 2,
+                uncollected: 5,
+            },
+            Event::BackoffWaited { pass: 1, us: 1500 },
+            Event::CircuitOpened {
+                passes: 3,
+                uncollected: 4,
+            },
+        ];
         let mut unbounded = EventLog::enabled();
-        let mut ring = EventLog::ring(2);
+        let mut ring = EventLog::ring(5);
         let mut disabled = EventLog::disabled();
         for log in [&mut unbounded, &mut ring, &mut disabled] {
-            for tag in 0..5usize {
-                log.record(at(tag as f64), Event::ReplyLost { tag });
+            for (i, &event) in every_event.iter().enumerate() {
+                log.record(at(i as f64 * 37.45 + 0.1 + 0.2), event);
             }
         }
-        for log in [&unbounded, &ring, &disabled] {
+        assert_eq!(ring.dropped(), 12, "the ring evicted");
+        let restored: EventLog =
+            crate::json::from_json_str(&crate::json::to_json_string(&unbounded)).unwrap();
+        for log in [&unbounded, &ring, &disabled, &restored] {
             assert_eq!(log.digest(), rfid_hash::fnv64(&log.to_jsonl()));
+            // The tree encoding hashes to the same digest.
+            let tree: String = log
+                .events()
+                .iter()
+                .map(|e| e.to_json().to_string() + "\n")
+                .collect();
+            assert_eq!(log.digest(), rfid_hash::fnv64(&tree));
         }
+        assert_eq!(restored.digest(), unbounded.digest());
         assert_ne!(unbounded.digest(), ring.digest());
         assert_eq!(disabled.digest(), rfid_hash::fnv64(""));
     }

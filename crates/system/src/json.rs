@@ -18,6 +18,14 @@
 //!   [`crate::impl_json_enum!`] macros that give every persisted struct and
 //!   enum in the workspace a one-declaration round-trip implementation
 //!   (replacing the old `#[derive(Serialize, Deserialize)]`).
+//! * [`ToJson::write_json`] — appends a value's compact text without
+//!   building its tree; [`to_json_string`] uses it. Its contract: the
+//!   bytes are identical to `to_json().to_string()`. The primitive,
+//!   `Vec`, `Option`, [`Json`] and `Micros` impls override it, and the
+//!   two macros generate both `to_json` and `write_json` from the same
+//!   field list, so an encoding is still declared once. Numbers are
+//!   formatted in place with `write!`. `EventLog::digest` streams each
+//!   event's line through it into FNV-1a without building the JSONL.
 //!
 //! Float formatting is stable by construction: finite `f64`s are written
 //! with Rust's shortest-round-trip `Display`, so `write → parse → write`
@@ -28,7 +36,7 @@
 //! variants are `"Name"`, struct variants `{"Name": {...fields...}}`.
 //! [`crate::impl_json_enum!`] is the only place that encoding is written.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 mod c1g2_impls;
 
@@ -98,29 +106,41 @@ impl JsonError {
 
 // ------------------------------------------------------------------ writer
 
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+fn write_str(out: &mut String, s: &str) {
+    out.push('"');
+    // Every byte that needs escaping is ASCII, so runs between them are
+    // whole UTF-8 sequences and can be copied in one `push_str`.
+    let mut start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0x08 => Some("\\b"),
+            0x0C => Some("\\f"),
+            0x00..=0x1F => None,
+            _ => continue,
+        };
+        out.push_str(&s[start..i]);
+        match escape {
+            Some(e) => out.push_str(e),
+            None => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
+        start = i + 1;
     }
+    out.push_str(&s[start..]);
+    out.push('"');
 }
 
 fn write_f64(out: &mut String, x: f64) {
     if x.is_finite() {
         // Rust's `Display` for f64 is the shortest representation that
         // parses back to the same bits — exactly the stability JSON needs.
-        out.push_str(&format!("{x}"));
+        let _ = write!(out, "{x}");
         // "1" would re-parse as an integer; that is fine for consumers
         // (FromJson for f64 accepts integer literals).
     } else {
@@ -133,14 +153,14 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::UInt(u) => out.push_str(&u.to_string()),
-            Json::Int(i) => out.push_str(&i.to_string()),
-            Json::Float(x) => write_f64(out, *x),
-            Json::Str(s) => {
-                out.push('"');
-                escape_into(out, s);
-                out.push('"');
+            Json::UInt(u) => {
+                let _ = write!(out, "{u}");
             }
+            Json::Int(i) => {
+                let _ = write!(out, "{i}");
+            }
+            Json::Float(x) => write_f64(out, *x),
+            Json::Str(s) => write_str(out, s),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -157,9 +177,8 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push('"');
-                    escape_into(out, k);
-                    out.push_str("\":");
+                    write_str(out, k);
+                    out.push(':');
                     v.write_compact(out);
                 }
                 out.push('}');
@@ -190,9 +209,8 @@ impl Json {
                         out.push_str(",\n");
                     }
                     out.push_str(&PAD.repeat(indent + 1));
-                    out.push('"');
-                    escape_into(out, k);
-                    out.push_str("\": ");
+                    write_str(out, k);
+                    out.push_str(": ");
                     v.write_pretty(out, indent + 1);
                 }
                 out.push('\n');
@@ -559,10 +577,19 @@ impl Json {
 
 // ------------------------------------------------------------------ traits
 
-/// Conversion into a [`Json`] tree.
+/// Conversion into a [`Json`] tree, or straight into its compact text.
 pub trait ToJson {
     /// This value as a JSON tree.
     fn to_json(&self) -> Json;
+
+    /// Appends this value's compact JSON to `out`, byte-identical to
+    /// `self.to_json().to_string()`. The default builds the tree; the
+    /// primitive impls and the [`crate::impl_json_struct!`] and
+    /// [`crate::impl_json_enum!`] macros write the text directly, with no
+    /// tree and no temporary `String`.
+    fn write_json(&self, out: &mut String) {
+        self.to_json().write_compact(out);
+    }
 }
 
 /// Conversion from a [`Json`] tree.
@@ -573,7 +600,9 @@ pub trait FromJson: Sized {
 
 /// Serializes any [`ToJson`] value to a compact JSON string.
 pub fn to_json_string<T: ToJson + ?Sized>(value: &T) -> String {
-    value.to_json().to_string()
+    let mut out = String::new();
+    value.write_json(&mut out);
+    out
 }
 
 /// Parses a JSON string into any [`FromJson`] value.
@@ -584,6 +613,10 @@ pub fn from_json_str<T: FromJson>(input: &str) -> Result<T, JsonError> {
 impl ToJson for Json {
     fn to_json(&self) -> Json {
         self.clone()
+    }
+
+    fn write_json(&self, out: &mut String) {
+        self.write_compact(out);
     }
 }
 
@@ -597,6 +630,10 @@ impl ToJson for bool {
     fn to_json(&self) -> Json {
         Json::Bool(*self)
     }
+
+    fn write_json(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
 }
 
 impl FromJson for bool {
@@ -608,6 +645,10 @@ impl FromJson for bool {
 impl ToJson for String {
     fn to_json(&self) -> Json {
         Json::Str(self.clone())
+    }
+
+    fn write_json(&self, out: &mut String) {
+        write_str(out, self);
     }
 }
 
@@ -621,11 +662,19 @@ impl ToJson for str {
     fn to_json(&self) -> Json {
         Json::Str(self.to_string())
     }
+
+    fn write_json(&self, out: &mut String) {
+        write_str(out, self);
+    }
 }
 
 impl ToJson for f64 {
     fn to_json(&self) -> Json {
         Json::Float(*self)
+    }
+
+    fn write_json(&self, out: &mut String) {
+        write_f64(out, *self);
     }
 }
 
@@ -641,6 +690,10 @@ macro_rules! impl_json_uint {
             impl ToJson for $ty {
                 fn to_json(&self) -> Json {
                     Json::UInt(*self as u64)
+                }
+
+                fn write_json(&self, out: &mut String) {
+                    let _ = write!(out, "{self}");
                 }
             }
             impl FromJson for $ty {
@@ -663,6 +716,10 @@ macro_rules! impl_json_int {
                     let v = *self as i64;
                     if v >= 0 { Json::UInt(v as u64) } else { Json::Int(v) }
                 }
+
+                fn write_json(&self, out: &mut String) {
+                    let _ = write!(out, "{self}");
+                }
             }
             impl FromJson for $ty {
                 fn from_json(json: &Json) -> Result<Self, JsonError> {
@@ -680,6 +737,17 @@ impl<T: ToJson> ToJson for Vec<T> {
     fn to_json(&self) -> Json {
         Json::Arr(self.iter().map(ToJson::to_json).collect())
     }
+
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        for (i, item) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            item.write_json(out);
+        }
+        out.push(']');
+    }
 }
 
 impl<T: FromJson> FromJson for Vec<T> {
@@ -693,6 +761,13 @@ impl<T: ToJson> ToJson for Option<T> {
         match self {
             Some(v) => v.to_json(),
             None => Json::Null,
+        }
+    }
+
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Some(v) => v.write_json(out),
+            None => out.push_str("null"),
         }
     }
 }
@@ -710,7 +785,8 @@ impl<T: FromJson> FromJson for Option<T> {
 
 /// Implements [`ToJson`]/[`FromJson`] for a struct with named public
 /// fields, mirroring what `#[derive(Serialize, Deserialize)]` produced:
-/// an object keyed by field name.
+/// an object keyed by field name. The generated [`ToJson::write_json`]
+/// appends the same bytes as the tree, field by field.
 ///
 /// ```
 /// # use rfid_system::impl_json_struct;
@@ -724,6 +800,20 @@ impl<T: FromJson> FromJson for Option<T> {
 /// ```
 #[macro_export]
 macro_rules! impl_json_struct {
+    // Writes `{"k1":v1,"k2":v2,...}` to `$out`. A key is a Rust
+    // identifier, so it never needs escaping.
+    (@object $out:ident) => {
+        $out.push_str("{}")
+    };
+    (@object $out:ident $first:ident = $first_value:expr $(, $key:ident = $value:expr)*) => {{
+        $out.push_str(concat!("{\"", stringify!($first), "\":"));
+        $crate::json::ToJson::write_json($first_value, $out);
+        $(
+            $out.push_str(concat!(",\"", stringify!($key), "\":"));
+            $crate::json::ToJson::write_json($value, $out);
+        )*
+        $out.push('}');
+    }};
     ($ty:ty { $($field:ident),+ $(,)? }) => {
         impl $crate::json::ToJson for $ty {
             fn to_json(&self) -> $crate::json::Json {
@@ -733,6 +823,10 @@ macro_rules! impl_json_struct {
                         $crate::json::ToJson::to_json(&self.$field),
                     ),)+
                 ])
+            }
+
+            fn write_json(&self, out: &mut String) {
+                $crate::impl_json_struct!(@object out $($field = &self.$field),+);
             }
         }
         impl $crate::json::FromJson for $ty {
@@ -751,7 +845,8 @@ macro_rules! impl_json_struct {
 /// variants in serde's externally-tagged encoding: a unit variant is
 /// `"Name"`, a struct variant `{"Name": {fields in the listed order}}`.
 /// Decoding rejects an unknown tag, a unit tag in object form and a struct
-/// tag in string form.
+/// tag in string form. The generated [`ToJson::write_json`] appends the
+/// same bytes as the tree.
 ///
 /// ```
 /// # use rfid_system::impl_json_enum;
@@ -780,6 +875,14 @@ macro_rules! impl_json_enum {
             )),*]),
         )])
     };
+    (@write $out:ident, $variant:ident) => {
+        $out.push_str(concat!("\"", stringify!($variant), "\""))
+    };
+    (@write $out:ident, $variant:ident { $($field:ident),* }) => {{
+        $out.push_str(concat!("{\"", stringify!($variant), "\":"));
+        $crate::impl_json_struct!(@object $out $($field = $field),*);
+        $out.push('}');
+    }};
     (@decode $ty:ty, $body:ident, $variant:ident) => {
         match $body {
             None => Ok(Self::$variant),
@@ -808,6 +911,14 @@ macro_rules! impl_json_enum {
                 match self {
                     $(Self::$variant $({ $($field),* })? => {
                         $crate::impl_json_enum!(@encode $variant $({ $($field),* })?)
+                    })+
+                }
+            }
+
+            fn write_json(&self, out: &mut String) {
+                match self {
+                    $(Self::$variant $({ $($field),* })? => {
+                        $crate::impl_json_enum!(@write out, $variant $({ $($field),* })?)
                     })+
                 }
             }

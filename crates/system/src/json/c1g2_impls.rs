@@ -10,13 +10,17 @@
 //! and the C1G2 clock travel in session snapshots and reports. The reader
 //! command vocabulary (`Command`, `QueryCommand`, …) is never persisted.
 
-use super::{FromJson, Json, JsonError, ToJson};
+use super::{write_f64, FromJson, Json, JsonError, ToJson};
 use crate::{impl_json_enum, impl_json_struct};
 use rfid_c1g2::{Clock, LinkParams, Micros, TimeBreakdown, TimeCategory};
 
 impl ToJson for Micros {
     fn to_json(&self) -> Json {
         Json::Float(self.as_f64())
+    }
+
+    fn write_json(&self, out: &mut String) {
+        write_f64(out, self.as_f64());
     }
 }
 

@@ -1,6 +1,8 @@
 //! JSON round-trip coverage for every `rfid-system` type that used to
 //! derive `Serialize`/`Deserialize` — the replacement must persist the
-//! same information the serde derives did.
+//! same information the serde derives did. Every round trip also checks
+//! that the direct writer (`ToJson::write_json`, behind `to_json_string`)
+//! emits exactly the bytes of the `Json` tree.
 
 use rfid_c1g2::Micros;
 use rfid_system::json::{from_json_str, to_json_string, FromJson, Json, ToJson};
@@ -15,6 +17,11 @@ where
     T: ToJson + FromJson + PartialEq + std::fmt::Debug,
 {
     let text = to_json_string(value);
+    assert_eq!(
+        text,
+        value.to_json().to_string(),
+        "writer differs from tree"
+    );
     let back: T = from_json_str(&text).unwrap_or_else(|e| panic!("{e} in {text}"));
     assert_eq!(&back, value, "round-trip through {text}");
     // Pretty output parses to the same value.
@@ -30,8 +37,112 @@ where
 {
     round_trip(value);
     assert_eq!(to_json_string(value), text);
+    assert_eq!(value.to_json().to_string(), text);
     let back: T = from_json_str(text).unwrap_or_else(|e| panic!("{e} in {text}"));
     assert_eq!(&back, value, "parse of {text}");
+}
+
+/// One value of every `Event` variant.
+fn every_event() -> Vec<Event> {
+    vec![
+        Event::RoundStarted {
+            round: 1,
+            h: 3,
+            unread: 100,
+        },
+        Event::CircleStarted {
+            circle: 2,
+            selected: 40,
+        },
+        Event::ReaderBroadcast {
+            what: BroadcastKind::PollingVector,
+            bits: 96,
+        },
+        Event::TagPolled {
+            tag: 5,
+            vector_bits: 3,
+        },
+        Event::TagReply { tag: 5, bits: 16 },
+        Event::VectorCharged { bits: 7 },
+        Event::SlotEmpty,
+        Event::SlotCollision { count: 4 },
+        Event::ReplyLost { tag: 3 },
+        Event::DownlinkLost { tag: 9 },
+        Event::ReplyCorrupted { tag: 12 },
+        Event::Retransmission {
+            tag: 12,
+            attempt: 2,
+        },
+        Event::DesyncRecovered { tag: 9 },
+        Event::StallTick { streak: 5 },
+        Event::RecoveryPassStarted {
+            pass: 2,
+            uncollected: 5,
+        },
+        Event::BackoffWaited { pass: 1, us: 1500 },
+        Event::CircuitOpened {
+            passes: 3,
+            uncollected: usize::MAX,
+        },
+    ]
+}
+
+const EVERY_BROADCAST_KIND: [BroadcastKind; 13] = [
+    BroadcastKind::RoundInit,
+    BroadcastKind::CircleCommand,
+    BroadcastKind::PollingVector,
+    BroadcastKind::QueryRep,
+    BroadcastKind::SlotPrefix,
+    BroadcastKind::IndicatorVector,
+    BroadcastKind::Select,
+    BroadcastKind::Query,
+    BroadcastKind::QueryAdjust,
+    BroadcastKind::Ack,
+    BroadcastKind::Nak,
+    BroadcastKind::FrameInit,
+    BroadcastKind::Probe,
+];
+
+#[test]
+fn writer_matches_tree_for_every_timed_event() {
+    // Integral, short, long-fraction, huge and tiny timestamps: every
+    // shape `f64`'s `Display` produces.
+    let stamps = [0.0, 37.45, 0.1 + 0.2, 1e21, 1e-7];
+    let broadcasts = EVERY_BROADCAST_KIND
+        .iter()
+        .map(|&what| Event::ReaderBroadcast { what, bits: 4 });
+    for event in every_event().into_iter().chain(broadcasts) {
+        for &us in &stamps {
+            round_trip(&TimedEvent {
+                at: Micros::from_us(us),
+                event,
+            });
+        }
+    }
+    assert_eq!(
+        to_json_string(&TimedEvent {
+            at: Micros::from_us(1e-7),
+            event: Event::SlotEmpty,
+        }),
+        r#"{"at":0.0000001,"event":"SlotEmpty"}"#
+    );
+}
+
+#[test]
+fn string_writer_matches_tree_for_escapes() {
+    for s in [
+        "",
+        "plain",
+        "with \"quotes\" and \\backslashes\\",
+        "newline\nreturn\rtab\t",
+        "backspace\u{08}formfeed\u{0C}",
+        "control \u{00}\u{01}\u{1F}\u{7F} chars",
+        "unicode: µs, 中文, \u{1F600} \"after\"",
+    ] {
+        assert_eq!(to_json_string(s), Json::str(s).to_string(), "str {s:?}");
+        round_trip(&s.to_string());
+    }
+    assert_eq!(to_json_string("a\"\\\u{01}"), r#""a\"\\\u0001""#);
 }
 
 #[test]
@@ -240,42 +351,7 @@ fn events_and_log_round_trip() {
         },
         r#"{"at":162.45,"event":"SlotEmpty"}"#,
     );
-    let events = [
-        Event::RoundStarted {
-            round: 1,
-            h: 3,
-            unread: 100,
-        },
-        Event::CircleStarted {
-            circle: 2,
-            selected: 40,
-        },
-        Event::ReaderBroadcast {
-            what: BroadcastKind::PollingVector,
-            bits: 96,
-        },
-        Event::ReaderBroadcast {
-            what: BroadcastKind::Nak,
-            bits: 8,
-        },
-        Event::TagPolled {
-            tag: 5,
-            vector_bits: 3,
-        },
-        Event::TagReply { tag: 5, bits: 16 },
-        Event::VectorCharged { bits: 7 },
-        Event::SlotEmpty,
-        Event::SlotCollision { count: 4 },
-        Event::ReplyLost { tag: 3 },
-        Event::DownlinkLost { tag: 9 },
-        Event::ReplyCorrupted { tag: 12 },
-        Event::Retransmission {
-            tag: 12,
-            attempt: 2,
-        },
-        Event::DesyncRecovered { tag: 9 },
-        Event::StallTick { streak: 5 },
-    ];
+    let events = every_event();
     for e in &events {
         round_trip(e);
     }
@@ -293,21 +369,7 @@ fn events_and_log_round_trip() {
 
 #[test]
 fn broadcast_kinds_round_trip_as_strings() {
-    for kind in [
-        BroadcastKind::RoundInit,
-        BroadcastKind::CircleCommand,
-        BroadcastKind::PollingVector,
-        BroadcastKind::QueryRep,
-        BroadcastKind::SlotPrefix,
-        BroadcastKind::IndicatorVector,
-        BroadcastKind::Select,
-        BroadcastKind::Query,
-        BroadcastKind::QueryAdjust,
-        BroadcastKind::Ack,
-        BroadcastKind::Nak,
-        BroadcastKind::FrameInit,
-        BroadcastKind::Probe,
-    ] {
+    for kind in EVERY_BROADCAST_KIND {
         round_trip(&kind);
     }
     assert_eq!(

@@ -26,7 +26,8 @@ benchmark/check.sh
 # Every bench below writes target/BENCH_<group>.json ({"group", "records"},
 # one record per measured value) and exits nonzero if any of its gated
 # records misses its bound; the report is written first either way.
-# Disabled-path telemetry overhead guard; writes target/BENCH_obs.json.
+# Disabled-path telemetry overhead guard and streamed trace-digest guard;
+# writes target/BENCH_obs.json.
 cargo bench --offline -p rfid-bench --bench obs
 # Sweep-engine smoke slice (DESIGN.md §10): a small Table I grid, once
 # cold on one worker and once cache-warm at the default width. Writes the
