@@ -83,7 +83,7 @@ mod tests {
             .with_seed(3)
             .with_ids(IdDistribution::Clustered { categories: 6 })
             .with_payload(PayloadKind::BatteryLevel);
-        let outcome = run_polling(&TppConfig::default().into_protocol(), &scenario);
+        let outcome = run_polling(&TppConfig::default(), &scenario);
         let stats = aggregate_by_category(&outcome.collected);
         assert_eq!(stats.len(), 6);
         let total: usize = stats.values().map(|s| s.count).sum();

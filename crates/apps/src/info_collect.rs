@@ -88,11 +88,11 @@ mod tests {
             .with_seed(7)
             .with_payload(PayloadKind::Random);
         let protocols: Vec<Box<dyn PollingProtocol>> = vec![
-            Box::new(HppConfig::default().into_protocol()),
-            Box::new(EhppConfig::default().into_protocol()),
-            Box::new(TppConfig::default().into_protocol()),
-            Box::new(CppConfig::default().into_protocol()),
-            Box::new(MicConfig::default().into_protocol()),
+            Box::new(HppConfig::default()),
+            Box::new(EhppConfig::default()),
+            Box::new(TppConfig::default()),
+            Box::new(CppConfig::default()),
+            Box::new(MicConfig::default()),
         ];
         let reference = scenario.build_population();
         for p in &protocols {
@@ -113,10 +113,10 @@ mod tests {
     #[test]
     fn tpp_is_fastest_of_the_polling_family() {
         let scenario = Scenario::uniform(2_000, 1).with_seed(3);
-        let tpp = run_polling(&TppConfig::default().into_protocol(), &scenario);
-        let hpp = run_polling(&HppConfig::default().into_protocol(), &scenario);
-        let ehpp = run_polling(&EhppConfig::default().into_protocol(), &scenario);
-        let cpp = run_polling(&CppConfig::default().into_protocol(), &scenario);
+        let tpp = run_polling(&TppConfig::default(), &scenario);
+        let hpp = run_polling(&HppConfig::default(), &scenario);
+        let ehpp = run_polling(&EhppConfig::default(), &scenario);
+        let cpp = run_polling(&CppConfig::default(), &scenario);
         assert!(tpp.report().total_time < ehpp.report().total_time);
         assert!(ehpp.report().total_time < hpp.report().total_time);
         assert!(hpp.report().total_time < cpp.report().total_time);
@@ -125,7 +125,7 @@ mod tests {
     #[test]
     fn payload_lookup_misses_unknown_ids() {
         let scenario = Scenario::uniform(10, 1).with_seed(1);
-        let outcome = run_polling(&TppConfig::default().into_protocol(), &scenario);
+        let outcome = run_polling(&TppConfig::default(), &scenario);
         assert!(outcome
             .payload_of(TagId::from_raw(u32::MAX, u64::MAX))
             .is_none());
@@ -139,8 +139,7 @@ mod tests {
         let protocol = HppConfig {
             max_rounds: 8,
             ..HppConfig::default()
-        }
-        .into_protocol();
+        };
         let cfg = SimConfig::paper(scenario.protocol_seed())
             .with_fault(FaultModel::perfect().with_downlink_loss(0.3));
         let mut ctx = SimContext::new(scenario.build_population(), &cfg);
@@ -159,7 +158,7 @@ mod tests {
         let scenario = Scenario::uniform(150, 4)
             .with_seed(31)
             .with_payload(PayloadKind::Random);
-        let protocol = TppConfig::default().into_protocol();
+        let protocol = TppConfig::default();
         let cfg = SimConfig::paper(scenario.protocol_seed());
 
         // TPP needs ~87 ms of air time here; a 20 ms budget must stop early.
@@ -208,7 +207,7 @@ mod tests {
         let cfg = SimConfig::paper(scenario.protocol_seed())
             .with_fault(FaultModel::perfect().with_plan(plan));
         let mut ctx = SimContext::new(scenario.build_population(), &cfg);
-        let protocol = HppConfig::default().into_protocol();
+        let protocol = HppConfig::default();
         let session = Session::open(&protocol, &ctx).with_policy(RecoveryPolicy::unbounded());
         let r = collect(session, &mut ctx);
         assert!(!r.end.is_complete());

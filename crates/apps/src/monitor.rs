@@ -19,7 +19,7 @@
 use std::collections::BTreeSet;
 
 use rfid_c1g2::Micros;
-use rfid_identify::{QueryTree, QueryTreeConfig};
+use rfid_identify::QueryTreeConfig;
 use rfid_protocols::PollingProtocol;
 use rfid_system::{SimContext, TagId};
 
@@ -99,7 +99,7 @@ impl InventoryMonitor {
             .collect();
         let mut newcomers = Vec::new();
         if !before.is_empty() {
-            QueryTree::new(self.cfg.newcomer_identification).run(ctx);
+            self.cfg.newcomer_identification.run(ctx);
             newcomers = before.into_iter().collect();
             for &id in &newcomers {
                 self.known.insert(id);

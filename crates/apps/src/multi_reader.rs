@@ -275,7 +275,7 @@ mod tests {
     fn deployment_reads_all_tags_and_bounds_hold() {
         let plan = DeploymentPlan::grid(2, 2, 20.0, 20.0);
         let scenario = Scenario::uniform(400, 1).with_seed(8);
-        let outcome = run_deployment(&plan, &scenario, &TppConfig::default().into_protocol());
+        let outcome = run_deployment(&plan, &scenario, &TppConfig::default());
         let polls: u64 = outcome.per_reader.iter().map(|r| r.counters.polls).sum();
         assert_eq!(polls, 400);
         assert!(outcome.is_complete());
@@ -294,7 +294,7 @@ mod tests {
     fn single_reader_degenerates_to_plain_run() {
         let plan = DeploymentPlan::grid(1, 1, 10.0, 10.0);
         let scenario = Scenario::uniform(100, 1).with_seed(9);
-        let outcome = run_deployment(&plan, &scenario, &TppConfig::default().into_protocol());
+        let outcome = run_deployment(&plan, &scenario, &TppConfig::default());
         assert_eq!(outcome.per_reader.len(), 1);
         assert_eq!(outcome.makespan, outcome.total_work);
     }

@@ -14,9 +14,9 @@ use std::collections::{HashMap, HashSet};
 
 use rfid_c1g2::crc::crc48_code;
 use rfid_protocols::{PollingProtocol, ProtocolStepper, StepDiscipline, StepOutcome};
-use rfid_system::{id::EPC_BITS, Json, JsonError, SimContext};
+use rfid_system::{id::EPC_BITS, SimContext};
 
-/// Coded-Polling configuration.
+/// The Coded Polling protocol, as its configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CodedPollingConfig {
     /// Safety cap on retry sweeps over a lossy channel.
@@ -31,46 +31,18 @@ impl Default for CodedPollingConfig {
     }
 }
 
-impl CodedPollingConfig {
-    /// Wraps the config into a runnable protocol.
-    pub fn into_protocol(self) -> CodedPolling {
-        CodedPolling { cfg: self }
-    }
-}
-
 /// Number of bits in a CP polling code.
 pub const CODE_BITS: u64 = 48;
 
-/// The Coded Polling protocol.
-#[derive(Debug, Clone, Default)]
-pub struct CodedPolling {
-    cfg: CodedPollingConfig,
-}
-
-impl CodedPolling {
-    /// Creates CP with the given configuration.
-    pub fn new(cfg: CodedPollingConfig) -> Self {
-        CodedPolling { cfg }
-    }
-}
-
-impl PollingProtocol for CodedPolling {
+impl PollingProtocol for CodedPollingConfig {
     fn name(&self) -> &'static str {
         "CP"
     }
 
+    // The ambiguity set is a pure function of the (immutable) tag IDs, so a
+    // resumed stepper recomputes it instead of serializing it.
     fn open_stepper(&self, ctx: &SimContext) -> Box<dyn ProtocolStepper> {
-        Box::new(CpStepper::open(self.cfg, ctx))
-    }
-
-    fn resume_stepper(
-        &self,
-        ctx: &SimContext,
-        _state: &Json,
-    ) -> Result<Box<dyn ProtocolStepper>, JsonError> {
-        // The ambiguity set is a pure function of the (immutable) tag IDs,
-        // so a resumed stepper recomputes it instead of serializing it.
-        Ok(Box::new(CpStepper::open(self.cfg, ctx)))
+        Box::new(CpStepper::open(*self, ctx))
     }
 }
 
@@ -107,10 +79,6 @@ impl ProtocolStepper for CpStepper {
         StepDiscipline::budgeted(self.cfg.max_sweeps)
     }
 
-    fn done(&self, ctx: &SimContext) -> bool {
-        ctx.population.active_count() == 0
-    }
-
     fn step(&mut self, ctx: &mut SimContext) -> StepOutcome {
         let mut handles = ctx.take_scratch();
         ctx.population.collect_active_into(&mut handles);
@@ -125,12 +93,6 @@ impl ProtocolStepper for CpStepper {
         ctx.recycle_scratch(handles);
         StepOutcome::Progressed
     }
-
-    fn state(&self) -> Json {
-        Json::Obj(Vec::new())
-    }
-
-    fn reset(&mut self, _ctx: &SimContext) {}
 }
 
 rfid_system::impl_json_struct!(CodedPollingConfig { max_sweeps });
@@ -138,14 +100,14 @@ rfid_system::impl_json_struct!(CodedPollingConfig { max_sweeps });
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cpp::Cpp;
+    use crate::cpp::CppConfig;
     use rfid_protocols::Report;
     use rfid_system::{BitVec, SimConfig, TagPopulation};
 
     fn run(n: usize, seed: u64) -> (Report, SimContext) {
         let pop = TagPopulation::sequential(n, |_| BitVec::from_value(1, 1));
         let mut ctx = SimContext::new(pop, &SimConfig::paper(seed));
-        let report = CodedPolling::default().run(&mut ctx);
+        let report = CodedPollingConfig::default().run(&mut ctx);
         (report, ctx)
     }
 
@@ -162,7 +124,7 @@ mod tests {
         let (cp, _) = run(100, 2);
         let pop = TagPopulation::sequential(100, |_| BitVec::from_value(1, 1));
         let mut ctx = SimContext::new(pop, &SimConfig::paper(2));
-        let cpp = Cpp::default().run(&mut ctx);
+        let cpp = CppConfig::default().run(&mut ctx);
         assert_eq!(cp.counters.reader_bits * 2, cpp.counters.reader_bits);
         assert!(cp.total_time < cpp.total_time);
     }

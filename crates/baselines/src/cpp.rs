@@ -6,9 +6,9 @@
 //! baseline: 37.70 s to collect one bit from 10⁴ tags.
 
 use rfid_protocols::{PollingProtocol, ProtocolStepper, StepDiscipline, StepOutcome};
-use rfid_system::{id::EPC_BITS, Json, JsonError, SimContext};
+use rfid_system::{id::EPC_BITS, SimContext};
 
-/// CPP configuration.
+/// The Conventional Polling Protocol, as its configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CppConfig {
     /// Whether the ID broadcast rides behind a 4-bit QueryRep. The paper's
@@ -28,56 +28,21 @@ impl Default for CppConfig {
     }
 }
 
-impl CppConfig {
-    /// Wraps the config into a runnable protocol.
-    pub fn into_protocol(self) -> Cpp {
-        Cpp { cfg: self }
-    }
-}
-
-/// The Conventional Polling Protocol.
-#[derive(Debug, Clone, Default)]
-pub struct Cpp {
-    cfg: CppConfig,
-}
-
-impl Cpp {
-    /// Creates CPP with the given configuration.
-    pub fn new(cfg: CppConfig) -> Self {
-        Cpp { cfg }
-    }
-}
-
-impl PollingProtocol for Cpp {
+impl PollingProtocol for CppConfig {
     fn name(&self) -> &'static str {
         "CPP"
     }
 
     fn open_stepper(&self, _ctx: &SimContext) -> Box<dyn ProtocolStepper> {
-        Box::new(CppStepper { cfg: self.cfg })
-    }
-
-    fn resume_stepper(
-        &self,
-        _ctx: &SimContext,
-        _state: &Json,
-    ) -> Result<Box<dyn ProtocolStepper>, JsonError> {
-        Ok(Box::new(CppStepper { cfg: self.cfg }))
+        Box::new(*self)
     }
 }
 
-/// One step = one full sweep over the still-active ID list.
-struct CppStepper {
-    cfg: CppConfig,
-}
-
-impl ProtocolStepper for CppStepper {
+/// One step = one full sweep over the still-active ID list; the config
+/// itself is the stepper.
+impl ProtocolStepper for CppConfig {
     fn discipline(&self) -> StepDiscipline {
-        StepDiscipline::budgeted(self.cfg.max_sweeps)
-    }
-
-    fn done(&self, ctx: &SimContext) -> bool {
-        ctx.population.active_count() == 0
+        StepDiscipline::budgeted(self.max_sweeps)
     }
 
     fn step(&mut self, ctx: &mut SimContext) -> StepOutcome {
@@ -86,17 +51,11 @@ impl ProtocolStepper for CppStepper {
         let mut handles = ctx.take_scratch();
         ctx.population.collect_active_into(&mut handles);
         for &handle in &handles {
-            ctx.poll_tag(EPC_BITS as u64, self.cfg.with_query_rep, handle);
+            ctx.poll_tag(EPC_BITS as u64, self.with_query_rep, handle);
         }
         ctx.recycle_scratch(handles);
         StepOutcome::Progressed
     }
-
-    fn state(&self) -> Json {
-        Json::Obj(Vec::new())
-    }
-
-    fn reset(&mut self, _ctx: &SimContext) {}
 }
 
 rfid_system::impl_json_struct!(CppConfig {
@@ -113,7 +72,7 @@ mod tests {
     fn run(n: usize, info_bits: usize, seed: u64) -> (Report, SimContext) {
         let pop = TagPopulation::sequential(n, |_| BitVec::from_value(1, info_bits));
         let mut ctx = SimContext::new(pop, &SimConfig::paper(seed));
-        let report = Cpp::default().run(&mut ctx);
+        let report = CppConfig::default().run(&mut ctx);
         (report, ctx)
     }
 
@@ -151,7 +110,7 @@ mod tests {
         let pop = TagPopulation::sequential(50, |_| BitVec::from_value(1, 1));
         let cfg = SimConfig::paper(4).with_channel(Channel::lossy(0.4));
         let mut ctx = SimContext::new(pop, &cfg);
-        let report = Cpp::default().run(&mut ctx);
+        let report = CppConfig::default().run(&mut ctx);
         ctx.assert_complete();
         assert!(report.counters.lost_replies > 0);
         assert_eq!(report.counters.polls, 50);

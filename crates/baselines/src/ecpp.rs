@@ -13,9 +13,10 @@ use std::collections::BTreeMap;
 use rfid_c1g2::commands::SELECT_FIXED_BITS;
 use rfid_c1g2::TimeCategory;
 use rfid_protocols::{PollingProtocol, ProtocolStepper, StepDiscipline, StepOutcome};
-use rfid_system::{id::EPC_BITS, Json, JsonError, SimContext};
+use rfid_system::{id::EPC_BITS, SimContext};
 
-/// Enhanced-CPP configuration.
+/// The enhanced (prefix-masked) Conventional Polling Protocol, as its
+/// configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EcppConfig {
     /// Prefix length used for grouping (default: the 60-bit category —
@@ -38,41 +39,13 @@ impl Default for EcppConfig {
     }
 }
 
-impl EcppConfig {
-    /// Wraps the config into a runnable protocol.
-    pub fn into_protocol(self) -> Ecpp {
-        Ecpp { cfg: self }
-    }
-}
-
-/// The enhanced (prefix-masked) Conventional Polling Protocol.
-#[derive(Debug, Clone, Default)]
-pub struct Ecpp {
-    cfg: EcppConfig,
-}
-
-impl Ecpp {
-    /// Creates enhanced CPP with the given configuration.
-    pub fn new(cfg: EcppConfig) -> Self {
-        Ecpp { cfg }
-    }
-}
-
-impl PollingProtocol for Ecpp {
+impl PollingProtocol for EcppConfig {
     fn name(&self) -> &'static str {
         "eCPP"
     }
 
     fn open_stepper(&self, _ctx: &SimContext) -> Box<dyn ProtocolStepper> {
-        Box::new(EcppStepper::open(self.cfg))
-    }
-
-    fn resume_stepper(
-        &self,
-        _ctx: &SimContext,
-        _state: &Json,
-    ) -> Result<Box<dyn ProtocolStepper>, JsonError> {
-        Ok(Box::new(EcppStepper::open(self.cfg)))
+        Box::new(EcppStepper::open(*self))
     }
 }
 
@@ -97,10 +70,6 @@ impl EcppStepper {
 impl ProtocolStepper for EcppStepper {
     fn discipline(&self) -> StepDiscipline {
         StepDiscipline::budgeted(self.cfg.max_sweeps)
-    }
-
-    fn done(&self, ctx: &SimContext) -> bool {
-        ctx.population.active_count() == 0
     }
 
     fn step(&mut self, ctx: &mut SimContext) -> StepOutcome {
@@ -135,12 +104,6 @@ impl ProtocolStepper for EcppStepper {
         }
         StepOutcome::Progressed
     }
-
-    fn state(&self) -> Json {
-        Json::Obj(Vec::new())
-    }
-
-    fn reset(&mut self, _ctx: &SimContext) {}
 }
 
 rfid_system::impl_json_struct!(EcppConfig {
@@ -152,7 +115,7 @@ rfid_system::impl_json_struct!(EcppConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cpp::Cpp;
+    use crate::cpp::CppConfig;
     use rfid_hash::Xoshiro256;
     use rfid_system::{BitVec, SimConfig, TagId, TagPopulation};
 
@@ -174,7 +137,7 @@ mod tests {
     fn reads_everything_on_clustered_ids() {
         let pop = clustered_population(200, 4, 1);
         let mut ctx = SimContext::new(pop, &SimConfig::paper(1));
-        let report = Ecpp::default().run(&mut ctx);
+        let report = EcppConfig::default().run(&mut ctx);
         ctx.assert_complete();
         assert_eq!(report.counters.polls, 200);
         // Differential vectors: 96 - 60 = 36 bits.
@@ -185,9 +148,9 @@ mod tests {
     fn beats_cpp_on_clustered_ids() {
         let pop = clustered_population(500, 3, 2);
         let mut ctx_e = SimContext::new(pop.clone(), &SimConfig::paper(2));
-        let ecpp = Ecpp::default().run(&mut ctx_e);
+        let ecpp = EcppConfig::default().run(&mut ctx_e);
         let mut ctx_c = SimContext::new(pop, &SimConfig::paper(2));
-        let cpp = Cpp::default().run(&mut ctx_c);
+        let cpp = CppConfig::default().run(&mut ctx_c);
         assert!(
             ecpp.total_time < cpp.total_time,
             "eCPP {} vs CPP {}",
@@ -206,7 +169,7 @@ mod tests {
             prefix_bits: 32,
             ..EcppConfig::default()
         };
-        let report = Ecpp::new(cfg).run(&mut ctx);
+        let report = cfg.run(&mut ctx);
         assert_eq!(report.mean_vector_bits(), 64.0);
     }
 
@@ -221,9 +184,9 @@ mod tests {
             )
         }));
         let mut ctx = SimContext::new(pop.clone(), &SimConfig::paper(4));
-        let ecpp = Ecpp::default().run(&mut ctx);
+        let ecpp = EcppConfig::default().run(&mut ctx);
         let mut ctx_c = SimContext::new(pop, &SimConfig::paper(4));
-        let cpp = Cpp::default().run(&mut ctx_c);
+        let cpp = CppConfig::default().run(&mut ctx_c);
         assert_eq!(ecpp.total_time, cpp.total_time);
         assert_eq!(ecpp.mean_vector_bits(), 96.0);
     }
@@ -232,7 +195,7 @@ mod tests {
     fn select_commands_are_charged() {
         let pop = clustered_population(50, 2, 5);
         let mut ctx = SimContext::new(pop, &SimConfig::paper(5));
-        let report = Ecpp::default().run(&mut ctx);
+        let report = EcppConfig::default().run(&mut ctx);
         // 2 categories → 2 Selects of (fixed + 60) bits + 50 × 36-bit polls.
         let expect = 2 * (SELECT_FIXED_BITS + 60) + 50 * 36;
         assert_eq!(report.counters.reader_bits, expect);

@@ -4,20 +4,23 @@
 //! implemented on the same [`rfid_system::SimContext`] substrate as the
 //! paper's own protocols:
 //!
-//! * [`cpp::Cpp`] — **Conventional Polling**: broadcast the full 96-bit tag
+//! * [`CppConfig`] — **Conventional Polling**: broadcast the full 96-bit tag
 //!   ID per poll (Section II-B, the Tables' `CPP` row),
-//! * [`ecpp::Ecpp`] — **enhanced CPP**: mask a common ID prefix with a
+//! * [`EcppConfig`] — **enhanced CPP**: mask a common ID prefix with a
 //!   Select command, then poll with differential bits only — fast exactly
 //!   when tag IDs cluster (Section II-B's discussion),
-//! * [`cp::CodedPolling`] — **Coded Polling** (Qiao et al., MobiHoc'11):
+//! * [`CodedPollingConfig`] — **Coded Polling** (Qiao et al., MobiHoc'11):
 //!   48-bit CRC-validated codes instead of full IDs,
-//! * [`mic::Mic`] — **Multi-hash Information Collection** (Chen et al.,
+//! * [`MicConfig`] — **Multi-hash Information Collection** (Chen et al.,
 //!   INFOCOM'11): the state-of-the-art ALOHA-based comparator, `k = 7` hash
 //!   functions and a per-slot indicator vector,
-//! * [`aloha::Fsa`] — plain (dynamic) framed-slotted ALOHA, the baseline
+//! * [`FsaConfig`] — plain (dynamic) framed-slotted ALOHA, the baseline
 //!   whose 63.2 % slot waste motivates MIC,
-//! * [`lower_bound::LowerBound`] — the C1G2 information-collection lower
+//! * [`LowerBound`] — the C1G2 information-collection lower
 //!   bound `(37.45·4 + T1 + 25·l + T2)·n`.
+//!
+//! As in `rfid-protocols`, each config is the protocol: it implements
+//! [`rfid_protocols::PollingProtocol`] directly.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,9 +32,9 @@ pub mod ecpp;
 pub mod lower_bound;
 pub mod mic;
 
-pub use aloha::{Fsa, FsaConfig};
-pub use cp::{CodedPolling, CodedPollingConfig};
-pub use cpp::{Cpp, CppConfig};
-pub use ecpp::{Ecpp, EcppConfig};
+pub use aloha::FsaConfig;
+pub use cp::CodedPollingConfig;
+pub use cpp::CppConfig;
+pub use ecpp::EcppConfig;
 pub use lower_bound::LowerBound;
-pub use mic::{Mic, MicConfig};
+pub use mic::MicConfig;

@@ -7,10 +7,11 @@
 //! table generation treats it uniformly.
 
 use rfid_protocols::{PollingProtocol, ProtocolStepper, StepDiscipline, StepOutcome};
-use rfid_system::{Json, JsonError, SimContext};
+use rfid_system::{Json, SimContext, ToJson};
 
 /// The lower-bound pseudo-protocol: polls each tag with an empty (0-bit)
-/// polling vector behind the minimal 4-bit command.
+/// polling vector behind the minimal 4-bit command. It has no parameters,
+/// so its config JSON is the empty object.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LowerBound;
 
@@ -20,29 +21,16 @@ impl PollingProtocol for LowerBound {
     }
 
     fn open_stepper(&self, _ctx: &SimContext) -> Box<dyn ProtocolStepper> {
-        Box::new(LowerBoundStepper)
-    }
-
-    fn resume_stepper(
-        &self,
-        _ctx: &SimContext,
-        _state: &Json,
-    ) -> Result<Box<dyn ProtocolStepper>, JsonError> {
-        Ok(Box::new(LowerBoundStepper))
+        Box::new(LowerBound)
     }
 }
 
-/// One step = one zero-vector sweep. No sweep cap (the bound is a closed
-/// form, not a real protocol); the driver's stall guard still applies.
-struct LowerBoundStepper;
-
-impl ProtocolStepper for LowerBoundStepper {
+/// One step = one zero-vector sweep; the protocol itself is the stepper.
+/// No sweep cap (the bound is a closed form, not a real protocol); the
+/// driver's stall guard still applies.
+impl ProtocolStepper for LowerBound {
     fn discipline(&self) -> StepDiscipline {
         StepDiscipline::guarded_unbounded()
-    }
-
-    fn done(&self, ctx: &SimContext) -> bool {
-        ctx.population.active_count() == 0
     }
 
     fn step(&mut self, ctx: &mut SimContext) -> StepOutcome {
@@ -54,12 +42,12 @@ impl ProtocolStepper for LowerBoundStepper {
         ctx.recycle_scratch(handles);
         StepOutcome::Progressed
     }
+}
 
-    fn state(&self) -> Json {
+impl ToJson for LowerBound {
+    fn to_json(&self) -> Json {
         Json::Obj(Vec::new())
     }
-
-    fn reset(&mut self, _ctx: &SimContext) {}
 }
 
 #[cfg(test)]

@@ -23,9 +23,9 @@
 use rfid_c1g2::TimeCategory;
 use rfid_hash::HashFamily;
 use rfid_protocols::{PollingProtocol, ProtocolStepper, StepDiscipline, StepOutcome};
-use rfid_system::{Json, JsonError, SimContext, SlotOutcome};
+use rfid_system::{SimContext, SlotOutcome};
 
-/// MIC configuration.
+/// The Multi-hash Information Collection protocol, as its configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MicConfig {
     /// Number of hash functions per tag (the paper compares against k = 7).
@@ -54,11 +54,6 @@ impl Default for MicConfig {
 }
 
 impl MicConfig {
-    /// Wraps the config into a runnable protocol.
-    pub fn into_protocol(self) -> Mic {
-        Mic { cfg: self }
-    }
-
     /// Indicator bits per slot: `⌈log₂(k+1)⌉`.
     pub fn indicator_bits_per_slot(&self) -> u64 {
         (usize::BITS - self.k.leading_zeros()) as u64
@@ -74,12 +69,6 @@ pub struct SlotAssignment {
     pub hash_index: usize,
 }
 
-/// The Multi-hash Information Collection protocol.
-#[derive(Debug, Clone, Default)]
-pub struct Mic {
-    cfg: MicConfig,
-}
-
 /// Reusable cascade state: epoch-stamped per-slot counters plus the
 /// unresolved worklist, carried across rounds so the cascade allocates
 /// nothing once warm.
@@ -91,12 +80,7 @@ struct CascadeScratch {
     epoch: u32,
 }
 
-impl Mic {
-    /// Creates MIC with the given configuration.
-    pub fn new(cfg: MicConfig) -> Self {
-        Mic { cfg }
-    }
-
+impl MicConfig {
     /// Reader-side cascade: resolves active tags into frame slots.
     ///
     /// Returns the per-slot assignment (`None` = wasted slot). Exposed for
@@ -145,7 +129,7 @@ impl Mic {
     /// candidate slots per entry of `handles`, and the per-slot assignment
     /// is written into `slots` (resized to `frame`). Pass counting uses the
     /// epoch-stamped arrays in `scratch`, so steady-state rounds perform no
-    /// heap allocation. Produces exactly the [`Mic::assign`] result.
+    /// heap allocation. Produces exactly the [`MicConfig::assign`] result.
     fn assign_flat(
         scratch: &mut CascadeScratch,
         handles: &[usize],
@@ -221,24 +205,16 @@ impl Mic {
     }
 }
 
-impl PollingProtocol for Mic {
+impl PollingProtocol for MicConfig {
     fn name(&self) -> &'static str {
         "MIC"
     }
 
+    // All serialized state is the context's; the frame buffers are per-step
+    // transients and the padding width recomputes from the (immutable)
+    // payload lengths.
     fn open_stepper(&self, ctx: &SimContext) -> Box<dyn ProtocolStepper> {
-        Box::new(MicStepper::open(self.cfg, ctx))
-    }
-
-    fn resume_stepper(
-        &self,
-        ctx: &SimContext,
-        _state: &Json,
-    ) -> Result<Box<dyn ProtocolStepper>, JsonError> {
-        // All serialized state is the context's; the frame buffers are
-        // per-step transients and the padding width recomputes from the
-        // (immutable) payload lengths.
-        Ok(Box::new(MicStepper::open(self.cfg, ctx)))
+        Box::new(MicStepper::open(*self, ctx))
     }
 }
 
@@ -286,10 +262,6 @@ impl ProtocolStepper for MicStepper {
         StepDiscipline::budgeted(self.cfg.max_rounds)
     }
 
-    fn done(&self, ctx: &SimContext) -> bool {
-        ctx.population.active_count() == 0
-    }
-
     fn step(&mut self, ctx: &mut SimContext) -> StepOutcome {
         let unresolved = ctx.population.active_count() as u64;
         let frame = ((unresolved as f64 * self.cfg.frame_factor).ceil() as u64).max(1);
@@ -310,7 +282,7 @@ impl ProtocolStepper for MicStepper {
                 family.slots_into(ids_hi[handle], ids_lo[handle], frame, cand_flat);
             });
         }
-        Mic::assign_flat(
+        MicConfig::assign_flat(
             &mut self.scratch,
             &self.handles,
             &self.cand_flat,
@@ -347,12 +319,6 @@ impl ProtocolStepper for MicStepper {
         }
         StepOutcome::Progressed
     }
-
-    fn state(&self) -> Json {
-        Json::Obj(Vec::new())
-    }
-
-    fn reset(&mut self, _ctx: &SimContext) {}
 }
 
 rfid_system::impl_json_struct!(MicConfig {
@@ -371,7 +337,7 @@ mod tests {
     fn run(n: usize, seed: u64, cfg: MicConfig) -> (Report, SimContext) {
         let pop = TagPopulation::sequential(n, |_| BitVec::from_value(1, 1));
         let mut ctx = SimContext::new(pop, &SimConfig::paper(seed));
-        let report = Mic::new(cfg).run(&mut ctx);
+        let report = cfg.run(&mut ctx);
         (report, ctx)
     }
 
@@ -446,10 +412,10 @@ mod tests {
                 .filter(|(_, t)| t.is_active())
                 .map(|(h, t)| (h, family.slots(t.id.hi(), t.id.lo(), frame)))
                 .collect();
-            let want = Mic::assign(&family, &candidates, frame);
+            let want = MicConfig::assign(&family, &candidates, frame);
             let handles: Vec<usize> = candidates.iter().map(|&(h, _)| h).collect();
             let cand_flat: Vec<u64> = candidates.iter().flat_map(|(_, s)| s.clone()).collect();
-            Mic::assign_flat(&mut scratch, &handles, &cand_flat, k, frame, &mut flat_out);
+            MicConfig::assign_flat(&mut scratch, &handles, &cand_flat, k, frame, &mut flat_out);
             assert_eq!(flat_out, want, "seed {seed}");
         }
     }
@@ -468,7 +434,7 @@ mod tests {
             .iter()
             .map(|(h, t)| (h, family.slots(t.id.hi(), t.id.lo(), frame)))
             .collect();
-        let assignment = Mic::assign(&family, &candidates, frame);
+        let assignment = MicConfig::assign(&family, &candidates, frame);
         let indicator: Vec<u8> = assignment
             .iter()
             .map(|s| s.map_or(0, |a| a.hash_index as u8))
@@ -476,7 +442,7 @@ mod tests {
         let mut replies: std::collections::HashMap<u64, Vec<usize>> =
             std::collections::HashMap::new();
         for (handle, slots) in &candidates {
-            if let Some((_, slot)) = Mic::tag_reply_slot(&indicator, slots) {
+            if let Some((_, slot)) = MicConfig::tag_reply_slot(&indicator, slots) {
                 replies.entry(slot).or_default().push(*handle);
             }
         }
@@ -508,7 +474,7 @@ mod tests {
         let pop = TagPopulation::sequential(300, |_| BitVec::from_value(1, 1));
         let cfg = SimConfig::paper(4).with_channel(Channel::lossy(0.2));
         let mut ctx = SimContext::new(pop, &cfg);
-        let report = Mic::default().run(&mut ctx);
+        let report = MicConfig::default().run(&mut ctx);
         ctx.assert_complete();
         assert_eq!(report.counters.polls, 300);
     }

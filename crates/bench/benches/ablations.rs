@@ -27,8 +27,7 @@ fn ablation_tpp_h(b: &mut Bench) {
         let protocol = TppConfig {
             index_rule: rule,
             ..TppConfig::default()
-        }
-        .into_protocol();
+        };
         let mut seed = 0u64;
         b.bench(&format!("ablation_tpp_h/{name}"), || {
             seed += 1;
@@ -48,8 +47,7 @@ fn ablation_ehpp_subset(b: &mut Bench) {
         let protocol = EhppConfig {
             subset_size: Some(size),
             ..EhppConfig::default()
-        }
-        .into_protocol();
+        };
         let mut seed = 0u64;
         b.bench(&format!("ablation_ehpp_subset/{name}"), || {
             seed += 1;
@@ -64,8 +62,7 @@ fn ablation_mic_k(b: &mut Bench) {
         let protocol = MicConfig {
             k,
             ..MicConfig::default()
-        }
-        .into_protocol();
+        };
         let mut seed = 0u64;
         b.bench(&format!("ablation_mic_k/{k}"), || {
             seed += 1;

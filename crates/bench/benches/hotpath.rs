@@ -45,28 +45,28 @@ const CASES: &[Case] = &[
         n: 10_000,
         baseline_tags_per_sec: 9.75e6,
         min_speedup: None,
-        make: || Box::new(HppConfig::default().into_protocol()),
+        make: || Box::new(HppConfig::default()),
     },
     Case {
         name: "HPP",
         n: 100_000,
         baseline_tags_per_sec: 5.38e6,
         min_speedup: None,
-        make: || Box::new(HppConfig::default().into_protocol()),
+        make: || Box::new(HppConfig::default()),
     },
     Case {
         name: "HPP",
         n: 1_000_000,
         baseline_tags_per_sec: 4.57e6,
         min_speedup: None,
-        make: || Box::new(HppConfig::default().into_protocol()),
+        make: || Box::new(HppConfig::default()),
     },
     Case {
         name: "TPP",
         n: 100_000,
         baseline_tags_per_sec: 3.43e6,
         min_speedup: None,
-        make: || Box::new(TppConfig::default().into_protocol()),
+        make: || Box::new(TppConfig::default()),
     },
     // EHPP and the Q-algorithm keep a semantic Ω(remaining) term — every
     // circle re-hashes all remaining tags against a fresh seed, every frame
@@ -78,14 +78,14 @@ const CASES: &[Case] = &[
         n: 100_000,
         baseline_tags_per_sec: 70_887.0,
         min_speedup: Some(1.5),
-        make: || Box::new(EhppConfig::default().into_protocol()),
+        make: || Box::new(EhppConfig::default()),
     },
     Case {
         name: "Q-algo",
         n: 100_000,
         baseline_tags_per_sec: 1_568.0,
         min_speedup: Some(1.5),
-        make: || Box::new(QAlgorithmConfig::default().into_protocol()),
+        make: || Box::new(QAlgorithmConfig::default()),
     },
     // The former per-slot population scanners: gated at ≥ 10×. Baselines
     // are direct measurements of the pre-change build at the same n where
@@ -98,28 +98,28 @@ const CASES: &[Case] = &[
         n: 20_000,
         baseline_tags_per_sec: 185.0,
         min_speedup: Some(10.0),
-        make: || Box::new(QueryTreeConfig::default().into_protocol()),
+        make: || Box::new(QueryTreeConfig::default()),
     },
     Case {
         name: "QueryTree",
         n: 100_000,
         baseline_tags_per_sec: 185.0,
         min_speedup: Some(10.0),
-        make: || Box::new(QueryTreeConfig::default().into_protocol()),
+        make: || Box::new(QueryTreeConfig::default()),
     },
     Case {
         name: "BinSplit",
         n: 20_000,
         baseline_tags_per_sec: 6_539.0,
         min_speedup: Some(10.0),
-        make: || Box::new(BinarySplitConfig::default().into_protocol()),
+        make: || Box::new(BinarySplitConfig::default()),
     },
     Case {
         name: "BinSplit",
         n: 100_000,
         baseline_tags_per_sec: 1_033.0,
         min_speedup: Some(10.0),
-        make: || Box::new(BinarySplitConfig::default().into_protocol()),
+        make: || Box::new(BinarySplitConfig::default()),
     },
     // Frame/sweep baselines: regression-tracked.
     Case {
@@ -127,14 +127,14 @@ const CASES: &[Case] = &[
         n: 100_000,
         baseline_tags_per_sec: 2.50e6,
         min_speedup: None,
-        make: || Box::new(FsaConfig::default().into_protocol()),
+        make: || Box::new(FsaConfig::default()),
     },
     Case {
         name: "MIC",
         n: 100_000,
         baseline_tags_per_sec: 1.59e6,
         min_speedup: None,
-        make: || Box::new(MicConfig::default().into_protocol()),
+        make: || Box::new(MicConfig::default()),
     },
     Case {
         name: "LowerBound",

@@ -19,7 +19,7 @@ const N: usize = 500;
 fn run_once(cfg: &SimConfig) -> SimContext {
     let pop = TagPopulation::sequential(N, |i| BitVec::from_value((i % 2) as u64, 1));
     let mut ctx = SimContext::new(pop, cfg);
-    HppConfig::default().into_protocol().run(&mut ctx);
+    HppConfig::default().run(&mut ctx);
     ctx
 }
 

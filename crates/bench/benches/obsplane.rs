@@ -35,7 +35,7 @@ const ENABLED_CEILING: f64 = 3.0;
 fn session_run(n: usize, cfg: &SimConfig) -> SimContext {
     let pop = TagPopulation::sequential(n, |i| BitVec::from_value((i % 2) as u64, 1));
     let mut ctx = SimContext::new(pop, cfg);
-    let protocol = HppConfig::default().into_protocol();
+    let protocol = HppConfig::default();
     let end = Session::open(&protocol, &ctx).run(&mut ctx);
     assert!(end.is_complete(), "HPP must complete on this channel");
     ctx
@@ -127,7 +127,7 @@ fn main() {
     let reported_run = |cfg: &SimConfig| {
         let pop = TagPopulation::sequential(N_SMALL, |i| BitVec::from_value((i % 2) as u64, 1));
         let mut ctx = SimContext::new(pop, cfg);
-        let protocol = HppConfig::default().into_protocol();
+        let protocol = HppConfig::default();
         let end = Session::open(&protocol, &ctx).run(&mut ctx);
         assert!(end.is_complete(), "HPP must complete under 0.3 loss");
         (end.report().to_json().to_string(), ctx)

@@ -25,11 +25,11 @@ fn run_once(protocol: &dyn PollingProtocol, n: usize, seed: u64) -> f64 {
 fn bench_full_runs(b: &mut Bench) {
     let n = 10_000;
     let protocols: Vec<(&str, Box<dyn PollingProtocol>)> = vec![
-        ("cpp", Box::new(CppConfig::default().into_protocol())),
-        ("hpp", Box::new(HppConfig::default().into_protocol())),
-        ("ehpp", Box::new(EhppConfig::default().into_protocol())),
-        ("tpp", Box::new(TppConfig::default().into_protocol())),
-        ("mic", Box::new(MicConfig::default().into_protocol())),
+        ("cpp", Box::new(CppConfig::default())),
+        ("hpp", Box::new(HppConfig::default())),
+        ("ehpp", Box::new(EhppConfig::default())),
+        ("tpp", Box::new(TppConfig::default())),
+        ("mic", Box::new(MicConfig::default())),
     ];
     for (name, protocol) in &protocols {
         let mut seed = 0u64;
@@ -41,7 +41,7 @@ fn bench_full_runs(b: &mut Bench) {
 }
 
 fn bench_tpp_scaling(b: &mut Bench) {
-    let tpp = TppConfig::default().into_protocol();
+    let tpp = TppConfig::default();
     for n in [1_000usize, 10_000, 100_000] {
         let mut seed = 0u64;
         b.bench(&format!("tpp_scaling/{n}"), || {
@@ -54,18 +54,9 @@ fn bench_tpp_scaling(b: &mut Bench) {
 fn bench_identification(b: &mut Bench) {
     let n = 2_000;
     let protocols: Vec<(&str, Box<dyn PollingProtocol>)> = vec![
-        (
-            "q_algo",
-            Box::new(QAlgorithmConfig::default().into_protocol()),
-        ),
-        (
-            "query_tree",
-            Box::new(QueryTreeConfig::default().into_protocol()),
-        ),
-        (
-            "bin_split",
-            Box::new(BinarySplitConfig::default().into_protocol()),
-        ),
+        ("q_algo", Box::new(QAlgorithmConfig::default())),
+        ("query_tree", Box::new(QueryTreeConfig::default())),
+        ("bin_split", Box::new(BinarySplitConfig::default())),
     ];
     for (name, protocol) in &protocols {
         let mut seed = 0u64;

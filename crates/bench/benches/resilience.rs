@@ -50,7 +50,7 @@ fn record_recovery(b: &mut Bench, name: &str, sessions: u64, recovered: u64) {
 fn local_identity(seed: u64) -> (String, u64) {
     let scenario = Scenario::uniform(N as usize, INFO_BITS as usize).with_seed(seed);
     let config = SimConfig::paper(scenario.protocol_seed()).with_trace();
-    let protocol = TppConfig::default().into_protocol();
+    let protocol = TppConfig::default();
     let mut ctx = SimContext::new(scenario.build_population(), &config);
     let mut session = Session::open(&protocol, &ctx);
     let SessionEnd::Complete { report, .. } = session.run(&mut ctx) else {

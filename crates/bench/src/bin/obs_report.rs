@@ -157,7 +157,7 @@ fn render_worked_examples(n: usize, seed: u64) {
     // Fig. 2 — HPP: the reader announces (h, r); singleton indices become
     // the polling vector; every poll costs h bits.
     println!("== Fig. 2 worked example: HPP round walk (n={n}, seed={seed}) ==");
-    let ctx = traced_run(&HppConfig::default().into_protocol(), n, &cfg);
+    let ctx = traced_run(&HppConfig::default(), n, &cfg);
     println!(
         "  {:>5} {:>4} {:>7} {:>6} {:>12} {:>10}",
         "round", "h", "unread", "polls", "vector bits", "bits/poll"
@@ -193,7 +193,7 @@ fn render_worked_examples(n: usize, seed: u64) {
         subset_size: Some(((n as u64) / 4).max(1)),
         ..EhppConfig::default()
     };
-    let ctx = traced_run(&ehpp.into_protocol(), n, &cfg);
+    let ctx = traced_run(&ehpp, n, &cfg);
     println!(
         "  {:>6} {:>8} {:>6} {:>6} {:>12} {:>9}",
         "circle", "selected", "rounds", "polls", "vector bits", "bits/tag"
@@ -220,7 +220,7 @@ fn render_worked_examples(n: usize, seed: u64) {
     // differential suffix (~3 bits regardless of n).
     println!();
     println!("== Fig. 7 worked example: TPP differential suffixes (n={n}, seed={seed}) ==");
-    let ctx = traced_run(&TppConfig::default().into_protocol(), n, &cfg);
+    let ctx = traced_run(&TppConfig::default(), n, &cfg);
     println!(
         "  {:.2} vector bits/tag over {} rounds (paper's asymptote ≈ 3.06)",
         ctx.counters.mean_vector_bits(),
@@ -241,9 +241,9 @@ fn render_flame_profiles(n: usize, seed: u64) {
     use rfid_protocols::Session;
     let cfg = SimConfig::paper(seed).with_profile();
     let protocols: Vec<Box<dyn PollingProtocol>> = vec![
-        Box::new(HppConfig::default().into_protocol()),
-        Box::new(EhppConfig::default().into_protocol()),
-        Box::new(TppConfig::default().into_protocol()),
+        Box::new(HppConfig::default()),
+        Box::new(EhppConfig::default()),
+        Box::new(TppConfig::default()),
     ];
     println!("span profiles (n = {n}, seed = {seed})\n");
     for protocol in &protocols {

@@ -24,30 +24,7 @@ use rfid_bench::cli::{self, ReproOptions};
 use rfid_bench::{BenchRecord, Cell, Summary, SweepEngine};
 use rfid_c1g2::LinkParams;
 use rfid_protocols::{EhppConfig, HppConfig, IndexRule, PollingProtocol, Report, TppConfig};
-use rfid_system::to_json_string;
 use rfid_workloads::{IdDistribution, Scenario};
-
-/// A grid row: display label, serialized config (cache-key component) and a
-/// thread-safe factory of fresh protocol instances.
-struct Row {
-    label: &'static str,
-    config: String,
-    factory: Box<dyn Fn() -> Box<dyn PollingProtocol> + Sync>,
-}
-
-impl Row {
-    fn new(
-        label: &'static str,
-        config: String,
-        factory: impl Fn() -> Box<dyn PollingProtocol> + Sync + 'static,
-    ) -> Row {
-        Row {
-            label,
-            config,
-            factory: Box::new(factory),
-        }
-    }
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -255,30 +232,19 @@ fn fig10(engine: &mut SweepEngine, opts: &ReproOptions) {
         .into_iter()
         .filter(|&n| n <= opts.max_n)
         .collect();
-    let rows: Vec<Row> = vec![
-        Row::new("HPP", to_json_string(&HppConfig::default()), || {
-            Box::new(HppConfig::default().into_protocol())
-        }),
-        Row::new("EHPP", to_json_string(&EhppConfig::default()), || {
-            Box::new(EhppConfig::default().into_protocol())
-        }),
-        Row::new("TPP", to_json_string(&TppConfig::default()), || {
-            Box::new(TppConfig::default().into_protocol())
-        }),
-    ];
+    let (hpp, ehpp, tpp) = (
+        HppConfig::default(),
+        EhppConfig::default(),
+        TppConfig::default(),
+    );
+    let rows: [&dyn PollingProtocol; 3] = [&hpp, &ehpp, &tpp];
     // Cells in (n, protocol) row-major order; the whole figure runs as one
     // parallel batch.
     let mut cells = Vec::new();
     for &n in &ns {
         let scenario = Scenario::uniform(n as usize, 1).with_seed(n);
-        for row in &rows {
-            cells.push(Cell::new(
-                row.label,
-                row.config.clone(),
-                scenario.clone(),
-                opts.runs,
-                row.factory.as_ref(),
-            ));
+        for &row in &rows {
+            cells.push(Cell::new(row.name(), row, scenario.clone(), opts.runs));
         }
     }
     let results = engine.run_cells(&cells);
@@ -303,25 +269,15 @@ fn fig10(engine: &mut SweepEngine, opts: &ReproOptions) {
 // ----------------------------------------------------------------- tables
 
 /// The six table rows (CPP/HPP/EHPP/MIC/TPP/LowerBound) at their default
-/// configurations.
-fn table_rows() -> Vec<Row> {
+/// configurations, each labelled by its protocol name.
+fn table_rows() -> Vec<Box<dyn PollingProtocol>> {
     vec![
-        Row::new("CPP", to_json_string(&CppConfig::default()), || {
-            Box::new(CppConfig::default().into_protocol())
-        }),
-        Row::new("HPP", to_json_string(&HppConfig::default()), || {
-            Box::new(HppConfig::default().into_protocol())
-        }),
-        Row::new("EHPP", to_json_string(&EhppConfig::default()), || {
-            Box::new(EhppConfig::default().into_protocol())
-        }),
-        Row::new("MIC", to_json_string(&MicConfig::default()), || {
-            Box::new(MicConfig::default().into_protocol())
-        }),
-        Row::new("TPP", to_json_string(&TppConfig::default()), || {
-            Box::new(TppConfig::default().into_protocol())
-        }),
-        Row::new("LowerBound", String::new(), || Box::new(LowerBound)),
+        Box::new(CppConfig::default()),
+        Box::new(HppConfig::default()),
+        Box::new(EhppConfig::default()),
+        Box::new(MicConfig::default()),
+        Box::new(TppConfig::default()),
+        Box::new(LowerBound),
     ]
 }
 
@@ -355,25 +311,19 @@ fn table(engine: &mut SweepEngine, opts: &ReproOptions, l: usize) {
         for &n in &ns {
             let scenario = Scenario::uniform(n as usize, l).with_seed(n + l as u64);
             // CPP and LowerBound are deterministic in time; one run suffices.
-            let runs = if row.label == "CPP" || row.label == "LowerBound" {
+            let runs = if row.name() == "CPP" || row.name() == "LowerBound" {
                 1
             } else {
                 opts.runs
             };
-            cells.push(Cell::new(
-                row.label,
-                row.config.clone(),
-                scenario,
-                runs,
-                row.factory.as_ref(),
-            ));
+            cells.push(Cell::new(row.name(), row.as_ref(), scenario, runs));
         }
     }
     let results = engine.run_cells(&cells);
 
     let mut measured: Vec<Vec<f64>> = Vec::new();
     for (ri, row) in rows.iter().enumerate() {
-        print!("{:<12}", row.label);
+        print!("{:<12}", row.name());
         let mut secs = Vec::new();
         for ci in 0..ns.len() {
             let s = summary_of(&results[ri * ns.len() + ci], |r| r.total_time.as_secs());
@@ -407,7 +357,7 @@ fn table(engine: &mut SweepEngine, opts: &ReproOptions, l: usize) {
             if let Some(col) = ns.iter().position(|&n| n == 10_000) {
                 let tpp = measured[4][col];
                 for (name, ratio) in anchors::TABLE2_TPP_RATIOS {
-                    let idx = rows.iter().position(|r| r.label == name).expect("row");
+                    let idx = rows.iter().position(|r| r.name() == name).expect("row");
                     println!(
                         "  TPP/{name:<5} measured {:>6.3} vs paper {ratio:.3}",
                         tpp / measured[idx][col]
@@ -420,7 +370,7 @@ fn table(engine: &mut SweepEngine, opts: &ReproOptions, l: usize) {
             if let Some(col) = ns.iter().position(|&n| n == 10_000) {
                 let lb = measured[5][col];
                 for (name, ratio) in anchors::TABLE3_LB_RATIOS {
-                    let idx = rows.iter().position(|r| r.label == name).expect("row");
+                    let idx = rows.iter().position(|r| r.name() == name).expect("row");
                     println!(
                         "  {name:<5}/LB measured {:>6.3} vs paper {ratio:.2}",
                         measured[idx][col] / lb
@@ -448,21 +398,13 @@ fn energy(engine: &mut SweepEngine, opts: &ReproOptions) {
         "{:<12} {:>14} {:>12} {:>12}",
         "protocol", "per tag (µJ)", "rx (mJ)", "tx (mJ)"
     );
-    let rows: Vec<Row> = table_rows()
+    let rows: Vec<Box<dyn PollingProtocol>> = table_rows()
         .into_iter()
-        .filter(|r| r.label != "LowerBound")
+        .filter(|r| r.name() != "LowerBound")
         .collect();
     let cells: Vec<Cell<'_>> = rows
         .iter()
-        .map(|row| {
-            Cell::new(
-                row.label,
-                row.config.clone(),
-                scenario.clone(),
-                runs,
-                row.factory.as_ref(),
-            )
-        })
+        .map(|row| Cell::new(row.name(), row.as_ref(), scenario.clone(), runs))
         .collect();
     let results = engine.run_cells(&cells);
     for (row, reports) in rows.iter().zip(&results) {
@@ -471,7 +413,10 @@ fn energy(engine: &mut SweepEngine, opts: &ReproOptions) {
         let tx = summary_of(reports, |r| r.tag_energy(&params, &link).tx_mj);
         println!(
             "{:<12} {:>14.2} {:>12.2} {:>12.3}",
-            row.label, per_tag.mean, rx.mean, tx.mean
+            row.name(),
+            per_tag.mean,
+            rx.mean,
+            tx.mean
         );
     }
     println!("(listen energy dominates; TPP's short vectors and early sleeps win)");
@@ -513,17 +458,7 @@ fn recovery(engine: &mut SweepEngine, opts: &ReproOptions) {
         max_rounds: 24,
         ..TppConfig::default()
     };
-    let rows: Vec<Row> = vec![
-        Row::new("HPP", to_json_string(&hpp_cfg), move || {
-            Box::new(hpp_cfg.into_protocol())
-        }),
-        Row::new("EHPP", to_json_string(&ehpp_cfg), move || {
-            Box::new(ehpp_cfg.into_protocol())
-        }),
-        Row::new("TPP", to_json_string(&tpp_cfg), move || {
-            Box::new(tpp_cfg.into_protocol())
-        }),
-    ];
+    let rows: [&dyn PollingProtocol; 3] = [&hpp_cfg, &ehpp_cfg, &tpp_cfg];
     let faults: Vec<(&str, Option<FaultModel>)> = vec![
         ("fault-free", None),
         (
@@ -552,15 +487,9 @@ fn recovery(engine: &mut SweepEngine, opts: &ReproOptions) {
     let mut cells = Vec::new();
     for (fi, (_, fault)) in faults.iter().enumerate() {
         let scenario = Scenario::uniform(n, 1).with_seed(5_000 + fi as u64);
-        for row in &rows {
-            let mut cell = Cell::new(
-                row.label,
-                row.config.clone(),
-                scenario.clone(),
-                runs,
-                row.factory.as_ref(),
-            )
-            .with_recovery(RecoveryPolicy::unbounded());
+        for &row in &rows {
+            let mut cell = Cell::new(row.name(), row, scenario.clone(), runs)
+                .with_recovery(RecoveryPolicy::unbounded());
             if let Some(f) = fault {
                 cell = cell.with_fault(f.clone());
             }
@@ -589,10 +518,13 @@ fn recovery(engine: &mut SweepEngine, opts: &ReproOptions) {
             // under an unbounded policy reaches coverage 1.0, every run.
             for (r, report) in reports.iter().enumerate() {
                 assert_eq!(
-                    report.counters.polls as usize, report.tags,
+                    report.counters.polls as usize,
+                    report.tags,
                     "convergence violated: {} under `{flabel}` run {r} collected \
                      {} of {} tags",
-                    row.label, report.counters.polls, report.tags
+                    row.name(),
+                    report.counters.polls,
+                    report.tags
                 );
             }
             let passes = summary_of(reports, |r| (r.counters.recovery_passes + 1) as f64);
@@ -603,9 +535,13 @@ fn recovery(engine: &mut SweepEngine, opts: &ReproOptions) {
             let overhead = secs.mean / baseline[ri];
             println!(
                 "{flabel:<12} {:<12} {:>10.3} {:>10.2} {:>12.3} {:>9.2}x",
-                row.label, 1.0, passes.mean, secs.mean, overhead
+                row.name(),
+                1.0,
+                passes.mean,
+                secs.mean,
+                overhead
             );
-            let cell = |metric, unit, value| record(flabel, row.label, runs, metric, unit, value);
+            let cell = |metric, unit, value| record(flabel, row.name(), runs, metric, unit, value);
             records.extend([
                 cell("coverage", "ratio", 1.0),
                 cell("mean_passes", "passes", passes.mean),
@@ -621,10 +557,9 @@ fn recovery(engine: &mut SweepEngine, opts: &ReproOptions) {
     let dead_policy = RecoveryPolicy::unbounded().with_max_passes(4);
     let dead_cell = Cell::new(
         "HPP",
-        to_json_string(&hpp_cfg),
+        &hpp_cfg,
         Scenario::uniform(n, 1).with_seed(6_000),
         runs.min(4),
-        rows[0].factory.as_ref(),
     )
     .with_fault(FaultModel::perfect().with_downlink_loss(1.0))
     .with_recovery(dead_policy);
@@ -661,7 +596,7 @@ fn recovery(engine: &mut SweepEngine, opts: &ReproOptions) {
         .with_fault(FaultModel::perfect().with_plan(plan))
         .with_trace();
     let mut ctx = SimContext::new(sc.build_population(), &cfg);
-    let protocol = HppConfig::default().into_protocol();
+    let protocol = HppConfig::default();
     let mut session = Session::open(&protocol, &ctx).with_policy(RecoveryPolicy::unbounded());
     let SessionEnd::Degraded { coverage, .. } = session.run(&mut ctx) else {
         panic!("a killed tag must degrade the run");
@@ -829,13 +764,9 @@ fn ablations(engine: &mut SweepEngine, opts: &ReproOptions) {
         ..TppConfig::default()
     };
     let n_star = EhppConfig::default().effective_subset_size();
-    let mut rows: Vec<Row> = vec![
-        Row::new("TPP", to_json_string(&TppConfig::default()), || {
-            Box::new(TppConfig::default().into_protocol())
-        }),
-        Row::new("TPP-hpp-rule", to_json_string(&hpp_rule_cfg), move || {
-            Box::new(hpp_rule_cfg.into_protocol())
-        }),
+    let mut rows: Vec<(&str, Box<dyn PollingProtocol>)> = vec![
+        ("TPP", Box::new(TppConfig::default())),
+        ("TPP-hpp-rule", Box::new(hpp_rule_cfg)),
     ];
     let subset_sizes = [n_star / 2, n_star, n_star * 2];
     for size in subset_sizes {
@@ -843,10 +774,7 @@ fn ablations(engine: &mut SweepEngine, opts: &ReproOptions) {
             subset_size: Some(size),
             ..EhppConfig::default()
         };
-        let json = to_json_string(&cfg);
-        rows.push(Row::new("EHPP-subset", json, move || {
-            Box::new(cfg.into_protocol())
-        }));
+        rows.push(("EHPP-subset", Box::new(cfg)));
     }
     let mic_ks = [1usize, 2, 4, 7];
     for k in mic_ks {
@@ -854,27 +782,12 @@ fn ablations(engine: &mut SweepEngine, opts: &ReproOptions) {
             k,
             ..MicConfig::default()
         };
-        let json = to_json_string(&cfg);
-        rows.push(Row::new("MIC-k", json, move || {
-            Box::new(cfg.into_protocol())
-        }));
+        rows.push(("MIC-k", Box::new(cfg)));
     }
-    rows.push(Row::new(
-        "HPP",
-        to_json_string(&HppConfig::default()),
-        || Box::new(HppConfig::default().into_protocol()),
-    ));
+    rows.push(("HPP", Box::new(HppConfig::default())));
     let cells: Vec<Cell<'_>> = rows
         .iter()
-        .map(|row| {
-            Cell::new(
-                row.label,
-                row.config.clone(),
-                scenario.clone(),
-                runs,
-                row.factory.as_ref(),
-            )
-        })
+        .map(|(label, protocol)| Cell::new(*label, protocol.as_ref(), scenario.clone(), runs))
         .collect();
     let results = engine.run_cells(&cells);
 
@@ -927,14 +840,8 @@ fn ablations(engine: &mut SweepEngine, opts: &ReproOptions) {
     // 5. ID-distribution sensitivity: the hashed protocols are
     //    distribution-free; eCPP is not. A second small batch (the rows
     //    above all share the uniform scenario).
-    let dist_rows: Vec<Row> = vec![
-        Row::new("TPP", to_json_string(&TppConfig::default()), || {
-            Box::new(TppConfig::default().into_protocol())
-        }),
-        Row::new("eCPP", to_json_string(&EcppConfig::default()), || {
-            Box::new(EcppConfig::default().into_protocol())
-        }),
-    ];
+    let (tpp, ecpp) = (TppConfig::default(), EcppConfig::default());
+    let dist_rows: [&dyn PollingProtocol; 2] = [&tpp, &ecpp];
     let dists = [
         ("uniform", IdDistribution::UniformRandom),
         ("clustered", IdDistribution::Clustered { categories: 10 }),
@@ -942,14 +849,8 @@ fn ablations(engine: &mut SweepEngine, opts: &ReproOptions) {
     let mut dist_cells = Vec::new();
     for (_, dist) in &dists {
         let sc = scenario.clone().with_ids(dist.clone());
-        for row in &dist_rows {
-            dist_cells.push(Cell::new(
-                row.label,
-                row.config.clone(),
-                sc.clone(),
-                runs,
-                row.factory.as_ref(),
-            ));
+        for &row in &dist_rows {
+            dist_cells.push(Cell::new(row.name(), row, sc.clone(), runs));
         }
     }
     let dist_results = engine.run_cells(&dist_cells);

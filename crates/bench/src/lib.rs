@@ -20,6 +20,6 @@ pub mod stats;
 pub mod sweep;
 
 pub use harness::{find_target_dir, write_report, Bench, BenchRecord, Gate};
-pub use runner::{montecarlo, ProtocolFactory};
+pub use runner::montecarlo;
 pub use stats::Summary;
 pub use sweep::{Cell, SweepEngine, SweepStats, CACHE_SALT};

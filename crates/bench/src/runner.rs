@@ -5,18 +5,14 @@ use rfid_workloads::Scenario;
 
 use crate::sweep::{Cell, SweepEngine};
 
-/// A thread-safe factory producing fresh protocol instances — each worker
-/// thread builds its own to keep the runs independent.
-pub type ProtocolFactory<'a> = dyn Fn() -> Box<dyn PollingProtocol> + Sync + 'a;
-
-/// Runs `runs` independent simulations of `factory()` over `scenario`
+/// Runs `runs` independent simulations of `protocol` over `scenario`
 /// (run `r` reseeded via [`Scenario::for_run`], exactly as the sweep engine
 /// seeds its grid cells) and returns all reports in run order. Workers
 /// spread across available cores; a one-run block keeps every run its own
 /// job, matching the old chunked scheduler's parallel width.
-pub fn montecarlo(scenario: &Scenario, runs: u64, factory: &ProtocolFactory<'_>) -> Vec<Report> {
+pub fn montecarlo(scenario: &Scenario, runs: u64, protocol: &dyn PollingProtocol) -> Vec<Report> {
     assert!(runs >= 1);
-    let cell = Cell::new("montecarlo", "", scenario.clone(), runs, factory);
+    let cell = Cell::new("montecarlo", protocol, scenario.clone(), runs);
     SweepEngine::new()
         .with_run_block(1)
         .run_cells(std::slice::from_ref(&cell))
@@ -32,9 +28,7 @@ mod tests {
     #[test]
     fn montecarlo_produces_the_requested_runs() {
         let scenario = Scenario::uniform(100, 1).with_seed(5);
-        let reports = montecarlo(&scenario, 8, &|| {
-            Box::new(TppConfig::default().into_protocol())
-        });
+        let reports = montecarlo(&scenario, 8, &TppConfig::default());
         assert_eq!(reports.len(), 8);
         for r in &reports {
             assert_eq!(r.counters.polls, 100);
@@ -48,12 +42,8 @@ mod tests {
     #[test]
     fn montecarlo_is_reproducible() {
         let scenario = Scenario::uniform(50, 1).with_seed(9);
-        let a = montecarlo(&scenario, 4, &|| {
-            Box::new(TppConfig::default().into_protocol())
-        });
-        let b = montecarlo(&scenario, 4, &|| {
-            Box::new(TppConfig::default().into_protocol())
-        });
+        let a = montecarlo(&scenario, 4, &TppConfig::default());
+        let b = montecarlo(&scenario, 4, &TppConfig::default());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.total_time, y.total_time);
         }

@@ -18,7 +18,7 @@
 //!   bit-identical to `--workers 1`.
 //! * **Caching.** With a cache directory attached, each job's result is
 //!   persisted under a content-addressed key — an FNV-1a hash over the
-//!   protocol label, its serialized config, the scenario JSON (including
+//!   row label, the cell protocol's own JSON, the scenario JSON (including
 //!   the master seed), the run-block range and a code-version salt
 //!   ([`CACHE_SALT`]) — as one JSONL line of `Report`s. A warm cache skips
 //!   recompute; bumping the salt (or any keyed input) invalidates exactly
@@ -37,12 +37,11 @@ use std::time::Instant;
 use rfid_apps::info_collect::collect;
 use rfid_hash::fnv64;
 use rfid_obs::MetricsRegistry;
-use rfid_protocols::{RecoveryPolicy, Report, Session, SessionEnd};
+use rfid_protocols::{PollingProtocol, RecoveryPolicy, Report, Session, SessionEnd};
 use rfid_system::{to_json_string, FaultModel, FromJson, Json, SimConfig, SimContext, ToJson};
 use rfid_workloads::Scenario;
 
 use crate::harness::{write_report, BenchRecord};
-use crate::runner::ProtocolFactory;
 
 /// Code-version salt folded into every cache key. Bump whenever simulator
 /// semantics change in a way that alters reports, so stale sweep caches
@@ -56,18 +55,16 @@ const DEFAULT_RUN_BLOCK: u64 = 2;
 /// One grid cell: a protocol row evaluated over a scenario for `runs`
 /// Monte-Carlo repetitions.
 pub struct Cell<'a> {
-    /// Protocol display label (cache-key component).
-    pub protocol: String,
-    /// Serialized protocol configuration (cache-key component); the empty
-    /// string for configs that are not serializable.
-    pub config: String,
+    /// Row label (cache-key component).
+    pub label: String,
+    /// The configured protocol, shared by every run and worker; its JSON
+    /// is the config component of the cache key.
+    pub protocol: &'a dyn PollingProtocol,
     /// Population description, carrying the cell's master seed.
     pub scenario: Scenario,
     /// Monte-Carlo repetitions; run `r` executes under
     /// `scenario.for_run(r)`.
     pub runs: u64,
-    /// Thread-safe factory of fresh protocol instances.
-    pub factory: &'a ProtocolFactory<'a>,
     /// Channel fault model injected into every run (cache-key component);
     /// `None` runs the paper's perfect channel.
     pub fault: Option<FaultModel>,
@@ -77,20 +74,18 @@ pub struct Cell<'a> {
 }
 
 impl<'a> Cell<'a> {
-    /// A cell with an explicit label and serialized config.
+    /// A cell running `protocol` under the row label `label`.
     pub fn new(
-        protocol: impl Into<String>,
-        config: impl Into<String>,
+        label: impl Into<String>,
+        protocol: &'a dyn PollingProtocol,
         scenario: Scenario,
         runs: u64,
-        factory: &'a ProtocolFactory<'a>,
     ) -> Self {
         Cell {
-            protocol: protocol.into(),
-            config: config.into(),
+            label: label.into(),
+            protocol,
             scenario,
             runs,
-            factory,
             fault: None,
             recovery: None,
         }
@@ -339,6 +334,7 @@ impl SweepEngine {
         let mut jobs = Vec::new();
         for (ci, cell) in cells.iter().enumerate() {
             assert!(cell.runs >= 1, "cell {ci} has zero runs");
+            let config_json = to_json_string(cell.protocol);
             let scenario_json = to_json_string(&cell.scenario);
             let fault_json = cell.fault.as_ref().map_or_else(String::new, to_json_string);
             let recovery_json = cell
@@ -351,8 +347,8 @@ impl SweepEngine {
                 let id = format!(
                     "{}|{}|{}|{}|{}|{}|{}+{}",
                     self.salt,
-                    cell.protocol,
-                    cell.config,
+                    cell.label,
+                    config_json,
                     scenario_json,
                     fault_json,
                     recovery_json,
@@ -379,17 +375,13 @@ impl SweepEngine {
 /// recovered run that degrades still returns its partial report (the
 /// recovery counters inside carry passes and backoff); a stall without a
 /// policy panics.
-fn execute_run(
-    cell: &Cell<'_>,
-    protocol: &dyn rfid_protocols::PollingProtocol,
-    sc: &Scenario,
-) -> Report {
+fn execute_run(cell: &Cell<'_>, sc: &Scenario) -> Report {
     let mut cfg = SimConfig::paper(sc.protocol_seed());
     if let Some(fault) = &cell.fault {
         cfg = cfg.with_fault(fault.clone());
     }
     let mut ctx = SimContext::new(sc.build_population(), &cfg);
-    let mut session = Session::open(protocol, &ctx);
+    let mut session = Session::open(cell.protocol, &ctx);
     if let Some(policy) = cell.recovery {
         session = session.with_policy(policy);
     }
@@ -439,9 +431,7 @@ fn run_jobs(
                         let jt = Instant::now();
                         let mut reports = Vec::with_capacity(job.len as usize);
                         for r in job.start..job.start + job.len {
-                            let sc = cell.scenario.for_run(r);
-                            let protocol = (cell.factory)();
-                            reports.push(execute_run(cell, protocol.as_ref(), &sc));
+                            reports.push(execute_run(cell, &cell.scenario.for_run(r)));
                         }
                         metrics.observe("sweep_job_us", jt.elapsed().as_micros() as u64);
                         metrics.inc("sweep_runs", job.len);
@@ -562,11 +552,7 @@ fn cache_line(key: &str, id: &str, reports: &[Report]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rfid_protocols::TppConfig;
-
-    fn tpp_factory() -> Box<dyn Fn() -> Box<dyn rfid_protocols::PollingProtocol> + Sync> {
-        Box::new(|| Box::new(TppConfig::default().into_protocol()))
-    }
+    use rfid_protocols::{IndexRule, TppConfig};
 
     #[test]
     fn bench_entries_append_across_invocations() {
@@ -586,14 +572,8 @@ mod tests {
 
     #[test]
     fn jobs_cover_every_run_exactly_once() {
-        let factory = tpp_factory();
-        let cell = Cell::new(
-            "TPP",
-            "",
-            Scenario::uniform(10, 1).with_seed(1),
-            7,
-            &*factory,
-        );
+        let tpp = TppConfig::default();
+        let cell = Cell::new("TPP", &tpp, Scenario::uniform(10, 1).with_seed(1), 7);
         let engine = SweepEngine::new().with_run_block(3);
         let jobs = engine.expand_jobs(std::slice::from_ref(&cell));
         let covered: Vec<(u64, u64)> = jobs.iter().map(|j| (j.start, j.len)).collect();
@@ -602,75 +582,53 @@ mod tests {
 
     #[test]
     fn cache_ids_differ_by_salt_config_scenario_and_block() {
-        let factory = tpp_factory();
-        let base = |salt: &str, config: &str, seed: u64| {
-            let cell = Cell::new(
-                "TPP",
-                config,
-                Scenario::uniform(10, 1).with_seed(seed),
-                2,
-                &*factory,
-            );
+        let tpp = TppConfig::default();
+        let hpp_rule = TppConfig {
+            index_rule: IndexRule::HppRule,
+            ..tpp
+        };
+        let base = |salt: &str, config: &TppConfig, seed: u64| {
+            let cell = Cell::new("TPP", config, Scenario::uniform(10, 1).with_seed(seed), 2);
             SweepEngine::new()
                 .with_salt(salt)
                 .expand_jobs(std::slice::from_ref(&cell))[0]
                 .id
                 .clone()
         };
-        let reference = base("v1", "cfg", 1);
-        assert_eq!(reference, base("v1", "cfg", 1), "ids are stable");
-        assert_ne!(reference, base("v2", "cfg", 1), "salt invalidates");
-        assert_ne!(reference, base("v1", "cfg2", 1), "config invalidates");
-        assert_ne!(reference, base("v1", "cfg", 2), "seed invalidates");
+        let reference = base("v1", &tpp, 1);
+        assert_eq!(reference, base("v1", &tpp, 1), "ids are stable");
+        assert_ne!(reference, base("v2", &tpp, 1), "salt invalidates");
+        assert_ne!(reference, base("v1", &hpp_rule, 1), "config invalidates");
+        assert_ne!(reference, base("v1", &tpp, 2), "seed invalidates");
+        assert!(
+            reference.contains(&to_json_string(&tpp)),
+            "the key carries the protocol's config JSON"
+        );
     }
 
     #[test]
     fn fault_and_recovery_key_the_cache_and_stay_deterministic() {
+        let tpp = TppConfig::default();
         use rfid_system::FaultModel;
-        let factory = tpp_factory();
         let id_of = |cell: &Cell<'_>| {
             SweepEngine::new().expand_jobs(std::slice::from_ref(cell))[0]
                 .id
                 .clone()
         };
-        let plain = Cell::new(
-            "TPP",
-            "",
-            Scenario::uniform(10, 1).with_seed(1),
-            2,
-            &*factory,
-        );
-        let faulted = Cell::new(
-            "TPP",
-            "",
-            Scenario::uniform(10, 1).with_seed(1),
-            2,
-            &*factory,
-        )
-        .with_fault(FaultModel::perfect().with_downlink_loss(0.2));
-        let recovered = Cell::new(
-            "TPP",
-            "",
-            Scenario::uniform(10, 1).with_seed(1),
-            2,
-            &*factory,
-        )
-        .with_fault(FaultModel::perfect().with_downlink_loss(0.2))
-        .with_recovery(RecoveryPolicy::unbounded());
+        let plain = Cell::new("TPP", &tpp, Scenario::uniform(10, 1).with_seed(1), 2);
+        let faulted = Cell::new("TPP", &tpp, Scenario::uniform(10, 1).with_seed(1), 2)
+            .with_fault(FaultModel::perfect().with_downlink_loss(0.2));
+        let recovered = Cell::new("TPP", &tpp, Scenario::uniform(10, 1).with_seed(1), 2)
+            .with_fault(FaultModel::perfect().with_downlink_loss(0.2))
+            .with_recovery(RecoveryPolicy::unbounded());
         assert_ne!(id_of(&plain), id_of(&faulted), "fault keys the cache");
         assert_ne!(id_of(&faulted), id_of(&recovered), "recovery keys it too");
 
         // A recovered lossy cell completes and is schedule-independent.
         let run = |workers: usize| {
-            let cell = Cell::new(
-                "TPP",
-                "",
-                Scenario::uniform(120, 1).with_seed(5),
-                4,
-                &*factory,
-            )
-            .with_fault(FaultModel::perfect().with_downlink_loss(0.3))
-            .with_recovery(RecoveryPolicy::unbounded());
+            let cell = Cell::new("TPP", &tpp, Scenario::uniform(120, 1).with_seed(5), 4)
+                .with_fault(FaultModel::perfect().with_downlink_loss(0.3))
+                .with_recovery(RecoveryPolicy::unbounded());
             let mut engine = SweepEngine::new().with_workers(workers).with_run_block(1);
             engine.run_cells(std::slice::from_ref(&cell))
         };
@@ -684,14 +642,8 @@ mod tests {
 
     #[test]
     fn stats_accumulate_and_rates_are_sane() {
-        let factory = tpp_factory();
-        let cell = Cell::new(
-            "TPP",
-            "",
-            Scenario::uniform(20, 1).with_seed(4),
-            3,
-            &*factory,
-        );
+        let tpp = TppConfig::default();
+        let cell = Cell::new("TPP", &tpp, Scenario::uniform(20, 1).with_seed(4), 3);
         let mut engine = SweepEngine::new().with_workers(2).with_run_block(1);
         let out = engine.run_cells(std::slice::from_ref(&cell));
         assert_eq!(out.len(), 1);

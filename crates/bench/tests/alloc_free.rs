@@ -51,7 +51,7 @@ static ALLOC: CountingAlloc = CountingAlloc;
 fn counted_hpp_run(n: usize) -> (u64, u64) {
     let pop = TagPopulation::sequential(n, |i| BitVec::from_value((i % 16) as u64, 4));
     let mut ctx = SimContext::new(pop, &SimConfig::paper(7));
-    let protocol = HppConfig::default().into_protocol();
+    let protocol = HppConfig::default();
     ACQUISITIONS.store(0, Ordering::SeqCst);
     ARMED.store(true, Ordering::SeqCst);
     let report = protocol.run(&mut ctx);

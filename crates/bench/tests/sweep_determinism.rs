@@ -11,20 +11,18 @@ use rfid_protocols::{HppConfig, PollingProtocol, TppConfig};
 use rfid_system::{to_json_string, Counters};
 use rfid_workloads::Scenario;
 
-type Factory = Box<dyn Fn() -> Box<dyn PollingProtocol> + Sync>;
-
-fn grid_cells<'a>(tpp: &'a Factory, hpp: &'a Factory) -> Vec<Cell<'a>> {
+fn grid_cells<'a>(tpp: &'a TppConfig, hpp: &'a HppConfig) -> Vec<Cell<'a>> {
     // A small but genuinely mixed grid: two protocols × two n × two seeds.
     let mut cells = Vec::new();
-    for (label, factory) in [("TPP", tpp), ("HPP", hpp)] {
+    let rows: [(&str, &dyn PollingProtocol); 2] = [("TPP", tpp), ("HPP", hpp)];
+    for (label, protocol) in rows {
         for n in [40usize, 90] {
             for seed in [7u64, 8] {
                 cells.push(Cell::new(
                     label,
-                    "",
+                    protocol,
                     Scenario::uniform(n, 1).with_seed(seed),
                     4,
-                    factory.as_ref(),
                 ));
             }
         }
@@ -44,8 +42,8 @@ fn fingerprint(results: &[Vec<rfid_protocols::Report>]) -> String {
 
 #[test]
 fn parallel_equals_serial_bit_for_bit_for_random_schedules() {
-    let tpp: Factory = Box::new(|| Box::new(TppConfig::default().into_protocol()));
-    let hpp: Factory = Box::new(|| Box::new(HppConfig::default().into_protocol()));
+    let tpp = TppConfig::default();
+    let hpp = HppConfig::default();
     let serial = fingerprint(
         &SweepEngine::new()
             .with_workers(1)
@@ -70,12 +68,12 @@ fn parallel_equals_serial_bit_for_bit_for_random_schedules() {
 fn engine_reproduces_montecarlo_run_for_run() {
     let scenario = Scenario::uniform(80, 1).with_seed(21);
     let runs = 6u64;
-    let factory: Factory = Box::new(|| Box::new(TppConfig::default().into_protocol()));
-    let reference: Vec<String> = montecarlo(&scenario, runs, factory.as_ref())
+    let tpp = TppConfig::default();
+    let reference: Vec<String> = montecarlo(&scenario, runs, &tpp)
         .iter()
         .map(to_json_string)
         .collect();
-    let cell = Cell::new("TPP", "", scenario, runs, factory.as_ref());
+    let cell = Cell::new("TPP", &tpp, scenario, runs);
     let engine: Vec<String> = SweepEngine::new()
         .with_workers(3)
         .with_run_block(4)

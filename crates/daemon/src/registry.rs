@@ -15,18 +15,18 @@ use rfid_protocols::{EhppConfig, HppConfig, PollingProtocol, TppConfig};
 /// Every protocol the daemon can serve, default-configured.
 pub fn all_protocols() -> Vec<Box<dyn PollingProtocol>> {
     vec![
-        Box::new(CppConfig::default().into_protocol()),
-        Box::new(EcppConfig::default().into_protocol()),
-        Box::new(CodedPollingConfig::default().into_protocol()),
-        Box::new(HppConfig::default().into_protocol()),
-        Box::new(EhppConfig::default().into_protocol()),
-        Box::new(TppConfig::default().into_protocol()),
-        Box::new(MicConfig::default().into_protocol()),
-        Box::new(FsaConfig::default().into_protocol()),
+        Box::new(CppConfig::default()),
+        Box::new(EcppConfig::default()),
+        Box::new(CodedPollingConfig::default()),
+        Box::new(HppConfig::default()),
+        Box::new(EhppConfig::default()),
+        Box::new(TppConfig::default()),
+        Box::new(MicConfig::default()),
+        Box::new(FsaConfig::default()),
         Box::new(LowerBound),
-        Box::new(QueryTreeConfig::default().into_protocol()),
-        Box::new(BinarySplitConfig::default().into_protocol()),
-        Box::new(QAlgorithmConfig::default().into_protocol()),
+        Box::new(QueryTreeConfig::default()),
+        Box::new(BinarySplitConfig::default()),
+        Box::new(QAlgorithmConfig::default()),
     ]
 }
 

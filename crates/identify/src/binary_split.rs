@@ -17,7 +17,7 @@ use rfid_protocols::{PollingProtocol, ProtocolStepper, StallCause, StepDisciplin
 use rfid_system::id::EPC_BITS;
 use rfid_system::{Json, JsonError, SimContext, SlotOutcome, ToJson};
 
-/// Binary-splitting configuration.
+/// The binary-splitting identification protocol, as its configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BinarySplitConfig {
     /// Feedback/command bits per slot.
@@ -38,33 +38,13 @@ impl Default for BinarySplitConfig {
     }
 }
 
-impl BinarySplitConfig {
-    /// Wraps the config into a runnable protocol.
-    pub fn into_protocol(self) -> BinarySplit {
-        BinarySplit { cfg: self }
-    }
-}
-
-/// The binary-splitting identification protocol.
-#[derive(Debug, Clone, Default)]
-pub struct BinarySplit {
-    cfg: BinarySplitConfig,
-}
-
-impl BinarySplit {
-    /// Creates binary splitting with the given configuration.
-    pub fn new(cfg: BinarySplitConfig) -> Self {
-        BinarySplit { cfg }
-    }
-}
-
-impl PollingProtocol for BinarySplit {
+impl PollingProtocol for BinarySplitConfig {
     fn name(&self) -> &'static str {
         "BinSplit"
     }
 
     fn open_stepper(&self, ctx: &SimContext) -> Box<dyn ProtocolStepper> {
-        Box::new(BinSplitStepper::open(self.cfg, ctx))
+        Box::new(BinSplitStepper::open(*self, ctx))
     }
 
     fn resume_stepper(
@@ -72,7 +52,7 @@ impl PollingProtocol for BinarySplit {
         ctx: &SimContext,
         state: &Json,
     ) -> Result<Box<dyn ProtocolStepper>, JsonError> {
-        let mut stepper = BinSplitStepper::open(self.cfg, ctx);
+        let mut stepper = BinSplitStepper::open(*self, ctx);
         stepper.slots = state.field("slots")?;
         let groups: Vec<Vec<usize>> = state.field("groups")?;
         // The groups partition the still-active tags: every handle must be
@@ -290,7 +270,7 @@ mod tests {
     fn run(n: usize, seed: u64) -> (Report, SimContext) {
         let pop = TagPopulation::sequential(n, |_| BitVec::from_value(1, 1));
         let mut ctx = SimContext::new(pop, &SimConfig::paper(seed));
-        let report = BinarySplit::default().run(&mut ctx);
+        let report = BinarySplitConfig::default().run(&mut ctx);
         (report, ctx)
     }
 
@@ -326,7 +306,7 @@ mod tests {
         let pop = TagPopulation::sequential(150, |_| BitVec::from_value(1, 1));
         let cfg = SimConfig::paper(4).with_channel(Channel::lossy(0.2));
         let mut ctx = SimContext::new(pop, &cfg);
-        let report = BinarySplit::default().run(&mut ctx);
+        let report = BinarySplitConfig::default().run(&mut ctx);
         ctx.assert_complete();
         assert_eq!(report.counters.polls, 150);
     }

@@ -7,18 +7,19 @@
 //! implements the three canonical families, on the same simulator substrate
 //! and C1G2 timing as everything else:
 //!
-//! * [`query_tree::QueryTree`] — deterministic prefix splitting: the reader
+//! * [`QueryTreeConfig`] — deterministic prefix splitting: the reader
 //!   broadcasts an ID prefix, matching tags reply with their remainder,
 //!   collisions split the prefix 0/1 (memoryless, ≈2.9 queries/tag on
 //!   random IDs),
-//! * [`q_algorithm::QAlgorithm`] — the C1G2 standard's slotted-ALOHA
+//! * [`QAlgorithmConfig`] — the C1G2 standard's slotted-ALOHA
 //!   inventory with the floating-point `Q` adaptation, the RN16 → ACK → EPC
 //!   handshake and QueryRep/QueryAdjust slot control,
-//! * [`binary_split::BinarySplit`] — randomized binary tree splitting with
+//! * [`BinarySplitConfig`] — randomized binary tree splitting with
 //!   tag-side counters (Capetanakis-style).
 //!
-//! All three implement [`rfid_protocols::PollingProtocol`] ("reading" a tag
-//! = identifying it), so they slot into the same harness — and quantify the
+//! Each config is the protocol: all three implement
+//! [`rfid_protocols::PollingProtocol`] ("reading" a tag = identifying it),
+//! so they slot into the same harness — and quantify the
 //! paper's premise: identification costs milliseconds per tag, so once IDs
 //! are known, sub-millisecond polling is the right tool for re-reads
 //! (see `examples/identification.rs`).
@@ -30,6 +31,6 @@ pub mod binary_split;
 pub mod q_algorithm;
 pub mod query_tree;
 
-pub use binary_split::{BinarySplit, BinarySplitConfig};
-pub use q_algorithm::{QAlgorithm, QAlgorithmConfig};
-pub use query_tree::{QueryTree, QueryTreeConfig};
+pub use binary_split::BinarySplitConfig;
+pub use q_algorithm::QAlgorithmConfig;
+pub use query_tree::QueryTreeConfig;

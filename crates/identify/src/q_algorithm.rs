@@ -27,7 +27,7 @@ const QUERY_ADJUST_BITS: u64 = 9;
 /// whatever the tag's payload width is.
 const RN16_BITS: u64 = 16;
 
-/// Q-algorithm configuration.
+/// The C1G2 Q-algorithm inventory, as its configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QAlgorithmConfig {
     /// Initial Q exponent.
@@ -48,33 +48,13 @@ impl Default for QAlgorithmConfig {
     }
 }
 
-impl QAlgorithmConfig {
-    /// Wraps the config into a runnable protocol.
-    pub fn into_protocol(self) -> QAlgorithm {
-        QAlgorithm { cfg: self }
-    }
-}
-
-/// The C1G2 Q-algorithm inventory.
-#[derive(Debug, Clone, Default)]
-pub struct QAlgorithm {
-    cfg: QAlgorithmConfig,
-}
-
-impl QAlgorithm {
-    /// Creates the Q-algorithm with the given configuration.
-    pub fn new(cfg: QAlgorithmConfig) -> Self {
-        QAlgorithm { cfg }
-    }
-}
-
-impl PollingProtocol for QAlgorithm {
+impl PollingProtocol for QAlgorithmConfig {
     fn name(&self) -> &'static str {
         "Q-algo"
     }
 
     fn open_stepper(&self, _ctx: &SimContext) -> Box<dyn ProtocolStepper> {
-        Box::new(QAlgorithmStepper::open(self.cfg))
+        Box::new(QAlgorithmStepper::open(*self))
     }
 
     fn resume_stepper(
@@ -82,7 +62,7 @@ impl PollingProtocol for QAlgorithm {
         _ctx: &SimContext,
         state: &Json,
     ) -> Result<Box<dyn ProtocolStepper>, JsonError> {
-        let mut stepper = QAlgorithmStepper::open(self.cfg);
+        let mut stepper = QAlgorithmStepper::open(*self);
         stepper.q_fp = state.field("q_fp")?;
         if !stepper.q_fp.is_finite() {
             return Err(JsonError("Q-algo q_fp must be finite".into()));
@@ -129,10 +109,6 @@ impl ProtocolStepper for QAlgorithmStepper {
         // The total-slot cap below subsumes both the round budget and the
         // stall guard.
         StepDiscipline::self_limited()
-    }
-
-    fn done(&self, ctx: &SimContext) -> bool {
-        ctx.population.active_count() == 0
     }
 
     fn step(&mut self, ctx: &mut SimContext) -> StepOutcome {
@@ -291,7 +267,7 @@ mod tests {
         // RN16 slot replies: model the 16-bit RN16 as the tag's "info".
         let pop = TagPopulation::sequential(n, |i| BitVec::from_value(i as u64 & 0xFFFF, 16));
         let mut ctx = SimContext::new(pop, &SimConfig::paper(seed));
-        let report = QAlgorithm::new(cfg).run(&mut ctx);
+        let report = cfg.run(&mut ctx);
         (report, ctx)
     }
 
@@ -340,7 +316,7 @@ mod tests {
         let pop = TagPopulation::sequential(200, |_| BitVec::from_value(1, 16));
         let cfg = SimConfig::paper(5).with_channel(Channel::lossy(0.15));
         let mut ctx = SimContext::new(pop, &cfg);
-        let report = QAlgorithm::default().run(&mut ctx);
+        let report = QAlgorithmConfig::default().run(&mut ctx);
         ctx.assert_complete();
         assert_eq!(report.counters.polls, 200);
     }
@@ -351,9 +327,7 @@ mod tests {
         let (qalg, _) = run(n, 6, QAlgorithmConfig::default());
         let pop = TagPopulation::sequential(n, |_| BitVec::from_value(1, 1));
         let mut ctx = SimContext::new(pop, &SimConfig::paper(6));
-        let tpp = rfid_protocols::TppConfig::default()
-            .into_protocol()
-            .run(&mut ctx);
+        let tpp = rfid_protocols::TppConfig::default().run(&mut ctx);
         assert!(
             qalg.total_time > tpp.total_time * 5.0,
             "Q-algo {} vs TPP {}",

@@ -17,7 +17,7 @@ use rfid_protocols::{PollingProtocol, ProtocolStepper, StallCause, StepDisciplin
 use rfid_system::id::EPC_BITS;
 use rfid_system::{BroadcastKind, Event, Json, JsonError, SimContext, SlotOutcome, ToJson};
 
-/// Query-Tree configuration.
+/// The Query Tree identification protocol, as its configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueryTreeConfig {
     /// Fixed command overhead preceding each prefix broadcast.
@@ -42,33 +42,13 @@ impl Default for QueryTreeConfig {
     }
 }
 
-impl QueryTreeConfig {
-    /// Wraps the config into a runnable protocol.
-    pub fn into_protocol(self) -> QueryTree {
-        QueryTree { cfg: self }
-    }
-}
-
-/// The Query Tree identification protocol.
-#[derive(Debug, Clone, Default)]
-pub struct QueryTree {
-    cfg: QueryTreeConfig,
-}
-
-impl QueryTree {
-    /// Creates Query Tree with the given configuration.
-    pub fn new(cfg: QueryTreeConfig) -> Self {
-        QueryTree { cfg }
-    }
-}
-
-impl PollingProtocol for QueryTree {
+impl PollingProtocol for QueryTreeConfig {
     fn name(&self) -> &'static str {
         "QueryTree"
     }
 
     fn open_stepper(&self, ctx: &SimContext) -> Box<dyn ProtocolStepper> {
-        Box::new(QueryTreeStepper::open(self.cfg, ctx))
+        Box::new(QueryTreeStepper::open(*self, ctx))
     }
 
     fn resume_stepper(
@@ -76,7 +56,7 @@ impl PollingProtocol for QueryTree {
         ctx: &SimContext,
         state: &Json,
     ) -> Result<Box<dyn ProtocolStepper>, JsonError> {
-        let mut stepper = QueryTreeStepper::open(self.cfg, ctx);
+        let mut stepper = QueryTreeStepper::open(*self, ctx);
         stepper.queries = state.field("queries")?;
         let rows: Vec<Vec<u64>> = state.field("stack")?;
         stepper.stack.clear();
@@ -286,7 +266,7 @@ mod tests {
     #[test]
     fn identifies_every_tag() {
         let mut ctx = SimContext::new(random_population(300, 1), &SimConfig::paper(1));
-        let report = QueryTree::default().run(&mut ctx);
+        let report = QueryTreeConfig::default().run(&mut ctx);
         ctx.assert_complete();
         assert_eq!(report.counters.polls, 300);
     }
@@ -296,7 +276,7 @@ mod tests {
         // The classical expected query count for QT on uniform IDs.
         let n = 2_000;
         let mut ctx = SimContext::new(random_population(n, 2), &SimConfig::paper(2));
-        let report = QueryTree::default().run(&mut ctx);
+        let report = QueryTreeConfig::default().run(&mut ctx);
         let queries =
             report.counters.polls + report.counters.empty_slots + report.counters.collision_slots;
         let per_tag = queries as f64 / n as f64;
@@ -313,7 +293,7 @@ mod tests {
             .map(|i| (TagId::from_fields(0x30, 1, 1, i), BitVec::from_value(1, 1)))
             .collect();
         let mut ctx = SimContext::new(TagPopulation::new(tags), &SimConfig::paper(3));
-        let report = QueryTree::default().run(&mut ctx);
+        let report = QueryTreeConfig::default().run(&mut ctx);
         ctx.assert_complete();
         assert_eq!(report.counters.polls, 200);
     }
@@ -321,7 +301,7 @@ mod tests {
     #[test]
     fn single_tag_identified_without_collisions() {
         let mut ctx = SimContext::new(random_population(1, 4), &SimConfig::paper(4));
-        let report = QueryTree::default().run(&mut ctx);
+        let report = QueryTreeConfig::default().run(&mut ctx);
         assert_eq!(report.counters.polls, 1);
         assert_eq!(report.counters.collision_slots, 0);
     }
@@ -333,10 +313,10 @@ mod tests {
         // complete on a lossy channel.
         let cfg = SimConfig::paper(5).with_channel(Channel::lossy(0.2));
         let mut ctx = SimContext::new(random_population(150, 5), &cfg);
-        let qt = QueryTree::new(QueryTreeConfig {
+        let qt = QueryTreeConfig {
             verify_singletons: true,
             ..QueryTreeConfig::default()
-        });
+        };
         let report = qt.run(&mut ctx);
         ctx.assert_complete();
         assert_eq!(report.counters.polls, 150);
@@ -347,12 +327,12 @@ mod tests {
     fn verification_costs_one_extra_query_per_tag_when_clean() {
         let n = 400;
         let mut ctx = SimContext::new(random_population(n, 9), &SimConfig::paper(9));
-        let plain = QueryTree::default().run(&mut ctx);
+        let plain = QueryTreeConfig::default().run(&mut ctx);
         let mut ctx2 = SimContext::new(random_population(n, 9), &SimConfig::paper(9));
-        let verified = QueryTree::new(QueryTreeConfig {
+        let verified = QueryTreeConfig {
             verify_singletons: true,
             ..QueryTreeConfig::default()
-        })
+        }
         .run(&mut ctx2);
         let extra = verified.counters.empty_slots - plain.counters.empty_slots;
         assert_eq!(extra, n as u64, "one verification query per read tag");
@@ -363,12 +343,10 @@ mod tests {
         // The paper's premise in one assertion.
         let n = 500;
         let mut ctx = SimContext::new(random_population(n, 6), &SimConfig::paper(6));
-        let qt = QueryTree::default().run(&mut ctx);
+        let qt = QueryTreeConfig::default().run(&mut ctx);
         let pop = random_population(n, 6);
         let mut ctx2 = SimContext::new(pop, &SimConfig::paper(6));
-        let tpp = rfid_protocols::TppConfig::default()
-            .into_protocol()
-            .run(&mut ctx2);
+        let tpp = rfid_protocols::TppConfig::default().run(&mut ctx2);
         assert!(
             qt.total_time > tpp.total_time * 4.0,
             "QT {} vs TPP {}",

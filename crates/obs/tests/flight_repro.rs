@@ -23,8 +23,7 @@ fn degraded_run(cfg: &SimConfig, recorder: Option<FlightRecorder>) -> (SessionEn
     let protocol = HppConfig {
         max_rounds: 3,
         ..HppConfig::default()
-    }
-    .into_protocol();
+    };
     let mut session =
         Session::open(&protocol, &ctx).with_policy(RecoveryPolicy::unbounded().with_max_passes(2));
     if let Some(rec) = recorder {
@@ -106,8 +105,7 @@ fn a_circuit_open_end_dumps_a_bundle_with_that_cause() {
     let protocol = HppConfig {
         max_rounds: 3,
         ..HppConfig::default()
-    }
-    .into_protocol();
+    };
     let mut session = Session::open(&protocol, &ctx)
         .with_policy(RecoveryPolicy::unbounded())
         .with_flight_recorder(FlightRecorder::new(&dir), &cfg);

@@ -13,18 +13,18 @@ use rfid_system::{BitVec, FaultModel, GilbertElliott, SimConfig, SimContext, Tag
 
 fn all_protocols() -> Vec<Box<dyn PollingProtocol>> {
     vec![
-        Box::new(HppConfig::default().into_protocol()),
-        Box::new(EhppConfig::default().into_protocol()),
-        Box::new(TppConfig::default().into_protocol()),
+        Box::new(HppConfig::default()),
+        Box::new(EhppConfig::default()),
+        Box::new(TppConfig::default()),
         Box::new(LowerBound),
-        Box::new(FsaConfig::default().into_protocol()),
-        Box::new(CppConfig::default().into_protocol()),
-        Box::new(EcppConfig::default().into_protocol()),
-        Box::new(CodedPollingConfig::default().into_protocol()),
-        Box::new(MicConfig::default().into_protocol()),
-        Box::new(QAlgorithmConfig::default().into_protocol()),
-        Box::new(QueryTreeConfig::default().into_protocol()),
-        Box::new(BinarySplitConfig::default().into_protocol()),
+        Box::new(FsaConfig::default()),
+        Box::new(CppConfig::default()),
+        Box::new(EcppConfig::default()),
+        Box::new(CodedPollingConfig::default()),
+        Box::new(MicConfig::default()),
+        Box::new(QAlgorithmConfig::default()),
+        Box::new(QueryTreeConfig::default()),
+        Box::new(BinarySplitConfig::default()),
     ]
 }
 
@@ -49,10 +49,10 @@ fn every_protocol_reconciles_on_a_clean_channel() {
 #[test]
 fn fault_tolerant_protocols_reconcile_across_the_impairment_matrix() {
     let faulty: Vec<Box<dyn PollingProtocol>> = vec![
-        Box::new(HppConfig::default().into_protocol()),
-        Box::new(EhppConfig::default().into_protocol()),
-        Box::new(TppConfig::default().into_protocol()),
-        Box::new(MicConfig::default().into_protocol()),
+        Box::new(HppConfig::default()),
+        Box::new(EhppConfig::default()),
+        Box::new(TppConfig::default()),
+        Box::new(MicConfig::default()),
     ];
     for protocol in &faulty {
         for (n, seed, downlink, corruption) in [
@@ -99,10 +99,10 @@ fn reconciliation_holds_under_random_fault_models() {
             ));
         }
         let protocols: [Box<dyn PollingProtocol>; 4] = [
-            Box::new(HppConfig::default().into_protocol()),
-            Box::new(EhppConfig::default().into_protocol()),
-            Box::new(TppConfig::default().into_protocol()),
-            Box::new(MicConfig::default().into_protocol()),
+            Box::new(HppConfig::default()),
+            Box::new(EhppConfig::default()),
+            Box::new(TppConfig::default()),
+            Box::new(MicConfig::default()),
         ];
         let protocol = &protocols[g.u64_below(4) as usize];
         let cfg = SimConfig::paper(seed).with_trace().with_fault(fault);
@@ -120,7 +120,7 @@ fn a_trace_exported_to_jsonl_reconciles_after_reimport() {
     // The full loop a consumer would run: trace → JSONL → parse → replay.
     let cfg = SimConfig::paper(3).with_trace();
     let mut ctx = traced_ctx(50, &cfg);
-    TppConfig::default().into_protocol().run(&mut ctx);
+    TppConfig::default().run(&mut ctx);
     let jsonl = ctx.log.to_jsonl();
     let events = rfid_system::EventLog::from_jsonl(&jsonl).expect("trace re-parses");
     let replayed = rfid_obs::counters_from_events(&events);

@@ -27,7 +27,7 @@ use crate::hpp::{hpp_round, HppConfig};
 use crate::session::{ProtocolStepper, StepDiscipline, StepOutcome};
 use crate::PollingProtocol;
 
-/// EHPP configuration.
+/// The Enhanced Hash Polling Protocol, as its configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EhppConfig {
     /// Circle-command length `l_c` in bits (the paper sweeps 100–400 and
@@ -57,11 +57,6 @@ impl Default for EhppConfig {
 }
 
 impl EhppConfig {
-    /// Wraps the config into a runnable protocol.
-    pub fn into_protocol(self) -> Ehpp {
-        Ehpp { cfg: self }
-    }
-
     /// The subset size the protocol will target.
     pub fn effective_subset_size(&self) -> u64 {
         self.subset_size
@@ -72,26 +67,13 @@ impl EhppConfig {
     }
 }
 
-/// The Enhanced Hash Polling Protocol.
-#[derive(Debug, Clone, Default)]
-pub struct Ehpp {
-    cfg: EhppConfig,
-}
-
-impl Ehpp {
-    /// Creates EHPP with the given configuration.
-    pub fn new(cfg: EhppConfig) -> Self {
-        Ehpp { cfg }
-    }
-}
-
-impl PollingProtocol for Ehpp {
+impl PollingProtocol for EhppConfig {
     fn name(&self) -> &'static str {
         "EHPP"
     }
 
     fn open_stepper(&self, _ctx: &SimContext) -> Box<dyn ProtocolStepper> {
-        Box::new(EhppStepper::open(&self.cfg))
+        Box::new(EhppStepper::open(self))
     }
 
     fn resume_stepper(
@@ -99,7 +81,7 @@ impl PollingProtocol for Ehpp {
         _ctx: &SimContext,
         state: &Json,
     ) -> Result<Box<dyn ProtocolStepper>, JsonError> {
-        let mut stepper = EhppStepper::open(&self.cfg);
+        let mut stepper = EhppStepper::open(self);
         stepper.circles = state.field("circles")?;
         let mode: String = state.field("mode")?;
         stepper.inner = match mode.as_str() {
@@ -307,14 +289,13 @@ rfid_system::impl_json_struct!(EhppConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hpp::Hpp;
     use crate::report::Report;
     use rfid_system::{BitVec, Channel, SimConfig, TagPopulation};
 
     fn run(n: usize, seed: u64, cfg: EhppConfig) -> (Report, SimContext) {
         let pop = TagPopulation::sequential(n, |_| BitVec::from_value(1, 1));
         let mut ctx = SimContext::new(pop, &SimConfig::paper(seed));
-        let report = Ehpp::new(cfg).run(&mut ctx);
+        let report = cfg.run(&mut ctx);
         (report, ctx)
     }
 
@@ -344,7 +325,7 @@ mod tests {
         let (ehpp, _) = run(n, 3, EhppConfig::default());
         let pop = TagPopulation::sequential(n, |_| BitVec::from_value(1, 1));
         let mut ctx = SimContext::new(pop, &SimConfig::paper(3));
-        let hpp = Hpp::default().run(&mut ctx);
+        let hpp = HppConfig::default().run(&mut ctx);
         assert_eq!(ehpp.total_time, hpp.total_time);
         assert_eq!(ehpp.counters.reader_bits, hpp.counters.reader_bits);
     }
@@ -373,7 +354,7 @@ mod tests {
         let (ehpp, _) = run(n, 7, EhppConfig::default());
         let pop = TagPopulation::sequential(n, |_| BitVec::from_value(1, 1));
         let mut ctx = SimContext::new(pop, &SimConfig::paper(7));
-        let hpp = Hpp::default().run(&mut ctx);
+        let hpp = HppConfig::default().run(&mut ctx);
         assert!(
             ehpp.total_time < hpp.total_time,
             "EHPP {} not faster than HPP {}",
@@ -404,7 +385,7 @@ mod tests {
         let pop = TagPopulation::sequential(500, |_| BitVec::from_value(1, 1));
         let cfg = SimConfig::paper(9).with_channel(Channel::lossy(0.2));
         let mut ctx = SimContext::new(pop, &cfg);
-        let report = Ehpp::default().run(&mut ctx);
+        let report = EhppConfig::default().run(&mut ctx);
         ctx.assert_complete();
         assert_eq!(report.counters.polls, 500);
     }

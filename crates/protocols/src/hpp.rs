@@ -15,12 +15,12 @@
 
 use rfid_analysis::hpp::index_length;
 use rfid_hash::TagHash;
-use rfid_system::{Json, JsonError, SimContext};
+use rfid_system::SimContext;
 
 use crate::session::{ProtocolStepper, StepDiscipline, StepOutcome};
 use crate::PollingProtocol;
 
-/// HPP configuration.
+/// The Hash Polling Protocol, as its configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HppConfig {
     /// Reader bits charged to initiate each round (broadcasting `(h, r)`).
@@ -44,71 +44,28 @@ impl Default for HppConfig {
     }
 }
 
-impl HppConfig {
-    /// Wraps the config into a runnable protocol.
-    pub fn into_protocol(self) -> Hpp {
-        Hpp { cfg: self }
-    }
-}
-
-/// The Hash Polling Protocol.
-#[derive(Debug, Clone, Default)]
-pub struct Hpp {
-    cfg: HppConfig,
-}
-
-impl Hpp {
-    /// Creates HPP with the given configuration.
-    pub fn new(cfg: HppConfig) -> Self {
-        Hpp { cfg }
-    }
-}
-
-impl PollingProtocol for Hpp {
+impl PollingProtocol for HppConfig {
     fn name(&self) -> &'static str {
         "HPP"
     }
 
     fn open_stepper(&self, _ctx: &SimContext) -> Box<dyn ProtocolStepper> {
-        Box::new(HppStepper { cfg: self.cfg })
-    }
-
-    fn resume_stepper(
-        &self,
-        _ctx: &SimContext,
-        _state: &Json,
-    ) -> Result<Box<dyn ProtocolStepper>, JsonError> {
-        // All HPP cross-round state lives in the context (which tags are
-        // still awake); the stepper itself is stateless.
-        Ok(Box::new(HppStepper { cfg: self.cfg }))
+        Box::new(*self)
     }
 }
 
-/// One step = one HPP round. Round budget and stall guard are the
-/// driver's job.
-struct HppStepper {
-    cfg: HppConfig,
-}
-
-impl ProtocolStepper for HppStepper {
+/// One step = one HPP round; the config itself is the stepper. Round
+/// budget and stall guard are the driver's job, and all cross-round state
+/// lives in the context (which tags are still awake).
+impl ProtocolStepper for HppConfig {
     fn discipline(&self) -> StepDiscipline {
-        StepDiscipline::budgeted(self.cfg.max_rounds)
-    }
-
-    fn done(&self, ctx: &SimContext) -> bool {
-        ctx.population.active_count() == 0
+        StepDiscipline::budgeted(self.max_rounds)
     }
 
     fn step(&mut self, ctx: &mut SimContext) -> StepOutcome {
-        hpp_round(ctx, &self.cfg);
+        hpp_round(ctx, self);
         StepOutcome::Progressed
     }
-
-    fn state(&self) -> Json {
-        Json::Obj(Vec::new())
-    }
-
-    fn reset(&mut self, _ctx: &SimContext) {}
 }
 
 /// The index every tag (and the reader, by precomputation) derives in a
@@ -165,7 +122,7 @@ mod tests {
     fn run(n: usize, seed: u64, cfg: HppConfig) -> (Report, SimContext) {
         let pop = TagPopulation::sequential(n, |_| BitVec::from_value(1, 1));
         let mut ctx = SimContext::new(pop, &SimConfig::paper(seed));
-        let report = Hpp::new(cfg).run(&mut ctx);
+        let report = cfg.run(&mut ctx);
         (report, ctx)
     }
 
@@ -231,7 +188,7 @@ mod tests {
         let pop = TagPopulation::sequential(200, |_| BitVec::from_value(1, 1));
         let cfg = SimConfig::paper(5).with_channel(Channel::lossy(0.3));
         let mut ctx = SimContext::new(pop, &cfg);
-        let report = Hpp::default().run(&mut ctx);
+        let report = HppConfig::default().run(&mut ctx);
         ctx.assert_complete();
         assert_eq!(report.counters.polls, 200);
         assert!(report.counters.lost_replies > 0);
@@ -243,7 +200,7 @@ mod tests {
         let pop = TagPopulation::sequential(50, |_| BitVec::from_value(1, 1));
         let cfg = SimConfig::paper(5).with_fault(FaultModel::perfect().with_downlink_loss(1.0));
         let mut ctx = SimContext::new(pop, &cfg);
-        match Hpp::default().try_run(&mut ctx) {
+        match HppConfig::default().try_run(&mut ctx) {
             Err(PollingError::Stalled {
                 partial_report,
                 uncollected,
@@ -263,7 +220,9 @@ mod tests {
         let pop = TagPopulation::sequential(200, |_| BitVec::from_value(1, 1));
         let cfg = SimConfig::paper(6).with_fault(FaultModel::perfect().with_downlink_loss(0.3));
         let mut ctx = SimContext::new(pop, &cfg);
-        let report = Hpp::default().try_run(&mut ctx).expect("must converge");
+        let report = HppConfig::default()
+            .try_run(&mut ctx)
+            .expect("must converge");
         ctx.assert_complete();
         assert_eq!(report.counters.polls, 200);
         assert!(report.counters.downlink_losses > 0);

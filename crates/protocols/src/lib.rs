@@ -5,20 +5,24 @@
 //! collision slots) while shrinking the per-tag *polling vector* far below
 //! the conventional 96-bit tag ID.
 //!
-//! * [`hpp::Hpp`] — **Hash Polling Protocol.** Each round the reader
+//! * [`HppConfig`] — **Hash Polling Protocol.** Each round the reader
 //!   broadcasts `(h, r)`; every unread tag picks the index
 //!   `H(r, id) mod 2^h`. The reader — knowing all IDs — sifts out the
 //!   *singleton* indices and broadcasts exactly those, each answered by its
 //!   unique tag. Polling vector ≤ `⌈log₂ n⌉` bits.
-//! * [`ehpp::Ehpp`] — **Enhanced HPP.** Splits the population into circles
+//! * [`EhppConfig`] — **Enhanced HPP.** Splits the population into circles
 //!   of the Theorem-1-optimal size so the vector length stays flat in `n`.
-//! * [`tpp::Tpp`] — **Tree-based Polling Protocol.** Builds a binary
+//! * [`TppConfig`] — **Tree-based Polling Protocol.** Builds a binary
 //!   [`tree::PollingTree`] over the singleton indices and broadcasts its
 //!   pre-order traversal, so each tag costs only the *differential suffix*
 //!   relative to the previous index — ~3 bits regardless of `n`.
 //!
-//! All three implement [`PollingProtocol`] over a
-//! [`rfid_system::SimContext`] and produce a [`Report`].
+//! A protocol is its config: each config implements [`PollingProtocol`]
+//! over a [`rfid_system::SimContext`] and produces a [`Report`], so
+//! `HppConfig::default()` *is* the paper's HPP and `TppConfig { index_rule:
+//! IndexRule::HppRule, ..Default::default() }` is an ablation of TPP. The
+//! config's JSON identifies the configured protocol wherever runs are keyed
+//! (the bench sweep cache).
 //!
 //! Every run goes through one [`Session`]: [`PollingProtocol::try_run`] is
 //! a bare session, while recovery passes, sim-time deadlines and
@@ -32,7 +36,7 @@
 //!
 //! let pop = TagPopulation::sequential(100, |_| BitVec::from_value(1, 1));
 //! let mut ctx = SimContext::new(pop, &SimConfig::paper(1));
-//! let report = TppConfig::default().into_protocol().run(&mut ctx);
+//! let report = TppConfig::default().run(&mut ctx);
 //! assert_eq!(report.counters.polls, 100);
 //! assert!(report.mean_vector_bits() < 6.0);
 //! ```
@@ -49,18 +53,18 @@ pub mod tagside;
 pub mod tpp;
 pub mod tree;
 
-pub use ehpp::{Ehpp, EhppConfig};
+pub use ehpp::EhppConfig;
 pub use error::{PollingError, StallCause, StallGuard, DEFAULT_STALL_ROUNDS};
-pub use hpp::{Hpp, HppConfig};
+pub use hpp::HppConfig;
 pub use report::Report;
 pub use session::{
     DegradeCause, ProtocolStepper, RecoveryPolicy, Session, SessionEnd, StepDiscipline, StepOutcome,
 };
 pub use tagside::{Broadcast, TagMachine};
-pub use tpp::{IndexRule, Tpp, TppConfig};
+pub use tpp::{IndexRule, TppConfig};
 pub use tree::PollingTree;
 
-use rfid_system::{Json, JsonError, SimContext};
+use rfid_system::{Json, JsonError, SimContext, ToJson};
 
 /// A polling protocol: drives a [`SimContext`] until every active tag has
 /// been interrogated exactly once, and reports what it cost.
@@ -70,7 +74,11 @@ use rfid_system::{Json, JsonError, SimContext};
 /// [`session::Session`] driver owns everything around it (budgets, stall
 /// guards, recovery passes, deadlines, checkpoints); `try_run`/`run` are
 /// thin wrappers over a bare session.
-pub trait PollingProtocol {
+///
+/// The implementors are the protocol configs themselves; their JSON
+/// ([`ToJson`]) identifies the configured protocol, and `Send + Sync`
+/// lets one value be shared by every worker of a parallel sweep.
+pub trait PollingProtocol: ToJson + Send + Sync {
     /// Short display name (used in tables and reports).
     fn name(&self) -> &'static str;
 
@@ -79,11 +87,26 @@ pub trait PollingProtocol {
 
     /// Rebuilds a stepper from serialized [`ProtocolStepper::state`],
     /// validating the snapshot against the restored context.
+    ///
+    /// The default serves steppers whose cross-step state lives entirely
+    /// in the context (the provided [`ProtocolStepper::state`]): it accepts
+    /// only the empty object and reopens a fresh stepper. Snapshots arrive
+    /// from outside (the wire `Resume` verb), so any other state is a typed
+    /// error — and a stateful stepper that forgot to override this fails
+    /// its restore loudly instead of dropping its state.
     fn resume_stepper(
         &self,
         ctx: &SimContext,
         state: &Json,
-    ) -> Result<Box<dyn ProtocolStepper>, JsonError>;
+    ) -> Result<Box<dyn ProtocolStepper>, JsonError> {
+        match state {
+            Json::Obj(fields) if fields.is_empty() => Ok(self.open_stepper(ctx)),
+            other => Err(JsonError(format!(
+                "{} has a stateless stepper, but the snapshot holds stepper state {other}",
+                self.name()
+            ))),
+        }
+    }
 
     /// Runs the protocol on `ctx`, reporting non-convergence as a typed
     /// error instead of panicking.

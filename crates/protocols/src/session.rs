@@ -199,23 +199,36 @@ impl StepDiscipline {
 /// * `done`/`discipline`/`state` never mutate the context;
 /// * `reset` re-initializes for a fresh recovery pass, RNG-free,
 ///   exactly as a newly opened stepper would start.
+///
+/// `done`, `state` and `reset` have defaults for the common stepper whose
+/// cross-step state lives entirely in the context (which tags are still
+/// awake): done when no tag is active, state `{}`, nothing to reset. A
+/// stepper that carries state across steps overrides all three and its
+/// protocol overrides [`PollingProtocol::resume_stepper`]; the default
+/// resume rejects any state but `{}`.
 pub trait ProtocolStepper {
     /// How the driver should budget and guard this stepper.
     fn discipline(&self) -> StepDiscipline;
 
-    /// Whether the protocol has finished (the legacy loop condition).
-    fn done(&self, ctx: &SimContext) -> bool;
+    /// Whether the protocol has finished (the legacy loop condition). The
+    /// default: no tag is still active.
+    fn done(&self, ctx: &SimContext) -> bool {
+        ctx.population.active_count() == 0
+    }
 
     /// Advances the protocol by one step.
     fn step(&mut self, ctx: &mut SimContext) -> StepOutcome;
 
-    /// Serializes the cross-step protocol state (an empty object for
-    /// steppers whose state lives entirely in the context).
-    fn state(&self) -> Json;
+    /// Serializes the cross-step protocol state. The default is the empty
+    /// object: the state lives entirely in the context.
+    fn state(&self) -> Json {
+        Json::Obj(Vec::new())
+    }
 
     /// Re-initializes for a fresh recovery pass (after the driver has
-    /// reselected the population). Must not touch the RNG.
-    fn reset(&mut self, ctx: &SimContext);
+    /// reselected the population). Must not touch the RNG. The default
+    /// does nothing.
+    fn reset(&mut self, _ctx: &SimContext) {}
 }
 
 /// Why a session degraded instead of completing.
@@ -711,14 +724,13 @@ mod tests {
         TagPopulation::sequential(n, |_| BitVec::from_value(1, 1))
     }
 
-    fn small_budget_hpp() -> crate::hpp::Hpp {
+    fn small_budget_hpp() -> HppConfig {
         // A tiny per-pass round budget forces multi-pass recovery even at
         // moderate loss, exercising the backoff and merge paths.
         HppConfig {
             max_rounds: 4,
             ..HppConfig::default()
         }
-        .into_protocol()
     }
 
     fn faulted(n: usize, seed: u64, fault: FaultModel) -> SimContext {
@@ -737,7 +749,7 @@ mod tests {
     #[test]
     fn perfect_channel_completes_in_one_pass() {
         let mut ctx = faulted(100, 1, FaultModel::perfect());
-        let protocol = HppConfig::default().into_protocol();
+        let protocol = HppConfig::default();
         let end = recover(&protocol, RecoveryPolicy::unbounded(), &mut ctx);
         assert!(end.is_complete());
         assert_eq!(end.passes(), 1);
@@ -797,7 +809,7 @@ mod tests {
         // Default (large) round budget: each pass ends in a NoProgress
         // stall, so the breaker opens after `zero_progress_limit` passes
         // beyond the last progress.
-        let protocol = HppConfig::default().into_protocol();
+        let protocol = HppConfig::default();
         let end = recover(&protocol, RecoveryPolicy::unbounded(), &mut ctx);
         assert!(!end.is_complete(), "a dead tag can never be collected");
         assert_eq!(end.report().counters.polls, 39);
@@ -860,8 +872,7 @@ mod tests {
         let protocol = crate::tpp::TppConfig {
             max_rounds: 4,
             ..crate::tpp::TppConfig::default()
-        }
-        .into_protocol();
+        };
         let mut ctx = faulted(150, 13, fault);
         let end = recover(&protocol, RecoveryPolicy::unbounded(), &mut ctx);
         assert!(end.is_complete());
@@ -914,7 +925,7 @@ mod tests {
     fn profiled_session_records_the_span_hierarchy() {
         let cfg = SimConfig::paper(5).with_profile();
         let mut ctx = SimContext::new(population(32), &cfg);
-        let protocol = HppConfig::default().into_protocol();
+        let protocol = HppConfig::default();
         let mut session = Session::open(&protocol, &ctx);
         let end = session.run(&mut ctx);
         assert!(end.is_complete());
@@ -938,7 +949,7 @@ mod tests {
     fn unprofiled_session_records_no_spans() {
         let cfg = SimConfig::paper(5);
         let mut ctx = SimContext::new(population(16), &cfg);
-        let protocol = HppConfig::default().into_protocol();
+        let protocol = HppConfig::default();
         let end = Session::open(&protocol, &ctx).run(&mut ctx);
         assert!(end.is_complete());
         assert!(ctx.profiler.is_empty());
@@ -1032,7 +1043,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let cfg = SimConfig::paper(3);
         let mut ctx = SimContext::new(population(8), &cfg);
-        let protocol = HppConfig::default().into_protocol();
+        let protocol = HppConfig::default();
         let mut session = Session::open(&protocol, &ctx)
             .with_flight_recorder(rfid_obs::FlightRecorder::new(&dir), &cfg);
         let end = session.run(&mut ctx);

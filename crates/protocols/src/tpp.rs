@@ -19,7 +19,7 @@
 //! simulation settles near 3.06 bits regardless of `n`.
 
 use rfid_analysis::tpp::optimal_index_length;
-use rfid_system::{Json, JsonError, SimContext};
+use rfid_system::SimContext;
 
 use crate::hpp::singleton_indices;
 use crate::session::{ProtocolStepper, StepDiscipline, StepOutcome};
@@ -39,7 +39,7 @@ pub enum IndexRule {
     HppRule,
 }
 
-/// TPP configuration.
+/// The Tree-based Polling Protocol, as its configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TppConfig {
     /// Reader bits charged to initiate each round (broadcasting `(h, r)`).
@@ -63,69 +63,28 @@ impl Default for TppConfig {
     }
 }
 
-impl TppConfig {
-    /// Wraps the config into a runnable protocol.
-    pub fn into_protocol(self) -> Tpp {
-        Tpp { cfg: self }
-    }
-}
-
-/// The Tree-based Polling Protocol.
-#[derive(Debug, Clone, Default)]
-pub struct Tpp {
-    cfg: TppConfig,
-}
-
-impl Tpp {
-    /// Creates TPP with the given configuration.
-    pub fn new(cfg: TppConfig) -> Self {
-        Tpp { cfg }
-    }
-}
-
-impl PollingProtocol for Tpp {
+impl PollingProtocol for TppConfig {
     fn name(&self) -> &'static str {
         "TPP"
     }
 
     fn open_stepper(&self, _ctx: &SimContext) -> Box<dyn ProtocolStepper> {
-        Box::new(TppStepper { cfg: self.cfg })
-    }
-
-    fn resume_stepper(
-        &self,
-        _ctx: &SimContext,
-        _state: &Json,
-    ) -> Result<Box<dyn ProtocolStepper>, JsonError> {
-        // Like HPP, all cross-round state is the context's active set.
-        Ok(Box::new(TppStepper { cfg: self.cfg }))
+        Box::new(*self)
     }
 }
 
-/// One step = one TPP round (index pick + tree build + tree broadcast).
-struct TppStepper {
-    cfg: TppConfig,
-}
-
-impl ProtocolStepper for TppStepper {
+/// One step = one TPP round (index pick + tree build + tree broadcast);
+/// the config itself is the stepper. Like HPP, all cross-round state is
+/// the context's active set.
+impl ProtocolStepper for TppConfig {
     fn discipline(&self) -> StepDiscipline {
-        StepDiscipline::budgeted(self.cfg.max_rounds)
-    }
-
-    fn done(&self, ctx: &SimContext) -> bool {
-        ctx.population.active_count() == 0
+        StepDiscipline::budgeted(self.max_rounds)
     }
 
     fn step(&mut self, ctx: &mut SimContext) -> StepOutcome {
-        tpp_round(ctx, &self.cfg);
+        tpp_round(ctx, self);
         StepOutcome::Progressed
     }
-
-    fn state(&self) -> Json {
-        Json::Obj(Vec::new())
-    }
-
-    fn reset(&mut self, _ctx: &SimContext) {}
 }
 
 /// Runs one TPP round; returns the number of tags successfully polled.
@@ -198,14 +157,14 @@ rfid_system::impl_json_struct!(TppConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hpp::{tag_index, Hpp};
+    use crate::hpp::{tag_index, HppConfig};
     use crate::report::Report;
     use rfid_system::{BitVec, Channel, SimConfig, TagPopulation};
 
     fn run(n: usize, seed: u64, cfg: TppConfig) -> (Report, SimContext) {
         let pop = TagPopulation::sequential(n, |_| BitVec::from_value(1, 1));
         let mut ctx = SimContext::new(pop, &SimConfig::paper(seed));
-        let report = Tpp::new(cfg).run(&mut ctx);
+        let report = cfg.run(&mut ctx);
         (report, ctx)
     }
 
@@ -250,7 +209,7 @@ mod tests {
         let (tpp, _) = run(n, 7, TppConfig::default());
         let pop = TagPopulation::sequential(n, |_| BitVec::from_value(1, 1));
         let mut ctx = SimContext::new(pop, &SimConfig::paper(7));
-        let hpp = Hpp::default().run(&mut ctx);
+        let hpp = HppConfig::default().run(&mut ctx);
         assert!(
             tpp.counters.vector_bits * 3 < hpp.counters.vector_bits,
             "TPP {} vs HPP {} vector bits",
@@ -295,7 +254,7 @@ mod tests {
         let pop = TagPopulation::sequential(300, |_| BitVec::from_value(1, 1));
         let cfg = SimConfig::paper(10).with_channel(Channel::lossy(0.25));
         let mut ctx = SimContext::new(pop, &cfg);
-        let report = Tpp::default().run(&mut ctx);
+        let report = TppConfig::default().run(&mut ctx);
         ctx.assert_complete();
         assert_eq!(report.counters.polls, 300);
         assert!(report.counters.lost_replies > 0);
@@ -374,7 +333,7 @@ mod tests {
         let (tpp, _) = run(n, 14, TppConfig::default());
         let pop = TagPopulation::sequential(n, |_| BitVec::from_value(1, 1));
         let mut ctx = SimContext::new(pop, &SimConfig::paper(14));
-        let hpp = Hpp::default().run(&mut ctx);
+        let hpp = HppConfig::default().run(&mut ctx);
         assert!(tpp.total_time < hpp.total_time);
     }
 }

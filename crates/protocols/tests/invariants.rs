@@ -21,7 +21,7 @@ fn hpp_invariants() {
     check("hpp invariants", 64, |g| {
         let (n, seed) = draw_run(g, 300);
         let mut ctx = context(n, seed);
-        let report = HppConfig::default().into_protocol().run(&mut ctx);
+        let report = HppConfig::default().run(&mut ctx);
         ctx.assert_complete();
         prop_assert_eq!(report.counters.polls as usize, n);
         prop_assert_eq!(report.counters.empty_slots, 0);
@@ -47,7 +47,7 @@ fn tpp_invariants() {
     check("tpp invariants", 64, |g| {
         let (n, seed) = draw_run(g, 300);
         let mut ctx = context(n, seed);
-        let report = TppConfig::default().into_protocol().run(&mut ctx);
+        let report = TppConfig::default().run(&mut ctx);
         ctx.assert_complete();
         prop_assert_eq!(report.counters.polls as usize, n);
         prop_assert_eq!(report.counters.empty_slots, 0);
@@ -72,7 +72,7 @@ fn ehpp_invariants() {
     check("ehpp invariants", 64, |g| {
         let (n, seed) = draw_run(g, 400);
         let mut ctx = context(n, seed);
-        let report = EhppConfig::default().into_protocol().run(&mut ctx);
+        let report = EhppConfig::default().run(&mut ctx);
         ctx.assert_complete();
         prop_assert_eq!(report.counters.polls as usize, n);
         prop_assert_eq!(report.counters.empty_slots, 0);
@@ -94,7 +94,7 @@ fn tpp_time_equals_component_sum() {
         // protocol execution path.
         let (n, seed) = draw_run(g, 200);
         let mut ctx = context(n, seed);
-        let report = TppConfig::default().into_protocol().run(&mut ctx);
+        let report = TppConfig::default().run(&mut ctx);
         let total = report.total_time.as_f64();
         let parts = report.breakdown.total().as_f64();
         prop_assert!((total - parts).abs() < 1e-6 * total.max(1.0));
@@ -109,9 +109,9 @@ fn protocols_agree_on_who_gets_read() {
         // same set (everyone) — no protocol may lose or duplicate a tag.
         let (n, seed) = draw_run(g, 150);
         for protocol in [
-            &HppConfig::default().into_protocol() as &dyn PollingProtocol,
-            &TppConfig::default().into_protocol(),
-            &EhppConfig::default().into_protocol(),
+            &HppConfig::default() as &dyn PollingProtocol,
+            &TppConfig::default(),
+            &EhppConfig::default(),
         ] {
             let mut ctx = context(n, seed);
             protocol.run(&mut ctx);

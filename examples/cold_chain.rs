@@ -26,8 +26,8 @@ fn main() {
 
     println!("cold chain: {n} sensor tags, 16-bit temperature words\n");
 
-    let tpp = run_polling(&TppConfig::default().into_protocol(), &scenario);
-    let mic = run_polling(&MicConfig::default().into_protocol(), &scenario);
+    let tpp = run_polling(&TppConfig::default(), &scenario);
+    let mic = run_polling(&MicConfig::default(), &scenario);
     let lb = run_polling(&LowerBound, &scenario);
 
     println!("{:<12} {:>12} {:>18}", "protocol", "time", "vs lower bound");

@@ -50,7 +50,7 @@ fn main() {
         "\nseeding DFSA identification of {n} unknown tags with n̂ = {:.0}:",
         est.estimate
     );
-    let fsa = FsaConfig::default().into_protocol();
+    let fsa = FsaConfig::default();
     let outcome = collect(Session::open(&fsa, &ctx), &mut ctx);
     assert!(outcome.end.is_complete());
     let report = outcome.report();

@@ -24,18 +24,9 @@ fn main() {
     );
 
     let identifiers: Vec<(&str, Box<dyn PollingProtocol>)> = vec![
-        (
-            "Q-algo",
-            Box::new(QAlgorithmConfig::default().into_protocol()),
-        ),
-        (
-            "QueryTree",
-            Box::new(QueryTreeConfig::default().into_protocol()),
-        ),
-        (
-            "BinSplit",
-            Box::new(BinarySplitConfig::default().into_protocol()),
-        ),
+        ("Q-algo", Box::new(QAlgorithmConfig::default())),
+        ("QueryTree", Box::new(QueryTreeConfig::default())),
+        ("BinSplit", Box::new(BinarySplitConfig::default())),
     ];
 
     for (label, protocol) in &identifiers {
@@ -61,10 +52,8 @@ fn main() {
 
     // Now the reader knows the IDs: polling re-reads the field.
     let scenario = Scenario::uniform(n, 1).with_seed(99);
-    let outcome = fast_rfid_polling::apps::info_collect::run_polling(
-        &TppConfig::default().into_protocol(),
-        &scenario,
-    );
+    let outcome =
+        fast_rfid_polling::apps::info_collect::run_polling(&TppConfig::default(), &scenario);
     println!(
         "{:<12} {:>12} {:>12} {:>16}",
         "TPP (poll)",

@@ -32,9 +32,9 @@ fn main() {
     for loss in [0.0f64, 0.1, 0.2, 0.3, 0.5] {
         let mut row = Vec::new();
         for protocol in [
-            &TppConfig::default().into_protocol() as &dyn PollingProtocol,
-            &HppConfig::default().into_protocol(),
-            &MicConfig::default().into_protocol(),
+            &TppConfig::default() as &dyn PollingProtocol,
+            &HppConfig::default(),
+            &MicConfig::default(),
         ] {
             let scenario = Scenario::uniform(n, 1).with_seed(42);
             let cfg = SimConfig::paper(scenario.protocol_seed()).with_channel(Channel::lossy(loss));
@@ -60,7 +60,7 @@ fn main() {
         let cfg = SimConfig::paper(scenario.protocol_seed())
             .with_fault(FaultModel::perfect().with_downlink_loss(loss));
         let mut ctx = SimContext::new(scenario.build_population(), &cfg);
-        let outcome = collect_all(&HppConfig::default().into_protocol(), &mut ctx);
+        let outcome = collect_all(&HppConfig::default(), &mut ctx);
         assert_eq!(outcome.report().counters.polls as usize, n);
         let c = &outcome.report().counters;
         println!(
@@ -80,7 +80,7 @@ fn main() {
         let cfg = SimConfig::paper(scenario.protocol_seed())
             .with_fault(FaultModel::perfect().with_burst(burst));
         let mut ctx = SimContext::new(scenario.build_population(), &cfg);
-        let outcome = collect_all(&TppConfig::default().into_protocol(), &mut ctx);
+        let outcome = collect_all(&TppConfig::default(), &mut ctx);
         assert_eq!(outcome.report().counters.polls as usize, n);
         // Fraction of time spent in the bad state ~ p_enter/(p_enter+p_exit).
         let bad = p_enter / (p_enter + p_exit);

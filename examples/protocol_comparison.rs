@@ -13,9 +13,6 @@ use fast_rfid_polling::apps::info_collect::run_polling;
 use fast_rfid_polling::baselines::LowerBound;
 use fast_rfid_polling::prelude::*;
 
-/// A table row: label plus a factory of fresh protocol instances.
-type ProtocolRow = (&'static str, Box<dyn Fn() -> Box<dyn PollingProtocol>>);
-
 fn main() {
     let max_n: usize = std::env::args()
         .nth(1)
@@ -34,39 +31,20 @@ fn main() {
         }
         println!();
 
-        let rows: Vec<ProtocolRow> = vec![
-            (
-                "CPP",
-                Box::new(|| Box::new(CppConfig::default().into_protocol())),
-            ),
-            (
-                "CP",
-                Box::new(|| Box::new(CodedPollingConfig::default().into_protocol())),
-            ),
-            (
-                "HPP",
-                Box::new(|| Box::new(HppConfig::default().into_protocol())),
-            ),
-            (
-                "EHPP",
-                Box::new(|| Box::new(EhppConfig::default().into_protocol())),
-            ),
-            (
-                "MIC k=7",
-                Box::new(|| Box::new(MicConfig::default().into_protocol())),
-            ),
-            (
-                "TPP",
-                Box::new(|| Box::new(TppConfig::default().into_protocol())),
-            ),
-            ("LowerBound", Box::new(|| Box::new(LowerBound))),
+        let rows: Vec<(&str, Box<dyn PollingProtocol>)> = vec![
+            ("CPP", Box::new(CppConfig::default())),
+            ("CP", Box::new(CodedPollingConfig::default())),
+            ("HPP", Box::new(HppConfig::default())),
+            ("EHPP", Box::new(EhppConfig::default())),
+            ("MIC k=7", Box::new(MicConfig::default())),
+            ("TPP", Box::new(TppConfig::default())),
+            ("LowerBound", Box::new(LowerBound)),
         ];
 
-        for (label, make) in &rows {
+        for (label, protocol) in &rows {
             print!("{label:<12}");
             for &n in &ns {
                 let scenario = Scenario::uniform(n, info_bits).with_seed(1);
-                let protocol = make();
                 let outcome = run_polling(protocol.as_ref(), &scenario);
                 print!(" {:>11.3}s", outcome.report().total_time.as_secs());
             }

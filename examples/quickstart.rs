@@ -23,12 +23,12 @@ fn main() {
     );
 
     let protocols: Vec<Box<dyn PollingProtocol>> = vec![
-        Box::new(CppConfig::default().into_protocol()),
-        Box::new(CodedPollingConfig::default().into_protocol()),
-        Box::new(HppConfig::default().into_protocol()),
-        Box::new(EhppConfig::default().into_protocol()),
-        Box::new(MicConfig::default().into_protocol()),
-        Box::new(TppConfig::default().into_protocol()),
+        Box::new(CppConfig::default()),
+        Box::new(CodedPollingConfig::default()),
+        Box::new(HppConfig::default()),
+        Box::new(EhppConfig::default()),
+        Box::new(MicConfig::default()),
+        Box::new(TppConfig::default()),
     ];
 
     for protocol in &protocols {

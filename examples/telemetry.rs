@@ -16,7 +16,7 @@ fn main() {
     let scenario = Scenario::uniform(300, 4).with_seed(7);
     let cfg = SimConfig::paper(scenario.protocol_seed()).with_trace();
     let mut ctx = SimContext::new(scenario.build_population(), &cfg);
-    let report = TppConfig::default().into_protocol().run(&mut ctx);
+    let report = TppConfig::default().run(&mut ctx);
     println!(
         "TPP read {} tags in {} ({} events traced)",
         report.counters.polls,

@@ -11,6 +11,12 @@ cargo build --release --offline
 # (tests/fault_matrix.rs) and the served TCP sessions (tests/daemon_serving.rs)
 # all run here.
 cargo test -q --offline
+# Every example runs once: each is an end-to-end use of the facade, and
+# their asserts (exact reads, recovered completions, orderings) are
+# checks too.
+for example in examples/*.rs; do
+    cargo run --release --offline -q --example "$(basename "$example" .rs)" > /dev/null
+done
 cargo fmt --check
 # Lints deny warnings too; each `#[allow(clippy::...)]` states its reason.
 cargo clippy --workspace --all-targets --offline

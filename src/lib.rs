@@ -37,7 +37,7 @@
 //!
 //! // 500 tags with uniformly random EPC-96 IDs, each holding 1 bit of info.
 //! let scenario = Scenario::uniform(500, 1).with_seed(42);
-//! let outcome = run_polling(&TppConfig::default().into_protocol(), &scenario);
+//! let outcome = run_polling(&TppConfig::default(), &scenario);
 //! assert_eq!(outcome.report().counters.polls, 500);
 //! // TPP's average polling vector is ~3 bits, far below the 96-bit ID.
 //! assert!(outcome.report().mean_vector_bits() < 6.0);
@@ -57,6 +57,11 @@ pub use rfid_protocols as protocols;
 pub use rfid_system as system;
 pub use rfid_wire as wire;
 pub use rfid_workloads as workloads;
+
+/// README's Rust snippets, compiled and run as doctests of this crate.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
 
 /// One-stop imports for the common use cases.
 pub mod prelude {

@@ -20,7 +20,7 @@ fn mean_w(protocol: &dyn PollingProtocol, n: usize, seeds: std::ops::Range<u64>)
 fn hpp_simulation_tracks_eq4() {
     for n in [500usize, 2_000, 8_000] {
         let analytic = analysis::hpp::average_vector_length(n as u64);
-        let simulated = mean_w(&HppConfig::default().into_protocol(), n, 0..5);
+        let simulated = mean_w(&HppConfig::default(), n, 0..5);
         assert!(
             (analytic - simulated).abs() < 0.3,
             "n = {n}: analytic {analytic:.3} vs simulated {simulated:.3}"
@@ -32,7 +32,7 @@ fn hpp_simulation_tracks_eq4() {
 fn hpp_simulation_respects_eq5_upper_bound() {
     for n in [100usize, 1_000, 4_096] {
         let bound = analysis::hpp::upper_bound(n as u64) as f64;
-        let simulated = mean_w(&HppConfig::default().into_protocol(), n, 10..13);
+        let simulated = mean_w(&HppConfig::default(), n, 10..13);
         assert!(simulated <= bound, "n = {n}: {simulated} > {bound}");
     }
 }
@@ -41,7 +41,7 @@ fn hpp_simulation_respects_eq5_upper_bound() {
 fn tpp_simulation_stays_under_eq16_ceiling() {
     let ceiling = analysis::tpp::global_bound();
     for n in [200usize, 1_000, 10_000] {
-        let simulated = mean_w(&TppConfig::default().into_protocol(), n, 20..23);
+        let simulated = mean_w(&TppConfig::default(), n, 20..23);
         assert!(
             simulated <= ceiling,
             "n = {n}: simulated {simulated:.3} > ceiling {ceiling:.3}"
@@ -55,7 +55,7 @@ fn tpp_simulation_sits_below_fig9_analysis() {
     // (Fig. 10) lands below it (~3.06) because real trees bifurcate later
     // than the adversarial early-bifurcation bound assumes.
     let analytic = analysis::tpp::average_vector_length(5_000);
-    let simulated = mean_w(&TppConfig::default().into_protocol(), 5_000, 30..34);
+    let simulated = mean_w(&TppConfig::default(), 5_000, 30..34);
     assert!(
         simulated < analytic,
         "simulated {simulated:.3} not below analytic bound {analytic:.3}"
@@ -73,7 +73,7 @@ fn ehpp_simulation_tracks_circle_model() {
     let mut acc = 0.0;
     for seed in 40..44u64 {
         let scenario = Scenario::uniform(n, 1).with_seed(seed);
-        acc += run_polling(&EhppConfig::default().into_protocol(), &scenario)
+        acc += run_polling(&EhppConfig::default(), &scenario)
             .report()
             .mean_vector_bits_with_overhead();
     }
@@ -93,7 +93,7 @@ fn execution_times_match_the_timing_model() {
     let n = 300usize;
     for l in [1usize, 16] {
         let scenario = Scenario::uniform(n, l).with_seed(50);
-        let outcome = run_polling(&CppConfig::default().into_protocol(), &scenario);
+        let outcome = run_polling(&CppConfig::default(), &scenario);
         let model = analysis::timing::cpp_time_per_tag(&LinkParams::paper(), l as u64) * n as u64;
         assert!(
             (outcome.report().total_time.as_f64() - model.as_f64()).abs() < 1e-6,
@@ -108,7 +108,7 @@ fn execution_times_match_the_timing_model() {
 fn round_counts_track_the_recurrences() {
     let n = 4_000usize;
     let scenario = Scenario::uniform(n, 1).with_seed(60);
-    let hpp = run_polling(&HppConfig::default().into_protocol(), &scenario);
+    let hpp = run_polling(&HppConfig::default(), &scenario);
     let expected = analysis::hpp::expected_rounds(n as u64) as i64;
     let got = hpp.report().counters.rounds as i64;
     assert!(

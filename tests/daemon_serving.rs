@@ -46,7 +46,7 @@ fn open_request(config: Option<SimConfig>) -> OpenRequest {
 fn local_reference(config: Option<SimConfig>) -> (String, u64) {
     let scenario = Scenario::uniform(N as usize, INFO_BITS as usize).with_seed(SEED);
     let config = config.unwrap_or_else(|| SimConfig::paper(scenario.protocol_seed()).with_trace());
-    let protocol = HppConfig::default().into_protocol();
+    let protocol = HppConfig::default();
     let mut ctx = SimContext::new(scenario.build_population(), &config);
     let mut session = Session::open(&protocol, &ctx);
     let SessionEnd::Complete { report, .. } = session.run(&mut ctx) else {
@@ -493,7 +493,7 @@ fn shutdown_drains_live_sessions_with_resumable_checkpoints() {
 fn wire_metrics_match_inprocess_metrics() {
     let scenario = Scenario::uniform(N as usize, INFO_BITS as usize).with_seed(SEED);
     let config = SimConfig::paper(scenario.protocol_seed()).with_trace();
-    let protocol = HppConfig::default().into_protocol();
+    let protocol = HppConfig::default();
     let mut ctx = SimContext::new(scenario.build_population(), &config);
     let mut session = Session::open(&protocol, &ctx);
     let _ = session.run(&mut ctx);

@@ -9,10 +9,10 @@ use fast_rfid_polling::system::{Channel, SimConfig, SimContext};
 #[test]
 fn identical_seeds_produce_identical_runs() {
     let protocols: Vec<Box<dyn PollingProtocol>> = vec![
-        Box::new(HppConfig::default().into_protocol()),
-        Box::new(EhppConfig::default().into_protocol()),
-        Box::new(TppConfig::default().into_protocol()),
-        Box::new(MicConfig::default().into_protocol()),
+        Box::new(HppConfig::default()),
+        Box::new(EhppConfig::default()),
+        Box::new(TppConfig::default()),
+        Box::new(MicConfig::default()),
     ];
     for protocol in &protocols {
         let scenario = Scenario::uniform(600, 4).with_seed(123);
@@ -39,8 +39,8 @@ fn identical_seeds_produce_identical_runs() {
 fn different_seeds_change_the_run_but_not_the_result() {
     let s1 = Scenario::uniform(500, 2).with_seed(1);
     let s2 = Scenario::uniform(500, 2).with_seed(2);
-    let a = run_polling(&TppConfig::default().into_protocol(), &s1);
-    let b = run_polling(&TppConfig::default().into_protocol(), &s2);
+    let a = run_polling(&TppConfig::default(), &s1);
+    let b = run_polling(&TppConfig::default(), &s2);
     assert_ne!(a.report().total_time, b.report().total_time);
     assert_eq!(a.report().counters.polls, b.report().counters.polls);
 }
@@ -49,10 +49,10 @@ fn different_seeds_change_the_run_but_not_the_result() {
 fn protocols_survive_heavy_loss() {
     for loss in [0.1f64, 0.3, 0.5] {
         let protocols: Vec<Box<dyn PollingProtocol>> = vec![
-            Box::new(HppConfig::default().into_protocol()),
-            Box::new(EhppConfig::default().into_protocol()),
-            Box::new(TppConfig::default().into_protocol()),
-            Box::new(MicConfig::default().into_protocol()),
+            Box::new(HppConfig::default()),
+            Box::new(EhppConfig::default()),
+            Box::new(TppConfig::default()),
+            Box::new(MicConfig::default()),
         ];
         for protocol in &protocols {
             let scenario = Scenario::uniform(200, 1).with_seed(77);
@@ -94,7 +94,7 @@ fn loss_increases_cost_monotonically_in_expectation() {
             let population = scenario.build_population();
             let cfg = SimConfig::paper(scenario.protocol_seed()).with_channel(Channel::lossy(loss));
             let mut ctx = SimContext::new(population, &cfg);
-            let tpp = TppConfig::default().into_protocol();
+            let tpp = TppConfig::default();
             let outcome = collect(Session::open(&tpp, &ctx), &mut ctx);
             assert!(outcome.end.is_complete());
             acc += outcome.report().total_time.as_secs();
@@ -120,7 +120,7 @@ fn capture_effect_only_helps_aloha() {
             capture_any: false,
         });
         let mut ctx = SimContext::new(population, &cfg);
-        let fsa = FsaConfig::default().into_protocol();
+        let fsa = FsaConfig::default();
         let outcome = collect(Session::open(&fsa, &ctx), &mut ctx);
         assert!(outcome.end.is_complete());
         outcome.report().total_time

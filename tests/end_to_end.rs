@@ -30,7 +30,7 @@ fn estimate_identify_poll_monitor_lifecycle() {
         scenario.build_population(),
         &SimConfig::paper(split_seed(555, 1)),
     );
-    let ident = QAlgorithmConfig::default().into_protocol().run(&mut ctx);
+    let ident = QAlgorithmConfig::default().run(&mut ctx);
     ctx.assert_complete();
     let known: Vec<TagId> = ctx.population.iter().map(|(_, t)| t.id).collect();
     assert_eq!(known.len(), n);
@@ -40,7 +40,7 @@ fn estimate_identify_poll_monitor_lifecycle() {
         scenario.build_population(),
         &SimConfig::paper(split_seed(555, 2)),
     );
-    let tpp = TppConfig::default().into_protocol();
+    let tpp = TppConfig::default();
     let poll = collect(Session::open(&tpp, &ctx), &mut ctx);
     assert!(poll.end.is_complete());
     assert!(
@@ -86,17 +86,14 @@ fn the_paper_workflow_pays_off_within_two_sweeps() {
             scenario.build_population(),
             &SimConfig::paper(split_seed(777, 0)),
         );
-        QAlgorithmConfig::default()
-            .into_protocol()
-            .run(&mut ctx)
-            .total_time
+        QAlgorithmConfig::default().run(&mut ctx).total_time
     };
     let poll_once = {
         let mut ctx = SimContext::new(
             scenario.build_population(),
             &SimConfig::paper(split_seed(777, 1)),
         );
-        let tpp = TppConfig::default().into_protocol();
+        let tpp = TppConfig::default();
         let poll = collect(Session::open(&tpp, &ctx), &mut ctx);
         assert!(poll.end.is_complete());
         poll.report().total_time

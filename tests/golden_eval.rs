@@ -19,8 +19,6 @@ use fast_rfid_polling::baselines::{CppConfig, LowerBound, MicConfig};
 use fast_rfid_polling::bench::{Cell, SweepEngine};
 use fast_rfid_polling::prelude::*;
 
-type Factory = Box<dyn Fn() -> Box<dyn PollingProtocol> + Sync>;
-
 /// Every golden value is computed through the parallel engine — two workers
 /// and a small run block so the scheduler actually interleaves jobs.
 fn engine() -> SweepEngine {
@@ -28,26 +26,29 @@ fn engine() -> SweepEngine {
 }
 
 /// Mean simulated execution time (µs) over `runs` Monte-Carlo runs.
-fn mean_time_us(factory: &Factory, n: usize, l: usize, runs: u64) -> f64 {
+fn mean_time_us(protocol: &dyn PollingProtocol, n: usize, l: usize, runs: u64) -> f64 {
     let cell = Cell::new(
         "golden",
-        "",
+        protocol,
         Scenario::uniform(n, l).with_seed(97),
         runs,
-        factory.as_ref(),
     );
     let reports = engine().run_cells(std::slice::from_ref(&cell)).remove(0);
     reports.iter().map(|r| r.total_time.as_f64()).sum::<f64>() / runs as f64
 }
 
 /// Mean simulated polling-vector length (bits) over `runs` runs.
-fn mean_vector_bits(factory: &Factory, n: usize, runs: u64, with_overhead: bool) -> f64 {
+fn mean_vector_bits(
+    protocol: &dyn PollingProtocol,
+    n: usize,
+    runs: u64,
+    with_overhead: bool,
+) -> f64 {
     let cell = Cell::new(
         "golden",
-        "",
+        protocol,
         Scenario::uniform(n, 1).with_seed(131),
         runs,
-        factory.as_ref(),
     );
     let reports = engine().run_cells(std::slice::from_ref(&cell)).remove(0);
     let total: f64 = reports
@@ -74,8 +75,8 @@ fn assert_within(label: &str, simulated: f64, model: f64, rel_tol: f64) {
 #[test]
 fn table_cpp_and_lower_bound_times_match_the_model_exactly() {
     let link = LinkParams::paper();
-    let cpp: Factory = Box::new(|| Box::new(CppConfig::default().into_protocol()));
-    let lb: Factory = Box::new(|| Box::new(LowerBound));
+    let cpp = CppConfig::default();
+    let lb = LowerBound;
     for n in [200usize, 500] {
         for l in [1usize, 16, 32] {
             let model = analysis::timing::cpp_time_per_tag(&link, l as u64) * n as u64;
@@ -100,9 +101,9 @@ fn table_cpp_and_lower_bound_times_match_the_model_exactly() {
 fn table_polling_times_track_the_analytic_model() {
     let link = LinkParams::paper();
     let runs = 4u64;
-    let hpp: Factory = Box::new(|| Box::new(HppConfig::default().into_protocol()));
-    let tpp: Factory = Box::new(|| Box::new(TppConfig::default().into_protocol()));
-    let ehpp: Factory = Box::new(|| Box::new(EhppConfig::default().into_protocol()));
+    let hpp = HppConfig::default();
+    let tpp = TppConfig::default();
+    let ehpp = EhppConfig::default();
     for n in [200usize, 500] {
         for l in [1usize, 16, 32] {
             let time = |w: f64| analysis::timing::execution_time(&link, n as u64, w, l as u64);
@@ -138,10 +139,10 @@ fn table_orderings_hold_at_small_n() {
     let link = LinkParams::paper();
     let n = 500usize;
     let runs = 4u64;
-    let tpp: Factory = Box::new(|| Box::new(TppConfig::default().into_protocol()));
-    let hpp: Factory = Box::new(|| Box::new(HppConfig::default().into_protocol()));
-    let cpp: Factory = Box::new(|| Box::new(CppConfig::default().into_protocol()));
-    let mic: Factory = Box::new(|| Box::new(MicConfig::default().into_protocol()));
+    let tpp = TppConfig::default();
+    let hpp = HppConfig::default();
+    let cpp = CppConfig::default();
+    let mic = MicConfig::default();
     for l in [1usize, 16, 32] {
         let lb = analysis::timing::lower_bound(&link, n as u64, l as u64).as_f64();
         let t_tpp = mean_time_us(&tpp, n, l, runs);
@@ -162,9 +163,9 @@ fn table_orderings_hold_at_small_n() {
 #[test]
 fn fig10_vector_lengths_match_the_models_at_small_n() {
     let runs = 5u64;
-    let hpp: Factory = Box::new(|| Box::new(HppConfig::default().into_protocol()));
-    let tpp: Factory = Box::new(|| Box::new(TppConfig::default().into_protocol()));
-    let ehpp: Factory = Box::new(|| Box::new(EhppConfig::default().into_protocol()));
+    let hpp = HppConfig::default();
+    let tpp = TppConfig::default();
+    let ehpp = EhppConfig::default();
     for n in [500usize, 2_000] {
         // HPP tracks Eq. (4) within 0.3 bit (same band the paper's Fig. 10
         // curves show against the Fig. 3 analysis).

@@ -95,10 +95,10 @@ fn clean_runs_are_bit_identical_to_pre_change_capture() {
 fn impaired_runs_are_bit_identical_to_pre_change_capture() {
     let scenario = Scenario::uniform(150, 4).with_seed(99);
     let protocols: Vec<Box<dyn PollingProtocol>> = vec![
-        Box::new(HppConfig::default().into_protocol()),
-        Box::new(EhppConfig::default().into_protocol()),
-        Box::new(TppConfig::default().into_protocol()),
-        Box::new(MicConfig::default().into_protocol()),
+        Box::new(HppConfig::default()),
+        Box::new(EhppConfig::default()),
+        Box::new(TppConfig::default()),
+        Box::new(MicConfig::default()),
     ];
     for (protocol, &(name, golden_json, golden_trace)) in protocols.iter().zip(IMPAIRED_GOLDEN) {
         assert_eq!(protocol.name(), name, "protocol order drifted");

@@ -20,11 +20,11 @@ fn table_ordering_holds_at_n_1000() {
     // almost can be drawn") — MIC and EHPP sit within ~2 % of each other at
     // l = 32 — so the MIC/EHPP comparison gets that same 2 % slack.
     for l in [1usize, 16, 32] {
-        let tpp = time_of(&TppConfig::default().into_protocol(), 1_000, l, 9);
-        let mic = time_of(&MicConfig::default().into_protocol(), 1_000, l, 9);
-        let ehpp = time_of(&EhppConfig::default().into_protocol(), 1_000, l, 9);
-        let hpp = time_of(&HppConfig::default().into_protocol(), 1_000, l, 9);
-        let cpp = time_of(&CppConfig::default().into_protocol(), 1_000, l, 9);
+        let tpp = time_of(&TppConfig::default(), 1_000, l, 9);
+        let mic = time_of(&MicConfig::default(), 1_000, l, 9);
+        let ehpp = time_of(&EhppConfig::default(), 1_000, l, 9);
+        let hpp = time_of(&HppConfig::default(), 1_000, l, 9);
+        let cpp = time_of(&CppConfig::default(), 1_000, l, 9);
         assert!(tpp < mic, "l={l}: TPP {tpp} !< MIC {mic}");
         assert!(mic < ehpp * 1.02, "l={l}: MIC {mic} !< EHPP {ehpp} (+2 %)");
         assert!(ehpp <= hpp, "l={l}: EHPP {ehpp} !≤ HPP {hpp}");
@@ -41,8 +41,8 @@ fn hpp_beats_mic_on_tiny_populations_with_long_payloads() {
     let mut hpp = 0.0;
     let mut mic = 0.0;
     for seed in seeds {
-        hpp += time_of(&HppConfig::default().into_protocol(), 100, 32, seed);
-        mic += time_of(&MicConfig::default().into_protocol(), 100, 32, seed);
+        hpp += time_of(&HppConfig::default(), 100, 32, seed);
+        mic += time_of(&MicConfig::default(), 100, 32, seed);
     }
     assert!(hpp < mic, "HPP {hpp} !< MIC {mic} (seed-averaged)");
 }
@@ -52,7 +52,7 @@ fn tpp_sits_close_to_the_lower_bound() {
     // Table I: TPP ≈ 1.35× LB at l = 1; Table III: ≈ 1.10× at l = 32.
     let n = 2_000;
     for (l, hi) in [(1usize, 1.45), (16, 1.30), (32, 1.20)] {
-        let tpp = time_of(&TppConfig::default().into_protocol(), n, l, 4);
+        let tpp = time_of(&TppConfig::default(), n, l, 4);
         let lb = time_of(&LowerBound, n, l, 4);
         let ratio = tpp / lb;
         assert!(
@@ -67,10 +67,8 @@ fn cpp_ratio_shrinks_with_payload_length() {
     // Table I: CPP ≈ 11.6× LB at l = 1; Table III: ≈ 4.14× at l = 32 —
     // the fixed 96-bit vector amortizes over longer payloads.
     let n = 500;
-    let r1 =
-        time_of(&CppConfig::default().into_protocol(), n, 1, 5) / time_of(&LowerBound, n, 1, 5);
-    let r32 =
-        time_of(&CppConfig::default().into_protocol(), n, 32, 5) / time_of(&LowerBound, n, 32, 5);
+    let r1 = time_of(&CppConfig::default(), n, 1, 5) / time_of(&LowerBound, n, 1, 5);
+    let r32 = time_of(&CppConfig::default(), n, 32, 5) / time_of(&LowerBound, n, 32, 5);
     assert!((r1 - 11.6).abs() < 0.2, "l=1 ratio {r1}");
     assert!((r32 - 4.14).abs() < 0.1, "l=32 ratio {r32}");
 }
@@ -80,16 +78,16 @@ fn headline_vector_lengths() {
     // Abstract / Fig. 10: TPP ~3 bits (31× below CPP's 96), EHPP ~9,
     // HPP grows with n.
     let scenario = Scenario::uniform(5_000, 1).with_seed(6);
-    let tpp = run_polling(&TppConfig::default().into_protocol(), &scenario);
+    let tpp = run_polling(&TppConfig::default(), &scenario);
     let w = tpp.report().mean_vector_bits();
     assert!((2.7..=3.4).contains(&w), "TPP w = {w}");
     assert!(96.0 / w > 28.0, "reduction factor {}", 96.0 / w);
 
-    let ehpp = run_polling(&EhppConfig::default().into_protocol(), &scenario);
+    let ehpp = run_polling(&EhppConfig::default(), &scenario);
     let we = ehpp.report().mean_vector_bits_with_overhead();
     assert!((8.0..=10.0).contains(&we), "EHPP w = {we}");
 
-    let hpp = run_polling(&HppConfig::default().into_protocol(), &scenario);
+    let hpp = run_polling(&HppConfig::default(), &scenario);
     let wh = hpp.report().mean_vector_bits();
     assert!((11.0..=13.0).contains(&wh), "HPP w = {wh} at n = 5000");
 }
@@ -98,8 +96,8 @@ fn headline_vector_lengths() {
 fn tpp_beats_mic_by_double_digit_percent_at_l1() {
     // Section V-C: TPP reduces inventory time by 14.8 % vs MIC at l = 1.
     let n = 5_000;
-    let tpp = time_of(&TppConfig::default().into_protocol(), n, 1, 8);
-    let mic = time_of(&MicConfig::default().into_protocol(), n, 1, 8);
+    let tpp = time_of(&TppConfig::default(), n, 1, 8);
+    let mic = time_of(&MicConfig::default(), n, 1, 8);
     let gain = (mic - tpp) / mic * 100.0;
     assert!(
         (8.0..=25.0).contains(&gain),

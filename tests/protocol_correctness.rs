@@ -10,14 +10,14 @@ use fast_rfid_polling::workloads::PayloadKind;
 
 fn all_protocols() -> Vec<Box<dyn PollingProtocol>> {
     vec![
-        Box::new(CppConfig::default().into_protocol()),
-        Box::new(EcppConfig::default().into_protocol()),
-        Box::new(CodedPollingConfig::default().into_protocol()),
-        Box::new(HppConfig::default().into_protocol()),
-        Box::new(EhppConfig::default().into_protocol()),
-        Box::new(TppConfig::default().into_protocol()),
-        Box::new(MicConfig::default().into_protocol()),
-        Box::new(FsaConfig::default().into_protocol()),
+        Box::new(CppConfig::default()),
+        Box::new(EcppConfig::default()),
+        Box::new(CodedPollingConfig::default()),
+        Box::new(HppConfig::default()),
+        Box::new(EhppConfig::default()),
+        Box::new(TppConfig::default()),
+        Box::new(MicConfig::default()),
+        Box::new(FsaConfig::default()),
         Box::new(LowerBound),
     ]
 }
@@ -72,11 +72,11 @@ fn polling_protocols_never_waste_slots() {
     // polling family sees no empty and no collision slots (unlike ALOHA).
     let scenario = Scenario::uniform(400, 1).with_seed(7);
     let polling: Vec<Box<dyn PollingProtocol>> = vec![
-        Box::new(CppConfig::default().into_protocol()),
-        Box::new(CodedPollingConfig::default().into_protocol()),
-        Box::new(HppConfig::default().into_protocol()),
-        Box::new(EhppConfig::default().into_protocol()),
-        Box::new(TppConfig::default().into_protocol()),
+        Box::new(CppConfig::default()),
+        Box::new(CodedPollingConfig::default()),
+        Box::new(HppConfig::default()),
+        Box::new(EhppConfig::default()),
+        Box::new(TppConfig::default()),
     ];
     for protocol in polling {
         let outcome = run_polling(protocol.as_ref(), &scenario);
@@ -94,10 +94,10 @@ fn polling_protocols_never_waste_slots() {
         );
     }
     // And the ALOHA baselines do waste slots — the contrast the paper draws.
-    let fsa = run_polling(&FsaConfig::default().into_protocol(), &scenario);
+    let fsa = run_polling(&FsaConfig::default(), &scenario);
     assert!(fsa.report().counters.empty_slots > 0);
     assert!(fsa.report().counters.collision_slots > 0);
-    let mic = run_polling(&MicConfig::default().into_protocol(), &scenario);
+    let mic = run_polling(&MicConfig::default(), &scenario);
     assert!(mic.report().counters.empty_slots > 0);
     assert_eq!(
         mic.report().counters.collision_slots,
@@ -128,7 +128,7 @@ fn payload_widths_sweep() {
         let scenario = Scenario::uniform(100, bits)
             .with_seed(bits as u64)
             .with_payload(PayloadKind::Random);
-        let outcome = run_polling(&TppConfig::default().into_protocol(), &scenario);
+        let outcome = run_polling(&TppConfig::default(), &scenario);
         assert_eq!(outcome.report().counters.tag_bits, 100 * bits as u64);
     }
 }

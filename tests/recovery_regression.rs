@@ -45,8 +45,7 @@ fn hpp_passes_to_completion_are_pinned() {
     let hpp = HppConfig {
         max_rounds: 12,
         ..HppConfig::default()
-    }
-    .into_protocol();
+    };
     let got: Vec<u64> = [0.05, 0.2, 0.5]
         .iter()
         .map(|&loss| recovered_passes(&hpp, loss))
@@ -59,8 +58,7 @@ fn ehpp_passes_to_completion_are_pinned() {
     let ehpp = EhppConfig {
         max_circles: 3,
         ..EhppConfig::default()
-    }
-    .into_protocol();
+    };
     let got: Vec<u64> = [0.05, 0.2, 0.5]
         .iter()
         .map(|&loss| recovered_passes(&ehpp, loss))
@@ -73,8 +71,7 @@ fn tpp_passes_to_completion_are_pinned() {
     let tpp = TppConfig {
         max_rounds: 24,
         ..TppConfig::default()
-    }
-    .into_protocol();
+    };
     let got: Vec<u64> = [0.05, 0.2, 0.5]
         .iter()
         .map(|&loss| recovered_passes(&tpp, loss))
@@ -89,7 +86,6 @@ fn pass_counts_are_stable_across_reruns() {
     let hpp = HppConfig {
         max_rounds: 24,
         ..HppConfig::default()
-    }
-    .into_protocol();
+    };
     assert_eq!(recovered_passes(&hpp, 0.2), recovered_passes(&hpp, 0.2));
 }

@@ -76,7 +76,7 @@ fn collect_matches_the_policy_session() {
     let scenario = Scenario::uniform(80, 1).with_seed(5);
     let mut a = traced_context(&scenario);
     let mut b = traced_context(&scenario);
-    let protocol = TppConfig::default().into_protocol();
+    let protocol = TppConfig::default();
     let policy = RecoveryPolicy::default();
 
     let via_session = Session::open(&protocol, &a).with_policy(policy).run(&mut a);

@@ -155,10 +155,10 @@ fn impaired_kill_restore_is_bit_identical() {
         .with_trace()
         .with_fault(impaired_fault());
     let protocols: Vec<Box<dyn PollingProtocol>> = vec![
-        Box::new(HppConfig::default().into_protocol()),
-        Box::new(EhppConfig::default().into_protocol()),
-        Box::new(TppConfig::default().into_protocol()),
-        Box::new(MicConfig::default().into_protocol()),
+        Box::new(HppConfig::default()),
+        Box::new(EhppConfig::default()),
+        Box::new(TppConfig::default()),
+        Box::new(MicConfig::default()),
     ];
     let mut kills = kill_points();
     for protocol in &protocols {
@@ -193,8 +193,7 @@ fn mid_recovery_kill_restore_is_bit_identical() {
     let protocol = HppConfig {
         max_rounds: 2,
         ..HppConfig::default()
-    }
-    .into_protocol();
+    };
     let scenario = Scenario::uniform(150, 4).with_seed(31);
     let cfg = SimConfig::paper(scenario.protocol_seed()).with_trace();
     let policy = RecoveryPolicy::unbounded();
@@ -239,7 +238,7 @@ fn mid_recovery_kill_restore_is_bit_identical() {
 fn deadline_converts_overrun_into_degraded() {
     let scenario = Scenario::uniform(150, 4).with_seed(31);
     let cfg = SimConfig::paper(scenario.protocol_seed());
-    let protocol = TppConfig::default().into_protocol();
+    let protocol = TppConfig::default();
 
     // TPP needs ~87 ms of sim time for 150 tags; a 20 ms budget must cut
     // the session short with a typed Degraded end, not an error or a hang.
@@ -281,7 +280,7 @@ fn deadline_converts_overrun_into_degraded() {
 fn deadline_survives_snapshot_restore() {
     let scenario = Scenario::uniform(150, 4).with_seed(31);
     let cfg = SimConfig::paper(scenario.protocol_seed()).with_trace();
-    let protocol = TppConfig::default().into_protocol();
+    let protocol = TppConfig::default();
 
     let mut ctx = SimContext::new(scenario.build_population(), &cfg);
     let end = Session::open(&protocol, &ctx)
@@ -329,17 +328,47 @@ fn deadline_survives_snapshot_restore() {
 fn restore_rejects_a_snapshot_from_another_protocol() {
     let scenario = Scenario::uniform(50, 4).with_seed(7);
     let cfg = SimConfig::paper(scenario.protocol_seed());
-    let hpp = HppConfig::default().into_protocol();
+    let hpp = HppConfig::default();
     let mut ctx = SimContext::new(scenario.build_population(), &cfg);
     let mut session = Session::open(&hpp, &ctx);
     assert!(session.run_for(&mut ctx, 1).is_none());
     let snap = session.snapshot(&ctx, &cfg);
 
-    let tpp = TppConfig::default().into_protocol();
+    let tpp = TppConfig::default();
     let err = Session::restore(&tpp, &snap).expect_err("protocol mismatch must be rejected");
     assert!(
         err.to_string().contains("HPP"),
         "error should name the snapshot's protocol: {err}"
+    );
+}
+
+#[test]
+fn restore_rejects_stepper_state_for_a_stateless_protocol() {
+    let scenario = Scenario::uniform(50, 4).with_seed(7);
+    let cfg = SimConfig::paper(scenario.protocol_seed());
+    let hpp = HppConfig::default();
+    let mut ctx = SimContext::new(scenario.build_population(), &cfg);
+    let mut session = Session::open(&hpp, &ctx);
+    assert!(session.run_for(&mut ctx, 1).is_none());
+    let Json::Obj(mut fields) = session.snapshot(&ctx, &cfg) else {
+        panic!("a snapshot is a JSON object");
+    };
+    let stepper = fields
+        .iter_mut()
+        .find(|(key, _)| key == "stepper")
+        .expect("snapshot has a stepper");
+    assert_eq!(
+        stepper.1,
+        Json::Obj(Vec::new()),
+        "HPP's stepper is stateless"
+    );
+    stepper.1 = Json::parse(r#"{"x":1}"#).unwrap();
+
+    let err = Session::restore(&hpp, &Json::Obj(fields))
+        .expect_err("state a stateless stepper cannot hold must be rejected");
+    assert!(
+        err.to_string().contains("HPP") && err.to_string().contains(r#"{"x":1}"#),
+        "error should name the protocol and the stray state: {err}"
     );
 }
 
@@ -355,7 +384,7 @@ fn fuzzed_snapshot_bytes_never_panic() {
     let cfg = SimConfig::paper(scenario.protocol_seed())
         .with_trace()
         .with_fault(impaired_fault());
-    let protocol = HppConfig::default().into_protocol();
+    let protocol = HppConfig::default();
     let mut ctx = SimContext::new(scenario.build_population(), &cfg);
     let mut session = Session::open(&protocol, &ctx);
     assert!(session.run_for(&mut ctx, 3).is_none());

@@ -25,7 +25,7 @@ fn tpp_fast_path_equals_tag_machine_replay() {
     let population = scenario.build_population();
     let ids: Vec<TagId> = population.iter().map(|(_, t)| t.id).collect();
     let mut ctx = SimContext::new(population, &SimConfig::paper(scenario.protocol_seed()));
-    let report = TppConfig::default().into_protocol().run(&mut ctx);
+    let report = TppConfig::default().run(&mut ctx);
     ctx.assert_complete();
 
     // Replay: one automaton per tag, reader logic re-derived from machine
@@ -122,7 +122,7 @@ fn hpp_fast_path_equals_tag_machine_replay() {
     let population = scenario.build_population();
     let ids: Vec<TagId> = population.iter().map(|(_, t)| t.id).collect();
     let mut ctx = SimContext::new(population, &SimConfig::paper(scenario.protocol_seed()));
-    let report = HppConfig::default().into_protocol().run(&mut ctx);
+    let report = HppConfig::default().run(&mut ctx);
     ctx.assert_complete();
 
     let mut machines: Vec<TagMachine> = ids.into_iter().map(TagMachine::new).collect();
@@ -188,7 +188,7 @@ fn hpp_replay_stays_identical_under_reply_loss() {
     let cfg = SimConfig::paper(scenario.protocol_seed())
         .with_channel(fast_rfid_polling::system::Channel::lossy(loss));
     let mut ctx = SimContext::new(population, &cfg);
-    let report = HppConfig::default().into_protocol().run(&mut ctx);
+    let report = HppConfig::default().run(&mut ctx);
     ctx.assert_complete();
 
     let mut machines: Vec<TagMachine> = ids.into_iter().map(TagMachine::new).collect();
