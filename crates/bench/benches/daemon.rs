@@ -8,7 +8,10 @@
 //!
 //! Records per case in `BENCH_daemon.json`: `completed` (gated at the
 //! expected session count), `sessions_per_sec` and the latency mean and
-//! p50/p90/p99.
+//! p50/p90/p99. The `served_checkpoint` case records the encoded payload
+//! bytes of one served checkpoint, gated at 8 KiB: a served snapshot names
+//! its population by origin and packs its per-tag progress, so a tag list
+//! creeping back in fails it.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -17,7 +20,9 @@ use std::time::Instant;
 use rfid_bench::{Bench, BenchRecord, Gate};
 use rfid_daemon::{serve_connection, Daemon, DaemonClient, RunEnd, Service};
 use rfid_obs::Log2Histogram;
-use rfid_wire::{loopback, OpenRequest, Transport};
+use rfid_system::SimConfig;
+use rfid_wire::{loopback, Command, OpenRequest, Response, Transport};
+use rfid_workloads::Scenario;
 
 const PROTOCOL: &str = "TPP";
 const N: u64 = 64;
@@ -132,6 +137,39 @@ fn loopback_serial(sessions: usize) -> CaseResult {
     }
 }
 
+/// Population of the checkpointed session: `serve_migrate`'s size.
+const CHECKPOINT_N: u64 = 2_000;
+/// Driver steps run before the checkpoint.
+const CHECKPOINT_STEPS: u64 = 3;
+
+/// Encoded payload bytes of the `Snapshot` response to a `Checkpoint` of
+/// an untraced 2k-tag TPP session after 3 steps, served in process.
+fn served_checkpoint_bytes() -> usize {
+    let mut service = Service::new();
+    let seed = 3;
+    let mut req = OpenRequest::new(PROTOCOL, CHECKPOINT_N, INFO_BITS, seed);
+    let scenario = Scenario::uniform(CHECKPOINT_N as usize, INFO_BITS as usize).with_seed(seed);
+    req.config = Some(SimConfig::paper(scenario.protocol_seed()));
+    let session = match service.handle(Command::Open(req)).remove(0) {
+        Response::Opened { session } => session,
+        other => panic!("open failed: {other:?}"),
+    };
+    let ran = service.handle(Command::Run {
+        session,
+        max_steps: Some(CHECKPOINT_STEPS),
+    });
+    assert!(
+        matches!(ran.last(), Some(Response::Paused { .. })),
+        "{CHECKPOINT_STEPS} steps must not finish {CHECKPOINT_N} tags: {ran:?}"
+    );
+    let snapshot = service.handle(Command::Checkpoint { session }).remove(0);
+    assert!(
+        matches!(snapshot, Response::Snapshot { .. }),
+        "{snapshot:?}"
+    );
+    snapshot.to_frame().payload.len()
+}
+
 /// A named case and the function that runs it.
 type Case = (&'static str, fn() -> CaseResult);
 
@@ -167,6 +205,20 @@ fn main() {
         b.record(record("latency_p90_us", "us", pct(0.9)));
         b.record(record("latency_p99_us", "us", pct(0.99)));
         b.record(record("latency_mean_us", "us", case.latencies.mean()));
+    }
+    if b.wants("served_checkpoint") {
+        b.record(
+            BenchRecord::new(
+                "served_checkpoint",
+                "payload_bytes",
+                "bytes",
+                served_checkpoint_bytes() as f64,
+            )
+            .param("protocol", PROTOCOL)
+            .param("n", &CHECKPOINT_N)
+            .param("steps", &CHECKPOINT_STEPS)
+            .gate(Gate::AtMost(8192.0)),
+        );
     }
     b.finish();
 }

@@ -17,12 +17,12 @@ use std::time::{Duration, Instant};
 
 use rfid_bench::{Bench, BenchRecord, Gate};
 use rfid_daemon::{
-    install_killpoint_hook, DaemonClient, FleetLimits, ResilientClient, RetryPolicy,
+    install_killpoint_hook, DaemonClient, FleetLimits, ResilientClient, RetryPolicy, Service,
 };
 use rfid_obs::Log2Histogram;
 use rfid_protocols::{Session, SessionEnd, TppConfig};
 use rfid_system::{GilbertElliott, SimConfig, SimContext, ToJson};
-use rfid_wire::{ChaosDirector, ChaosPlan, OpenRequest};
+use rfid_wire::{ChaosDirector, ChaosPlan, Command, OpenRequest, Response};
 use rfid_workloads::Scenario;
 
 const PROTOCOL: &str = "TPP";
@@ -242,18 +242,32 @@ fn drain_shutdown_case(b: &mut Bench) {
 
     let drains = supervisor.counter("drain_checkpoints") as f64;
     let drained = supervisor.drained();
-    let protocol = rfid_daemon::protocol_by_name(PROTOCOL).expect("servable");
     // Drain order is session-table order, not open order: match each
-    // finished snapshot against the reference identity *set*.
+    // finished snapshot against the reference identity *set*. A drained
+    // snapshot names its population by origin, so it resumes through an
+    // in-process service, which rebuilds that scenario.
     let mut expected: Vec<(String, u64)> = SEEDS.iter().map(|&s| local_identity(s)).collect();
     let mut recovered = 0;
+    let mut service = Service::new();
     for (_gid, snapshot) in &drained {
-        let (mut ctx, mut session) =
-            Session::restore(protocol.as_ref(), snapshot).expect("drained snapshot restores");
-        let SessionEnd::Complete { report, .. } = session.run(&mut ctx) else {
-            panic!("drained snapshot did not complete");
+        let resumed = service.handle(Command::Resume {
+            snapshot: snapshot.clone(),
+        });
+        let session = match resumed.into_iter().next() {
+            Some(Response::Opened { session }) => session,
+            other => panic!("drained snapshot did not resume: {other:?}"),
         };
-        let identity = (report.to_json().to_string(), ctx.log.digest());
+        let outcome = match service
+            .handle(Command::Run {
+                session,
+                max_steps: None,
+            })
+            .pop()
+        {
+            Some(Response::Done { outcome, .. }) => outcome,
+            other => panic!("drained snapshot did not finish: {other:?}"),
+        };
+        let identity = outcome_identity(&outcome).expect("drained snapshot did not complete");
         if let Some(at) = expected.iter().position(|e| *e == identity) {
             expected.remove(at);
             recovered += 1;

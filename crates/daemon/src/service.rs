@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use rfid_obs::{metrics_from_log, DeltaCursor, FlightRecorder};
 use rfid_protocols::Session;
-use rfid_system::{Json, SimConfig, SimContext};
+use rfid_system::{FromJson, Json, JsonError, SimConfig, SimContext, ToJson};
 use rfid_wire::{
     Command, ErrorCode, FrameError, OpenRequest, Response, Transport, WireError, WIRE_VERSION,
 };
@@ -50,6 +50,43 @@ struct ReaderSession {
     /// Set once the session ended; further `Run`/`Checkpoint` are
     /// `BadState`, but metrics and flight bundles stay fetchable.
     done: bool,
+    /// Where the population comes from, if a scenario built it: every
+    /// served snapshot names it instead of listing the tags.
+    origin: Option<Origin>,
+}
+
+impl ReaderSession {
+    /// The session's served snapshot: its population named by `origin`
+    /// when it has one (always, unless it was resumed from a library
+    /// snapshot that lists its tags).
+    fn snapshot(&self) -> Json {
+        match self.origin {
+            Some(origin) => {
+                self.session
+                    .snapshot_with_origin(&self.ctx, &self.config, origin.to_json())
+            }
+            None => self.session.snapshot(&self.ctx, &self.config),
+        }
+    }
+}
+
+/// The scenario fields of the `Open` that built a served session:
+/// `Scenario::uniform(n, info_bits).with_seed(seed)` regenerates its
+/// population, so a served snapshot carries these three numbers instead
+/// of the tag list.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Origin {
+    n: u64,
+    info_bits: u64,
+    seed: u64,
+}
+
+rfid_system::impl_json_struct!(Origin { n, info_bits, seed });
+
+impl Origin {
+    fn scenario(&self) -> Scenario {
+        Scenario::uniform(self.n as usize, self.info_bits as usize).with_seed(self.seed)
+    }
 }
 
 /// One connection's session table and dispatch logic.
@@ -158,8 +195,7 @@ impl Service {
     /// fleet's work survives the listener closing.
     pub fn drain(&mut self) {
         for rs in self.sessions.values().filter(|rs| !rs.done) {
-            let snapshot = rs.session.snapshot(&rs.ctx, &rs.config);
-            self.supervisor.drain_session(rs.gid, snapshot);
+            self.supervisor.drain_session(rs.gid, rs.snapshot());
         }
         self.sessions.clear();
     }
@@ -196,8 +232,7 @@ impl Service {
                         // Neither the request nor an older checkpoint
                         // recreates the injected model: deposit one that
                         // does.
-                        let snapshot = rs.session.snapshot(&rs.ctx, &rs.config);
-                        self.supervisor.deposit(rs.gid, snapshot);
+                        self.supervisor.deposit(rs.gid, rs.snapshot());
                         Response::Opened { session }
                     }
                     Err(msg) => err(ErrorCode::Rejected, format!("fault rejected: {msg}")),
@@ -258,7 +293,7 @@ impl Service {
 
     /// Admission control: the supervisor either registers a built
     /// session with the command that recreates it, or sheds it.
-    fn admit(&mut self, (ctx, session, config): Live, record: RecoveryPoint) -> Response {
+    fn admit(&mut self, live: Live, record: RecoveryPoint) -> Response {
         // Snapshots carry no progress cadence: only an `Open` asks for one.
         let progress_every = match &record {
             RecoveryPoint::Open(req) => req.progress_every.unwrap_or(0),
@@ -273,13 +308,14 @@ impl Service {
         self.sessions.insert(
             id,
             ReaderSession {
-                session,
-                ctx,
+                session: live.session,
+                ctx: live.ctx,
                 gid,
-                config,
+                config: live.config,
                 progress_every,
                 cursor: DeltaCursor::new(),
                 done: false,
+                origin: live.origin,
             },
         );
         Response::Opened { session: id }
@@ -303,7 +339,7 @@ impl Service {
         match self.unfinished(session) {
             Err(e) => e,
             Ok(rs) => {
-                let snapshot = rs.session.snapshot(&rs.ctx, &rs.config);
+                let snapshot = rs.snapshot();
                 // A client-requested checkpoint is also the freshest
                 // possible recovery point — deposit it.
                 sup.deposit(rs.gid, snapshot.clone());
@@ -366,7 +402,7 @@ impl Service {
                         }
                     }
                     if supervise > 0 && now % supervise == 0 {
-                        sup.deposit(rs.gid, rs.session.snapshot(&rs.ctx, &rs.config));
+                        sup.deposit(rs.gid, rs.snapshot());
                     }
                     if budget_end == Some(now) {
                         out.push(Response::Paused {
@@ -396,8 +432,13 @@ impl Service {
 }
 
 /// A built or restored session with the config its context was built
-/// from.
-pub(crate) type Live = (SimContext, Session, SimConfig);
+/// from and the origin of its population.
+pub(crate) struct Live {
+    pub(crate) ctx: SimContext,
+    pub(crate) session: Session,
+    config: SimConfig,
+    origin: Option<Origin>,
+}
 
 /// Builds the session an `Open` request describes. The `Open` verb and
 /// the resurrection of a never-checkpointed session both call it, so a
@@ -417,7 +458,12 @@ pub(crate) fn open_session(req: &OpenRequest, sup: &Supervisor) -> Result<Live, 
     if req.n == 0 {
         return Err(err(ErrorCode::Rejected, "population must be non-empty"));
     }
-    let scenario = Scenario::uniform(req.n as usize, req.info_bits as usize).with_seed(req.seed);
+    let origin = Origin {
+        n: req.n,
+        info_bits: req.info_bits,
+        seed: req.seed,
+    };
+    let scenario = origin.scenario();
     // The default config keeps tracing on: served runs are auditable
     // (trace digests, metrics, flight bundles) unless the caller
     // explicitly opts out by sending a config with `trace: false`.
@@ -445,31 +491,54 @@ pub(crate) fn open_session(req: &OpenRequest, sup: &Supervisor) -> Result<Live, 
     if req.flight {
         session = session.with_flight_recorder(FlightRecorder::new(sup.flight_dir()), &config);
     }
-    Ok((ctx, session, config))
+    Ok(Live {
+        ctx,
+        session,
+        config,
+        origin: Some(origin),
+    })
 }
 
 /// Restores the session a snapshot describes, recording flight bundles
 /// into `flight_dir` if given. The `Resume` verb and the resurrection of
 /// a checkpointed session both call it.
+///
+/// A served snapshot names its population by `origin`; it is rebuilt from
+/// that scenario only after [`Session::restore_from`] has checked every
+/// packed progress vector against `origin.n`. A library snapshot that
+/// lists its `tags` restores through the same body.
 pub(crate) fn restore_session(
     snapshot: &Json,
     flight_dir: Option<PathBuf>,
 ) -> Result<Live, Response> {
-    let bad = |e| err(ErrorCode::BadPayload, format!("snapshot: {e}"));
-    let name: String = snapshot.field("protocol").map_err(bad)?;
+    let name: String = snapshot
+        .field("protocol")
+        .map_err(|e| err(ErrorCode::BadPayload, format!("snapshot: {e}")))?;
     let protocol = protocol_by_name(&name).ok_or_else(|| {
         err(
             ErrorCode::UnknownProtocol,
             format!("snapshot protocol '{name}' is not servable"),
         )
     })?;
-    let config: SimConfig = snapshot.field("config").map_err(bad)?;
-    let (ctx, mut session) = Session::restore(protocol.as_ref(), snapshot)
-        .map_err(|e| err(ErrorCode::Rejected, format!("snapshot rejected: {e}")))?;
+    let mut origin = None;
+    let (ctx, mut session, config) = Session::restore_from(protocol.as_ref(), snapshot, |json| {
+        let named: Origin = FromJson::from_json(json)
+            .map_err(|e| JsonError(format!("in field 'origin': {}", e.0)))?;
+        let n = usize::try_from(named.n)
+            .map_err(|_| JsonError(format!("origin names {} tags", named.n)))?;
+        origin = Some(named);
+        Ok((n, move || named.scenario().build_population()))
+    })
+    .map_err(|e| err(ErrorCode::Rejected, format!("snapshot rejected: {e}")))?;
     if let Some(dir) = flight_dir {
         session = session.with_flight_recorder(FlightRecorder::new(dir), &config);
     }
-    Ok((ctx, session, config))
+    Ok(Live {
+        ctx,
+        session,
+        config,
+        origin,
+    })
 }
 
 fn err(code: ErrorCode, message: impl Into<String>) -> Response {
@@ -688,50 +757,108 @@ mod tests {
         ));
     }
 
+    /// A served checkpoint resumed in place of its session finishes with
+    /// the uninterrupted run's report and trace digest, for every servable
+    /// protocol. Downlink loss, Gilbert–Elliott bursts and kill rules under
+    /// a recovery policy keep `synced`, `ge_bad` and `replies_sent` of the
+    /// compact form live at the checkpoint: tag 0 is dead, and tags 1–16
+    /// die after one reply, so a reply lost before the checkpoint must
+    /// still count after it.
     #[test]
     fn checkpoint_resume_continues_bit_identically() {
-        let mut service = Service::new();
-        // Reference run, uninterrupted.
-        let ref_id = opened(&mut service, open_req(96));
-        let ref_digest = match service
-            .handle(Command::Run {
-                session: ref_id,
-                max_steps: None,
-            })
-            .remove(0)
-        {
-            Response::Done { outcome, .. } => outcome.trace_digest.unwrap(),
-            other => panic!("expected Done, got {other:?}"),
+        use crate::registry::all_protocols;
+        use rfid_protocols::RecoveryPolicy;
+        use rfid_system::packed::unpack_codes;
+        use rfid_system::{FaultModel, FaultPlan, GilbertElliott, KillRule};
+        const N: usize = 96;
+        let kills = FaultPlan {
+            kill_after_replies: (0..=16)
+                .map(|tag| KillRule {
+                    tag,
+                    after_replies: u64::from(tag > 0),
+                })
+                .collect(),
+            ..FaultPlan::none()
         };
-        // Same scenario, paused, checkpointed, closed, resumed, finished.
-        let id = opened(&mut service, open_req(96));
-        service.handle(Command::Run {
-            session: id,
-            max_steps: Some(3),
-        });
-        let snapshot = match service
-            .handle(Command::Checkpoint { session: id })
-            .remove(0)
-        {
-            Response::Snapshot { snapshot, .. } => snapshot,
-            other => panic!("expected Snapshot, got {other:?}"),
-        };
-        service.handle(Command::Close { session: id });
-        let resumed = match service.handle(Command::Resume { snapshot }).remove(0) {
-            Response::Opened { session } => session,
-            other => panic!("expected Opened, got {other:?}"),
-        };
-        let digest = match service
-            .handle(Command::Run {
-                session: resumed,
-                max_steps: None,
-            })
-            .remove(0)
-        {
-            Response::Done { outcome, .. } => outcome.trace_digest.unwrap(),
-            other => panic!("expected Done, got {other:?}"),
-        };
-        assert_eq!(digest, ref_digest, "resume must not perturb the trace");
+        let config = SimConfig::paper(23).with_trace().with_fault(
+            FaultModel::perfect()
+                .with_downlink_loss(0.2)
+                .with_corruption(0.1)
+                .with_burst(GilbertElliott::new(0.1, 0.5, 0.0, 0.8))
+                .with_plan(kills),
+        );
+        let (mut desynced, mut bad_burst) = (false, false);
+        for protocol in all_protocols() {
+            let name = protocol.name();
+            let req = OpenRequest {
+                config: Some(config.clone()),
+                policy: Some(RecoveryPolicy::default()),
+                deadline_us: Some(2.0e6),
+                ..OpenRequest::new(name, N as u64, 4, 23)
+            };
+            let mut service = Service::new();
+            let reference = {
+                let id = opened(&mut service, req.clone());
+                run_to_done(&mut service, id)
+            };
+            // Find the boundaries to checkpoint at on an untraced copy of
+            // the run (tracing draws no randomness, and an untraced
+            // checkpoint is cheap): mid-run, and the first boundary where
+            // the burst channel sits in its bad state.
+            let search = opened(
+                &mut service,
+                OpenRequest {
+                    config: Some(SimConfig {
+                        trace: false,
+                        ..config.clone()
+                    }),
+                    ..req.clone()
+                },
+            );
+            let mut bad = None;
+            let mut boundaries = 0;
+            while let Some(Response::Paused { steps, .. }) = service
+                .handle(Command::Run {
+                    session: search,
+                    max_steps: Some(1),
+                })
+                .pop()
+            {
+                boundaries = steps;
+                if bad.is_none() && checkpoint(&mut service, search).1 {
+                    bad = Some(steps);
+                }
+            }
+            assert!(boundaries > 0, "{name}: no step boundary");
+            bad_burst |= bad.is_some();
+            for at in [Some(boundaries.div_ceil(2)), bad].into_iter().flatten() {
+                let id = opened(&mut service, req.clone());
+                let ran = service.handle(Command::Run {
+                    session: id,
+                    max_steps: Some(at),
+                });
+                assert!(matches!(ran.last(), Some(Response::Paused { .. })));
+                let (snapshot, ge_bad) = checkpoint(&mut service, id);
+                assert!(ge_bad || Some(at) != bad, "{name}: trace moved the burst");
+                assert!(snapshot.get("origin").is_some() && snapshot.get("tags").is_none());
+                let progress = snapshot.get("context").unwrap();
+                assert!(progress.get("replies_sent").is_some(), "{name}: kill rules");
+                let synced: String = progress.field("synced").unwrap();
+                desynced |= unpack_codes(&synced, N, 1, "synced").unwrap().contains(&0);
+                service.handle(Command::Close { session: id });
+                let resumed = match service.handle(Command::Resume { snapshot }).remove(0) {
+                    Response::Opened { session } => session,
+                    other => panic!("{name}: expected Opened, got {other:?}"),
+                };
+                assert_eq!(
+                    run_to_done(&mut service, resumed),
+                    reference,
+                    "{name}: resume at step {at} of {boundaries} perturbed the run"
+                );
+            }
+        }
+        assert!(desynced, "no checkpoint caught a desynchronized tag");
+        assert!(bad_burst, "no checkpoint caught the burst channel bad");
     }
 
     #[test]
@@ -773,6 +900,21 @@ mod tests {
         {
             Some(Response::Done { outcome, .. }) => outcome,
             other => panic!("expected Done, got {other:?}"),
+        }
+    }
+
+    /// Checkpoints `id`: the snapshot, and whether its burst channel is
+    /// in the bad state.
+    fn checkpoint(service: &mut Service, id: u64) -> (Json, bool) {
+        match service
+            .handle(Command::Checkpoint { session: id })
+            .remove(0)
+        {
+            Response::Snapshot { snapshot, .. } => {
+                let bad = snapshot.get("context").unwrap().get("ge_bad") == Some(&Json::Bool(true));
+                (snapshot, bad)
+            }
+            other => panic!("expected Snapshot, got {other:?}"),
         }
     }
 

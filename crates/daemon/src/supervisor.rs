@@ -332,15 +332,15 @@ impl Supervisor {
     /// runs it to completion, producing the same outcome shape the wire's
     /// `Done` response carries.
     fn resurrect(&self, record: &RecoveryPoint) -> Result<SessionOutcome, String> {
-        let (mut ctx, mut session, _) = match record {
+        let mut live = match record {
             RecoveryPoint::Open(req) => open_session(req, self),
             RecoveryPoint::Resume { snapshot, flight } => {
                 restore_session(snapshot, flight.then(|| self.flight_dir()))
             }
         }
         .map_err(|e| format!("{e:?}"))?;
-        let end = session.run(&mut ctx);
-        Ok(outcome_from_end(end, &ctx))
+        let end = live.session.run(&mut live.ctx);
+        Ok(outcome_from_end(end, &live.ctx))
     }
 
     /// The conservation law: every admitted session is accounted for
@@ -464,8 +464,10 @@ pub fn install_killpoint_hook() {
 mod tests {
     use super::*;
     use crate::registry::protocol_by_name;
+    use crate::Service;
     use rfid_protocols::Session;
     use rfid_system::SimConfig;
+    use rfid_wire::{Command, Response};
     use rfid_workloads::Scenario;
 
     /// A record the admission tests never replay.
@@ -480,7 +482,11 @@ mod tests {
         }
     }
 
-    fn checkpoint_at(steps: u64) -> (Json, SessionOutcome) {
+    /// A TPP session checkpointed after `steps` driver steps, in both
+    /// snapshot forms — the library form listing its tags, and the served
+    /// form a `Checkpoint` answers with, naming its origin — next to the
+    /// outcome of the uninterrupted run.
+    fn checkpoints_at(steps: u64) -> ([Json; 2], SessionOutcome) {
         let scenario = Scenario::uniform(48, 4).with_seed(9);
         let config = SimConfig::paper(scenario.protocol_seed()).with_trace();
         let protocol = protocol_by_name("TPP").unwrap();
@@ -489,30 +495,56 @@ mod tests {
         if steps > 0 {
             assert!(session.run_for(&mut ctx, steps).is_none(), "ended early");
         }
-        let snapshot = session.snapshot(&ctx, &config);
+        let library = session.snapshot(&ctx, &config);
         let end = session.run(&mut ctx);
         let outcome = outcome_from_end(end, &ctx);
-        (snapshot, outcome)
+
+        // The same session served: the default config of this request is
+        // the one above.
+        let mut service = Service::new();
+        let req = OpenRequest::new("TPP", 48, 4, 9);
+        let Response::Opened { session } = service.handle(Command::Open(req)).remove(0) else {
+            panic!("open failed");
+        };
+        if steps > 0 {
+            let ran = service.handle(Command::Run {
+                session,
+                max_steps: Some(steps),
+            });
+            assert!(matches!(ran.last(), Some(Response::Paused { .. })));
+        }
+        let Response::Snapshot {
+            snapshot: served, ..
+        } = service.handle(Command::Checkpoint { session }).remove(0)
+        else {
+            panic!("checkpoint failed");
+        };
+        assert!(library.get("tags").is_some() && library.get("origin").is_none());
+        assert!(served.get("origin").is_some() && served.get("tags").is_none());
+        ([library, served], outcome)
     }
 
     #[test]
     fn resurrection_finishes_bit_identically() {
         for steps in [0, 5] {
-            let (snapshot, reference) = checkpoint_at(steps);
-            let sup = Supervisor::unlimited();
-            let gid = sup.admit(resume_record(snapshot.clone())).unwrap();
-            sup.deposit(gid, snapshot);
-            sup.connection_lost(&[gid]);
-            let records = sup.resurrections();
-            assert_eq!(records.len(), 1);
-            assert_eq!(records[0].gid, gid);
-            assert_eq!(
-                records[0].outcome, reference,
-                "resurrected run drifted from the uninterrupted one (from step {steps})"
-            );
-            assert_eq!(sup.counter(wire_counters::SESSIONS_RESURRECTED), 1);
-            assert_eq!(sup.live_sessions(), 0);
-            sup.reconcile().unwrap();
+            let (snapshots, reference) = checkpoints_at(steps);
+            for (form, snapshot) in ["library", "served"].into_iter().zip(snapshots) {
+                let sup = Supervisor::unlimited();
+                let gid = sup.admit(resume_record(snapshot.clone())).unwrap();
+                sup.deposit(gid, snapshot);
+                sup.connection_lost(&[gid]);
+                let records = sup.resurrections();
+                assert_eq!(records.len(), 1);
+                assert_eq!(records[0].gid, gid);
+                assert_eq!(
+                    records[0].outcome, reference,
+                    "resurrected run drifted from the uninterrupted one \
+                     (from step {steps}, {form} snapshot)"
+                );
+                assert_eq!(sup.counter(wire_counters::SESSIONS_RESURRECTED), 1);
+                assert_eq!(sup.live_sessions(), 0);
+                sup.reconcile().unwrap();
+            }
         }
     }
 
@@ -539,17 +571,19 @@ mod tests {
 
     #[test]
     fn drain_keeps_the_snapshot_and_counts() {
-        let (snapshot, reference) = checkpoint_at(3);
-        let sup = Supervisor::unlimited();
-        let gid = sup.admit(resume_record(snapshot.clone())).unwrap();
-        sup.drain_session(gid, snapshot);
-        assert_eq!(sup.counter(wire_counters::DRAIN_CHECKPOINTS), 1);
-        let drained = sup.drained();
-        assert_eq!(drained.len(), 1);
-        // The drained snapshot must still finish bit-identically.
-        let outcome = sup.resurrect(&resume_record(drained[0].1.clone())).unwrap();
-        assert_eq!(outcome, reference);
-        sup.reconcile().unwrap();
+        let (snapshots, reference) = checkpoints_at(3);
+        for (form, snapshot) in ["library", "served"].into_iter().zip(snapshots) {
+            let sup = Supervisor::unlimited();
+            let gid = sup.admit(resume_record(snapshot.clone())).unwrap();
+            sup.drain_session(gid, snapshot);
+            assert_eq!(sup.counter(wire_counters::DRAIN_CHECKPOINTS), 1);
+            let drained = sup.drained();
+            assert_eq!(drained.len(), 1);
+            // The drained snapshot must still finish bit-identically.
+            let outcome = sup.resurrect(&resume_record(drained[0].1.clone())).unwrap();
+            assert_eq!(outcome, reference, "{form} snapshot drifted");
+            sup.reconcile().unwrap();
+        }
     }
 
     #[test]

@@ -58,7 +58,8 @@ pub use error::{PollingError, StallCause, StallGuard, DEFAULT_STALL_ROUNDS};
 pub use hpp::HppConfig;
 pub use report::Report;
 pub use session::{
-    DegradeCause, ProtocolStepper, RecoveryPolicy, Session, SessionEnd, StepDiscipline, StepOutcome,
+    DegradeCause, ProtocolStepper, RecoveryPolicy, Session, SessionEnd, StepDiscipline,
+    StepOutcome, SNAPSHOT_VERSION,
 };
 pub use tagside::{Broadcast, TagMachine};
 pub use tpp::{IndexRule, TppConfig};

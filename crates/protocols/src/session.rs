@@ -35,7 +35,7 @@
 use std::path::PathBuf;
 
 use rfid_obs::FlightRecorder;
-use rfid_system::{Json, JsonError, SimConfig, SimContext, ToJson};
+use rfid_system::{ContextProgress, Json, JsonError, SimConfig, SimContext, TagPopulation, ToJson};
 
 use crate::error::{PollingError, StallCause, StallGuard};
 use crate::report::Report;
@@ -326,6 +326,13 @@ fn coverage_of(tags: usize, uncollected: usize) -> f64 {
         (tags - uncollected) as f64 / tags as f64
     }
 }
+
+/// The version of the snapshot document [`Session::snapshot`] writes and
+/// [`Session::restore_from`] accepts. Version 2 split the population's
+/// identity (`tags` or `origin`) from its progress (the packed per-tag
+/// vectors in `context`); a document of any other version, or of none, is
+/// a typed error naming this one.
+pub const SNAPSHOT_VERSION: u64 = 2;
 
 /// A live protocol session: one stepper under the driver.
 ///
@@ -635,16 +642,33 @@ impl Session {
         }
     }
 
-    /// Serializes the whole session — protocol name, config, context,
-    /// driver state, stepper state — at the current step boundary.
+    /// Serializes the whole session — version, protocol name, config, the
+    /// population's identity, the context's progress, driver state,
+    /// stepper state — at the current step boundary. This is the library
+    /// form: the identity is the explicit `tags` list of IDs and payloads
+    /// ([`TagPopulation::identity_json`]).
     ///
     /// `config` must be the [`SimConfig`] the context was built with: the
     /// parts of the context that are pure functions of the config (link,
     /// channel, fault model) restore from it rather than being duplicated.
     pub fn snapshot(&self, ctx: &SimContext, config: &SimConfig) -> Json {
+        self.document(ctx, config, ("tags", ctx.population.identity_json()))
+    }
+
+    /// [`Session::snapshot`] with the population named by `origin` — a
+    /// description the restoring side rebuilds it from, such as the scenario
+    /// fields of the request that built it — instead of listed. Restore it
+    /// with [`Session::restore_from`].
+    pub fn snapshot_with_origin(&self, ctx: &SimContext, config: &SimConfig, origin: Json) -> Json {
+        self.document(ctx, config, ("origin", origin))
+    }
+
+    fn document(&self, ctx: &SimContext, config: &SimConfig, identity: (&str, Json)) -> Json {
         Json::Obj(vec![
+            ("v".to_string(), SNAPSHOT_VERSION.to_json()),
             ("protocol".to_string(), Json::str(self.name)),
             ("config".to_string(), config.to_json()),
+            (identity.0.to_string(), identity.1),
             ("context".to_string(), ctx.snapshot()),
             (
                 "driver".to_string(),
@@ -663,12 +687,54 @@ impl Session {
         ])
     }
 
-    /// Restores a session (and its context) from a [`Session::snapshot`]
-    /// document, validating that it belongs to `protocol`.
+    /// Restores a session (and its context) from a library
+    /// [`Session::snapshot`] document, validating that it belongs to
+    /// `protocol`. A snapshot that names its population by `origin` is a
+    /// typed error here: only its producer knows how to rebuild it.
     pub fn restore<P: PollingProtocol + ?Sized>(
         protocol: &P,
         doc: &Json,
     ) -> Result<(SimContext, Session), JsonError> {
+        let no_origin = |_: &Json| {
+            Err::<(usize, fn() -> TagPopulation), _>(JsonError(
+                "snapshot names its population by 'origin', not 'tags'; \
+                 resume it where that origin is known"
+                    .to_string(),
+            ))
+        };
+        let (ctx, session, _) = Session::restore_from(protocol, doc, no_origin)?;
+        Ok((ctx, session))
+    }
+
+    /// The one restore body, for both population sources: a `tags` list is
+    /// read directly, and an `origin` is handed to `origin`, which returns
+    /// the population size it names and a builder for it. Returns the
+    /// decoded config next to the context and session, so a caller never
+    /// parses it twice.
+    ///
+    /// Everything is validated before the population is built: the
+    /// version, the protocol, exactly one of `tags`/`origin`, and every
+    /// packed progress vector against the size (see
+    /// [`ContextProgress::decode`]). A snapshot naming a huge population
+    /// with short vectors is rejected without allocating for it.
+    pub fn restore_from<P, B>(
+        protocol: &P,
+        doc: &Json,
+        origin: impl FnOnce(&Json) -> Result<(usize, B), JsonError>,
+    ) -> Result<(SimContext, Session, SimConfig), JsonError>
+    where
+        P: PollingProtocol + ?Sized,
+        B: FnOnce() -> TagPopulation,
+    {
+        match doc.get("v") {
+            Some(Json::UInt(SNAPSHOT_VERSION)) => {}
+            found => {
+                return Err(JsonError(format!(
+                    "snapshot version {} is not supported; expected \"v\": {SNAPSHOT_VERSION}",
+                    found.map_or_else(|| "(none)".to_string(), Json::to_string)
+                )))
+            }
+        }
         let name: String = doc.field("protocol")?;
         if name != protocol.name() {
             return Err(JsonError(format!(
@@ -677,10 +743,36 @@ impl Session {
             )));
         }
         let config: SimConfig = doc.field("config")?;
+        enum Source<B> {
+            Listed(TagPopulation),
+            Built(B),
+        }
+        let (n, source) = match (doc.get("tags"), doc.get("origin")) {
+            (Some(tags), None) => {
+                let population = TagPopulation::from_identity_json(tags)
+                    .map_err(|e| JsonError(format!("in field 'tags': {}", e.0)))?;
+                (population.len(), Source::Listed(population))
+            }
+            (None, Some(named)) => {
+                let (n, build) = origin(named)?;
+                (n, Source::Built(build))
+            }
+            (Some(_), Some(_)) => {
+                return Err(JsonError(
+                    "snapshot has both 'tags' and 'origin'; it must name its population once"
+                        .to_string(),
+                ))
+            }
+            (None, None) => {
+                return Err(JsonError(
+                    "snapshot has neither 'tags' nor 'origin'".to_string(),
+                ))
+            }
+        };
         let ctx_json = doc
             .get("context")
             .ok_or_else(|| JsonError("snapshot has no 'context'".to_string()))?;
-        let ctx = SimContext::restore(&config, ctx_json)?;
+        let progress = ContextProgress::decode(&config, ctx_json, n)?;
         let driver = doc
             .get("driver")
             .ok_or_else(|| JsonError("snapshot has no 'driver'".to_string()))?;
@@ -693,23 +785,34 @@ impl Session {
         let stepper_json = doc
             .get("stepper")
             .ok_or_else(|| JsonError("snapshot has no 'stepper'".to_string()))?;
-        let stepper = protocol.resume_stepper(&ctx, stepper_json)?;
+        let policy = driver.field("policy")?;
+        let deadline_us = driver.field("deadline_us")?;
+        let steps = driver.field("steps")?;
+        let guard = driver.field("guard")?;
+        let idle_rounds = driver.field("idle_rounds")?;
+        let polls_before = driver.field("polls_before")?;
+        let rounds_before = driver.field("rounds_before")?;
+        let population = match source {
+            Source::Listed(population) => population,
+            Source::Built(build) => build(),
+        };
+        let ctx = SimContext::restore(&config, population, progress)?;
         let session = Session {
             name: protocol.name(),
-            stepper,
-            policy: driver.field("policy")?,
-            deadline_us: driver.field("deadline_us")?,
-            steps: driver.field("steps")?,
-            guard: driver.field("guard")?,
+            stepper: protocol.resume_stepper(&ctx, stepper_json)?,
+            policy,
+            deadline_us,
+            steps,
+            guard,
             passes,
-            idle_rounds: driver.field("idle_rounds")?,
-            polls_before: driver.field("polls_before")?,
-            rounds_before: driver.field("rounds_before")?,
+            idle_rounds,
+            polls_before,
+            rounds_before,
             flight: None,
             spans_open: false,
             last_postmortem: None,
         };
-        Ok((ctx, session))
+        Ok((ctx, session, config))
     }
 }
 

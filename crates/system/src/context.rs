@@ -24,6 +24,7 @@ use crate::channel::{Channel, SlotOutcome};
 use crate::event::{BroadcastKind, Event, EventLog};
 use crate::fault::FaultModel;
 use crate::json::{Json, JsonError, ToJson};
+use crate::packed::{pack_codes, pack_varints, unpack_codes, unpack_varints};
 use crate::population::TagPopulation;
 use crate::round_index::RoundIndex;
 use crate::span::SpanProfiler;
@@ -912,49 +913,142 @@ impl SimContext {
         );
     }
 
-    /// Serializes the full mutable run state for a session checkpoint.
+    /// Serializes the run's *progress* for a session checkpoint: the
+    /// mutable state, not the population's identity.
     ///
     /// Captures everything whose value depends on how far the run has
     /// progressed: the RNG stream position, the clock (elapsed verbatim, so
-    /// restores are bit-exact), the population's read/deselect state, the
-    /// counters, the event trace, the per-tag downlink synchronization, the
-    /// kill-rule reply counts and the Gilbert–Elliott channel state. The
+    /// restores are bit-exact), the counters, the event trace, the
+    /// Gilbert–Elliott channel state, and three per-tag vectors packed as
+    /// hex ([`crate::packed`]): `state` (each tag's [`TagState`] as a 2-bit
+    /// code), `synced` (1 bit per tag, set while the tag hears the
+    /// downlink) and, only when the fault plan has kill rules,
+    /// `replies_sent` (varints). Tag IDs and payloads are *not* captured —
+    /// the caller stores where the population comes from — nor are the
     /// transient caches ([`RoundIndex`], arenas, scratch pool) and the
-    /// [`SpanProfiler`] are *not* captured — the caches never carry state
-    /// across a protocol step, only capacity, and profiler wall-times are
-    /// machine-local — and the derived desync bitset is rebuilt from
-    /// `synced`.
+    /// [`SpanProfiler`]: the caches never carry state across a protocol
+    /// step, only capacity, and profiler wall-times are machine-local. The
+    /// derived desync bitset is rebuilt from `synced`.
     ///
-    /// Pair with [`SimContext::restore`], which needs the same [`SimConfig`]
-    /// the context was created with.
+    /// Pair with [`ContextProgress::decode`] and [`SimContext::restore`],
+    /// which need the same [`SimConfig`] the context was created with.
     pub fn snapshot(&self) -> Json {
-        Json::Obj(vec![
+        let states = self.population.iter().map(|(_, t)| t.state.code());
+        let mut fields = vec![
             (
                 "rng".to_string(),
                 Json::Arr(self.rng.state().iter().map(|&w| Json::UInt(w)).collect()),
             ),
             ("clock".to_string(), self.clock.to_json()),
-            ("population".to_string(), self.population.to_json()),
             ("counters".to_string(), self.counters.to_json()),
             ("log".to_string(), self.log.to_json()),
-            ("synced".to_string(), self.synced.to_json()),
-            ("replies_sent".to_string(), self.replies_sent.to_json()),
-            ("ge_bad".to_string(), self.ge_bad.to_json()),
-        ])
+            ("state".to_string(), Json::Str(pack_codes(states, 2))),
+            (
+                "synced".to_string(),
+                Json::Str(pack_codes(self.synced.iter().map(|&s| u8::from(s)), 1)),
+            ),
+        ];
+        if self.has_kills {
+            fields.push((
+                "replies_sent".to_string(),
+                Json::Str(pack_varints(&self.replies_sent)),
+            ));
+        }
+        fields.push(("ge_bad".to_string(), self.ge_bad.to_json()));
+        Json::Obj(fields)
     }
 
-    /// Rebuilds a context from a [`SimContext::snapshot`] document and the
-    /// [`SimConfig`] the original run was created with.
+    /// Rebuilds a context from a decoded [`SimContext::snapshot`] and the
+    /// population it was taken over, freshly built (every tag active) from
+    /// wherever the caller keeps its identity. `config` must be the
+    /// [`SimConfig`] `progress` was decoded against.
     ///
     /// Everything the snapshot does not carry (link parameters, channel and
     /// fault models, cached flags, empty arenas) is rederived from `config`,
     /// exactly as [`SimContext::new`] does. The restored context continues
     /// the run bit-identically: same RNG draws, same clock bits, same trace.
+    /// A population of another size than the one `progress` was checked
+    /// against is a typed error.
+    pub fn restore(
+        config: &SimConfig,
+        mut population: TagPopulation,
+        progress: ContextProgress,
+    ) -> Result<SimContext, JsonError> {
+        let n = progress.synced.len();
+        if population.len() != n {
+            return Err(JsonError(format!(
+                "snapshot progress covers {n} tags, the population has {}",
+                population.len()
+            )));
+        }
+        population.restore_states(progress.states);
+        let mut desynced_words = vec![0u64; n.div_ceil(64)];
+        let mut desynced_count = 0;
+        for (idx, &ok) in progress.synced.iter().enumerate() {
+            if !ok {
+                desynced_words[idx / 64] |= 1u64 << (idx % 64);
+                desynced_count += 1;
+            }
+        }
+        Ok(SimContext {
+            link: config.link,
+            clock: progress.clock,
+            population,
+            channel: config.channel,
+            fault: config.fault.clone(),
+            rng: Xoshiro256::from_state(progress.rng),
+            log: progress.log,
+            counters: progress.counters,
+            profiler: if config.profile {
+                SpanProfiler::enabled()
+            } else {
+                SpanProfiler::disabled()
+            },
+            synced: progress.synced,
+            desynced_words,
+            desynced_count,
+            round_index: RoundIndex::new(),
+            singles_arena: Vec::new(),
+            scratch_pool: Vec::new(),
+            replies_sent: progress.replies_sent,
+            has_kills: !config.fault.plan.kill_after_replies.is_empty(),
+            fault_active: !config.fault.is_perfect(),
+            ge_bad: progress.ge_bad,
+        })
+    }
+}
+
+/// A [`SimContext::snapshot`] decoded and checked against a population
+/// size, not yet applied to a population.
+///
+/// Decoding is the hostile-input gate of a restore: every packed vector's
+/// length is checked against `n` before anything of size `n` is allocated,
+/// so a caller can validate a snapshot that *names* a huge population
+/// without building it, and build it only once the snapshot is known to
+/// fit.
+#[derive(Debug)]
+pub struct ContextProgress {
+    rng: [u64; 4],
+    clock: Clock,
+    counters: Counters,
+    log: EventLog,
+    states: Vec<TagState>,
+    synced: Vec<bool>,
+    replies_sent: Vec<u64>,
+    ge_bad: bool,
+}
+
+impl ContextProgress {
+    /// Decodes a [`SimContext::snapshot`] document for a population of `n`
+    /// tags, run under `config`.
     ///
-    /// Malformed snapshots — wrong RNG shape, an all-zero RNG state, vector
-    /// lengths that disagree with the population, a clock inconsistent with
-    /// its breakdown — produce typed errors, never panics.
-    pub fn restore(config: &SimConfig, json: &Json) -> Result<SimContext, JsonError> {
+    /// Malformed snapshots — wrong RNG shape, an all-zero RNG state, packed
+    /// vectors that do not hold exactly `n` entries (bad hex digits,
+    /// nonzero padding, the unused state code 3, overlong or trailing
+    /// varints), a `replies_sent` vector present without kill rules or
+    /// missing with them, a clock inconsistent with its breakdown — produce
+    /// typed errors, never panics.
+    pub fn decode(config: &SimConfig, json: &Json, n: usize) -> Result<ContextProgress, JsonError> {
         // The config may itself come from untrusted snapshot bytes: reject
         // smuggled NaN/out-of-range rates with an error, not a panic.
         config
@@ -965,63 +1059,52 @@ impl SimContext {
             .fault
             .try_validate()
             .map_err(|msg| JsonError(format!("invalid fault model in snapshot config: {msg}")))?;
-        let population: TagPopulation = json.field("population")?;
-        let n = population.len();
         let rng_words: Vec<u64> = json.field("rng")?;
-        let state: [u64; 4] = rng_words
+        let rng: [u64; 4] = rng_words
             .as_slice()
             .try_into()
             .map_err(|_| JsonError(format!("rng state has {} words, need 4", rng_words.len())))?;
-        if state == [0; 4] {
+        if rng == [0; 4] {
             return Err(JsonError("all-zero rng state is invalid".to_string()));
         }
-        let synced: Vec<bool> = json.field("synced")?;
-        if synced.len() != n {
-            return Err(JsonError(format!(
-                "synced has {} entries for a population of {n}",
-                synced.len()
-            )));
-        }
+        let packed = |key: &str| -> Result<&str, JsonError> {
+            json.get(key)
+                .ok_or_else(|| JsonError(format!("missing field '{key}'")))?
+                .as_str()
+                .map_err(|e| JsonError(format!("in field '{key}': {}", e.0)))
+        };
+        let states = unpack_codes(packed("state")?, n, 2, "state")?
+            .into_iter()
+            .map(TagState::from_code)
+            .collect::<Option<Vec<TagState>>>()
+            .ok_or_else(|| JsonError("state holds the unused code 3".to_string()))?;
+        let synced = unpack_codes(packed("synced")?, n, 1, "synced")?
+            .into_iter()
+            .map(|bit| bit == 1)
+            .collect();
         let has_kills = !config.fault.plan.kill_after_replies.is_empty();
-        let replies_sent: Vec<u64> = json.field("replies_sent")?;
-        let expect_replies = if has_kills { n } else { 0 };
-        if replies_sent.len() != expect_replies {
-            return Err(JsonError(format!(
-                "replies_sent has {} entries, expected {expect_replies}",
-                replies_sent.len()
-            )));
-        }
-        let mut desynced_words = vec![0u64; n.div_ceil(64)];
-        let mut desynced_count = 0;
-        for (idx, &ok) in synced.iter().enumerate() {
-            if !ok {
-                desynced_words[idx / 64] |= 1u64 << (idx % 64);
-                desynced_count += 1;
+        let replies_sent = match (has_kills, json.get("replies_sent")) {
+            (true, Some(_)) => unpack_varints(packed("replies_sent")?, n, "replies_sent")?,
+            (false, None) => Vec::new(),
+            (true, None) => {
+                return Err(JsonError(
+                    "missing field 'replies_sent' under kill rules".to_string(),
+                ))
             }
-        }
-        Ok(SimContext {
-            link: config.link,
+            (false, Some(_)) => {
+                return Err(JsonError(
+                    "replies_sent present but the fault plan has no kill rules".to_string(),
+                ))
+            }
+        };
+        Ok(ContextProgress {
+            rng,
             clock: json.field("clock")?,
-            population,
-            channel: config.channel,
-            fault: config.fault.clone(),
-            rng: Xoshiro256::from_state(state),
-            log: json.field("log")?,
             counters: json.field("counters")?,
-            profiler: if config.profile {
-                SpanProfiler::enabled()
-            } else {
-                SpanProfiler::disabled()
-            },
+            log: json.field("log")?,
+            states,
             synced,
-            desynced_words,
-            desynced_count,
-            round_index: RoundIndex::new(),
-            singles_arena: Vec::new(),
-            scratch_pool: Vec::new(),
             replies_sent,
-            has_kills,
-            fault_active: !config.fault.is_perfect(),
             ge_bad: json.field("ge_bad")?,
         })
     }
@@ -1322,6 +1405,14 @@ mod tests {
         assert!(kinds.iter().any(|s| s.contains("circuit opened")));
     }
 
+    /// Restores `json` over a fresh copy of the 8-bit sequential
+    /// population of `n` tags the tests snapshot.
+    fn restore(cfg: &SimConfig, json: &Json, n: usize) -> Result<SimContext, JsonError> {
+        let progress = ContextProgress::decode(cfg, json, n)?;
+        let pop = TagPopulation::sequential(n, |i| BitVec::from_value(i as u64, 8));
+        SimContext::restore(cfg, pop, progress)
+    }
+
     #[test]
     fn snapshot_restore_continues_bit_identically() {
         use crate::fault::{FaultModel, GilbertElliott};
@@ -1347,7 +1438,7 @@ mod tests {
         let snap = live.snapshot();
         let text = snap.to_string();
         let parsed = Json::parse(&text).expect("snapshot parses");
-        let mut restored = SimContext::restore(&cfg, &parsed).expect("snapshot restores");
+        let mut restored = restore(&cfg, &parsed, 64).expect("snapshot restores");
         // Drive both a further faulted round and compare everything.
         for c in [&mut live, &mut restored] {
             c.begin_round(6, 32);
@@ -1364,14 +1455,23 @@ mod tests {
         assert_eq!(live.rng.state(), restored.rng.state());
         assert_eq!(live.log.to_jsonl(), restored.log.to_jsonl());
         assert_eq!(live.uncollected_handles(), restored.uncollected_handles());
+        assert_eq!(live.synced, restored.synced);
+        assert_eq!(live.population, restored.population);
     }
 
     #[test]
     fn restore_rejects_malformed_snapshots() {
         let cfg = SimConfig::paper(7);
-        let pop = TagPopulation::sequential(4, |i| BitVec::from_value(i as u64, 4));
-        let c = SimContext::new(pop, &cfg);
+        let mut c = SimContext::new(
+            TagPopulation::sequential(4, |i| BitVec::from_value(i as u64, 8)),
+            &cfg,
+        );
+        c.poll_tag(4, true, 1);
         let good = c.snapshot();
+        assert_eq!(good.get("state"), Some(&Json::str("40")));
+        assert_eq!(good.get("synced"), Some(&Json::str("f")));
+        assert!(good.get("replies_sent").is_none(), "no kill rules");
+        assert!(restore(&cfg, &good, 4).is_ok());
         // `doc` with its top-level `key` replaced by `value`.
         fn set(doc: &Json, key: &str, value: Json) -> Json {
             let mut out = doc.clone();
@@ -1384,18 +1484,54 @@ mod tests {
             }
             out
         }
+        let rejected = |doc: &Json, n: usize, why: &str| {
+            let err = restore(&cfg, doc, n).expect_err(why);
+            assert!(err.0.contains(why), "expected {why:?}, got {err:?}");
+        };
 
         // All-zero RNG state.
         let bad = set(&good, "rng", Json::Arr(vec![Json::UInt(0); 4]));
-        assert!(SimContext::restore(&cfg, &bad).is_err());
+        assert!(restore(&cfg, &bad, 4).is_err());
 
         // Wrong-shape RNG state.
         let bad = set(&good, "rng", Json::Arr(vec![Json::UInt(1); 3]));
-        assert!(SimContext::restore(&cfg, &bad).is_err());
+        assert!(restore(&cfg, &bad, 4).is_err());
 
-        // Sync vector length disagrees with the population.
-        let bad = set(&good, "synced", Json::Arr(vec![Json::Bool(true); 3]));
-        assert!(SimContext::restore(&cfg, &bad).is_err());
+        // Packed vectors that disagree with the population size, or hold
+        // bad digits, padding or codes.
+        rejected(&good, 5, "expected 3 for 5 tags");
+        rejected(&good, 1 << 40, "expected");
+        rejected(
+            &set(&good, "synced", Json::str("ff")),
+            4,
+            "synced has 2 hex digits",
+        );
+        rejected(&set(&good, "synced", Json::str("F")), 4, "lowercase hex");
+        rejected(&set(&good, "state", Json::str("4c")), 4, "unused code 3");
+        rejected(
+            &set(&good, "state", Json::Arr(vec![])),
+            4,
+            "in field 'state'",
+        );
+        let mut three = SimContext::new(
+            TagPopulation::sequential(3, |i| BitVec::from_value(i as u64, 8)),
+            &cfg,
+        )
+        .snapshot();
+        assert!(restore(&cfg, &three, 3).is_ok());
+        three = set(&three, "synced", Json::str("f"));
+        rejected(&three, 3, "padding");
+
+        // `replies_sent` must be present exactly when kill rules are.
+        let with_replies = match &good {
+            Json::Obj(fields) => {
+                let mut fields = fields.clone();
+                fields.push(("replies_sent".to_string(), Json::str("00000000")));
+                Json::Obj(fields)
+            }
+            _ => unreachable!(),
+        };
+        rejected(&with_replies, 4, "no kill rules");
 
         // A ring log holding more events than its capacity.
         let mut ring = EventLog::ring(2);
@@ -1406,8 +1542,7 @@ mod tests {
             "log",
             set(&ring.to_json(), "capacity", Json::UInt(1)),
         );
-        let err = SimContext::restore(&cfg, &bad).unwrap_err();
-        assert!(err.0.contains("over its capacity"), "{err:?}");
+        rejected(&bad, 4, "over its capacity");
 
         // A disabled log carrying events.
         let mut on = EventLog::enabled();
@@ -1417,8 +1552,7 @@ mod tests {
             "log",
             set(&on.to_json(), "enabled", Json::Bool(false)),
         );
-        let err = SimContext::restore(&cfg, &bad).unwrap_err();
-        assert!(err.0.contains("disabled event log"), "{err:?}");
+        rejected(&bad, 4, "disabled event log");
 
         // Drops in an unbounded log, and in a ring that is not full: a live
         // log evicts only from a full ring.
@@ -1427,13 +1561,22 @@ mod tests {
             r#"{"enabled":true,"capacity":4,"dropped":3,"events":[{"at":0,"event":"SlotEmpty"}]}"#,
         ] {
             let bad = set(&good, "log", Json::parse(log).unwrap());
-            let err = SimContext::restore(&cfg, &bad).unwrap_err();
-            assert!(err.0.contains("claims 3 drops"), "{log}: {err:?}");
+            rejected(&bad, 4, "claims 3 drops");
         }
 
         // Missing field.
         let bad = Json::Obj(vec![]);
-        assert!(SimContext::restore(&cfg, &bad).is_err());
+        assert!(restore(&cfg, &bad, 4).is_err());
+
+        // A population of another size than the decoded progress.
+        let progress = ContextProgress::decode(&cfg, &good, 4).unwrap();
+        let err = SimContext::restore(
+            &cfg,
+            TagPopulation::sequential(3, |_| BitVec::from_value(1, 1)),
+            progress,
+        )
+        .unwrap_err();
+        assert!(err.0.contains("covers 4 tags"), "{err:?}");
     }
 
     #[test]
@@ -1456,12 +1599,17 @@ mod tests {
         c.inject_fault(killed.clone()).expect("valid fault");
         assert!(!c.poll_tag(1, true, 1));
         assert!(c.population.get(1).is_active());
+        assert!(c.poll_tag(1, true, 2), "tag 2 has no kill rule");
 
         // A snapshot taken now restores against the *updated* config.
         cfg.fault = killed;
         let snap = c.snapshot();
-        let restored = SimContext::restore(&cfg, &snap).expect("restores");
+        assert_eq!(snap.get("replies_sent"), Some(&Json::str("000001")));
+        let progress = ContextProgress::decode(&cfg, &snap, 3).expect("decodes");
+        let pop = TagPopulation::sequential(3, |_| BitVec::from_str_bits("1"));
+        let restored = SimContext::restore(&cfg, pop, progress).expect("restores");
         assert_eq!(restored.counters, c.counters);
+        assert_eq!(restored.replies_sent, c.replies_sent);
 
         // Clearing faults drops the kill bookkeeping again.
         c.inject_fault(FaultModel::perfect()).expect("valid fault");

@@ -17,6 +17,8 @@
 //! * [`EventLog`] — an optional, self-describing trace of a protocol run,
 //! * [`SpanProfiler`] — hierarchical span profiling (sim-time and host
 //!   wall-time per scope) with a zero-cost disabled path,
+//! * [`packed`] — the hex bit/varint vectors a session snapshot packs its
+//!   per-tag progress into,
 //! * [`json`] — the zero-dependency JSON writer/parser (with the
 //!   [`impl_json_struct!`] / [`impl_json_enum!`] macros) that persists
 //!   configurations and results without `serde`,
@@ -38,6 +40,7 @@ pub mod event;
 pub mod fault;
 pub mod id;
 pub mod json;
+pub mod packed;
 pub mod population;
 pub mod round_index;
 pub mod span;
@@ -45,7 +48,7 @@ pub mod tag;
 
 pub use bitvec::BitVec;
 pub use channel::{Channel, SlotOutcome};
-pub use context::{Counters, SimConfig, SimContext};
+pub use context::{ContextProgress, Counters, SimConfig, SimContext};
 pub use event::{BroadcastKind, Event, EventLog, TimedEvent};
 pub use fault::{FaultModel, FaultPlan, FaultPlanError, GilbertElliott, KillRule, RoundRange};
 pub use id::TagId;

@@ -55,13 +55,19 @@ impl TagPopulation {
     /// Panics if two tags share an ID — EPCs are unique by definition and
     /// every protocol in the paper relies on it.
     pub fn new(tags: impl IntoIterator<Item = (TagId, BitVec)>) -> Self {
+        TagPopulation::try_new(tags).unwrap_or_else(|id| panic!("duplicate tag ID {id}"))
+    }
+
+    /// [`TagPopulation::new`] for untrusted input: a shared ID is returned
+    /// instead of panicking.
+    pub fn try_new(tags: impl IntoIterator<Item = (TagId, BitVec)>) -> Result<Self, TagId> {
         let tags: Vec<Tag> = tags
             .into_iter()
             .map(|(id, info)| Tag::new(id, info))
             .collect();
         let mut seen = std::collections::HashSet::with_capacity(tags.len());
-        for t in &tags {
-            assert!(seen.insert(t.id), "duplicate tag ID {}", t.id);
+        if let Some(t) = tags.iter().find(|t| !seen.insert(t.id)) {
+            return Err(t.id);
         }
         let active = tags.len();
         let mut active_words = vec![u64::MAX; tags.len().div_ceil(64)];
@@ -73,7 +79,7 @@ impl TagPopulation {
         }
         let ids_hi: Vec<u32> = tags.iter().map(|t| t.id.hi()).collect();
         let ids_lo: Vec<u64> = tags.iter().map(|t| t.id.lo()).collect();
-        TagPopulation {
+        Ok(TagPopulation {
             tags,
             active,
             asleep: 0,
@@ -83,7 +89,7 @@ impl TagPopulation {
             deselected: Vec::new(),
             #[cfg(debug_assertions)]
             scans: Cell::new(0),
-        }
+        })
     }
 
     /// Convenience: `n` tags with sequential raw IDs and the given payload
@@ -247,6 +253,52 @@ impl TagPopulation {
     #[inline]
     fn note_scan(&self) {}
 
+    /// Replays persisted inventory states onto a freshly built (all
+    /// active) population, one per handle in order, through
+    /// [`TagPopulation::sleep`] and [`TagPopulation::deselect`] so the
+    /// derived counts, bitset and deselection stack stay consistent.
+    ///
+    /// # Panics
+    /// Panics if there are more states than tags.
+    pub fn restore_states(&mut self, states: impl IntoIterator<Item = TagState>) {
+        for (idx, state) in states.into_iter().enumerate() {
+            match state {
+                TagState::Active => {}
+                TagState::Asleep => self.sleep(idx),
+                TagState::Deselected => self.deselect(idx),
+            }
+        }
+    }
+
+    /// The population's identity — each tag's ID and payload, without its
+    /// inventory state — as a JSON array of `{"id", "info"}` objects: the
+    /// `tags` of a library session snapshot.
+    pub fn identity_json(&self) -> crate::json::Json {
+        crate::json::Json::Arr(
+            self.tags
+                .iter()
+                .map(|t| {
+                    crate::json::Json::Obj(vec![
+                        ("id".to_string(), crate::json::ToJson::to_json(&t.id)),
+                        ("info".to_string(), crate::json::ToJson::to_json(&t.info)),
+                    ])
+                })
+                .collect(),
+        )
+    }
+
+    /// Rebuilds a fresh (all-active) population from
+    /// [`TagPopulation::identity_json`], rejecting a shared ID.
+    pub fn from_identity_json(json: &crate::json::Json) -> Result<Self, crate::json::JsonError> {
+        let tags = json
+            .as_arr()?
+            .iter()
+            .map(|t| Ok((t.field("id")?, t.field("info")?)))
+            .collect::<Result<Vec<(TagId, BitVec)>, crate::json::JsonError>>()?;
+        TagPopulation::try_new(tags)
+            .map_err(|id| crate::json::JsonError(format!("duplicate tag ID {id}")))
+    }
+
     /// Debug builds only: how many full-population scans have been taken.
     /// Slot handlers assert this is unchanged across a slot.
     #[cfg(debug_assertions)]
@@ -266,23 +318,12 @@ impl crate::json::ToJson for TagPopulation {
 impl crate::json::FromJson for TagPopulation {
     fn from_json(json: &crate::json::Json) -> Result<Self, crate::json::JsonError> {
         let tags: Vec<Tag> = crate::json::FromJson::from_json(json)?;
-        let mut seen = std::collections::HashSet::with_capacity(tags.len());
-        for t in &tags {
-            if !seen.insert(t.id) {
-                return Err(crate::json::JsonError(format!("duplicate tag ID {}", t.id)));
-            }
-        }
         // Rebuild through the constructor, then replay the persisted states
         // so the derived active/asleep counts stay consistent.
         let states: Vec<TagState> = tags.iter().map(|t| t.state).collect();
-        let mut pop = TagPopulation::new(tags.into_iter().map(|t| (t.id, t.info)));
-        for (idx, state) in states.iter().enumerate() {
-            match state {
-                TagState::Active => {}
-                TagState::Asleep => pop.sleep(idx),
-                TagState::Deselected => pop.deselect(idx),
-            }
-        }
+        let mut pop = TagPopulation::try_new(tags.into_iter().map(|t| (t.id, t.info)))
+            .map_err(|id| crate::json::JsonError(format!("duplicate tag ID {id}")))?;
+        pop.restore_states(states);
         Ok(pop)
     }
 }

@@ -21,6 +21,27 @@ pub enum TagState {
     Deselected,
 }
 
+impl TagState {
+    /// The 2-bit code a snapshot packs this state as.
+    pub fn code(self) -> u8 {
+        match self {
+            TagState::Active => 0,
+            TagState::Asleep => 1,
+            TagState::Deselected => 2,
+        }
+    }
+
+    /// The state a packed code names; `None` for the unused code 3.
+    pub fn from_code(code: u8) -> Option<TagState> {
+        match code {
+            0 => Some(TagState::Active),
+            1 => Some(TagState::Asleep),
+            2 => Some(TagState::Deselected),
+            _ => None,
+        }
+    }
+}
+
 /// One RFID tag.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Tag {
@@ -111,6 +132,14 @@ mod tests {
         assert!(!t.is_active());
         t.reselect();
         assert!(t.is_active());
+    }
+
+    #[test]
+    fn state_codes_round_trip_and_code_3_is_unused() {
+        for state in [TagState::Active, TagState::Asleep, TagState::Deselected] {
+            assert_eq!(TagState::from_code(state.code()), Some(state));
+        }
+        assert_eq!(TagState::from_code(3), None);
     }
 
     #[test]

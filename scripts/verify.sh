@@ -62,7 +62,9 @@ cargo bench --offline -p rfid-bench --bench obsplane
 # Daemon serving gate (DESIGN.md §15): an in-process fleet on port 0
 # absorbs hundreds of sessions from concurrent TCP clients plus a loopback
 # baseline; every session must complete, and the report records
-# sessions/sec and latency percentiles. Writes target/BENCH_daemon.json.
+# sessions/sec and latency percentiles. A served 2k-tag checkpoint must
+# encode in at most 8 KiB, so a tag list cannot creep back into served
+# snapshots. Writes target/BENCH_daemon.json.
 rm -f target/BENCH_daemon.json
 cargo bench --offline -p rfid-bench --bench daemon
 # Fleet-resilience gate (DESIGN.md §16): the chaos-soak grid drives every

@@ -12,8 +12,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use fast_rfid_polling::daemon::{
-    install_killpoint_hook, protocol_by_name, serve_connection, ClientError, Daemon, DaemonClient,
-    FleetLimits, ResilientClient, RetryPolicy, RunEnd, Service,
+    install_killpoint_hook, serve_connection, ClientError, Daemon, DaemonClient, FleetLimits,
+    ResilientClient, RetryPolicy, RunEnd, Service,
 };
 use fast_rfid_polling::prelude::*;
 use fast_rfid_polling::system::ToJson;
@@ -449,8 +449,8 @@ fn killed_handler_resurrects_and_client_recovers() {
 }
 
 /// Drain-on-shutdown: a session still live when the listener closes is
-/// checkpointed into the supervisor, and that final snapshot restores
-/// in-process to the bit-identical reference outcome.
+/// checkpointed into the supervisor, and that final snapshot resumes in a
+/// fresh in-process service to the bit-identical reference outcome.
 #[test]
 fn shutdown_drains_live_sessions_with_resumable_checkpoints() {
     let reference = local_reference(None);
@@ -474,14 +474,19 @@ fn shutdown_drains_live_sessions_with_resumable_checkpoints() {
     assert_eq!(drained.len(), 1);
     supervisor.reconcile().expect("session conservation");
 
-    let protocol = protocol_by_name("HPP").expect("servable");
-    let (mut ctx, mut session) =
-        Session::restore(protocol.as_ref(), &drained[0].1).expect("drained snapshot restores");
-    let SessionEnd::Complete { report, .. } = session.run(&mut ctx) else {
-        panic!("drained snapshot did not run to completion");
-    };
+    // A served snapshot names its population by origin, not by tag list;
+    // resuming it in a fresh in-process service rebuilds that scenario.
+    let snapshot = drained[0].1.clone();
+    assert!(snapshot.get("origin").is_some() && snapshot.get("tags").is_none());
+    let outcome = with_loopback_client(|client| {
+        let session = client.resume(snapshot).expect("drained snapshot resumes");
+        match client.run(session, None, |_, _, _, _| {}).expect("run") {
+            RunEnd::Done(outcome) => outcome,
+            RunEnd::Paused { .. } => panic!("unbounded run paused"),
+        }
+    });
     assert_eq!(
-        (report.to_json().to_string(), ctx.log.digest()),
+        outcome_identity(&outcome),
         reference,
         "drained checkpoint drifted from the reference"
     );

@@ -8,14 +8,19 @@
 //! snapshots and restores.
 //!
 //! The suite also fuzzes the restore path: randomly corrupted snapshot
-//! bytes must either fail to parse, fail to restore with a typed
-//! [`JsonError`], or restore into a session that runs without panicking.
+//! bytes, of the library form (`tags`) and of the served form (`origin`),
+//! must either fail to parse, fail to restore with a typed [`JsonError`]
+//! or error response, or restore into a session that runs without
+//! panicking. Hand-made hostile documents — a huge `origin.n`, malformed
+//! packed vectors, a wrong version, two identities or none — must fail
+//! with typed errors before any population is built.
 
-use fast_rfid_polling::daemon::all_protocols;
+use fast_rfid_polling::daemon::{all_protocols, Service};
 use fast_rfid_polling::hash::{prop, Xoshiro256};
 use fast_rfid_polling::prelude::*;
 use fast_rfid_polling::system::json::{Json, ToJson};
-use fast_rfid_polling::system::{SimConfig, SimContext};
+use fast_rfid_polling::system::{KillRule, SimConfig, SimContext};
+use fast_rfid_polling::wire::{Command, ErrorCode, OpenRequest, Response};
 
 fn impaired_fault() -> FaultModel {
     FaultModel::perfect()
@@ -372,9 +377,211 @@ fn restore_rejects_stepper_state_for_a_stateless_protocol() {
     );
 }
 
+/// A served (origin-form) snapshot: an `n`-tag HPP session opened in an
+/// in-process service under the impaired fault model plus a kill rule, so
+/// every packed vector (`state`, `synced`, `replies_sent`) is present, run
+/// 3 steps and checkpointed.
+fn served_snapshot(n: u64) -> Json {
+    let scenario = Scenario::uniform(n as usize, 4).with_seed(99);
+    let kill = FaultPlan {
+        kill_after_replies: vec![KillRule {
+            tag: 1,
+            after_replies: 1,
+        }],
+        ..FaultPlan::none()
+    };
+    let mut req = OpenRequest::new("HPP", n, 4, 99);
+    req.config = Some(
+        SimConfig::paper(scenario.protocol_seed())
+            .with_trace()
+            .with_fault(impaired_fault().with_plan(kill)),
+    );
+    let mut service = Service::new();
+    let Response::Opened { session } = service.handle(Command::Open(req)).remove(0) else {
+        panic!("open failed");
+    };
+    let ran = service.handle(Command::Run {
+        session,
+        max_steps: Some(3),
+    });
+    assert!(matches!(ran.last(), Some(Response::Paused { .. })));
+    match service.handle(Command::Checkpoint { session }).remove(0) {
+        Response::Snapshot { snapshot, .. } => snapshot,
+        other => panic!("expected Snapshot, got {other:?}"),
+    }
+}
+
+/// Resumes `snapshot` in a fresh in-process service; an accepted one is
+/// run for at most `steps` steps. Returns the first reply.
+fn resume(snapshot: Json, steps: u64) -> Response {
+    let mut service = Service::new();
+    let reply = service.handle(Command::Resume { snapshot }).remove(0);
+    if let Response::Opened { session } = reply {
+        let _ = service.handle(Command::Run {
+            session,
+            max_steps: Some(steps),
+        });
+    }
+    reply
+}
+
+/// `doc` with the field at `path` set to `value`, or removed for `None`.
+fn edit(doc: &Json, path: &[&str], value: Option<Json>) -> Json {
+    let mut out = doc.clone();
+    let mut at = &mut out;
+    for key in &path[..path.len() - 1] {
+        let Json::Obj(fields) = at else {
+            panic!("no object at {key}")
+        };
+        at = &mut fields.iter_mut().find(|(k, _)| k == key).unwrap().1;
+    }
+    let Json::Obj(fields) = at else {
+        panic!("no object at {path:?}")
+    };
+    let last = path[path.len() - 1];
+    fields.retain(|(k, _)| k != last);
+    if let Some(value) = value {
+        fields.push((last.to_string(), value));
+    }
+    out
+}
+
+/// A packed vector of `doc`'s context, with `f` applied.
+fn repacked(doc: &Json, key: &str, f: impl FnOnce(&mut String)) -> Json {
+    let mut hex: String = doc.get("context").unwrap().field(key).unwrap();
+    f(&mut hex);
+    edit(doc, &["context", key], Some(Json::Str(hex)))
+}
+
+/// Hostile resumes fail with a typed `Rejected` error naming what is
+/// wrong, and none of them builds a population first: the `origin.n =
+/// 2^40` rows would not fit in memory.
+#[test]
+fn hostile_resumes_fail_with_typed_errors() {
+    // 41 tags: the last digit of `state` and `synced` has padding bits.
+    let good = served_snapshot(41);
+    assert!(good.get("tags").is_none());
+    assert!(matches!(resume(good.clone(), 1), Response::Opened { .. }));
+    let library = {
+        let scenario = Scenario::uniform(41, 4).with_seed(99);
+        let cfg = SimConfig::paper(scenario.protocol_seed());
+        let ctx = SimContext::new(scenario.build_population(), &cfg);
+        Session::open(&HppConfig::default(), &ctx).snapshot(&ctx, &cfg)
+    };
+    let rows: Vec<(&str, Json, &str)> = vec![
+        (
+            "2^40 tags named by a 41-tag snapshot",
+            edit(&good, &["origin", "n"], Some(Json::UInt(1 << 40))),
+            "state has 21 hex digits, expected 549755813888 for 1099511627776 tags",
+        ),
+        (
+            "u64::MAX tags",
+            edit(&good, &["origin", "n"], Some(Json::UInt(u64::MAX))),
+            "overflow",
+        ),
+        (
+            "both identities",
+            edit(&good, &["tags"], library.get("tags").cloned()),
+            "both 'tags' and 'origin'",
+        ),
+        (
+            "no identity",
+            edit(&good, &["origin"], None),
+            "neither 'tags' nor 'origin'",
+        ),
+        (
+            "version 1",
+            edit(&good, &["v"], Some(Json::UInt(1))),
+            "snapshot version 1 is not supported; expected \"v\": 2",
+        ),
+        (
+            "no version",
+            edit(&good, &["v"], None),
+            "snapshot version (none) is not supported; expected \"v\": 2",
+        ),
+        (
+            "a non-hex digit",
+            repacked(&good, "state", |h| h.replace_range(0..1, "g")),
+            "state has 'g' at digit 0, not a lowercase hex digit",
+        ),
+        (
+            "state padding",
+            repacked(&good, "state", |h| h.replace_range(20..21, "4")),
+            "state has nonzero padding bits past tag 41",
+        ),
+        (
+            "synced padding",
+            repacked(&good, "synced", |h| h.replace_range(10..11, "3")),
+            "synced has nonzero padding bits past tag 41",
+        ),
+        (
+            "state code 3",
+            repacked(&good, "state", |h| h.replace_range(0..1, "3")),
+            "state holds the unused code 3",
+        ),
+        (
+            "a short synced vector",
+            repacked(&good, "synced", |h| {
+                h.pop();
+            }),
+            "synced has 10 hex digits, expected 11 for 41 tags",
+        ),
+        (
+            "replies_sent cut short",
+            repacked(&good, "replies_sent", |h| h.truncate(h.len() - 2)),
+            "cannot hold 41 varints",
+        ),
+        (
+            "replies_sent ending inside a varint",
+            repacked(&good, "replies_sent", |h| {
+                let end = h.len();
+                h.replace_range(end - 2.., "80");
+            }),
+            "replies_sent ends inside varint 40",
+        ),
+        (
+            "replies_sent with a trailing byte",
+            repacked(&good, "replies_sent", |h| h.push_str("00")),
+            "replies_sent has bytes past its 41 varints",
+        ),
+        (
+            "replies_sent without kill rules",
+            edit(
+                &good,
+                &["config", "fault", "plan", "kill_after_replies"],
+                Some(Json::Arr(Vec::new())),
+            ),
+            "replies_sent present but the fault plan has no kill rules",
+        ),
+    ];
+    for (what, doc, why) in rows {
+        match resume(doc, 1) {
+            Response::Error {
+                code: ErrorCode::Rejected,
+                message,
+            } => assert!(message.contains(why), "{what}: {message}"),
+            other => panic!("{what}: expected a Rejected error, got {other:?}"),
+        }
+    }
+
+    // The library restore shares the body: it rejects two identities, and
+    // an origin it has no scenario to rebuild from.
+    let hpp = HppConfig::default();
+    let both = edit(&good, &["tags"], library.get("tags").cloned());
+    let err = Session::restore(&hpp, &both).unwrap_err();
+    assert!(err.0.contains("both 'tags' and 'origin'"), "{err}");
+    let err = Session::restore(&hpp, &good).unwrap_err();
+    assert!(err.0.contains("'origin'"), "{err}");
+    assert!(Session::restore(&hpp, &library).is_ok());
+    // A library snapshot is also servable: it keeps its tag list.
+    assert!(matches!(resume(library, 1), Response::Opened { .. }));
+}
+
 /// Hostile-input gate: mutate random bytes of a valid mid-run snapshot.
 /// Every outcome must be *controlled* — a parse error, a typed restore
-/// error, or a session that keeps running — never a panic.
+/// error, or a session that keeps running — never a panic. The library
+/// form restores through [`Session::restore`]; the served form resumes
+/// through an in-process service, which rebuilds its origin.
 #[test]
 fn fuzzed_snapshot_bytes_never_panic() {
     // Base snapshot taken mid-run under the impaired channel so every state
@@ -388,29 +595,43 @@ fn fuzzed_snapshot_bytes_never_panic() {
     let mut ctx = SimContext::new(scenario.build_population(), &cfg);
     let mut session = Session::open(&protocol, &ctx);
     assert!(session.run_for(&mut ctx, 3).is_none());
-    let base = session.snapshot(&ctx, &cfg).to_string();
+    let library = session.snapshot(&ctx, &cfg).to_string();
+    let served = served_snapshot(40).to_string();
 
-    prop::check("fuzzed_snapshot_bytes_never_panic", 300, |g| {
-        let mut bytes = base.clone().into_bytes();
-        let edits = g.len_in(1, 8);
-        for _ in 0..edits {
-            let pos = g.u64_below(bytes.len() as u64) as usize;
-            bytes[pos] = g.u8();
-        }
-        let Ok(text) = String::from_utf8(bytes) else {
-            return Ok(()); // mutation broke UTF-8: rejected upstream of us
-        };
-        let Ok(doc) = Json::parse(&text) else {
-            return Ok(()); // typed parse error — the desired outcome
-        };
-        match Session::restore(&protocol, &doc) {
-            Err(_) => Ok(()), // typed restore error — also fine
-            Ok((mut ctx, mut session)) => {
-                // An accepted snapshot must actually run. Bound the steps so
-                // a mutated-but-valid config can't spin the test forever.
-                let _ = session.run_for(&mut ctx, 200);
-                Ok(())
+    for (name, base) in [
+        ("fuzzed_snapshot_bytes_never_panic", library),
+        ("fuzzed_served_snapshot_bytes_never_panic", served),
+    ] {
+        prop::check(name, 300, |g| {
+            let mut bytes = base.clone().into_bytes();
+            let edits = g.len_in(1, 8);
+            for _ in 0..edits {
+                let pos = g.u64_below(bytes.len() as u64) as usize;
+                bytes[pos] = g.u8();
             }
-        }
-    });
+            let Ok(text) = String::from_utf8(bytes) else {
+                return Ok(()); // mutation broke UTF-8: rejected upstream of us
+            };
+            let Ok(doc) = Json::parse(&text) else {
+                return Ok(()); // typed parse error — the desired outcome
+            };
+            if doc.get("origin").is_some() {
+                // A typed error reply, or a resumed session that runs
+                // (bounded, so a mutated-but-valid config can't spin the
+                // test forever).
+                let _ = resume(doc, 200);
+                return Ok(());
+            }
+            match Session::restore(&protocol, &doc) {
+                Err(_) => Ok(()), // typed restore error — also fine
+                Ok((mut ctx, mut session)) => {
+                    // An accepted snapshot must actually run. Bound the
+                    // steps so a mutated-but-valid config can't spin the
+                    // test forever.
+                    let _ = session.run_for(&mut ctx, 200);
+                    Ok(())
+                }
+            }
+        });
+    }
 }
