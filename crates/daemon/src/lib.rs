@@ -45,7 +45,7 @@ pub use client::{ClientError, DaemonClient, RunEnd};
 pub use registry::{all_protocols, protocol_by_name, protocol_names};
 pub use resilient::{ResilientClient, RetryPolicy};
 pub use server::Daemon;
-pub use service::{serve_connection, Service, SERVER_NAME};
+pub use service::{serve_connection, Service, MAX_SESSION_TAG_BITS, SERVER_NAME};
 pub use supervisor::{
     install_killpoint_hook, FleetLimits, KillPoint, KillSwitch, RecoveryPoint, Resurrection,
     Retire, Supervisor,

@@ -19,6 +19,7 @@ use std::sync::Arc;
 
 use rfid_obs::{metrics_from_log, DeltaCursor, FlightRecorder};
 use rfid_protocols::Session;
+use rfid_system::id::EPC_BITS;
 use rfid_system::{FromJson, Json, JsonError, SimConfig, SimContext, ToJson};
 use rfid_wire::{
     Command, ErrorCode, FrameError, OpenRequest, Response, Transport, WireError, WIRE_VERSION,
@@ -83,7 +84,30 @@ struct Origin {
 
 rfid_system::impl_json_struct!(Origin { n, info_bits, seed });
 
+/// The most tag bits one served session may hold: `n × (96 + info_bits)`,
+/// EPC plus payload per tag. 2^28 bits is 32 MiB of tag memory, over 130×
+/// the largest served workload (10,000 tags × 100 info bits = 1.96 Mbit).
+/// `Open` and a served snapshot's `origin` are checked against it before
+/// anything of size `n` is built.
+pub const MAX_SESSION_TAG_BITS: u64 = 1 << 28;
+
 impl Origin {
+    /// Rejects a population over [`MAX_SESSION_TAG_BITS`], before it is
+    /// built.
+    fn check_budget(&self) -> Result<(), String> {
+        let bits = (EPC_BITS as u64)
+            .checked_add(self.info_bits)
+            .and_then(|per_tag| per_tag.checked_mul(self.n));
+        match bits {
+            Some(bits) if bits <= MAX_SESSION_TAG_BITS => Ok(()),
+            _ => Err(format!(
+                "{} tags of {} + {} bits exceed the per-session budget of \
+                 {MAX_SESSION_TAG_BITS} tag bits",
+                self.n, EPC_BITS, self.info_bits
+            )),
+        }
+    }
+
     fn scenario(&self) -> Scenario {
         Scenario::uniform(self.n as usize, self.info_bits as usize).with_seed(self.seed)
     }
@@ -463,6 +487,9 @@ pub(crate) fn open_session(req: &OpenRequest, sup: &Supervisor) -> Result<Live, 
         info_bits: req.info_bits,
         seed: req.seed,
     };
+    if let Err(msg) = origin.check_budget() {
+        return Err(err(ErrorCode::Rejected, msg));
+    }
     let scenario = origin.scenario();
     // The default config keeps tracing on: served runs are auditable
     // (trace digests, metrics, flight bundles) unless the caller
@@ -524,6 +551,7 @@ pub(crate) fn restore_session(
     let (ctx, mut session, config) = Session::restore_from(protocol.as_ref(), snapshot, |json| {
         let named: Origin = FromJson::from_json(json)
             .map_err(|e| JsonError(format!("in field 'origin': {}", e.0)))?;
+        named.check_budget().map_err(JsonError)?;
         let n = usize::try_from(named.n)
             .map_err(|_| JsonError(format!("origin names {} tags", named.n)))?;
         origin = Some(named);
@@ -1139,6 +1167,28 @@ mod tests {
             panic!("expected MetricsDelta, got {responses:?}");
         };
         assert!(jsonl.is_none(), "nothing changed since the last delta");
+    }
+
+    #[test]
+    fn open_over_the_tag_bit_budget_is_rejected() {
+        let mut service = Service::new();
+        let huge = |n, info_bits| OpenRequest::new("TPP", n, info_bits, 1);
+        for req in [
+            huge(1 << 40, 4),
+            huge(41, 1 << 40),
+            huge(u64::MAX, u64::MAX),
+        ] {
+            match &service.handle(Command::Open(req))[0] {
+                Response::Error {
+                    code: ErrorCode::Rejected,
+                    message,
+                } => assert!(message.contains("per-session budget"), "{message}"),
+                other => panic!("expected Rejected, got {other:?}"),
+            }
+        }
+        // The largest served workload sits far below the budget.
+        assert!(10_000 * (EPC_BITS as u64 + 100) * 100 < MAX_SESSION_TAG_BITS);
+        opened(&mut service, OpenRequest::new("TPP", 10_000, 100, 1));
     }
 
     #[test]

@@ -7,8 +7,10 @@
 //! `BENCH_*.json` files. It is deliberately small:
 //!
 //! * [`Json`] — a JSON document tree. Numbers keep their parsed flavour
-//!   (`UInt`/`Int`/`Float`) so 64-bit seeds round-trip bit-exactly instead
-//!   of being squeezed through an `f64`.
+//!   (`UInt`/`Int`/`Milli`/`Float`) so 64-bit seeds round-trip bit-exactly
+//!   instead of being squeezed through an `f64`, and a decimal with at
+//!   most three fraction digits (`645680.1`, a `Micros` in µs) stays an
+//!   exact count of thousandths.
 //! * [`Json::parse`] — a recursive-descent parser with full string-escape
 //!   handling (including `\uXXXX` surrogate pairs).
 //! * `Display` — a compact writer; [`Json::to_pretty_string`] adds a
@@ -23,9 +25,11 @@
 //!   bytes are identical to `to_json().to_string()`. The primitive,
 //!   `Vec`, `Option`, [`Json`] and `Micros` impls override it, and the
 //!   two macros generate both `to_json` and `write_json` from the same
-//!   field list, so an encoding is still declared once. Numbers are
-//!   formatted in place with `write!`. `EventLog::digest` streams each
-//!   event's line through it into FNV-1a without building the JSONL.
+//!   field list, so an encoding is still declared once. Integers and
+//!   `Milli` decimals are written by a digit loop into a stack buffer,
+//!   byte-identical to `Display` but without the `fmt` machinery.
+//!   `EventLog::digest` streams each event's line through it into FNV-1a
+//!   without building the JSONL.
 //!
 //! Float formatting is stable by construction: finite `f64`s are written
 //! with Rust's shortest-round-trip `Display`, so `write → parse → write`
@@ -51,6 +55,11 @@ pub enum Json {
     UInt(u64),
     /// A negative integer literal (fits `i64`).
     Int(i64),
+    /// A non-negative literal with one to three fraction digits, not all
+    /// zero, kept exact as a count of thousandths: `645680.1` is
+    /// `Milli(645_680_100)`. Decimal microseconds therefore parse back to
+    /// whole nanoseconds without passing through an `f64`.
+    Milli(u64),
     /// Any other number literal.
     Float(f64),
     /// A string.
@@ -136,6 +145,77 @@ fn write_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Two ASCII digits per entry, `00` to `99`.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// Appends the decimal digits of `v`, byte-identical to `write!(out,
+/// "{v}")`: two digits per step into a stack buffer, with no `fmt`
+/// machinery on the trace path.
+pub(crate) fn write_u64(out: &mut String, mut v: u64) {
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    while v >= 100 {
+        let pair = (v % 100) as usize * 2;
+        v /= 100;
+        i -= 2;
+        buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if v >= 10 {
+        let pair = v as usize * 2;
+        i -= 2;
+        buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        i -= 1;
+        buf[i] = b'0' + v as u8;
+    }
+    out.push_str(std::str::from_utf8(&buf[i..]).expect("ASCII digits"));
+}
+
+fn write_i64(out: &mut String, v: i64) {
+    if v < 0 {
+        out.push('-');
+    }
+    write_u64(out, v.unsigned_abs());
+}
+
+/// Appends `thousandths / 1000` as a decimal with its trailing fraction
+/// zeros trimmed (`645680.1`, `0.025`, `37`): integer digits only, and
+/// [`Json::parse`] reads it back to the same count.
+pub(crate) fn write_milli(out: &mut String, thousandths: u64) {
+    write_u64(out, thousandths / 1000);
+    let frac = thousandths % 1000;
+    if frac == 0 {
+        return;
+    }
+    let (digits, width) = match (frac % 100, frac % 10) {
+        (0, _) => (frac / 100, 1),
+        (_, 0) => (frac / 10, 2),
+        _ => (frac, 3),
+    };
+    out.push('.');
+    for place in (0..width).rev() {
+        out.push((b'0' + (digits / 10u64.pow(place) % 10) as u8) as char);
+    }
+}
+
+/// `thousandths / 1000` as the nearest `f64`, the value `parse::<f64>()`
+/// gives for the same literal.
+fn milli_to_f64(thousandths: u64) -> f64 {
+    if thousandths < 1 << 53 {
+        // Both operands are exact, so the quotient is correctly rounded.
+        thousandths as f64 / 1000.0
+    } else {
+        let mut text = String::new();
+        write_milli(&mut text, thousandths);
+        text.parse().expect("decimal literal")
+    }
+}
+
 fn write_f64(out: &mut String, x: f64) {
     if x.is_finite() {
         // Rust's `Display` for f64 is the shortest representation that
@@ -153,12 +233,9 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::UInt(u) => {
-                let _ = write!(out, "{u}");
-            }
-            Json::Int(i) => {
-                let _ = write!(out, "{i}");
-            }
+            Json::UInt(u) => write_u64(out, *u),
+            Json::Int(i) => write_i64(out, *i),
+            Json::Milli(t) => write_milli(out, *t),
             Json::Float(x) => write_f64(out, *x),
             Json::Str(s) => write_str(out, s),
             Json::Arr(items) => {
@@ -452,6 +529,9 @@ impl<'a> Parser<'a> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("invalid number"))?;
+        if let Some(exact) = exact_decimal(text) {
+            return Ok(exact);
+        }
         if !is_float {
             if let Ok(u) = text.parse::<u64>() {
                 return Ok(Json::UInt(u));
@@ -467,6 +547,28 @@ impl<'a> Parser<'a> {
             .map(Json::Float)
             .map_err(|_| self.err(&format!("invalid number literal '{text}'")))
     }
+}
+
+/// A non-negative `digits.digits` literal with one to three fraction
+/// digits, as an exact [`Json::UInt`] (zero fraction) or [`Json::Milli`];
+/// `None` for any other shape or past `u64` thousandths.
+fn exact_decimal(text: &str) -> Option<Json> {
+    let (whole, frac) = text.split_once('.')?;
+    let digits = |s: &str| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit());
+    if !digits(whole) || !digits(frac) || frac.len() > 3 {
+        return None;
+    }
+    let scale = 10u64.pow(3 - frac.len() as u32);
+    let thousandths = whole
+        .parse::<u64>()
+        .ok()?
+        .checked_mul(1000)?
+        .checked_add(frac.parse::<u64>().ok()? * scale)?;
+    Some(if thousandths % 1000 == 0 {
+        Json::UInt(thousandths / 1000)
+    } else {
+        Json::Milli(thousandths)
+    })
 }
 
 impl Json {
@@ -510,6 +612,7 @@ impl Json {
         match self {
             Json::UInt(u) => Ok(*u),
             Json::Int(i) if *i >= 0 => Ok(*i as u64),
+            Json::Milli(t) if t % 1000 == 0 => Ok(t / 1000),
             Json::Float(x) if *x >= 0.0 && x.fract() == 0.0 && *x <= 2f64.powi(53) => Ok(*x as u64),
             other => Err(JsonError::new(format!(
                 "expected unsigned integer, got {other}"
@@ -522,6 +625,7 @@ impl Json {
         match self {
             Json::Int(i) => Ok(*i),
             Json::UInt(u) if *u <= i64::MAX as u64 => Ok(*u as i64),
+            Json::Milli(t) if t % 1000 == 0 => Ok((t / 1000) as i64),
             Json::Float(x) if x.fract() == 0.0 && x.abs() <= 2f64.powi(53) => Ok(*x as i64),
             other => Err(JsonError::new(format!("expected integer, got {other}"))),
         }
@@ -532,6 +636,7 @@ impl Json {
     pub fn as_f64(&self) -> Result<f64, JsonError> {
         match self {
             Json::Float(x) => Ok(*x),
+            Json::Milli(t) => Ok(milli_to_f64(*t)),
             Json::UInt(u) => Ok(*u as f64),
             Json::Int(i) => Ok(*i as f64),
             Json::Null => Ok(f64::NAN),
@@ -693,7 +798,7 @@ macro_rules! impl_json_uint {
                 }
 
                 fn write_json(&self, out: &mut String) {
-                    let _ = write!(out, "{self}");
+                    write_u64(out, *self as u64);
                 }
             }
             impl FromJson for $ty {
@@ -718,7 +823,7 @@ macro_rules! impl_json_int {
                 }
 
                 fn write_json(&self, out: &mut String) {
-                    let _ = write!(out, "{self}");
+                    write_i64(out, *self as i64);
                 }
             }
             impl FromJson for $ty {
@@ -1000,6 +1105,61 @@ mod tests {
     }
 
     #[test]
+    fn short_decimals_parse_to_exact_thousandths() {
+        for (text, exact) in [
+            ("645680.1", Json::Milli(645_680_100)),
+            ("0.025", Json::Milli(25)),
+            ("37.45", Json::Milli(37_450)),
+            ("5.0", Json::UInt(5)),
+            ("18446744073709551.615", Json::Milli(u64::MAX)),
+        ] {
+            let doc = Json::parse(text).unwrap();
+            assert_eq!(doc, exact, "{text}");
+            assert_eq!(
+                doc.as_f64().unwrap().to_bits(),
+                text.parse::<f64>().unwrap().to_bits(),
+                "{text} as f64"
+            );
+        }
+        assert_eq!(Json::Milli(645_680_100).to_string(), "645680.1");
+        assert_eq!(Json::Milli(25).to_string(), "0.025");
+        assert_eq!(Json::Milli(u64::MAX).to_string(), "18446744073709551.615");
+        // A float written with three or fewer decimals reads back exact.
+        assert_eq!(
+            Json::parse(&Json::Float(1.5).to_string()).unwrap(),
+            Json::Milli(1_500)
+        );
+        // Anything else keeps the float flavour: more fraction digits, an
+        // exponent, a sign, or past `u64` thousandths.
+        for text in ["0.0001", "1.2500", "1e3", "-0.5", "18446744073709551.616"] {
+            assert!(
+                matches!(Json::parse(text).unwrap(), Json::Float(_)),
+                "{text}"
+            );
+        }
+    }
+
+    #[test]
+    fn digit_loop_matches_display() {
+        let mut edges = vec![0, 9, 10, 99, 100, 101, 999, 1_000, u64::MAX, u64::MAX - 1];
+        edges.extend((0..20).map(|p| 10u64.pow(p)));
+        edges.extend((1..20).map(|p| 10u64.pow(p) - 1));
+        for v in edges {
+            assert_eq!(to_json_string(&v), v.to_string());
+        }
+        for v in [0i64, -1, -9, -10, 42, i64::MIN, i64::MAX] {
+            assert_eq!(to_json_string(&v), v.to_string());
+        }
+        rfid_hash::prop::check("digit_loop_matches_display", 512, |g| {
+            let v = g.u64() >> g.u64_below(64);
+            rfid_hash::prop_assert_eq!(to_json_string(&v), v.to_string());
+            let i = v as i64;
+            rfid_hash::prop_assert_eq!(to_json_string(&i), i.to_string());
+            Ok(())
+        });
+    }
+
+    #[test]
     fn non_finite_floats_serialize_as_null() {
         assert_eq!(Json::Float(f64::NAN).to_string(), "null");
         assert_eq!(Json::Float(f64::INFINITY).to_string(), "null");
@@ -1038,7 +1198,11 @@ mod tests {
             Json::Obj(vec![
                 (
                     "xs".into(),
-                    Json::Arr(vec![Json::Float(1.5), Json::Int(-3)]),
+                    Json::Arr(vec![
+                        Json::Milli(1_500),
+                        Json::Float(0.1 + 0.2),
+                        Json::Int(-3),
+                    ]),
                 ),
                 ("empty".into(), Json::Arr(vec![])),
             ]),
