@@ -16,7 +16,7 @@ use rfid_c1g2::{LinkParams, Micros, QUERY_REP_BITS};
 /// Per-tag time for a polling protocol with average vector length `w` bits
 /// collecting `l` payload bits (Fig. 1's y-axis for `l = 1`).
 pub fn poll_time_per_tag(link: &LinkParams, w: f64, l: u64) -> Micros {
-    link.reader_tx(QUERY_REP_BITS) + link.reader_bit * w + link.t1 + link.tag_tx(l) + link.t2
+    execution_time(link, 1, w, l)
 }
 
 /// Per-tag time of the conventional polling protocol (96-bit ID, no
@@ -35,9 +35,11 @@ pub fn lower_bound(link: &LinkParams, n: u64, l: u64) -> Micros {
     lower_bound_per_tag(link, l) * n
 }
 
-/// Total execution time for `n` tags at average vector length `w`.
+/// Total execution time for `n` tags at average vector length `w`. The
+/// fractional `n·w` vector bits are rounded to the nanosecond once, on
+/// the total.
 pub fn execution_time(link: &LinkParams, n: u64, w: f64, l: u64) -> Micros {
-    poll_time_per_tag(link, w, l) * n
+    lower_bound(link, n, l) + link.reader_bit * (w * n as f64)
 }
 
 /// The Fig. 1 series: execution time (ms) to collect 1 bit from one tag as
@@ -101,7 +103,7 @@ mod tests {
     fn payload_length_scales_tag_side_only() {
         let l1 = poll_time_per_tag(&link(), 3.0, 1);
         let l32 = poll_time_per_tag(&link(), 3.0, 32);
-        assert!(((l32 - l1).as_f64() - 25.0 * 31.0).abs() < 1e-9);
+        assert_eq!(l32 - l1, link().tag_bit * 31u64);
     }
 
     #[test]

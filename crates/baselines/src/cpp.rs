@@ -88,12 +88,8 @@ mod tests {
     fn table1_anchor_time() {
         // Table I: 37.70 s for n = 10⁴, l = 1 — scaled down 100× here.
         let (report, _) = run(100, 1, 2);
-        let expect_per_tag = 37.45 * 96.0 + 100.0 + 25.0 + 50.0;
-        assert!(
-            (report.total_time.as_f64() - 100.0 * expect_per_tag).abs() < 1e-6,
-            "{}",
-            report.total_time
-        );
+        let expect_per_tag: f64 = 37.45 * 96.0 + 100.0 + 25.0 + 50.0;
+        assert_eq!(report.total_time.as_ns(), 100 * (37_450 * 96 + 175_000));
         // Per-tag: 3770.2 µs → ×10⁴ = 37.70 s.
         assert!((expect_per_tag * 1e4 / 1e6 - 37.70).abs() < 0.01);
     }
@@ -121,6 +117,6 @@ mod tests {
         let (r1, _) = run(20, 1, 5);
         let (r32, _) = run(20, 32, 5);
         let diff = r32.total_time - r1.total_time;
-        assert!((diff.as_f64() - 20.0 * 25.0 * 31.0).abs() < 1e-6);
+        assert_eq!(diff.as_ns(), 20 * 25_000 * 31);
     }
 }

@@ -65,11 +65,10 @@ mod tests {
             let report = LowerBound.run(&mut ctx);
             ctx.assert_complete();
             let expect = lower_bound(&LinkParams::paper(), 100, l as u64);
-            assert!(
-                (report.total_time.as_f64() - expect.as_f64()).abs() < 1e-6,
+            assert_eq!(
+                report.total_time, expect,
                 "l = {l}: {} vs {}",
-                report.total_time,
-                expect
+                report.total_time, expect
             );
         }
     }

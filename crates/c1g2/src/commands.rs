@@ -145,11 +145,12 @@ mod tests {
     fn durations_scale_with_link() {
         let link = LinkParams::paper();
         let d = Command::QueryRep.duration(&link);
-        assert!((d.as_f64() - 4.0 * 37.45).abs() < 1e-9);
+        assert_eq!(d, Micros::from_us(4.0 * 37.45));
+        assert_eq!(d.as_ns(), 4 * 37_450);
         let seg = Command::TreeSegment {
             segment_bits: 2,
             with_query_rep: true,
         };
-        assert!((seg.duration(&link).as_f64() - 6.0 * 37.45).abs() < 1e-9);
+        assert_eq!(seg.duration(&link).as_ns(), 6 * 37_450);
     }
 }

@@ -56,10 +56,11 @@ impl ReaderEncoding {
         self.data0(tari) + self.data1(tari)
     }
 
-    /// Mean bit duration assuming a balanced bit mix.
+    /// Mean bit duration assuming a balanced bit mix, rounded to the
+    /// nanosecond once.
     #[inline]
     pub fn mean_bit(&self, tari: Micros) -> Micros {
-        (self.data0(tari) + self.data1(tari)) / 2.0
+        tari * ((1.0 + self.data1_tari) / 2.0)
     }
 
     /// Exact duration of transmitting `bits`, costing each 0 and 1 at its

@@ -4,8 +4,8 @@
 //! (C1G2, a.k.a. ISO 18000-6C) UHF air interface at the level required to
 //! evaluate anti-collision and polling protocols:
 //!
-//! * [`Micros`] — microsecond time arithmetic used everywhere in the
-//!   workspace,
+//! * [`Micros`] — exact time arithmetic in whole nanoseconds, read in
+//!   microseconds, used everywhere in the workspace,
 //! * [`LinkParams`] — the reader↔tag link budget: data rates, the `T1`/`T2`
 //!   turnaround times, and the preamble/calibration symbols they are derived
 //!   from,
@@ -34,7 +34,9 @@
 //! clock.spend(TimeCategory::Turnaround, link.t1);
 //! clock.spend(TimeCategory::TagReply, link.tag_tx(1));
 //! clock.spend(TimeCategory::Turnaround, link.t2);
-//! assert!((clock.total().as_f64() - (37.45 * 7.0 + 100.0 + 25.0 + 50.0)).abs() < 1e-9);
+//! // Whole nanoseconds: the sum is exact, and so is its breakdown's.
+//! assert_eq!(clock.total().as_ns(), 37_450 * 7 + 100_000 + 25_000 + 50_000);
+//! assert_eq!(clock.total(), clock.breakdown().total());
 //! ```
 
 #![forbid(unsafe_code)]

@@ -91,6 +91,9 @@ impl LinkParams {
     /// * `tag_encoding` — FM0 or one of the Miller subcarrier modes,
     /// * `reader_encoding` — PIE data-1 length as a multiple of Tari.
     ///
+    /// A bit time that is not a whole nanosecond (most BLFs give one) is
+    /// rounded to the nearest nanosecond once, here.
+    ///
     /// # Panics
     /// Panics if `tari` is outside the standard's 6.25–25 µs range or if
     /// `trcal` is not in `[1.1·RTcal, 3·RTcal]` as the standard requires.
@@ -114,16 +117,17 @@ impl LinkParams {
             rtcal * 1.1,
             rtcal * 3.0
         );
-        let blf_hz = dr.value() / (trcal.as_f64() * 1e-6);
-        let tpri = Micros::from_us(1e6 / blf_hz);
-        let t1 = rtcal.max(tpri * 10.0);
-        let t2 = tpri * 10.0; // mid-range of the permitted [3, 20]·Tpri
+        // Tpri = 1 / BLF = TRcal / DR, rounded to the nanosecond once here;
+        // every tag-side time below is a whole multiple of it.
+        let tpri = Micros::from_us(trcal.as_f64() / dr.value());
+        let t1 = rtcal.max(tpri * 10u64);
+        let t2 = tpri * 10u64; // mid-range of the permitted [3, 20]·Tpri
         LinkParams {
             reader_bit: reader_encoding.mean_bit(tari),
             tag_bit: tag_encoding.bit_duration(tpri),
             t1,
             t2,
-            t3: tpri * 3.0,
+            t3: tpri * 3u64,
         }
     }
 
@@ -184,7 +188,7 @@ mod tests {
         // Collecting l=1 bit with a w=3 bit polling vector behind a 4-bit
         // QueryRep: 37.45*(4+3) + 100 + 25 + 50.
         let t = p.poll_exchange(4 + 3, 1);
-        assert!((t.as_f64() - (37.45 * 7.0 + 100.0 + 25.0 + 50.0)).abs() < 1e-9);
+        assert_eq!(t, Micros::from_ns(37_450 * 7 + 100_000 + 25_000 + 50_000));
     }
 
     #[test]
@@ -198,12 +202,14 @@ mod tests {
             TagEncoding::Fm0,
             ReaderEncoding::pie(2.0),
         );
-        let blf = 64.0 / 3.0 / 66.7e-6;
-        assert!((p.tag_bit.as_f64() - 1e6 / blf).abs() < 1e-6);
+        // Tpri = 66.7 µs / (64/3) = 3.1265625 µs, rounded once to 3127 ns;
+        // an FM0 bit is one Tpri and T3 is three.
+        assert_eq!(p.tag_bit, Micros::from_ns(3_127));
+        assert_eq!(p.t3, Micros::from_ns(3 * 3_127));
         // Mean PIE bit = (Tari + 2 Tari)/2 = 18.75 µs.
-        assert!((p.reader_bit.as_f64() - 18.75).abs() < 1e-9);
+        assert_eq!(p.reader_bit, Micros::from_us(18.75));
         // T1 = max(RTcal, 10 Tpri); RTcal = 37.5 µs, 10 Tpri ≈ 31.3 µs.
-        assert!((p.t1.as_f64() - 37.5).abs() < 1e-9);
+        assert_eq!(p.t1, Micros::from_us(37.5));
     }
 
     #[test]

@@ -1,91 +1,121 @@
-//! Microsecond time arithmetic.
+//! Simulation time in whole nanoseconds.
 //!
-//! All timing in the workspace is carried in [`Micros`], a thin `f64`
-//! newtype. Microseconds are the natural unit of the C1G2 standard (symbol
-//! durations are fractions of a microsecond; inventory runs span seconds),
-//! and `f64` holds a full inventory of 10⁵ tags (≈ 4·10⁷ µs) with more than
-//! nine significant digits to spare.
+//! All timing in the workspace is carried in [`Micros`], a `u64` count of
+//! nanoseconds that reads and writes in microseconds, the natural unit of
+//! the C1G2 standard. Every timing constant the paper uses is a whole
+//! number of 10 ns (T1 = 100 µs, T2 = T3 = 50 µs, 37.45 µs per reader bit,
+//! 25 µs per tag bit), so sums of them are exact and associative: a
+//! clock's total equals the sum of its breakdown with `==`, and a trace
+//! timestamp has at most three fraction digits in µs. A 10⁵-tag inventory
+//! (≈ 4·10⁷ µs) uses 46 of the 64 bits.
+//!
+//! A duration given in fractional microseconds ([`Micros::from_us`], a
+//! link profile derived from a BLF) is rounded to the nearest nanosecond
+//! once, where it is built. Sums and integer products wrap modulo 2^64
+//! ns (≈ 584 years) in every build: no simulated run comes near that, and
+//! a hostile checkpoint's clock cannot make the arithmetic panic. (The
+//! overflow checks of saturating or checked arithmetic cost the simulator
+//! core several percent: every air exchange adds to the clock.)
 
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-/// A span of time in microseconds.
-///
-/// `Micros` is ordered, hashable via its bit pattern is *not* provided
-/// (floats), but ordering uses `partial_cmp` with the invariant — enforced by
-/// construction — that values are finite and non-negative.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-pub struct Micros(f64);
+/// A span of time: a whole number of nanoseconds, read in microseconds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+pub struct Micros(u64);
 
 impl Micros {
     /// Zero duration.
-    pub const ZERO: Micros = Micros(0.0);
+    pub const ZERO: Micros = Micros(0);
 
-    /// Creates a duration from a microsecond count.
+    /// Creates a duration from a nanosecond count.
+    #[inline]
+    pub const fn from_ns(ns: u64) -> Self {
+        Micros(ns)
+    }
+
+    /// Creates a duration from a microsecond count, rounded to the
+    /// nearest nanosecond.
     ///
     /// # Panics
-    /// Panics if `us` is negative, NaN or infinite — durations in the
-    /// simulator are always finite sums of positive symbol times, so a bad
-    /// value here is a logic error worth failing loudly on.
+    /// Panics if `us` is negative, NaN, infinite or past `u64::MAX` ns:
+    /// durations in the simulator are finite sums of positive symbol
+    /// times, so a bad value here is a logic error worth failing loudly on.
     #[inline]
     pub fn from_us(us: f64) -> Self {
-        assert!(us.is_finite() && us >= 0.0, "invalid duration: {us} µs");
-        Micros(us)
+        Self::round_ns(us * 1_000.0)
     }
 
     /// Creates a duration from milliseconds.
     #[inline]
     pub fn from_ms(ms: f64) -> Self {
-        Self::from_us(ms * 1_000.0)
+        Self::round_ns(ms * 1_000_000.0)
     }
 
     /// Creates a duration from seconds.
     #[inline]
     pub fn from_secs(s: f64) -> Self {
-        Self::from_us(s * 1_000_000.0)
+        Self::round_ns(s * 1_000_000_000.0)
     }
 
-    /// The raw microsecond count.
+    /// The nearest whole nanosecond to `ns`.
+    fn round_ns(ns: f64) -> Self {
+        // 2^64 is the first f64 past `u64::MAX`.
+        assert!(
+            (0.0..18_446_744_073_709_551_616.0).contains(&ns),
+            "invalid duration: {} µs",
+            ns / 1_000.0
+        );
+        Micros(ns.round() as u64)
+    }
+
+    /// The nanosecond count.
+    #[inline]
+    pub const fn as_ns(self) -> u64 {
+        self.0
+    }
+
+    /// This duration in microseconds, the nearest `f64`.
     #[inline]
     pub fn as_f64(self) -> f64 {
-        self.0
+        self.0 as f64 / 1_000.0
     }
 
     /// This duration expressed in milliseconds.
     #[inline]
     pub fn as_ms(self) -> f64 {
-        self.0 / 1_000.0
+        self.0 as f64 / 1_000_000.0
     }
 
     /// This duration expressed in seconds.
     #[inline]
     pub fn as_secs(self) -> f64 {
-        self.0 / 1_000_000.0
+        self.0 as f64 / 1_000_000_000.0
     }
 
     /// Saturating subtraction: returns zero instead of a negative duration.
     #[inline]
     pub fn saturating_sub(self, rhs: Micros) -> Micros {
-        Micros((self.0 - rhs.0).max(0.0))
+        Micros(self.0.saturating_sub(rhs.0))
     }
 
     /// `true` if this is exactly zero.
     #[inline]
     pub fn is_zero(self) -> bool {
-        self.0 == 0.0
+        self.0 == 0
     }
 
     /// The larger of two durations.
     #[inline]
     pub fn max(self, other: Micros) -> Micros {
-        Micros(self.0.max(other.0))
+        Ord::max(self, other)
     }
 
     /// The smaller of two durations.
     #[inline]
     pub fn min(self, other: Micros) -> Micros {
-        Micros(self.0.min(other.0))
+        Ord::min(self, other)
     }
 }
 
@@ -93,14 +123,14 @@ impl Add for Micros {
     type Output = Micros;
     #[inline]
     fn add(self, rhs: Micros) -> Micros {
-        Micros(self.0 + rhs.0)
+        Micros(self.0.wrapping_add(rhs.0))
     }
 }
 
 impl AddAssign for Micros {
     #[inline]
     fn add_assign(&mut self, rhs: Micros) {
-        self.0 += rhs.0;
+        *self = *self + rhs;
     }
 }
 
@@ -110,9 +140,8 @@ impl Sub for Micros {
     /// Panics in debug builds if the result would be negative.
     #[inline]
     fn sub(self, rhs: Micros) -> Micros {
-        let d = self.0 - rhs.0;
-        debug_assert!(d >= -1e-9, "negative duration: {} - {}", self.0, rhs.0);
-        Micros(d.max(0.0))
+        debug_assert!(self >= rhs, "negative duration: {self:?} - {rhs:?}");
+        self.saturating_sub(rhs)
     }
 }
 
@@ -125,9 +154,10 @@ impl SubAssign for Micros {
 
 impl Mul<f64> for Micros {
     type Output = Micros;
+    /// Scales by `rhs`, rounded to the nearest nanosecond.
     #[inline]
     fn mul(self, rhs: f64) -> Micros {
-        Micros::from_us(self.0 * rhs)
+        Micros::round_ns(self.0 as f64 * rhs)
     }
 }
 
@@ -135,15 +165,16 @@ impl Mul<u64> for Micros {
     type Output = Micros;
     #[inline]
     fn mul(self, rhs: u64) -> Micros {
-        Micros(self.0 * rhs as f64)
+        Micros(self.0.wrapping_mul(rhs))
     }
 }
 
 impl Div<f64> for Micros {
     type Output = Micros;
+    /// Divides by `rhs`, rounded to the nearest nanosecond.
     #[inline]
     fn div(self, rhs: f64) -> Micros {
-        Micros::from_us(self.0 / rhs)
+        Micros::round_ns(self.0 as f64 / rhs)
     }
 }
 
@@ -152,7 +183,7 @@ impl Div for Micros {
     /// The dimensionless ratio between two durations.
     #[inline]
     fn div(self, rhs: Micros) -> f64 {
-        self.0 / rhs.0
+        self.0 as f64 / rhs.0 as f64
     }
 }
 
@@ -164,12 +195,12 @@ impl Sum for Micros {
 
 impl fmt::Display for Micros {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.0 >= 1_000_000.0 {
+        if self.0 >= 1_000_000_000 {
             write!(f, "{:.3} s", self.as_secs())
-        } else if self.0 >= 1_000.0 {
+        } else if self.0 >= 1_000_000 {
             write!(f, "{:.3} ms", self.as_ms())
         } else {
-            write!(f, "{:.3} µs", self.0)
+            write!(f, "{:.3} µs", self.as_f64())
         }
     }
 }
@@ -188,11 +219,17 @@ mod tests {
     fn arithmetic_roundtrips() {
         let a = Micros::from_us(100.0);
         let b = Micros::from_us(37.45);
-        assert!(((a + b) - b - a).as_f64().abs() < 1e-12);
+        assert_eq!(b, Micros::from_ns(37_450));
+        assert_eq!((a + b) - b, a);
         assert_eq!(a * 2.0, Micros::from_us(200.0));
         assert_eq!(a * 3u64, Micros::from_us(300.0));
-        assert!((a / b - 100.0 / 37.45).abs() < 1e-12);
+        assert_eq!(a / b, 100_000.0 / 37_450.0);
         assert_eq!(a / 4.0, Micros::from_us(25.0));
+        // Fractional inputs round once, to the nearest nanosecond.
+        assert_eq!(Micros::from_us(1e6 / 320_000.0), Micros::from_ns(3_125));
+        assert_eq!(Micros::from_us(0.0004), Micros::ZERO);
+        assert_eq!(Micros::from_us(0.0006), Micros::from_ns(1));
+        assert_eq!(b * (1.0 / 3.0), Micros::from_ns(12_483));
     }
 
     #[test]
@@ -201,6 +238,20 @@ mod tests {
         let b = Micros::from_us(2.0);
         assert_eq!(a.saturating_sub(b), Micros::ZERO);
         assert_eq!(b.saturating_sub(a), Micros::from_us(1.0));
+    }
+
+    #[test]
+    fn paper_sums_are_exact() {
+        // 0.1 + 0.2 ≠ 0.3 in f64; in nanoseconds every order of addition
+        // agrees.
+        let reader_bit = Micros::from_us(37.45);
+        let many: Micros = (0..1_000_000).map(|_| reader_bit).sum();
+        assert_eq!(many, reader_bit * 1_000_000u64);
+        assert_eq!(many.as_ns(), 37_450_000_000);
+        assert_eq!(
+            Micros::from_us(0.1) + Micros::from_us(0.2),
+            Micros::from_us(0.3)
+        );
     }
 
     #[test]
@@ -237,5 +288,11 @@ mod tests {
     #[should_panic(expected = "invalid duration")]
     fn nan_duration_rejected() {
         let _ = Micros::from_us(f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid duration")]
+    fn duration_past_u64_nanoseconds_rejected() {
+        let _ = Micros::from_us(2e16);
     }
 }

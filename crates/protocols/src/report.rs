@@ -173,7 +173,8 @@ mod tests {
     fn time_per_tag_and_ratio() {
         let ctx = finished_ctx();
         let r = Report::from_context("a", &ctx);
-        assert!((r.time_per_tag() * 2u64 - r.total_time).as_f64().abs() < 1e-9);
+        // Two tags: halving the total is exact to the nanosecond.
+        assert_eq!(r.time_per_tag() * 2u64, r.total_time);
         assert!((r.time_ratio(&r) - 1.0).abs() < 1e-12);
     }
 

@@ -330,9 +330,11 @@ fn coverage_of(tags: usize, uncollected: usize) -> f64 {
 /// The version of the snapshot document [`Session::snapshot`] writes and
 /// [`Session::restore_from`] accepts. Version 2 split the population's
 /// identity (`tags` or `origin`) from its progress (the packed per-tag
-/// vectors in `context`); a document of any other version, or of none, is
-/// a typed error naming this one.
-pub const SNAPSHOT_VERSION: u64 = 2;
+/// vectors in `context`); version 3 carries the clock, deadlines and
+/// trace timestamps as whole nanoseconds, written as decimal µs with at
+/// most three fraction digits. A document of any other version, or of
+/// none, is a typed error naming this one.
+pub const SNAPSHOT_VERSION: u64 = 3;
 
 /// A live protocol session: one stepper under the driver.
 ///

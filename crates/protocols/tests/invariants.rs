@@ -95,9 +95,7 @@ fn tpp_time_equals_component_sum() {
         let (n, seed) = draw_run(g, 200);
         let mut ctx = context(n, seed);
         let report = TppConfig::default().run(&mut ctx);
-        let total = report.total_time.as_f64();
-        let parts = report.breakdown.total().as_f64();
-        prop_assert!((total - parts).abs() < 1e-6 * total.max(1.0));
+        prop_assert_eq!(report.total_time, report.breakdown.total());
         Ok(())
     });
 }

@@ -412,7 +412,12 @@ impl SimContext {
     #[inline]
     fn advance(&mut self, category: TimeCategory, dt: Micros) {
         self.clock.spend(category, dt);
-        self.counters.tag_listen_us += dt.as_f64() * self.population.listening_count() as f64;
+        // Tag·ns are exact in integers; one conversion and a multiply (not
+        // a divide, which this per-exchange path would feel) give tag·µs.
+        let tag_ns = dt
+            .as_ns()
+            .wrapping_mul(self.population.listening_count() as u64);
+        self.counters.tag_listen_us += tag_ns as f64 * 1e-3;
     }
 
     /// The one write path for counters and events: applies `event` to the
@@ -866,7 +871,10 @@ impl SimContext {
     /// stalled pass `pass`, charging it as wasted slot time so it shows up
     /// in execution-time results.
     pub fn charge_recovery_backoff(&mut self, pass: u64, us: u64) {
-        self.advance(TimeCategory::WastedSlot, Micros::from_us(us as f64));
+        self.advance(
+            TimeCategory::WastedSlot,
+            Micros::from_ns(us.saturating_mul(1_000)),
+        );
         self.emit(Event::BackoffWaited { pass, us });
     }
 
@@ -1126,8 +1134,10 @@ mod tests {
         let mut c = ctx(1, 1);
         assert!(c.poll_tag(3, true, 0));
         // 37.45*(4+3) + 100 + 25*1 + 50
-        let expect = 37.45 * 7.0 + 100.0 + 25.0 + 50.0;
-        assert!((c.clock.total().as_f64() - expect).abs() < 1e-9);
+        assert_eq!(
+            c.clock.total().as_ns(),
+            37_450 * 7 + 100_000 + 25_000 + 50_000
+        );
         assert_eq!(c.counters.polls, 1);
         assert_eq!(c.counters.vector_bits, 3);
         assert_eq!(c.counters.reader_bits, 7);
@@ -1139,8 +1149,7 @@ mod tests {
     fn poll_without_query_rep_omits_prefix() {
         let mut c = ctx(1, 1);
         assert!(c.poll_tag(96, false, 0));
-        let expect = 37.45 * 96.0 + 100.0 + 25.0 + 50.0;
-        assert!((c.clock.total().as_f64() - expect).abs() < 1e-9);
+        assert_eq!(c.clock.total().as_ns(), 37_450 * 96 + 175_000);
     }
 
     #[test]
@@ -1355,7 +1364,7 @@ mod tests {
         assert_eq!(c.counters.rounds, 1);
         assert_eq!(c.counters.circles, 1);
         assert_eq!(c.counters.reader_bits, 160);
-        assert!((c.clock.total().as_f64() - 160.0 * 37.45).abs() < 1e-9);
+        assert_eq!(c.clock.total().as_ns(), 160 * 37_450);
     }
 
     #[test]
@@ -1393,7 +1402,7 @@ mod tests {
         let before = c.clock.total();
         c.charge_recovery_backoff(1, 1500);
         assert_eq!(c.counters.recovery_backoff_us, 1500);
-        assert!((c.clock.total() - before).as_f64() - 1500.0 < 1e-9);
+        assert_eq!(c.clock.total() - before, Micros::from_us(1500.0));
         // Both still-active tags listened through the backoff.
         assert!((c.counters.tag_listen_us - 3000.0).abs() < 1e-9);
         c.note_recovery_pass(2, 2);
@@ -1448,9 +1457,9 @@ mod tests {
         }
         assert_eq!(live.counters, restored.counters);
         assert_eq!(
-            live.clock.total().as_f64().to_bits(),
-            restored.clock.total().as_f64().to_bits(),
-            "clock must continue bit-exactly"
+            live.clock.total(),
+            restored.clock.total(),
+            "clock must continue exactly"
         );
         assert_eq!(live.rng.state(), restored.rng.state());
         assert_eq!(live.log.to_jsonl(), restored.log.to_jsonl());

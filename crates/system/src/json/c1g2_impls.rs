@@ -10,23 +10,45 @@
 //! and the C1G2 clock travel in session snapshots and reports. The reader
 //! command vocabulary (`Command`, `QueryCommand`, …) is never persisted.
 
-use super::{write_f64, FromJson, Json, JsonError, ToJson};
+use super::{write_milli, FromJson, Json, JsonError, ToJson};
 use crate::{impl_json_enum, impl_json_struct};
 use rfid_c1g2::{Clock, LinkParams, Micros, TimeBreakdown, TimeCategory};
 
+/// A duration is decimal microseconds with at most three fraction digits
+/// (`645680.1`): the nanosecond count written with integer digits only,
+/// read back through [`Json::Milli`] to the same count, never an `f64`.
 impl ToJson for Micros {
     fn to_json(&self) -> Json {
-        Json::Float(self.as_f64())
+        let ns = self.as_ns();
+        if ns % 1_000 == 0 {
+            Json::UInt(ns / 1_000)
+        } else {
+            Json::Milli(ns)
+        }
     }
 
     fn write_json(&self, out: &mut String) {
-        write_f64(out, self.as_f64());
+        write_milli(out, self.as_ns());
     }
 }
 
 impl FromJson for Micros {
     fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(Micros::from_us(json.as_f64()?))
+        let err = |why: &str| Err(JsonError(format!("duration {json} µs {why}")));
+        match json {
+            Json::UInt(us) => match us.checked_mul(1_000) {
+                Some(ns) => Ok(Micros::from_ns(ns)),
+                None => err("is past the u64 nanosecond range"),
+            },
+            Json::Milli(ns) => Ok(Micros::from_ns(*ns)),
+            Json::Int(_) => err("is negative"),
+            Json::Float(x) if x.is_sign_negative() => err("is negative"),
+            Json::Float(x) if *x >= 18_446_744_073_709_551.615 => {
+                err("is past the u64 nanosecond range")
+            }
+            Json::Float(_) => err("has more than three fraction digits"),
+            _ => err("is not a number"),
+        }
     }
 }
 
@@ -68,7 +90,10 @@ impl FromJson for TimeBreakdown {
         let mut breakdown = TimeBreakdown::default();
         for (key, value) in fields {
             let cat = TimeCategory::from_json(&Json::str(key.clone()))?;
-            breakdown.record(cat, Micros::from_json(value)?);
+            if !breakdown.get(cat).is_zero() {
+                return Err(JsonError(format!("breakdown names {key} twice")));
+            }
+            breakdown.record(cat, Micros::from_json(value).map_err(|e| e.in_field(key))?);
         }
         Ok(breakdown)
     }
@@ -77,7 +102,7 @@ impl FromJson for TimeBreakdown {
 impl ToJson for Clock {
     fn to_json(&self) -> Json {
         Json::Obj(vec![
-            ("elapsed_us".to_string(), Json::Float(self.total().as_f64())),
+            ("elapsed_us".to_string(), self.total().to_json()),
             ("breakdown".to_string(), self.breakdown().to_json()),
         ])
     }
@@ -85,17 +110,18 @@ impl ToJson for Clock {
 
 impl FromJson for Clock {
     fn from_json(json: &Json) -> Result<Self, JsonError> {
-        // `elapsed_us` must be restored verbatim, not recomputed from the
-        // buckets: the live clock accumulates it one addition per `spend`
-        // in chronological order, so a per-category re-sum can differ in
-        // the last float bits and break bit-identical session restores.
+        // Whole nanoseconds add exactly, so a live clock's total is the
+        // sum of its buckets; anything else is a corrupt snapshot.
         let elapsed: Micros = json.field("elapsed_us")?;
         let breakdown: TimeBreakdown = json.field("breakdown")?;
-        let total = breakdown.total().as_f64();
-        if (elapsed.as_f64() - total).abs() > 1e-6 * total.max(1.0) {
+        let total = breakdown
+            .iter()
+            .try_fold(0u64, |sum, (_, us)| sum.checked_add(us.as_ns()));
+        if total != Some(elapsed.as_ns()) {
             return Err(JsonError(format!(
-                "clock elapsed_us {} inconsistent with breakdown total {total}",
-                elapsed.as_f64()
+                "clock elapsed_us {} is not the sum of its breakdown {}",
+                elapsed.to_json(),
+                breakdown.to_json()
             )));
         }
         Ok(Clock::from_parts(elapsed, breakdown))
@@ -149,20 +175,74 @@ mod tests {
         clock.spend(TimeCategory::Turnaround, Micros::from_us(150.0));
         clock.spend(TimeCategory::TagReply, Micros::from_us(25.0));
         let text = to_json_string(&clock);
-        let back: Clock = from_json_str(&text).unwrap();
-        for (cat, us) in clock.breakdown().iter() {
-            assert_eq!(back.breakdown().get(cat), us, "bucket {cat:?}");
-        }
         assert_eq!(
-            back.total().as_f64().to_bits(),
-            clock.total().as_f64().to_bits(),
-            "elapsed must restore bit-exactly, not be re-summed"
+            text,
+            "{\"elapsed_us\":998.9,\"breakdown\":{\"ReaderCommand\":823.9,\
+             \"PollingVector\":0,\"IndicatorVector\":0,\"Turnaround\":150,\
+             \"TagReply\":25,\"WastedSlot\":0}}"
         );
+        let back: Clock = from_json_str(&text).unwrap();
+        assert_eq!(back.breakdown(), clock.breakdown());
+        assert_eq!(back.total(), clock.total());
     }
 
     #[test]
     fn clock_rejects_inconsistent_elapsed() {
-        let text = r#"{"elapsed_us": 500.0, "breakdown": {"TagReply": 10.0}}"#;
-        assert!(from_json_str::<Clock>(text).is_err());
+        for text in [
+            r#"{"elapsed_us": 500.0, "breakdown": {"TagReply": 10.0}}"#,
+            // One nanosecond off is as corrupt as any other drift.
+            r#"{"elapsed_us": 10.001, "breakdown": {"TagReply": 10}}"#,
+            // Buckets whose sum overflows cannot match any elapsed.
+            r#"{"elapsed_us": 18446744073709551.615,
+                "breakdown": {"TagReply": 18446744073709551.615, "Turnaround": 1}}"#,
+            r#"{"elapsed_us": 20, "breakdown": {"TagReply": 10, "TagReply": 10}}"#,
+        ] {
+            assert!(from_json_str::<Clock>(text).is_err(), "{text}");
+        }
+        let ok = r#"{"elapsed_us": 10.001, "breakdown": {"TagReply": 10.001}}"#;
+        assert_eq!(from_json_str::<Clock>(ok).unwrap().total().as_ns(), 10_001);
+    }
+
+    #[test]
+    fn micros_is_decimal_us_with_at_most_three_fraction_digits() {
+        for (ns, text) in [
+            (0, "0"),
+            (645_680_100, "645680.1"),
+            (37_450, "37.45"),
+            (1, "0.001"),
+            (576_780_000, "576780"),
+            (u64::MAX, "18446744073709551.615"),
+        ] {
+            let us = Micros::from_ns(ns);
+            assert_eq!(to_json_string(&us), text);
+            assert_eq!(us.to_json().to_string(), text);
+            assert_eq!(from_json_str::<Micros>(text).unwrap(), us, "{text}");
+        }
+        rfid_hash::prop::check("micros_json_is_exact", 1_024, |g| {
+            let us = Micros::from_ns(g.u64() >> g.u64_below(64));
+            let text = to_json_string(&us);
+            rfid_hash::prop_assert_eq!(us.to_json().to_string(), text.clone());
+            rfid_hash::prop_assert!(!text.contains(['e', 'E']), "exponent in {text}");
+            let fraction = text.split_once('.').map_or(0, |(_, f)| f.len());
+            rfid_hash::prop_assert!(fraction <= 3, "{text} has {fraction} fraction digits");
+            rfid_hash::prop_assert_eq!(from_json_str::<Micros>(&text).ok(), Some(us));
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn micros_rejects_what_is_not_a_whole_nanosecond_count() {
+        for (text, why) in [
+            ("-5", "negative"),
+            ("-0.5", "negative"),
+            ("18446744073709552", "past the u64 nanosecond range"),
+            ("18446744073709551.616", "past the u64 nanosecond range"),
+            ("0.0001", "more than three fraction digits"),
+            ("1.2345", "more than three fraction digits"),
+            ("\"5\"", "not a number"),
+        ] {
+            let err = from_json_str::<Micros>(text).unwrap_err();
+            assert!(err.0.contains(why), "{text}: {err}");
+        }
     }
 }

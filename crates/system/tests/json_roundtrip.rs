@@ -105,26 +105,26 @@ const EVERY_BROADCAST_KIND: [BroadcastKind; 13] = [
 
 #[test]
 fn writer_matches_tree_for_every_timed_event() {
-    // Integral, short, long-fraction, huge and tiny timestamps: every
-    // shape `f64`'s `Display` produces.
-    let stamps = [0.0, 37.45, 0.1 + 0.2, 1e21, 1e-7];
+    // Integral, one-, two- and three-fraction-digit, largest and tiny
+    // timestamps: every shape a nanosecond count takes in µs.
+    let stamps = [0, 37_450, 300, 1_001, 645_680_100, u64::MAX, 1];
     let broadcasts = EVERY_BROADCAST_KIND
         .iter()
         .map(|&what| Event::ReaderBroadcast { what, bits: 4 });
     for event in every_event().into_iter().chain(broadcasts) {
-        for &us in &stamps {
+        for &ns in &stamps {
             round_trip(&TimedEvent {
-                at: Micros::from_us(us),
+                at: Micros::from_ns(ns),
                 event,
             });
         }
     }
     assert_eq!(
         to_json_string(&TimedEvent {
-            at: Micros::from_us(1e-7),
+            at: Micros::from_ns(1),
             event: Event::SlotEmpty,
         }),
-        r#"{"at":0.0000001,"event":"SlotEmpty"}"#
+        r#"{"at":0.001,"event":"SlotEmpty"}"#
     );
 }
 

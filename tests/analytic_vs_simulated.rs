@@ -95,12 +95,7 @@ fn execution_times_match_the_timing_model() {
         let scenario = Scenario::uniform(n, l).with_seed(50);
         let outcome = run_polling(&CppConfig::default(), &scenario);
         let model = analysis::timing::cpp_time_per_tag(&LinkParams::paper(), l as u64) * n as u64;
-        assert!(
-            (outcome.report().total_time.as_f64() - model.as_f64()).abs() < 1e-6,
-            "l = {l}: simulated {} vs model {}",
-            outcome.report().total_time,
-            model
-        );
+        assert_eq!(outcome.report().total_time, model, "l = {l}");
     }
 }
 

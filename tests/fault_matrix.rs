@@ -7,8 +7,9 @@
 use fast_rfid_polling::apps::info_collect::collect;
 use fast_rfid_polling::apps::unknown::run_hpp_with_aliens;
 use fast_rfid_polling::baselines::MicConfig;
+use fast_rfid_polling::daemon::all_protocols;
 use fast_rfid_polling::prelude::*;
-use fast_rfid_polling::system::{Counters, KillRule, SimConfig, SimContext};
+use fast_rfid_polling::system::{Counters, FaultPlan, KillRule, SimConfig, SimContext};
 
 const N: usize = 150;
 
@@ -103,6 +104,73 @@ fn every_protocol_completes_or_stalls_cleanly_across_the_matrix() {
         totals.desync_recoveries > 0,
         "no desync recoveries happened"
     );
+}
+
+/// The clock is whole nanoseconds: under loss, corruption, bursts, a dead
+/// tag and recovery backoff, every protocol's total is exactly the sum of its
+/// breakdown, trace time never runs backwards, and every JSONL timestamp
+/// is decimal µs with at most three fraction digits and no exponent.
+#[test]
+fn every_protocol_keeps_an_exact_clock_under_faults() {
+    let fault = FaultModel::perfect()
+        .with_downlink_loss(0.15)
+        .with_corruption(0.3)
+        .with_burst(GilbertElliott::new(0.1, 0.5, 0.0, 0.8))
+        // A dead tag stalls every pass, so recovery backs off on the clock.
+        .with_plan(FaultPlan {
+            kill_after_replies: vec![KillRule {
+                tag: 0,
+                after_replies: 0,
+            }],
+            ..FaultPlan::none()
+        });
+    let mut backoff_us = 0;
+    for protocol in all_protocols() {
+        for seed in [1, 99] {
+            let scenario = Scenario::uniform(N, 4).with_seed(seed);
+            let cfg = SimConfig::paper(scenario.protocol_seed())
+                .with_fault(fault.clone())
+                .with_trace();
+            let mut ctx = SimContext::new(scenario.build_population(), &cfg);
+            let policy = RecoveryPolicy::unbounded()
+                .with_max_passes(4)
+                .with_backoff(1_000, 4_000);
+            // The deadline bounds the identification protocols, which
+            // keep splitting around a dead tag within one pass.
+            let _ = Session::open(protocol.as_ref(), &ctx)
+                .with_policy(policy)
+                .with_deadline_us(2.0e6)
+                .run(&mut ctx);
+            let label = format!("{} seed={seed}", protocol.name());
+            let report = Report::from_context(protocol.name(), &ctx);
+            assert_eq!(report.total_time, report.breakdown.total(), "{label}");
+            backoff_us += report.counters.recovery_backoff_us;
+            let events = ctx.log.events();
+            assert!(!events.is_empty(), "{label}: nothing traced");
+            assert!(
+                events
+                    .iter()
+                    .zip(events.iter().skip(1))
+                    .all(|(a, b)| a.at <= b.at),
+                "{label}: trace time ran backwards"
+            );
+            assert!(events.back().unwrap().at <= ctx.clock.total(), "{label}");
+            for line in ctx.log.to_jsonl().lines() {
+                let at = line
+                    .strip_prefix("{\"at\":")
+                    .and_then(|rest| rest.split(',').next())
+                    .unwrap_or_else(|| panic!("{label}: no leading at in {line}"));
+                let (whole, fraction) = at.split_once('.').unwrap_or((at, ""));
+                assert!(
+                    whole.bytes().all(|b| b.is_ascii_digit())
+                        && fraction.len() <= 3
+                        && fraction.bytes().all(|b| b.is_ascii_digit()),
+                    "{label}: timestamp {at} is not decimal µs with at most three fraction digits"
+                );
+            }
+        }
+    }
+    assert!(backoff_us > 0, "no run idled through a recovery backoff");
 }
 
 #[test]

@@ -6,8 +6,13 @@
 //! These apps drive the simulator outside the `PollingProtocol` engine and
 //! charge some exchanges by hand, so their counters are pinned here on
 //! their own. Each case pins the `Report` JSON (counters, clock, time
-//! breakdown) and the FNV-1a digest of the JSONL event trace, and must
-//! produce the same `Report` JSON with tracing switched off.
+//! breakdown), the FNV-1a digest of the JSONL event trace and the digest
+//! of the trace with its timestamps stripped, and must produce the same
+//! `Report` JSON with tracing switched off. The exact-clock re-pin's
+//! oracle (DESIGN.md §12) stays here too: every number of the `f64`-clock
+//! capture is within 1e-9 relative of its re-pinned value.
+
+mod support;
 
 use fast_rfid_polling::apps::missing::{MissingStrategy, MissingTagApp, MissingTagDetector};
 use fast_rfid_polling::apps::unknown::run_hpp_with_aliens;
@@ -41,8 +46,8 @@ fn run_aliens(cfg: &SimConfig) -> SimContext {
 }
 
 /// Runs one app case over a fresh context, traced or not, and returns the
-/// context's report JSON and trace digest.
-fn run_case(name: &str, traced: bool) -> (String, u64) {
+/// context's report JSON, trace digest and timestamp-stripped digest.
+fn run_case(name: &str, traced: bool) -> (String, u64, u64) {
     let clean = |seed| config(seed, Channel::perfect(), traced);
     let lossy = |seed| config(seed, Channel::lossy(0.05), traced);
     let ctx = match name {
@@ -81,35 +86,61 @@ fn run_case(name: &str, traced: bool) -> (String, u64) {
         other => panic!("unknown case {other}"),
     };
     let report = Report::from_context(name, &ctx);
-    (report.to_json().to_string(), ctx.log.digest())
+    (
+        report.to_json().to_string(),
+        ctx.log.digest(),
+        support::untimed_digest(&ctx.log),
+    )
 }
 
-/// Captured before the counter/event write path was unified: (case,
-/// report JSON, FNV-1a of the JSONL trace).
-const GOLDEN: &[(&str, &str, u64)] = &[
-    ("missing-tpp", "{\"protocol\":\"missing-tpp\",\"tags\":275,\"total_time\":141118.3500000002,\"breakdown\":{\"ReaderCommand\":58796.50000000022,\"PollingVector\":30446.850000000024,\"IndicatorVector\":0,\"Turnaround\":43750,\"TagReply\":6875,\"WastedSlot\":1250},\"counters\":{\"reader_bits\":2383,\"tag_bits\":275,\"vector_bits\":813,\"query_rep_bits\":1200,\"polls\":275,\"rounds\":9,\"circles\":0,\"empty_slots\":25,\"collision_slots\":0,\"lost_replies\":0,\"downlink_losses\":0,\"corrupted_replies\":0,\"desync_recoveries\":0,\"retransmissions\":0,\"recovery_passes\":0,\"recovery_backoff_us\":0,\"tag_listen_us\":18962130.650000002}}", 0x758282cc3e0b84b5),
-    ("missing-hpp", "{\"protocol\":\"missing-hpp\",\"tags\":275,\"total_time\":196843.9500000002,\"breakdown\":{\"ReaderCommand\":61792.50000000028,\"PollingVector\":83176.45000000019,\"IndicatorVector\":0,\"Turnaround\":43750,\"TagReply\":6875,\"WastedSlot\":1250},\"counters\":{\"reader_bits\":3871,\"tag_bits\":275,\"vector_bits\":2221,\"query_rep_bits\":1200,\"polls\":275,\"rounds\":8,\"circles\":0,\"empty_slots\":25,\"collision_slots\":0,\"lost_replies\":0,\"downlink_losses\":0,\"corrupted_replies\":0,\"desync_recoveries\":0,\"retransmissions\":0,\"recovery_passes\":0,\"recovery_backoff_us\":0,\"tag_listen_us\":27326794.700000007}}", 0x2dc43d10a724662f),
-    ("missing-tpp-lossy", "{\"protocol\":\"missing-tpp-lossy\",\"tags\":275,\"total_time\":154840.70000000004,\"breakdown\":{\"ReaderCommand\":68346.25000000023,\"PollingVector\":32244.450000000023,\"IndicatorVector\":0,\"Turnaround\":45300,\"TagReply\":6850,\"WastedSlot\":2100},\"counters\":{\"reader_bits\":2686,\"tag_bits\":274,\"vector_bits\":861,\"query_rep_bits\":1264,\"polls\":274,\"rounds\":15,\"circles\":0,\"empty_slots\":42,\"collision_slots\":0,\"lost_replies\":17,\"downlink_losses\":0,\"corrupted_replies\":0,\"desync_recoveries\":0,\"retransmissions\":0,\"recovery_passes\":0,\"recovery_backoff_us\":0,\"tag_listen_us\":20000566.849999975}}", 0x8137d68220eceb12),
-    ("detect-witness", "{\"protocol\":\"detect-witness\",\"tags\":970,\"total_time\":8892.3,\"breakdown\":{\"ReaderCommand\":5767.299999999999,\"PollingVector\":0,\"IndicatorVector\":0,\"Turnaround\":2650,\"TagReply\":425,\"WastedSlot\":50},\"counters\":{\"reader_bits\":154,\"tag_bits\":17,\"vector_bits\":0,\"query_rep_bits\":72,\"polls\":0,\"rounds\":1,\"circles\":0,\"empty_slots\":1,\"collision_slots\":0,\"lost_replies\":0,\"downlink_losses\":0,\"corrupted_replies\":0,\"desync_recoveries\":0,\"retransmissions\":0,\"recovery_passes\":0,\"recovery_backoff_us\":0,\"tag_listen_us\":8625531}}", 0x34801dd0302e279e),
-    ("detect-clean", "{\"protocol\":\"detect-clean\",\"tags\":400,\"total_time\":877136.3999999986,\"breakdown\":{\"ReaderCommand\":534486.4000000037,\"PollingVector\":0,\"IndicatorVector\":0,\"Turnaround\":293700,\"TagReply\":48950,\"WastedSlot\":0},\"counters\":{\"reader_bits\":14272,\"tag_bits\":1958,\"vector_bits\":0,\"query_rep_bits\":7832,\"polls\":0,\"rounds\":11,\"circles\":0,\"empty_slots\":0,\"collision_slots\":0,\"lost_replies\":0,\"downlink_losses\":0,\"corrupted_replies\":0,\"desync_recoveries\":0,\"retransmissions\":0,\"recovery_passes\":0,\"recovery_backoff_us\":0,\"tag_listen_us\":350854560}}", 0x619e32d8f2494ae7),
-    ("aliens", "{\"protocol\":\"aliens\",\"tags\":600,\"total_time\":472159.8000000075,\"breakdown\":{\"ReaderCommand\":348434.8000000029,\"PollingVector\":0,\"IndicatorVector\":0,\"Turnaround\":106050,\"TagReply\":12500,\"WastedSlot\":5175},\"counters\":{\"reader_bits\":9304,\"tag_bits\":500,\"vector_bits\":4253,\"query_rep_bits\":8728,\"polls\":500,\"rounds\":18,\"circles\":0,\"empty_slots\":0,\"collision_slots\":207,\"lost_replies\":0,\"downlink_losses\":0,\"corrupted_replies\":0,\"desync_recoveries\":0,\"retransmissions\":0,\"recovery_passes\":0,\"recovery_backoff_us\":0,\"tag_listen_us\":154225808.45}}", 0xab0a27bf0b3dae00),
-    ("aliens-lossy", "{\"protocol\":\"aliens-lossy\",\"tags\":600,\"total_time\":498884.50000000786,\"breakdown\":{\"ReaderCommand\":367384.50000000326,\"PollingVector\":0,\"IndicatorVector\":0,\"Turnaround\":112000,\"TagReply\":12600,\"WastedSlot\":6900},\"counters\":{\"reader_bits\":9810,\"tag_bits\":504,\"vector_bits\":4214,\"query_rep_bits\":9234,\"polls\":500,\"rounds\":18,\"circles\":0,\"empty_slots\":25,\"collision_slots\":226,\"lost_replies\":0,\"downlink_losses\":0,\"corrupted_replies\":0,\"desync_recoveries\":0,\"retransmissions\":0,\"recovery_passes\":0,\"recovery_backoff_us\":0,\"tag_listen_us\":162467595.6500001}}", 0x943cdc08ea7bbc52),
+/// Captured before the counter/event write path was unified, re-pinned
+/// once for the exact clock: (case, report JSON, FNV-1a of the JSONL
+/// trace, FNV-1a of the trace without timestamps).
+const GOLDEN: &[(&str, &str, u64, u64)] = &[
+    ("missing-tpp", "{\"protocol\":\"missing-tpp\",\"tags\":275,\"total_time\":141118.35,\"breakdown\":{\"ReaderCommand\":58796.5,\"PollingVector\":30446.85,\"IndicatorVector\":0,\"Turnaround\":43750,\"TagReply\":6875,\"WastedSlot\":1250},\"counters\":{\"reader_bits\":2383,\"tag_bits\":275,\"vector_bits\":813,\"query_rep_bits\":1200,\"polls\":275,\"rounds\":9,\"circles\":0,\"empty_slots\":25,\"collision_slots\":0,\"lost_replies\":0,\"downlink_losses\":0,\"corrupted_replies\":0,\"desync_recoveries\":0,\"retransmissions\":0,\"recovery_passes\":0,\"recovery_backoff_us\":0,\"tag_listen_us\":18962130.650000002}}", 0x20704406e6b595a5, 0x39c8ce8cd60a8a10),
+    ("missing-hpp", "{\"protocol\":\"missing-hpp\",\"tags\":275,\"total_time\":196843.95,\"breakdown\":{\"ReaderCommand\":61792.5,\"PollingVector\":83176.45,\"IndicatorVector\":0,\"Turnaround\":43750,\"TagReply\":6875,\"WastedSlot\":1250},\"counters\":{\"reader_bits\":3871,\"tag_bits\":275,\"vector_bits\":2221,\"query_rep_bits\":1200,\"polls\":275,\"rounds\":8,\"circles\":0,\"empty_slots\":25,\"collision_slots\":0,\"lost_replies\":0,\"downlink_losses\":0,\"corrupted_replies\":0,\"desync_recoveries\":0,\"retransmissions\":0,\"recovery_passes\":0,\"recovery_backoff_us\":0,\"tag_listen_us\":27326794.700000007}}", 0x7226030186442acf, 0xd50a24e9c7b04dea),
+    ("missing-tpp-lossy", "{\"protocol\":\"missing-tpp-lossy\",\"tags\":275,\"total_time\":154840.7,\"breakdown\":{\"ReaderCommand\":68346.25,\"PollingVector\":32244.45,\"IndicatorVector\":0,\"Turnaround\":45300,\"TagReply\":6850,\"WastedSlot\":2100},\"counters\":{\"reader_bits\":2686,\"tag_bits\":274,\"vector_bits\":861,\"query_rep_bits\":1264,\"polls\":274,\"rounds\":15,\"circles\":0,\"empty_slots\":42,\"collision_slots\":0,\"lost_replies\":17,\"downlink_losses\":0,\"corrupted_replies\":0,\"desync_recoveries\":0,\"retransmissions\":0,\"recovery_passes\":0,\"recovery_backoff_us\":0,\"tag_listen_us\":20000566.84999997}}", 0x33b7b380841c89f2, 0x5db2a766a5a9a4c1),
+    ("detect-witness", "{\"protocol\":\"detect-witness\",\"tags\":970,\"total_time\":8892.3,\"breakdown\":{\"ReaderCommand\":5767.3,\"PollingVector\":0,\"IndicatorVector\":0,\"Turnaround\":2650,\"TagReply\":425,\"WastedSlot\":50},\"counters\":{\"reader_bits\":154,\"tag_bits\":17,\"vector_bits\":0,\"query_rep_bits\":72,\"polls\":0,\"rounds\":1,\"circles\":0,\"empty_slots\":1,\"collision_slots\":0,\"lost_replies\":0,\"downlink_losses\":0,\"corrupted_replies\":0,\"desync_recoveries\":0,\"retransmissions\":0,\"recovery_passes\":0,\"recovery_backoff_us\":0,\"tag_listen_us\":8625531}}", 0xcce8c589487652a8, 0xf013160da4751c19),
+    ("detect-clean", "{\"protocol\":\"detect-clean\",\"tags\":400,\"total_time\":877136.4,\"breakdown\":{\"ReaderCommand\":534486.4,\"PollingVector\":0,\"IndicatorVector\":0,\"Turnaround\":293700,\"TagReply\":48950,\"WastedSlot\":0},\"counters\":{\"reader_bits\":14272,\"tag_bits\":1958,\"vector_bits\":0,\"query_rep_bits\":7832,\"polls\":0,\"rounds\":11,\"circles\":0,\"empty_slots\":0,\"collision_slots\":0,\"lost_replies\":0,\"downlink_losses\":0,\"corrupted_replies\":0,\"desync_recoveries\":0,\"retransmissions\":0,\"recovery_passes\":0,\"recovery_backoff_us\":0,\"tag_listen_us\":350854560}}", 0x4ed663a0e732e9dc, 0x609d3a2538cffee1),
+    ("aliens", "{\"protocol\":\"aliens\",\"tags\":600,\"total_time\":472159.8,\"breakdown\":{\"ReaderCommand\":348434.8,\"PollingVector\":0,\"IndicatorVector\":0,\"Turnaround\":106050,\"TagReply\":12500,\"WastedSlot\":5175},\"counters\":{\"reader_bits\":9304,\"tag_bits\":500,\"vector_bits\":4253,\"query_rep_bits\":8728,\"polls\":500,\"rounds\":18,\"circles\":0,\"empty_slots\":0,\"collision_slots\":207,\"lost_replies\":0,\"downlink_losses\":0,\"corrupted_replies\":0,\"desync_recoveries\":0,\"retransmissions\":0,\"recovery_passes\":0,\"recovery_backoff_us\":0,\"tag_listen_us\":154225808.45}}", 0xd0e23b6a10697afc, 0xd266eb43f6df8155),
+    ("aliens-lossy", "{\"protocol\":\"aliens-lossy\",\"tags\":600,\"total_time\":498884.5,\"breakdown\":{\"ReaderCommand\":367384.5,\"PollingVector\":0,\"IndicatorVector\":0,\"Turnaround\":112000,\"TagReply\":12600,\"WastedSlot\":6900},\"counters\":{\"reader_bits\":9810,\"tag_bits\":504,\"vector_bits\":4214,\"query_rep_bits\":9234,\"polls\":500,\"rounds\":18,\"circles\":0,\"empty_slots\":25,\"collision_slots\":226,\"lost_replies\":0,\"downlink_losses\":0,\"corrupted_replies\":0,\"desync_recoveries\":0,\"retransmissions\":0,\"recovery_passes\":0,\"recovery_backoff_us\":0,\"tag_listen_us\":162467595.6500001}}", 0xd554b4c6c9e69e2b, 0xe30acb6e0fb7e5c5),
+];
+
+/// The same cases' report JSON under the `f64`-microsecond clock, before
+/// the exact-clock re-pin.
+const PRE_EXACT_CLOCK: &[&str] = &[
+    "{\"protocol\":\"missing-tpp\",\"tags\":275,\"total_time\":141118.3500000002,\"breakdown\":{\"ReaderCommand\":58796.50000000022,\"PollingVector\":30446.850000000024,\"IndicatorVector\":0,\"Turnaround\":43750,\"TagReply\":6875,\"WastedSlot\":1250},\"counters\":{\"reader_bits\":2383,\"tag_bits\":275,\"vector_bits\":813,\"query_rep_bits\":1200,\"polls\":275,\"rounds\":9,\"circles\":0,\"empty_slots\":25,\"collision_slots\":0,\"lost_replies\":0,\"downlink_losses\":0,\"corrupted_replies\":0,\"desync_recoveries\":0,\"retransmissions\":0,\"recovery_passes\":0,\"recovery_backoff_us\":0,\"tag_listen_us\":18962130.650000002}}",
+    "{\"protocol\":\"missing-hpp\",\"tags\":275,\"total_time\":196843.9500000002,\"breakdown\":{\"ReaderCommand\":61792.50000000028,\"PollingVector\":83176.45000000019,\"IndicatorVector\":0,\"Turnaround\":43750,\"TagReply\":6875,\"WastedSlot\":1250},\"counters\":{\"reader_bits\":3871,\"tag_bits\":275,\"vector_bits\":2221,\"query_rep_bits\":1200,\"polls\":275,\"rounds\":8,\"circles\":0,\"empty_slots\":25,\"collision_slots\":0,\"lost_replies\":0,\"downlink_losses\":0,\"corrupted_replies\":0,\"desync_recoveries\":0,\"retransmissions\":0,\"recovery_passes\":0,\"recovery_backoff_us\":0,\"tag_listen_us\":27326794.700000007}}",
+    "{\"protocol\":\"missing-tpp-lossy\",\"tags\":275,\"total_time\":154840.70000000004,\"breakdown\":{\"ReaderCommand\":68346.25000000023,\"PollingVector\":32244.450000000023,\"IndicatorVector\":0,\"Turnaround\":45300,\"TagReply\":6850,\"WastedSlot\":2100},\"counters\":{\"reader_bits\":2686,\"tag_bits\":274,\"vector_bits\":861,\"query_rep_bits\":1264,\"polls\":274,\"rounds\":15,\"circles\":0,\"empty_slots\":42,\"collision_slots\":0,\"lost_replies\":17,\"downlink_losses\":0,\"corrupted_replies\":0,\"desync_recoveries\":0,\"retransmissions\":0,\"recovery_passes\":0,\"recovery_backoff_us\":0,\"tag_listen_us\":20000566.849999975}}",
+    "{\"protocol\":\"detect-witness\",\"tags\":970,\"total_time\":8892.3,\"breakdown\":{\"ReaderCommand\":5767.299999999999,\"PollingVector\":0,\"IndicatorVector\":0,\"Turnaround\":2650,\"TagReply\":425,\"WastedSlot\":50},\"counters\":{\"reader_bits\":154,\"tag_bits\":17,\"vector_bits\":0,\"query_rep_bits\":72,\"polls\":0,\"rounds\":1,\"circles\":0,\"empty_slots\":1,\"collision_slots\":0,\"lost_replies\":0,\"downlink_losses\":0,\"corrupted_replies\":0,\"desync_recoveries\":0,\"retransmissions\":0,\"recovery_passes\":0,\"recovery_backoff_us\":0,\"tag_listen_us\":8625531}}",
+    "{\"protocol\":\"detect-clean\",\"tags\":400,\"total_time\":877136.3999999986,\"breakdown\":{\"ReaderCommand\":534486.4000000037,\"PollingVector\":0,\"IndicatorVector\":0,\"Turnaround\":293700,\"TagReply\":48950,\"WastedSlot\":0},\"counters\":{\"reader_bits\":14272,\"tag_bits\":1958,\"vector_bits\":0,\"query_rep_bits\":7832,\"polls\":0,\"rounds\":11,\"circles\":0,\"empty_slots\":0,\"collision_slots\":0,\"lost_replies\":0,\"downlink_losses\":0,\"corrupted_replies\":0,\"desync_recoveries\":0,\"retransmissions\":0,\"recovery_passes\":0,\"recovery_backoff_us\":0,\"tag_listen_us\":350854560}}",
+    "{\"protocol\":\"aliens\",\"tags\":600,\"total_time\":472159.8000000075,\"breakdown\":{\"ReaderCommand\":348434.8000000029,\"PollingVector\":0,\"IndicatorVector\":0,\"Turnaround\":106050,\"TagReply\":12500,\"WastedSlot\":5175},\"counters\":{\"reader_bits\":9304,\"tag_bits\":500,\"vector_bits\":4253,\"query_rep_bits\":8728,\"polls\":500,\"rounds\":18,\"circles\":0,\"empty_slots\":0,\"collision_slots\":207,\"lost_replies\":0,\"downlink_losses\":0,\"corrupted_replies\":0,\"desync_recoveries\":0,\"retransmissions\":0,\"recovery_passes\":0,\"recovery_backoff_us\":0,\"tag_listen_us\":154225808.45}}",
+    "{\"protocol\":\"aliens-lossy\",\"tags\":600,\"total_time\":498884.50000000786,\"breakdown\":{\"ReaderCommand\":367384.50000000326,\"PollingVector\":0,\"IndicatorVector\":0,\"Turnaround\":112000,\"TagReply\":12600,\"WastedSlot\":6900},\"counters\":{\"reader_bits\":9810,\"tag_bits\":504,\"vector_bits\":4214,\"query_rep_bits\":9234,\"polls\":500,\"rounds\":18,\"circles\":0,\"empty_slots\":25,\"collision_slots\":226,\"lost_replies\":0,\"downlink_losses\":0,\"corrupted_replies\":0,\"desync_recoveries\":0,\"retransmissions\":0,\"recovery_passes\":0,\"recovery_backoff_us\":0,\"tag_listen_us\":162467595.6500001}}",
 ];
 
 #[test]
 fn app_counters_and_traces_match_the_capture() {
-    for &(name, golden_json, golden_trace) in GOLDEN {
-        let (json, trace) = run_case(name, true);
+    for &(name, golden_json, golden_trace, golden_untimed) in GOLDEN {
+        let (json, trace, untimed) = run_case(name, true);
         assert_eq!(json, golden_json, "{name}: report drifted");
+        assert_eq!(untimed, golden_untimed, "{name}: event sequence drifted");
         assert_eq!(trace, golden_trace, "{name}: trace drifted");
     }
 }
 
 #[test]
 fn app_counters_do_not_depend_on_tracing() {
-    for &(name, golden_json, _) in GOLDEN {
-        let (json, trace) = run_case(name, false);
+    for &(name, golden_json, ..) in GOLDEN {
+        let (json, trace, _) = run_case(name, false);
         assert_eq!(json, golden_json, "{name}: untraced report drifted");
         assert_eq!(trace, fnv64(""), "{name}: untraced run recorded events");
+    }
+}
+
+#[test]
+fn exact_clock_repin_moved_no_number_beyond_rounding() {
+    assert_eq!(PRE_EXACT_CLOCK.len(), GOLDEN.len());
+    for (old, &(name, new, ..)) in PRE_EXACT_CLOCK.iter().zip(GOLDEN) {
+        support::assert_numbers_within(name, old, new, 1e-9);
     }
 }

@@ -5,7 +5,7 @@
 //!
 //! Tolerances, and why:
 //! * CPP and the lower bound are deterministic in time — the simulator must
-//!   match the model to floating-point precision (1e-6 µs).
+//!   match the model to the nanosecond: both are whole-nanosecond sums.
 //! * HPP/EHPP/TPP poll with random per-run vector lengths; their mean time
 //!   over a handful of runs tracks `execution_time(link, n, E[w], l)` but
 //!   carries per-protocol overheads the per-tag model omits (round/circle
@@ -13,6 +13,10 @@
 //!   hot and the gap closes as n grows. Observed worst cases on this grid:
 //!   HPP 8.2 %, TPP 9.8 % (both at n = 200, l = 1), EHPP 3.6 %. The bands
 //!   below add ~25 % headroom: 12 % for HPP/TPP, 6 % for EHPP.
+//!
+//! The exact-clock re-pin's oracle (DESIGN.md §12) covers this grid too:
+//! every mean time the `f64`-microsecond clock produced here is within
+//! 1e-9 relative of today's.
 
 use fast_rfid_polling::analysis;
 use fast_rfid_polling::baselines::{CppConfig, LowerBound, MicConfig};
@@ -81,19 +85,69 @@ fn table_cpp_and_lower_bound_times_match_the_model_exactly() {
         for l in [1usize, 16, 32] {
             let model = analysis::timing::cpp_time_per_tag(&link, l as u64) * n as u64;
             let simulated = mean_time_us(&cpp, n, l, 1);
-            assert!(
-                (simulated - model.as_f64()).abs() < 1e-6,
-                "CPP n={n} l={l}: {simulated} vs {}",
-                model.as_f64()
-            );
+            assert_eq!(simulated, model.as_f64(), "CPP n={n} l={l}");
             let model = analysis::timing::lower_bound(&link, n as u64, l as u64);
             let simulated = mean_time_us(&lb, n, l, 1);
-            assert!(
-                (simulated - model.as_f64()).abs() < 1e-6,
-                "LowerBound n={n} l={l}: {simulated} vs {}",
-                model.as_f64()
-            );
+            assert_eq!(simulated, model.as_f64(), "LowerBound n={n} l={l}");
         }
+    }
+}
+
+/// Mean times (µs) of this file's cells under the `f64`-microsecond
+/// clock, before the exact-clock re-pin: (protocol, n, l, runs, mean).
+const PRE_EXACT_CLOCK: &[(&str, usize, usize, u64, f64)] = &[
+    ("CPP", 200, 1, 1, 754039.9999999984),
+    ("CPP", 200, 16, 1, 829039.9999999976),
+    ("CPP", 200, 32, 1, 909039.999999997),
+    ("CPP", 500, 1, 1, 1885099.9999999844),
+    ("CPP", 500, 16, 1, 2072599.9999999835),
+    ("CPP", 500, 32, 1, 2272599.999999992),
+    ("LowerBound", 200, 1, 1, 64960.00000000023),
+    ("LowerBound", 200, 16, 1, 139960.00000000023),
+    ("LowerBound", 200, 32, 1, 219959.9999999993),
+    ("LowerBound", 500, 1, 1, 162399.9999999997),
+    ("LowerBound", 500, 16, 1, 349899.99999999674),
+    ("LowerBound", 500, 32, 1, 549899.9999999972),
+    ("HPP", 200, 1, 4, 126958.47499999995),
+    ("HPP", 200, 16, 4, 201958.47499999942),
+    ("HPP", 200, 32, 4, 281958.47499999905),
+    ("HPP", 500, 1, 4, 331336.94999999634),
+    ("HPP", 500, 16, 4, 518836.94999999367),
+    ("HPP", 500, 32, 4, 718836.9500000002),
+    ("TPP", 200, 1, 4, 98075.16250000027),
+    ("TPP", 200, 16, 4, 173075.1624999998),
+    ("TPP", 200, 32, 4, 253075.16249999916),
+    ("TPP", 500, 1, 4, 233938.8624999982),
+    ("TPP", 500, 16, 4, 421438.8624999969),
+    ("TPP", 500, 32, 4, 621438.8625000002),
+    ("EHPP", 200, 1, 4, 126958.47499999995),
+    ("EHPP", 200, 16, 4, 201958.47499999942),
+    ("EHPP", 200, 32, 4, 281958.47499999905),
+    ("EHPP", 500, 1, 4, 334698.0874999985),
+    ("EHPP", 500, 16, 4, 522198.08749999595),
+    ("EHPP", 500, 32, 4, 722198.0875000018),
+    ("MIC", 500, 1, 4, 258506.41249999654),
+    ("MIC", 500, 16, 4, 476662.66249999474),
+    ("MIC", 500, 32, 4, 709362.6625000034),
+];
+
+#[test]
+fn exact_clock_repin_moved_no_mean_beyond_rounding() {
+    let protocols: Vec<Box<dyn PollingProtocol>> = vec![
+        Box::new(CppConfig::default()),
+        Box::new(LowerBound),
+        Box::new(HppConfig::default()),
+        Box::new(TppConfig::default()),
+        Box::new(EhppConfig::default()),
+        Box::new(MicConfig::default()),
+    ];
+    for &(name, n, l, runs, old) in PRE_EXACT_CLOCK {
+        let protocol = protocols.iter().find(|p| p.name() == name).unwrap();
+        let new = mean_time_us(protocol.as_ref(), n, l, runs);
+        assert!(
+            (new - old).abs() <= 1e-9 * old,
+            "{name} n={n} l={l}: mean moved from {old} to {new}"
+        );
     }
 }
 
