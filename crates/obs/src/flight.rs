@@ -122,10 +122,7 @@ impl FlightRecorder {
                 "rng_state".to_string(),
                 Json::Arr(ctx.rng.state().iter().map(|&w| Json::UInt(w)).collect()),
             ),
-            (
-                "clock_us".to_string(),
-                Json::Float(ctx.clock.total().as_f64()),
-            ),
+            ("clock_us".to_string(), ctx.clock.total().to_json()),
             ("passes".to_string(), Json::UInt(passes)),
             ("coverage".to_string(), Json::Float(coverage)),
             ("events".to_string(), Json::Arr(tail)),
