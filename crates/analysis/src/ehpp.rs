@@ -96,13 +96,6 @@ pub fn fig4_series(lcs: &[u64]) -> Vec<(u64, f64, u64, f64)> {
         .collect()
 }
 
-/// The Fig. 5 series: `w(n)` for one `l_c` over a sweep of `n`.
-pub fn fig5_series(l_c: u64, ns: &[u64]) -> Vec<(u64, f64)> {
-    ns.iter()
-        .map(|&n| (n, average_vector_length(n, l_c, 0)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

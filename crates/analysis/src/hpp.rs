@@ -30,14 +30,6 @@ pub fn expected_singletons(n: f64, f: f64) -> f64 {
     n * (-(n - 1.0) / f).exp()
 }
 
-/// One round of the Eq. (3) recurrence: `(read_this_round, remaining)`.
-pub fn round_step(n: f64) -> (f64, f64) {
-    let h = index_length(n.ceil() as u64);
-    let f = (1u64 << h) as f64;
-    let read = expected_singletons(n, f);
-    (read, n - read)
-}
-
 /// Per-round trace of the analytic HPP execution for `n` tags.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RoundTrace {

@@ -3,7 +3,7 @@
 //! The simulator's ground truth is twofold: end-of-run
 //! [`rfid_system::Counters`] (what every figure and table is built from)
 //! and the sim-time-stamped event trace ([`rfid_system::EventLog`]). This
-//! crate turns traces into *metrics* and *guarantees*:
+//! crate turns traces into *metrics*:
 //!
 //! * [`histogram::Log2Histogram`] — allocation-light log-scaled histograms
 //!   for long-tailed quantities (vector lengths, latencies, slot times),
@@ -11,10 +11,12 @@
 //!   counters and time series with a zero-cost disabled path,
 //! * [`trace::metrics_from_log`] — derives the paper-relevant metric set
 //!   (vector-length distribution, per-tag poll latency, slot durations,
-//!   unread-tags-vs-time, retransmission depth) from any trace,
-//! * [`reconcile::reconcile`] — replays a trace and recomputes the run's
-//!   `Counters` bit-for-bit; a mismatch means an instrumentation bug, and
-//!   the CI reconciliation slice runs it against every protocol.
+//!   unread-tags-vs-time, retransmission depth) from any trace.
+//!
+//! Replaying a trace into `Counters` is
+//! [`rfid_system::Counters::from_events`], the fold of the same
+//! `Counters::apply` the simulator runs live; the golden tests assert that
+//! every traced run folds back into its counters.
 //!
 //! PR 8 adds the profiling plane (DESIGN.md §14):
 //!
@@ -31,15 +33,11 @@
 pub mod flight;
 pub mod histogram;
 pub mod metrics;
-pub mod reconcile;
 pub mod span;
 pub mod trace;
 
 pub use flight::{FlightBundle, FlightRecorder};
 pub use histogram::Log2Histogram;
-pub use metrics::{
-    expose_text, wire_counters, DeltaCursor, MetricsRegistry, SeriesPoint, TimeSeries,
-};
-pub use reconcile::{counters_from_events, reconcile, reconcile_counters, ReconcileError};
+pub use metrics::{wire_counters, DeltaCursor, MetricsRegistry, SeriesPoint, TimeSeries};
 pub use span::{folded_stacks, render_flame, span_tree, Span};
 pub use trace::{metrics_from_events, metrics_from_log};

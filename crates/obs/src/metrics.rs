@@ -285,11 +285,6 @@ impl ToJson for MetricsRegistry {
     }
 }
 
-/// [`MetricsRegistry::expose_text`] as a free function, for the prelude.
-pub fn expose_text(registry: &MetricsRegistry) -> String {
-    registry.expose_text()
-}
-
 /// A Prometheus-safe metric name: sanitized and `rfid_`-prefixed.
 fn metric_name(name: &str) -> String {
     let mut out = String::with_capacity(name.len() + 5);
@@ -522,7 +517,6 @@ mod tests {
         assert!(text.contains("rfid_vector_bits_count 3\n"));
         // Series expose their latest value as a gauge.
         assert!(text.contains("# TYPE rfid_unread gauge\nrfid_unread 7\n"));
-        assert_eq!(m.expose_text(), expose_text(&m), "free fn agrees");
     }
 
     #[test]

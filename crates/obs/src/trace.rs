@@ -17,7 +17,7 @@
 //! | `unread_tags`            | series    | `RoundStarted.unread` at each round start      |
 //! | `retransmission_depth`   | series    | `Retransmission.attempt` at each retry         |
 //! | `reader_bits`/`tag_bits` | counter   | broadcast / reply payload bits                 |
-//! | `coverage_pct`           | series    | collected % at recovery-pass / circuit events  |
+//! | `coverage_pct`           | series    | polled % of polled + uncollected, per recovery |
 //! | per-event counts         | counter   | `polls`, `rounds`, `recovery_passes`, …        |
 
 use rfid_system::{Event, EventLog, TimedEvent};
@@ -45,16 +45,15 @@ where
     // Sim-time of the previous slot boundary (terminal event or
     // round/circle start): the origin of the next slot-duration sample.
     let mut slot_origin: Option<f64> = None;
-    // Largest unread count ever announced — the population size, used as
-    // the denominator of the `coverage_pct` series at recovery boundaries.
-    let mut population: Option<usize> = None;
+    // Tags polled so far: with the `uncollected` count a recovery event
+    // carries, the collected share of the population at that point.
+    let mut polls = 0usize;
     for te in events {
         let now = te.at.as_f64();
         match te.event {
             Event::RoundStarted { unread, .. } => {
                 m.inc("rounds", 1);
                 m.point("unread_tags", te.at, unread as f64);
-                population = Some(population.unwrap_or(0).max(unread));
                 epoch = Some(now);
                 slot_origin = Some(now);
             }
@@ -66,6 +65,7 @@ where
             Event::ReaderBroadcast { bits, .. } => m.inc("reader_bits", bits),
             Event::TagPolled { vector_bits, .. } => {
                 m.inc("polls", 1);
+                polls += 1;
                 m.observe("vector_bits", vector_bits);
                 if let Some(t0) = epoch {
                     m.observe("poll_latency_us", us(now - t0));
@@ -104,28 +104,24 @@ where
             Event::StallTick { .. } => m.inc("stall_ticks", 1),
             Event::RecoveryPassStarted { uncollected, .. } => {
                 m.inc("recovery_passes", 1);
-                if let Some(pop) = population {
-                    m.point("coverage_pct", te.at, coverage_pct(pop, uncollected));
-                }
+                m.point("coverage_pct", te.at, coverage_pct(polls, uncollected));
             }
             Event::BackoffWaited { us, .. } => m.inc("recovery_backoff_us", us),
             Event::CircuitOpened { uncollected, .. } => {
                 m.inc("circuit_opened", 1);
-                if let Some(pop) = population {
-                    m.point("coverage_pct", te.at, coverage_pct(pop, uncollected));
-                }
+                m.point("coverage_pct", te.at, coverage_pct(polls, uncollected));
             }
         }
     }
     m
 }
 
-/// Collected percentage of a `pop`-tag inventory with `uncollected` left.
-fn coverage_pct(pop: usize, uncollected: usize) -> f64 {
-    if pop == 0 {
-        100.0
-    } else {
-        (pop.saturating_sub(uncollected)) as f64 / pop as f64 * 100.0
+/// Collected percentage of an inventory with `polled` tags read and
+/// `uncollected` left.
+fn coverage_pct(polled: usize, uncollected: usize) -> f64 {
+    match polled + uncollected {
+        0 => 100.0,
+        n => polled as f64 / n as f64 * 100.0,
     }
 }
 
@@ -287,32 +283,28 @@ mod tests {
 
     #[test]
     fn recovery_events_derive_a_coverage_series() {
-        let log = log_with(&[
-            (
-                0.0,
-                Event::RoundStarted {
-                    round: 1,
-                    h: 3,
-                    unread: 10,
-                },
-            ),
-            (100.0, Event::BackoffWaited { pass: 1, us: 1_000 }),
-            (
-                1_100.0,
-                Event::RecoveryPassStarted {
-                    pass: 2,
-                    uncollected: 4,
-                },
-            ),
-            (
-                2_000.0,
-                Event::CircuitOpened {
-                    passes: 2,
-                    uncollected: 2,
-                },
-            ),
-        ]);
-        let m = metrics_from_log(&log);
+        let polled = |tag: usize| Event::TagPolled {
+            tag,
+            vector_bits: 1,
+        };
+        let mut events: Vec<(f64, Event)> = (0..6).map(|t| (t as f64, polled(t))).collect();
+        events.push((100.0, Event::BackoffWaited { pass: 1, us: 1_000 }));
+        events.push((
+            1_100.0,
+            Event::RecoveryPassStarted {
+                pass: 2,
+                uncollected: 4,
+            },
+        ));
+        events.extend((6..8).map(|t| (1_200.0 + t as f64, polled(t))));
+        events.push((
+            2_000.0,
+            Event::CircuitOpened {
+                passes: 2,
+                uncollected: 2,
+            },
+        ));
+        let m = metrics_from_log(&log_with(&events));
         assert_eq!(m.counter("recovery_passes"), 1);
         assert_eq!(m.counter("recovery_backoff_us"), 1_000);
         assert_eq!(m.counter("circuit_opened"), 1);

@@ -424,11 +424,6 @@ impl Session {
         self
     }
 
-    /// The protocol's display name.
-    pub fn protocol_name(&self) -> &'static str {
-        self.name
-    }
-
     /// Path of the most recent postmortem bundle, if one was dumped.
     pub fn last_postmortem(&self) -> Option<&PathBuf> {
         self.last_postmortem.as_ref()

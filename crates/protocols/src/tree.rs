@@ -76,18 +76,6 @@ impl PollingTree {
         self.descend((0..self.height).rev().map(|i| (value >> i) & 1 == 1));
     }
 
-    /// Inserts an index given as bits (must have exactly `height` bits).
-    pub fn insert_bits(&mut self, bits: &[bool]) {
-        assert_eq!(
-            bits.len(),
-            self.height as usize,
-            "index length {} != tree height {}",
-            bits.len(),
-            self.height
-        );
-        self.descend(bits.iter().copied());
-    }
-
     /// Walks `height` bits from the root, creating nodes along the way.
     fn descend(&mut self, bits: impl Iterator<Item = bool>) {
         let mut at = 0u32;

@@ -21,7 +21,7 @@ use rfid_c1g2::{Clock, LinkParams, Micros, TimeCategory};
 use rfid_hash::Xoshiro256;
 
 use crate::channel::{Channel, SlotOutcome};
-use crate::event::{BroadcastKind, Event, EventLog};
+use crate::event::{BroadcastKind, Event, EventLog, TimedEvent};
 use crate::fault::FaultModel;
 use crate::json::{Json, JsonError, ToJson};
 use crate::packed::{pack_codes, pack_varints, unpack_codes, unpack_varints};
@@ -175,9 +175,9 @@ impl Counters {
     /// Folds one event into the counters: broadcast bits split by
     /// [`BroadcastKind`] into total/QueryRep/vector charges, and every
     /// other counter is an event count. The single event→counter mapping —
-    /// [`SimContext::emit`] applies it live, and trace replay folds it over
-    /// a recorded log. `tag_listen_us` is a continuous integral, not an
-    /// event, and is never touched here.
+    /// [`SimContext::emit`] applies it live, and [`Counters::from_events`]
+    /// folds it over a recorded log. `tag_listen_us` is a continuous
+    /// integral, not an event, and is never touched here.
     #[inline]
     pub fn apply(&mut self, event: &Event) {
         match *event {
@@ -206,6 +206,20 @@ impl Counters {
             Event::BackoffWaited { us, .. } => self.recovery_backoff_us += us,
             Event::StallTick { .. } | Event::CircuitOpened { .. } => {}
         }
+    }
+
+    /// Replays recorded events into the counters they imply: the fold of
+    /// [`Counters::apply`] that [`SimContext::emit`] applies live, so a
+    /// complete trace folds back into its run's counters. `tag_listen_us`
+    /// stays zero.
+    pub fn from_events<'a, I>(events: I) -> Counters
+    where
+        I: IntoIterator<Item = &'a TimedEvent>,
+    {
+        events.into_iter().fold(Counters::default(), |mut c, te| {
+            c.apply(&te.event);
+            c
+        })
     }
 
     /// Average polling-vector length `w` = vector bits per successful poll.
@@ -1638,5 +1652,48 @@ mod tests {
         let id = Counters::default();
         assert_eq!(a.counters.merged(&id), a.counters);
         assert_eq!(id.merged(&a.counters), a.counters);
+    }
+
+    #[test]
+    fn replay_attributes_broadcast_bits_by_kind() {
+        let mut log = EventLog::enabled();
+        for (us, what, bits) in [
+            (0, BroadcastKind::QueryRep, 4),
+            (1, BroadcastKind::PollingVector, 7),
+            (2, BroadcastKind::Probe, 9),
+        ] {
+            log.record(
+                Micros::from_ns(us * 1_000),
+                Event::ReaderBroadcast { what, bits },
+            );
+        }
+        log.record(Micros::from_ns(3_000), Event::VectorCharged { bits: 2 });
+        let c = Counters::from_events(log.events());
+        assert_eq!(c.reader_bits, 20);
+        assert_eq!(c.query_rep_bits, 4);
+        assert_eq!(c.vector_bits, 9, "PollingVector bits + VectorCharged");
+    }
+
+    #[test]
+    fn recovery_events_replay_into_recovery_counters() {
+        let mut log = EventLog::enabled();
+        log.record(Micros::ZERO, Event::BackoffWaited { pass: 1, us: 1_500 });
+        log.record(
+            Micros::from_ns(1_000),
+            Event::RecoveryPassStarted {
+                pass: 2,
+                uncollected: 7,
+            },
+        );
+        log.record(
+            Micros::from_ns(2_000),
+            Event::CircuitOpened {
+                passes: 2,
+                uncollected: 7,
+            },
+        );
+        let c = Counters::from_events(log.events());
+        assert_eq!(c.recovery_passes, 1);
+        assert_eq!(c.recovery_backoff_us, 1_500);
     }
 }

@@ -313,7 +313,7 @@ crate::impl_json_struct!(TimedEvent { at, event });
 /// An optional event log. Disabled by default: large Monte-Carlo sweeps must
 /// not pay for tracing. The bounded ring mode keeps the newest `capacity`
 /// events for long runs where only the tail matters (and remembers how many
-/// it dropped, so reconciliation can refuse a truncated trace).
+/// it dropped, so a replay can tell a truncated trace from a whole one).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EventLog {
     enabled: bool,

@@ -2,14 +2,18 @@
 //! loss, payload corruption, and burst loss, either collects all tags
 //! exactly once or returns a consistent `PollingError::Stalled` — it never
 //! panics and never double-collects (a double `mark_read` would panic
-//! inside the population, so a green run proves exactly-once).
+//! inside the population, so a green run proves exactly-once). Every
+//! traced run's events must fold back into its counters.
+
+mod support;
 
 use fast_rfid_polling::apps::info_collect::collect;
 use fast_rfid_polling::apps::unknown::run_hpp_with_aliens;
 use fast_rfid_polling::baselines::MicConfig;
 use fast_rfid_polling::daemon::all_protocols;
+use fast_rfid_polling::hash::prop;
 use fast_rfid_polling::prelude::*;
-use fast_rfid_polling::system::{Counters, FaultPlan, KillRule, SimConfig, SimContext};
+use fast_rfid_polling::system::{Counters, EventLog, FaultPlan, KillRule, SimConfig, SimContext};
 
 const N: usize = 150;
 
@@ -110,6 +114,11 @@ fn every_protocol_completes_or_stalls_cleanly_across_the_matrix() {
 /// tag and recovery backoff, every protocol's total is exactly the sum of its
 /// breakdown, trace time never runs backwards, and every JSONL timestamp
 /// is decimal µs with at most three fraction digits and no exponent.
+///
+/// The trace also folds into the counters, before and after a JSONL round
+/// trip; this is the one traced run where recovery passes and backoff
+/// fire. Where the trace derives a coverage series, its last point is the
+/// `Degraded` coverage.
 #[test]
 fn every_protocol_keeps_an_exact_clock_under_faults() {
     let fault = FaultModel::perfect()
@@ -126,8 +135,9 @@ fn every_protocol_keeps_an_exact_clock_under_faults() {
         });
     let mut backoff_us = 0;
     for protocol in all_protocols() {
-        for seed in [1, 99] {
-            let scenario = Scenario::uniform(N, 4).with_seed(seed);
+        // At 500 tags EHPP announces per-circle subsets, not the population.
+        for (n, seed) in [(N, 1), (N, 99), (500, 7)] {
+            let scenario = Scenario::uniform(n, 4).with_seed(seed);
             let cfg = SimConfig::paper(scenario.protocol_seed())
                 .with_fault(fault.clone())
                 .with_trace();
@@ -137,11 +147,26 @@ fn every_protocol_keeps_an_exact_clock_under_faults() {
                 .with_backoff(1_000, 4_000);
             // The deadline bounds the identification protocols, which
             // keep splitting around a dead tag within one pass.
-            let _ = Session::open(protocol.as_ref(), &ctx)
+            let end = Session::open(protocol.as_ref(), &ctx)
                 .with_policy(policy)
                 .with_deadline_us(2.0e6)
                 .run(&mut ctx);
-            let label = format!("{} seed={seed}", protocol.name());
+            let label = format!("{} n={n} seed={seed}", protocol.name());
+            support::assert_trace_folds_into(&label, &ctx.log, &ctx.counters);
+            let metrics = metrics_from_log(&ctx.log);
+            let series = metrics.series("coverage_pct").and_then(|s| s.last());
+            assert_eq!(
+                series.is_some(),
+                end.passes() > 1,
+                "{label}: a recovery pass leaves a coverage series, and only one does"
+            );
+            if let (Some(traced), SessionEnd::Degraded { coverage, .. }) = (series, &end) {
+                assert!(
+                    (traced.value - coverage * 100.0).abs() < 1e-9,
+                    "{label}: trace coverage {} is not the Degraded {coverage}",
+                    traced.value
+                );
+            }
             let report = Report::from_context(protocol.name(), &ctx);
             assert_eq!(report.total_time, report.breakdown.total(), "{label}");
             backoff_us += report.counters.recovery_backoff_us;
@@ -155,7 +180,14 @@ fn every_protocol_keeps_an_exact_clock_under_faults() {
                 "{label}: trace time ran backwards"
             );
             assert!(events.back().unwrap().at <= ctx.clock.total(), "{label}");
-            for line in ctx.log.to_jsonl().lines() {
+            let jsonl = ctx.log.to_jsonl();
+            let reimported = EventLog::from_jsonl(&jsonl).expect("trace re-parses");
+            assert_eq!(
+                Counters::from_events(&reimported),
+                Counters::from_events(ctx.log.events()),
+                "{label}: the JSONL round trip changed the fold"
+            );
+            for line in jsonl.lines() {
                 let at = line
                     .strip_prefix("{\"at\":")
                     .and_then(|rest| rest.split(',').next())
@@ -171,6 +203,38 @@ fn every_protocol_keeps_an_exact_clock_under_faults() {
         }
     }
     assert!(backoff_us > 0, "no run idled through a recovery backoff");
+}
+
+/// The trace→counter fold holds whatever the fault model draws, whether
+/// the run completes or stalls.
+#[test]
+fn traces_fold_into_counters_under_random_fault_models() {
+    prop::check("trace fold under random fault models", 48, |g| {
+        let n = g.len_in(1, 120);
+        let seed = g.u64();
+        let mut fault = FaultModel::perfect()
+            .with_downlink_loss(g.f64_in(0.0, 0.4))
+            .with_corruption(g.f64_in(0.0, 0.4))
+            .with_max_poll_retries(g.u64_in(1, 4) as u32);
+        if g.bool() {
+            fault = fault.with_burst(GilbertElliott::new(
+                g.f64_in(0.05, 0.3),
+                g.f64_in(0.2, 0.8),
+                0.0,
+                g.f64_in(0.5, 0.9),
+            ));
+        }
+        let protocol = &protocols()[g.u64_below(4) as usize];
+        let scenario = Scenario::uniform(n, 1).with_seed(seed);
+        let cfg = SimConfig::paper(scenario.protocol_seed())
+            .with_trace()
+            .with_fault(fault);
+        let mut ctx = SimContext::new(scenario.build_population(), &cfg);
+        let _ = protocol.try_run(&mut ctx);
+        let label = format!("{} (n={n}, seed={seed})", protocol.name());
+        support::assert_trace_folds_into(&label, &ctx.log, &ctx.counters);
+        Ok(())
+    });
 }
 
 #[test]

@@ -17,7 +17,8 @@
 //!
 //! Every case also runs untraced and must produce the same report: the
 //! counters are written by the same call that records the trace, and
-//! switching the trace off must not change them.
+//! switching the trace off must not change them. The traced run's events
+//! must fold back into its counters (DESIGN.md §9).
 
 mod support;
 
@@ -49,6 +50,7 @@ fn check(protocol: &dyn PollingProtocol, cfg: SimConfig, scenario: &Scenario, go
             "{name} (traced: {traced}): report drifted from the capture"
         );
         if traced {
+            support::assert_trace_folds_into(name, &ctx.log, &ctx.counters);
             assert_eq!(
                 support::untimed_digest(&ctx.log),
                 golden_untimed,

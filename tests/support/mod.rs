@@ -1,10 +1,34 @@
-//! Checks shared by the golden tests for the exact-clock re-pin (DESIGN.md
-//! §12): the f64-microsecond clock's captures moved to whole nanoseconds,
-//! and these two checks show nothing but rounding moved with them.
+//! Checks shared by the golden and fault-matrix tests.
+//!
+//! Two serve the exact-clock re-pin (DESIGN.md §12): the f64-microsecond
+//! clock's captures moved to whole nanoseconds, and these checks show
+//! nothing but rounding moved with them. The third is the trace→counter
+//! fold (DESIGN.md §9): a complete trace replays into its run's counters.
+
+// Each test binary that includes this module uses a subset of it.
+#![allow(dead_code)]
 
 use fast_rfid_polling::hash::Fnv64;
 use fast_rfid_polling::system::event::EventLog;
 use fast_rfid_polling::system::json::{Json, ToJson};
+use fast_rfid_polling::system::Counters;
+
+/// Asserts that `log` recorded the whole run (enabled, nothing evicted)
+/// and folds, through [`Counters::from_events`], into exactly `counters`.
+/// `tag_listen_us` is a time integral, not an event, so it is left out.
+/// A counter written anywhere but `SimContext::emit` fails here.
+pub fn assert_trace_folds_into(label: &str, log: &EventLog, counters: &Counters) {
+    assert!(log.is_enabled(), "{label}: the trace is off");
+    assert_eq!(log.dropped(), 0, "{label}: the trace ring dropped events");
+    assert_eq!(
+        Counters::from_events(log.events()),
+        Counters {
+            tag_listen_us: 0.0,
+            ..*counters
+        },
+        "{label}: the trace does not fold into the run's counters"
+    );
+}
 
 /// FNV-1a of the trace's JSONL with every `at` stripped: the event
 /// sequence alone, whatever the clock read when each was recorded.
