@@ -107,7 +107,7 @@ pub fn run_hpp_with_aliens(
         let mut read_now = Vec::new();
         for &(idx, target) in &singles {
             let repliers = repliers_of.get(&idx).cloned().unwrap_or_default();
-            match ctx.slot(&repliers, 4 + h as u64) {
+            match ctx.slot(&repliers, 4 + h as u64, None) {
                 SlotOutcome::Singleton(tag) if tag == target => {
                     ctx.emit(rfid_system::Event::VectorCharged { bits: h as u64 });
                     ctx.mark_read(tag);

@@ -113,7 +113,7 @@ impl ProtocolStepper for FsaStepper {
             for &end in &ends[..frame as usize] {
                 let repliers = &ordered[start..end];
                 start = end;
-                match ctx.slot(repliers, rfid_c1g2::QUERY_REP_BITS) {
+                match ctx.slot(repliers, rfid_c1g2::QUERY_REP_BITS, None) {
                     SlotOutcome::Singleton(tag) => ctx.mark_read(tag),
                     SlotOutcome::Empty => {
                         let pad = ctx.link.tag_tx(payload_bits);

@@ -304,13 +304,13 @@ impl ProtocolStepper for MicStepper {
             match slot {
                 Some(a) => {
                     if let SlotOutcome::Singleton(tag) =
-                        ctx.slot(&[a.tag], rfid_c1g2::QUERY_REP_BITS)
+                        ctx.slot(&[a.tag], rfid_c1g2::QUERY_REP_BITS, None)
                     {
                         ctx.mark_read(tag);
                     }
                 }
                 None => {
-                    ctx.slot(&[], rfid_c1g2::QUERY_REP_BITS);
+                    ctx.slot(&[], rfid_c1g2::QUERY_REP_BITS, None);
                     // Pad the empty slot to the full reply window.
                     let pad = ctx.link.tag_tx(self.payload_bits);
                     ctx.wait(TimeCategory::WastedSlot, pad);

@@ -1,17 +1,19 @@
-//! Allocation audit for the polling hot path.
+//! Allocation audit for the polling and contention-slot hot paths.
 //!
 //! The round-index/arena rework's claim is that a fault-free inventory
 //! allocates O(rounds) — arena high-water growth — never O(slots). A
 //! counting `#[global_allocator]` shim proves it: the allocation count of a
-//! full HPP run must stay far below the poll count, and growing the
-//! population (hence the slot count) several-fold must not grow the
-//! allocation count proportionally. The shim lives here, not in a library
+//! full HPP, FSA, binary-splitting or Q-algorithm run must stay far below
+//! its slot count, and growing the population (hence the slot count)
+//! several-fold must not grow the allocation count proportionally. The shim lives here, not in a library
 //! crate, because every workspace lib `forbid(unsafe_code)`s — an
 //! integration test is its own crate root and may implement `GlobalAlloc`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
+use rfid_baselines::FsaConfig;
+use rfid_identify::{BinarySplitConfig, QAlgorithmConfig};
 use rfid_protocols::{HppConfig, PollingProtocol};
 use rfid_system::{BitVec, SimConfig, SimContext, TagPopulation};
 
@@ -45,40 +47,52 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Runs a fault-free HPP inventory of `n` tags with the counter armed only
+/// Runs a fault-free inventory of `n` tags with the counter armed only
 /// around the protocol run (population/context construction may allocate
-/// freely) and returns (allocations, polls).
-fn counted_hpp_run(n: usize) -> (u64, u64) {
+/// freely) and returns (allocations, slots).
+fn counted_run(protocol: &dyn PollingProtocol, n: usize) -> (u64, u64) {
     let pop = TagPopulation::sequential(n, |i| BitVec::from_value((i % 16) as u64, 4));
     let mut ctx = SimContext::new(pop, &SimConfig::paper(7));
-    let protocol = HppConfig::default();
     ACQUISITIONS.store(0, Ordering::SeqCst);
     ARMED.store(true, Ordering::SeqCst);
     let report = protocol.run(&mut ctx);
     ARMED.store(false, Ordering::SeqCst);
-    (ACQUISITIONS.load(Ordering::SeqCst), report.counters.polls)
+    let c = &report.counters;
+    assert_eq!(c.polls, n as u64, "{}", protocol.name());
+    (
+        ACQUISITIONS.load(Ordering::SeqCst),
+        c.polls + c.empty_slots + c.collision_slots,
+    )
 }
 
-/// One test drives both checks — the counter is process-global and the
-/// default test harness runs `#[test]`s concurrently.
+/// One test drives every check — the counter is process-global and the
+/// default test harness runs `#[test]`s concurrently. HPP polls; FSA,
+/// binary splitting and the Q-algorithm resolve contention slots.
 #[test]
 fn hpp_inner_loop_does_not_allocate_per_slot() {
-    let (small_allocs, small_polls) = counted_hpp_run(2_000);
-    assert_eq!(small_polls, 2_000);
-    // O(rounds) arena growth plus the final report: a couple hundred
-    // acquisitions at the most, never one per poll.
-    assert!(
-        small_allocs < small_polls / 4,
-        "HPP allocated {small_allocs} times for {small_polls} polls"
-    );
+    let protocols: [Box<dyn PollingProtocol>; 4] = [
+        Box::new(HppConfig::default()),
+        Box::new(FsaConfig::default()),
+        Box::new(BinarySplitConfig::default()),
+        Box::new(QAlgorithmConfig::default()),
+    ];
+    for protocol in &protocols {
+        let name = protocol.name();
+        let (small_allocs, small_slots) = counted_run(protocol.as_ref(), 2_000);
+        // O(rounds) arena growth plus the final report: a couple hundred
+        // acquisitions at the most, never one per slot.
+        assert!(
+            small_allocs < small_slots / 4,
+            "{name} allocated {small_allocs} times for {small_slots} slots"
+        );
 
-    // Scaling check: 8× the tags (and ≈ 8× the slots) must not cost
-    // anywhere near 8× the allocations — arenas grow to a high-water mark,
-    // they are not reacquired per slot.
-    let (large_allocs, large_polls) = counted_hpp_run(16_000);
-    assert_eq!(large_polls, 16_000);
-    assert!(
-        large_allocs < small_allocs + large_polls / 8,
-        "allocations scale with slots: {small_allocs} at n=2k vs {large_allocs} at n=16k"
-    );
+        // Scaling check: 8× the tags (and ≈ 8× the slots) must not cost
+        // anywhere near 8× the allocations — arenas grow to a high-water
+        // mark, they are not reacquired per slot.
+        let (large_allocs, large_slots) = counted_run(protocol.as_ref(), 16_000);
+        assert!(
+            large_allocs < small_allocs + large_slots / 8,
+            "{name}: allocations scale with slots: {small_allocs} at n=2k vs {large_allocs} at n=16k"
+        );
+    }
 }

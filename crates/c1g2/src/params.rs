@@ -153,14 +153,6 @@ impl LinkParams {
     pub fn poll_exchange(&self, reader_bits: u64, tag_bits: u64) -> Micros {
         self.reader_tx(reader_bits) + self.t1 + self.tag_tx(tag_bits) + self.t2
     }
-
-    /// The cost of a slot in which the reader transmitted `reader_bits` but
-    /// no tag replied: the reader still waits `T1` and then the empty-slot
-    /// detection window `T3`.
-    #[inline]
-    pub fn empty_slot(&self, reader_bits: u64) -> Micros {
-        self.reader_tx(reader_bits) + self.t1 + self.t3
-    }
 }
 
 impl Default for LinkParams {
@@ -240,11 +232,5 @@ mod tests {
             TagEncoding::Fm0,
             ReaderEncoding::pie(1.5),
         );
-    }
-
-    #[test]
-    fn empty_slot_is_cheaper_than_exchange() {
-        let p = LinkParams::paper();
-        assert!(p.empty_slot(4) < p.poll_exchange(4, 1));
     }
 }

@@ -94,7 +94,7 @@ impl EstimationProtocol {
         }
         let mut first_empty = self.cfg.geometric_slots - 1;
         for (j, repliers) in per_slot.iter().enumerate() {
-            let outcome = ctx.slot(repliers, rfid_c1g2::QUERY_REP_BITS);
+            let outcome = ctx.slot(repliers, rfid_c1g2::QUERY_REP_BITS, Some(1));
             if outcome == SlotOutcome::Empty {
                 first_empty = j as u32;
                 break;
@@ -211,6 +211,22 @@ mod tests {
                 err * 100.0
             );
         }
+    }
+
+    #[test]
+    fn geometric_replies_are_one_bit_whatever_the_payload() {
+        let mut bits = Vec::new();
+        for seed in 0..20 {
+            let pop = TagPopulation::sequential(20, |i| BitVec::from_value(i as u64, 16));
+            let mut ctx = SimContext::new(pop, &SimConfig::paper(seed).with_trace());
+            EstimationProtocol::default().run(&mut ctx);
+            bits.extend(ctx.log.events().iter().filter_map(|e| match e.event {
+                rfid_system::Event::TagReply { bits, .. } => Some(bits),
+                _ => None,
+            }));
+        }
+        assert!(!bits.is_empty(), "no geometric slot decoded a reply");
+        assert!(bits.iter().all(|&b| b == 1), "reply bits {bits:?}");
     }
 
     #[test]

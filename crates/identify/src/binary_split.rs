@@ -12,7 +12,6 @@
 //! no prefix is transmitted, at the price of tag-side state. Expected slot
 //! count is ≈ 2.89 per tag, like QT, but the slot layout differs.
 
-use rfid_c1g2::TimeCategory;
 use rfid_protocols::{PollingProtocol, ProtocolStepper, StallCause, StepDiscipline, StepOutcome};
 use rfid_system::id::EPC_BITS;
 use rfid_system::{Json, JsonError, SimContext, SlotOutcome, ToJson};
@@ -166,7 +165,6 @@ impl ProtocolStepper for BinSplitStepper {
     }
 
     fn step(&mut self, ctx: &mut SimContext) -> StepOutcome {
-        let reply_bits = self.reply_bits;
         self.slots += 1;
         if self.slots >= self.cfg.max_slots {
             return StepOutcome::Stalled(StallCause::RoundCap);
@@ -179,21 +177,10 @@ impl ProtocolStepper for BinSplitStepper {
                 .last()
                 .expect("unidentified tags live in some group"),
             self.cfg.command_bits,
+            Some(self.reply_bits),
         );
         match outcome {
             SlotOutcome::Collision(_) => {
-                // `slot` charged the payload-length occupancy; top it up
-                // to the full ID+CRC burst the colliding tags sent.
-                let top = self.groups.last().expect("collision from the top group");
-                let charged = top
-                    .iter()
-                    .map(|&t| ctx.population.get(t).info.len() as u64)
-                    .max()
-                    .unwrap_or(0);
-                ctx.wait(
-                    TimeCategory::WastedSlot,
-                    ctx.link.tag_tx(reply_bits.saturating_sub(charged)),
-                );
                 let mut old = self.groups.pop().expect("collision from the top group");
                 let mut stay = self.pool.pop().unwrap_or_default();
                 let mut moved = self.pool.pop().unwrap_or_default();
@@ -210,9 +197,6 @@ impl ProtocolStepper for BinSplitStepper {
                 self.groups.push(stay);
             }
             SlotOutcome::Singleton(tag) => {
-                let top_up = reply_bits - ctx.population.get(tag).info.len() as u64;
-                ctx.emit(rfid_system::Event::TagReply { tag, bits: top_up });
-                ctx.wait(TimeCategory::TagReply, ctx.link.tag_tx(top_up));
                 ctx.mark_read(tag);
                 self.remaining -= 1;
                 let mut old = self.groups.pop().expect("singleton from the top group");

@@ -4,9 +4,10 @@
 //! collision; when none replies the slot is empty. Polling protocols never
 //! produce either (they address singletons only) — the channel model is what
 //! lets the simulator *verify* that, and what gives the ALOHA baselines
-//! their empty/collision slots. A configurable reply-loss rate supports
-//! robustness experiments (a lost reply leaves the tag active, so a correct
-//! protocol retries it).
+//! their empty/collision slots. A configurable reply-loss rate, which
+//! `SimContext` applies to every reply before the capture decision here,
+//! supports robustness experiments (a lost reply leaves the tag active, so
+//! a correct protocol retries it).
 
 use rfid_hash::Xoshiro256;
 
@@ -111,18 +112,10 @@ impl Channel {
         Ok(())
     }
 
-    /// Resolves a slot given the handles of the tags that replied.
-    pub fn resolve(&self, repliers: &[usize], rng: &mut Xoshiro256) -> SlotOutcome {
-        // Apply per-reply loss first: a lost reply is as if never sent.
-        let survivors: Vec<usize> = if self.reply_loss_rate > 0.0 {
-            repliers
-                .iter()
-                .copied()
-                .filter(|_| !rng.chance(self.reply_loss_rate))
-                .collect()
-        } else {
-            repliers.to_vec()
-        };
+    /// Resolves a slot given the handles of the replies that reached the
+    /// reader (loss is applied before, by [`crate::SimContext::slot`]): a
+    /// collision the capture effect rescues decodes as one random survivor.
+    pub fn resolve(&self, survivors: &[usize], rng: &mut Xoshiro256) -> SlotOutcome {
         match survivors.len() {
             0 => SlotOutcome::Empty,
             1 => SlotOutcome::Singleton(survivors[0]),
@@ -130,7 +123,6 @@ impl Channel {
                 && (n == 2 || self.capture_any)
                 && rng.chance(self.capture_prob) =>
             {
-                // The reader locks onto one of the survivors at random.
                 SlotOutcome::Singleton(survivors[rng.below(n as u64) as usize])
             }
             n => SlotOutcome::Collision(n),
@@ -165,37 +157,6 @@ mod tests {
         assert_eq!(ch.resolve(&[], &mut r), SlotOutcome::Empty);
         assert_eq!(ch.resolve(&[7], &mut r), SlotOutcome::Singleton(7));
         assert_eq!(ch.resolve(&[1, 2, 3], &mut r), SlotOutcome::Collision(3));
-    }
-
-    #[test]
-    fn lossy_channel_drops_expected_fraction() {
-        let ch = Channel::lossy(0.25);
-        let mut r = rng();
-        let lost = (0..100_000)
-            .filter(|_| ch.resolve(&[0], &mut r) == SlotOutcome::Empty)
-            .count();
-        let rate = lost as f64 / 100_000.0;
-        assert!((rate - 0.25).abs() < 0.01, "loss rate {rate}");
-    }
-
-    #[test]
-    fn loss_can_demote_collision_to_singleton() {
-        let ch = Channel::lossy(0.5);
-        let mut r = rng();
-        let mut saw_singleton = false;
-        let mut saw_collision = false;
-        for _ in 0..1_000 {
-            match ch.resolve(&[4, 9], &mut r) {
-                SlotOutcome::Singleton(t) => {
-                    assert!(t == 4 || t == 9);
-                    saw_singleton = true;
-                }
-                SlotOutcome::Collision(2) => saw_collision = true,
-                SlotOutcome::Empty => {}
-                other => panic!("unexpected {other:?}"),
-            }
-        }
-        assert!(saw_singleton && saw_collision);
     }
 
     #[test]

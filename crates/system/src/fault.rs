@@ -350,11 +350,6 @@ impl FaultModel {
             .map_err(|e| format!("invalid fault plan: {e}"))
     }
 
-    /// Whether any downlink fault (probabilistic or scripted) is configured.
-    pub fn has_downlink_faults(&self) -> bool {
-        self.downlink_loss_rate > 0.0 || !self.plan.drop_downlink_rounds.is_empty()
-    }
-
     /// Whether anything at all is configured (used to keep the no-fault
     /// paths free of bookkeeping and RNG draws).
     pub fn is_perfect(&self) -> bool {
@@ -400,7 +395,6 @@ mod tests {
     fn perfect_is_perfect() {
         let f = FaultModel::perfect();
         assert!(f.is_perfect());
-        assert!(!f.has_downlink_faults());
         assert_eq!(f, FaultModel::default());
     }
 
