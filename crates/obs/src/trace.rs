@@ -18,6 +18,7 @@
 //! | `retransmission_depth`   | series    | `Retransmission.attempt` at each retry         |
 //! | `reader_bits`/`tag_bits` | counter   | broadcast / reply payload bits                 |
 //! | `coverage_pct`           | series    | polled % of polled + uncollected, per recovery |
+//! |                          |           | event and at a degraded end                    |
 //! | per-event counts         | counter   | `polls`, `rounds`, `recovery_passes`, …        |
 
 use rfid_system::{Event, EventLog, TimedEvent};
@@ -109,6 +110,10 @@ where
             Event::BackoffWaited { us, .. } => m.inc("recovery_backoff_us", us),
             Event::CircuitOpened { uncollected, .. } => {
                 m.inc("circuit_opened", 1);
+                m.point("coverage_pct", te.at, coverage_pct(polls, uncollected));
+            }
+            Event::DeadlineReached { uncollected, .. } => {
+                m.inc("deadline_reached", 1);
                 m.point("coverage_pct", te.at, coverage_pct(polls, uncollected));
             }
         }
@@ -312,5 +317,32 @@ mod tests {
         assert_eq!(cov.points.len(), 2);
         assert_eq!(cov.points[0].value, 60.0, "6 of 10 at the pass start");
         assert_eq!(cov.last().unwrap().value, 80.0, "8 of 10 at the circuit");
+    }
+
+    #[test]
+    fn a_deadline_end_closes_the_coverage_series() {
+        let mut events: Vec<(f64, Event)> = (0..3)
+            .map(|tag| {
+                (
+                    tag as f64,
+                    Event::TagPolled {
+                        tag,
+                        vector_bits: 1,
+                    },
+                )
+            })
+            .collect();
+        events.push((
+            500.0,
+            Event::DeadlineReached {
+                passes: 1,
+                uncollected: 1,
+            },
+        ));
+        let m = metrics_from_log(&log_with(&events));
+        assert_eq!(m.counter("deadline_reached"), 1);
+        let cov = m.series("coverage_pct").unwrap();
+        assert_eq!(cov.points.len(), 1);
+        assert_eq!(cov.last().unwrap().value, 75.0, "3 of 4 at the deadline");
     }
 }

@@ -35,7 +35,9 @@
 use std::path::PathBuf;
 
 use rfid_obs::FlightRecorder;
-use rfid_system::{ContextProgress, Json, JsonError, SimConfig, SimContext, TagPopulation, ToJson};
+use rfid_system::{
+    ContextProgress, Event, Json, JsonError, SimConfig, SimContext, TagPopulation, ToJson,
+};
 
 use crate::error::{PollingError, StallCause, StallGuard};
 use crate::report::Report;
@@ -484,7 +486,7 @@ impl Session {
         }
         if let Some(deadline) = self.deadline_us {
             if ctx.clock.total().as_f64() >= deadline {
-                return Some(self.degraded_now(ctx, DegradeCause::Deadline));
+                return Some(self.deadline_end(ctx));
             }
         }
         let discipline = self.stepper.discipline();
@@ -627,15 +629,22 @@ impl Session {
         None
     }
 
-    /// A degraded end measured from the context right now (deadline path:
-    /// no circuit event — the breaker did not open, time simply ran out).
-    fn degraded_now(&self, ctx: &SimContext, cause: DegradeCause) -> SessionEnd {
+    /// The degraded end of a session whose deadline passed, measured from
+    /// the context right now: the breaker did not open, time simply ran
+    /// out. It records a `DeadlineReached` event, so the trace ends on the
+    /// final coverage.
+    fn deadline_end(&self, ctx: &mut SimContext) -> SessionEnd {
+        let uncollected = ctx.uncollected_handles().len();
+        ctx.emit(Event::DeadlineReached {
+            passes: self.passes,
+            uncollected,
+        });
         let report = Report::from_context(self.name, ctx);
         SessionEnd::Degraded {
-            coverage: coverage_of(report.tags, ctx.uncollected_handles().len()),
+            coverage: coverage_of(report.tags, uncollected),
             report,
             passes: self.passes,
-            cause,
+            cause: DegradeCause::Deadline,
         }
     }
 

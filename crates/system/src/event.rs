@@ -211,6 +211,13 @@ pub enum Event {
         /// Tags left uncollected.
         uncollected: usize,
     },
+    /// The session's sim-time deadline passed: the run ends degraded.
+    DeadlineReached {
+        /// Passes attempted before the deadline.
+        passes: u64,
+        /// Tags left uncollected.
+        uncollected: usize,
+    },
 }
 
 impl fmt::Display for Event {
@@ -253,6 +260,15 @@ impl fmt::Display for Event {
                     "circuit opened after {passes} passes ({uncollected} uncollected)"
                 )
             }
+            Event::DeadlineReached {
+                passes,
+                uncollected,
+            } => {
+                write!(
+                    f,
+                    "deadline reached after {passes} passes ({uncollected} uncollected)"
+                )
+            }
         }
     }
 }
@@ -291,6 +307,7 @@ crate::impl_json_enum!(Event {
     RecoveryPassStarted { pass, uncollected },
     BackoffWaited { pass, us },
     CircuitOpened { passes, uncollected },
+    DeadlineReached { passes, uncollected },
 });
 
 /// An event plus the C1G2 clock's reading at the moment it was recorded.
@@ -598,10 +615,17 @@ mod tests {
                 uncollected: 4,
             },
         );
+        log.record(
+            at(304.0),
+            Event::DeadlineReached {
+                passes: 2,
+                uncollected: 6,
+            },
+        );
         let text = log.to_jsonl();
-        assert_eq!(text.lines().count(), 6);
+        assert_eq!(text.lines().count(), 7);
         let back = EventLog::from_jsonl(&text).expect("parses");
-        assert_eq!(back.len(), 6);
+        assert_eq!(back.len(), 7);
         for (a, b) in back.iter().zip(log.events()) {
             assert_eq!(a, b);
         }
@@ -649,6 +673,10 @@ mod tests {
                 passes: 3,
                 uncollected: 4,
             },
+            Event::DeadlineReached {
+                passes: 2,
+                uncollected: 6,
+            },
         ];
         let mut unbounded = EventLog::enabled();
         let mut ring = EventLog::ring(5);
@@ -658,7 +686,7 @@ mod tests {
                 log.record(at(i as f64 * 37.45 + 0.1 + 0.2), event);
             }
         }
-        assert_eq!(ring.dropped(), 12, "the ring evicted");
+        assert_eq!(ring.dropped(), 13, "the ring evicted");
         let restored: EventLog =
             crate::json::from_json_str(&crate::json::to_json_string(&unbounded)).unwrap();
         for log in [&unbounded, &ring, &disabled, &restored] {

@@ -84,6 +84,10 @@ fn every_event() -> Vec<Event> {
             passes: 3,
             uncollected: usize::MAX,
         },
+        Event::DeadlineReached {
+            passes: 1,
+            uncollected: 7,
+        },
     ]
 }
 
@@ -328,6 +332,13 @@ fn events_and_log_round_trip() {
                 uncollected: 4,
             },
             r#"{"CircuitOpened":{"passes":3,"uncollected":4}}"#,
+        ),
+        (
+            Event::DeadlineReached {
+                passes: 1,
+                uncollected: 7,
+            },
+            r#"{"DeadlineReached":{"passes":1,"uncollected":7}}"#,
         ),
     ];
     for (e, text) in &pins {
