@@ -9,7 +9,7 @@
 //! and within 1.5× of the FNV-1a pass alone over the same prebuilt JSONL.
 
 use std::hint::black_box;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use rfid_bench::{Bench, BenchRecord, Gate};
 use rfid_protocols::{HppConfig, PollingProtocol};
@@ -40,6 +40,31 @@ fn interleaved_best<A: Fn() -> u64, B: Fn() -> u64>(rounds: usize, a: A, b: B) -
     for _ in 0..rounds {
         sample(&a, &mut a_ns);
         sample(&b, &mut b_ns);
+    }
+    (a_ns, b_ns)
+}
+
+/// [`interleaved_best`] over `windows` windows of `rounds` rounds each,
+/// `gap` apart, keeping the best of every window. The host has slow
+/// phases lasting seconds in which throughput-bound loops slow and a
+/// latency-bound one does not; spreading the windows over several seconds
+/// samples a fast phase too, and a slowdown of `a` itself shows in every
+/// window.
+fn spaced_best<A: Fn() -> u64, B: Fn() -> u64>(
+    windows: usize,
+    rounds: usize,
+    gap: Duration,
+    a: A,
+    b: B,
+) -> (f64, f64) {
+    let (mut a_ns, mut b_ns) = (f64::INFINITY, f64::INFINITY);
+    for window in 0..windows {
+        if window > 0 {
+            std::thread::sleep(gap);
+        }
+        let (a_best, b_best) = interleaved_best(rounds, &a, &b);
+        a_ns = a_ns.min(a_best);
+        b_ns = b_ns.min(b_best);
     }
     (a_ns, b_ns)
 }
@@ -127,12 +152,18 @@ fn main() {
     // Digest floor: the digest is FNV-1a over the JSONL plus writing each
     // line, which (integer digits only, no float and no `fmt`) may cost at
     // most half again the hash pass over the same prebuilt bytes, so a
-    // float or `write!` creeping back onto the trace path fails the gate.
-    // The two alternate sample by sample, so host drift cancels.
+    // float creeping back onto the trace path (~2x) fails the gate; a
+    // `write!` of the integers alone (~1.3x) does not.
+    // The two alternate sample by sample, so short host drift cancels;
+    // twelve windows of 25 rounds spread over ~8 s outlast the host's
+    // slow phases (up to ~5 s), which slow the digest but not the
+    // latency-bound FNV-1a.
     if b.wants("digest_floor") {
         let jsonl = traced.log.to_jsonl();
-        let (digest_ns, fnv_ns) = interleaved_best(
-            200,
+        let (digest_ns, fnv_ns) = spaced_best(
+            12,
+            25,
+            Duration::from_millis(600),
             || traced.log.digest(),
             || rfid_hash::fnv64(black_box(&jsonl)),
         );

@@ -21,7 +21,7 @@ use rfid_analysis as analysis;
 use rfid_baselines::{CppConfig, EcppConfig, LowerBound, MicConfig};
 use rfid_bench::anchors;
 use rfid_bench::cli::{self, ReproOptions};
-use rfid_bench::{BenchRecord, Cell, Summary, SweepEngine};
+use rfid_bench::{Cell, Summary, SweepEngine};
 use rfid_c1g2::LinkParams;
 use rfid_protocols::{EhppConfig, HppConfig, IndexRule, PollingProtocol, Report, TppConfig};
 use rfid_workloads::{IdDistribution, Scenario};
@@ -55,8 +55,6 @@ fn main() {
         "table3" => table(&mut engine, &opts, 32),
         "ablations" => ablations(&mut engine, &opts),
         "energy" => energy(&mut engine, &opts),
-        "recovery" => recovery(&mut engine, &opts),
-        "session" => session(&opts),
         "all" => {
             fig1();
             fig3(&opts);
@@ -70,8 +68,6 @@ fn main() {
             table(&mut engine, &opts, 32);
             ablations(&mut engine, &opts);
             energy(&mut engine, &opts);
-            recovery(&mut engine, &opts);
-            session(&opts);
         }
         other => unreachable!("cli::parse_args validated `{other}`"),
     }
@@ -420,331 +416,6 @@ fn energy(engine: &mut SweepEngine, opts: &ReproOptions) {
         );
     }
     println!("(listen energy dominates; TPP's short vectors and early sleeps win)");
-}
-
-// --------------------------------------------------------------- recovery
-
-/// The chaos-soak recovery grid (ISSUE 5's convergence gate): HPP/EHPP/TPP
-/// with deliberately small per-pass budgets, swept over a fault-space grid
-/// (i.i.d. loss × Gilbert–Elliott burst × corruption), every run wrapped in
-/// a recovery session through the sweep engine. Asserts the convergence
-/// invariant — coverage 1.0 on every survivable cell when passes are
-/// unbounded — plus the degraded-cell contract (a jammed downlink opens the
-/// circuit at `max_passes` with coverage 0), cross-checks a traced degraded
-/// run against the event log, and writes `target/BENCH_recovery.json` with
-/// passes-to-completion and time overhead vs the fault-free baseline.
-fn recovery(engine: &mut SweepEngine, opts: &ReproOptions) {
-    use rfid_obs::metrics_from_log;
-    use rfid_protocols::{RecoveryPolicy, Session, SessionEnd};
-    use rfid_system::fault::{FaultPlan, KillRule};
-    use rfid_system::{FaultModel, GilbertElliott, SimConfig, SimContext};
-
-    let n = 1_000.min(opts.max_n) as usize;
-    let runs = opts.runs;
-    println!("\n== Recovery — chaos-soak convergence grid (n = {n}, {runs} runs) ==");
-
-    // Small per-pass round budgets so survivable faults genuinely exercise
-    // multi-pass recovery instead of converging inside pass 1's (huge)
-    // default budget.
-    let hpp_cfg = HppConfig {
-        max_rounds: 24,
-        ..HppConfig::default()
-    };
-    let ehpp_cfg = EhppConfig {
-        max_circles: 12,
-        ..EhppConfig::default()
-    };
-    let tpp_cfg = TppConfig {
-        max_rounds: 24,
-        ..TppConfig::default()
-    };
-    let rows: [&dyn PollingProtocol; 3] = [&hpp_cfg, &ehpp_cfg, &tpp_cfg];
-    let faults: Vec<(&str, Option<FaultModel>)> = vec![
-        ("fault-free", None),
-        (
-            "loss 0.1",
-            Some(FaultModel::perfect().with_downlink_loss(0.1)),
-        ),
-        (
-            "loss 0.3",
-            Some(FaultModel::perfect().with_downlink_loss(0.3)),
-        ),
-        (
-            "loss 0.5",
-            Some(FaultModel::perfect().with_downlink_loss(0.5)),
-        ),
-        (
-            "burst",
-            Some(FaultModel::perfect().with_burst(GilbertElliott::new(0.05, 0.25, 0.0, 0.95))),
-        ),
-        (
-            "corrupt 0.3",
-            Some(FaultModel::perfect().with_corruption(0.3)),
-        ),
-    ];
-
-    // Grid in (fault, protocol) row-major order, one parallel batch.
-    let mut cells = Vec::new();
-    for (fi, (_, fault)) in faults.iter().enumerate() {
-        let scenario = Scenario::uniform(n, 1).with_seed(5_000 + fi as u64);
-        for &row in &rows {
-            let mut cell = Cell::new(row.name(), row, scenario.clone(), runs)
-                .with_recovery(RecoveryPolicy::unbounded());
-            if let Some(f) = fault {
-                cell = cell.with_fault(f.clone());
-            }
-            cells.push(cell);
-        }
-    }
-    let results = engine.run_cells(&cells);
-
-    println!(
-        "{:<12} {:<12} {:>10} {:>10} {:>12} {:>10}",
-        "fault", "protocol", "coverage", "passes", "time (s)", "overhead"
-    );
-    let record = |fault: &str, protocol: &str, runs: u64, metric: &str, unit: &str, value| {
-        BenchRecord::new(&format!("{protocol}/{fault}"), metric, unit, value)
-            .param("fault", fault)
-            .param("protocol", protocol)
-            .param("n", &n)
-            .param("runs", &runs)
-    };
-    let mut records = Vec::new();
-    let mut baseline: Vec<f64> = vec![0.0; rows.len()];
-    for (fi, (flabel, _)) in faults.iter().enumerate() {
-        for (ri, row) in rows.iter().enumerate() {
-            let reports = &results[fi * rows.len() + ri];
-            // The convergence gate: every survivable cell (loss < 1.0)
-            // under an unbounded policy reaches coverage 1.0, every run.
-            for (r, report) in reports.iter().enumerate() {
-                assert_eq!(
-                    report.counters.polls as usize,
-                    report.tags,
-                    "convergence violated: {} under `{flabel}` run {r} collected \
-                     {} of {} tags",
-                    row.name(),
-                    report.counters.polls,
-                    report.tags
-                );
-            }
-            let passes = summary_of(reports, |r| (r.counters.recovery_passes + 1) as f64);
-            let secs = summary_of(reports, |r| r.total_time.as_secs());
-            if fi == 0 {
-                baseline[ri] = secs.mean;
-            }
-            let overhead = secs.mean / baseline[ri];
-            println!(
-                "{flabel:<12} {:<12} {:>10.3} {:>10.2} {:>12.3} {:>9.2}x",
-                row.name(),
-                1.0,
-                passes.mean,
-                secs.mean,
-                overhead
-            );
-            let cell = |metric, unit, value| record(flabel, row.name(), runs, metric, unit, value);
-            records.extend([
-                cell("coverage", "ratio", 1.0),
-                cell("mean_passes", "passes", passes.mean),
-                cell("max_passes", "passes", passes.max),
-                cell("mean_time_s", "s", secs.mean),
-                cell("overhead_vs_fault_free", "x", overhead),
-            ]);
-        }
-    }
-
-    // Degraded contract: a jammed downlink cannot complete; a bounded
-    // policy opens the circuit at exactly `max_passes` with coverage 0.
-    let dead_policy = RecoveryPolicy::unbounded().with_max_passes(4);
-    let dead_cell = Cell::new(
-        "HPP",
-        &hpp_cfg,
-        Scenario::uniform(n, 1).with_seed(6_000),
-        runs.min(4),
-    )
-    .with_fault(FaultModel::perfect().with_downlink_loss(1.0))
-    .with_recovery(dead_policy);
-    let dead = &engine.run_cells(std::slice::from_ref(&dead_cell))[0];
-    for report in dead {
-        assert_eq!(report.counters.polls, 0, "a jammed downlink polled a tag");
-        assert_eq!(
-            report.counters.recovery_passes, 3,
-            "circuit must open at max_passes = 4"
-        );
-    }
-    println!(
-        "{:<12} {:<12} {:>10.3} {:>10.2} (degraded by design: circuit at {} passes)",
-        "loss 1.0", "HPP", 0.0, 4.0, 4
-    );
-    records.extend([
-        record("loss 1.0", "HPP", runs.min(4), "coverage", "ratio", 0.0),
-        record("loss 1.0", "HPP", runs.min(4), "mean_passes", "passes", 4.0),
-        record("loss 1.0", "HPP", runs.min(4), "max_passes", "passes", 4.0),
-    ]);
-
-    // Trace cross-check (one traced degraded run, outside the engine): the
-    // Degraded coverage must equal the trace-derived coverage series.
-    let sc = Scenario::uniform(200.min(n), 1).with_seed(6_001);
-    let plan = FaultPlan {
-        kill_after_replies: vec![KillRule {
-            tag: 7,
-            after_replies: 0,
-        }],
-        ..FaultPlan::none()
-    };
-    let cfg = SimConfig::paper(sc.protocol_seed())
-        .with_fault(FaultModel::perfect().with_plan(plan))
-        .with_trace();
-    let mut ctx = SimContext::new(sc.build_population(), &cfg);
-    let protocol = HppConfig::default();
-    let mut session = Session::open(&protocol, &ctx).with_policy(RecoveryPolicy::unbounded());
-    let SessionEnd::Degraded { coverage, .. } = session.run(&mut ctx) else {
-        panic!("a killed tag must degrade the run");
-    };
-    let m = metrics_from_log(&ctx.log);
-    let traced = m
-        .series("coverage_pct")
-        .and_then(|s| s.last())
-        .expect("degraded run leaves a coverage series")
-        .value;
-    assert!(
-        (traced - coverage * 100.0).abs() < 1e-9,
-        "trace-derived coverage {traced} disagrees with Degraded coverage {coverage}"
-    );
-    println!("trace cross-check: degraded coverage {coverage:.4} == trace series");
-
-    if let Some(dir) = rfid_bench::find_target_dir() {
-        match rfid_bench::write_report(&dir, "recovery", &records) {
-            Ok(path) => println!("recovery report: {}", path.display()),
-            Err(e) => exit_unwritten("BENCH_recovery.json", &e),
-        }
-    }
-}
-
-// ---------------------------------------------------------------- session
-
-/// The resumable-session experiment: for each protocol, run the golden
-/// scenario once uninterrupted, then again with a seeded mid-run kill —
-/// snapshot, drop the process image, restore from the JSON, finish — and
-/// prove the final report and event trace bit-identical.
-///
-/// `--checkpoint PATH` additionally writes the first killed run's snapshot
-/// to disk; `--resume PATH` skips the gate entirely and instead restores
-/// the given snapshot and runs it to completion (the two flags together
-/// demonstrate a cross-process crash/restore cycle).
-fn session(opts: &ReproOptions) {
-    use rfid_hash::Xoshiro256;
-    use rfid_protocols::{Session, SessionEnd};
-    use rfid_system::{Json, SimConfig, SimContext, ToJson};
-
-    let protocols = rfid_daemon::all_protocols();
-
-    // --resume: restore a snapshot written by a previous (crashed or
-    // checkpointed) invocation and finish the inventory.
-    if let Some(path) = &opts.resume {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("could not read {}: {e}", path.display());
-            std::process::exit(2);
-        });
-        let doc = Json::parse(&text).unwrap_or_else(|e| {
-            eprintln!("{} is not valid JSON: {e}", path.display());
-            std::process::exit(2);
-        });
-        let name: String = doc.field("protocol").unwrap_or_else(|e| {
-            eprintln!("{} is not a session snapshot: {e}", path.display());
-            std::process::exit(2);
-        });
-        let Some(protocol) = protocols.iter().find(|p| p.name() == name) else {
-            eprintln!("snapshot is for unknown protocol `{name}`");
-            std::process::exit(2);
-        };
-        let (mut ctx, mut session) =
-            Session::restore(protocol.as_ref(), &doc).unwrap_or_else(|e| {
-                eprintln!("could not restore {}: {e}", path.display());
-                std::process::exit(2);
-            });
-        println!(
-            "resuming {name} from {} (pass {}, {} step(s) into the pass)",
-            path.display(),
-            session.passes(),
-            session.steps_taken()
-        );
-        match session.run(&mut ctx) {
-            SessionEnd::Complete { report, passes } => println!(
-                "complete: {} tags polled in {:.3} s over {passes} pass(es)",
-                report.counters.polls,
-                report.total_time.as_secs()
-            ),
-            other => println!("session ended without completing: {other:?}"),
-        }
-        return;
-    }
-
-    println!("\n== Session — crash-chaos checkpoint/restore gate (n = 150, seed 31) ==");
-    println!(
-        "{:<12} {:>6} {:>10} {:>10}  bit-identical",
-        "protocol", "kill@", "snapshot", "restored"
-    );
-    let scenario = Scenario::uniform(150, 4).with_seed(31);
-    let cfg = SimConfig::paper(scenario.protocol_seed()).with_trace();
-    let mut rng = Xoshiro256::seed_from_u64(0x5E55_1017);
-    let mut checkpoint = opts.checkpoint.clone();
-    for protocol in &protocols {
-        let name = protocol.name();
-
-        // Uninterrupted reference, stepped to count killable boundaries.
-        let mut ctx = SimContext::new(scenario.build_population(), &cfg);
-        let mut sess = Session::open(protocol.as_ref(), &ctx);
-        let mut boundaries = 0u64;
-        let reference = loop {
-            match sess.run_for(&mut ctx, 1) {
-                Some(end) => break end,
-                None => boundaries += 1,
-            }
-        };
-        let SessionEnd::Complete { report, .. } = reference else {
-            panic!("{name}: reference run did not complete");
-        };
-        let ref_json = report.to_json().to_string();
-        let ref_trace = ctx.log.digest();
-
-        // Killed run: crash at a seeded boundary, survive as JSON only.
-        let kill = 1 + rng.below(boundaries.max(1));
-        let mut ctx = SimContext::new(scenario.build_population(), &cfg);
-        let mut sess = Session::open(protocol.as_ref(), &ctx);
-        assert!(
-            sess.run_for(&mut ctx, kill).is_none(),
-            "{name}: kill point {kill} of {boundaries} must land mid-run"
-        );
-        let snap = sess.snapshot(&ctx, &cfg).to_string();
-        drop(sess);
-        drop(ctx);
-        if let Some(path) = checkpoint.take() {
-            match std::fs::write(&path, snap.as_bytes()) {
-                Ok(()) => println!(
-                    "checkpoint: {name} killed at step {kill} -> {} \
-                     (finish it with `repro session --resume`)",
-                    path.display()
-                ),
-                Err(e) => eprintln!("could not write {}: {e}", path.display()),
-            }
-        }
-        let doc = Json::parse(&snap).expect("snapshot parses");
-        let (mut ctx, mut sess) =
-            Session::restore(protocol.as_ref(), &doc).expect("snapshot restores");
-        let end = sess.run(&mut ctx);
-        let SessionEnd::Complete { report, .. } = end else {
-            panic!("{name}: restored run did not complete: {end:?}");
-        };
-        let identical = report.to_json().to_string() == ref_json && ctx.log.digest() == ref_trace;
-        println!(
-            "{name:<12} {kill:>6} {:>9}B {:>10} {:>10}",
-            snap.len(),
-            "ok",
-            if identical { "yes" } else { "NO" }
-        );
-        assert!(identical, "{name}: restored run drifted from the reference");
-    }
-    println!("(every restored run reproduced its reference bit-for-bit)");
 }
 
 // -------------------------------------------------------------- ablations

@@ -44,14 +44,6 @@ pub const EXPERIMENTS: &[(&str, &str)] = &[
         "energy",
         "tag-side energy extension (semi-passive power model)",
     ),
-    (
-        "recovery",
-        "chaos-soak recovery grid: convergence gate + overhead",
-    ),
-    (
-        "session",
-        "checkpoint/restore: crash-chaos bit-identity gate",
-    ),
     ("all", "everything above"),
 ];
 
@@ -72,10 +64,6 @@ pub struct ReproOptions {
     pub cache: bool,
     /// Cache root override (`None` = `target/sweep-cache`).
     pub cache_dir: Option<PathBuf>,
-    /// Where the `session` experiment writes its mid-run snapshot.
-    pub checkpoint: Option<PathBuf>,
-    /// A snapshot file to restore and finish instead of starting fresh.
-    pub resume: Option<PathBuf>,
 }
 
 impl Default for ReproOptions {
@@ -88,8 +76,6 @@ impl Default for ReproOptions {
             run_block: None,
             cache: true,
             cache_dir: None,
-            checkpoint: None,
-            resume: None,
         }
     }
 }
@@ -98,8 +84,7 @@ impl Default for ReproOptions {
 pub fn usage() -> String {
     let mut out = String::from(
         "usage: repro [experiment] [--runs N] [--max-n N] [--workers N]\n\
-         \x20            [--run-block N] [--no-cache] [--cache-dir PATH]\n\
-         \x20            [--checkpoint PATH] [--resume PATH]\n\n\
+         \x20            [--run-block N] [--no-cache] [--cache-dir PATH]\n\n\
          experiments:\n",
     );
     for (name, desc) in EXPERIMENTS {
@@ -109,10 +94,7 @@ pub fn usage() -> String {
         "\n--runs (default 20) controls Monte-Carlo repetitions; --max-n\n\
          (default 100000) caps the population sweep. --workers 1 is the\n\
          serial reference path (output is bit-identical to any width).\n\
-         Cell results persist under target/sweep-cache/ unless --no-cache.\n\
-         The session experiment kills a run mid-flight and proves the\n\
-         restored run bit-identical; --checkpoint PATH writes the snapshot\n\
-         of a killed run, --resume PATH restores one and finishes it.\n",
+         Cell results persist under target/sweep-cache/ unless --no-cache.\n",
     );
     out
 }
@@ -136,12 +118,6 @@ pub fn parse_args(args: &[String]) -> Result<ReproOptions, String> {
             "--no-cache" => opts.cache = false,
             "--cache-dir" => {
                 opts.cache_dir = Some(PathBuf::from(it.next().ok_or("--cache-dir needs a path")?))
-            }
-            "--checkpoint" => {
-                opts.checkpoint = Some(PathBuf::from(it.next().ok_or("--checkpoint needs a path")?))
-            }
-            "--resume" => {
-                opts.resume = Some(PathBuf::from(it.next().ok_or("--resume needs a path")?))
             }
             other if !other.starts_with('-') => {
                 if let Some(first) = &experiment {
@@ -396,16 +372,6 @@ mod tests {
     }
 
     #[test]
-    fn session_flags_parse() {
-        let opts = parse(&["session", "--checkpoint", "/tmp/s.json"]).unwrap();
-        assert_eq!(opts.experiment, "session");
-        assert_eq!(opts.checkpoint, Some(PathBuf::from("/tmp/s.json")));
-        assert_eq!(opts.resume, None);
-        let opts = parse(&["session", "--resume", "/tmp/s.json"]).unwrap();
-        assert_eq!(opts.resume, Some(PathBuf::from("/tmp/s.json")));
-    }
-
-    #[test]
     fn missing_or_bad_numbers_are_errors_not_panics() {
         for args in [
             &["--runs"][..],
@@ -415,8 +381,9 @@ mod tests {
             &["--workers", "0"],
             &["--run-block", "x"],
             &["--cache-dir"],
-            &["--checkpoint"],
-            &["--resume"],
+            // The session experiment's flags went with it.
+            &["--checkpoint", "/tmp/s.json"],
+            &["--resume", "/tmp/s.json"],
         ] {
             assert!(parse(args).is_err(), "{args:?} should be rejected");
         }

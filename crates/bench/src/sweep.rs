@@ -34,11 +34,11 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use rfid_apps::info_collect::collect;
+use rfid_apps::info_collect::run_polling;
 use rfid_hash::fnv64;
 use rfid_obs::MetricsRegistry;
-use rfid_protocols::{PollingProtocol, RecoveryPolicy, Report, Session, SessionEnd};
-use rfid_system::{to_json_string, FaultModel, FromJson, Json, SimConfig, SimContext, ToJson};
+use rfid_protocols::{PollingProtocol, Report, SessionEnd};
+use rfid_system::{to_json_string, FromJson, Json, ToJson};
 use rfid_workloads::Scenario;
 
 use crate::harness::{write_report, BenchRecord};
@@ -65,12 +65,6 @@ pub struct Cell<'a> {
     /// Monte-Carlo repetitions; run `r` executes under
     /// `scenario.for_run(r)`.
     pub runs: u64,
-    /// Channel fault model injected into every run (cache-key component);
-    /// `None` runs the paper's perfect channel.
-    pub fault: Option<FaultModel>,
-    /// Recovery policy wrapping every run (cache-key component); `None`
-    /// runs the bare protocol, which panics on a stall.
-    pub recovery: Option<RecoveryPolicy>,
 }
 
 impl<'a> Cell<'a> {
@@ -86,23 +80,7 @@ impl<'a> Cell<'a> {
             protocol,
             scenario,
             runs,
-            fault: None,
-            recovery: None,
         }
-    }
-
-    /// Injects a fault model into every run of this cell.
-    pub fn with_fault(mut self, fault: FaultModel) -> Self {
-        self.fault = Some(fault);
-        self
-    }
-
-    /// Wraps every run of this cell in a recovery session. Degraded runs
-    /// still yield their partial report (coverage is `counters.polls /
-    /// tags`, passes `counters.recovery_passes + 1`).
-    pub fn with_recovery(mut self, policy: RecoveryPolicy) -> Self {
-        self.recovery = Some(policy);
-        self
     }
 }
 
@@ -336,24 +314,12 @@ impl SweepEngine {
             assert!(cell.runs >= 1, "cell {ci} has zero runs");
             let config_json = to_json_string(cell.protocol);
             let scenario_json = to_json_string(&cell.scenario);
-            let fault_json = cell.fault.as_ref().map_or_else(String::new, to_json_string);
-            let recovery_json = cell
-                .recovery
-                .as_ref()
-                .map_or_else(String::new, to_json_string);
             let mut start = 0;
             while start < cell.runs {
                 let len = self.run_block.min(cell.runs - start);
                 let id = format!(
-                    "{}|{}|{}|{}|{}|{}|{}+{}",
-                    self.salt,
-                    cell.label,
-                    config_json,
-                    scenario_json,
-                    fault_json,
-                    recovery_json,
-                    start,
-                    len
+                    "{}|{}|{}|{}|{}+{}",
+                    self.salt, cell.label, config_json, scenario_json, start, len
                 );
                 let key = format!("{:016x}", fnv64(&id));
                 jobs.push(Job {
@@ -370,24 +336,12 @@ impl SweepEngine {
     }
 }
 
-/// Executes one Monte-Carlo run of a cell through the validated
-/// [`collect`] path, with the cell's fault model and recovery policy. A
-/// recovered run that degrades still returns its partial report (the
-/// recovery counters inside carry passes and backoff); a stall without a
-/// policy panics.
+/// Executes one Monte-Carlo run of a cell on the paper's perfect channel
+/// through the validated [`run_polling`] path, which panics on a stall.
 fn execute_run(cell: &Cell<'_>, sc: &Scenario) -> Report {
-    let mut cfg = SimConfig::paper(sc.protocol_seed());
-    if let Some(fault) = &cell.fault {
-        cfg = cfg.with_fault(fault.clone());
-    }
-    let mut ctx = SimContext::new(sc.build_population(), &cfg);
-    let mut session = Session::open(cell.protocol, &ctx);
-    if let Some(policy) = cell.recovery {
-        session = session.with_policy(policy);
-    }
-    match collect(session, &mut ctx).end {
+    match run_polling(cell.protocol, sc).end {
         SessionEnd::Complete { report, .. } | SessionEnd::Degraded { report, .. } => report,
-        SessionEnd::Stalled(e) => panic!("{e}"),
+        SessionEnd::Stalled(_) => unreachable!("run_polling panics on a stall"),
     }
 }
 
@@ -604,40 +558,6 @@ mod tests {
             reference.contains(&to_json_string(&tpp)),
             "the key carries the protocol's config JSON"
         );
-    }
-
-    #[test]
-    fn fault_and_recovery_key_the_cache_and_stay_deterministic() {
-        let tpp = TppConfig::default();
-        use rfid_system::FaultModel;
-        let id_of = |cell: &Cell<'_>| {
-            SweepEngine::new().expand_jobs(std::slice::from_ref(cell))[0]
-                .id
-                .clone()
-        };
-        let plain = Cell::new("TPP", &tpp, Scenario::uniform(10, 1).with_seed(1), 2);
-        let faulted = Cell::new("TPP", &tpp, Scenario::uniform(10, 1).with_seed(1), 2)
-            .with_fault(FaultModel::perfect().with_downlink_loss(0.2));
-        let recovered = Cell::new("TPP", &tpp, Scenario::uniform(10, 1).with_seed(1), 2)
-            .with_fault(FaultModel::perfect().with_downlink_loss(0.2))
-            .with_recovery(RecoveryPolicy::unbounded());
-        assert_ne!(id_of(&plain), id_of(&faulted), "fault keys the cache");
-        assert_ne!(id_of(&faulted), id_of(&recovered), "recovery keys it too");
-
-        // A recovered lossy cell completes and is schedule-independent.
-        let run = |workers: usize| {
-            let cell = Cell::new("TPP", &tpp, Scenario::uniform(120, 1).with_seed(5), 4)
-                .with_fault(FaultModel::perfect().with_downlink_loss(0.3))
-                .with_recovery(RecoveryPolicy::unbounded());
-            let mut engine = SweepEngine::new().with_workers(workers).with_run_block(1);
-            engine.run_cells(std::slice::from_ref(&cell))
-        };
-        let serial = run(1);
-        let parallel = run(4);
-        for (a, b) in serial[0].iter().zip(&parallel[0]) {
-            assert_eq!(a.counters, b.counters, "parallel == serial bit-for-bit");
-            assert_eq!(a.counters.polls as usize, a.tags, "loss 0.3 completes");
-        }
     }
 
     #[test]

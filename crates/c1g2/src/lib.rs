@@ -46,14 +46,11 @@ pub mod commands;
 pub mod crc;
 pub mod encoding;
 pub mod params;
-pub mod phy;
-pub mod query;
 pub mod time;
 pub mod timing;
 
 pub use commands::{Command, NAK_BITS, QUERY_REP_BITS};
 pub use encoding::{ReaderEncoding, TagEncoding};
 pub use params::{DivideRatio, LinkParams};
-pub use query::{MemBank, QueryCommand, SelField, Session, Target, UpDn};
 pub use time::Micros;
 pub use timing::{Clock, TimeBreakdown, TimeCategory};

@@ -4,9 +4,8 @@
 //! protocols — the paper's three (HPP, EHPP, TPP) plus every baseline —
 //! so an [`crate::service::Service`] can open or resume a session from a
 //! name alone. It is the workspace's one protocol list: the bit-identity
-//! tests, the crash-chaos test and `repro session` iterate it too, so
-//! anything they cover is also servable, and the golden pins fix its
-//! order.
+//! tests and the crash-chaos test iterate it too, so anything they cover
+//! is also servable, and the golden pins fix its order.
 
 use rfid_baselines::{CodedPollingConfig, CppConfig, EcppConfig, FsaConfig, LowerBound, MicConfig};
 use rfid_identify::{BinarySplitConfig, QAlgorithmConfig, QueryTreeConfig};

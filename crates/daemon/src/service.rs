@@ -386,7 +386,8 @@ impl Service {
             Ok(rs) => rs,
         };
         let mut out = Vec::new();
-        let budget_end = max_steps.map(|b| rs.session.steps_taken() + b);
+        // Saturating: a budget of `u64::MAX` means "run to the end".
+        let budget_end = max_steps.map(|b| rs.session.steps_taken().saturating_add(b));
         let end = loop {
             let now = rs.session.steps_taken();
             // Stop at the next progress/supervise/budget boundary,

@@ -255,3 +255,31 @@ fn commands_for_bogus_sessions_never_kill_the_connection() {
         Ok(())
     });
 }
+
+#[test]
+fn a_run_budget_past_the_step_counter_runs_to_the_end() {
+    // `steps_taken() + u64::MAX` overflows once a session has stepped: the
+    // budget's end must saturate instead of panicking the handler.
+    let mut service = Service::new();
+    let session = match service.handle(Command::Open(OpenRequest::new("TPP", 64, 4, 1)))[..] {
+        [Response::Opened { session }] => session,
+        ref other => panic!("open failed: {other:?}"),
+    };
+    let run = |service: &mut Service, budget| {
+        service
+            .handle(Command::Run {
+                session,
+                max_steps: Some(budget),
+            })
+            .pop()
+            .expect("a run answers")
+    };
+    assert!(matches!(
+        run(&mut service, 1),
+        Response::Paused { steps: 1, .. }
+    ));
+    match run(&mut service, u64::MAX) {
+        Response::Done { outcome, .. } => assert_eq!(outcome.status, "complete"),
+        other => panic!("expected Done, got {other:?}"),
+    }
+}

@@ -8,7 +8,7 @@
 //!
 //! Only the types a persisted document reaches carry a codec: link timing
 //! and the C1G2 clock travel in session snapshots and reports. The reader
-//! command vocabulary (`Command`, `QueryCommand`, …) is never persisted.
+//! command vocabulary (`Command`) is never persisted.
 
 use super::{write_milli, FromJson, Json, JsonError, ToJson};
 use crate::{impl_json_enum, impl_json_struct};

@@ -8,8 +8,9 @@ cd "$(dirname "$0")/.."
 cargo build --release --offline
 # Every correctness gate is a test: the kill/restore bit-identity rows
 # (tests/session_roundtrip.rs), the fault matrix and its flight bundles
-# (tests/fault_matrix.rs) and the served TCP sessions (tests/daemon_serving.rs)
-# all run here.
+# (tests/fault_matrix.rs), recovery convergence under loss, bursts and
+# corruption (tests/recovery_regression.rs) and the served TCP sessions
+# (tests/daemon_serving.rs) all run here.
 cargo test -q --offline
 # Every example runs once: each is an end-to-end use of the facade, and
 # their asserts (exact reads, recovered completions, orderings) are
@@ -41,11 +42,6 @@ cargo bench --offline -p rfid-bench --bench obs
 rm -rf target/sweep-cache target/BENCH_sweep.json
 cargo run --release --offline -p rfid-bench --bin repro -- table1 --runs 2 --max-n 1000 --workers 1
 cargo run --release --offline -p rfid-bench --bin repro -- table1 --runs 2 --max-n 1000
-# Chaos-soak recovery slice (DESIGN.md §11): small recovery grid asserting
-# the convergence invariant (coverage 1.0 wherever loss < 1.0), the
-# dead-channel breaker contract and the trace/counter coverage cross-check.
-# Writes target/BENCH_recovery.json.
-cargo run --release --offline -p rfid-bench --bin repro -- recovery --runs 2 --max-n 500 --workers 1
 # Hot-path smoke slice (DESIGN.md §12): end-to-end throughput including a
 # 100k-tag run with a tags/sec floor and a 1M-tag HPP run to completion;
 # each gated case's speedup against its pre-change baseline is a gated
