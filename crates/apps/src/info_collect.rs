@@ -2,8 +2,7 @@
 //!
 //! "Collect m-bit information from each tag in a request-response way as
 //! quickly as possible." [`collect`] runs a configured [`Session`] — bare,
-//! or with a recovery policy, a deadline or a flight recorder — to its
-//! end, verifies the polling invariant on a complete run (every tag
+//! or with a recovery policy or a deadline — to its end, verifies the polling invariant on a complete run (every tag
 //! interrogated exactly once, nothing missed), and returns the collected
 //! `(id, payload)` pairs with the session's ending. [`run_polling`] is the
 //! scenario shorthand for a bare session over a perfect channel.

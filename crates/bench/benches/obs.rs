@@ -7,6 +7,12 @@
 //! holds `EventLog::digest`, which streams each event's compact JSON into
 //! FNV-1a, well under the cost of building every event's `Json` tree,
 //! and within 1.5× of the FNV-1a pass alone over the same prebuilt JSONL.
+//!
+//! The span guards do the same for the profiling plane (DESIGN.md §14):
+//! a run with profiling off costs no more than a profiled one, and full
+//! profiling of a 100k-tag HPP session stays within 3× the unprofiled
+//! run. That profiling never perturbs a run is
+//! `session::tests::profiling_does_not_perturb_the_run`.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -17,9 +23,11 @@ use rfid_system::json::ToJson;
 use rfid_system::{BitVec, Counters, SimConfig, SimContext, TagPopulation};
 
 const N: usize = 500;
+/// Population for the enabled-profiling guard.
+const N_LARGE: usize = 100_000;
 
-fn run_once(cfg: &SimConfig) -> SimContext {
-    let pop = TagPopulation::sequential(N, |i| BitVec::from_value((i % 2) as u64, 1));
+fn run_once(n: usize, cfg: &SimConfig) -> SimContext {
+    let pop = TagPopulation::sequential(n, |i| BitVec::from_value((i % 2) as u64, 1));
     let mut ctx = SimContext::new(pop, cfg);
     HppConfig::default().run(&mut ctx);
     ctx
@@ -76,7 +84,7 @@ fn main() {
     let disabled = SimConfig::paper(7);
     // Functional zero-cost proof: the disabled path must leave the log
     // untouched — no events, no timestamps, nothing to serialize.
-    let quiet = run_once(&disabled);
+    let quiet = run_once(N, &disabled);
     assert!(
         !quiet.log.is_enabled(),
         "disabled run must keep the log off"
@@ -95,8 +103,8 @@ fn main() {
     if b.wants("overhead_bound") {
         let (off_ns, on_ns) = interleaved_best(
             100,
-            || run_once(&disabled).counters.polls,
-            || run_once(&enabled).log.len() as u64,
+            || run_once(N, &disabled).counters.polls,
+            || run_once(N, &enabled).log.len() as u64,
         );
         let record = |metric, unit, value| {
             BenchRecord::new("overhead_bound", metric, unit, value).param("n", &N)
@@ -106,12 +114,64 @@ fn main() {
         b.record(record("disabled_over_enabled", "x", off_ns / on_ns).gate(Gate::AtMost(1.05)));
     }
 
+    // Span overhead: the profiler guards `span_enter`/`span_exit` with a
+    // cold flag like the trace log's, so an unprofiled run records nothing
+    // and costs no more than a profiled one (5 % headroom, interleaved as
+    // above). Full profiling — spans on every session, pass, round and
+    // poll — is two clock reads and a cached trie walk per span, and may
+    // cost at most 3× the unprofiled run at 100k tags.
+    let profiled = SimConfig::paper(7).with_profile();
+    let span_record = |case, n: usize, off_ns: f64, on_ns: f64, ratio: f64, ceiling: f64| {
+        let record =
+            |metric, unit, value| BenchRecord::new(case, metric, unit, value).param("n", &n);
+        [
+            record("off_ns", "ns", off_ns),
+            record("on_ns", "ns", on_ns),
+            record("ratio", "x", ratio).gate(Gate::AtMost(ceiling)),
+        ]
+    };
+    if b.wants("disabled_span_path") {
+        assert!(
+            run_once(N, &disabled).profiler.is_empty(),
+            "disabled run recorded spans"
+        );
+        assert!(
+            !run_once(N, &profiled).profiler.is_empty(),
+            "profiled run lost its spans"
+        );
+        let (off_ns, on_ns) = interleaved_best(
+            100,
+            || run_once(N, &disabled).counters.polls,
+            || run_once(N, &profiled).counters.polls,
+        );
+        for r in span_record("disabled_span_path", N, off_ns, on_ns, off_ns / on_ns, 1.05) {
+            b.record(r);
+        }
+    }
+    if b.wants("enabled_profiling_overhead") {
+        let (off_ns, on_ns) = interleaved_best(
+            2,
+            || run_once(N_LARGE, &disabled).counters.polls,
+            || run_once(N_LARGE, &profiled).counters.polls,
+        );
+        for r in span_record(
+            "enabled_profiling_overhead",
+            N_LARGE,
+            off_ns,
+            on_ns,
+            on_ns / off_ns,
+            3.0,
+        ) {
+            b.record(r);
+        }
+    }
+
     let ring = SimConfig::paper(7).with_trace_ring(256);
     b.bench(&format!("hpp_{N}/trace_ring_256"), || {
-        black_box(run_once(&ring).log.dropped())
+        black_box(run_once(N, &ring).log.dropped())
     });
 
-    let traced = run_once(&enabled);
+    let traced = run_once(N, &enabled);
     b.bench(&format!("hpp_{N}/metrics_from_log"), || {
         black_box(rfid_obs::metrics_from_log(&traced.log).counter("polls"))
     });

@@ -36,10 +36,7 @@ fn main() {
 
 fn serve(opts: &DaemonOptions) -> Result<(), String> {
     let addr = &opts.addr;
-    let mut daemon = Daemon::bind(addr).map_err(|e| format!("cannot bind {addr}: {e}"))?;
-    if let Some(dir) = &opts.flight_dir {
-        daemon = daemon.with_flight_dir(dir);
-    }
+    let daemon = Daemon::bind(addr).map_err(|e| format!("cannot bind {addr}: {e}"))?;
     println!("rfid_daemon: serving on {}", daemon.local_addr());
     daemon.run().map_err(|e| format!("serve failed: {e}"))
 }

@@ -247,8 +247,6 @@ pub struct DaemonOptions {
     pub mode: DaemonMode,
     /// Bind address for `Serve` (port 0 picks a free port).
     pub addr: String,
-    /// Flight-bundle directory override for `Serve`.
-    pub flight_dir: Option<PathBuf>,
     /// Protocol the `Client` session runs.
     pub protocol: String,
     /// Population size for the `Client` session.
@@ -264,7 +262,6 @@ impl Default for DaemonOptions {
         DaemonOptions {
             mode: DaemonMode::Serve,
             addr: "127.0.0.1:0".to_string(),
-            flight_dir: None,
             protocol: "TPP".to_string(),
             n: 150,
             info_bits: 4,
@@ -280,8 +277,7 @@ pub fn daemon_usage() -> String {
      \x20 --serve             bind --addr and serve until a Shutdown command\n\
      \x20 --client ADDR       connect and run one session against a daemon\n\n\
      serve options:\n\
-     \x20 --addr HOST:PORT    bind address (default 127.0.0.1:0)\n\
-     \x20 --flight-dir PATH   where postmortem flight bundles are written\n\n\
+     \x20 --addr HOST:PORT    bind address (default 127.0.0.1:0)\n\n\
      session options (client):\n\
      \x20 --protocol NAME     protocol to serve (default TPP)\n\
      \x20 --n N               population size (default 150)\n\
@@ -312,9 +308,6 @@ pub fn parse_daemon_args(args: &[String]) -> Result<DaemonOptions, String> {
                 set_mode(&mut mode, DaemonMode::Client(addr.clone()))?;
             }
             "--addr" => opts.addr = it.next().ok_or("--addr needs HOST:PORT")?.clone(),
-            "--flight-dir" => {
-                opts.flight_dir = Some(PathBuf::from(it.next().ok_or("--flight-dir needs a path")?))
-            }
             "--protocol" => opts.protocol = it.next().ok_or("--protocol needs a name")?.clone(),
             "--n" => opts.n = parse_value(it.next(), "--n", |v| v >= 1)?,
             "--info-bits" => opts.info_bits = parse_value(it.next(), "--info-bits", |v| v >= 1)?,
@@ -495,9 +488,9 @@ mod tests {
         assert_eq!(opts.n, 500);
         assert_eq!(opts.info_bits, 16);
         assert_eq!(opts.seed, 7);
-        let opts = parse_daemon(&["--flight-dir", "/tmp/f", "--serve"]).unwrap();
+        let opts = parse_daemon(&["--addr", "0.0.0.0:7", "--serve"]).unwrap();
         assert_eq!(opts.mode, DaemonMode::Serve);
-        assert_eq!(opts.flight_dir, Some(PathBuf::from("/tmp/f")));
+        assert_eq!(opts.addr, "0.0.0.0:7");
     }
 
     #[test]
@@ -506,7 +499,6 @@ mod tests {
             &["--client"][..],
             &["--addr"],
             &["--shards", "4"],
-            &["--flight-dir"],
             &["--protocol"],
             &["--n", "0"],
             &["--info-bits", "x"],
@@ -517,10 +509,10 @@ mod tests {
             assert!(parse_daemon(args).is_err(), "{args:?} should be rejected");
         }
         // The removed in-process smoke modes live on as the tests in
-        // `tests/daemon_serving.rs`; their flags are unknown now.
-        for removed in ["", "chaos-"] {
-            let flag = format!("--{removed}smoke");
-            let err = parse_daemon(&[&flag]).unwrap_err();
+        // `tests/daemon_serving.rs`, and a served session keeps its
+        // bundle in memory; their flags are unknown now.
+        for flag in ["--smoke", "--chaos-smoke", "--flight-dir"] {
+            let err = parse_daemon(&[flag, "/tmp/f"]).unwrap_err();
             assert!(err.contains("unknown option"), "{flag}: {err}");
         }
         let err = parse_daemon(&["--client", "a:1", "--serve"]).unwrap_err();
@@ -536,7 +528,6 @@ mod tests {
             "--serve",
             "--client",
             "--addr",
-            "--flight-dir",
             "--protocol",
             "--n",
             "--info-bits",

@@ -150,7 +150,7 @@ impl SweepEngine {
             progress: false,
             salt: CACHE_SALT.to_string(),
             cache: None,
-            metrics: MetricsRegistry::enabled(),
+            metrics: MetricsRegistry::default(),
             stats: SweepStats::default(),
         }
     }
@@ -374,7 +374,7 @@ fn run_jobs(
             .map(|_| {
                 scope.spawn(|| {
                     let mut local = Vec::new();
-                    let mut metrics = MetricsRegistry::enabled();
+                    let mut metrics = MetricsRegistry::default();
                     loop {
                         let j = cursor.fetch_add(1, Ordering::Relaxed);
                         if j >= pending.len() {
@@ -406,7 +406,7 @@ fn run_jobs(
             .map(|h| h.join().expect("sweep worker panicked"))
             .collect()
     });
-    let mut merged = MetricsRegistry::enabled();
+    let mut merged = MetricsRegistry::default();
     for (local, metrics) in worker_results {
         merged.merge(&metrics);
         for (j, reports) in local {

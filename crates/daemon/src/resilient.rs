@@ -146,7 +146,7 @@ where
             client: None,
             policy,
             rng: Xoshiro256::seed_from_u64(policy.seed),
-            metrics: MetricsRegistry::enabled(),
+            metrics: MetricsRegistry::default(),
         }
     }
 

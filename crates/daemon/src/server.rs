@@ -22,7 +22,6 @@
 
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -63,19 +62,10 @@ impl Daemon {
         })
     }
 
-    /// Sets the directory served sessions dump flight bundles into (also
-    /// where the supervisor dumps failed-resurrection bundles).
-    pub fn with_flight_dir(self, dir: impl Into<PathBuf>) -> Daemon {
-        self.supervisor.set_flight_dir(dir);
-        self
-    }
-
     /// Replaces the supervisor with one enforcing `limits` (admission
-    /// control / shedding), keeping the flight dir.
+    /// control / shedding).
     pub fn with_limits(mut self, limits: FleetLimits) -> Daemon {
-        let sup = Supervisor::new(limits);
-        sup.set_flight_dir(self.supervisor.flight_dir());
-        self.supervisor = Arc::new(sup);
+        self.supervisor = Arc::new(Supervisor::new(limits));
         self
     }
 
@@ -187,15 +177,5 @@ mod tests {
         });
         daemon.run().unwrap();
         t.join().unwrap();
-    }
-
-    #[test]
-    fn with_limits_keeps_the_flight_dir() {
-        let dir = std::env::temp_dir().join("rfid-daemon-with-limits-flight");
-        let daemon = Daemon::bind("127.0.0.1:0")
-            .unwrap()
-            .with_flight_dir(&dir)
-            .with_limits(FleetLimits::bounded(2, 2));
-        assert_eq!(daemon.supervisor().flight_dir(), dir);
     }
 }

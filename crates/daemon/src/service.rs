@@ -13,11 +13,10 @@
 //! can never wedge the connection state machine.
 
 use std::collections::HashMap;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use rfid_obs::{metrics_from_log, DeltaCursor, FlightRecorder};
+use rfid_obs::{metrics_from_log, DeltaCursor};
 use rfid_protocols::Session;
 use rfid_system::id::EPC_BITS;
 use rfid_system::{FromJson, Json, JsonError, SimConfig, SimContext, ToJson};
@@ -48,9 +47,14 @@ struct ReaderSession {
     progress_every: u64,
     /// Delta-JSONL cursor for `Metrics { delta: true }`.
     cursor: DeltaCursor,
+    /// Whether the session's `Open` asked for a postmortem bundle.
+    flight: bool,
     /// Set once the session ended; further `Run`/`Checkpoint` are
-    /// `BadState`, but metrics and flight bundles stay fetchable.
+    /// `BadState`, but metrics and the bundle stay fetchable.
     done: bool,
+    /// The postmortem bundle as compact JSON text, kept when a `flight`
+    /// session ends without completing; `Flight` serves it.
+    bundle: Option<String>,
     /// Where the population comes from, if a scenario built it: every
     /// served snapshot names it instead of listing the tags.
     origin: Option<Origin>,
@@ -155,8 +159,7 @@ impl Drop for RunSlot {
 impl Service {
     /// A fresh service with no sessions. A private never-shedding
     /// supervisor is used unless [`Service::with_supervisor`] attaches the
-    /// daemon's shared one; flight bundles go to the supervisor's
-    /// [`Supervisor::flight_dir`].
+    /// daemon's shared one.
     pub fn new() -> Service {
         Service {
             sessions: HashMap::new(),
@@ -232,13 +235,13 @@ impl Service {
                 version: WIRE_VERSION,
                 server: SERVER_NAME.to_string(),
             }],
-            Command::Open(req) => vec![match open_session(&req, &self.supervisor) {
+            Command::Open(req) => vec![match open_session(&req) {
                 Ok(live) => self.admit(live, RecoveryPoint::Open(req.into())),
                 Err(e) => e,
             }],
             Command::Run { session, max_steps } => self.run(session, max_steps),
             Command::Checkpoint { session } => vec![self.checkpoint(session)],
-            Command::Resume { snapshot } => vec![match restore_session(&snapshot, None) {
+            Command::Resume { snapshot } => vec![match restore_session(&snapshot, false) {
                 Ok(live) => self.admit(
                     live,
                     RecoveryPoint::Resume {
@@ -281,19 +284,13 @@ impl Service {
             }],
             Command::Flight { session } => vec![match self.get(session) {
                 Err(e) => e,
-                Ok(rs) => {
-                    let read = |path: &std::path::PathBuf| -> Result<Json, String> {
-                        let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-                        Json::parse(&text).map_err(|e| e.to_string())
-                    };
-                    match rs.session.last_postmortem().map(read).transpose() {
-                        Ok(bundle) => Response::FlightInfo { session, bundle },
-                        Err(e) => err(
-                            ErrorCode::Rejected,
-                            format!("flight bundle unreadable: {e}"),
-                        ),
-                    }
-                }
+                Ok(rs) => match rs.bundle.as_deref().map(Json::parse).transpose() {
+                    Ok(bundle) => Response::FlightInfo { session, bundle },
+                    Err(e) => err(
+                        ErrorCode::Rejected,
+                        format!("flight bundle unreadable: {e}"),
+                    ),
+                },
             }],
             Command::Close { session } => vec![match self.sessions.remove(&session) {
                 Some(rs) => {
@@ -338,7 +335,9 @@ impl Service {
                 config: live.config,
                 progress_every,
                 cursor: DeltaCursor::new(),
+                flight: live.flight,
                 done: false,
+                bundle: None,
                 origin: live.origin,
             },
         );
@@ -450,26 +449,28 @@ impl Service {
         };
         rs.done = true;
         sup.retire(rs.gid, Retire::Completed);
-        let outcome = outcome_from_end(end, &rs.ctx);
+        let (outcome, bundle) = outcome_from_end(end, &rs.ctx, rs.flight.then_some(&rs.config));
+        rs.bundle = bundle;
         out.push(Response::Done { session, outcome });
         out
     }
 }
 
 /// A built or restored session with the config its context was built
-/// from and the origin of its population.
+/// from, whether it keeps a postmortem bundle, and the origin of its
+/// population.
 pub(crate) struct Live {
     pub(crate) ctx: SimContext,
     pub(crate) session: Session,
-    config: SimConfig,
+    pub(crate) config: SimConfig,
+    pub(crate) flight: bool,
     origin: Option<Origin>,
 }
 
 /// Builds the session an `Open` request describes. The `Open` verb and
 /// the resurrection of a never-checkpointed session both call it, so a
-/// resurrected session is the one its request built, flight recorder
-/// (dumping to `sup`'s flight dir) included.
-pub(crate) fn open_session(req: &OpenRequest, sup: &Supervisor) -> Result<Live, Response> {
+/// resurrected session is the one its request built, `flight` included.
+pub(crate) fn open_session(req: &OpenRequest) -> Result<Live, Response> {
     let Some(protocol) = protocol_by_name(&req.protocol) else {
         return Err(err(
             ErrorCode::UnknownProtocol,
@@ -516,29 +517,24 @@ pub(crate) fn open_session(req: &OpenRequest, sup: &Supervisor) -> Result<Live, 
     if let Some(deadline) = req.deadline_us {
         session = session.with_deadline_us(deadline);
     }
-    if req.flight {
-        session = session.with_flight_recorder(FlightRecorder::new(sup.flight_dir()), &config);
-    }
     Ok(Live {
         ctx,
         session,
         config,
+        flight: req.flight,
         origin: Some(origin),
     })
 }
 
-/// Restores the session a snapshot describes, recording flight bundles
-/// into `flight_dir` if given. The `Resume` verb and the resurrection of
-/// a checkpointed session both call it.
+/// Restores the session a snapshot describes, keeping a postmortem
+/// bundle if `flight`. The `Resume` verb and the resurrection of a
+/// checkpointed session both call it.
 ///
 /// A served snapshot names its population by `origin`; it is rebuilt from
 /// that scenario only after [`Session::restore_from`] has checked every
 /// packed progress vector against `origin.n`. A library snapshot that
 /// lists its `tags` restores through the same body.
-pub(crate) fn restore_session(
-    snapshot: &Json,
-    flight_dir: Option<PathBuf>,
-) -> Result<Live, Response> {
+pub(crate) fn restore_session(snapshot: &Json, flight: bool) -> Result<Live, Response> {
     let name: String = snapshot
         .field("protocol")
         .map_err(|e| err(ErrorCode::BadPayload, format!("snapshot: {e}")))?;
@@ -549,7 +545,7 @@ pub(crate) fn restore_session(
         )
     })?;
     let mut origin = None;
-    let (ctx, mut session, config) = Session::restore_from(protocol.as_ref(), snapshot, |json| {
+    let (ctx, session, config) = Session::restore_from(protocol.as_ref(), snapshot, |json| {
         let named: Origin = FromJson::from_json(json)
             .map_err(|e| JsonError(format!("in field 'origin': {}", e.0)))?;
         named.check_budget().map_err(JsonError)?;
@@ -559,13 +555,11 @@ pub(crate) fn restore_session(
         Ok((n, move || named.scenario().build_population()))
     })
     .map_err(|e| err(ErrorCode::Rejected, format!("snapshot rejected: {e}")))?;
-    if let Some(dir) = flight_dir {
-        session = session.with_flight_recorder(FlightRecorder::new(dir), &config);
-    }
     Ok(Live {
         ctx,
         session,
         config,
+        flight,
         origin,
     })
 }
@@ -698,44 +692,48 @@ mod tests {
         assert!(outcome.trace_digest.is_some(), "traced config digests");
     }
 
+    /// Two stalled `flight` sessions of one protocol and seed each keep
+    /// their own bundle; a `flight` session that completes, and a stalled
+    /// one without `flight`, have none.
     #[test]
-    fn flight_bundles_go_to_the_supervisor_flight_dir() {
-        let dir = std::env::temp_dir().join(format!("rfid-service-flight-{}", std::process::id()));
-        let supervisor = Arc::new(Supervisor::unlimited());
-        supervisor.set_flight_dir(&dir);
-        let mut service = Service::new().with_supervisor(supervisor);
-        let mut req = open_req(64);
-        req.config = Some(
-            SimConfig::paper(31)
-                .with_trace()
-                .with_channel(rfid_system::Channel::lossy(1.0)),
-        );
-        req.flight = true;
-        let id = opened(&mut service, req);
-        service.handle(Command::Run {
-            session: id,
-            max_steps: None,
-        });
-        let bundle = service.sessions[&id].session.last_postmortem().cloned();
-        let fetched = service.handle(Command::Flight { session: id }).remove(0);
-        let _ = std::fs::remove_dir_all(&dir);
-        let bundle = bundle.expect("a stalled session dumps a bundle");
-        assert!(bundle.starts_with(&dir), "{bundle:?} is not under {dir:?}");
-        // The `Flight` verb serves the dumped bundle, parsed.
-        let Response::FlightInfo {
-            bundle: Some(fetched),
-            ..
-        } = fetched
-        else {
-            panic!("expected a FlightInfo bundle, got {fetched:?}");
+    fn two_flight_sessions_keep_their_own_bundles() {
+        let dead = |n: u64, flight: bool| OpenRequest {
+            config: Some(
+                SimConfig::paper(31)
+                    .with_trace()
+                    .with_channel(rfid_system::Channel::lossy(1.0)),
+            ),
+            flight,
+            ..open_req(n)
         };
-        assert_eq!(fetched.field::<String>("cause").unwrap(), "stalled");
-        // A session with no postmortem has no bundle to serve.
-        let clean = opened(&mut service, open_req(8));
-        assert!(matches!(
-            service.handle(Command::Flight { session: clean }).remove(0),
-            Response::FlightInfo { bundle: None, .. }
-        ));
+        let mut service = Service::new();
+        let ids = [64, 32].map(|n| {
+            let id = opened(&mut service, dead(n, true));
+            assert_eq!(run_to_done(&mut service, id).status, "stalled");
+            (n, id)
+        });
+        for (n, id) in ids {
+            let bundle = flight(&mut service, id).expect("a stalled flight session keeps a bundle");
+            let bundle = rfid_obs::FlightBundle::parse(&bundle).expect("bundle parses");
+            assert_eq!(bundle.cause, "stalled");
+            assert_eq!(
+                bundle.population.len() as u64,
+                n,
+                "session {id} got another's bundle"
+            );
+        }
+        let complete = OpenRequest {
+            flight: true,
+            ..open_req(8)
+        };
+        for req in [complete, dead(64, false)] {
+            let id = opened(&mut service, req);
+            run_to_done(&mut service, id);
+            assert!(
+                flight(&mut service, id).is_none(),
+                "session {id} has a bundle"
+            );
+        }
     }
 
     #[test]
@@ -947,15 +945,23 @@ mod tests {
         }
     }
 
+    /// Fetches `id`'s postmortem bundle through the `Flight` verb.
+    fn flight(service: &mut Service, id: u64) -> Option<Json> {
+        match service.handle(Command::Flight { session: id }).remove(0) {
+            Response::FlightInfo { bundle, .. } => bundle,
+            other => panic!("expected FlightInfo, got {other:?}"),
+        }
+    }
+
     /// Orphans every unfinished session of `service` and returns the one
-    /// resurrected outcome.
-    fn resurrect_orphan(service: &Service) -> rfid_wire::SessionOutcome {
+    /// resurrection.
+    fn resurrect_orphan(service: &Service) -> crate::Resurrection {
         let sup = service.supervisor();
         sup.connection_lost(&service.orphan_gids());
-        let resurrections = sup.resurrections();
+        let mut resurrections = sup.resurrections();
         assert_eq!(resurrections.len(), 1, "one orphan, one resurrection");
         sup.reconcile().unwrap();
-        resurrections[0].outcome.clone()
+        resurrections.remove(0)
     }
 
     #[test]
@@ -975,7 +981,7 @@ mod tests {
         let id = opened(&mut service, open_req(64));
         inject(&mut service, id);
         assert_eq!(
-            resurrect_orphan(&service),
+            resurrect_orphan(&service).outcome,
             expected,
             "resurrection dropped the injected fault"
         );
@@ -984,10 +990,7 @@ mod tests {
     #[test]
     fn flight_bundle_records_the_injected_fault() {
         use rfid_system::FaultModel;
-        let dir = std::env::temp_dir().join(format!("rfid-inject-flight-{}", std::process::id()));
-        let supervisor = Arc::new(Supervisor::unlimited());
-        supervisor.set_flight_dir(&dir);
-        let mut service = Service::new().with_supervisor(supervisor);
+        let mut service = Service::new();
         let mut req = open_req(64);
         req.flight = true;
         let id = opened(&mut service, req);
@@ -998,26 +1001,14 @@ mod tests {
         });
         assert!(matches!(responses[0], Response::Opened { .. }));
         assert_eq!(run_to_done(&mut service, id).status, "stalled");
-        let fetched = service.handle(Command::Flight { session: id }).remove(0);
-        let _ = std::fs::remove_dir_all(&dir);
-        let Response::FlightInfo {
-            bundle: Some(bundle),
-            ..
-        } = fetched
-        else {
-            panic!("expected a FlightInfo bundle, got {fetched:?}");
-        };
+        let bundle = flight(&mut service, id).expect("a stalled flight session keeps a bundle");
         let config: SimConfig = bundle.field("config").unwrap();
         assert_eq!(config.fault, fault, "the bundle lost the injected fault");
     }
 
     #[test]
     fn checkpointed_resurrection_keeps_its_flight_recorder() {
-        let dir = std::env::temp_dir().join(format!("rfid-resume-flight-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let supervisor = Arc::new(Supervisor::unlimited());
-        supervisor.set_flight_dir(&dir);
-        let mut service = Service::new().with_supervisor(supervisor);
+        let mut service = Service::new();
         let mut req = open_req(64);
         req.config = Some(
             SimConfig::paper(31)
@@ -1033,10 +1024,17 @@ mod tests {
                 .remove(0),
             Response::Snapshot { .. }
         ));
-        assert_eq!(resurrect_orphan(&service).status, "stalled");
-        let written = dir.join("postmortem-hpp-stalled-31.json").exists();
-        let _ = std::fs::remove_dir_all(&dir);
-        assert!(written, "the resurrected run lost its flight recorder");
+        let resurrected = resurrect_orphan(&service);
+        assert_eq!(resurrected.outcome.status, "stalled");
+        let bundle = resurrected
+            .bundle
+            .expect("the resurrected run lost its bundle");
+        let bundle = Json::parse(&bundle).expect("bundle text parses");
+        let bundle = rfid_obs::FlightBundle::parse(&bundle).expect("bundle parses");
+        assert_eq!(
+            (bundle.cause.as_str(), bundle.population.len()),
+            ("stalled", 64)
+        );
     }
 
     #[test]
@@ -1044,15 +1042,9 @@ mod tests {
         use crate::registry::all_protocols;
         use rfid_protocols::RecoveryPolicy;
         use rfid_system::{Channel, FaultModel, FaultPlan, KillRule};
-        let root = std::env::temp_dir().join(format!("rfid-open-replay-{}", std::process::id()));
-        let service_in = |dir: &str| {
-            let supervisor = Arc::new(Supervisor::unlimited());
-            supervisor.set_flight_dir(root.join(dir));
-            Service::new().with_supervisor(supervisor)
-        };
         // A dead tag on a lossy link: passes recover under the policy
         // until the breaker opens or the deadline bites, and each such
-        // end dumps a flight bundle.
+        // end keeps a postmortem bundle.
         let dead_tag = FaultPlan {
             kill_after_replies: vec![KillRule {
                 tag: 0,
@@ -1075,26 +1067,26 @@ mod tests {
                 ..plain.clone()
             };
             for req in [plain, impaired] {
-                let mut reference = service_in("reference");
+                let mut reference = Service::new();
                 let id = opened(&mut reference, req.clone());
                 let expected = run_to_done(&mut reference, id);
-                let mut service = service_in("resurrected");
+                let expected_bundle = flight(&mut reference, id);
+                let mut service = Service::new();
                 opened(&mut service, req.clone());
+                let resurrected = resurrect_orphan(&service);
                 assert_eq!(
-                    resurrect_orphan(&service),
-                    expected,
+                    resurrected.outcome, expected,
                     "{name} drifted when replayed from {req:?}"
                 );
-                if let (true, Some(cause)) = (req.flight, &expected.cause) {
-                    let bundle = format!("postmortem-{}-{cause}-17.json", name.to_lowercase());
-                    assert!(
-                        root.join("resurrected").join(&bundle).exists(),
-                        "the resurrected {name} run lost its flight recorder"
-                    );
-                }
+                assert_eq!(
+                    resurrected.bundle.is_some(),
+                    req.flight && expected.cause.is_some(),
+                    "the resurrected {name} run lost its bundle"
+                );
+                let bundle = resurrected.bundle.map(|text| Json::parse(&text).unwrap());
+                assert_eq!(bundle, expected_bundle, "{name}: the bundles differ");
             }
         }
-        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //! rebuilt run finishes with the same report JSON and FNV-1a trace
 //! digest the uninterrupted run would have produced (the resilience gate
 //! pins this). If a recovery point cannot be replayed, the supervisor
-//! dumps a flight bundle for the postmortem instead of dying quietly.
+//! keeps a failure document for the postmortem instead of dying quietly.
+//! A resurrected session that asked for `flight` and did not complete
+//! carries its postmortem bundle, as a served one does.
 //!
 //! Shutdown is a *drain*: the serving loop deposits one final checkpoint
 //! per live session before the listener closes, so a controller can
@@ -28,13 +30,12 @@
 //! or it is still live.
 
 use std::collections::HashMap;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
-use rfid_obs::{wire_counters, MetricsRegistry};
+use rfid_obs::{postmortem, wire_counters, MetricsRegistry};
 use rfid_protocols::SessionEnd;
-use rfid_system::{Json, SimContext, ToJson};
+use rfid_system::{Json, SimConfig, SimContext, ToJson};
 use rfid_wire::{OpenRequest, SessionOutcome};
 
 use crate::service::{open_session, restore_session};
@@ -83,18 +84,19 @@ pub enum RecoveryPoint {
     /// No checkpoint yet: replay the `Open` that built the session.
     Open(Box<OpenRequest>),
     /// The last deposited checkpoint: replay a `Resume` of it, with the
-    /// flight recorder the session's `Open` asked for (a snapshot does not
-    /// carry one).
+    /// `flight` the session's `Open` asked for (a snapshot does not carry
+    /// it).
     Resume {
         /// The checkpoint.
         snapshot: Json,
-        /// Whether the rebuilt session records flight bundles.
+        /// Whether the rebuilt session keeps a postmortem bundle.
         flight: bool,
     },
 }
 
 impl RecoveryPoint {
-    /// Whether the session this point recreates records flight bundles.
+    /// Whether the session this point recreates keeps a postmortem
+    /// bundle.
     fn flight(&self) -> bool {
         match self {
             RecoveryPoint::Open(req) => req.flight,
@@ -111,6 +113,9 @@ pub struct Resurrection {
     pub gid: u64,
     /// The outcome of running the rebuilt session to completion.
     pub outcome: SessionOutcome,
+    /// The run's postmortem bundle as compact JSON text, if the session
+    /// asked for `flight` and did not complete.
+    pub bundle: Option<String>,
 }
 
 /// How a session left the live set.
@@ -131,7 +136,7 @@ struct SupState {
     metrics: MetricsRegistry,
     resurrections: Vec<Resurrection>,
     drained: Vec<(u64, Json)>,
-    flight_dir: PathBuf,
+    failures: Vec<Json>,
 }
 
 /// The fleet-wide session registry: admission, checkpoints, resurrection.
@@ -150,10 +155,10 @@ impl Supervisor {
                 live: HashMap::new(),
                 next_gid: 1,
                 inflight: 0,
-                metrics: MetricsRegistry::enabled(),
+                metrics: MetricsRegistry::default(),
                 resurrections: Vec::new(),
                 drained: Vec::new(),
-                flight_dir: std::env::temp_dir().join("rfid-daemon-flight"),
+                failures: Vec::new(),
             }),
         }
     }
@@ -166,19 +171,6 @@ impl Supervisor {
     /// The limits this supervisor enforces.
     pub fn limits(&self) -> FleetLimits {
         self.limits
-    }
-
-    /// Sets where flight bundles are dumped: failed resurrections here,
-    /// and sessions of every [`crate::Service`] attached to this
-    /// supervisor.
-    pub fn set_flight_dir(&self, dir: impl Into<PathBuf>) {
-        self.lock().flight_dir = dir.into();
-    }
-
-    /// Where flight bundles are dumped (`rfid-daemon-flight` under the OS
-    /// temp dir unless [`Supervisor::set_flight_dir`] moved it).
-    pub fn flight_dir(&self) -> PathBuf {
-        self.lock().flight_dir.clone()
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, SupState> {
@@ -259,23 +251,29 @@ impl Supervisor {
     /// Resurrects every still-live session in `gids` from its recovery
     /// point: rebuild, run to completion, record the outcome. Called by
     /// the serving layer when a connection dies with sessions on it.
-    /// Replay failures dump a flight bundle and are counted, never
-    /// propagated — the fleet outlives any one corpse.
+    /// Replay failures keep a failure document ([`Supervisor::failures`])
+    /// and are counted, never propagated — the fleet outlives any one
+    /// corpse.
     pub fn connection_lost(&self, gids: &[u64]) {
         for &gid in gids {
             let Some(record) = self.lock().live.remove(&gid) else {
                 continue; // already retired
             };
             match self.resurrect(&record) {
-                Ok(outcome) => {
+                Ok((outcome, bundle)) => {
                     let mut s = self.lock();
                     s.metrics.inc(wire_counters::SESSIONS_RESURRECTED, 1);
-                    s.resurrections.push(Resurrection { gid, outcome });
+                    s.resurrections.push(Resurrection {
+                        gid,
+                        outcome,
+                        bundle,
+                    });
                 }
                 Err(why) => {
+                    let failure = failure_document(gid, &why, record);
                     let mut s = self.lock();
                     s.metrics.inc("sessions_resurrect_failed", 1);
-                    dump_flight_bundle(&s.flight_dir, gid, &why, &record);
+                    s.failures.push(failure);
                 }
             }
         }
@@ -328,19 +326,30 @@ impl Supervisor {
         self.lock().drained.clone()
     }
 
+    /// One document per recovery point that failed to replay: its gid,
+    /// the error, and the request or checkpoint that failed.
+    pub fn failures(&self) -> Vec<Json> {
+        self.lock().failures.clone()
+    }
+
     /// Rebuilds a session through the same function its verb used and
     /// runs it to completion, producing the same outcome shape the wire's
-    /// `Done` response carries.
-    fn resurrect(&self, record: &RecoveryPoint) -> Result<SessionOutcome, String> {
+    /// `Done` response carries, and the bundle a served run would keep.
+    fn resurrect(
+        &self,
+        record: &RecoveryPoint,
+    ) -> Result<(SessionOutcome, Option<String>), String> {
         let mut live = match record {
-            RecoveryPoint::Open(req) => open_session(req, self),
-            RecoveryPoint::Resume { snapshot, flight } => {
-                restore_session(snapshot, flight.then(|| self.flight_dir()))
-            }
+            RecoveryPoint::Open(req) => open_session(req),
+            RecoveryPoint::Resume { snapshot, flight } => restore_session(snapshot, *flight),
         }
         .map_err(|e| format!("{e:?}"))?;
         let end = live.session.run(&mut live.ctx);
-        Ok(outcome_from_end(end, &live.ctx))
+        Ok(outcome_from_end(
+            end,
+            &live.ctx,
+            live.flight.then_some(&live.config),
+        ))
     }
 
     /// The conservation law: every admitted session is accounted for
@@ -367,38 +376,58 @@ impl Supervisor {
 /// Builds the serializable outcome for a finished session — shared by
 /// the per-connection dispatcher and supervisor resurrection so both
 /// report bit-identical JSON for the same run. A traced context carries
-/// its trace digest.
-pub(crate) fn outcome_from_end(end: SessionEnd, ctx: &SimContext) -> SessionOutcome {
-    let (status, cause) = match &end {
-        SessionEnd::Complete { .. } => ("complete", None),
-        SessionEnd::Stalled(e) => ("stalled", Some(e.cause().label())),
-        SessionEnd::Degraded { cause, .. } => ("degraded", Some(cause.label())),
+/// its trace digest. With `flight`, the config the context was built
+/// from, an end that did not complete also yields its postmortem bundle
+/// as compact JSON text (DESIGN.md §14 trigger rules).
+pub(crate) fn outcome_from_end(
+    end: SessionEnd,
+    ctx: &SimContext,
+    flight: Option<&SimConfig>,
+) -> (SessionOutcome, Option<String>) {
+    let (status, cause, bundle_cause) = match &end {
+        SessionEnd::Complete { .. } => ("complete", None, None),
+        SessionEnd::Stalled(e) => ("stalled", Some(e.cause().label()), Some("stalled")),
+        SessionEnd::Degraded { cause, .. } => {
+            ("degraded", Some(cause.label()), Some(cause.label()))
+        }
     };
-    SessionOutcome {
+    let report = end.report().to_json();
+    let bundle = flight.zip(bundle_cause).map(|(config, cause)| {
+        let (protocol, passes, coverage) = (&end.report().protocol, end.passes(), end.coverage());
+        postmortem(
+            protocol,
+            cause,
+            config,
+            ctx,
+            report.clone(),
+            passes,
+            coverage,
+        )
+        .to_string()
+    });
+    let outcome = SessionOutcome {
         status: status.to_string(),
-        report: end.report().to_json(),
+        report,
         passes: end.passes(),
         coverage: end.coverage(),
         cause: cause.map(str::to_string),
         trace_digest: ctx.log.is_enabled().then(|| ctx.log.digest()),
-    }
+    };
+    (outcome, bundle)
 }
 
-fn dump_flight_bundle(dir: &PathBuf, gid: u64, why: &str, record: &RecoveryPoint) {
+/// The document kept for a recovery point that failed to replay.
+fn failure_document(gid: u64, why: &str, record: RecoveryPoint) -> Json {
     let record = match record {
         RecoveryPoint::Open(req) => ("request".to_string(), req.to_json()),
-        RecoveryPoint::Resume { snapshot, .. } => ("checkpoint".to_string(), snapshot.clone()),
+        RecoveryPoint::Resume { snapshot, .. } => ("checkpoint".to_string(), snapshot),
     };
-    let bundle = Json::Obj(vec![
+    Json::Obj(vec![
         ("kind".to_string(), Json::str("resurrection_failure")),
         ("gid".to_string(), gid.to_json()),
         ("error".to_string(), why.to_json()),
         record,
-    ]);
-    if std::fs::create_dir_all(dir).is_ok() {
-        let path = dir.join(format!("resurrect-{gid}.json"));
-        let _ = std::fs::write(path, bundle.to_pretty_string() + "\n");
-    }
+    ])
 }
 
 /// The panic payload of a deliberate chaos kill point. The serving loop
@@ -497,7 +526,7 @@ mod tests {
         }
         let library = session.snapshot(&ctx, &config);
         let end = session.run(&mut ctx);
-        let outcome = outcome_from_end(end, &ctx);
+        let (outcome, _) = outcome_from_end(end, &ctx, None);
 
         // The same session served: the default config of this request is
         // the one above.
@@ -580,7 +609,7 @@ mod tests {
             let drained = sup.drained();
             assert_eq!(drained.len(), 1);
             // The drained snapshot must still finish bit-identically.
-            let outcome = sup.resurrect(&resume_record(drained[0].1.clone())).unwrap();
+            let (outcome, _) = sup.resurrect(&resume_record(drained[0].1.clone())).unwrap();
             assert_eq!(outcome, reference, "{form} snapshot drifted");
             sup.reconcile().unwrap();
         }
@@ -588,28 +617,27 @@ mod tests {
 
     #[test]
     fn unrestorable_checkpoint_dumps_a_flight_bundle() {
-        let dir = std::env::temp_dir().join(format!(
-            "rfid-sup-test-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
         let sup = Supervisor::unlimited();
-        sup.set_flight_dir(&dir);
         let bogus = Json::Obj(vec![("protocol".to_string(), Json::str("TPP"))]);
-        let gid = sup.admit(resume_record(bogus)).unwrap();
+        let gid = sup.admit(resume_record(bogus.clone())).unwrap();
         sup.connection_lost(&[gid]);
         assert_eq!(sup.counter("sessions_resurrect_failed"), 1);
         assert!(sup.resurrections().is_empty());
-        let bundle = std::fs::read_to_string(dir.join(format!("resurrect-{gid}.json")))
-            .expect("flight bundle written");
-        assert!(bundle.contains("resurrection_failure"));
-        assert!(
-            bundle.contains("\"checkpoint\""),
-            "the bundle carries the record"
+        let failures = sup.failures();
+        assert_eq!(failures.len(), 1, "one failed replay, one document");
+        let failure = &failures[0];
+        assert_eq!(
+            failure.field::<String>("kind").unwrap(),
+            "resurrection_failure"
+        );
+        assert_eq!(failure.field::<u64>("gid").unwrap(), gid);
+        assert!(!failure.field::<String>("error").unwrap().is_empty());
+        assert_eq!(
+            failure.get("checkpoint"),
+            Some(&bogus),
+            "the document carries the record"
         );
         sup.reconcile().unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! * [`histogram::Log2Histogram`] — allocation-light log-scaled histograms
 //!   for long-tailed quantities (vector lengths, latencies, slot times),
 //! * [`metrics::MetricsRegistry`] — a named registry of histograms,
-//!   counters and time series with a zero-cost disabled path,
+//!   counters and time series,
 //! * [`trace::metrics_from_log`] — derives the paper-relevant metric set
 //!   (vector-length distribution, per-tag poll latency, slot durations,
 //!   unread-tags-vs-time, retransmission depth) from any trace.
@@ -18,15 +18,15 @@
 //! `Counters::apply` the simulator runs live; the golden tests assert that
 //! every traced run folds back into its counters.
 //!
-//! PR 8 adds the profiling plane (DESIGN.md §14):
+//! The profiling plane (DESIGN.md §14):
 //!
-//! * [`span`] — the analysis half of hierarchical span profiling: span
-//!   trees, deterministic folded-stack (collapsed flamegraph) export and
-//!   the `obs_report --flame` renderer (recording lives on
+//! * [`span`] — the analysis half of hierarchical span profiling:
+//!   deterministic folded-stack (collapsed flamegraph) export and the
+//!   `obs_report --flame` renderer (recording lives on
 //!   [`rfid_system::SpanProfiler`]),
-//! * [`flight`] — the flight recorder: postmortem JSON bundles dumped
-//!   automatically when a session ends `Stalled`/`Degraded`, parseable
-//!   back into a [`flight::FlightBundle`] repro artifact,
+//! * [`flight`] — postmortem bundles: [`flight::postmortem`] builds the
+//!   JSON document for a session that ended `Stalled`/`Degraded`, and
+//!   [`flight::FlightBundle`] parses it back into a repro artifact,
 //! * [`metrics::MetricsRegistry::expose_text`] — Prometheus-style text
 //!   exposition plus [`metrics::DeltaCursor`] delta-JSONL streaming.
 
@@ -36,8 +36,8 @@ pub mod metrics;
 pub mod span;
 pub mod trace;
 
-pub use flight::{FlightBundle, FlightRecorder};
+pub use flight::{postmortem, FlightBundle};
 pub use histogram::Log2Histogram;
 pub use metrics::{wire_counters, DeltaCursor, MetricsRegistry, SeriesPoint, TimeSeries};
-pub use span::{folded_stacks, render_flame, span_tree, Span};
+pub use span::{folded_stacks, render_flame};
 pub use trace::{metrics_from_events, metrics_from_log};

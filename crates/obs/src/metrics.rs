@@ -1,10 +1,7 @@
 //! The metrics registry: named histograms, counters and time series.
 //!
 //! A [`MetricsRegistry`] is the in-memory snapshot format the `obs_report`
-//! binary renders and JSON consumers export. Like the event log it has a
-//! disabled mode whose record paths return before touching any storage —
-//! Monte-Carlo sweeps keep a registry around unconditionally and pay
-//! nothing (`benches/obs.rs` guards this).
+//! binary renders and JSON consumers export.
 //!
 //! Metric names are interned per registry in insertion order, so snapshots
 //! are deterministic and diffs between runs stay line-stable. Lookup is a
@@ -76,40 +73,19 @@ impl TimeSeries {
     }
 }
 
-/// A named collection of histograms, monotone counters and time series.
+/// A named collection of histograms, monotone counters and time series;
+/// [`Default`] is the empty registry.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsRegistry {
-    enabled: bool,
     histograms: Vec<(String, Log2Histogram)>,
     counters: Vec<(String, u64)>,
     series: Vec<(String, TimeSeries)>,
 }
 
 impl MetricsRegistry {
-    /// A recording registry.
-    pub fn enabled() -> Self {
-        MetricsRegistry {
-            enabled: true,
-            ..MetricsRegistry::default()
-        }
-    }
-
-    /// A disabled registry: every record path is a no-op.
-    pub fn disabled() -> Self {
-        MetricsRegistry::default()
-    }
-
-    /// Whether recording is on.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Records one sample into the named histogram (created on first use).
     #[inline]
     pub fn observe(&mut self, name: &str, value: u64) {
-        if !self.enabled {
-            return;
-        }
         if let Some((_, h)) = self.histograms.iter_mut().find(|(n, _)| n == name) {
             h.record(value);
             return;
@@ -122,9 +98,6 @@ impl MetricsRegistry {
     /// Adds `by` to the named counter (created on first use).
     #[inline]
     pub fn inc(&mut self, name: &str, by: u64) {
-        if !self.enabled {
-            return;
-        }
         if let Some((_, c)) = self.counters.iter_mut().find(|(n, _)| n == name) {
             *c += by;
             return;
@@ -136,9 +109,6 @@ impl MetricsRegistry {
     /// use).
     #[inline]
     pub fn point(&mut self, name: &str, t: Micros, value: f64) {
-        if !self.enabled {
-            return;
-        }
         let p = SeriesPoint {
             t_us: t.as_f64(),
             value,
@@ -159,11 +129,8 @@ impl MetricsRegistry {
     /// Histogram and counter merging is associative and commutative, so the
     /// sweep engine can give each worker thread a private registry and fold
     /// them post-join without locking: the merged totals are independent of
-    /// how jobs were scheduled. A disabled `self` stays empty.
+    /// how jobs were scheduled.
     pub fn merge(&mut self, other: &MetricsRegistry) {
-        if !self.enabled {
-            return;
-        }
         for (name, h) in &other.histograms {
             if let Some((_, mine)) = self.histograms.iter_mut().find(|(n, _)| n == name) {
                 mine.merge(h);
@@ -396,7 +363,7 @@ mod tests {
 
     #[test]
     fn wire_counters_expose_with_prefix() {
-        let mut m = MetricsRegistry::enabled();
+        let mut m = MetricsRegistry::default();
         for name in wire_counters::ALL {
             m.inc(name, 1);
         }
@@ -410,20 +377,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_registry_records_nothing() {
-        let mut m = MetricsRegistry::disabled();
-        m.observe("w", 3);
-        m.inc("polls", 1);
-        m.point("unread", Micros::from_us(1.0), 10.0);
-        assert!(!m.is_enabled());
-        assert!(m.histogram("w").is_none());
-        assert_eq!(m.counter("polls"), 0);
-        assert!(m.series("unread").is_none());
-    }
-
-    #[test]
     fn enabled_registry_accumulates_by_name() {
-        let mut m = MetricsRegistry::enabled();
+        let mut m = MetricsRegistry::default();
         m.observe("w", 3);
         m.observe("w", 5);
         m.observe("latency", 100);
@@ -443,11 +398,11 @@ mod tests {
 
     #[test]
     fn merge_folds_histograms_counters_and_series() {
-        let mut a = MetricsRegistry::enabled();
+        let mut a = MetricsRegistry::default();
         a.observe("w", 2);
         a.inc("polls", 1);
         a.point("unread", Micros::from_us(0.0), 3.0);
-        let mut b = MetricsRegistry::enabled();
+        let mut b = MetricsRegistry::default();
         b.observe("w", 6);
         b.observe("latency", 50);
         b.inc("polls", 4);
@@ -469,14 +424,14 @@ mod tests {
         // histogram and counter (the guarantee the sweep engine leans on).
         let parts: Vec<MetricsRegistry> = (0..3u64)
             .map(|w| {
-                let mut m = MetricsRegistry::enabled();
+                let mut m = MetricsRegistry::default();
                 m.observe("job_us", 10 + w);
                 m.inc("jobs", w + 1);
                 m
             })
             .collect();
         let fold = |order: &[usize]| {
-            let mut acc = MetricsRegistry::enabled();
+            let mut acc = MetricsRegistry::default();
             for &i in order {
                 acc.merge(&parts[i]);
             }
@@ -489,17 +444,8 @@ mod tests {
     }
 
     #[test]
-    fn merge_into_disabled_registry_is_a_no_op() {
-        let mut a = MetricsRegistry::disabled();
-        let mut b = MetricsRegistry::enabled();
-        b.inc("jobs", 3);
-        a.merge(&b);
-        assert_eq!(a.counter("jobs"), 0);
-    }
-
-    #[test]
     fn expose_text_renders_prometheus_format() {
-        let mut m = MetricsRegistry::enabled();
+        let mut m = MetricsRegistry::default();
         m.inc("polls", 42);
         m.observe("vector-bits", 0);
         m.observe("vector-bits", 3);
@@ -521,13 +467,12 @@ mod tests {
 
     #[test]
     fn expose_text_of_empty_registry_is_empty() {
-        assert_eq!(MetricsRegistry::enabled().expose_text(), "");
-        assert_eq!(MetricsRegistry::disabled().expose_text(), "");
+        assert_eq!(MetricsRegistry::default().expose_text(), "");
     }
 
     #[test]
     fn delta_cursor_streams_only_changes() {
-        let mut m = MetricsRegistry::enabled();
+        let mut m = MetricsRegistry::default();
         let mut cur = DeltaCursor::new();
         assert_eq!(cur.delta(&m), None, "nothing recorded, nothing streamed");
 
@@ -563,7 +508,7 @@ mod tests {
 
     #[test]
     fn delta_lines_are_single_line_jsonl() {
-        let mut m = MetricsRegistry::enabled();
+        let mut m = MetricsRegistry::default();
         m.inc("a", 1);
         m.observe("b", 2);
         let line = DeltaCursor::new().delta(&m).unwrap();
@@ -572,7 +517,7 @@ mod tests {
 
     #[test]
     fn snapshot_is_valid_json() {
-        let mut m = MetricsRegistry::enabled();
+        let mut m = MetricsRegistry::default();
         m.observe("w", 3);
         m.inc("polls", 1);
         m.point("unread", Micros::from_us(2.5), 9.0);

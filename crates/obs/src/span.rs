@@ -3,10 +3,9 @@
 //! The recording half lives in [`rfid_system::SpanProfiler`] (on the
 //! simulation context, so the `poll`/`slot` leaves can be instrumented
 //! without a dependency cycle); this module is the analysis half, mirroring
-//! the trace/metrics split. It turns the aggregated span trie into:
+//! the trace/metrics split. It turns the aggregated span trie, whose
+//! nodes resolve their own self-times, into:
 //!
-//! * [`span_tree`] — an owned [`Span`] tree with self/child attribution
-//!   resolved, the shape `obs_report --flame` renders,
 //! * [`folded_stacks`] — the deterministic *collapsed flamegraph* format
 //!   (`root;child;leaf <value>`, one line per call path), consumable by
 //!   standard `flamegraph.pl`-family tooling. Values are **sim-time
@@ -16,45 +15,6 @@
 //!   self, and wall total / self columns, for terminal reading.
 
 use rfid_system::SpanProfiler;
-
-/// One node of the exported span tree: a distinct call path with its
-/// aggregated costs and resolved self-times.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Span {
-    /// Scope name.
-    pub name: String,
-    /// Completed enter/exit pairs.
-    pub calls: u64,
-    /// Total sim-time inside the scope, microseconds (children included).
-    pub sim_total_us: f64,
-    /// Sim-time in the scope itself, excluding children.
-    pub sim_self_us: f64,
-    /// Total host wall-time inside the scope, nanoseconds.
-    pub wall_total_ns: u64,
-    /// Wall-time in the scope itself, excluding children.
-    pub wall_self_ns: u64,
-    /// Child scopes, in first-entry order.
-    pub children: Vec<Span>,
-}
-
-fn build(p: &SpanProfiler, idx: usize) -> Span {
-    let n = &p.nodes()[idx];
-    Span {
-        name: n.name.to_string(),
-        calls: n.calls,
-        sim_total_us: n.sim_total_us,
-        sim_self_us: n.sim_self_us(),
-        wall_total_ns: n.wall_total_ns,
-        wall_self_ns: n.wall_self_ns(),
-        children: n.children().iter().map(|&c| build(p, c)).collect(),
-    }
-}
-
-/// The profiler's root spans as an owned tree (first-entry order). Empty
-/// when the profiler is disabled or recorded nothing.
-pub fn span_tree(p: &SpanProfiler) -> Vec<Span> {
-    p.roots().into_iter().map(|r| build(p, r)).collect()
-}
 
 /// The collapsed-flamegraph export: one `path;to;scope <value>` line per
 /// call path with nonzero self sim-time (value = self sim-µs, rounded to
@@ -100,37 +60,37 @@ fn fmt_ns(ns: u64) -> String {
     }
 }
 
-fn render_into(out: &mut String, span: &Span, depth: usize) {
+fn render_into(out: &mut String, p: &SpanProfiler, idx: usize, depth: usize) {
+    let node = &p.nodes()[idx];
     let indent = "  ".repeat(depth);
     out.push_str(&format!(
         "{indent}{name:<w$} {calls:>9} {st:>10} {ss:>10} {wt:>10} {ws:>10}\n",
-        name = span.name,
+        name = node.name,
         w = 24usize.saturating_sub(indent.len()).max(1),
-        calls = span.calls,
-        st = fmt_us(span.sim_total_us),
-        ss = fmt_us(span.sim_self_us),
-        wt = fmt_ns(span.wall_total_ns),
-        ws = fmt_ns(span.wall_self_ns),
+        calls = node.calls,
+        st = fmt_us(node.sim_total_us),
+        ss = fmt_us(node.sim_self_us()),
+        wt = fmt_ns(node.wall_total_ns),
+        ws = fmt_ns(node.wall_self_ns()),
     ));
-    for child in &span.children {
-        render_into(out, child, depth + 1);
+    for &child in node.children() {
+        render_into(out, p, child, depth + 1);
     }
 }
 
-/// Renders the span tree as a plain-text table: one row per call path,
-/// indented by depth, with calls, sim total/self, wall total/self columns.
+/// Renders the span trie as a plain-text table: one row per call path,
+/// indented by depth in first-entry order, with calls, sim total/self,
+/// wall total/self columns.
 pub fn render_flame(p: &SpanProfiler) -> String {
-    let tree = span_tree(p);
-    if tree.is_empty() {
+    if p.is_empty() {
         return "no spans recorded (run with profiling enabled)\n".to_string();
     }
-    let mut out = String::new();
-    out.push_str(&format!(
+    let mut out = format!(
         "{:<24} {:>9} {:>10} {:>10} {:>10} {:>10}\n",
         "span", "calls", "sim", "sim-self", "wall", "wall-self"
-    ));
-    for root in &tree {
-        render_into(&mut out, root, 0);
+    );
+    for root in p.roots() {
+        render_into(&mut out, p, root, 0);
     }
     out
 }
@@ -156,15 +116,15 @@ mod tests {
 
     #[test]
     fn span_tree_resolves_self_times() {
-        let tree = span_tree(&profiler());
-        assert_eq!(tree.len(), 1);
-        let session = &tree[0];
+        let p = profiler();
+        assert_eq!(p.roots(), [0]);
+        let session = &p.nodes()[0];
         assert_eq!(session.name, "session");
         assert!((session.sim_total_us - 600.0).abs() < 1e-9);
-        assert_eq!(session.sim_self_us, 0.0, "all time is in the pass");
-        let pass = &session.children[0];
-        assert!((pass.sim_self_us - 100.0).abs() < 1e-9);
-        let round = &pass.children[0];
+        assert_eq!(session.sim_self_us(), 0.0, "all time is in the pass");
+        let pass = &p.nodes()[session.children()[0]];
+        assert!((pass.sim_self_us() - 100.0).abs() < 1e-9);
+        let round = &p.nodes()[pass.children()[0]];
         assert_eq!(round.calls, 2);
         assert!((round.sim_total_us - 500.0).abs() < 1e-9);
     }

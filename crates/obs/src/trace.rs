@@ -39,7 +39,7 @@ pub fn metrics_from_events<'a, I>(events: I) -> MetricsRegistry
 where
     I: IntoIterator<Item = &'a TimedEvent>,
 {
-    let mut m = MetricsRegistry::enabled();
+    let mut m = MetricsRegistry::default();
     // Sim-time of the innermost enclosing round or circle start: the
     // latency origin for every poll inside it.
     let mut epoch: Option<f64> = None;

@@ -1,14 +1,14 @@
 //! Pinned repro-from-bundle test: the whole point of a postmortem bundle
 //! is that a failure seen once can be rebuilt and re-run from the bundle
-//! alone. Drive an HPP session into `Degraded` on a jammed downlink, load
-//! the bundle the flight recorder dumped, restore a fresh context from
+//! alone. Drive an HPP session into `Degraded` on a jammed downlink, build
+//! its postmortem bundle, restore a fresh context from
 //! *only* the bundle's config and population, and require the re-run to
 //! reproduce the failure — same cause, same coverage, same passes, same
 //! partial-report counters.
 
-use rfid_obs::{FlightBundle, FlightRecorder};
+use rfid_obs::{postmortem, FlightBundle};
 use rfid_protocols::{HppConfig, RecoveryPolicy, Session, SessionEnd};
-use rfid_system::{BitVec, FaultModel, SimConfig, SimContext, TagPopulation};
+use rfid_system::{BitVec, FaultModel, Json, SimConfig, SimContext, TagPopulation, ToJson};
 
 fn jammed_config(seed: u64) -> SimConfig {
     SimConfig::paper(seed)
@@ -17,30 +17,44 @@ fn jammed_config(seed: u64) -> SimConfig {
         .with_fault(FaultModel::perfect().with_downlink_loss(1.0))
 }
 
-fn degraded_run(cfg: &SimConfig, recorder: Option<FlightRecorder>) -> (SessionEnd, Session) {
+fn degraded_run(cfg: &SimConfig) -> (SessionEnd, SimContext) {
     let pop = TagPopulation::sequential(40, |i| BitVec::from_value(i as u64, 8));
     let mut ctx = SimContext::new(pop, cfg);
     let protocol = HppConfig {
         max_rounds: 3,
         ..HppConfig::default()
     };
-    let mut session =
-        Session::open(&protocol, &ctx).with_policy(RecoveryPolicy::unbounded().with_max_passes(2));
-    if let Some(rec) = recorder {
-        session = session.with_flight_recorder(rec, cfg);
-    }
-    let end = session.run(&mut ctx);
-    (end, session)
+    let end = Session::open(&protocol, &ctx)
+        .with_policy(RecoveryPolicy::unbounded().with_max_passes(2))
+        .run(&mut ctx);
+    (end, ctx)
+}
+
+/// The bundle of a `Degraded` end, sent through its compact text as the
+/// daemon serves it and parsed back.
+fn degraded_bundle(cfg: &SimConfig, ctx: &SimContext, end: &SessionEnd) -> FlightBundle {
+    let SessionEnd::Degraded { cause, .. } = end else {
+        panic!("expected a degraded end, got {end:?}");
+    };
+    let report = end.report();
+    let text = postmortem(
+        &report.protocol,
+        cause.label(),
+        cfg,
+        ctx,
+        report.to_json(),
+        end.passes(),
+        end.coverage(),
+    )
+    .to_string();
+    FlightBundle::parse(&Json::parse(&text).expect("bundle text parses")).expect("bundle parses")
 }
 
 #[test]
 fn a_degraded_session_is_reproducible_from_its_bundle_alone() {
-    let dir = std::env::temp_dir().join(format!("rfid-flight-repro-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-
     // The failing run: jammed downlink, bounded recovery → Degraded.
     let cfg = jammed_config(90210);
-    let (end, session) = degraded_run(&cfg, Some(FlightRecorder::new(&dir)));
+    let (end, ctx) = degraded_run(&cfg);
     let (first_cause, first_coverage, first_passes, first_report) = match &end {
         SessionEnd::Degraded {
             cause,
@@ -51,9 +65,7 @@ fn a_degraded_session_is_reproducible_from_its_bundle_alone() {
         other => panic!("jammed run should degrade, got {other:?}"),
     };
 
-    // The recorder left exactly one parseable bundle for it.
-    let path = session.last_postmortem().expect("postmortem was dumped");
-    let bundle = FlightBundle::load(path).expect("bundle parses");
+    let bundle = degraded_bundle(&cfg, &ctx, &end);
     assert_eq!(bundle.protocol, "HPP");
     assert_eq!(bundle.cause, first_cause);
     assert_eq!(bundle.coverage, first_coverage);
@@ -63,16 +75,15 @@ fn a_degraded_session_is_reproducible_from_its_bundle_alone() {
         bundle.trace_enabled && !bundle.events.is_empty(),
         "ring-traced run left an event tail"
     );
-    assert_eq!(
-        bundle.open_spans,
-        ["session", "pass"],
-        "the run died inside a pass"
+    assert!(
+        bundle.spans.iter().any(|l| l.starts_with("session;pass")),
+        "the profiled run folded its pass spans"
     );
 
     // Repro: rebuild the run from the bundle's config alone (runs are
     // seed-deterministic, so config + population reproduce t = 0 onward)
     // and require the identical failure.
-    let (again, _) = degraded_run(&bundle.config, None);
+    let (again, _) = degraded_run(&bundle.config);
     match again {
         SessionEnd::Degraded {
             cause,
@@ -88,15 +99,10 @@ fn a_degraded_session_is_reproducible_from_its_bundle_alone() {
         }
         other => panic!("repro run did not degrade: {other:?}"),
     }
-
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn a_circuit_open_end_dumps_a_bundle_with_that_cause() {
-    let dir = std::env::temp_dir().join(format!("rfid-flight-circuit-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-
     // Unbounded passes on a dead channel: the pass budget never runs out,
     // so the zero-progress circuit breaker is what stops the session.
     let cfg = jammed_config(777);
@@ -106,18 +112,11 @@ fn a_circuit_open_end_dumps_a_bundle_with_that_cause() {
         max_rounds: 3,
         ..HppConfig::default()
     };
-    let mut session = Session::open(&protocol, &ctx)
+    let end = Session::open(&protocol, &ctx)
         .with_policy(RecoveryPolicy::unbounded())
-        .with_flight_recorder(FlightRecorder::new(&dir), &cfg);
-    match session.run(&mut ctx) {
-        SessionEnd::Degraded { cause, .. } => assert_eq!(cause.label(), "circuit-open"),
-        other => panic!("dead channel should open the breaker, got {other:?}"),
-    }
-    let bundle =
-        FlightBundle::load(session.last_postmortem().expect("bundle dumped")).expect("parses");
+        .run(&mut ctx);
+    let bundle = degraded_bundle(&cfg, &ctx, &end);
     assert_eq!(bundle.cause, "circuit-open");
     assert_eq!(bundle.coverage, 0.0);
     assert!(bundle.passes > 1, "the breaker needs several idle passes");
-
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -32,9 +32,6 @@
 //! deadline); every other way of running a protocol configures a
 //! [`Session`] and calls [`Session::run`].
 
-use std::path::PathBuf;
-
-use rfid_obs::FlightRecorder;
 use rfid_system::{
     ContextProgress, Event, Json, JsonError, SimConfig, SimContext, TagPopulation, ToJson,
 };
@@ -358,13 +355,8 @@ pub struct Session {
     polls_before: u64,
     /// Round counter at the start of the current pass.
     rounds_before: u64,
-    /// Postmortem dumper plus the config it needs to bundle (flight
-    /// recording is per-process, so restores start without one).
-    flight: Option<(FlightRecorder, SimConfig)>,
     /// Whether the driver has opened its `session`/`pass` spans.
     spans_open: bool,
-    /// Path of the most recent postmortem bundle this session dumped.
-    last_postmortem: Option<PathBuf>,
 }
 
 impl std::fmt::Debug for Session {
@@ -394,9 +386,7 @@ impl Session {
             idle_rounds: 0,
             polls_before: ctx.counters.polls,
             rounds_before: ctx.counters.rounds,
-            flight: None,
             spans_open: false,
-            last_postmortem: None,
         }
     }
 
@@ -414,21 +404,6 @@ impl Session {
     pub fn with_deadline_us(mut self, deadline_us: f64) -> Session {
         self.deadline_us = Some(deadline_us);
         self
-    }
-
-    /// Installs a flight recorder: every non-complete end (`Stalled`, or
-    /// `Degraded` via circuit-open / out-of-passes / deadline) dumps a
-    /// postmortem bundle before the session returns. `config` must be the
-    /// [`SimConfig`] the context was built with — it goes into the bundle,
-    /// with the context's live fault model, so the failure reproduces.
-    pub fn with_flight_recorder(mut self, recorder: FlightRecorder, config: &SimConfig) -> Session {
-        self.flight = Some((recorder, config.clone()));
-        self
-    }
-
-    /// Path of the most recent postmortem bundle, if one was dumped.
-    pub fn last_postmortem(&self) -> Option<&PathBuf> {
-        self.last_postmortem.as_ref()
     }
 
     /// Driver steps taken in the current pass.
@@ -463,12 +438,16 @@ impl Session {
 
     /// One driver iteration: the legacy per-round control flow —
     /// loop-condition check, budget, step, guard — plus the deadline
-    /// watchdog and (with a policy) the recovery transition. Terminal
-    /// outcomes route through [`Session::finish_end`] for span closing and
-    /// the flight recorder.
+    /// watchdog and (with a policy) the recovery transition. A terminal
+    /// outcome closes the driver's `pass` and `session` spans.
     fn step_once(&mut self, ctx: &mut SimContext) -> Option<SessionEnd> {
         let end = self.step_once_inner(ctx)?;
-        Some(self.finish_end(ctx, end))
+        if self.spans_open {
+            ctx.span_exit();
+            ctx.span_exit();
+            self.spans_open = false;
+        }
+        Some(end)
     }
 
     fn step_once_inner(&mut self, ctx: &mut SimContext) -> Option<SessionEnd> {
@@ -510,48 +489,6 @@ impl Session {
         };
         let cause = stalled?;
         self.on_stall(ctx, cause)
-    }
-
-    /// Terminal bookkeeping for a session end: dump the postmortem bundle
-    /// on any non-complete end (DESIGN.md §14 trigger rules — the bundle
-    /// captures the still-open span stack first), then close the driver's
-    /// `pass` and `session` spans.
-    fn finish_end(&mut self, ctx: &mut SimContext, end: SessionEnd) -> SessionEnd {
-        let cause = match &end {
-            SessionEnd::Complete { .. } => None,
-            SessionEnd::Stalled(_) => Some("stalled"),
-            SessionEnd::Degraded { cause, .. } => Some(cause.label()),
-        };
-        if let Some(cause) = cause {
-            self.dump_postmortem(ctx, cause, end.report(), end.coverage());
-        }
-        if self.spans_open {
-            ctx.span_exit();
-            ctx.span_exit();
-            self.spans_open = false;
-        }
-        end
-    }
-
-    /// Writes a postmortem bundle if a flight recorder is installed. A
-    /// dump failure never masks the session end (the run's result is worth
-    /// more than its diagnostics); the path is kept for
-    /// [`Session::last_postmortem`].
-    fn dump_postmortem(&mut self, ctx: &SimContext, cause: &str, report: &Report, coverage: f64) {
-        let Some((recorder, config)) = &self.flight else {
-            return;
-        };
-        if let Ok(path) = recorder.dump(
-            self.name,
-            cause,
-            config,
-            ctx,
-            report.to_json(),
-            self.passes,
-            coverage,
-        ) {
-            self.last_postmortem = Some(path);
-        }
     }
 
     /// Handles a stall: terminal without a policy, otherwise the recovery
@@ -814,9 +751,7 @@ impl Session {
             idle_rounds,
             polls_before,
             rounds_before,
-            flight: None,
             spans_open: false,
-            last_postmortem: None,
         };
         Ok((ctx, session, config))
     }
@@ -1009,25 +944,47 @@ mod tests {
     #[test]
     fn profiling_does_not_perturb_the_run() {
         // Same seed, same faults, trace on — the only difference is the
-        // profiler. Report and trace must be bit-identical (the obsplane
-        // bench enforces the same at scale).
+        // profiler. Report, counters and trace must be bit-identical, for
+        // a small-budget HPP recovering over passes and for a default HPP
+        // over 500 tags.
         let fault = FaultModel::perfect().with_downlink_loss(0.3);
-        let run = |profile: bool| {
-            let mut cfg = SimConfig::paper(17).with_fault(fault.clone()).with_trace();
-            if profile {
-                cfg = cfg.with_profile();
-            }
-            let mut ctx = SimContext::new(population(64), &cfg);
-            let protocol = small_budget_hpp();
-            let mut session =
-                Session::open(&protocol, &ctx).with_policy(RecoveryPolicy::unbounded());
-            let end = session.run(&mut ctx);
-            (end.report().to_json().to_string(), ctx.log.to_jsonl())
-        };
-        let (report_off, trace_off) = run(false);
-        let (report_on, trace_on) = run(true);
-        assert_eq!(report_off, report_on, "report must not see the profiler");
-        assert_eq!(trace_off, trace_on, "trace must not see the profiler");
+        let cases = [
+            (
+                small_budget_hpp(),
+                64,
+                17,
+                Some(RecoveryPolicy::unbounded()),
+            ),
+            (HppConfig::default(), 500, 11, None),
+        ];
+        for (protocol, n, seed, policy) in cases {
+            let run = |profile: bool| {
+                let mut cfg = SimConfig::paper(seed)
+                    .with_fault(fault.clone())
+                    .with_trace();
+                if profile {
+                    cfg = cfg.with_profile();
+                }
+                let mut ctx = SimContext::new(population(n), &cfg);
+                let mut session = Session::open(&protocol, &ctx);
+                if let Some(policy) = policy {
+                    session = session.with_policy(policy);
+                }
+                let end = session.run(&mut ctx);
+                assert!(end.is_complete(), "n = {n}: HPP must complete");
+                let report = end.report().to_json().to_string();
+                (report, ctx.counters, ctx.log.digest(), ctx.log.to_jsonl())
+            };
+            let off = run(false);
+            let on = run(true);
+            assert_eq!(off.0, on.0, "n = {n}: report must not see the profiler");
+            assert_eq!(off.1, on.1, "n = {n}: counters must not see the profiler");
+            assert_eq!(
+                off.2, on.2,
+                "n = {n}: trace digest must not see the profiler"
+            );
+            assert_eq!(off.3, on.3, "n = {n}: trace must not see the profiler");
+        }
     }
 
     #[test]
@@ -1084,80 +1041,5 @@ mod tests {
             "one pass span per recovery pass"
         );
         assert!(ctx.profiler.open_stack().is_empty());
-    }
-
-    #[test]
-    fn degraded_session_dumps_a_parseable_postmortem() {
-        let dir = std::env::temp_dir().join(format!("rfid-session-flight-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        // A jammed downlink with a bounded policy degrades out-of-passes.
-        let fault = FaultModel::perfect().with_downlink_loss(1.0);
-        let cfg = SimConfig::paper(11)
-            .with_fault(fault)
-            .with_trace_ring(32)
-            .with_profile();
-        let mut ctx = SimContext::new(population(20), &cfg);
-        let protocol = small_budget_hpp();
-        let mut session = Session::open(&protocol, &ctx)
-            .with_policy(RecoveryPolicy::unbounded().with_max_passes(3))
-            .with_flight_recorder(rfid_obs::FlightRecorder::new(&dir), &cfg);
-        let end = session.run(&mut ctx);
-        let SessionEnd::Degraded {
-            cause, coverage, ..
-        } = &end
-        else {
-            panic!("a jammed downlink cannot complete");
-        };
-        assert_eq!(cause.label(), "out-of-passes");
-        assert_eq!(*coverage, 0.0);
-
-        let path = session.last_postmortem().expect("bundle was dumped");
-        let bundle = rfid_obs::FlightBundle::load(path).expect("bundle parses");
-        assert_eq!(bundle.cause, "out-of-passes");
-        assert_eq!(bundle.protocol, "HPP");
-        assert_eq!(bundle.config, cfg);
-        assert_eq!(bundle.coverage, 0.0);
-        assert_eq!(bundle.passes, 3);
-        assert!(!bundle.events.is_empty(), "ring tail captured");
-        assert_eq!(
-            bundle.open_spans,
-            ["session", "pass"],
-            "the bundle captures where the run died"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn stalled_session_without_policy_dumps_with_cause_stalled() {
-        let dir = std::env::temp_dir().join(format!("rfid-session-stall-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let fault = FaultModel::perfect().with_downlink_loss(1.0);
-        let cfg = SimConfig::paper(13).with_fault(fault);
-        let mut ctx = SimContext::new(population(10), &cfg);
-        let protocol = small_budget_hpp();
-        let mut session = Session::open(&protocol, &ctx)
-            .with_flight_recorder(rfid_obs::FlightRecorder::new(&dir), &cfg);
-        let end = session.run(&mut ctx);
-        assert!(matches!(end, SessionEnd::Stalled(_)));
-        let path = session.last_postmortem().expect("bundle was dumped");
-        let bundle = rfid_obs::FlightBundle::load(path).expect("bundle parses");
-        assert_eq!(bundle.cause, "stalled");
-        assert!(!bundle.trace_enabled, "tracing was off; bundle still forms");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn complete_session_never_dumps() {
-        let dir = std::env::temp_dir().join(format!("rfid-session-clean-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cfg = SimConfig::paper(3);
-        let mut ctx = SimContext::new(population(8), &cfg);
-        let protocol = HppConfig::default();
-        let mut session = Session::open(&protocol, &ctx)
-            .with_flight_recorder(rfid_obs::FlightRecorder::new(&dir), &cfg);
-        let end = session.run(&mut ctx);
-        assert!(end.is_complete());
-        assert!(session.last_postmortem().is_none());
-        assert!(!dir.exists(), "no bundle directory for a clean run");
     }
 }

@@ -11,7 +11,7 @@
 //! * recording is behind a cold `enabled` flag — a disabled profiler's
 //!   [`SpanProfiler::enter`]/[`SpanProfiler::exit`] return before touching
 //!   any storage or reading any clock, so sweeps keep the calls
-//!   unconditional and pay one predictable branch (`benches/obsplane.rs`
+//!   unconditional and pay one predictable branch (`benches/obs.rs`
 //!   guards this);
 //! * the profiler lives on the [`crate::SimContext`] but is **transient**:
 //!   it is never serialized into a session snapshot (wall-time is
@@ -19,8 +19,9 @@
 //!   [`crate::SimConfig`] on restore, exactly like the round index and
 //!   the arenas;
 //! * recording never touches the RNG, the clock, the counters or the
-//!   trace, so a profiled run is bit-identical to an unprofiled one — the
-//!   `BENCH_obsplane.json` gate enforces this.
+//!   trace, so a profiled run is bit-identical to an unprofiled one —
+//!   `session::tests::profiling_does_not_perturb_the_run` in
+//!   `rfid-protocols` enforces this.
 //!
 //! Aggregation is a trie keyed by `(parent, name)`: the same `&'static
 //! str` name under two different parents is two nodes, so `round` under
@@ -218,8 +219,7 @@ impl SpanProfiler {
         path
     }
 
-    /// Names of the currently open scopes, outermost first — the "span
-    /// tail" a postmortem bundle captures when a run dies mid-scope.
+    /// Names of the currently open scopes, outermost first.
     pub fn open_stack(&self) -> Vec<&'static str> {
         self.stack.iter().map(|o| self.nodes[o.node].name).collect()
     }

@@ -33,8 +33,9 @@ benchmark/check.sh
 # Every bench below writes target/BENCH_<group>.json ({"group", "records"},
 # one record per measured value) and exits nonzero if any of its gated
 # records misses its bound; the report is written first either way.
-# Disabled-path telemetry overhead guard and streamed trace-digest guard;
-# writes target/BENCH_obs.json.
+# Disabled-path telemetry and span overhead guards, the full-profiling
+# ceiling (DESIGN.md §14) and the streamed trace-digest guards; writes
+# target/BENCH_obs.json. Profiling on/off bit identity is a `cargo test`.
 cargo bench --offline -p rfid-bench --bench obs
 # Sweep-engine smoke slice (DESIGN.md §10): a small Table I grid, once
 # cold on one worker and once cache-warm at the default width. Writes the
@@ -48,13 +49,6 @@ cargo run --release --offline -p rfid-bench --bin repro -- table1 --runs 2 --max
 # record. Writes target/BENCH_hotpath.json.
 rm -f target/BENCH_hotpath.json
 cargo bench --offline -p rfid-bench --bench hotpath
-# Profiling-plane gate (DESIGN.md §14): the disabled span path must stay
-# within timer noise of the profiled run, full profiling on a 100k-tag HPP
-# session must stay under its overhead ceiling, and profiling on/off must
-# be bit-identical (report, counters, trace digest). Writes
-# target/BENCH_obsplane.json.
-rm -f target/BENCH_obsplane.json
-cargo bench --offline -p rfid-bench --bench obsplane
 # Daemon serving gate (DESIGN.md §15): an in-process fleet on port 0
 # absorbs hundreds of sessions from concurrent TCP clients plus a loopback
 # baseline; every session must complete, and the report records

@@ -25,7 +25,7 @@
 //! | [`protocols`] | `rfid-protocols` | **HPP / EHPP / TPP** (the contribution) |
 //! | [`baselines`] | `rfid-baselines` | CPP, enhanced CPP, CP, MIC, ALOHA |
 //! | [`apps`] | `rfid-apps` | info collection, missing tags, multi-reader |
-//! | [`obs`] | `rfid-obs` | trace-derived metrics, span trees, flight recorder, exposition |
+//! | [`obs`] | `rfid-obs` | trace-derived metrics, span trees, postmortem bundles, exposition |
 //! | [`wire`] | `rfid-wire` | framed wire protocol: codec, transports, loopback |
 //! | [`daemon`] | `rfid-daemon` | reader-fleet daemon: TCP server, typed client |
 //! | [`bench`](mod@bench) | `rfid-bench` | parallel sweep engine, Monte-Carlo runner, micro-bench harness |
@@ -69,8 +69,7 @@ pub mod prelude {
     pub use rfid_baselines::{CodedPollingConfig, CppConfig, EcppConfig, MicConfig};
     pub use rfid_c1g2::{Clock, LinkParams, Micros, TimeCategory};
     pub use rfid_obs::{
-        folded_stacks, metrics_from_log, render_flame, FlightBundle, FlightRecorder,
-        MetricsRegistry, Span,
+        folded_stacks, metrics_from_log, postmortem, render_flame, FlightBundle, MetricsRegistry,
     };
     pub use rfid_protocols::{
         DegradeCause, EhppConfig, HppConfig, PollingError, PollingProtocol, RecoveryPolicy, Report,

@@ -15,7 +15,7 @@ use fast_rfid_polling::hash::prop;
 use fast_rfid_polling::identify::QueryTreeConfig;
 use fast_rfid_polling::prelude::*;
 use fast_rfid_polling::system::{
-    Channel, Counters, EventLog, FaultPlan, KillRule, SimConfig, SimContext,
+    Channel, Counters, EventLog, FaultPlan, KillRule, SimConfig, SimContext, ToJson,
 };
 
 const N: usize = 150;
@@ -281,38 +281,42 @@ fn moderate_faults_collect_every_payload_intact() {
     }
 }
 
-/// A jammed downlink stalls every protocol, and the flight recorder
-/// leaves a postmortem bundle that parses and names the failure.
+/// A jammed downlink stalls every protocol, and its postmortem bundle
+/// parses and names the failure.
 #[test]
 fn jammed_downlink_stalls_every_protocol_without_panicking() {
-    let flight_dir =
-        std::env::temp_dir().join(format!("fault-matrix-flight-{}", std::process::id()));
     for protocol in &protocols() {
         let name = protocol.name();
         let scenario = Scenario::uniform(N, 4).with_seed(7);
         let cfg = SimConfig::paper(scenario.protocol_seed())
             .with_fault(FaultModel::perfect().with_downlink_loss(1.0));
         let mut ctx = SimContext::new(scenario.build_population(), &cfg);
-        let mut session = Session::open(protocol.as_ref(), &ctx)
-            .with_flight_recorder(FlightRecorder::new(&flight_dir), &cfg);
-        match session.run(&mut ctx) {
+        let end = Session::open(protocol.as_ref(), &ctx).run(&mut ctx);
+        match &end {
             SessionEnd::Stalled(err) => {
                 let PollingError::Stalled {
                     partial_report,
                     uncollected,
                     ..
-                } = &err;
+                } = err;
                 assert_eq!(partial_report.counters.polls, 0, "{name}");
                 assert_eq!(uncollected.len(), N, "{name}");
                 assert!(err.to_string().contains("stalled"), "{name}");
             }
             other => panic!("{name} did not stall on a jammed downlink: {other:?}"),
         }
-        let path = session
-            .last_postmortem()
-            .unwrap_or_else(|| panic!("{name}: no postmortem dumped"));
-        let bundle = FlightBundle::load(path)
-            .unwrap_or_else(|e| panic!("{name}: {} does not parse: {e}", path.display()));
+        let report = end.report();
+        let bundle = postmortem(
+            &report.protocol,
+            "stalled",
+            &cfg,
+            &ctx,
+            report.to_json(),
+            end.passes(),
+            end.coverage(),
+        );
+        let bundle = FlightBundle::parse(&bundle)
+            .unwrap_or_else(|e| panic!("{name}: the bundle does not parse: {e}"));
         assert_eq!(bundle.cause, "stalled", "{name}");
         assert_eq!(bundle.protocol, name);
         assert_eq!(
@@ -320,7 +324,6 @@ fn jammed_downlink_stalls_every_protocol_without_panicking() {
             "{name}: a jammed downlink collected a tag"
         );
     }
-    let _ = std::fs::remove_dir_all(&flight_dir);
 }
 
 #[test]
