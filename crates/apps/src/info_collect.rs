@@ -77,6 +77,7 @@ pub fn run_polling(protocol: &dyn PollingProtocol, scenario: &Scenario) -> Colle
 mod tests {
     use super::*;
     use rfid_baselines::{CppConfig, MicConfig};
+    use rfid_c1g2::Micros;
     use rfid_protocols::{DegradeCause, EhppConfig, HppConfig, RecoveryPolicy, TppConfig};
     use rfid_system::FaultModel;
     use rfid_workloads::PayloadKind;
@@ -163,7 +164,7 @@ mod tests {
         // TPP needs ~87 ms of air time here; a 20 ms budget must stop early.
         let mut ctx = SimContext::new(scenario.build_population(), &cfg);
         let r = collect(
-            Session::open(&protocol, &ctx).with_deadline_us(20_000.0),
+            Session::open(&protocol, &ctx).with_deadline(Micros::from_us(20_000.0)),
             &mut ctx,
         );
         let SessionEnd::Degraded {
@@ -185,7 +186,7 @@ mod tests {
         // A generous budget collects everything.
         let mut ctx = SimContext::new(scenario.build_population(), &cfg);
         let r = collect(
-            Session::open(&protocol, &ctx).with_deadline_us(10_000_000.0),
+            Session::open(&protocol, &ctx).with_deadline(Micros::from_secs(10.0)),
             &mut ctx,
         );
         assert!(r.end.is_complete());

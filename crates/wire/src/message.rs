@@ -15,6 +15,7 @@
 //! metrics (Prometheus text or delta-JSONL) and postmortem flight
 //! bundles.
 
+use rfid_c1g2::Micros;
 use rfid_protocols::RecoveryPolicy;
 use rfid_system::{FaultModel, FromJson, Json, JsonError, SimConfig, ToJson};
 
@@ -37,8 +38,8 @@ pub struct OpenRequest {
     pub config: Option<SimConfig>,
     /// Recovery policy: stalls become backoff-separated passes.
     pub policy: Option<RecoveryPolicy>,
-    /// Sim-time deadline in µs on the C1G2 clock.
-    pub deadline_us: Option<f64>,
+    /// Sim-time deadline on the C1G2 clock, written in µs.
+    pub deadline_us: Option<Micros>,
     /// Emit a [`Response::Progress`] frame every this many driver steps
     /// while running (deterministic: counted in steps, not host time).
     pub progress_every: Option<u64>,
@@ -378,7 +379,7 @@ mod tests {
         let mut open = OpenRequest::new("HPP", 500, 4, 31);
         open.config = Some(SimConfig::paper(9));
         open.policy = Some(RecoveryPolicy::unbounded().with_max_passes(3));
-        open.deadline_us = Some(1.5e6);
+        open.deadline_us = Some(Micros::from_secs(1.5));
         open.progress_every = Some(16);
         open.flight = true;
         vec![
@@ -639,7 +640,7 @@ mod tests {
         let mut req = OpenRequest::new("HPP", 500, 4, 31);
         req.config = Some(SimConfig::paper(9).with_trace());
         req.policy = Some(RecoveryPolicy::unbounded().with_max_passes(3));
-        req.deadline_us = Some(1.5e6);
+        req.deadline_us = Some(Micros::from_secs(1.5));
         req.progress_every = Some(16);
         req.flight = true;
         let cmd = Command::Open(req);
@@ -682,5 +683,35 @@ mod tests {
             Command::from_frame(&frame),
             Err(FrameError::Payload(_))
         ));
+    }
+
+    #[test]
+    fn open_deadline_is_whole_nanoseconds() {
+        let open = |deadline: &str| {
+            let text = Command::Open(OpenRequest::new("HPP", 8, 1, 1))
+                .to_frame()
+                .payload;
+            let text = String::from_utf8(text).unwrap().replace(
+                r#""deadline_us":null"#,
+                &format!(r#""deadline_us":{deadline}"#),
+            );
+            Command::from_frame(&Frame::new(0x02, text.into_bytes()))
+        };
+        match open("1500000.125") {
+            Ok(Command::Open(req)) => {
+                assert_eq!(req.deadline_us, Some(Micros::from_ns(1_500_000_125)));
+            }
+            other => panic!("expected Open, got {other:?}"),
+        }
+        for (deadline, why) in [
+            ("-1", "negative"),
+            ("-0.5", "negative"),
+            ("1.2345", "more than three fraction digits"),
+        ] {
+            match open(deadline) {
+                Err(FrameError::Payload(e)) => assert!(e.0.contains(why), "{deadline}: {e}"),
+                other => panic!("{deadline}: expected a payload error, got {other:?}"),
+            }
+        }
     }
 }

@@ -4,6 +4,7 @@
 //! typed [`FrameError`] or a clean "need more bytes", never the original
 //! frame, and never a panic.
 
+use rfid_c1g2::Micros;
 use rfid_hash::prop::{self, Gen};
 use rfid_hash::{prop_assert, prop_assert_eq};
 use rfid_protocols::RecoveryPolicy;
@@ -66,7 +67,7 @@ fn arb_open(g: &mut Gen) -> OpenRequest {
         req.policy = Some(RecoveryPolicy::unbounded().with_max_passes(1 + g.u64_below(8)));
     }
     if g.bool() {
-        req.deadline_us = Some(g.f64_in(1e3, 1e9));
+        req.deadline_us = Some(Micros::from_ns(g.u64_in(1_000_000, 1_000_000_000_000)));
     }
     if g.bool() {
         req.progress_every = Some(1 + g.u64_below(64));

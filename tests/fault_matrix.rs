@@ -152,7 +152,7 @@ fn every_protocol_keeps_an_exact_clock_under_faults() {
             // keep splitting around a dead tag within one pass.
             let end = Session::open(protocol.as_ref(), &ctx)
                 .with_policy(policy)
-                .with_deadline_us(2.0e6)
+                .with_deadline(Micros::from_secs(2.0))
                 .run(&mut ctx);
             let label = format!("{} n={n} seed={seed}", protocol.name());
             assert!(

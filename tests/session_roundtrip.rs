@@ -249,7 +249,7 @@ fn deadline_converts_overrun_into_degraded() {
     // the session short with a typed Degraded end, not an error or a hang.
     let mut ctx = SimContext::new(scenario.build_population(), &cfg);
     let end = Session::open(&protocol, &ctx)
-        .with_deadline_us(20_000.0)
+        .with_deadline(Micros::from_us(20_000.0))
         .run(&mut ctx);
     let SessionEnd::Degraded {
         report,
@@ -274,7 +274,7 @@ fn deadline_converts_overrun_into_degraded() {
     // A generous budget must not perturb completion.
     let mut ctx = SimContext::new(scenario.build_population(), &cfg);
     let end = Session::open(&protocol, &ctx)
-        .with_deadline_us(10_000_000.0)
+        .with_deadline(Micros::from_secs(10.0))
         .run(&mut ctx);
     assert!(end.is_complete(), "huge deadline must not fire: {end:?}");
 }
@@ -289,7 +289,7 @@ fn deadline_survives_snapshot_restore() {
 
     let mut ctx = SimContext::new(scenario.build_population(), &cfg);
     let end = Session::open(&protocol, &ctx)
-        .with_deadline_us(20_000.0)
+        .with_deadline(Micros::from_us(20_000.0))
         .run(&mut ctx);
     let SessionEnd::Degraded {
         report, coverage, ..
@@ -302,7 +302,7 @@ fn deadline_survives_snapshot_restore() {
     let golden_trace = ctx.log.digest();
 
     let mut ctx = SimContext::new(scenario.build_population(), &cfg);
-    let mut session = Session::open(&protocol, &ctx).with_deadline_us(20_000.0);
+    let mut session = Session::open(&protocol, &ctx).with_deadline(Micros::from_us(20_000.0));
     assert!(
         session.run_for(&mut ctx, 1).is_none(),
         "the deadline is only checked at the next step boundary"
@@ -311,7 +311,18 @@ fn deadline_survives_snapshot_restore() {
     drop(session);
     drop(ctx);
 
+    // A whole-µs deadline writes as it did when it was an `f64`; one that
+    // is not a whole nanosecond count is a typed error.
+    assert!(snap.contains(r#""deadline_us":20000}"#), "{snap}");
     let doc = Json::parse(&snap).expect("snapshot parses");
+    for (bad, why) in [
+        (Json::Int(-1), "negative"),
+        (Json::Float(1.2345), "more than three fraction digits"),
+    ] {
+        let hostile = edit(&doc, &["driver", "deadline_us"], Some(bad));
+        let err = Session::restore(&protocol, &hostile).unwrap_err();
+        assert!(err.0.contains(why), "{err}");
+    }
     let (mut ctx, mut session) = Session::restore(&protocol, &doc).expect("snapshot restores");
     let end = session.run(&mut ctx);
     let SessionEnd::Degraded {
