@@ -16,7 +16,7 @@ pub struct CategoryStats {
     /// Number of tags in the category.
     pub count: usize,
     /// Smallest decoded payload value.
-    pub min: u64,
+    pub(crate) min: u64,
     /// Largest decoded payload value.
     pub max: u64,
     /// Mean decoded payload value.
@@ -57,19 +57,6 @@ pub fn aggregate_by_category(collected: &[(TagId, BitVec)]) -> BTreeMap<u64, Cat
         .collect()
 }
 
-/// Categories whose mean payload is below `threshold` — e.g. product lines
-/// with weak batteries.
-pub fn categories_below(
-    stats: &BTreeMap<u64, CategoryStats>,
-    threshold: f64,
-) -> Vec<(u64, CategoryStats)> {
-    stats
-        .iter()
-        .filter(|(_, s)| s.mean < threshold)
-        .map(|(&c, &s)| (c, s))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,32 +80,6 @@ mod tests {
             assert!(s.mean >= s.min as f64 && s.mean <= s.max as f64);
             assert!(s.max <= 100, "battery level over 100 % in {cat}");
         }
-    }
-
-    #[test]
-    fn threshold_filter_selects_weak_categories() {
-        let mut stats = BTreeMap::new();
-        stats.insert(
-            1u64,
-            CategoryStats {
-                count: 3,
-                min: 10,
-                max: 30,
-                mean: 20.0,
-            },
-        );
-        stats.insert(
-            2u64,
-            CategoryStats {
-                count: 2,
-                min: 80,
-                max: 90,
-                mean: 85.0,
-            },
-        );
-        let weak = categories_below(&stats, 50.0);
-        assert_eq!(weak.len(), 1);
-        assert_eq!(weak[0].0, 1);
     }
 
     #[test]

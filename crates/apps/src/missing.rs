@@ -58,8 +58,6 @@ pub struct MissingTagReport {
     pub present: Vec<TagId>,
     /// Total time spent.
     pub total_time: rfid_c1g2::Micros,
-    /// Rounds executed.
-    pub rounds: u64,
 }
 
 impl MissingTagApp {
@@ -73,7 +71,7 @@ impl MissingTagApp {
     /// # Panics
     /// Panics (via the enriched [`PollingError::Stalled`] display) if the
     /// run exceeds `max_rounds`; fault-injecting callers should use
-    /// [`MissingTagApp::try_run`].
+    /// `MissingTagApp::try_run`.
     pub fn run(&self, ctx: &mut SimContext, expected: &[TagId]) -> MissingTagReport {
         match self.try_run(ctx, expected) {
             Ok(report) => report,
@@ -87,7 +85,7 @@ impl MissingTagApp {
     // The stall carries its partial report by value; callers match on it
     // directly, so it is not boxed.
     #[allow(clippy::result_large_err)]
-    pub fn try_run(
+    pub(crate) fn try_run(
         &self,
         ctx: &mut SimContext,
         expected: &[TagId],
@@ -179,7 +177,6 @@ impl MissingTagApp {
             missing,
             present,
             total_time: ctx.clock.total(),
-            rounds,
         })
     }
 
@@ -247,9 +244,9 @@ impl MissingTagApp {
 #[derive(Debug, Clone)]
 pub struct MissingTagDetector {
     /// Required detection confidence `α` (e.g. 0.99).
-    pub confidence: f64,
+    pub(crate) confidence: f64,
     /// Reader bits per round initiation.
-    pub round_init_bits: u64,
+    pub(crate) round_init_bits: u64,
 }
 
 impl Default for MissingTagDetector {
@@ -268,9 +265,9 @@ pub struct DetectionOutcome {
     /// first one); `None` — no absence observed within the round budget.
     pub missing_witness: Option<TagId>,
     /// Rounds executed.
-    pub rounds: u64,
+    pub(crate) rounds: u64,
     /// Time spent.
-    pub time: rfid_c1g2::Micros,
+    pub(crate) time: rfid_c1g2::Micros,
 }
 
 impl MissingTagDetector {
@@ -278,7 +275,7 @@ impl MissingTagDetector {
     /// tag is a singleton (and thus probed) with probability ≥ 1/e per
     /// round, so it survives `k` rounds undetected with probability at most
     /// `(1 − 1/e)^k ≤ 1 − α`.
-    pub fn rounds_needed(&self) -> u64 {
+    pub(crate) fn rounds_needed(&self) -> u64 {
         assert!(
             (0.0..1.0).contains(&self.confidence),
             "confidence must be in [0, 1)"

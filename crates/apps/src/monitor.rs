@@ -29,9 +29,9 @@ use crate::missing::MissingTagApp;
 #[derive(Debug, Clone, Default)]
 pub struct MonitorConfig {
     /// Missing-tag identification settings.
-    pub identification: MissingTagApp,
+    pub(crate) identification: MissingTagApp,
     /// Newcomer identification settings.
-    pub newcomer_identification: QueryTreeConfig,
+    pub(crate) newcomer_identification: QueryTreeConfig,
 }
 
 /// What one epoch observed and cost.
@@ -41,8 +41,6 @@ pub struct EpochReport {
     pub missing: Vec<TagId>,
     /// Newcomers identified (added to the list).
     pub newcomers: Vec<TagId>,
-    /// `true` when nothing changed (no missing, no newcomers).
-    pub clean: bool,
     /// Air time the epoch consumed.
     pub time: Micros,
 }
@@ -107,7 +105,6 @@ impl InventoryMonitor {
         }
 
         EpochReport {
-            clean: missing.is_empty() && newcomers.is_empty(),
             missing,
             newcomers,
             time: ctx.clock.total() - started,
@@ -150,7 +147,7 @@ mod tests {
         let (known, mut ctx, _, _) = epoch_setup(300, 0, 0, 1);
         let mut monitor = InventoryMonitor::new(known.clone(), MonitorConfig::default());
         let report = monitor.epoch(&mut ctx);
-        assert!(report.clean);
+        assert!(report.missing.is_empty() && report.newcomers.is_empty());
         assert_eq!(monitor.known_ids().len(), 300);
     }
 
@@ -159,7 +156,7 @@ mod tests {
         let (known, mut ctx, departed, _) = epoch_setup(300, 25, 0, 2);
         let mut monitor = InventoryMonitor::new(known, MonitorConfig::default());
         let report = monitor.epoch(&mut ctx);
-        assert!(!report.clean);
+        assert!(!(report.missing.is_empty() && report.newcomers.is_empty()));
         let mut got = report.missing.clone();
         let mut want = departed;
         got.sort();
@@ -196,7 +193,7 @@ mod tests {
             TagPopulation::new(survivors.iter().map(|&id| (id, BitVec::from_value(1, 1))));
         let mut ctx2 = SimContext::new(present, &SimConfig::paper(5));
         let follow_up = monitor.epoch(&mut ctx2);
-        assert!(follow_up.clean);
+        assert!(follow_up.missing.is_empty() && follow_up.newcomers.is_empty());
         let _ = ctx;
     }
 

@@ -6,15 +6,11 @@
 //! module *establishes* that schedule: readers whose zones overlap would
 //! interfere, so a greedy coloring of the conflict graph assigns rounds in
 //! which non-conflicting readers poll concurrently. Every tag is claimed by
-//! its nearest covering reader; per-reader polling then runs independently
-//! and the deployment time is the sum over colors of the slowest reader in
-//! each color.
+//! its nearest covering reader. Each reader then polls its claim on its
+//! own, and the deployment takes the sum over colors of the slowest reader
+//! in each color (`examples/warehouse_inventory.rs` runs one).
 
-use rfid_c1g2::Micros;
 use rfid_hash::{split_seed, Xoshiro256};
-use rfid_protocols::{PollingProtocol, Report};
-use rfid_system::{SimConfig, SimContext, TagPopulation};
-use rfid_workloads::Scenario;
 
 /// One reader and its interrogation zone (a disk).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -28,15 +24,9 @@ pub struct ReaderZone {
 }
 
 impl ReaderZone {
-    /// Whether a tag at `(tx, ty)` is inside the zone.
-    pub fn covers(&self, tx: f64, ty: f64) -> bool {
-        let (dx, dy) = (tx - self.x, ty - self.y);
-        dx * dx + dy * dy <= self.radius * self.radius
-    }
-
     /// Whether two readers interfere (zones within carrier range of each
     /// other — twice the radius, the standard disk-interference model).
-    pub fn conflicts_with(&self, other: &ReaderZone) -> bool {
+    pub(crate) fn conflicts_with(&self, other: &ReaderZone) -> bool {
         let (dx, dy) = (other.x - self.x, other.y - self.y);
         let reach = self.radius + other.radius;
         dx * dx + dy * dy < reach * reach
@@ -123,93 +113,6 @@ impl DeploymentPlan {
     }
 }
 
-/// Result of a multi-reader run.
-#[derive(Debug, Clone)]
-pub struct MultiReaderOutcome {
-    /// Per-reader reports, reader order. A stalled reader contributes its
-    /// partial report (whatever it collected before giving up).
-    pub per_reader: Vec<Report>,
-    /// Indices of readers whose run stalled (empty on a clean deployment).
-    pub stalled_readers: Vec<usize>,
-    /// Colors assigned to readers.
-    pub colors: Vec<usize>,
-    /// Wall-clock time: Σ over colors of the slowest reader in the color.
-    pub makespan: Micros,
-    /// Total reader-seconds spent (Σ of all reader run times).
-    pub total_work: Micros,
-}
-
-impl MultiReaderOutcome {
-    /// Whether every reader collected its whole claim.
-    pub fn is_complete(&self) -> bool {
-        self.stalled_readers.is_empty()
-    }
-}
-
-/// Runs `protocol` over a deployment: tags are claimed per reader, the
-/// conflict graph is colored, and readers in the same color run
-/// concurrently.
-pub fn run_deployment(
-    plan: &DeploymentPlan,
-    scenario: &Scenario,
-    protocol: &dyn PollingProtocol,
-) -> MultiReaderOutcome {
-    let population = scenario.build_population();
-    let claims = plan.claim_tags(population.len(), scenario.seed);
-    let colors = plan.color_schedule();
-
-    let mut per_reader = Vec::with_capacity(plan.readers.len());
-    let mut stalled_readers = Vec::new();
-    for (r, claim) in claims.iter().enumerate() {
-        let sub = TagPopulation::new(claim.iter().map(|&t| {
-            let tag = population.get(t);
-            (tag.id, tag.info.clone())
-        }));
-        let mut ctx = SimContext::new(
-            sub,
-            &SimConfig::paper(split_seed(scenario.protocol_seed(), r as u64)),
-        );
-        let report = if ctx.population.is_empty() {
-            Report::from_context(protocol.name(), &ctx)
-        } else {
-            match protocol.try_run(&mut ctx) {
-                Ok(rep) => {
-                    ctx.assert_complete();
-                    rep
-                }
-                Err(e) => {
-                    // One stalled reader must not sink the deployment:
-                    // keep its partial work and flag it.
-                    stalled_readers.push(r);
-                    e.partial_report().clone()
-                }
-            }
-        };
-        per_reader.push(report);
-    }
-
-    let num_colors = colors.iter().max().map_or(0, |m| m + 1);
-    let mut makespan = Micros::ZERO;
-    for color in 0..num_colors {
-        let slowest = per_reader
-            .iter()
-            .zip(&colors)
-            .filter(|(_, &c)| c == color)
-            .map(|(r, _)| r.total_time)
-            .fold(Micros::ZERO, Micros::max);
-        makespan += slowest;
-    }
-    let total_work = per_reader.iter().map(|r| r.total_time).sum();
-
-    MultiReaderOutcome {
-        per_reader,
-        stalled_readers,
-        colors,
-        makespan,
-        total_work,
-    }
-}
-
 rfid_system::impl_json_struct!(ReaderZone { x, y, radius });
 rfid_system::impl_json_struct!(DeploymentPlan {
     readers,
@@ -220,7 +123,6 @@ rfid_system::impl_json_struct!(DeploymentPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rfid_protocols::TppConfig;
 
     #[test]
     fn grid_covers_the_floor() {
@@ -230,7 +132,10 @@ mod tests {
         for _ in 0..1_000 {
             let (x, y) = (rng.unit_f64() * 30.0, rng.unit_f64() * 20.0);
             assert!(
-                plan.readers.iter().any(|r| r.covers(x, y)),
+                plan.readers.iter().any(|r| {
+                    let (dx, dy) = (x - r.x, y - r.y);
+                    dx * dx + dy * dy <= r.radius * r.radius
+                }),
                 "({x:.1}, {y:.1}) uncovered"
             );
         }
@@ -272,30 +177,13 @@ mod tests {
     }
 
     #[test]
-    fn deployment_reads_all_tags_and_bounds_hold() {
-        let plan = DeploymentPlan::grid(2, 2, 20.0, 20.0);
-        let scenario = Scenario::uniform(400, 1).with_seed(8);
-        let outcome = run_deployment(&plan, &scenario, &TppConfig::default());
-        let polls: u64 = outcome.per_reader.iter().map(|r| r.counters.polls).sum();
-        assert_eq!(polls, 400);
-        assert!(outcome.is_complete());
-        // Parallelism helps but cannot beat the per-color serialization:
-        // makespan ≤ total work, and ≥ the slowest single reader.
-        assert!(outcome.makespan <= outcome.total_work);
-        let slowest = outcome
-            .per_reader
-            .iter()
-            .map(|r| r.total_time)
-            .fold(Micros::ZERO, Micros::max);
-        assert!(outcome.makespan >= slowest);
-    }
-
-    #[test]
     fn single_reader_degenerates_to_plain_run() {
+        // One reader claims every tag in one color: its run is the
+        // whole deployment.
         let plan = DeploymentPlan::grid(1, 1, 10.0, 10.0);
-        let scenario = Scenario::uniform(100, 1).with_seed(9);
-        let outcome = run_deployment(&plan, &scenario, &TppConfig::default());
-        assert_eq!(outcome.per_reader.len(), 1);
-        assert_eq!(outcome.makespan, outcome.total_work);
+        let claims = plan.claim_tags(100, 9);
+        assert_eq!(claims.len(), 1);
+        assert_eq!(claims[0].len(), 100);
+        assert_eq!(plan.color_schedule(), [0]);
     }
 }

@@ -32,7 +32,7 @@ impl Default for CodedPollingConfig {
 }
 
 /// Number of bits in a CP polling code.
-pub const CODE_BITS: u64 = 48;
+pub(crate) const CODE_BITS: u64 = 48;
 
 impl PollingProtocol for CodedPollingConfig {
     fn name(&self) -> &'static str {

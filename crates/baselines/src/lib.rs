@@ -25,12 +25,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod aloha;
-pub mod cp;
-pub mod cpp;
-pub mod ecpp;
-pub mod lower_bound;
-pub mod mic;
+pub(crate) mod aloha;
+pub(crate) mod cp;
+pub(crate) mod cpp;
+pub(crate) mod ecpp;
+pub(crate) mod lower_bound;
+pub(crate) mod mic;
 
 pub use aloha::FsaConfig;
 pub use cp::CodedPollingConfig;

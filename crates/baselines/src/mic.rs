@@ -55,18 +55,18 @@ impl Default for MicConfig {
 
 impl MicConfig {
     /// Indicator bits per slot: `⌈log₂(k+1)⌉`.
-    pub fn indicator_bits_per_slot(&self) -> u64 {
+    pub(crate) fn indicator_bits_per_slot(&self) -> u64 {
         (usize::BITS - self.k.leading_zeros()) as u64
     }
 }
 
 /// One resolved slot: which tag answers and under which hash index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SlotAssignment {
+pub(crate) struct SlotAssignment {
     /// Tag handle.
-    pub tag: usize,
+    pub(crate) tag: usize,
     /// 1-based hash-function index that routed the tag here.
-    pub hash_index: usize,
+    pub(crate) hash_index: usize,
 }
 
 /// Reusable cascade state: epoch-stamped per-slot counters plus the
@@ -81,55 +81,12 @@ struct CascadeScratch {
 }
 
 impl MicConfig {
-    /// Reader-side cascade: resolves active tags into frame slots.
-    ///
-    /// Returns the per-slot assignment (`None` = wasted slot). Exposed for
-    /// tests and the ablation benches.
-    pub fn assign(
-        family: &HashFamily,
-        candidates: &[(usize, Vec<u64>)],
-        frame: u64,
-    ) -> Vec<Option<SlotAssignment>> {
-        let _ = family; // candidate lists are precomputed from it
-        let mut slots: Vec<Option<SlotAssignment>> = vec![None; frame as usize];
-        let mut unresolved: Vec<usize> = (0..candidates.len()).collect();
-        let k = candidates.first().map_or(0, |(_, c)| c.len());
-        for j in 0..k {
-            if unresolved.is_empty() {
-                break;
-            }
-            // Count pass-j candidates per *unmarked* slot.
-            let mut count: std::collections::HashMap<u64, (usize, usize)> =
-                std::collections::HashMap::new();
-            for &ci in &unresolved {
-                let slot = candidates[ci].1[j];
-                if slots[slot as usize].is_none() {
-                    count
-                        .entry(slot)
-                        .and_modify(|e| e.1 += 1)
-                        .or_insert((ci, 1));
-                }
-            }
-            let mut resolved_now = std::collections::HashSet::new();
-            for (&slot, &(ci, c)) in &count {
-                if c == 1 {
-                    slots[slot as usize] = Some(SlotAssignment {
-                        tag: candidates[ci].0,
-                        hash_index: j + 1,
-                    });
-                    resolved_now.insert(ci);
-                }
-            }
-            unresolved.retain(|ci| !resolved_now.contains(ci));
-        }
-        slots
-    }
-
     /// Flat-buffer cascade used by the run loop: `cand_flat` holds `k`
     /// candidate slots per entry of `handles`, and the per-slot assignment
     /// is written into `slots` (resized to `frame`). Pass counting uses the
     /// epoch-stamped arrays in `scratch`, so steady-state rounds perform no
-    /// heap allocation. Produces exactly the [`MicConfig::assign`] result.
+    /// heap allocation. Produces exactly the result of the tests' reference
+    /// cascade.
     fn assign_flat(
         scratch: &mut CascadeScratch,
         handles: &[usize],
@@ -190,18 +147,6 @@ impl MicConfig {
                 !resolved
             });
         }
-    }
-
-    /// Tag-side rule: the slot a tag replies in given the indicator vector,
-    /// or `None` if it stays silent this frame. Used by tests to prove the
-    /// cascade and the tag rule agree.
-    pub fn tag_reply_slot(indicator: &[u8], slots_of_tag: &[u64]) -> Option<(usize, u64)> {
-        for (j, &slot) in slots_of_tag.iter().enumerate() {
-            if indicator[slot as usize] as usize == j + 1 {
-                return Some((j + 1, slot));
-            }
-        }
-        None
     }
 }
 
@@ -334,6 +279,62 @@ mod tests {
     use rfid_protocols::Report;
     use rfid_system::{BitVec, Channel, SimConfig, TagPopulation};
 
+    /// Reader-side cascade: resolves active tags into frame slots.
+    ///
+    /// Returns the per-slot assignment (`None` = wasted slot): the reference
+    /// that the run loop's flat cascade must match.
+    fn assign(
+        family: &HashFamily,
+        candidates: &[(usize, Vec<u64>)],
+        frame: u64,
+    ) -> Vec<Option<SlotAssignment>> {
+        let _ = family; // candidate lists are precomputed from it
+        let mut slots: Vec<Option<SlotAssignment>> = vec![None; frame as usize];
+        let mut unresolved: Vec<usize> = (0..candidates.len()).collect();
+        let k = candidates.first().map_or(0, |(_, c)| c.len());
+        for j in 0..k {
+            if unresolved.is_empty() {
+                break;
+            }
+            // Count pass-j candidates per *unmarked* slot.
+            let mut count: std::collections::HashMap<u64, (usize, usize)> =
+                std::collections::HashMap::new();
+            for &ci in &unresolved {
+                let slot = candidates[ci].1[j];
+                if slots[slot as usize].is_none() {
+                    count
+                        .entry(slot)
+                        .and_modify(|e| e.1 += 1)
+                        .or_insert((ci, 1));
+                }
+            }
+            let mut resolved_now = std::collections::HashSet::new();
+            for (&slot, &(ci, c)) in &count {
+                if c == 1 {
+                    slots[slot as usize] = Some(SlotAssignment {
+                        tag: candidates[ci].0,
+                        hash_index: j + 1,
+                    });
+                    resolved_now.insert(ci);
+                }
+            }
+            unresolved.retain(|ci| !resolved_now.contains(ci));
+        }
+        slots
+    }
+
+    /// Tag-side rule: the slot a tag replies in given the indicator vector,
+    /// or `None` if it stays silent this frame: the cascade and the tag rule
+    /// must agree.
+    fn tag_reply_slot(indicator: &[u8], slots_of_tag: &[u64]) -> Option<(usize, u64)> {
+        for (j, &slot) in slots_of_tag.iter().enumerate() {
+            if indicator[slot as usize] as usize == j + 1 {
+                return Some((j + 1, slot));
+            }
+        }
+        None
+    }
+
     fn run(n: usize, seed: u64, cfg: MicConfig) -> (Report, SimContext) {
         let pop = TagPopulation::sequential(n, |_| BitVec::from_value(1, 1));
         let mut ctx = SimContext::new(pop, &SimConfig::paper(seed));
@@ -412,7 +413,7 @@ mod tests {
                 .filter(|(_, t)| t.is_active())
                 .map(|(h, t)| (h, family.slots(t.id.hi(), t.id.lo(), frame)))
                 .collect();
-            let want = MicConfig::assign(&family, &candidates, frame);
+            let want = assign(&family, &candidates, frame);
             let handles: Vec<usize> = candidates.iter().map(|&(h, _)| h).collect();
             let cand_flat: Vec<u64> = candidates.iter().flat_map(|(_, s)| s.clone()).collect();
             MicConfig::assign_flat(&mut scratch, &handles, &cand_flat, k, frame, &mut flat_out);
@@ -434,7 +435,7 @@ mod tests {
             .iter()
             .map(|(h, t)| (h, family.slots(t.id.hi(), t.id.lo(), frame)))
             .collect();
-        let assignment = MicConfig::assign(&family, &candidates, frame);
+        let assignment = assign(&family, &candidates, frame);
         let indicator: Vec<u8> = assignment
             .iter()
             .map(|s| s.map_or(0, |a| a.hash_index as u8))
@@ -442,7 +443,7 @@ mod tests {
         let mut replies: std::collections::HashMap<u64, Vec<usize>> =
             std::collections::HashMap::new();
         for (handle, slots) in &candidates {
-            if let Some((_, slot)) = MicConfig::tag_reply_slot(&indicator, slots) {
+            if let Some((_, slot)) = tag_reply_slot(&indicator, slots) {
                 replies.entry(slot).or_default().push(*handle);
             }
         }

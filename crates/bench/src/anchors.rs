@@ -72,11 +72,6 @@ pub const FIG10_TPP: f64 = 3.06;
 /// Fig. 9 anchor: TPP's analytic average, stable around 3.38 bits.
 pub const FIG9_TPP_ANALYTIC: f64 = 3.38;
 
-/// Eq. (16): the global TPP bound 2 + 1/ln 2.
-pub fn eq16_bound() -> f64 {
-    2.0 + 1.0 / core::f64::consts::LN_2
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,6 +89,6 @@ mod tests {
 
     #[test]
     fn eq16_matches_the_abstract() {
-        assert!((eq16_bound() - 3.44).abs() < 0.01);
+        assert!((rfid_analysis::tpp::global_bound() - 3.44).abs() < 0.01);
     }
 }

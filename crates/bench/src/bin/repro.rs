@@ -4,7 +4,7 @@
 //!
 //! Simulated experiments (Fig. 10, Tables I–III, ablations, energy) walk
 //! the evaluation grid through the deterministic parallel sweep engine
-//! ([`rfid_bench::sweep`]): every cell is scheduled across cores, results
+//! (`rfid_bench::sweep`): every cell is scheduled across cores, results
 //! are bit-identical to the serial `--workers 1` path, and cell results
 //! persist under `target/sweep-cache/` so a re-run after an unrelated edit
 //! skips unchanged cells. Each invocation appends its throughput stats

@@ -13,7 +13,7 @@ use std::path::PathBuf;
 
 /// Every experiment `repro` knows, with its one-line description. The
 /// order matches the paper's presentation and the usage message.
-pub const EXPERIMENTS: &[(&str, &str)] = &[
+pub(crate) const EXPERIMENTS: &[(&str, &str)] = &[
     ("fig1", "execution time vs polling-vector length (analytic)"),
     ("fig3", "HPP average vector length vs n            (Eq. 4)"),
     (
@@ -156,7 +156,7 @@ fn parse_value<T: std::str::FromStr + Copy>(
 
 /// Every `obs_report` mode, with its one-line description (the usage
 /// message's subcommand list).
-pub const OBS_MODES: &[(&str, &str)] = &[
+pub(crate) const OBS_MODES: &[(&str, &str)] = &[
     (
         "(default)",
         "worked examples + trace-derived metric summaries",

@@ -50,7 +50,7 @@ pub enum Gate {
 
 impl Gate {
     /// Whether `value` meets this gate.
-    pub fn passes(self, value: f64) -> bool {
+    pub(crate) fn passes(self, value: f64) -> bool {
         match self {
             Gate::AtLeast(bound) => value >= bound,
             Gate::AtMost(bound) => value <= bound,
@@ -62,19 +62,19 @@ impl Gate {
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchRecord {
     /// What was measured within the group (a bench name or case label).
-    pub case: String,
+    pub(crate) case: String,
     /// Inputs that identify the case, such as population size.
-    pub params: Vec<(String, Json)>,
+    pub(crate) params: Vec<(String, Json)>,
     /// Name of the measured quantity.
-    pub metric: String,
+    pub(crate) metric: String,
     /// Unit of `value`.
-    pub unit: String,
+    pub(crate) unit: String,
     /// The measurement.
-    pub value: f64,
+    pub(crate) value: f64,
     /// Per-sample statistics when `value` is a mean over timed samples.
-    pub summary: Option<Summary>,
+    pub(crate) summary: Option<Summary>,
     /// Pass condition checked by [`Bench::finish`].
-    pub gate: Option<Gate>,
+    pub(crate) gate: Option<Gate>,
 }
 
 impl BenchRecord {
@@ -106,7 +106,7 @@ impl BenchRecord {
     }
 
     /// Whether the value is finite and meets its gate, if any.
-    pub fn passes(&self) -> bool {
+    pub(crate) fn passes(&self) -> bool {
         self.value.is_finite() && self.gate.map_or(true, |g| g.passes(self.value))
     }
 
@@ -192,7 +192,11 @@ impl FromJson for BenchRecord {
 
 /// Writes `BENCH_<group>.json` = `{"group", "records"}` into `dir` and
 /// returns its path. The only writer of bench reports.
-pub fn write_report(dir: &Path, group: &str, records: &[BenchRecord]) -> std::io::Result<PathBuf> {
+pub(crate) fn write_report(
+    dir: &Path,
+    group: &str,
+    records: &[BenchRecord],
+) -> std::io::Result<PathBuf> {
     let path = dir.join(format!("BENCH_{group}.json"));
     let doc = Json::Obj(vec![
         ("group".to_string(), group.to_json()),

@@ -1,38 +1,15 @@
 //! CRC generators mandated by the C1G2 standard.
 //!
-//! * **CRC-5** (poly `x⁵+x³+1`, preset `0b01001`) protects the 22-bit Query
-//!   command.
-//! * **CRC-16/CCITT** (poly `x¹⁶+x¹²+x⁵+1`, preset `0xFFFF`, final
-//!   complement) protects tag EPC backscatter and reader commands longer
-//!   than Query. The standard transmits the *complement* of the register and
-//!   verifies by checking for the residue `0x1D0F`.
+//! **CRC-16/CCITT** (poly `x¹⁶+x¹²+x⁵+1`, preset `0xFFFF`, final
+//! complement) protects tag EPC backscatter and reader commands longer than
+//! Query. The standard transmits the *complement* of the register and
+//! verifies by checking for the residue `0x1D0F`.
 //!
-//! Both are implemented bit-serially — exactly how a tag's shift-register
-//! hardware computes them — with a table-driven CRC-16 fast path for the
-//! reader side, plus a 48-bit composite code used by the Coded Polling
-//! baseline reconstruction.
-
-/// CRC-5 as specified in C1G2 Annex F: polynomial `0b101001` (x⁵+x³+1),
-/// register preset to `0b01001`, MSB-first, no final XOR.
-pub fn crc5(bits: &[bool]) -> u8 {
-    let mut reg: u8 = 0b01001;
-    for &bit in bits {
-        let msb = (reg >> 4) & 1 == 1;
-        reg = (reg << 1) & 0b11111;
-        if msb != bit {
-            // (msb XOR input) feeds back through the polynomial taps.
-            reg ^= 0b01001;
-        }
-    }
-    reg
-}
-
-/// CRC-5 over the low `n` bits of `value`, MSB first.
-pub fn crc5_of_value(value: u32, n: u32) -> u8 {
-    assert!(n <= 32);
-    let bits: Vec<bool> = (0..n).rev().map(|i| (value >> i) & 1 == 1).collect();
-    crc5(&bits)
-}
+//! It is implemented bit-serially — exactly how a tag's shift-register
+//! hardware computes it — with a table-driven fast path for the reader
+//! side, plus a 48-bit composite code used by the Coded Polling baseline
+//! reconstruction. (The Query command's CRC-5 is charged in
+//! [`crate::commands::QUERY_BITS`] and computed only by the tests.)
 
 /// Bit-serial CRC-16/CCITT over a bit slice, MSB-first: preset `0xFFFF`,
 /// polynomial `0x1021`, final one's complement (as transmitted on air).
@@ -57,19 +34,6 @@ pub fn crc16(data: &[u8]) -> u16 {
         reg = (reg << 8) ^ CRC16_TABLE[idx as usize];
     }
     !reg
-}
-
-/// Verifies a message followed by its transmitted (complemented) CRC-16.
-///
-/// Appending the complemented CRC makes the register land on the constant
-/// residue `0x1D0F`, which is what tag hardware checks.
-pub fn crc16_check(data_and_crc: &[u8]) -> bool {
-    let mut reg: u16 = 0xFFFF;
-    for &byte in data_and_crc {
-        let idx = ((reg >> 8) ^ byte as u16) & 0xFF;
-        reg = (reg << 8) ^ CRC16_TABLE[idx as usize];
-    }
-    reg == 0x1D0F
 }
 
 /// A 48-bit code over a 96-bit EPC, built from two independent CRC-16 passes
@@ -121,6 +85,28 @@ const fn build_crc16_table() -> [u16; 256] {
 mod tests {
     use super::*;
 
+    /// CRC-5 as specified in C1G2 Annex F: polynomial `0b101001` (x⁵+x³+1),
+    /// register preset to `0b01001`, MSB-first, no final XOR.
+    fn crc5(bits: &[bool]) -> u8 {
+        let mut reg: u8 = 0b01001;
+        for &bit in bits {
+            let msb = (reg >> 4) & 1 == 1;
+            reg = (reg << 1) & 0b11111;
+            if msb != bit {
+                // (msb XOR input) feeds back through the polynomial taps.
+                reg ^= 0b01001;
+            }
+        }
+        reg
+    }
+
+    /// CRC-5 over the low `n` bits of `value`, MSB first.
+    fn crc5_of_value(value: u32, n: u32) -> u8 {
+        assert!(n <= 32);
+        let bits: Vec<bool> = (0..n).rev().map(|i| (value >> i) & 1 == 1).collect();
+        crc5(&bits)
+    }
+
     fn bits_of_bytes(data: &[u8]) -> Vec<bool> {
         data.iter()
             .flat_map(|&b| (0..8).rev().map(move |i| (b >> i) & 1 == 1))
@@ -147,13 +133,16 @@ mod tests {
         let crc = crc16(msg);
         let mut framed = msg.to_vec();
         framed.extend_from_slice(&crc.to_be_bytes());
-        assert!(crc16_check(&framed));
+        // Appending the complemented CRC lands the register on the residue
+        // 0x1D0F, which `crc16` returns complemented.
+        const RESIDUE: u16 = !0x1D0F;
+        assert_eq!(crc16(&framed), RESIDUE);
         // Any single-bit corruption must be caught.
         for byte in 0..framed.len() {
             for bit in 0..8 {
                 let mut bad = framed.clone();
                 bad[byte] ^= 1 << bit;
-                assert!(!crc16_check(&bad), "missed flip at {byte}:{bit}");
+                assert_ne!(crc16(&bad), RESIDUE, "missed flip at {byte}:{bit}");
             }
         }
     }

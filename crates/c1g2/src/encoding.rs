@@ -14,7 +14,7 @@ use crate::time::Micros;
 
 /// Reader→tag PIE encoding, parameterized by the data-1 length.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReaderEncoding {
+pub(crate) struct ReaderEncoding {
     /// Length of a data-1 symbol as a multiple of Tari (1.5 ..= 2.0).
     data1_tari: f64,
 }
@@ -24,7 +24,7 @@ impl ReaderEncoding {
     ///
     /// # Panics
     /// Panics if `data1_tari` is outside the standard's `[1.5, 2.0]` range.
-    pub fn pie(data1_tari: f64) -> Self {
+    pub(crate) fn pie(data1_tari: f64) -> Self {
         assert!(
             (1.5..=2.0).contains(&data1_tari),
             "PIE data-1 must be 1.5-2.0 Tari, got {data1_tari}"
@@ -32,40 +32,34 @@ impl ReaderEncoding {
         ReaderEncoding { data1_tari }
     }
 
-    /// The data-1 length in Tari units this encoding was built with.
-    #[inline]
-    pub fn data1_tari(&self) -> f64 {
-        self.data1_tari
-    }
-
     /// Duration of a data-0 symbol.
     #[inline]
-    pub fn data0(&self, tari: Micros) -> Micros {
+    pub(crate) fn data0(&self, tari: Micros) -> Micros {
         tari
     }
 
     /// Duration of a data-1 symbol.
     #[inline]
-    pub fn data1(&self, tari: Micros) -> Micros {
+    pub(crate) fn data1(&self, tari: Micros) -> Micros {
         tari * self.data1_tari
     }
 
     /// The reader→tag calibration symbol: `RTcal = data-0 + data-1`.
     #[inline]
-    pub fn rtcal(&self, tari: Micros) -> Micros {
+    pub(crate) fn rtcal(&self, tari: Micros) -> Micros {
         self.data0(tari) + self.data1(tari)
     }
 
     /// Mean bit duration assuming a balanced bit mix, rounded to the
     /// nanosecond once.
     #[inline]
-    pub fn mean_bit(&self, tari: Micros) -> Micros {
+    pub(crate) fn mean_bit(&self, tari: Micros) -> Micros {
         tari * ((1.0 + self.data1_tari) / 2.0)
     }
 
     /// Exact duration of transmitting `bits`, costing each 0 and 1 at its
     /// true PIE length. `ones` must not exceed `bits`.
-    pub fn exact(&self, tari: Micros, bits: u64, ones: u64) -> Micros {
+    pub(crate) fn exact(&self, tari: Micros, bits: u64, ones: u64) -> Micros {
         assert!(ones <= bits, "ones ({ones}) exceeds bits ({bits})");
         self.data0(tari) * (bits - ones) + self.data1(tari) * ones
     }
@@ -73,7 +67,7 @@ impl ReaderEncoding {
 
 /// Tag→reader backscatter encoding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TagEncoding {
+pub(crate) enum TagEncoding {
     /// FM0 baseband: one pulse-repetition interval per bit.
     Fm0,
     /// Miller subcarrier with M = 2 cycles per bit.
@@ -86,7 +80,7 @@ pub enum TagEncoding {
 
 impl TagEncoding {
     /// Subcarrier cycles per bit (FM0 counted as 1).
-    pub fn cycles_per_bit(self) -> u64 {
+    pub(crate) fn cycles_per_bit(self) -> u64 {
         match self {
             TagEncoding::Fm0 => 1,
             TagEncoding::Miller2 => 2,
@@ -97,13 +91,13 @@ impl TagEncoding {
 
     /// Duration of one tag bit given the pulse-repetition interval `Tpri`.
     #[inline]
-    pub fn bit_duration(self, tpri: Micros) -> Micros {
+    pub(crate) fn bit_duration(self, tpri: Micros) -> Micros {
         tpri * self.cycles_per_bit()
     }
 
     /// The tag data rate in bit/s for a given backscatter link frequency
     /// (`BLF`, in Hz).
-    pub fn data_rate(self, blf_hz: f64) -> f64 {
+    pub(crate) fn data_rate(self, blf_hz: f64) -> f64 {
         blf_hz / self.cycles_per_bit() as f64
     }
 }

@@ -18,31 +18,11 @@
 //! The evaluation in *Fast RFID Polling Protocols* fixes the derived
 //! quantities directly (Section V-A): `T1 = 100 µs`, `T2 = 50 µs`, reader→tag
 //! 26.7 kbps, tag→reader 40 kbps. [`LinkParams::paper`] reproduces exactly
-//! those numbers; [`LinkParams::from_symbols`] derives a parameter set from
-//! the primitive symbols instead, for users who want to explore other
-//! operating points of the standard.
+//! those numbers, and the simulator charges them. (The tests keep a
+//! symbol-level derivation that checks how the standard's symbols map to
+//! these quantities.)
 
-use crate::encoding::{ReaderEncoding, TagEncoding};
 use crate::time::Micros;
-
-/// Divide ratio announced in the `Query` command (`DR` field).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DivideRatio {
-    /// DR = 8.
-    Dr8,
-    /// DR = 64/3.
-    Dr64Over3,
-}
-
-impl DivideRatio {
-    /// The numeric divide ratio.
-    pub fn value(self) -> f64 {
-        match self {
-            DivideRatio::Dr8 => 8.0,
-            DivideRatio::Dr64Over3 => 64.0 / 3.0,
-        }
-    }
-}
 
 /// The complete reader↔tag link budget used by the simulator.
 ///
@@ -83,54 +63,6 @@ impl LinkParams {
         }
     }
 
-    /// Derives a parameter set from the primitive C1G2 symbols.
-    ///
-    /// * `tari` — reader data-0 duration (6.25–25 µs per the standard),
-    /// * `dr` — divide ratio from the Query command,
-    /// * `trcal` — tag→reader calibration symbol (µs),
-    /// * `tag_encoding` — FM0 or one of the Miller subcarrier modes,
-    /// * `reader_encoding` — PIE data-1 length as a multiple of Tari.
-    ///
-    /// A bit time that is not a whole nanosecond (most BLFs give one) is
-    /// rounded to the nearest nanosecond once, here.
-    ///
-    /// # Panics
-    /// Panics if `tari` is outside the standard's 6.25–25 µs range or if
-    /// `trcal` is not in `[1.1·RTcal, 3·RTcal]` as the standard requires.
-    pub fn from_symbols(
-        tari: Micros,
-        dr: DivideRatio,
-        trcal: Micros,
-        tag_encoding: TagEncoding,
-        reader_encoding: ReaderEncoding,
-    ) -> Self {
-        assert!(
-            (6.25..=25.0).contains(&tari.as_f64()),
-            "Tari {} outside the C1G2 range of 6.25-25 µs",
-            tari
-        );
-        let rtcal = reader_encoding.rtcal(tari);
-        assert!(
-            trcal.as_f64() >= 1.1 * rtcal.as_f64() && trcal.as_f64() <= 3.0 * rtcal.as_f64(),
-            "TRcal {} outside [1.1 RTcal, 3 RTcal] = [{}, {}]",
-            trcal,
-            rtcal * 1.1,
-            rtcal * 3.0
-        );
-        // Tpri = 1 / BLF = TRcal / DR, rounded to the nanosecond once here;
-        // every tag-side time below is a whole multiple of it.
-        let tpri = Micros::from_us(trcal.as_f64() / dr.value());
-        let t1 = rtcal.max(tpri * 10u64);
-        let t2 = tpri * 10u64; // mid-range of the permitted [3, 20]·Tpri
-        LinkParams {
-            reader_bit: reader_encoding.mean_bit(tari),
-            tag_bit: tag_encoding.bit_duration(tpri),
-            t1,
-            t2,
-            t3: tpri * 3u64,
-        }
-    }
-
     /// Time for the reader to transmit `bits` bits.
     #[inline]
     pub fn reader_tx(&self, bits: u64) -> Micros {
@@ -141,17 +73,6 @@ impl LinkParams {
     #[inline]
     pub fn tag_tx(&self, bits: u64) -> Micros {
         self.tag_bit * bits
-    }
-
-    /// The cost of one complete polling exchange: the reader transmits
-    /// `reader_bits`, waits `T1`, the tag replies with `tag_bits`, and the
-    /// reader waits `T2` before the next command.
-    ///
-    /// With the paper's parameters and `reader_bits = 4 + w` this is exactly
-    /// the `37.45·(4+w) + T1 + 25·l + T2` µs formula of Section V-A.
-    #[inline]
-    pub fn poll_exchange(&self, reader_bits: u64, tag_bits: u64) -> Micros {
-        self.reader_tx(reader_bits) + self.t1 + self.tag_tx(tag_bits) + self.t2
     }
 }
 
@@ -164,6 +85,76 @@ impl Default for LinkParams {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::encoding::{ReaderEncoding, TagEncoding};
+
+    /// Divide ratio announced in the `Query` command (`DR` field).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum DivideRatio {
+        /// DR = 8.
+        Dr8,
+        /// DR = 64/3.
+        Dr64Over3,
+    }
+
+    impl DivideRatio {
+        /// The numeric divide ratio.
+        fn value(self) -> f64 {
+            match self {
+                DivideRatio::Dr8 => 8.0,
+                DivideRatio::Dr64Over3 => 64.0 / 3.0,
+            }
+        }
+    }
+
+    impl LinkParams {
+        /// Derives a parameter set from the primitive C1G2 symbols.
+        ///
+        /// * `tari` — reader data-0 duration (6.25–25 µs per the standard),
+        /// * `dr` — divide ratio from the Query command,
+        /// * `trcal` — tag→reader calibration symbol (µs),
+        /// * `tag_encoding` — FM0 or one of the Miller subcarrier modes,
+        /// * `reader_encoding` — PIE data-1 length as a multiple of Tari.
+        ///
+        /// A bit time that is not a whole nanosecond (most BLFs give one) is
+        /// rounded to the nearest nanosecond once, here.
+        ///
+        /// # Panics
+        /// Panics if `tari` is outside the standard's 6.25–25 µs range or if
+        /// `trcal` is not in `[1.1·RTcal, 3·RTcal]` as the standard requires.
+        fn from_symbols(
+            tari: Micros,
+            dr: DivideRatio,
+            trcal: Micros,
+            tag_encoding: TagEncoding,
+            reader_encoding: ReaderEncoding,
+        ) -> Self {
+            assert!(
+                (6.25..=25.0).contains(&tari.as_f64()),
+                "Tari {} outside the C1G2 range of 6.25-25 µs",
+                tari
+            );
+            let rtcal = reader_encoding.rtcal(tari);
+            assert!(
+                trcal.as_f64() >= 1.1 * rtcal.as_f64() && trcal.as_f64() <= 3.0 * rtcal.as_f64(),
+                "TRcal {} outside [1.1 RTcal, 3 RTcal] = [{}, {}]",
+                trcal,
+                rtcal * 1.1,
+                rtcal * 3.0
+            );
+            // Tpri = 1 / BLF = TRcal / DR, rounded to the nanosecond once here;
+            // every tag-side time below is a whole multiple of it.
+            let tpri = Micros::from_us(trcal.as_f64() / dr.value());
+            let t1 = rtcal.max(tpri * 10u64);
+            let t2 = tpri * 10u64; // mid-range of the permitted [3, 20]·Tpri
+            LinkParams {
+                reader_bit: reader_encoding.mean_bit(tari),
+                tag_bit: tag_encoding.bit_duration(tpri),
+                t1,
+                t2,
+                t3: tpri * 3u64,
+            }
+        }
+    }
 
     #[test]
     fn paper_constants() {
@@ -179,7 +170,7 @@ mod tests {
         let p = LinkParams::paper();
         // Collecting l=1 bit with a w=3 bit polling vector behind a 4-bit
         // QueryRep: 37.45*(4+3) + 100 + 25 + 50.
-        let t = p.poll_exchange(4 + 3, 1);
+        let t = p.reader_tx(4 + 3) + p.t1 + p.tag_tx(1) + p.t2;
         assert_eq!(t, Micros::from_ns(37_450 * 7 + 100_000 + 25_000 + 50_000));
     }
 

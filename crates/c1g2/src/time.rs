@@ -47,12 +47,6 @@ impl Micros {
         Self::round_ns(us * 1_000.0)
     }
 
-    /// Creates a duration from milliseconds.
-    #[inline]
-    pub fn from_ms(ms: f64) -> Self {
-        Self::round_ns(ms * 1_000_000.0)
-    }
-
     /// Creates a duration from seconds.
     #[inline]
     pub fn from_secs(s: f64) -> Self {
@@ -96,7 +90,7 @@ impl Micros {
 
     /// Saturating subtraction: returns zero instead of a negative duration.
     #[inline]
-    pub fn saturating_sub(self, rhs: Micros) -> Micros {
+    pub(crate) fn saturating_sub(self, rhs: Micros) -> Micros {
         Micros(self.0.saturating_sub(rhs.0))
     }
 
@@ -104,18 +98,6 @@ impl Micros {
     #[inline]
     pub fn is_zero(self) -> bool {
         self.0 == 0
-    }
-
-    /// The larger of two durations.
-    #[inline]
-    pub fn max(self, other: Micros) -> Micros {
-        Ord::max(self, other)
-    }
-
-    /// The smaller of two durations.
-    #[inline]
-    pub fn min(self, other: Micros) -> Micros {
-        Ord::min(self, other)
     }
 }
 
@@ -211,7 +193,6 @@ mod tests {
 
     #[test]
     fn constructors_agree() {
-        assert_eq!(Micros::from_ms(1.5), Micros::from_us(1_500.0));
         assert_eq!(Micros::from_secs(2.0), Micros::from_us(2_000_000.0));
     }
 

@@ -30,7 +30,7 @@ pub enum TimeCategory {
 
 impl TimeCategory {
     /// All categories in display order.
-    pub const ALL: [TimeCategory; 6] = [
+    pub(crate) const ALL: [TimeCategory; 6] = [
         TimeCategory::ReaderCommand,
         TimeCategory::PollingVector,
         TimeCategory::IndicatorVector,
@@ -51,7 +51,7 @@ impl TimeCategory {
     }
 
     /// Human-readable label.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             TimeCategory::ReaderCommand => "reader commands",
             TimeCategory::PollingVector => "polling vectors",
@@ -177,13 +177,6 @@ impl Clock {
     pub fn breakdown(&self) -> &TimeBreakdown {
         &self.breakdown
     }
-
-    /// Merges another clock's time into this one (used when sub-runs, e.g.
-    /// EHPP circles, are timed separately and then combined).
-    pub fn absorb(&mut self, other: &Clock) {
-        self.elapsed += other.elapsed;
-        self.breakdown += other.breakdown;
-    }
 }
 
 #[cfg(test)]
@@ -244,17 +237,17 @@ mod tests {
 
     #[test]
     fn absorb_merges() {
+        // Sub-runs timed on their own clocks merge by adding breakdowns.
         let mut a = Clock::new();
         a.spend(TimeCategory::Turnaround, Micros::from_us(100.0));
         let mut b = Clock::new();
         b.spend(TimeCategory::Turnaround, Micros::from_us(50.0));
         b.spend(TimeCategory::PollingVector, Micros::from_us(7.0));
-        a.absorb(&b);
-        assert_eq!(a.total(), Micros::from_us(157.0));
-        assert_eq!(
-            a.breakdown().get(TimeCategory::Turnaround),
-            Micros::from_us(150.0)
-        );
+        let mut merged = *a.breakdown();
+        merged += *b.breakdown();
+        assert_eq!(merged.total(), Micros::from_us(157.0));
+        assert_eq!(merged.get(TimeCategory::Turnaround), Micros::from_us(150.0));
+        assert_eq!(merged, *a.breakdown() + *b.breakdown());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
-use rfid_system::{FaultModel, Json};
+use rfid_system::Json;
 use rfid_wire::{
     Command, ErrorCode, OpenRequest, Response, SessionOutcome, StreamTransport, Transport,
     WireError,
@@ -239,14 +239,6 @@ impl<T: Transport> DaemonClient<T> {
         }
     }
 
-    /// Swaps a session's fault model mid-flight.
-    pub fn inject(&mut self, session: u64, fault: FaultModel) -> Result<(), ClientError> {
-        match self.request(&Command::Inject { session, fault })? {
-            Response::Opened { .. } => Ok(()),
-            other => Err(unexpected(&other)),
-        }
-    }
-
     /// Fetches the session's metrics as Prometheus text.
     pub fn metrics_text(&mut self, session: u64) -> Result<String, ClientError> {
         match self.request(&Command::Metrics {
@@ -265,14 +257,6 @@ impl<T: Transport> DaemonClient<T> {
             delta: true,
         })? {
             Response::MetricsDelta { jsonl, .. } => Ok(jsonl),
-            other => Err(unexpected(&other)),
-        }
-    }
-
-    /// Fetches the session's most recent flight bundle, if any.
-    pub fn flight(&mut self, session: u64) -> Result<Option<Json>, ClientError> {
-        match self.request(&Command::Flight { session })? {
-            Response::FlightInfo { bundle, .. } => Ok(bundle),
             other => Err(unexpected(&other)),
         }
     }

@@ -37,7 +37,7 @@ pub fn protocol_by_name(name: &str) -> Option<Box<dyn PollingProtocol>> {
 }
 
 /// The servable protocol names, in registry order.
-pub fn protocol_names() -> Vec<&'static str> {
+pub(crate) fn protocol_names() -> Vec<&'static str> {
     all_protocols().iter().map(|p| p.name()).collect()
 }
 

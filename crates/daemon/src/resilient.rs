@@ -46,17 +46,17 @@ pub struct RetryPolicy {
     pub verb_timeout: Duration,
     /// Consecutive failed recovery attempts before giving up. Progress
     /// (a completed chunk transaction) resets the count.
-    pub max_attempts: u32,
+    pub(crate) max_attempts: u32,
     /// First backoff sleep, in microseconds; doubles per attempt.
-    pub backoff_base_us: u64,
+    pub(crate) backoff_base_us: u64,
     /// Backoff ceiling, in microseconds.
-    pub backoff_cap_us: u64,
+    pub(crate) backoff_cap_us: u64,
     /// Driver steps per run-chunk transaction: after each chunk the
     /// client checkpoints and holds the snapshot as its recovery point.
-    pub checkpoint_every: u64,
+    pub(crate) checkpoint_every: u64,
     /// Seed for backoff jitter (determinism of the *schedule*; results
     /// are bit-identical regardless).
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl Default for RetryPolicy {
@@ -148,11 +148,6 @@ where
             rng: Xoshiro256::seed_from_u64(policy.seed),
             metrics: MetricsRegistry::default(),
         }
-    }
-
-    /// Client-side effort counters (`wire_retries`, `wire_reconnects`).
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
     }
 
     /// Total transient-failure retries so far.

@@ -44,16 +44,16 @@ use crate::service::{open_session, restore_session};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FleetLimits {
     /// Maximum concurrently live (admitted, not yet retired) sessions.
-    pub max_sessions: usize,
+    pub(crate) max_sessions: usize,
     /// Maximum concurrently executing `Run` commands.
-    pub max_inflight: usize,
+    pub(crate) max_inflight: usize,
     /// Backoff suggested to shed clients, in microseconds.
-    pub busy_retry_after_us: u64,
+    pub(crate) busy_retry_after_us: u64,
 }
 
 impl FleetLimits {
     /// No budgets: nothing is ever shed.
-    pub fn unlimited() -> FleetLimits {
+    pub(crate) fn unlimited() -> FleetLimits {
         FleetLimits {
             max_sessions: usize::MAX,
             max_inflight: usize::MAX,
@@ -80,7 +80,7 @@ impl FleetLimits {
 
 /// The command that recreates a live session: what resurrection replays.
 #[derive(Debug)]
-pub enum RecoveryPoint {
+pub(crate) enum RecoveryPoint {
     /// No checkpoint yet: replay the `Open` that built the session.
     Open(Box<OpenRequest>),
     /// The last deposited checkpoint: replay a `Resume` of it, with the
@@ -120,7 +120,7 @@ pub struct Resurrection {
 
 /// How a session left the live set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Retire {
+pub(crate) enum Retire {
     /// The session ran to its end on its own connection.
     Completed,
     /// The client discarded it with `Close` before it ended.
@@ -148,7 +148,7 @@ pub struct Supervisor {
 
 impl Supervisor {
     /// A supervisor enforcing `limits`.
-    pub fn new(limits: FleetLimits) -> Supervisor {
+    pub(crate) fn new(limits: FleetLimits) -> Supervisor {
         Supervisor {
             limits,
             state: Mutex::new(SupState {
@@ -168,11 +168,6 @@ impl Supervisor {
         Supervisor::new(FleetLimits::unlimited())
     }
 
-    /// The limits this supervisor enforces.
-    pub fn limits(&self) -> FleetLimits {
-        self.limits
-    }
-
     fn lock(&self) -> std::sync::MutexGuard<'_, SupState> {
         self.state.lock().expect("supervisor lock")
     }
@@ -180,7 +175,7 @@ impl Supervisor {
     /// Admits a new session with the command that recreates it, or sheds
     /// it. `Ok` carries the global session id; `Err` carries the
     /// suggested retry backoff in microseconds.
-    pub fn admit(&self, record: RecoveryPoint) -> Result<u64, u64> {
+    pub(crate) fn admit(&self, record: RecoveryPoint) -> Result<u64, u64> {
         let mut s = self.lock();
         if s.live.len() >= self.limits.max_sessions {
             s.metrics.inc(wire_counters::SESSIONS_SHED, 1);
@@ -195,7 +190,7 @@ impl Supervisor {
 
     /// Deposits a fresher checkpoint for a live session, which becomes its
     /// recovery point (no-op once the session has been retired).
-    pub fn deposit(&self, gid: u64, checkpoint: Json) {
+    pub(crate) fn deposit(&self, gid: u64, checkpoint: Json) {
         let mut s = self.lock();
         if let Some(slot) = s.live.get_mut(&gid) {
             *slot = RecoveryPoint::Resume {
@@ -209,7 +204,7 @@ impl Supervisor {
     /// Claims an in-flight run slot, or sheds the run. Pair every `Ok`
     /// with exactly one [`Supervisor::end_run`] (use a drop guard so a
     /// panicking handler still releases its slot).
-    pub fn begin_run(&self) -> Result<(), u64> {
+    pub(crate) fn begin_run(&self) -> Result<(), u64> {
         let mut s = self.lock();
         if s.inflight >= self.limits.max_inflight {
             s.metrics.inc(wire_counters::SESSIONS_SHED, 1);
@@ -220,13 +215,13 @@ impl Supervisor {
     }
 
     /// Releases an in-flight run slot.
-    pub fn end_run(&self) {
+    pub(crate) fn end_run(&self) {
         let mut s = self.lock();
         s.inflight = s.inflight.saturating_sub(1);
     }
 
     /// Removes a session from the live set (idempotent).
-    pub fn retire(&self, gid: u64, how: Retire) {
+    pub(crate) fn retire(&self, gid: u64, how: Retire) {
         let mut s = self.lock();
         if s.live.remove(&gid).is_some() {
             let name = match how {
@@ -240,7 +235,7 @@ impl Supervisor {
     /// Deposits a final checkpoint for a live session being drained at
     /// shutdown and retires it. The snapshot stays fetchable through
     /// [`Supervisor::drained`] so a controller can resume it elsewhere.
-    pub fn drain_session(&self, gid: u64, checkpoint: Json) {
+    pub(crate) fn drain_session(&self, gid: u64, checkpoint: Json) {
         let mut s = self.lock();
         if s.live.remove(&gid).is_some() {
             s.drained.push((gid, checkpoint));
@@ -254,7 +249,7 @@ impl Supervisor {
     /// Replay failures keep a failure document ([`Supervisor::failures`])
     /// and are counted, never propagated — the fleet outlives any one
     /// corpse.
-    pub fn connection_lost(&self, gids: &[u64]) {
+    pub(crate) fn connection_lost(&self, gids: &[u64]) {
         for &gid in gids {
             let Some(record) = self.lock().live.remove(&gid) else {
                 continue; // already retired
@@ -281,7 +276,7 @@ impl Supervisor {
 
     /// Counts a caught handler panic (`kill_point` distinguishes the
     /// chaos harness's deliberate kills from genuine bugs).
-    pub fn note_panic(&self, kill_point: bool) {
+    pub(crate) fn note_panic(&self, kill_point: bool) {
         let name = if kill_point {
             "kill_points_fired"
         } else {
@@ -290,30 +285,9 @@ impl Supervisor {
         self.lock().metrics.inc(name, 1);
     }
 
-    /// Folds client-side counters (retries, reconnects) into the fleet
-    /// registry so one exposition covers the whole resilience picture.
-    pub fn absorb(&self, other: &MetricsRegistry) {
-        self.lock().metrics.merge(other);
-    }
-
-    /// Live (admitted, unretired) sessions right now.
-    pub fn live_sessions(&self) -> usize {
-        self.lock().live.len()
-    }
-
     /// A named counter's current value.
     pub fn counter(&self, name: &str) -> u64 {
         self.lock().metrics.counter(name)
-    }
-
-    /// A snapshot of the fleet metrics registry.
-    pub fn metrics(&self) -> MetricsRegistry {
-        self.lock().metrics.clone()
-    }
-
-    /// Prometheus text exposition of the fleet metrics.
-    pub fn expose_text(&self) -> String {
-        self.lock().metrics.expose_text()
     }
 
     /// Outcomes of every resurrection so far.
@@ -324,12 +298,6 @@ impl Supervisor {
     /// Final checkpoints deposited by shutdown drains.
     pub fn drained(&self) -> Vec<(u64, Json)> {
         self.lock().drained.clone()
-    }
-
-    /// One document per recovery point that failed to replay: its gid,
-    /// the error, and the request or checkpoint that failed.
-    pub fn failures(&self) -> Vec<Json> {
-        self.lock().failures.clone()
     }
 
     /// Rebuilds a session through the same function its verb used and
@@ -435,7 +403,7 @@ fn failure_document(gid: u64, why: &str, record: RecoveryPoint) -> Json {
 /// are counted apart from genuine bugs, and
 /// [`install_killpoint_hook`] keeps them out of stderr.
 #[derive(Debug)]
-pub struct KillPoint;
+pub(crate) struct KillPoint;
 
 /// A fire-once crash trigger: the first session to reach `after_steps`
 /// driver steps inside a `Run` panics with [`KillPoint`] at a chunk
@@ -443,14 +411,14 @@ pub struct KillPoint;
 /// switch — resurrections and reconnects do not re-trip it, which is
 /// what makes a chaos-killed link "eventually usable".
 #[derive(Debug)]
-pub struct KillSwitch {
+pub(crate) struct KillSwitch {
     after_steps: u64,
     fired: AtomicBool,
 }
 
 impl KillSwitch {
     /// A switch that fires once a run passes `after_steps` steps.
-    pub fn new(after_steps: u64) -> KillSwitch {
+    pub(crate) fn new(after_steps: u64) -> KillSwitch {
         KillSwitch {
             after_steps,
             fired: AtomicBool::new(false),
@@ -459,21 +427,16 @@ impl KillSwitch {
 
     /// Whether the switch fires at this step boundary (true exactly once
     /// across the fleet).
-    pub fn should_fire(&self, steps: u64) -> bool {
+    pub(crate) fn should_fire(&self, steps: u64) -> bool {
         steps >= self.after_steps
             && self
                 .fired
                 .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
                 .is_ok()
     }
-
-    /// Whether the switch has already fired.
-    pub fn fired(&self) -> bool {
-        self.fired.load(Ordering::SeqCst)
-    }
 }
 
-/// Installs a process-wide panic hook that suppresses [`KillPoint`]
+/// Installs a process-wide panic hook that suppresses `KillPoint`
 /// panics (they are the chaos harness working as intended) and defers
 /// everything else to the previous hook. Idempotent.
 pub fn install_killpoint_hook() {
@@ -571,7 +534,7 @@ mod tests {
                      (from step {steps}, {form} snapshot)"
                 );
                 assert_eq!(sup.counter(wire_counters::SESSIONS_RESURRECTED), 1);
-                assert_eq!(sup.live_sessions(), 0);
+                assert_eq!(sup.lock().live.len(), 0);
                 sup.reconcile().unwrap();
             }
         }
@@ -623,7 +586,7 @@ mod tests {
         sup.connection_lost(&[gid]);
         assert_eq!(sup.counter("sessions_resurrect_failed"), 1);
         assert!(sup.resurrections().is_empty());
-        let failures = sup.failures();
+        let failures = sup.lock().failures.clone();
         assert_eq!(failures.len(), 1, "one failed replay, one document");
         let failure = &failures[0];
         assert_eq!(
@@ -659,9 +622,9 @@ mod tests {
     fn kill_switch_fires_exactly_once() {
         let k = KillSwitch::new(10);
         assert!(!k.should_fire(9));
-        assert!(!k.fired());
+        assert!(!k.fired.load(Ordering::SeqCst));
         assert!(k.should_fire(10));
-        assert!(k.fired());
+        assert!(k.fired.load(Ordering::SeqCst));
         assert!(!k.should_fire(11), "armed once, never again");
     }
 }

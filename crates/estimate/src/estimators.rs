@@ -7,7 +7,7 @@ use crate::frame::FrameObservation;
 ///
 /// Returns `None` when the frame saturated (`p₀ = 0`), in which case the
 /// caller must grow the frame and retry.
-pub fn zero_estimator(obs: &FrameObservation) -> Option<f64> {
+pub(crate) fn zero_estimator(obs: &FrameObservation) -> Option<f64> {
     let p0 = obs.empty_fraction();
     if p0 <= 0.0 {
         None
@@ -18,12 +18,6 @@ pub fn zero_estimator(obs: &FrameObservation) -> Option<f64> {
     }
 }
 
-/// Schoute's estimator: under Poisson load each collision slot hides
-/// 2.39 tags on average, so `n̂ = s + 2.39·c`.
-pub fn schoute_estimator(obs: &FrameObservation) -> f64 {
-    obs.singleton as f64 + 2.39 * obs.collision as f64
-}
-
 /// Geometric (Flajolet–Martin-style) estimator: every tag replies in slot
 /// `j ≥ 0` with probability `2^{-(j+1)}`. If `j*` is the first slot the
 /// reader observes *empty*, then `n̂ ≈ 1.2897 · 2^{j*}` (the 1.2897
@@ -31,13 +25,13 @@ pub fn schoute_estimator(obs: &FrameObservation) -> f64 {
 /// population up to 2³²; precision comes from averaging over seeds.
 ///
 /// `first_empty` is `j*`.
-pub fn geometric_estimator(first_empty: u32) -> f64 {
+pub(crate) fn geometric_estimator(first_empty: u32) -> f64 {
     1.2897 * (1u64 << first_empty.min(62)) as f64
 }
 
 /// Derives the slot a tag picks in a geometric frame from a uniform 64-bit
 /// hash: the position of the first set bit (≈ geometric with p = 1/2).
-pub fn geometric_slot(hash: u64) -> u32 {
+pub(crate) fn geometric_slot(hash: u64) -> u32 {
     hash.trailing_zeros().min(63)
 }
 
@@ -77,19 +71,6 @@ mod tests {
     fn zero_estimator_of_empty_field_is_zero() {
         let obs = FrameObservation::observe(16, &[]);
         assert_eq!(zero_estimator(&obs), Some(0.0));
-    }
-
-    #[test]
-    fn schoute_is_reasonable_at_load_one() {
-        let n = 10_000u64;
-        let mut acc = 0.0;
-        let trials = 30;
-        for s in 0..trials {
-            acc += schoute_estimator(&simulate_frame(n, n, s));
-        }
-        let est = acc / trials as f64;
-        let err = (est - n as f64).abs() / n as f64;
-        assert!(err < 0.05, "Schoute off by {:.1} %", err * 100.0);
     }
 
     #[test]

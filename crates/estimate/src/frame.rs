@@ -18,7 +18,7 @@ impl FrameObservation {
     ///
     /// # Panics
     /// Panics if the counts do not sum to the frame size.
-    pub fn new(frame: u64, empty: u64, singleton: u64, collision: u64) -> Self {
+    pub(crate) fn new(frame: u64, empty: u64, singleton: u64, collision: u64) -> Self {
         assert_eq!(
             empty + singleton + collision,
             frame,
@@ -33,12 +33,12 @@ impl FrameObservation {
     }
 
     /// Fraction of empty slots `p₀`.
-    pub fn empty_fraction(&self) -> f64 {
+    pub(crate) fn empty_fraction(&self) -> f64 {
         self.empty as f64 / self.frame as f64
     }
 
     /// Observes a frame given each tag's chosen slot.
-    pub fn observe(frame: u64, slots_chosen: &[u64]) -> Self {
+    pub(crate) fn observe(frame: u64, slots_chosen: &[u64]) -> Self {
         let mut counts = vec![0u32; frame as usize];
         for &s in slots_chosen {
             counts[s as usize] += 1;

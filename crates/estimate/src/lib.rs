@@ -7,11 +7,9 @@
 //! \[23\], Li et al., *Energy efficient algorithms for the RFID estimation
 //! problem*) supplies the standard estimators implemented here:
 //!
-//! * [`estimators::zero_estimator`] — invert the empty-slot probability
+//! * `estimators::zero_estimator` — invert the empty-slot probability
 //!   `p₀ = e^{-n/f}` of one ALOHA frame,
-//! * [`estimators::schoute_estimator`] — Schoute's `n̂ = s + 2.39·c` from
-//!   singleton and collision counts,
-//! * [`estimators::geometric_estimator`] — Flajolet–Martin-style: tags
+//! * `estimators::geometric_estimator` — Flajolet–Martin-style: tags
 //!   reply in slot `j` with probability `2^{-(j+1)}`; the first empty slot
 //!   position tracks `log₂ n`,
 //! * [`protocol::EstimationProtocol`] — a timed, multi-frame estimation run
@@ -21,10 +19,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod estimators;
-pub mod frame;
-pub mod protocol;
+pub(crate) mod estimators;
+pub(crate) mod frame;
+pub(crate) mod protocol;
 
-pub use estimators::{geometric_estimator, schoute_estimator, zero_estimator};
 pub use frame::FrameObservation;
 pub use protocol::{EstimationConfig, EstimationProtocol, EstimationResult};

@@ -37,16 +37,6 @@ impl HashFamily {
         self.members.is_empty()
     }
 
-    /// The `j`-th member (0-based).
-    pub fn member(&self, j: usize) -> &TagHash {
-        &self.members[j]
-    }
-
-    /// `H_j(r, id) mod frame` — candidate slot `j` for a tag.
-    pub fn slot(&self, j: usize, id_hi: u32, id_lo: u64, frame: u64) -> u64 {
-        self.members[j].modulo(id_hi, id_lo, frame)
-    }
-
     /// All `k` candidate slots for a tag in a frame of the given size.
     pub fn slots(&self, id_hi: u32, id_lo: u64, frame: u64) -> Vec<u64> {
         self.members
@@ -71,7 +61,7 @@ mod tests {
         let fam = HashFamily::new(42, 7);
         assert_eq!(fam.len(), 7);
         let id = (3u32, 123_456_789u64);
-        let outputs: Vec<u64> = (0..7).map(|j| fam.member(j).hash(id.0, id.1)).collect();
+        let outputs: Vec<u64> = (0..7).map(|j| fam.members[j].hash(id.0, id.1)).collect();
         let unique: std::collections::HashSet<_> = outputs.iter().collect();
         assert_eq!(
             unique.len(),
@@ -85,7 +75,7 @@ mod tests {
         let a = HashFamily::new(7, 3);
         let b = HashFamily::new(7, 3);
         for j in 0..3 {
-            assert_eq!(a.slot(j, 1, 2, 97), b.slot(j, 1, 2, 97));
+            assert_eq!(a.slots(1, 2, 97)[j], b.slots(1, 2, 97)[j]);
         }
     }
 
@@ -116,7 +106,7 @@ mod tests {
         let a = HashFamily::new(1, 4);
         let b = HashFamily::new(2, 4);
         let matches = (0..4)
-            .filter(|&j| a.member(j).hash(0, 5) == b.member(j).hash(0, 5))
+            .filter(|&j| a.members[j].hash(0, 5) == b.members[j].hash(0, 5))
             .count();
         assert_eq!(matches, 0);
     }

@@ -24,10 +24,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod family;
-pub mod mix;
+pub(crate) mod family;
+pub(crate) mod mix;
 pub mod prop;
-pub mod rng;
+pub(crate) mod rng;
 pub mod uniformity;
 
 pub use family::HashFamily;

@@ -28,7 +28,7 @@ pub struct TagHash {
 
 /// SplitMix64 finalizer: a fast 64-bit mixing permutation.
 #[inline]
-pub fn mix64(mut z: u64) -> u64 {
+pub(crate) fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
@@ -98,12 +98,6 @@ impl TagHash {
     #[inline]
     pub fn new(seed: u64) -> Self {
         TagHash { seed }
-    }
-
-    /// The round seed this function was built from.
-    #[inline]
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// `H(r, id)`: the full 64-bit hash of a 96-bit ID given as

@@ -1,7 +1,7 @@
 //! In-repo deterministic property-test harness.
 //!
 //! A zero-dependency replacement for the `proptest` crate, keeping the
-//! workspace hermetic: random cases come from a seeded [`SplitMix64`]
+//! workspace hermetic: random cases come from a seeded `SplitMix64`
 //! stream (seed derived from the property name, so every run and every
 //! machine sees the same cases), and failures are *shrunk by halving* —
 //! the failing case is replayed with all size-sensitive draws
@@ -30,18 +30,18 @@
 /// Tiny state, full period, excellent mixing; exactly what a reproducible
 /// case stream needs.
 #[derive(Debug, Clone)]
-pub struct SplitMix64 {
+pub(crate) struct SplitMix64 {
     state: u64,
 }
 
 impl SplitMix64 {
     /// Creates a generator from a seed.
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         SplitMix64 { state: seed }
     }
 
     /// The next 64 random bits.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -97,7 +97,7 @@ impl Xoshiro256 {
     }
 
     /// Fisher–Yates shuffle of a slice.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
+    pub(crate) fn shuffle<T>(&mut self, xs: &mut [T]) {
         for i in (1..xs.len()).rev() {
             let j = self.below(i as u64 + 1) as usize;
             xs.swap(i, j);

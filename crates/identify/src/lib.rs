@@ -27,9 +27,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod binary_split;
-pub mod q_algorithm;
-pub mod query_tree;
+pub(crate) mod binary_split;
+pub(crate) mod q_algorithm;
+pub(crate) mod query_tree;
 
 pub use binary_split::BinarySplitConfig;
 pub use q_algorithm::QAlgorithmConfig;

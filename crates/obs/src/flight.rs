@@ -26,7 +26,7 @@ use rfid_system::{SimConfig, SimContext, TagPopulation, TimedEvent};
 use crate::span::folded_stacks;
 
 /// Number of trailing trace events a bundle retains.
-pub const LAST_EVENTS: usize = 64;
+pub(crate) const LAST_EVENTS: usize = 64;
 
 /// The postmortem bundle of a run that ended in `cause` (`"stalled"`,
 /// `"circuit-open"`, `"out-of-passes"`, `"deadline"`).
@@ -80,8 +80,10 @@ pub fn postmortem(
     ])
 }
 
-/// A parsed postmortem bundle — everything [`postmortem`] built, typed
-/// back.
+/// A parsed postmortem bundle: the fields of what [`postmortem`] built
+/// that a reader of the bundle uses, typed back. [`FlightBundle::parse`]
+/// checks the rest of the document too (`rng_state`, `clock_us`,
+/// `events_dropped`, `report`).
 #[derive(Debug, Clone)]
 pub struct FlightBundle {
     /// Protocol label of the failed run.
@@ -94,51 +96,42 @@ pub struct FlightBundle {
     pub config: SimConfig,
     /// The tag population at death (read/deselect state included).
     pub population: TagPopulation,
-    /// RNG stream position at death.
-    pub rng_state: [u64; 4],
-    /// Sim clock at death, microseconds.
-    pub clock_us: f64,
     /// Recovery passes the session spent.
     pub passes: u64,
     /// Fraction of tags collected before death.
     pub coverage: f64,
-    /// The last [`LAST_EVENTS`] trace events before death (empty when
+    /// The last `LAST_EVENTS` trace events before death (empty when
     /// tracing was off).
     pub events: Vec<TimedEvent>,
-    /// Events not in the tail: ring-evicted plus tail-truncated.
-    pub events_dropped: u64,
     /// Whether the run recorded a trace at all.
     pub trace_enabled: bool,
     /// Folded span profile (collapsed-flamegraph lines).
     pub spans: Vec<String>,
-    /// The partial report the protocol produced, verbatim.
-    pub report: Json,
 }
 
 impl FlightBundle {
     /// Parses a bundle document.
     pub fn parse(json: &Json) -> Result<FlightBundle, JsonError> {
         let rng_words: Vec<u64> = json.field("rng_state")?;
-        let rng_state: [u64; 4] = rng_words.as_slice().try_into().map_err(|_| {
-            JsonError(format!(
+        if rng_words.len() != 4 {
+            return Err(JsonError(format!(
                 "bundle rng_state has {} words, need 4",
                 rng_words.len()
-            ))
-        })?;
+            )));
+        }
+        json.field::<f64>("clock_us")?;
+        json.field::<u64>("events_dropped")?;
+        json.field::<Json>("report")?;
         Ok(FlightBundle {
             protocol: json.field("protocol")?,
             cause: json.field("cause")?,
             config: json.field("config")?,
             population: json.field("population")?,
-            rng_state,
-            clock_us: json.field("clock_us")?,
             passes: json.field("passes")?,
             coverage: json.field("coverage")?,
             events: json.field("events")?,
-            events_dropped: json.field("events_dropped")?,
             trace_enabled: json.field("trace_enabled")?,
             spans: json.field("spans")?,
-            report: json.field("report")?,
         })
     }
 }
@@ -146,6 +139,7 @@ impl FlightBundle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rfid_c1g2::Micros;
     use rfid_system::BitVec;
 
     fn stalled_ctx(config: &SimConfig, n: usize) -> SimContext {
@@ -160,11 +154,11 @@ mod tests {
     }
 
     /// Builds `ctx`'s bundle, sends it through its compact text as the
-    /// daemon does, and parses it back.
-    fn round_trip(bundle: Json) -> FlightBundle {
-        let text = bundle.to_string();
-        FlightBundle::parse(&Json::parse(&text).expect("bundle text parses"))
-            .expect("bundle parses")
+    /// daemon does, and parses it back: the document and its typed view.
+    fn round_trip(bundle: Json) -> (Json, FlightBundle) {
+        let doc = Json::parse(&bundle.to_string()).expect("bundle text parses");
+        let typed = FlightBundle::parse(&doc).expect("bundle parses");
+        (doc, typed)
     }
 
     #[test]
@@ -174,12 +168,13 @@ mod tests {
         let config = SimConfig::paper(42).with_trace().with_profile();
         let ctx = stalled_ctx(&config, n);
         let report = Json::Obj(vec![("polls".to_string(), Json::UInt(4))]);
-        let bundle = round_trip(postmortem("hpp", "stalled", &config, &ctx, report, 2, 0.5));
+        let (doc, bundle) = round_trip(postmortem("hpp", "stalled", &config, &ctx, report, 2, 0.5));
         assert_eq!(bundle.protocol, "hpp");
         assert_eq!(bundle.cause, "stalled");
         assert_eq!(bundle.config, config);
         assert_eq!(bundle.population.len(), n);
-        assert_eq!(bundle.rng_state, ctx.rng.state());
+        assert_eq!(doc.field::<Vec<u64>>("rng_state").unwrap(), ctx.rng.state());
+        assert_eq!(doc.field::<Micros>("clock_us").unwrap(), ctx.clock.total());
         assert_eq!(bundle.passes, 2);
         assert_eq!(bundle.coverage, 0.5);
         assert_eq!(bundle.events.len(), LAST_EVENTS, "tail bounded");
@@ -192,20 +187,21 @@ mod tests {
             .collect();
         assert_eq!(bundle.events, last, "the tail is the last events");
         assert_eq!(
-            bundle.events_dropped,
+            doc.field::<u64>("events_dropped").unwrap(),
             (ctx.log.len() - LAST_EVENTS) as u64,
             "tail truncation is accounted"
         );
         assert!(bundle.trace_enabled);
         assert!(!bundle.spans.is_empty(), "poll spans were folded");
-        assert_eq!(bundle.report.field::<u64>("polls").unwrap(), 4);
+        let report: Json = doc.field("report").unwrap();
+        assert_eq!(report.field::<u64>("polls").unwrap(), 4);
     }
 
     #[test]
     fn dump_without_trace_or_profile_still_produces_a_bundle() {
         let config = SimConfig::paper(7);
         let ctx = stalled_ctx(&config, 4);
-        let bundle = round_trip(postmortem(
+        let (_, bundle) = round_trip(postmortem(
             "tpp",
             "circuit-open",
             &config,

@@ -9,7 +9,7 @@
 //! per-round and per-protocol aggregation exact.
 
 /// Number of buckets: one for zero plus one per power of two up to `2^63`.
-pub const BUCKETS: usize = 65;
+pub(crate) const BUCKETS: usize = 65;
 
 /// A fixed-size power-of-two histogram over `u64` samples.
 ///
@@ -53,7 +53,7 @@ impl Log2Histogram {
     }
 
     /// The `[low, high]` value range of bucket `idx`.
-    pub fn bucket_bounds(idx: usize) -> (u64, u64) {
+    pub(crate) fn bucket_bounds(idx: usize) -> (u64, u64) {
         assert!(idx < BUCKETS, "bucket index out of range");
         if idx == 0 {
             (0, 0)
@@ -74,7 +74,7 @@ impl Log2Histogram {
     }
 
     /// Records `n` identical samples.
-    pub fn record_n(&mut self, value: u64, n: u64) {
+    pub(crate) fn record_n(&mut self, value: u64, n: u64) {
         if n == 0 {
             return;
         }
@@ -90,19 +90,9 @@ impl Log2Histogram {
         self.total
     }
 
-    /// `true` if no samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.total == 0
-    }
-
     /// Sum of all samples (saturating).
-    pub fn sum(&self) -> u64 {
+    pub(crate) fn sum(&self) -> u64 {
         self.sum
-    }
-
-    /// Smallest sample, if any.
-    pub fn min(&self) -> Option<u64> {
-        (self.total > 0).then_some(self.min)
     }
 
     /// Largest sample, if any.
@@ -121,7 +111,7 @@ impl Log2Histogram {
 
     /// Folds another histogram into this one. Merging is exact: the result
     /// equals recording both sample streams into one histogram.
-    pub fn merge(&mut self, other: &Log2Histogram) {
+    pub(crate) fn merge(&mut self, other: &Log2Histogram) {
         for (c, o) in self.counts.iter_mut().zip(&other.counts) {
             *c += o;
         }
@@ -153,7 +143,7 @@ impl Log2Histogram {
     }
 
     /// Iterates the non-empty buckets as `(low, high, count)`.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
+    pub(crate) fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
         self.counts
             .iter()
             .enumerate()
@@ -180,8 +170,7 @@ mod tests {
     #[test]
     fn empty_histogram_has_no_statistics() {
         let h = Log2Histogram::new();
-        assert!(h.is_empty());
-        assert_eq!(h.min(), None);
+        assert_eq!(h.count(), 0);
         assert_eq!(h.max(), None);
         assert_eq!(h.percentile(0.5), None);
         assert_eq!(h.mean(), 0.0);
@@ -208,7 +197,7 @@ mod tests {
         }
         assert_eq!(h.count(), 4);
         assert_eq!(h.mean(), 6.0);
-        assert_eq!(h.min(), Some(3));
+        assert_eq!(h.min, 3);
         assert_eq!(h.max(), Some(9));
     }
 
@@ -262,7 +251,7 @@ mod tests {
             let mut h = Log2Histogram::new();
             h.record(v);
             assert_eq!(h.count(), 1);
-            assert_eq!(h.min(), Some(v), "v = {v}");
+            assert_eq!(h.min, v, "v = {v}");
             assert_eq!(h.max(), Some(v), "v = {v}");
             assert_eq!(h.mean(), v as f64, "v = {v}");
             // Every quantile of a one-sample distribution is the sample
@@ -283,7 +272,7 @@ mod tests {
         assert_eq!(Log2Histogram::bucket_index(1 << 63), 64);
         assert_eq!(h.count(), 3);
         assert_eq!(h.max(), Some(u64::MAX));
-        assert_eq!(h.min(), Some(1 << 63));
+        assert_eq!(h.min, 1 << 63);
         // The sum saturates instead of wrapping.
         assert_eq!(h.sum(), u64::MAX);
         assert_eq!(h.percentile(1.0), Some(u64::MAX));

@@ -20,24 +20,24 @@
 //!
 //! The profiling plane (DESIGN.md §14):
 //!
-//! * [`span`] — the analysis half of hierarchical span profiling:
+//! * `span` — the analysis half of hierarchical span profiling:
 //!   deterministic folded-stack (collapsed flamegraph) export and the
 //!   `obs_report --flame` renderer (recording lives on
 //!   [`rfid_system::SpanProfiler`]),
-//! * [`flight`] — postmortem bundles: [`flight::postmortem`] builds the
+//! * `flight` — postmortem bundles: [`flight::postmortem`] builds the
 //!   JSON document for a session that ended `Stalled`/`Degraded`, and
 //!   [`flight::FlightBundle`] parses it back into a repro artifact,
 //! * [`metrics::MetricsRegistry::expose_text`] — Prometheus-style text
 //!   exposition plus [`metrics::DeltaCursor`] delta-JSONL streaming.
 
-pub mod flight;
-pub mod histogram;
-pub mod metrics;
-pub mod span;
-pub mod trace;
+pub(crate) mod flight;
+pub(crate) mod histogram;
+pub(crate) mod metrics;
+pub(crate) mod span;
+pub(crate) mod trace;
 
 pub use flight::{postmortem, FlightBundle};
 pub use histogram::Log2Histogram;
-pub use metrics::{wire_counters, DeltaCursor, MetricsRegistry, SeriesPoint, TimeSeries};
+pub use metrics::{wire_counters, DeltaCursor, MetricsRegistry};
 pub use span::{folded_stacks, render_flame};
-pub use trace::{metrics_from_events, metrics_from_log};
+pub use trace::metrics_from_log;

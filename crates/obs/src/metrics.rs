@@ -34,15 +34,6 @@ pub mod wire_counters {
     /// Final checkpoints deposited while draining live sessions at
     /// shutdown.
     pub const DRAIN_CHECKPOINTS: &str = "drain_checkpoints";
-
-    /// Every wire-resilience counter name, in exposition order.
-    pub const ALL: &[&str] = &[
-        WIRE_RETRIES,
-        WIRE_RECONNECTS,
-        SESSIONS_SHED,
-        SESSIONS_RESURRECTED,
-        DRAIN_CHECKPOINTS,
-    ];
 }
 
 /// One `(sim-time, value)` sample of a time series.
@@ -108,7 +99,7 @@ impl MetricsRegistry {
     /// Appends a `(t, value)` sample to the named series (created on first
     /// use).
     #[inline]
-    pub fn point(&mut self, name: &str, t: Micros, value: f64) {
+    pub(crate) fn point(&mut self, name: &str, t: Micros, value: f64) {
         let p = SeriesPoint {
             t_us: t.as_f64(),
             value,
@@ -171,11 +162,6 @@ impl MetricsRegistry {
         self.series.iter().find(|(n, _)| n == name).map(|(_, s)| s)
     }
 
-    /// Names of the recorded histograms, in insertion order.
-    pub fn histogram_names(&self) -> impl Iterator<Item = &str> {
-        self.histograms.iter().map(|(n, _)| n.as_str())
-    }
-
     /// Renders the registry in the Prometheus text exposition format — the
     /// surface a metrics daemon serves verbatim (DESIGN.md §14 gives the
     /// grammar). Per metric, in registry insertion order:
@@ -215,7 +201,7 @@ impl MetricsRegistry {
 
     /// A self-contained JSON snapshot: `{counters: {...}, histograms:
     /// {...}, series: {...}}`.
-    pub fn snapshot(&self) -> Json {
+    pub(crate) fn snapshot(&self) -> Json {
         let obj = |entries: Vec<(String, Json)>| Json::Obj(entries);
         Json::Obj(vec![
             (
@@ -277,7 +263,7 @@ fn metric_name(name: &str) -> String {
 ///
 /// Replaying a stream of delta lines in order reconstructs the counters and
 /// series exactly (histograms stream summaries, not buckets; consumers that
-/// need full bucket shapes take a final [`MetricsRegistry::snapshot`]).
+/// need full bucket shapes take a final `MetricsRegistry::snapshot`).
 #[derive(Debug, Clone, Default)]
 pub struct DeltaCursor {
     counters: Vec<(String, u64)>,
@@ -363,12 +349,20 @@ mod tests {
 
     #[test]
     fn wire_counters_expose_with_prefix() {
+        use wire_counters::*;
+        let all = [
+            WIRE_RETRIES,
+            WIRE_RECONNECTS,
+            SESSIONS_SHED,
+            SESSIONS_RESURRECTED,
+            DRAIN_CHECKPOINTS,
+        ];
         let mut m = MetricsRegistry::default();
-        for name in wire_counters::ALL {
+        for name in all {
             m.inc(name, 1);
         }
         let text = m.expose_text();
-        for name in wire_counters::ALL {
+        for name in all {
             assert!(
                 text.contains(&format!("# TYPE rfid_{name} counter")),
                 "{name} missing from exposition:\n{text}"
@@ -392,7 +386,7 @@ mod tests {
         let s = m.series("unread").unwrap();
         assert_eq!(s.points.len(), 2);
         assert_eq!(s.last().unwrap().value, 7.0);
-        let names: Vec<&str> = m.histogram_names().collect();
+        let names: Vec<&str> = m.histograms.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, ["w", "latency"], "insertion order preserved");
     }
 

@@ -14,7 +14,6 @@
 //!    is cleared per round).
 
 use rfid_analysis::hpp::index_length;
-use rfid_hash::TagHash;
 use rfid_system::SimContext;
 
 use crate::session::{ProtocolStepper, StepDiscipline, StepOutcome};
@@ -68,14 +67,6 @@ impl ProtocolStepper for HppConfig {
     }
 }
 
-/// The index every tag (and the reader, by precomputation) derives in a
-/// round: `H(r, id) mod 2^h`. Exposed so tests can replay the tag-side
-/// computation independently of the reader-side sift.
-#[inline]
-pub fn tag_index(seed: u64, id: rfid_system::TagId, h: u32) -> u64 {
-    TagHash::new(seed).index(id.hi(), id.lo(), h)
-}
-
 /// Reader-side sift: the singleton indices of the current round, as sorted
 /// `(index, tag handle)` pairs. Indices picked by two or more tags
 /// (collision indices) and by none (empty indices) are skipped entirely —
@@ -117,6 +108,7 @@ mod tests {
     use super::*;
     use crate::error::{PollingError, StallCause};
     use crate::report::Report;
+    use rfid_hash::TagHash;
     use rfid_system::{BitVec, Channel, SimConfig, TagPopulation};
 
     fn run(n: usize, seed: u64, cfg: HppConfig) -> (Report, SimContext) {
@@ -246,13 +238,15 @@ mod tests {
         let seed = 0xFEED;
         let h = 6;
         let singles = singleton_indices(&mut ctx, seed, h);
+        // The index every tag derives in the round: `H(r, id) mod 2^h`.
+        let tag_index = |id: rfid_system::TagId| TagHash::new(seed).index(id.hi(), id.lo(), h);
         let mut counts = std::collections::HashMap::new();
         for (_, t) in ctx.population.iter() {
-            *counts.entry(tag_index(seed, t.id, h)).or_insert(0u32) += 1;
+            *counts.entry(tag_index(t.id)).or_insert(0u32) += 1;
         }
         for &(idx, tag) in &singles {
             assert_eq!(counts[&idx], 1, "index {idx} not a singleton");
-            assert_eq!(tag_index(seed, ctx.population.get(tag).id, h), idx);
+            assert_eq!(tag_index(ctx.population.get(tag).id), idx);
         }
         let expected = counts.values().filter(|&&c| c == 1).count();
         assert_eq!(singles.len(), expected);

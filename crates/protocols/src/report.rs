@@ -11,7 +11,7 @@ pub struct Report {
     /// Protocol display name.
     pub protocol: String,
     /// Population size at the start of the run.
-    pub tags: usize,
+    pub(crate) tags: usize,
     /// Total execution time.
     pub total_time: Micros,
     /// Where the time went.

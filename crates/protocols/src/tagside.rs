@@ -63,11 +63,6 @@ impl TagMachine {
         }
     }
 
-    /// The tag's ID.
-    pub fn id(&self) -> TagId {
-        self.id
-    }
-
     /// Whether the tag has been interrogated (and sleeps).
     pub fn is_read(&self) -> bool {
         self.read
@@ -76,23 +71,6 @@ impl TagMachine {
     /// The index the tag picked this round (empty outside a round).
     pub fn current_index(&self) -> &BitVec {
         &self.my_index
-    }
-
-    /// Whether the tag is synchronized to the current round (it heard and
-    /// processed the round initiation).
-    pub fn in_round(&self) -> bool {
-        self.in_round
-    }
-
-    /// The tag missed a downlink command (round initiation, circle command):
-    /// it drops out of the round and stays silent — its stale index must not
-    /// answer polls computed from a seed it never heard. It re-joins on the
-    /// next `RoundInit` it receives.
-    pub fn desync(&mut self) {
-        self.h = 0;
-        self.my_index = BitVec::new();
-        self.a = BitVec::new();
-        self.in_round = false;
     }
 
     /// The reader NAK'd this tag's (corrupted) reply: the tag stays unread
@@ -284,24 +262,6 @@ mod tests {
     }
 
     #[test]
-    fn desynced_tag_is_silent_until_it_hears_a_round_init() {
-        let mut m = TagMachine::new(TagId::from_raw(0, 7));
-        m.receive(&Broadcast::RoundInit { h: 2, seed: 5 });
-        let my = m.current_index().clone();
-        m.desync();
-        assert!(!m.in_round());
-        // Fail-safe: the stale index must not answer anything.
-        assert!(!m.receive(&Broadcast::PollIndex(my)));
-        assert!(!m.receive(&Broadcast::TreeSegment(BitVec::from_str_bits("1"))));
-        assert!(!m.is_read());
-        // Hearing the next round initiation re-joins.
-        m.receive(&Broadcast::RoundInit { h: 2, seed: 6 });
-        assert!(m.in_round());
-        let idx = m.current_index().clone();
-        assert!(m.receive(&Broadcast::PollIndex(idx)));
-    }
-
-    #[test]
     fn nak_keeps_the_tag_pollable_in_place() {
         let mut m = TagMachine::new(TagId::from_raw(0, 11));
         m.receive(&Broadcast::RoundInit { h: 3, seed: 2 });
@@ -310,7 +270,7 @@ mod tests {
         // The reply was corrupted; the reader NAKs and re-addresses.
         m.nak();
         assert!(!m.is_read());
-        assert!(m.in_round(), "NAK must not cost the round state");
+        assert!(m.in_round, "NAK must not cost the round state");
         assert!(m.receive(&Broadcast::PollIndex(my)));
         assert!(m.is_read());
     }

@@ -157,8 +157,9 @@ rfid_system::impl_json_struct!(TppConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hpp::{tag_index, HppConfig};
+    use crate::hpp::HppConfig;
     use crate::report::Report;
+    use rfid_hash::TagHash;
     use rfid_system::{BitVec, Channel, SimConfig, TagPopulation};
 
     fn run(n: usize, seed: u64, cfg: TppConfig) -> (Report, SimContext) {
@@ -232,7 +233,8 @@ mod tests {
     #[test]
     fn tree_equivalence_with_direct_singleton_broadcast() {
         // The tree broadcast must address exactly the tags HPP's sift would,
-        // in ascending index order — replayed tag-side via decode_segments.
+        // in ascending index order — replayed tag-side: each segment
+        // overwrites the tail of the tag's array `A`.
         let pop = TagPopulation::sequential(256, |_| BitVec::from_value(1, 1));
         let mut ctx = SimContext::new(pop, &SimConfig::paper(9));
         let seed = 0xABCD;
@@ -240,12 +242,21 @@ mod tests {
         let singles = singleton_indices(&mut ctx, seed, h);
         let tree =
             PollingTree::from_indices(h, &singles.iter().map(|&(i, _)| i).collect::<Vec<_>>());
-        let decoded = PollingTree::decode_segments(h, &tree.preorder_segments());
+        let mut a = BitVec::zeros(h as usize);
+        let decoded: Vec<u64> = tree
+            .preorder_segments()
+            .iter()
+            .map(|seg| {
+                a.overwrite_suffix(seg);
+                a.to_value()
+            })
+            .collect();
         let direct: Vec<u64> = singles.iter().map(|&(i, _)| i).collect();
         assert_eq!(decoded, direct);
         // And every decoded index matches the tag-side hash of its owner.
         for (idx, &(_, tag)) in decoded.iter().zip(&singles) {
-            assert_eq!(*idx, tag_index(seed, ctx.population.get(tag).id, h));
+            let id = ctx.population.get(tag).id;
+            assert_eq!(*idx, TagHash::new(seed).index(id.hi(), id.lo(), h));
         }
     }
 

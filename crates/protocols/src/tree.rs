@@ -18,14 +18,23 @@ use rfid_system::BitVec;
 ///
 /// ```
 /// use rfid_protocols::PollingTree;
+/// use rfid_system::BitVec;
 ///
 /// let tree = PollingTree::from_indices(3, &[0b000, 0b010, 0b011, 0b101, 0b111]);
-/// assert_eq!(tree.node_count(), 11);
-/// let segments: Vec<String> =
-///     tree.preorder_segments().iter().map(|s| s.to_string()).collect();
-/// assert_eq!(segments, ["000", "10", "1", "101", "11"]);
-/// // Tag-side replay recovers the indices in ascending order.
-/// let decoded = PollingTree::decode_segments(3, &tree.preorder_segments());
+/// let segments = tree.preorder_segments();
+/// let text: Vec<String> = segments.iter().map(|s| s.to_string()).collect();
+/// assert_eq!(text, ["000", "10", "1", "101", "11"]);
+/// assert_eq!(segments.iter().map(BitVec::len).sum::<usize>(), 11);
+/// // Tag-side replay: each segment overwrites the tail of the tag's
+/// // array `A`, which then reads the next index, in ascending order.
+/// let mut a = BitVec::zeros(3);
+/// let decoded: Vec<u64> = segments
+///     .iter()
+///     .map(|seg| {
+///         a.overwrite_suffix(seg);
+///         a.to_value()
+///     })
+///     .collect();
 /// assert_eq!(decoded, [0b000, 0b010, 0b011, 0b101, 0b111]);
 /// ```
 #[derive(Debug, Clone)]
@@ -44,7 +53,7 @@ struct Node {
 
 impl PollingTree {
     /// An empty tree for `h`-bit indices.
-    pub fn new(height: u32) -> Self {
+    pub(crate) fn new(height: u32) -> Self {
         PollingTree {
             nodes: vec![Node::default()],
             height,
@@ -67,7 +76,7 @@ impl PollingTree {
     }
 
     /// Inserts the `height`-bit big-endian representation of `value`.
-    pub fn insert_value(&mut self, value: u64) {
+    pub(crate) fn insert_value(&mut self, value: u64) {
         assert!(
             self.height == 64 || value < (1u64 << self.height),
             "index {value} does not fit {} bits",
@@ -105,26 +114,16 @@ impl PollingTree {
         }
     }
 
-    /// Index length `h` the tree was built for.
-    pub fn height(&self) -> u32 {
-        self.height
-    }
-
     /// Number of leaves = singleton indices stored.
-    pub fn leaf_count(&self) -> usize {
+    pub(crate) fn leaf_count(&self) -> usize {
         self.leaves
-    }
-
-    /// Number of nodes excluding the virtual root — `L`, the total bits the
-    /// reader transmits to broadcast the tree (Eq. (6)).
-    pub fn node_count(&self) -> usize {
-        self.nodes.len() - 1
     }
 
     /// The pre-order traversal split at leaf boundaries: segment `j`
     /// contains the node bits strictly after leaf `j-1` up to and including
     /// leaf `j` (the paper's `Seq[j]`). Segments concatenated reproduce the
-    /// full traversal; their total length is [`PollingTree::node_count`].
+    /// full traversal; their total length is `L`, the node count below the
+    /// virtual root (Eq. (6)).
     pub fn preorder_segments(&self) -> Vec<BitVec> {
         let mut segments = Vec::with_capacity(self.leaves);
         let mut current = BitVec::new();
@@ -156,7 +155,7 @@ impl PollingTree {
     /// length alone, so the hot path never materializes the `BitVec`s that
     /// [`PollingTree::preorder_segments`] returns. Recursion depth is
     /// bounded by the tree height (≤ 64).
-    pub fn preorder_segment_lengths_into(&self, out: &mut Vec<usize>) {
+    pub(crate) fn preorder_segment_lengths_into(&self, out: &mut Vec<usize>) {
         out.clear();
         let mut current = 0usize;
         self.walk_lengths(0, false, &mut current, out);
@@ -178,14 +177,24 @@ impl PollingTree {
             self.walk_lengths(right, true, current, out);
         }
     }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rfid_hash::prop::check;
+    use rfid_hash::{prop_assert, prop_assert_eq};
+
+    /// `L`: the nodes below the virtual root, one broadcast bit each.
+    fn node_count(t: &PollingTree) -> usize {
+        t.nodes.len() - 1
+    }
 
     /// Tag-side decode: replays the broadcast segments against an `h`-bit
-    /// array `A` and returns each reconstructed singleton index in broadcast
-    /// order. This is exactly the per-tag update rule — tests use it to
-    /// prove the tree broadcast is equivalent to broadcasting every
-    /// singleton index in full.
-    pub fn decode_segments(height: u32, segments: &[BitVec]) -> Vec<u64> {
-        let mut a = BitVec::zeros(height as usize);
+    /// array `A` and returns each reconstructed singleton index in
+    /// broadcast order, by the per-tag update rule.
+    fn decode(h: u32, segments: &[BitVec]) -> Vec<u64> {
+        let mut a = BitVec::zeros(h as usize);
         segments
             .iter()
             .map(|seg| {
@@ -194,13 +203,6 @@ impl PollingTree {
             })
             .collect()
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rfid_hash::prop::check;
-    use rfid_hash::{prop_assert, prop_assert_eq};
 
     /// The Fig. 6/7 worked example: indices 000, 010, 011, 101, 111.
     fn paper_tree() -> PollingTree {
@@ -212,8 +214,8 @@ mod tests {
         let t = paper_tree();
         assert_eq!(t.leaf_count(), 5);
         // Nodes a…k = 11 (excluding the virtual root).
-        assert_eq!(t.node_count(), 11);
-        assert_eq!(t.height(), 3);
+        assert_eq!(node_count(&t), 11);
+        assert_eq!(t.height, 3);
     }
 
     #[test]
@@ -229,14 +231,14 @@ mod tests {
     #[test]
     fn fig7_tag_side_decode() {
         let segs = paper_tree().preorder_segments();
-        let decoded = PollingTree::decode_segments(3, &segs);
+        let decoded = decode(3, &segs);
         assert_eq!(decoded, vec![0b000, 0b010, 0b011, 0b101, 0b111]);
     }
 
     #[test]
     fn single_index_is_a_full_path() {
         let t = PollingTree::from_indices(5, &[0b10110]);
-        assert_eq!(t.node_count(), 5);
+        assert_eq!(node_count(&t), 5);
         let segs = t.preorder_segments();
         assert_eq!(segs.len(), 1);
         assert_eq!(segs[0].to_string(), "10110");
@@ -245,7 +247,7 @@ mod tests {
     #[test]
     fn full_tree_has_2h_plus1_minus_2_nodes() {
         let t = PollingTree::from_indices(3, &(0..8).collect::<Vec<_>>());
-        assert_eq!(t.node_count(), 14);
+        assert_eq!(node_count(&t), 14);
         assert_eq!(t.leaf_count(), 8);
         // Every segment after the first is the differential suffix.
         let segs = t.preorder_segments();
@@ -257,7 +259,7 @@ mod tests {
     #[test]
     fn leaves_decode_in_ascending_order() {
         let t = PollingTree::from_indices(4, &[9, 3, 14, 0, 7]);
-        let decoded = PollingTree::decode_segments(4, &t.preorder_segments());
+        let decoded = decode(4, &t.preorder_segments());
         assert_eq!(decoded, vec![0, 3, 7, 9, 14]);
     }
 
@@ -274,10 +276,10 @@ mod tests {
             let t = PollingTree::from_indices(h, &idxs);
             let bound = rfid_analysis::tpp::l_plus(idxs.len() as u64, h);
             assert!(
-                t.node_count() as f64 <= bound + 1e-9,
+                node_count(&t) as f64 <= bound + 1e-9,
                 "h={h}, m={}: L={} > L⁺={bound}",
                 idxs.len(),
-                t.node_count()
+                node_count(&t)
             );
         }
     }
@@ -309,15 +311,15 @@ mod tests {
             let indices = index_set(g, h, 80);
             let t = PollingTree::from_indices(h, &indices);
             prop_assert_eq!(t.leaf_count(), indices.len());
-            let decoded = PollingTree::decode_segments(h, &t.preorder_segments());
+            let decoded = decode(h, &t.preorder_segments());
             // Broadcast order is ascending-index order.
             prop_assert_eq!(decoded, indices.clone());
             // Tree never transmits more than the naive h·m bits and never
             // exceeds the Eq. (7) bound.
             let naive = h as usize * indices.len();
-            prop_assert!(t.node_count() <= naive);
+            prop_assert!(node_count(&t) <= naive);
             let bound = rfid_analysis::tpp::l_plus(indices.len() as u64, h);
-            prop_assert!(t.node_count() as f64 <= bound + 1e-9);
+            prop_assert!(node_count(&t) as f64 <= bound + 1e-9);
             Ok(())
         });
     }
@@ -331,7 +333,7 @@ mod tests {
             let segs = t.preorder_segments();
             prop_assert_eq!(segs.len(), indices.len());
             let total: usize = segs.iter().map(|s| s.len()).sum();
-            prop_assert_eq!(total, t.node_count());
+            prop_assert_eq!(total, node_count(&t));
             // The first segment is always a full h-bit index.
             prop_assert_eq!(segs[0].len(), h as usize);
             // The alloc-free length walk agrees with the materialized

@@ -22,8 +22,7 @@ use std::hash::{Hash, Hasher};
 /// let mut a = BitVec::zeros(4);
 /// a.overwrite_suffix(&BitVec::from_str_bits("11"));
 /// assert_eq!(a.to_string(), "0011");
-/// // "0011" and "0101" agree on their first bit only.
-/// assert_eq!(a.common_prefix_len(&index), 1);
+/// assert_eq!(a.to_value(), 3);
 /// ```
 #[derive(Clone, Default)]
 pub struct BitVec {
@@ -40,7 +39,7 @@ impl BitVec {
     }
 
     /// An empty vector with room for `bits` bits.
-    pub fn with_capacity(bits: usize) -> Self {
+    pub(crate) fn with_capacity(bits: usize) -> Self {
         BitVec {
             blocks: Vec::with_capacity(bits.div_ceil(64)),
             len: 0,
@@ -156,15 +155,8 @@ impl BitVec {
         }
     }
 
-    /// Appends all bits of `other`.
-    pub fn extend_from(&mut self, other: &BitVec) {
-        for b in other.iter() {
-            self.push(b);
-        }
-    }
-
     /// Iterates the bits in transmission order.
-    pub fn iter(&self) -> impl Iterator<Item = bool> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = bool> + '_ {
         (0..self.len).map(move |i| self.get(i))
     }
 
@@ -175,50 +167,6 @@ impl BitVec {
     pub fn to_value(&self) -> u64 {
         assert!(self.len <= 64, "vector of {} bits exceeds u64", self.len);
         self.iter().fold(0u64, |acc, b| (acc << 1) | b as u64)
-    }
-
-    /// The first `n` bits as a new vector.
-    ///
-    /// # Panics
-    /// Panics if `n > len`.
-    pub fn prefix(&self, n: usize) -> BitVec {
-        assert!(n <= self.len);
-        BitVec::from_bits((0..n).map(|i| self.get(i)))
-    }
-
-    /// The last `n` bits as a new vector.
-    ///
-    /// # Panics
-    /// Panics if `n > len`.
-    pub fn suffix(&self, n: usize) -> BitVec {
-        assert!(n <= self.len);
-        BitVec::from_bits((self.len - n..self.len).map(|i| self.get(i)))
-    }
-
-    /// Length of the longest common prefix with `other`.
-    ///
-    /// Compares 64 bits at a time (blocks are stored in transmission order,
-    /// so the first differing bit is the leading set bit of the XOR).
-    pub fn common_prefix_len(&self, other: &BitVec) -> usize {
-        let max = self.len.min(other.len);
-        let full_blocks = max / 64;
-        for i in 0..full_blocks {
-            let diff = self.blocks[i] ^ other.blocks[i];
-            if diff != 0 {
-                return i * 64 + diff.leading_zeros() as usize;
-            }
-        }
-        let mut at = full_blocks * 64;
-        if at < max {
-            let diff = self.blocks[full_blocks] ^ other.blocks[full_blocks];
-            at += (diff.leading_zeros() as usize).min(max - at);
-        }
-        at
-    }
-
-    /// `true` if `self` is a prefix of `other`.
-    pub fn is_prefix_of(&self, other: &BitVec) -> bool {
-        self.len <= other.len && self.common_prefix_len(other) == self.len
     }
 
     /// Overwrites the *last* `k` bits with the bits of `patch` — exactly the
@@ -238,12 +186,6 @@ impl BitVec {
         for (j, b) in patch.iter().enumerate() {
             self.set(start + j, b);
         }
-    }
-
-    /// Number of one-bits.
-    pub fn count_ones(&self) -> u64 {
-        // Unused high bits of the last block are kept zero by `push`/`set`.
-        self.blocks.iter().map(|b| b.count_ones() as u64).sum()
     }
 }
 
@@ -313,6 +255,63 @@ mod tests {
     use super::*;
     use rfid_hash::prop::check;
     use rfid_hash::{prop_assert, prop_assert_eq};
+
+    impl BitVec {
+        /// Appends all bits of `other`.
+        fn extend_from(&mut self, other: &BitVec) {
+            for b in other.iter() {
+                self.push(b);
+            }
+        }
+        /// The first `n` bits as a new vector.
+        ///
+        /// # Panics
+        /// Panics if `n > len`.
+        fn prefix(&self, n: usize) -> BitVec {
+            assert!(n <= self.len);
+            BitVec::from_bits((0..n).map(|i| self.get(i)))
+        }
+
+        /// The last `n` bits as a new vector.
+        ///
+        /// # Panics
+        /// Panics if `n > len`.
+        fn suffix(&self, n: usize) -> BitVec {
+            assert!(n <= self.len);
+            BitVec::from_bits((self.len - n..self.len).map(|i| self.get(i)))
+        }
+
+        /// Length of the longest common prefix with `other`.
+        ///
+        /// Compares 64 bits at a time (blocks are stored in transmission order,
+        /// so the first differing bit is the leading set bit of the XOR).
+        fn common_prefix_len(&self, other: &BitVec) -> usize {
+            let max = self.len.min(other.len);
+            let full_blocks = max / 64;
+            for i in 0..full_blocks {
+                let diff = self.blocks[i] ^ other.blocks[i];
+                if diff != 0 {
+                    return i * 64 + diff.leading_zeros() as usize;
+                }
+            }
+            let mut at = full_blocks * 64;
+            if at < max {
+                let diff = self.blocks[full_blocks] ^ other.blocks[full_blocks];
+                at += (diff.leading_zeros() as usize).min(max - at);
+            }
+            at
+        }
+
+        /// `true` if `self` is a prefix of `other`.
+        fn is_prefix_of(&self, other: &BitVec) -> bool {
+            self.len <= other.len && self.common_prefix_len(other) == self.len
+        }
+        /// Number of one-bits.
+        fn count_ones(&self) -> u64 {
+            // Unused high bits of the last block are kept zero by `push`/`set`.
+            self.blocks.iter().map(|b| b.count_ones() as u64).sum()
+        }
+    }
 
     #[test]
     fn push_get_roundtrip() {

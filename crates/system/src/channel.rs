@@ -72,35 +72,19 @@ impl Channel {
         }
     }
 
-    /// A channel with the given two-tag capture probability.
-    ///
-    /// # Panics
-    /// Panics if `prob` is outside `[0, 1]` (NaN included).
-    pub fn with_capture(mut self, prob: f64) -> Self {
-        assert!((0.0..=1.0).contains(&prob), "capture prob {prob}");
-        self.capture_prob = prob;
-        self
-    }
-
-    /// Extends capture to >2-tag collisions (see [`Channel::capture_any`]).
-    pub fn with_capture_any(mut self) -> Self {
-        self.capture_any = true;
-        self
-    }
-
     /// Re-checks both rates — [`Channel::lossy`] validates at construction,
     /// but struct literals and JSON can smuggle in NaN or 2.0; the simulator
     /// calls this before every run.
     ///
     /// # Panics
     /// Panics if either rate is outside `[0, 1]` (NaN fails the check too).
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         if let Err(msg) = self.try_validate() {
             panic!("{msg}");
         }
     }
 
-    /// Non-panicking form of [`Channel::validate`], for inputs that come
+    /// Non-panicking form of `Channel::validate`, for inputs that come
     /// from untrusted bytes (session snapshots) rather than code.
     pub fn try_validate(&self) -> Result<(), String> {
         if !(0.0..=1.0).contains(&self.reply_loss_rate) {
@@ -115,7 +99,7 @@ impl Channel {
     /// Resolves a slot given the handles of the replies that reached the
     /// reader (loss is applied before, by [`crate::SimContext::slot`]): a
     /// collision the capture effect rescues decodes as one random survivor.
-    pub fn resolve(&self, survivors: &[usize], rng: &mut Xoshiro256) -> SlotOutcome {
+    pub(crate) fn resolve(&self, survivors: &[usize], rng: &mut Xoshiro256) -> SlotOutcome {
         match survivors.len() {
             0 => SlotOutcome::Empty,
             1 => SlotOutcome::Singleton(survivors[0]),
@@ -161,7 +145,10 @@ mod tests {
 
     #[test]
     fn capture_effect_rescues_some_two_tag_collisions() {
-        let ch = Channel::perfect().with_capture(0.5);
+        let ch = Channel {
+            capture_prob: 0.5,
+            ..Channel::perfect()
+        };
         let mut r = rng();
         let captured = (0..10_000)
             .filter(|_| ch.resolve(&[1, 2], &mut r).is_singleton())
@@ -176,7 +163,11 @@ mod tests {
 
     #[test]
     fn capture_any_extends_to_wider_collisions() {
-        let ch = Channel::perfect().with_capture(1.0).with_capture_any();
+        let ch = Channel {
+            capture_prob: 1.0,
+            capture_any: true,
+            ..Channel::perfect()
+        };
         let mut r = rng();
         for _ in 0..100 {
             match ch.resolve(&[1, 2, 3], &mut r) {
@@ -195,7 +186,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "capture prob")]
     fn invalid_capture_rejected() {
-        let _ = Channel::perfect().with_capture(2.0);
+        Channel {
+            capture_prob: 2.0,
+            ..Channel::perfect()
+        }
+        .validate();
     }
 
     #[test]

@@ -180,7 +180,7 @@ impl Counters {
     /// folds it over a recorded log. `tag_listen_us` is a continuous
     /// integral, not an event, and is never touched here.
     #[inline]
-    pub fn apply(&mut self, event: &Event) {
+    pub(crate) fn apply(&mut self, event: &Event) {
         match *event {
             Event::RoundStarted { .. } => self.rounds += 1,
             Event::CircleStarted { .. } => self.circles += 1,
@@ -212,7 +212,7 @@ impl Counters {
     }
 
     /// Replays recorded events into the counters they imply: the fold of
-    /// [`Counters::apply`] that [`SimContext::emit`] applies live, so a
+    /// `Counters::apply` that [`SimContext::emit`] applies live, so a
     /// complete trace folds back into its run's counters. `tag_listen_us`
     /// stays zero.
     pub fn from_events<'a, I>(events: I) -> Counters
@@ -243,7 +243,7 @@ impl Counters {
     /// associative only up to rounding — so reductions that must be
     /// bit-identical across schedules fold partial counters in a fixed
     /// order.
-    pub fn merge(&mut self, other: &Counters) {
+    pub(crate) fn merge(&mut self, other: &Counters) {
         self.reader_bits += other.reader_bits;
         self.tag_bits += other.tag_bits;
         self.vector_bits += other.vector_bits;
@@ -263,7 +263,7 @@ impl Counters {
         self.tag_listen_us += other.tag_listen_us;
     }
 
-    /// [`Counters::merge`] as a pure fold step.
+    /// `Counters::merge` as a pure fold step.
     #[must_use]
     pub fn merged(mut self, other: &Counters) -> Counters {
         self.merge(other);
@@ -281,7 +281,7 @@ pub struct SimContext {
     /// Tags in the interrogation zone.
     pub population: TagPopulation,
     /// Channel model.
-    pub channel: Channel,
+    pub(crate) channel: Channel,
     /// Bidirectional fault model.
     pub fault: FaultModel,
     /// Deterministic RNG (round seeds, channel losses, …).
@@ -393,7 +393,7 @@ impl SimContext {
 
     /// The round's singleton sift: `(H(seed, id) mod 2^h, handle)` for every
     /// index picked by exactly one active tag, ascending by index — built by
-    /// the reusable [`RoundIndex`] in O(active).
+    /// the reusable `RoundIndex` in O(active).
     ///
     /// Returns the arena buffer; pass it back through
     /// [`SimContext::recycle_singletons`] when the round is done so the next
@@ -563,12 +563,6 @@ impl SimContext {
                 }
             }
         }
-    }
-
-    /// Whether tag `target` is currently synchronized (heard the latest
-    /// round/circle command). Always `true` without downlink faults.
-    pub fn is_synced(&self, target: usize) -> bool {
-        self.synced[target]
     }
 
     /// Kill-rule gate: returns `false` if `target` has left the zone, and
@@ -935,11 +929,6 @@ impl SimContext {
         });
     }
 
-    /// `true` once every tag has been read exactly once.
-    pub fn is_complete(&self) -> bool {
-        self.population.all_asleep()
-    }
-
     /// Handles of tags never successfully read (active or deselected) — the
     /// `uncollected` list of a stalled run's partial report.
     pub fn uncollected_handles(&self) -> Vec<usize> {
@@ -981,7 +970,7 @@ impl SimContext {
     /// downlink) and, only when the fault plan has kill rules,
     /// `replies_sent` (varints). Tag IDs and payloads are *not* captured —
     /// the caller stores where the population comes from — nor are the
-    /// transient caches ([`RoundIndex`], arenas, scratch pool) and the
+    /// transient caches (`RoundIndex`, arenas, scratch pool) and the
     /// [`SpanProfiler`]: the caches never carry state across a protocol
     /// step, only capacity, and profiler wall-times are machine-local. The
     /// derived desync bitset is rebuilt from `synced`.
@@ -1170,6 +1159,13 @@ impl ContextProgress {
 mod tests {
     use super::*;
     use crate::bitvec::BitVec;
+
+    /// The active handles, in ascending order.
+    fn active(population: &TagPopulation) -> Vec<usize> {
+        let mut out = Vec::new();
+        population.collect_active_into(&mut out);
+        out
+    }
 
     fn ctx(n: usize, info_bits: usize) -> SimContext {
         let pop =
@@ -1365,7 +1361,7 @@ mod tests {
         let cfg = SimConfig::paper(5).with_fault(FaultModel::perfect().with_plan(plan));
         let mut c = SimContext::new(pop, &cfg);
         c.begin_round(1, 8);
-        assert!(!c.is_synced(0) && !c.is_synced(1));
+        assert!(!c.synced[0] && !c.synced[1]);
         assert_eq!(c.counters.downlink_losses, 2);
         // Desynchronized tags are silent; the poll times out without a
         // lost-reply (nothing was transmitted).
@@ -1374,7 +1370,7 @@ mod tests {
         assert_eq!(c.counters.empty_slots, 1);
         // The next (unjammed) round re-joins both tags.
         c.begin_round(1, 8);
-        assert!(c.is_synced(0) && c.is_synced(1));
+        assert!(c.synced[0] && c.synced[1]);
         assert_eq!(c.counters.desync_recoveries, 2);
         assert!(c.poll_tag(1, true, 0));
     }
@@ -1410,12 +1406,12 @@ mod tests {
         let mut collected = 0;
         for round in 0..20 {
             let _ = round;
-            for t in c.population.active_handles() {
+            for t in active(&c.population) {
                 if c.poll_tag(6, true, t) {
                     collected += 1;
                 }
             }
-            if c.is_complete() {
+            if c.population.all_asleep() {
                 break;
             }
         }
@@ -1442,7 +1438,7 @@ mod tests {
         for _ in 0..5 {
             assert!(!c.poll_tag(1, true, 1));
         }
-        assert!(!c.is_complete());
+        assert!(!c.population.all_asleep());
         assert_eq!(c.uncollected_handles(), vec![1]);
     }
 
@@ -1568,7 +1564,7 @@ mod tests {
         for round in 0..3 {
             let _ = round;
             live.begin_round(6, 32);
-            for t in live.population.active_handles() {
+            for t in active(&live.population) {
                 live.poll_tag(6, true, t);
             }
         }
@@ -1579,7 +1575,7 @@ mod tests {
         // Drive both a further faulted round and compare everything.
         for c in [&mut live, &mut restored] {
             c.begin_round(6, 32);
-            for t in c.population.active_handles() {
+            for t in active(&c.population) {
                 c.poll_tag(6, true, t);
             }
         }

@@ -60,7 +60,7 @@ pub enum BroadcastKind {
 
 impl BroadcastKind {
     /// Human-readable label used by [`Event`]'s `Display`.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             BroadcastKind::RoundInit => "round init",
             BroadcastKind::CircleCommand => "circle command",
@@ -81,14 +81,14 @@ impl BroadcastKind {
     /// Whether this broadcast's bits are charged to
     /// [`crate::Counters::query_rep_bits`].
     #[inline]
-    pub fn counts_as_query_rep(&self) -> bool {
+    pub(crate) fn counts_as_query_rep(&self) -> bool {
         matches!(self, BroadcastKind::QueryRep | BroadcastKind::SlotPrefix)
     }
 
     /// Whether this broadcast's bits are charged to
     /// [`crate::Counters::vector_bits`] at transmission time.
     #[inline]
-    pub fn counts_as_vector(&self) -> bool {
+    pub(crate) fn counts_as_vector(&self) -> bool {
         matches!(self, BroadcastKind::PollingVector)
     }
 }
@@ -102,7 +102,7 @@ impl fmt::Display for BroadcastKind {
 /// One recorded protocol action.
 ///
 /// The variant set mirrors the counter set: [`crate::Counters`] are a
-/// function of the events ([`crate::Counters::apply`]), so replaying a
+/// function of the events (`crate::Counters::apply`), so replaying a
 /// complete trace reproduces the end-of-run counters exactly. The one
 /// exception is `tag_listen_us`, a continuous time integral documented in
 /// DESIGN.md §9.
@@ -407,16 +407,6 @@ impl EventLog {
         self.events.is_empty()
     }
 
-    /// Renders the trace one timestamped event per line.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for e in &self.events {
-            out.push_str(&e.to_string());
-            out.push('\n');
-        }
-        out
-    }
-
     /// Serializes the trace as JSON Lines: one compact [`TimedEvent`]
     /// object per line — streamable, greppable, `from_jsonl`-round-trippable.
     pub fn to_jsonl(&self) -> String {
@@ -583,9 +573,10 @@ mod tests {
         let mut log = EventLog::enabled();
         log.record(at(1.5), Event::SlotEmpty);
         log.record(at(2.5), Event::SlotCollision { count: 3 });
-        let text = log.render();
-        assert_eq!(text.lines().count(), 2);
-        assert!(text.contains("collision (3 tags)"));
+        let lines: Vec<String> = log.events().iter().map(|e| e.to_string()).collect();
+        assert_eq!(lines.len(), 2);
+        assert!(lines.iter().all(|line| !line.contains('\n')));
+        assert!(lines[1].contains("collision (3 tags)"));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   hears, when it re-joins (`desync_recoveries` counts that).
 //! * **Payload corruption** — distinct from loss: the reply arrives, the
 //!   CRC-16 check fails, and the reader NAKs so the tag retransmits
-//!   (bounded by [`FaultModel::max_poll_retries`]) instead of timing out.
+//!   (bounded by `FaultModel::max_poll_retries`) instead of timing out.
 //! * **Gilbert–Elliott burst loss** — a two-state Markov channel whose bad
 //!   state clusters uplink losses, alongside the i.i.d. model.
 //! * **Scripted [`FaultPlan`]s** — deterministic chaos ("drop all downlink
@@ -72,13 +72,13 @@ impl GilbertElliott {
     }
 
     /// Checks all four probabilities; panics on any invalid one.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         if let Err(msg) = self.try_validate() {
             panic!("{msg}");
         }
     }
 
-    /// Non-panicking form of [`GilbertElliott::validate`].
+    /// Non-panicking form of `GilbertElliott::validate`.
     pub fn try_validate(&self) -> Result<(), String> {
         check_rate(self.p_enter_bad, "Gilbert-Elliott p_enter_bad")?;
         check_rate(self.p_exit_bad, "Gilbert-Elliott p_exit_bad")?;
@@ -99,7 +99,7 @@ pub struct RoundRange {
 
 impl RoundRange {
     /// Whether `round` falls inside the range.
-    pub fn contains(&self, round: u64) -> bool {
+    pub(crate) fn contains(&self, round: u64) -> bool {
         (self.from..=self.to).contains(&round)
     }
 }
@@ -190,7 +190,7 @@ impl FaultPlan {
     }
 
     /// `true` when the plan scripts nothing.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.drop_downlink_rounds.is_empty()
             && self.drop_uplink_rounds.is_empty()
             && self.kill_after_replies.is_empty()
@@ -198,17 +198,17 @@ impl FaultPlan {
 
     /// Whether the plan jams the downlink in `round` (1-based; protocols
     /// that never start rounds run at round 0, which no range contains).
-    pub fn drops_downlink(&self, round: u64) -> bool {
+    pub(crate) fn drops_downlink(&self, round: u64) -> bool {
         self.drop_downlink_rounds.iter().any(|r| r.contains(round))
     }
 
     /// Whether the plan jams the uplink in `round`.
-    pub fn drops_uplink(&self, round: u64) -> bool {
+    pub(crate) fn drops_uplink(&self, round: u64) -> bool {
         self.drop_uplink_rounds.iter().any(|r| r.contains(round))
     }
 
     /// The kill rule for `tag`, if any (first match wins).
-    pub fn kill_rule_for(&self, tag: usize) -> Option<&KillRule> {
+    pub(crate) fn kill_rule_for(&self, tag: usize) -> Option<&KillRule> {
         self.kill_after_replies.iter().find(|k| k.tag == tag)
     }
 
@@ -216,7 +216,7 @@ impl FaultPlan {
     /// (`1 <= from <= to`), ranges within one direction must not overlap,
     /// and no tag may carry two kill rules. `after_replies = 0` stays valid —
     /// it means the tag is dead from the start.
-    pub fn validate(&self) -> Result<(), FaultPlanError> {
+    pub(crate) fn validate(&self) -> Result<(), FaultPlanError> {
         for (direction, ranges) in [
             ("downlink", &self.drop_downlink_rounds),
             ("uplink", &self.drop_uplink_rounds),
@@ -258,17 +258,17 @@ impl FaultPlan {
 pub struct FaultModel {
     /// Per-broadcast, per-tag probability that a tag misses a downlink
     /// command (round initiation, circle command, or its polling vector).
-    pub downlink_loss_rate: f64,
+    pub(crate) downlink_loss_rate: f64,
     /// Probability that a received reply is corrupted in flight. The CRC-16
     /// catches it and the reader NAKs for a retransmission.
-    pub corruption_rate: f64,
+    pub(crate) corruption_rate: f64,
     /// How many NAK-and-retry attempts one polling exchange gets before the
     /// reader gives up and re-addresses the tag in a later round.
-    pub max_poll_retries: u32,
+    pub(crate) max_poll_retries: u32,
     /// Optional Gilbert–Elliott burst-loss overlay on the uplink.
-    pub burst: Option<GilbertElliott>,
+    pub(crate) burst: Option<GilbertElliott>,
     /// Deterministic scripted faults.
-    pub plan: FaultPlan,
+    pub(crate) plan: FaultPlan,
 }
 
 impl FaultModel {
@@ -319,7 +319,7 @@ impl FaultModel {
     /// Installs a scripted fault plan.
     ///
     /// # Panics
-    /// Panics if the plan fails [`FaultPlan::validate`] (0-based rounds,
+    /// Panics if the plan fails `FaultPlan::validate` (0-based rounds,
     /// overlapping ranges, duplicate kill rules).
     pub fn with_plan(mut self, plan: FaultPlan) -> Self {
         if let Err(e) = plan.validate() {
@@ -331,13 +331,13 @@ impl FaultModel {
 
     /// Re-checks every rate and the scripted plan (for models built via
     /// struct literals or JSON).
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         if let Err(msg) = self.try_validate() {
             panic!("{msg}");
         }
     }
 
-    /// Non-panicking form of [`FaultModel::validate`], for fault models
+    /// Non-panicking form of `FaultModel::validate`, for fault models
     /// deserialized from untrusted snapshot bytes.
     pub fn try_validate(&self) -> Result<(), String> {
         check_rate(self.downlink_loss_rate, "downlink loss")?;
@@ -352,7 +352,7 @@ impl FaultModel {
 
     /// Whether anything at all is configured (used to keep the no-fault
     /// paths free of bookkeeping and RNG draws).
-    pub fn is_perfect(&self) -> bool {
+    pub(crate) fn is_perfect(&self) -> bool {
         self.downlink_loss_rate == 0.0
             && self.corruption_rate == 0.0
             && self.burst.is_none()

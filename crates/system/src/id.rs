@@ -14,7 +14,7 @@ use crate::bitvec::BitVec;
 /// Total EPC bits.
 pub const EPC_BITS: usize = 96;
 /// Header field width.
-pub const HEADER_BITS: usize = 8;
+pub(crate) const HEADER_BITS: usize = 8;
 /// EPC manager (company) field width.
 pub const MANAGER_BITS: usize = 28;
 /// Object-class (product) field width.
@@ -75,21 +75,6 @@ impl TagId {
         ((self.hi as u128) << 64) | self.lo as u128
     }
 
-    /// The 8-bit header field.
-    pub fn header(&self) -> u8 {
-        (self.as_u128() >> (MANAGER_BITS + CLASS_BITS + SERIAL_BITS)) as u8
-    }
-
-    /// The 28-bit manager field.
-    pub fn manager(&self) -> u32 {
-        ((self.as_u128() >> (CLASS_BITS + SERIAL_BITS)) & ((1 << MANAGER_BITS) - 1)) as u32
-    }
-
-    /// The 24-bit object-class field.
-    pub fn class(&self) -> u32 {
-        ((self.as_u128() >> SERIAL_BITS) & ((1 << CLASS_BITS) - 1)) as u32
-    }
-
     /// The 36-bit serial field.
     pub fn serial(&self) -> u64 {
         (self.as_u128() & ((1u128 << SERIAL_BITS) - 1)) as u64
@@ -105,14 +90,9 @@ impl TagId {
     /// # Panics
     /// Panics if `i >= 96`.
     #[inline]
-    pub fn bit(&self, i: usize) -> bool {
+    pub(crate) fn bit(&self, i: usize) -> bool {
         assert!(i < EPC_BITS, "bit index {i} out of EPC range");
         (self.as_u128() >> (EPC_BITS - 1 - i)) & 1 == 1
-    }
-
-    /// The full ID as a 96-bit [`BitVec`] in transmission order.
-    pub fn to_bits(&self) -> BitVec {
-        BitVec::from_bits((0..EPC_BITS).map(|i| self.bit(i)))
     }
 
     /// The first `n` bits of the ID as a [`BitVec`].
@@ -129,18 +109,6 @@ impl TagId {
             *byte = (v >> (88 - 8 * i)) as u8;
         }
         out
-    }
-
-    /// Rebuilds an ID from its 12-byte EPC image.
-    pub fn from_bytes(bytes: &[u8; 12]) -> Self {
-        let mut v: u128 = 0;
-        for &b in bytes {
-            v = (v << 8) | b as u128;
-        }
-        TagId {
-            hi: (v >> 64) as u32,
-            lo: v as u64,
-        }
     }
 }
 
@@ -180,12 +148,24 @@ mod tests {
     use rfid_hash::prop::check;
     use rfid_hash::prop_assert_eq;
 
+    /// The header, manager and class fields packed as in the category.
+    fn category_of(header: u8, manager: u32, class: u32) -> u64 {
+        ((header as u64) << (MANAGER_BITS + CLASS_BITS))
+            | ((manager as u64) << CLASS_BITS)
+            | class as u64
+    }
+
+    /// The ID a 12-byte EPC image encodes.
+    fn from_bytes(bytes: &[u8; 12]) -> u128 {
+        let mut wide = [0u8; 16];
+        wide[4..].copy_from_slice(bytes);
+        u128::from_be_bytes(wide)
+    }
+
     #[test]
     fn field_roundtrip() {
         let id = TagId::from_fields(0x30, 0x0ABCDEF, 0x123456, 0x9_8765_4321);
-        assert_eq!(id.header(), 0x30);
-        assert_eq!(id.manager(), 0x0ABCDEF);
-        assert_eq!(id.class(), 0x123456);
+        assert_eq!(id.category(), category_of(0x30, 0x0ABCDEF, 0x123456));
         assert_eq!(id.serial(), 0x9_8765_4321);
     }
 
@@ -214,7 +194,7 @@ mod tests {
     #[test]
     fn to_bits_matches_bit() {
         let id = TagId::from_fields(0xAB, 0x0FF00FF, 0x00AA55, 0x5_5555_AAAA);
-        let bits = id.to_bits();
+        let bits = id.prefix_bits(EPC_BITS);
         assert_eq!(bits.len(), 96);
         for i in 0..96 {
             assert_eq!(bits.get(i), id.bit(i), "bit {i}");
@@ -227,7 +207,7 @@ mod tests {
         let bytes = id.to_bytes();
         assert_eq!(bytes[0], 0x01);
         assert_eq!(bytes[11], 0x88);
-        assert_eq!(TagId::from_bytes(&bytes), id);
+        assert_eq!(from_bytes(&bytes), id.as_u128());
     }
 
     #[test]
@@ -257,9 +237,7 @@ mod tests {
             let class = g.u64_below(1 << 24) as u32;
             let serial = g.u64_below(1u64 << 36);
             let id = TagId::from_fields(header, manager, class, serial);
-            prop_assert_eq!(id.header(), header);
-            prop_assert_eq!(id.manager(), manager);
-            prop_assert_eq!(id.class(), class);
+            prop_assert_eq!(id.category(), category_of(header, manager, class));
             prop_assert_eq!(id.serial(), serial);
             Ok(())
         });
@@ -269,7 +247,7 @@ mod tests {
     fn prop_bytes_roundtrip() {
         check("tag-id bytes round-trip", 256, |g| {
             let id = TagId::from_raw(g.u32(), g.u64());
-            prop_assert_eq!(TagId::from_bytes(&id.to_bytes()), id);
+            prop_assert_eq!(from_bytes(&id.to_bytes()), id.as_u128());
             Ok(())
         });
     }
@@ -278,10 +256,9 @@ mod tests {
     fn prop_bitvec_value_matches_u128() {
         check("tag-id bits match u128 value", 256, |g| {
             let id = TagId::from_raw(g.u32(), g.u64());
-            let bits = id.to_bits();
             // Reassemble through two 48-bit halves to stay within u64.
-            let hi48 = bits.prefix(48).to_value() as u128;
-            let lo48 = bits.suffix(48).to_value() as u128;
+            let hi48 = id.prefix_bits(48).to_value() as u128;
+            let lo48 = BitVec::from_bits((48..EPC_BITS).map(|i| id.bit(i))).to_value() as u128;
             prop_assert_eq!((hi48 << 48) | lo48, id.as_u128());
             Ok(())
         });

@@ -621,7 +621,7 @@ impl Json {
     }
 
     /// This value as an `i64`, if it is an integer.
-    pub fn as_i64(&self) -> Result<i64, JsonError> {
+    pub(crate) fn as_i64(&self) -> Result<i64, JsonError> {
         match self {
             Json::Int(i) => Ok(*i),
             Json::UInt(u) if *u <= i64::MAX as u64 => Ok(*u as i64),

@@ -12,7 +12,7 @@
 //!   population bookkeeping,
 //! * [`Channel`] / [`SlotOutcome`] — slot resolution (empty / singleton /
 //!   collision) with optional reply-loss injection for robustness studies,
-//! * [`RoundIndex`] — the reusable per-round bucket sort of hashed tag
+//! * `RoundIndex` — the reusable per-round bucket sort of hashed tag
 //!   indices that makes the singleton sift O(active) and allocation-free,
 //! * [`EventLog`] — an optional, self-describing trace of a protocol run,
 //! * [`SpanProfiler`] — hierarchical span profiling (sim-time and host
@@ -33,18 +33,18 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bitvec;
-pub mod channel;
-pub mod context;
+pub(crate) mod bitvec;
+pub(crate) mod channel;
+pub(crate) mod context;
 pub mod event;
 pub mod fault;
 pub mod id;
 pub mod json;
 pub mod packed;
-pub mod population;
-pub mod round_index;
-pub mod span;
-pub mod tag;
+pub(crate) mod population;
+pub(crate) mod round_index;
+pub(crate) mod span;
+pub(crate) mod tag;
 
 pub use bitvec::BitVec;
 pub use channel::{Channel, SlotOutcome};
@@ -54,6 +54,5 @@ pub use fault::{FaultModel, FaultPlan, FaultPlanError, GilbertElliott, KillRule,
 pub use id::TagId;
 pub use json::{from_json_str, to_json_string, FromJson, Json, JsonError, ToJson};
 pub use population::TagPopulation;
-pub use round_index::RoundIndex;
-pub use span::{SpanNode, SpanProfiler};
+pub use span::SpanProfiler;
 pub use tag::{Tag, TagState};

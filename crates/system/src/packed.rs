@@ -6,12 +6,12 @@
 //! arrays those cost several bytes per tag; packed, they cost a few bits.
 //! Two shapes exist, both written as lowercase hex strings:
 //!
-//! * **fixed-width codes** ([`pack_codes`]/[`unpack_codes`]): code `i`
+//! * **fixed-width codes** (`pack_codes`/[`unpack_codes`]): code `i`
 //!   occupies bits `i·w .. i·w + w` of a little-endian bit stream, and
 //!   each hex digit carries four stream bits, its least significant bit
 //!   first. `n` codes take `⌈n·w / 4⌉` digits; the padding bits past
 //!   `n·w` are zero.
-//! * **varints** ([`pack_varints`]/[`unpack_varints`]): unsigned LEB128,
+//! * **varints** (`pack_varints`/`unpack_varints`): unsigned LEB128,
 //!   two hex digits per byte, in the shortest form.
 //!
 //! Decoders are written for hostile input. They check the digit count
@@ -25,7 +25,7 @@ use crate::json::JsonError;
 ///
 /// # Panics
 /// Debug builds panic if a code does not fit in `width` bits.
-pub fn pack_codes(codes: impl Iterator<Item = u8>, width: u32) -> String {
+pub(crate) fn pack_codes(codes: impl Iterator<Item = u8>, width: u32) -> String {
     debug_assert!(matches!(width, 1 | 2), "unsupported code width {width}");
     let per_digit = 4 / width;
     let mut out = String::new();
@@ -45,7 +45,7 @@ pub fn pack_codes(codes: impl Iterator<Item = u8>, width: u32) -> String {
     out
 }
 
-/// Unpacks exactly `n` `width`-bit codes from a [`pack_codes`] string.
+/// Unpacks exactly `n` `width`-bit codes from a `pack_codes` string.
 /// `what` names the vector in error messages.
 pub fn unpack_codes(hex: &str, n: usize, width: u32, what: &str) -> Result<Vec<u8>, JsonError> {
     debug_assert!(matches!(width, 1 | 2), "unsupported code width {width}");
@@ -76,7 +76,7 @@ pub fn unpack_codes(hex: &str, n: usize, width: u32, what: &str) -> Result<Vec<u
 }
 
 /// Packs `values` as shortest-form LEB128 varints into a hex string.
-pub fn pack_varints(values: &[u64]) -> String {
+pub(crate) fn pack_varints(values: &[u64]) -> String {
     let mut out = String::with_capacity(2 * values.len());
     for &value in values {
         let mut rest = value;
@@ -99,7 +99,7 @@ const MAX_VARINT_BYTES: usize = 10;
 
 /// Unpacks exactly `n` varints from a [`pack_varints`] string. `what`
 /// names the vector in error messages.
-pub fn unpack_varints(hex: &str, n: usize, what: &str) -> Result<Vec<u64>, JsonError> {
+pub(crate) fn unpack_varints(hex: &str, n: usize, what: &str) -> Result<Vec<u64>, JsonError> {
     // Every varint takes 1..=10 bytes of 2 digits each: bound the length
     // against `n` before allocating for it.
     let (min, max) = (n.saturating_mul(2), n.saturating_mul(2 * MAX_VARINT_BYTES));

@@ -60,7 +60,7 @@ impl TagPopulation {
 
     /// [`TagPopulation::new`] for untrusted input: a shared ID is returned
     /// instead of panicking.
-    pub fn try_new(tags: impl IntoIterator<Item = (TagId, BitVec)>) -> Result<Self, TagId> {
+    pub(crate) fn try_new(tags: impl IntoIterator<Item = (TagId, BitVec)>) -> Result<Self, TagId> {
         let tags: Vec<Tag> = tags
             .into_iter()
             .map(|(id, info)| Tag::new(id, info))
@@ -123,16 +123,6 @@ impl TagPopulation {
     pub fn iter(&self) -> impl Iterator<Item = (usize, &Tag)> {
         self.note_scan();
         self.tags.iter().enumerate()
-    }
-
-    /// Handles of currently active tags.
-    ///
-    /// Allocates; hot paths should prefer [`TagPopulation::for_each_active`]
-    /// or [`TagPopulation::collect_active_into`] with a reused buffer.
-    pub fn active_handles(&self) -> Vec<usize> {
-        let mut out = Vec::with_capacity(self.active);
-        self.collect_active_into(&mut out);
-        out
     }
 
     /// Calls `f` for every active handle in ascending order, by iterating
@@ -260,7 +250,7 @@ impl TagPopulation {
     ///
     /// # Panics
     /// Panics if there are more states than tags.
-    pub fn restore_states(&mut self, states: impl IntoIterator<Item = TagState>) {
+    pub(crate) fn restore_states(&mut self, states: impl IntoIterator<Item = TagState>) {
         for (idx, state) in states.into_iter().enumerate() {
             match state {
                 TagState::Active => {}
@@ -302,7 +292,7 @@ impl TagPopulation {
     /// Debug builds only: how many full-population scans have been taken.
     /// Slot handlers assert this is unchanged across a slot.
     #[cfg(debug_assertions)]
-    pub fn scan_epoch(&self) -> u64 {
+    pub(crate) fn scan_epoch(&self) -> u64 {
         self.scans.get()
     }
 }
@@ -357,7 +347,9 @@ mod tests {
         let mut p = pop(4);
         p.sleep(1);
         p.deselect(3);
-        assert_eq!(p.active_handles(), vec![0, 2]);
+        let mut active = Vec::new();
+        p.collect_active_into(&mut active);
+        assert_eq!(active, vec![0, 2]);
     }
 
     #[test]

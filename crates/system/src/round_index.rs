@@ -27,7 +27,7 @@ const MAX_COUNTING_BITS: u32 = 22;
 
 /// Reusable per-round bucket index over hashed tag indices.
 #[derive(Debug, Clone, Default)]
-pub struct RoundIndex {
+pub(crate) struct RoundIndex {
     /// Epoch stamp per bucket; a bucket is live iff `stamp[b] == epoch`.
     stamp: Vec<u32>,
     /// Number of active tags hashing into each live bucket.
@@ -44,7 +44,7 @@ pub struct RoundIndex {
 
 impl RoundIndex {
     /// A fresh index with no capacity reserved.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         RoundIndex::default()
     }
 
@@ -54,7 +54,7 @@ impl RoundIndex {
     ///
     /// # Panics
     /// Panics if `h > 64`.
-    pub fn build_into(
+    pub(crate) fn build_into(
         &mut self,
         population: &TagPopulation,
         seed: u64,
@@ -151,39 +151,6 @@ impl RoundIndex {
             i = j;
         }
     }
-
-    /// Number of active tags that hashed into bucket `b` in the latest
-    /// counting-path build (0 for untouched buckets).
-    ///
-    /// # Panics
-    /// Panics if the latest build used the sort fallback or `b` is out of
-    /// the built range.
-    pub fn bucket_len(&self, b: u64) -> u32 {
-        assert!(
-            (b as usize) < self.built_size,
-            "bucket {b} outside the built range {}",
-            self.built_size
-        );
-        if self.stamp[b as usize] == self.epoch {
-            self.count[b as usize]
-        } else {
-            0
-        }
-    }
-
-    /// Handle of the first active tag that hashed into bucket `b`, if any
-    /// (latest counting-path build).
-    ///
-    /// # Panics
-    /// Panics if the latest build used the sort fallback or `b` is out of
-    /// the built range.
-    pub fn bucket_first(&self, b: u64) -> Option<usize> {
-        if self.bucket_len(b) == 0 {
-            None
-        } else {
-            Some(self.owner[b as usize] as usize)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -192,7 +159,7 @@ mod tests {
     use crate::bitvec::BitVec;
     use crate::context::{SimConfig, SimContext};
     use crate::fault::FaultModel;
-    use rfid_hash::prop::{check, Gen};
+    use rfid_hash::prop::{check, CaseResult, Gen};
     use rfid_hash::{prop_assert, prop_assert_eq};
 
     /// The historical implementation: full scan, sort, group.
@@ -226,6 +193,18 @@ mod tests {
             .filter(|(_, t)| hash.index(t.id.hi(), t.id.lo(), h) == b)
             .map(|(i, _)| i)
             .collect()
+    }
+
+    /// Every slot's singleton in `singles` is what a per-slot scan finds:
+    /// the slot's sole active tag, and no entry for an empty or contended
+    /// slot.
+    fn slots_match(pop: &TagPopulation, seed: u64, h: u32, singles: &[(u64, usize)]) -> CaseResult {
+        for b in 0..(1u64 << h) {
+            let want = naive_bucket(pop, seed, h, b);
+            let got = singles.iter().find(|&&(i, _)| i == b).map(|&(_, t)| t);
+            prop_assert_eq!(got, (want.len() == 1).then(|| want[0]));
+        }
+        Ok(())
     }
 
     #[test]
@@ -292,13 +271,7 @@ mod tests {
             let mut singles = Vec::new();
             idx.build_into(&pop, seed, h, &mut singles);
             prop_assert_eq!(&singles, &naive_singles(&pop, seed, h));
-            // Bucket contents equal the naive per-slot scan.
-            for b in 0..(1u64 << h) {
-                let want = naive_bucket(&pop, seed, h, b);
-                prop_assert_eq!(idx.bucket_len(b) as usize, want.len());
-                prop_assert_eq!(idx.bucket_first(b), want.first().copied());
-            }
-            Ok(())
+            slots_match(&pop, seed, h, &singles)
         });
     }
 
@@ -318,18 +291,13 @@ mod tests {
             for _ in 0..g.u64_in(1, 4) {
                 let seed = ctx.draw_round_seed();
                 ctx.begin_round(h, 32);
-                let mut singles = Vec::new();
-                let mut idx = RoundIndex::new();
-                idx.build_into(&ctx.population, seed, h, &mut singles);
+                let singles = ctx.sift_singletons(seed, h);
                 prop_assert_eq!(&singles, &naive_singles(&ctx.population, seed, h));
-                for b in 0..(1u64 << h) {
-                    let want = naive_bucket(&ctx.population, seed, h, b);
-                    prop_assert_eq!(idx.bucket_len(b) as usize, want.len());
-                    prop_assert_eq!(idx.bucket_first(b), want.first().copied());
-                }
+                slots_match(&ctx.population, seed, h, &singles)?;
                 for &(_, tag) in &singles {
                     ctx.poll_tag(h as u64, true, tag);
                 }
+                ctx.recycle_singletons(singles);
                 if ctx.population.active_count() == 0 {
                     break;
                 }

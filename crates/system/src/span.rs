@@ -42,19 +42,19 @@ pub struct SpanNode {
     pub name: &'static str,
     /// Index of the parent node in [`SpanProfiler::nodes`]; `None` for
     /// roots.
-    pub parent: Option<usize>,
+    pub(crate) parent: Option<usize>,
     /// Completed enter/exit pairs aggregated into this node.
     pub calls: u64,
     /// Total sim-time spent inside this scope, in microseconds (children
     /// included).
     pub sim_total_us: f64,
     /// Sim-time attributed to direct children, in microseconds.
-    pub sim_child_us: f64,
+    pub(crate) sim_child_us: f64,
     /// Total host wall-time spent inside this scope, in nanoseconds
     /// (children included).
     pub wall_total_ns: u64,
     /// Wall-time attributed to direct children, in nanoseconds.
-    pub wall_child_ns: u64,
+    pub(crate) wall_child_ns: u64,
     /// Child node indices, in first-entry order (deterministic: sim
     /// execution order).
     children: Vec<usize>,
@@ -85,7 +85,7 @@ struct OpenSpan {
     wall_enter: Instant,
 }
 
-/// The span recorder: a trie of aggregated [`SpanNode`]s plus the stack of
+/// The span recorder: a trie of aggregated `SpanNode`s plus the stack of
 /// currently open scopes.
 #[derive(Debug, Clone, Default)]
 pub struct SpanProfiler {

@@ -23,7 +23,7 @@ pub enum TagState {
 
 impl TagState {
     /// The 2-bit code a snapshot packs this state as.
-    pub fn code(self) -> u8 {
+    pub(crate) fn code(self) -> u8 {
         match self {
             TagState::Active => 0,
             TagState::Asleep => 1,
@@ -32,7 +32,7 @@ impl TagState {
     }
 
     /// The state a packed code names; `None` for the unused code 3.
-    pub fn from_code(code: u8) -> Option<TagState> {
+    pub(crate) fn from_code(code: u8) -> Option<TagState> {
         match code {
             0 => Some(TagState::Active),
             1 => Some(TagState::Asleep),
@@ -78,7 +78,7 @@ impl Tag {
 
     /// Temporarily deselects the tag (EHPP circle filtering).
     #[inline]
-    pub fn deselect(&mut self) {
+    pub(crate) fn deselect(&mut self) {
         if self.state == TagState::Active {
             self.state = TagState::Deselected;
         }
@@ -86,7 +86,7 @@ impl Tag {
 
     /// Re-activates a deselected tag for the next circle.
     #[inline]
-    pub fn reselect(&mut self) {
+    pub(crate) fn reselect(&mut self) {
         if self.state == TagState::Deselected {
             self.state = TagState::Active;
         }

@@ -23,9 +23,9 @@
 use rfid_c1g2::crc::crc16;
 
 /// Start-of-frame delimiter (matches the UHF reader convention).
-pub const SOF: u8 = 0xBB;
+pub(crate) const SOF: u8 = 0xBB;
 /// End-of-frame delimiter.
-pub const EOF: u8 = 0x7E;
+pub(crate) const EOF: u8 = 0x7E;
 /// The wire-protocol version this build speaks. Payload schemas may gain
 /// fields within a version (unknown JSON keys are ignored); any change
 /// that re-frames bytes or repurposes a kind bumps it.
@@ -33,7 +33,7 @@ pub const WIRE_VERSION: u8 = 1;
 /// Upper bound on a frame payload (64 MiB): large enough for a checkpoint
 /// snapshot of a million-tag session, small enough that a corrupt length
 /// field cannot ask the decoder to buffer unbounded memory.
-pub const MAX_PAYLOAD: usize = 64 << 20;
+pub(crate) const MAX_PAYLOAD: usize = 64 << 20;
 
 /// Fixed overhead around a payload: SOF + ver + kind + len + crc + EOF.
 const OVERHEAD: usize = 10;
@@ -45,7 +45,7 @@ const HEADER: usize = 7;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
     /// Message kind (command kinds are `< 0x80`, responses `>= 0x80`).
-    pub kind: u8,
+    pub(crate) kind: u8,
     /// Payload bytes (UTF-8 JSON at the message layer).
     pub payload: Vec<u8>,
 }
@@ -59,7 +59,7 @@ impl Frame {
     /// Serializes the frame to its on-wire bytes.
     ///
     /// # Panics
-    /// Panics if the payload exceeds [`MAX_PAYLOAD`] — an encoder-side
+    /// Panics if the payload exceeds `MAX_PAYLOAD` — an encoder-side
     /// programming error, not a wire condition.
     pub fn encode(&self) -> Vec<u8> {
         assert!(
@@ -90,7 +90,7 @@ pub enum FrameError {
     },
     /// The version byte names a protocol this build does not speak.
     Version(u8),
-    /// The length field exceeds [`MAX_PAYLOAD`].
+    /// The length field exceeds `MAX_PAYLOAD`.
     Oversize(usize),
     /// The CRC-16 over `ver … payload` did not match.
     BadCrc {
@@ -148,7 +148,7 @@ impl std::error::Error for FrameError {}
 /// Feed bytes with [`Decoder::push`] and drain frames with
 /// [`Decoder::next`]. `Ok(None)` means "need more bytes"; errors are
 /// per-call and recoverable — the decoder consumes the offending bytes
-/// (at least one) and the next call resumes scanning for [`SOF`]. A
+/// (at least one) and the next call resumes scanning for `SOF`. A
 /// corrupt length field can therefore never skip past a later valid
 /// frame: on any integrity failure only the candidate start byte is
 /// consumed, and scanning rediscovers whatever follows.

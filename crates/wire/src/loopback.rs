@@ -98,7 +98,7 @@ impl Drop for Pipe {
 
 /// Two connected raw byte pipes — for wrappers (like the chaos stream)
 /// that need the bare `Read + Write` ends without framing on top.
-pub fn loopback_streams() -> (Pipe, Pipe) {
+pub(crate) fn loopback_streams() -> (Pipe, Pipe) {
     let ab = Arc::new(Shared::default());
     let ba = Arc::new(Shared::default());
     let a = Pipe {

@@ -80,11 +80,6 @@ impl<S: Read + Write> StreamTransport<S> {
     pub fn get_mut(&mut self) -> &mut S {
         &mut self.stream
     }
-
-    /// Shared access to the underlying stream.
-    pub fn get_ref(&self) -> &S {
-        &self.stream
-    }
 }
 
 impl<S: Read + Write> Transport for StreamTransport<S> {

@@ -17,14 +17,6 @@ pub struct ChurnModel {
 }
 
 impl ChurnModel {
-    /// A quiet floor: 1 % departures, ~5 arrivals per epoch.
-    pub fn quiet() -> Self {
-        ChurnModel {
-            departure_fraction: 0.01,
-            arrivals_per_epoch: 5.0,
-        }
-    }
-
     /// A busy dock: 10 % departures, ~50 arrivals per epoch.
     pub fn busy() -> Self {
         ChurnModel {

@@ -44,7 +44,7 @@ pub enum IdDistribution {
 
 impl IdDistribution {
     /// Generates `n` distinct tag IDs deterministically from `rng`.
-    pub fn generate(&self, n: usize, rng: &mut Xoshiro256) -> Vec<TagId> {
+    pub(crate) fn generate(&self, n: usize, rng: &mut Xoshiro256) -> Vec<TagId> {
         let mut seen = std::collections::HashSet::with_capacity(n);
         let mut out = Vec::with_capacity(n);
         let zipf = if let IdDistribution::Zipf {

@@ -18,10 +18,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod churn;
-pub mod ids;
+pub(crate) mod churn;
+pub(crate) mod ids;
 pub mod payload;
-pub mod scenario;
+pub(crate) mod scenario;
 
 pub use churn::ChurnModel;
 pub use ids::IdDistribution;

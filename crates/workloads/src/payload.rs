@@ -30,7 +30,7 @@ impl PayloadKind {
     ///
     /// # Panics
     /// Panics if `bits == 0` or `bits > 64` for the numeric kinds.
-    pub fn generate(&self, bits: usize, rng: &mut Xoshiro256) -> BitVec {
+    pub(crate) fn generate(&self, bits: usize, rng: &mut Xoshiro256) -> BitVec {
         assert!(bits >= 1, "payloads are at least one bit (m ≥ 1)");
         match self {
             PayloadKind::Presence => BitVec::from_bits((0..bits).map(|_| true)),
@@ -60,11 +60,6 @@ impl PayloadKind {
             }
         }
     }
-}
-
-/// Decodes a battery-level payload back to percent.
-pub fn decode_battery(info: &BitVec) -> u64 {
-    info.to_value()
 }
 
 /// Decodes a temperature payload back to °C.
@@ -106,7 +101,7 @@ mod tests {
         let mut r = rng();
         for _ in 0..100 {
             let p = PayloadKind::BatteryLevel.generate(16, &mut r);
-            assert!(decode_battery(&p) <= 100);
+            assert!(p.to_value() <= 100);
         }
     }
 

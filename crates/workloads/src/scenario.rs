@@ -30,13 +30,13 @@ use crate::payload::PayloadKind;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// Number of tags `n`.
-    pub n: usize,
+    pub(crate) n: usize,
     /// How IDs are distributed.
-    pub id_dist: IdDistribution,
+    pub(crate) id_dist: IdDistribution,
     /// Payload width `m` in bits (the paper's `l`).
-    pub info_bits: usize,
+    pub(crate) info_bits: usize,
     /// What the payload encodes.
-    pub payload: PayloadKind,
+    pub(crate) payload: PayloadKind,
     /// Master seed; IDs, payloads and the protocol run derive from it.
     pub seed: u64,
 }
