@@ -65,5 +65,8 @@ cargo bench --offline -p rfid-bench --bench daemon
 # drain floors gated. Writes target/BENCH_resilience.json.
 rm -f target/BENCH_resilience.json
 cargo bench --offline -p rfid-bench --bench resilience
+# Per-crate size and public surface (non-test lines, `pub` and
+# `pub(crate)` declarations). It prints counts and gates nothing.
+scripts/surface.sh
 
 echo "verify: OK"
