@@ -11,13 +11,13 @@
 //! supported; the tree keeps the per-tag vector near 3 bits even while
 //! probing for absentees.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use rfid_analysis::{hpp::index_length, tpp::optimal_index_length};
-use rfid_c1g2::TimeCategory;
+use rfid_c1g2::{TimeCategory, QUERY_REP_BITS};
 use rfid_hash::TagHash;
 use rfid_protocols::{PollingError, PollingTree, Report, StallCause};
-use rfid_system::{BroadcastKind, Event, SimContext, TagId};
+use rfid_system::{BroadcastKind, SimContext, SlotOutcome, TagId};
 
 /// Which broadcast scheme carries the singleton indices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,7 +95,7 @@ impl MissingTagApp {
             .iter()
             .map(|(handle, tag)| (tag.id, handle))
             .collect();
-        let mut unresolved: Vec<TagId> = expected.to_vec();
+        let mut unresolved = dedup(expected);
         let mut missing = Vec::new();
         let mut present = Vec::new();
         let mut rounds = 0u64;
@@ -124,29 +124,11 @@ impl MissingTagApp {
 
             // Sift singleton indices over the *expected* unresolved set —
             // the reader's knowledge, regardless of who is physically there.
-            let hash = TagHash::new(seed);
-            let mut pairs: Vec<(u64, TagId)> = unresolved
-                .iter()
-                .map(|&id| (hash.index(id.hi(), id.lo(), h), id))
-                .collect();
-            pairs.sort_unstable_by_key(|&(idx, id)| (idx, id));
-            let mut singles: Vec<(u64, TagId)> = Vec::new();
-            let mut i = 0;
-            while i < pairs.len() {
-                let mut j = i + 1;
-                while j < pairs.len() && pairs[j].0 == pairs[i].0 {
-                    j += 1;
-                }
-                if j - i == 1 {
-                    singles.push(pairs[i]);
-                }
-                i = j;
-            }
+            let singles = sift_singles(&unresolved, seed, h);
             if singles.is_empty() {
                 continue;
             }
-            let resolved: std::collections::HashSet<TagId> =
-                singles.iter().map(|&(_, id)| id).collect();
+            let resolved: HashSet<TagId> = singles.iter().map(|&(_, id)| id).collect();
 
             match self.strategy {
                 MissingStrategy::Hpp => {
@@ -208,23 +190,8 @@ impl MissingTagApp {
                 }
             }
             _ => {
-                // Nobody answers: the reader transmits the vector, waits T1,
-                // and times out — an empty slot that certifies the absence.
-                ctx.wait(
-                    TimeCategory::ReaderCommand,
-                    ctx.link.reader_tx(4 + vector_bits),
-                );
-                ctx.wait(TimeCategory::Turnaround, ctx.link.t1);
-                ctx.wait(TimeCategory::WastedSlot, ctx.link.t3);
-                ctx.emit(Event::ReaderBroadcast {
-                    what: BroadcastKind::QueryRep,
-                    bits: 4,
-                });
-                ctx.emit(Event::ReaderBroadcast {
-                    what: BroadcastKind::Probe,
-                    bits: vector_bits,
-                });
-                ctx.emit(Event::SlotEmpty);
+                // Nobody answers: an empty slot certifies the absence.
+                presence_probe(ctx, &[], vector_bits);
                 missing.push(id);
             }
         }
@@ -241,6 +208,11 @@ impl MissingTagApp {
 /// missing tag. A missing tag is a singleton with probability ≥ 1/e per
 /// round, so `⌈ln(1−α)/ln(1−1/e)⌉` clean rounds bound the miss probability
 /// by `1 − α`.
+///
+/// Probes resolve through [`SimContext::slot`], so the channel and the
+/// fault model reach them: on a lossy channel a silent probe may be a lost
+/// reply from a present tag, and the witness is then a false alarm. The
+/// `α` bound assumes a reliable channel.
 #[derive(Debug, Clone)]
 pub struct MissingTagDetector {
     /// Required detection confidence `α` (e.g. 0.99).
@@ -294,6 +266,7 @@ impl MissingTagDetector {
             .iter()
             .map(|(handle, tag)| (tag.id, handle))
             .collect();
+        let expected = dedup(expected);
         let budget = self.rounds_needed();
         for round in 1..=budget {
             let n = expected.len() as u64;
@@ -303,73 +276,25 @@ impl MissingTagDetector {
             let h = optimal_index_length(n);
             let seed = ctx.draw_round_seed();
             ctx.begin_round(h, self.round_init_bits);
-            let hash = TagHash::new(seed);
-            let mut pairs: Vec<(u64, TagId)> = expected
-                .iter()
-                .map(|&id| (hash.index(id.hi(), id.lo(), h), id))
-                .collect();
-            pairs.sort_unstable_by_key(|&(idx, id)| (idx, id));
-            let mut i = 0;
-            let mut singles: Vec<(u64, TagId)> = Vec::new();
-            while i < pairs.len() {
-                let mut j = i + 1;
-                while j < pairs.len() && pairs[j].0 == pairs[i].0 {
-                    j += 1;
-                }
-                if j - i == 1 {
-                    singles.push(pairs[i]);
-                }
-                i = j;
-            }
+            let singles = sift_singles(&expected, seed, h);
             // Broadcast via the polling tree; probe each singleton for a
-            // 1-bit presence reply. Detection halts on the first silence.
+            // 1-bit presence reply. Detection halts on the first silence,
+            // and the probe never puts a tag to sleep.
             let tree = PollingTree::from_indices(
                 h,
                 &singles.iter().map(|&(idx, _)| idx).collect::<Vec<_>>(),
             );
             for (segment, &(_, id)) in tree.preorder_segments().iter().zip(&singles) {
-                let bits = segment.len() as u64;
-                match handle_of.get(&id) {
-                    Some(&handle) if ctx.population.get(handle).is_active() => {
-                        // Present: replies. Detection must not consume the
-                        // tag for later rounds, so wake it back up is not
-                        // possible — instead charge the exchange manually.
-                        ctx.wait(TimeCategory::ReaderCommand, ctx.link.reader_tx(4 + bits));
-                        ctx.emit(Event::ReaderBroadcast {
-                            what: BroadcastKind::QueryRep,
-                            bits: 4,
-                        });
-                        ctx.emit(Event::ReaderBroadcast {
-                            what: BroadcastKind::Probe,
-                            bits,
-                        });
-                        ctx.wait(TimeCategory::Turnaround, ctx.link.t1);
-                        ctx.wait(TimeCategory::TagReply, ctx.link.tag_tx(1));
-                        ctx.emit(Event::TagReply {
-                            tag: handle,
-                            bits: 1,
-                        });
-                        ctx.wait(TimeCategory::Turnaround, ctx.link.t2);
-                    }
-                    _ => {
-                        ctx.wait(TimeCategory::ReaderCommand, ctx.link.reader_tx(4 + bits));
-                        ctx.emit(Event::ReaderBroadcast {
-                            what: BroadcastKind::QueryRep,
-                            bits: 4,
-                        });
-                        ctx.emit(Event::ReaderBroadcast {
-                            what: BroadcastKind::Probe,
-                            bits,
-                        });
-                        ctx.wait(TimeCategory::Turnaround, ctx.link.t1);
-                        ctx.wait(TimeCategory::WastedSlot, ctx.link.t3);
-                        ctx.emit(Event::SlotEmpty);
-                        return DetectionOutcome {
-                            missing_witness: Some(id),
-                            rounds: round,
-                            time: ctx.clock.total() - started,
-                        };
-                    }
+                let here = handle_of
+                    .get(&id)
+                    .filter(|&&handle| ctx.population.get(handle).is_active());
+                let repliers = here.map_or(&[][..], std::slice::from_ref);
+                if presence_probe(ctx, repliers, segment.len() as u64) == SlotOutcome::Empty {
+                    return DetectionOutcome {
+                        missing_witness: Some(id),
+                        rounds: round,
+                        time: ctx.clock.total() - started,
+                    };
                 }
             }
         }
@@ -381,12 +306,54 @@ impl MissingTagDetector {
     }
 }
 
+/// `ids` with repeats dropped, in first-occurrence order. A repeated ID
+/// would always share its hash index with itself and never sift out as
+/// a singleton.
+fn dedup(ids: &[TagId]) -> Vec<TagId> {
+    let mut seen = HashSet::with_capacity(ids.len());
+    ids.iter().copied().filter(|&id| seen.insert(id)).collect()
+}
+
+/// The singleton sift over the reader's expected set: `(index, id)` for
+/// every `h`-bit index of `H(seed, id)` that exactly one ID picks,
+/// ascending by index.
+fn sift_singles(ids: &[TagId], seed: u64, h: u32) -> Vec<(u64, TagId)> {
+    let hash = TagHash::new(seed);
+    let mut pairs: Vec<(u64, TagId)> = ids
+        .iter()
+        .map(|&id| (hash.index(id.hi(), id.lo(), h), id))
+        .collect();
+    pairs.sort_unstable_by_key(|&(idx, id)| (idx, id));
+    let alone = |i: usize| {
+        let idx = pairs[i].0;
+        (i == 0 || pairs[i - 1].0 != idx) && (i + 1 == pairs.len() || pairs[i + 1].0 != idx)
+    };
+    (0..pairs.len())
+        .filter(|&i| alone(i))
+        .map(|i| pairs[i])
+        .collect()
+}
+
+/// One 1-bit presence probe: a QueryRep and the `bits`-bit probe vector,
+/// then a slot in which `repliers` (the probed tag, if it is in the zone,
+/// or nobody) answer. An `Empty` outcome is the silence that marks the
+/// tag missing.
+fn presence_probe(ctx: &mut SimContext, repliers: &[usize], bits: u64) -> SlotOutcome {
+    ctx.reader_tx(
+        BroadcastKind::QueryRep,
+        QUERY_REP_BITS,
+        TimeCategory::ReaderCommand,
+    );
+    ctx.reader_tx(BroadcastKind::Probe, bits, TimeCategory::ReaderCommand);
+    ctx.slot(repliers, 0, Some(1))
+}
+
 rfid_system::impl_json_enum!(MissingStrategy { Hpp, Tpp });
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rfid_system::{Channel, SimConfig};
+    use rfid_system::{Channel, FaultModel, FaultPlan, KillRule, SimConfig};
     use rfid_workloads::Scenario;
 
     fn setup(n: usize, gone: usize, seed: u64) -> (Vec<TagId>, SimContext, Vec<TagId>) {
@@ -487,6 +454,56 @@ mod tests {
         assert_eq!(outcome.rounds, d.rounds_needed());
         // Detection leaves the population untouched for the real inventory.
         assert_eq!(ctx.population.active_count(), 400);
+    }
+
+    #[test]
+    fn detector_names_a_tag_that_left_the_zone() {
+        let (expected, population) = Scenario::uniform(400, 1).with_seed(8).split_missing(0);
+        let gone = population.get(0).id;
+        let plan = FaultPlan {
+            kill_after_replies: vec![KillRule {
+                tag: 0,
+                after_replies: 0,
+            }],
+            ..FaultPlan::none()
+        };
+        let cfg = SimConfig::paper(8).with_fault(FaultModel::perfect().with_plan(plan));
+        let mut ctx = SimContext::new(population, &cfg);
+        let outcome = MissingTagDetector::default().run(&mut ctx, &expected);
+        assert_eq!(outcome.missing_witness, Some(gone));
+    }
+
+    #[test]
+    fn detector_probes_hear_the_lossy_channel() {
+        let (expected, population) = Scenario::uniform(400, 1).with_seed(8).split_missing(0);
+        let cfg = SimConfig::paper(8).with_channel(Channel::lossy(0.5));
+        let mut ctx = SimContext::new(population, &cfg);
+        let outcome = MissingTagDetector::default().run(&mut ctx, &expected);
+        assert!(ctx.counters.lost_replies > 0);
+        // Nothing is missing: the witness is a present tag whose reply was
+        // lost.
+        assert!(outcome.missing_witness.is_some());
+    }
+
+    #[test]
+    fn app_resolves_a_duplicated_expected_id() {
+        let (mut expected, mut ctx, _) = setup(50, 0, 10);
+        expected.push(expected[7]);
+        let app = MissingTagApp {
+            max_rounds: 64,
+            ..MissingTagApp::default()
+        };
+        let report = app.run(&mut ctx, &expected);
+        assert!(report.missing.is_empty());
+        assert_eq!(report.present.len(), 50);
+    }
+
+    #[test]
+    fn detector_sees_a_duplicated_missing_id() {
+        let (mut expected, mut ctx, truth) = setup(50, 1, 11);
+        expected.push(truth[0]);
+        let outcome = MissingTagDetector::default().run(&mut ctx, &expected);
+        assert_eq!(outcome.missing_witness, Some(truth[0]));
     }
 
     #[test]

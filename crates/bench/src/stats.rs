@@ -45,57 +45,6 @@ impl Summary {
             count: samples.len(),
         }
     }
-
-    /// The identity element of [`Summary::merge`]: an empty sample.
-    pub fn empty() -> Summary {
-        Summary {
-            mean: 0.0,
-            std: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            count: 0,
-        }
-    }
-
-    /// Combines two disjoint sub-sample summaries into the summary of their
-    /// union (Chan et al.'s parallel mean/variance update).
-    ///
-    /// Merge laws: `count`, `min` and `max` combine exactly; `mean` and
-    /// `std` are commutative bit-exactly (both sides evaluate the same
-    /// floating-point expressions) and associative up to rounding, with
-    /// [`Summary::empty`] as the identity. The sweep engine therefore folds
-    /// partial summaries in a fixed (cell-index) order whenever bit-identical
-    /// output across schedules is required.
-    #[must_use]
-    pub fn merge(self, other: Summary) -> Summary {
-        if self.count == 0 {
-            return other;
-        }
-        if other.count == 0 {
-            return self;
-        }
-        let na = self.count as f64;
-        let nb = other.count as f64;
-        let n = na + nb;
-        let mean = (self.mean * na + other.mean * nb) / n;
-        // M2 = Σ(x − mean)² = var·(n − 1); Chan's pairwise update.
-        let m2_a = self.std * self.std * (na - 1.0);
-        let m2_b = other.std * other.std * (nb - 1.0);
-        let delta = other.mean - self.mean;
-        let m2 = m2_a + m2_b + delta * delta * na * nb / n;
-        let std = if self.count + other.count > 1 {
-            (m2 / (n - 1.0)).sqrt()
-        } else {
-            0.0
-        };
-        Summary {
-            mean,
-            std,
-            min: self.min.min(other.min),
-            max: self.max.max(other.max),
-            count: self.count + other.count,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -130,35 +79,5 @@ mod tests {
     #[should_panic(expected = "empty sample")]
     fn empty_sample_rejected() {
         Summary::of(&[]);
-    }
-
-    #[test]
-    fn merge_of_disjoint_blocks_matches_whole_sample() {
-        let xs = [1.0, 2.0, 3.0, 4.0, 10.0, -2.5, 7.0];
-        let whole = Summary::of(&xs);
-        let merged = Summary::of(&xs[..3]).merge(Summary::of(&xs[3..]));
-        assert_eq!(merged.count, whole.count);
-        assert_eq!(merged.min, whole.min);
-        assert_eq!(merged.max, whole.max);
-        assert!((merged.mean - whole.mean).abs() < 1e-12);
-        assert!((merged.std - whole.std).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_is_commutative_bit_exactly_with_empty_identity() {
-        let a = Summary::of(&[1.5, 2.5, 9.0]);
-        let b = Summary::of(&[4.0, 4.5]);
-        assert_eq!(a.merge(b), b.merge(a));
-        assert_eq!(a.merge(Summary::empty()), a);
-        assert_eq!(Summary::empty().merge(a), a);
-    }
-
-    #[test]
-    fn merge_of_single_samples_matches_of() {
-        let merged = Summary::of(&[3.0]).merge(Summary::of(&[5.0]));
-        let whole = Summary::of(&[3.0, 5.0]);
-        assert!((merged.std - whole.std).abs() < 1e-12);
-        assert_eq!(merged.mean, whole.mean);
-        assert_eq!(merged.count, 2);
     }
 }

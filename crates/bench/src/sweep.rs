@@ -13,9 +13,9 @@
 //! * **Scheduling.** Workers (`std::thread::scope`) pull jobs from a shared
 //!   atomic cursor — work-stealing in the only sense that matters here:
 //!   whichever thread is free takes the next job. Results land in
-//!   cell-index/run-index order, and all reductions (summaries, counter
-//!   merges) happen in that fixed order, which is why parallel output is
-//!   bit-identical to `--workers 1`.
+//!   cell-index/run-index order: reduction is by placement, in that fixed
+//!   order, which is why parallel output is bit-identical to
+//!   `--workers 1`.
 //! * **Caching.** With a cache directory attached, each job's result is
 //!   persisted under a content-addressed key — an FNV-1a hash over the
 //!   row label, the cell protocol's own JSON, the scenario JSON (including
@@ -23,10 +23,8 @@
 //!   ([`CACHE_SALT`]) — as one JSONL line of `Report`s. A warm cache skips
 //!   recompute; bumping the salt (or any keyed input) invalidates exactly
 //!   the affected cells.
-//! * **Instrumentation.** Each worker records into a private
-//!   [`MetricsRegistry`] (job latency histogram, run counters) folded
-//!   post-join via [`MetricsRegistry::merge`]; cumulative [`SweepStats`]
-//!   feed the `BENCH_sweep.json` throughput trajectory.
+//! * **Statistics.** Cumulative [`SweepStats`] feed the
+//!   `BENCH_sweep.json` throughput trajectory.
 
 use std::collections::HashMap;
 use std::io::Write as _;
@@ -36,7 +34,6 @@ use std::time::Instant;
 
 use rfid_apps::info_collect::run_polling;
 use rfid_hash::fnv64;
-use rfid_obs::MetricsRegistry;
 use rfid_protocols::{PollingProtocol, Report, SessionEnd};
 use rfid_system::{to_json_string, FromJson, Json, ToJson};
 use rfid_workloads::Scenario;
@@ -126,7 +123,6 @@ pub struct SweepEngine {
     run_block: u64,
     progress: bool,
     cache: Option<SweepCache>,
-    metrics: MetricsRegistry,
     stats: SweepStats,
 }
 
@@ -138,7 +134,7 @@ impl Default for SweepEngine {
 
 impl SweepEngine {
     /// An engine with one worker per available core, the default run-block
-    /// size, no cache and metrics enabled.
+    /// size and no cache.
     pub fn new() -> Self {
         let workers = std::thread::available_parallelism()
             .map(|p| p.get())
@@ -148,7 +144,6 @@ impl SweepEngine {
             run_block: DEFAULT_RUN_BLOCK,
             progress: false,
             cache: None,
-            metrics: MetricsRegistry::default(),
             stats: SweepStats::default(),
         }
     }
@@ -225,8 +220,7 @@ impl SweepEngine {
 
         // Parallel phase: one atomic cursor, results placed by job index.
         let workers = self.workers.min(pending.len().max(1));
-        let (computed, worker_metrics) = run_jobs(cells, &pending, workers, self.progress);
-        self.metrics.merge(&worker_metrics);
+        let computed = run_jobs(cells, &pending, workers, self.progress);
 
         // Reduction phase, in fixed job order: persist misses, fill slots.
         let mut fresh_lines: Vec<String> = Vec::new();
@@ -249,11 +243,6 @@ impl SweepEngine {
         self.stats.runs += cells.iter().map(|c| c.runs).sum::<u64>();
         self.stats.cache_hits += hits;
         self.stats.elapsed_s += elapsed;
-        self.metrics.inc("sweep_cells", cells.len() as u64);
-        self.metrics.inc("sweep_jobs", jobs.len() as u64);
-        self.metrics.inc("sweep_cache_hits", hits);
-        self.metrics
-            .observe("sweep_batch_ms", (elapsed * 1e3) as u64);
 
         results
             .into_iter()
@@ -352,15 +341,13 @@ struct Job {
 }
 
 /// Executes `pending` jobs across `workers` scoped threads. Returns the
-/// computed reports in `pending` order plus the per-worker metrics merged
-/// in worker order (exact bucket/counter sums, so the totals are
-/// schedule-independent).
+/// computed reports in `pending` order.
 fn run_jobs(
     cells: &[Cell<'_>],
     pending: &[&Job],
     workers: usize,
     progress: bool,
-) -> (Vec<Vec<Report>>, MetricsRegistry) {
+) -> Vec<Vec<Report>> {
     let cursor = AtomicUsize::new(0);
     let done = AtomicUsize::new(0);
     let mut slots: Vec<Option<Vec<Report>>> = (0..pending.len()).map(|_| None).collect();
@@ -369,7 +356,6 @@ fn run_jobs(
             .map(|_| {
                 scope.spawn(|| {
                     let mut local = Vec::new();
-                    let mut metrics = MetricsRegistry::default();
                     loop {
                         let j = cursor.fetch_add(1, Ordering::Relaxed);
                         if j >= pending.len() {
@@ -377,13 +363,10 @@ fn run_jobs(
                         }
                         let job = pending[j];
                         let cell = &cells[job.cell];
-                        let jt = Instant::now();
                         let mut reports = Vec::with_capacity(job.len as usize);
                         for r in job.start..job.start + job.len {
                             reports.push(execute_run(cell, &cell.scenario.for_run(r)));
                         }
-                        metrics.observe("sweep_job_us", jt.elapsed().as_micros() as u64);
-                        metrics.inc("sweep_runs", job.len);
                         local.push((j, reports));
                         let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
                         if progress
@@ -392,7 +375,7 @@ fn run_jobs(
                             eprintln!("sweep: {finished}/{} jobs", pending.len());
                         }
                     }
-                    (local, metrics)
+                    local
                 })
             })
             .collect();
@@ -401,20 +384,13 @@ fn run_jobs(
             .map(|h| h.join().expect("sweep worker panicked"))
             .collect()
     });
-    let mut merged = MetricsRegistry::default();
-    for (local, metrics) in worker_results {
-        merged.merge(&metrics);
-        for (j, reports) in local {
-            slots[j] = Some(reports);
-        }
+    for (j, reports) in worker_results.into_iter().flatten() {
+        slots[j] = Some(reports);
     }
-    (
-        slots
-            .into_iter()
-            .map(|s| s.expect("every pending job computed"))
-            .collect(),
-        merged,
-    )
+    slots
+        .into_iter()
+        .map(|s| s.expect("every pending job computed"))
+        .collect()
 }
 
 /// The persistent content-addressed cell cache: one JSONL file of
@@ -572,8 +548,5 @@ mod tests {
         assert_eq!((s.cells, s.jobs, s.runs, s.cache_hits), (1, 3, 3, 0));
         assert_eq!(s.cache_hit_rate(), 0.0);
         assert!(s.cells_per_sec() > 0.0);
-        assert_eq!(engine.metrics.counter("sweep_runs"), 3);
-        assert_eq!(engine.metrics.counter("sweep_jobs"), 3);
-        assert_eq!(engine.metrics.histogram("sweep_job_us").unwrap().count(), 3);
     }
 }

@@ -136,7 +136,6 @@ struct SupState {
     metrics: MetricsRegistry,
     resurrections: Vec<Resurrection>,
     drained: Vec<(u64, Json)>,
-    failures: Vec<Json>,
 }
 
 /// The fleet-wide session registry: admission, checkpoints, resurrection.
@@ -158,7 +157,6 @@ impl Supervisor {
                 metrics: MetricsRegistry::default(),
                 resurrections: Vec::new(),
                 drained: Vec::new(),
-                failures: Vec::new(),
             }),
         }
     }
@@ -246,16 +244,15 @@ impl Supervisor {
     /// Resurrects every still-live session in `gids` from its recovery
     /// point: rebuild, run to completion, record the outcome. Called by
     /// the serving layer when a connection dies with sessions on it.
-    /// Replay failures keep a failure document ([`Supervisor::failures`])
-    /// and are counted, never propagated — the fleet outlives any one
-    /// corpse.
+    /// Replay failures are counted, never propagated — the fleet outlives
+    /// any one corpse.
     pub(crate) fn connection_lost(&self, gids: &[u64]) {
         for &gid in gids {
             let Some(record) = self.lock().live.remove(&gid) else {
                 continue; // already retired
             };
             match self.resurrect(&record) {
-                Ok((outcome, bundle)) => {
+                Some((outcome, bundle)) => {
                     let mut s = self.lock();
                     s.metrics.inc(wire_counters::SESSIONS_RESURRECTED, 1);
                     s.resurrections.push(Resurrection {
@@ -264,12 +261,7 @@ impl Supervisor {
                         bundle,
                     });
                 }
-                Err(why) => {
-                    let failure = failure_document(gid, &why, record);
-                    let mut s = self.lock();
-                    s.metrics.inc("sessions_resurrect_failed", 1);
-                    s.failures.push(failure);
-                }
+                None => self.lock().metrics.inc("sessions_resurrect_failed", 1),
             }
         }
     }
@@ -303,17 +295,15 @@ impl Supervisor {
     /// Rebuilds a session through the same function its verb used and
     /// runs it to completion, producing the same outcome shape the wire's
     /// `Done` response carries, and the bundle a served run would keep.
-    fn resurrect(
-        &self,
-        record: &RecoveryPoint,
-    ) -> Result<(SessionOutcome, Option<String>), String> {
+    /// `None` when the record no longer replays.
+    fn resurrect(&self, record: &RecoveryPoint) -> Option<(SessionOutcome, Option<String>)> {
         let mut live = match record {
             RecoveryPoint::Open(req) => open_session(req),
             RecoveryPoint::Resume { snapshot, flight } => restore_session(snapshot, *flight),
         }
-        .map_err(|e| format!("{e:?}"))?;
+        .ok()?;
         let end = live.session.run(&mut live.ctx);
-        Ok(outcome_from_end(
+        Some(outcome_from_end(
             end,
             &live.ctx,
             live.flight.then_some(&live.config),
@@ -382,20 +372,6 @@ pub(crate) fn outcome_from_end(
         trace_digest: ctx.log.is_enabled().then(|| ctx.log.digest()),
     };
     (outcome, bundle)
-}
-
-/// The document kept for a recovery point that failed to replay.
-fn failure_document(gid: u64, why: &str, record: RecoveryPoint) -> Json {
-    let record = match record {
-        RecoveryPoint::Open(req) => ("request".to_string(), req.to_json()),
-        RecoveryPoint::Resume { snapshot, .. } => ("checkpoint".to_string(), snapshot),
-    };
-    Json::Obj(vec![
-        ("kind".to_string(), Json::str("resurrection_failure")),
-        ("gid".to_string(), gid.to_json()),
-        ("error".to_string(), why.to_json()),
-        record,
-    ])
 }
 
 /// The panic payload of a deliberate chaos kill point. The serving loop
@@ -579,27 +555,13 @@ mod tests {
     }
 
     #[test]
-    fn unrestorable_checkpoint_dumps_a_flight_bundle() {
+    fn unrestorable_checkpoint_counts_a_failed_resurrection() {
         let sup = Supervisor::unlimited();
         let bogus = Json::Obj(vec![("protocol".to_string(), Json::str("TPP"))]);
-        let gid = sup.admit(resume_record(bogus.clone())).unwrap();
+        let gid = sup.admit(resume_record(bogus)).unwrap();
         sup.connection_lost(&[gid]);
         assert_eq!(sup.counter("sessions_resurrect_failed"), 1);
         assert!(sup.resurrections().is_empty());
-        let failures = sup.lock().failures.clone();
-        assert_eq!(failures.len(), 1, "one failed replay, one document");
-        let failure = &failures[0];
-        assert_eq!(
-            failure.field::<String>("kind").unwrap(),
-            "resurrection_failure"
-        );
-        assert_eq!(failure.field::<u64>("gid").unwrap(), gid);
-        assert!(!failure.field::<String>("error").unwrap().is_empty());
-        assert_eq!(
-            failure.get("checkpoint"),
-            Some(&bogus),
-            "the document carries the record"
-        );
         sup.reconcile().unwrap();
     }
 

@@ -36,7 +36,19 @@ impl FrameObservation {
     pub(crate) fn empty_fraction(&self) -> f64 {
         self.empty as f64 / self.frame as f64
     }
+}
 
+rfid_system::impl_json_struct!(FrameObservation {
+    frame,
+    empty,
+    singleton,
+    collision
+});
+
+/// A test oracle: the protocol builds its observations from the slot
+/// outcomes the reader hears.
+#[cfg(test)]
+impl FrameObservation {
     /// Observes a frame given each tag's chosen slot.
     pub(crate) fn observe(frame: u64, slots_chosen: &[u64]) -> Self {
         let mut counts = vec![0u32; frame as usize];
@@ -48,13 +60,6 @@ impl FrameObservation {
         FrameObservation::new(frame, empty, singleton, frame - empty - singleton)
     }
 }
-
-rfid_system::impl_json_struct!(FrameObservation {
-    frame,
-    empty,
-    singleton,
-    collision
-});
 
 #[cfg(test)]
 mod tests {

@@ -109,20 +109,6 @@ impl Log2Histogram {
         }
     }
 
-    /// Folds another histogram into this one. Merging is exact: the result
-    /// equals recording both sample streams into one histogram.
-    pub(crate) fn merge(&mut self, other: &Log2Histogram) {
-        for (c, o) in self.counts.iter_mut().zip(&other.counts) {
-            *c += o;
-        }
-        self.total += other.total;
-        self.sum = self.sum.saturating_add(other.sum);
-        if other.total > 0 {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
-    }
-
     /// The quantile `q ∈ [0, 1]` as an upper bound: the smallest bucket
     /// ceiling covering at least `⌈q·count⌉` samples, clamped to the exact
     /// observed maximum. `None` when empty. Quantization error is bounded
@@ -217,27 +203,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_recording_both_streams() {
-        let mut a = Log2Histogram::new();
-        let mut b = Log2Histogram::new();
-        let mut both = Log2Histogram::new();
-        for v in [0u64, 1, 2, 1000] {
-            a.record(v);
-            both.record(v);
-        }
-        for v in [7u64, 7, 1 << 40] {
-            b.record(v);
-            both.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a, both);
-        // Merging an empty histogram is the identity.
-        let before = a.clone();
-        a.merge(&Log2Histogram::new());
-        assert_eq!(a, before);
-    }
-
-    #[test]
     fn empty_histogram_percentiles_are_none_at_every_quantile() {
         let h = Log2Histogram::new();
         for q in [0.0, 0.25, 0.5, 0.99, 1.0, -1.0, 2.0] {
@@ -278,64 +243,6 @@ mod tests {
         assert_eq!(h.percentile(1.0), Some(u64::MAX));
         let buckets: Vec<_> = h.nonzero_buckets().collect();
         assert_eq!(buckets, [(1 << 63, u64::MAX, 3)]);
-    }
-
-    #[test]
-    fn merge_is_associative_and_order_independent() {
-        use rfid_hash::prop::{check, Gen};
-        check(
-            "log2hist merge associative + commutative",
-            64,
-            |g: &mut Gen| {
-                let sample = |g: &mut Gen| {
-                    // Spread samples across the full bucket range, zeros
-                    // and the saturating top bucket included.
-                    let shift = g.u64_in(0, 63) as u32;
-                    match g.u64_in(0, 9) {
-                        0 => 0,
-                        1 => u64::MAX,
-                        _ => g.u64() >> shift,
-                    }
-                };
-                let hist = |g: &mut Gen| {
-                    let mut h = Log2Histogram::new();
-                    for _ in 0..g.u64_in(0, 20) {
-                        h.record(sample(g));
-                    }
-                    h
-                };
-                let (a, b, c) = (hist(g), hist(g), hist(g));
-                // Associativity: (a ⊔ b) ⊔ c == a ⊔ (b ⊔ c).
-                let mut left = a.clone();
-                left.merge(&b);
-                left.merge(&c);
-                let mut bc = b.clone();
-                bc.merge(&c);
-                let mut right = a.clone();
-                right.merge(&bc);
-                rfid_hash::prop_assert_eq!(left, right);
-                // Order independence: every permutation of {a, b, c}
-                // folds to the same histogram.
-                let fold = |xs: [&Log2Histogram; 3]| {
-                    let mut acc = Log2Histogram::new();
-                    for x in xs {
-                        acc.merge(x);
-                    }
-                    acc
-                };
-                let canonical = fold([&a, &b, &c]);
-                for perm in [
-                    [&a, &c, &b],
-                    [&b, &a, &c],
-                    [&b, &c, &a],
-                    [&c, &a, &b],
-                    [&c, &b, &a],
-                ] {
-                    rfid_hash::prop_assert_eq!(fold(perm), canonical.clone());
-                }
-                Ok(())
-            },
-        );
     }
 
     #[test]

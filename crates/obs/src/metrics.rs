@@ -112,35 +112,6 @@ impl MetricsRegistry {
             .push((name.to_string(), TimeSeries { points: vec![p] }));
     }
 
-    /// Folds another registry into this one: histograms merge exactly
-    /// (bucket-count sums), counters add, and time series concatenate
-    /// (`self`'s points first). Metrics new to `self` are appended in
-    /// `other`'s insertion order.
-    ///
-    /// Histogram and counter merging is associative and commutative, so the
-    /// sweep engine can give each worker thread a private registry and fold
-    /// them post-join without locking: the merged totals are independent of
-    /// how jobs were scheduled.
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (name, h) in &other.histograms {
-            if let Some((_, mine)) = self.histograms.iter_mut().find(|(n, _)| n == name) {
-                mine.merge(h);
-            } else {
-                self.histograms.push((name.clone(), h.clone()));
-            }
-        }
-        for (name, c) in &other.counters {
-            self.inc(name, *c);
-        }
-        for (name, s) in &other.series {
-            if let Some((_, mine)) = self.series.iter_mut().find(|(n, _)| n == name) {
-                mine.points.extend_from_slice(&s.points);
-            } else {
-                self.series.push((name.clone(), s.clone()));
-            }
-        }
-    }
-
     /// The named histogram, if recorded.
     pub fn histogram(&self, name: &str) -> Option<&Log2Histogram> {
         self.histograms
@@ -388,53 +359,6 @@ mod tests {
         assert_eq!(s.last().unwrap().value, 7.0);
         let names: Vec<&str> = m.histograms.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, ["w", "latency"], "insertion order preserved");
-    }
-
-    #[test]
-    fn merge_folds_histograms_counters_and_series() {
-        let mut a = MetricsRegistry::default();
-        a.observe("w", 2);
-        a.inc("polls", 1);
-        a.point("unread", Micros::from_us(0.0), 3.0);
-        let mut b = MetricsRegistry::default();
-        b.observe("w", 6);
-        b.observe("latency", 50);
-        b.inc("polls", 4);
-        b.inc("rounds", 2);
-        b.point("unread", Micros::from_us(1.0), 1.0);
-
-        a.merge(&b);
-        assert_eq!(a.histogram("w").unwrap().count(), 2);
-        assert_eq!(a.histogram("w").unwrap().mean(), 4.0);
-        assert_eq!(a.histogram("latency").unwrap().count(), 1);
-        assert_eq!(a.counter("polls"), 5);
-        assert_eq!(a.counter("rounds"), 2);
-        assert_eq!(a.series("unread").unwrap().points.len(), 2);
-    }
-
-    #[test]
-    fn merge_totals_are_schedule_independent() {
-        // Three per-worker registries folded in any order agree on every
-        // histogram and counter (the guarantee the sweep engine leans on).
-        let parts: Vec<MetricsRegistry> = (0..3u64)
-            .map(|w| {
-                let mut m = MetricsRegistry::default();
-                m.observe("job_us", 10 + w);
-                m.inc("jobs", w + 1);
-                m
-            })
-            .collect();
-        let fold = |order: &[usize]| {
-            let mut acc = MetricsRegistry::default();
-            for &i in order {
-                acc.merge(&parts[i]);
-            }
-            acc
-        };
-        let a = fold(&[0, 1, 2]);
-        let b = fold(&[2, 0, 1]);
-        assert_eq!(a.counter("jobs"), b.counter("jobs"));
-        assert_eq!(a.histogram("job_us"), b.histogram("job_us"));
     }
 
     #[test]

@@ -233,42 +233,6 @@ impl Counters {
             self.vector_bits as f64 / self.polls as f64
         }
     }
-
-    /// Folds another run's counters into this one (field-wise sums).
-    ///
-    /// Merge laws, relied on by the parallel sweep engine: the integer
-    /// fields form a commutative monoid under wrapping-free `+` (merging is
-    /// exact, associative and commutative; `Counters::default()` is the
-    /// identity). `tag_listen_us` is an `f64` sum — commutative bit-exactly,
-    /// associative only up to rounding — so reductions that must be
-    /// bit-identical across schedules fold partial counters in a fixed
-    /// order.
-    pub(crate) fn merge(&mut self, other: &Counters) {
-        self.reader_bits += other.reader_bits;
-        self.tag_bits += other.tag_bits;
-        self.vector_bits += other.vector_bits;
-        self.query_rep_bits += other.query_rep_bits;
-        self.polls += other.polls;
-        self.rounds += other.rounds;
-        self.circles += other.circles;
-        self.empty_slots += other.empty_slots;
-        self.collision_slots += other.collision_slots;
-        self.lost_replies += other.lost_replies;
-        self.downlink_losses += other.downlink_losses;
-        self.corrupted_replies += other.corrupted_replies;
-        self.desync_recoveries += other.desync_recoveries;
-        self.retransmissions += other.retransmissions;
-        self.recovery_passes += other.recovery_passes;
-        self.recovery_backoff_us += other.recovery_backoff_us;
-        self.tag_listen_us += other.tag_listen_us;
-    }
-
-    /// `Counters::merge` as a pure fold step.
-    #[must_use]
-    pub fn merged(mut self, other: &Counters) -> Counters {
-        self.merge(other);
-        self
-    }
 }
 
 /// Everything a protocol needs to run once.
@@ -1492,33 +1456,6 @@ mod tests {
     }
 
     #[test]
-    fn counters_merge_sums_every_field() {
-        let mut a = ctx(2, 1);
-        a.poll_tag(3, true, 0);
-        a.begin_round(3, 32);
-        let mut b = ctx(2, 1);
-        b.poll_tag(5, true, 1);
-        b.begin_circle(1, 128);
-
-        let merged = a.counters.merged(&b.counters);
-        assert_eq!(merged.polls, 2);
-        assert_eq!(merged.rounds, 1);
-        assert_eq!(merged.circles, 1);
-        assert_eq!(
-            merged.vector_bits,
-            a.counters.vector_bits + b.counters.vector_bits
-        );
-        assert_eq!(
-            merged.reader_bits,
-            a.counters.reader_bits + b.counters.reader_bits
-        );
-        assert!(
-            (merged.tag_listen_us - (a.counters.tag_listen_us + b.counters.tag_listen_us)).abs()
-                < 1e-12
-        );
-    }
-
-    #[test]
     fn recovery_helpers_charge_time_and_counters() {
         let pop = TagPopulation::sequential(2, |_| BitVec::from_str_bits("1"));
         let cfg = SimConfig::paper(1).with_trace();
@@ -1753,15 +1690,6 @@ mod tests {
         let mut bad = bad;
         bad.corruption_rate = f64::NAN;
         assert!(c.inject_fault(bad).is_err());
-    }
-
-    #[test]
-    fn counters_merge_has_default_as_identity() {
-        let mut a = ctx(1, 1);
-        a.poll_tag(4, true, 0);
-        let id = Counters::default();
-        assert_eq!(a.counters.merged(&id), a.counters);
-        assert_eq!(id.merged(&a.counters), a.counters);
     }
 
     #[test]

@@ -10,8 +10,9 @@ cargo build --release --offline
 # (tests/session_roundtrip.rs), the fault matrix and its flight bundles
 # (tests/fault_matrix.rs), recovery convergence under loss, bursts and
 # corruption (tests/recovery_regression.rs) and the served TCP sessions
-# (tests/daemon_serving.rs) all run here.
-cargo test -q --offline
+# (tests/daemon_serving.rs) all run here. `--no-fail-fast` runs every
+# test binary even after one fails, so one failure hides no other.
+cargo test -q --offline --no-fail-fast
 # Every example runs once: each is an end-to-end use of the facade, and
 # their asserts (exact reads, recovered completions, orderings) are
 # checks too.
