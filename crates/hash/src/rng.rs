@@ -96,6 +96,50 @@ impl Xoshiro256 {
         self.unit_f64() < p
     }
 
+    /// A Binomial(`n`, `p`) draw: the number of successes in `n`
+    /// independent trials of probability `p`, exact up to the rounding of
+    /// its `f64` pmf.
+    ///
+    /// Inverts the CDF in chunks of at most ⌊16/p⌋ trials and sums them
+    /// (a sum of binomials with one `p` is binomial). A chunk's mean stays
+    /// ≤ 16, so its walk starts from `(1−p)^k ≥ e^−23` and never from an
+    /// underflowed zero, as a one-shot inversion at n = 100 000, p = 1/16
+    /// would. For `p > 1/2` it counts the failures instead. Expected cost
+    /// O(1 + n·min(p, 1−p)); `n = 0`, `p = 0` and `p = 1` draw nothing.
+    ///
+    /// # Panics
+    /// Panics if `p` is not in `[0, 1]`.
+    pub fn binomial(&mut self, n: u64, p: f64) -> u64 {
+        assert!((0.0..=1.0).contains(&p), "binomial probability {p}");
+        if p > 0.5 {
+            return n - self.binomial(n, 1.0 - p);
+        }
+        if n == 0 || p == 0.0 {
+            return 0;
+        }
+        let chunk = ((16.0 / p) as u64).clamp(1, n);
+        let odds = p / (1.0 - p);
+        let ln_fail = (-p).ln_1p();
+        let mut left = n;
+        let mut successes = 0;
+        while left > 0 {
+            let k = left.min(chunk);
+            left -= k;
+            // Walk the pmf up from x = 0 until it covers the uniform draw;
+            // a draw past the rounded total mass lands on x = k.
+            let mut u = self.unit_f64();
+            let mut pmf = (k as f64 * ln_fail).exp();
+            let mut x = 0;
+            while x < k && u >= pmf {
+                u -= pmf;
+                pmf *= odds * (k - x) as f64 / (x + 1) as f64;
+                x += 1;
+            }
+            successes += x;
+        }
+        successes
+    }
+
     /// Fisher–Yates shuffle of a slice.
     pub(crate) fn shuffle<T>(&mut self, xs: &mut [T]) {
         for i in (1..xs.len()).rev() {
@@ -201,6 +245,80 @@ mod tests {
         let hits = (0..100_000).filter(|_| rng.chance(0.3)).count();
         let freq = hits as f64 / 100_000.0;
         assert!((freq - 0.3).abs() < 0.01, "freq {freq}");
+    }
+
+    /// Pearson's χ² of `draws` Binomial(n, p) samples against the exact
+    /// pmf (built in log space, so no term underflows), over values
+    /// pooled until each expected count is ≥ 5. Returns (χ², df).
+    fn binomial_chi_square(n: u64, p: f64, draws: usize, seed: u64) -> (f64, usize) {
+        let mut rng = Xoshiro256::seed_from_u64(seed);
+        let mut counts = vec![0u64; n as usize + 1];
+        for _ in 0..draws {
+            counts[rng.binomial(n, p) as usize] += 1;
+        }
+        let mut ln_pmf = n as f64 * (-p).ln_1p();
+        let ln_odds = (p / (1.0 - p)).ln();
+        let mut bins: Vec<(f64, u64)> = Vec::new();
+        let mut open = (0.0, 0u64);
+        for (x, &c) in counts.iter().enumerate() {
+            open.0 += ln_pmf.exp() * draws as f64;
+            open.1 += c;
+            if open.0 >= 5.0 {
+                bins.push(open);
+                open = (0.0, 0);
+            }
+            let x = x as f64;
+            ln_pmf += ((n as f64 - x) / (x + 1.0)).ln() + ln_odds;
+        }
+        let last = bins.last_mut().expect("some bin");
+        last.0 += open.0;
+        last.1 += open.1;
+        let stat = bins.iter().map(|&(e, o)| (o as f64 - e).powi(2) / e).sum();
+        (stat, bins.len() - 1)
+    }
+
+    #[test]
+    fn binomial_matches_the_exact_pmf() {
+        // (100 000, 1/16) is where a one-shot inversion would start from
+        // an underflowed (15/16)^100000 = 0.
+        for (k, &(n, p, draws)) in [
+            (100_000u64, 1.0 / 16.0, 2_000usize),
+            (1, 0.5, 20_000),
+            (3, 1.0 / 3.0, 20_000),
+            (40, 0.05, 20_000),
+            (1_000, 0.3, 5_000),
+            (50, 0.9, 20_000),
+        ]
+        .iter()
+        .enumerate()
+        {
+            let (stat, df) = binomial_chi_square(n, p, draws, 100 + k as u64);
+            let critical = crate::uniformity::chi_square_critical_1pct(df);
+            assert!(
+                stat < critical,
+                "Binomial({n}, {p}): χ² = {stat} over {critical} (df {df})"
+            );
+        }
+    }
+
+    #[test]
+    fn binomial_edge_cases_draw_nothing() {
+        let mut rng = Xoshiro256::seed_from_u64(11);
+        let before = rng.state();
+        assert_eq!(rng.binomial(0, 0.5), 0);
+        assert_eq!(rng.binomial(7, 0.0), 0);
+        assert_eq!(rng.binomial(7, 1.0), 7);
+        assert_eq!(rng.binomial(0, 1.0), 0);
+        assert_eq!(rng.state(), before, "a certain outcome drew randomness");
+        for _ in 0..1_000 {
+            assert!(rng.binomial(5, 0.7) <= 5);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "binomial probability")]
+    fn binomial_rejects_a_probability_above_one() {
+        Xoshiro256::seed_from_u64(1).binomial(3, 1.5);
     }
 
     #[test]
