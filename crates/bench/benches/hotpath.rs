@@ -7,11 +7,12 @@
 //! counting-sort round index and context arenas landed. The protocols
 //! whose per-slot population scans were pure implementation artifacts —
 //! Query Tree's per-query prefix scan and binary splitting's dense
-//! counter map — must clear a ≥ 10× bar at their gated sizes; EHPP and
-//! the Q-algorithm, whose remaining Ω(remaining)-per-round term is the
-//! protocol itself (fresh-seed re-hash per circle, counter redraw per
-//! frame), gate at constant-factor floors; the rest are tracked for
-//! regressions.
+//! counter map — must clear a ≥ 10× bar at their gated sizes. EHPP, whose
+//! remaining Ω(remaining)-per-circle term is the protocol itself (a
+//! fresh-seed re-hash per circle), gates at a constant-factor floor. The
+//! Q-algorithm used to redraw every counter per frame; it now draws each
+//! slot's occupants lazily, and its floor is ratcheted to a third of the
+//! rate measured after that change. The rest are tracked for regressions.
 //!
 //! Records `tags_per_sec`, `slots_per_sec` and `speedup` per case in
 //! `BENCH_hotpath.json`; each gated case's `speedup` is gated at
@@ -68,10 +69,9 @@ const CASES: &[Case] = &[
         min_speedup: None,
         make: || Box::new(TppConfig::default()),
     },
-    // EHPP and the Q-algorithm keep a semantic Ω(remaining) term — every
-    // circle re-hashes all remaining tags against a fresh seed, every frame
-    // (re)start redraws every counter — so their ceiling is a constant
-    // factor (≈ 3–6× unloaded); the floors leave headroom for loaded CI
+    // EHPP keeps a semantic Ω(remaining) term — every circle re-hashes all
+    // remaining tags against a fresh seed — so its ceiling is a constant
+    // factor (≈ 3–6× unloaded); the floor leaves headroom for loaded CI
     // machines while still catching a regression to the pre-change cost.
     Case {
         name: "EHPP",
@@ -80,11 +80,15 @@ const CASES: &[Case] = &[
         min_speedup: Some(1.5),
         make: || Box::new(EhppConfig::default()),
     },
+    // The Q-algorithm draws each slot's occupants lazily, O(occupants ·
+    // log n) a slot, and ran at 480k tags/s on a 2-vCPU VM (4.6–5.1k with
+    // the per-frame redraw). The floor, 100× the pre-change baseline
+    // (156,800 tags/s), is a third of that rate.
     Case {
         name: "Q-algo",
         n: 100_000,
         baseline_tags_per_sec: 1_568.0,
-        min_speedup: Some(1.5),
+        min_speedup: Some(100.0),
         make: || Box::new(QAlgorithmConfig::default()),
     },
     // The former per-slot population scanners: gated at ≥ 10×. Baselines

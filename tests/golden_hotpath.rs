@@ -15,7 +15,12 @@
 //! each trace with its timestamps stripped keeps the digest pinned before
 //! the re-pin. BinSplit's two trace digests were re-pinned once more when
 //! its slots began charging the ID burst in one `TagReply`; its report is
-//! unchanged (DESIGN.md §12).
+//! unchanged (DESIGN.md §12). The clean Q-algo row was re-pinned once
+//! when its frames began to draw slot counters lazily, a slot at a time:
+//! the same distribution from a different RNG order (DESIGN.md §12, "The
+//! lazy-frame re-pin"). Its earlier row stays as
+//! `Q_ALGO_BEFORE_LAZY_FRAMES`, and the exact-clock oracle compares
+//! against it.
 //!
 //! Every case also runs untraced and must produce the same report: the
 //! counters are written by the same call that records the trace, and
@@ -83,8 +88,13 @@ const CLEAN_GOLDEN: &[Golden] = &[
     ("LowerBound", "{\"protocol\":\"LowerBound\",\"tags\":150,\"total_time\":59970,\"breakdown\":{\"ReaderCommand\":22470,\"PollingVector\":0,\"IndicatorVector\":0,\"Turnaround\":22500,\"TagReply\":15000,\"WastedSlot\":0},\"counters\":{\"reader_bits\":600,\"tag_bits\":600,\"vector_bits\":0,\"query_rep_bits\":600,\"polls\":150,\"rounds\":0,\"circles\":0,\"empty_slots\":0,\"collision_slots\":0,\"lost_replies\":0,\"downlink_losses\":0,\"corrupted_replies\":0,\"desync_recoveries\":0,\"retransmissions\":0,\"recovery_passes\":0,\"recovery_backoff_us\":0,\"tag_listen_us\":4527735}}", 0xe06953b94bf0ca63, 0xc3cfba50a138d967),
     ("QueryTree", "{\"protocol\":\"QueryTree\",\"tags\":150,\"total_time\":1230589.6,\"breakdown\":{\"ReaderCommand\":66511.2,\"PollingVector\":128528.4,\"IndicatorVector\":0,\"Turnaround\":62950,\"TagReply\":387500,\"WastedSlot\":585100},\"counters\":{\"reader_bits\":5208,\"tag_bits\":15500,\"vector_bits\":1300,\"query_rep_bits\":1776,\"polls\":150,\"rounds\":0,\"circles\":0,\"empty_slots\":73,\"collision_slots\":221,\"lost_replies\":0,\"downlink_losses\":0,\"corrupted_replies\":0,\"desync_recoveries\":0,\"retransmissions\":0,\"recovery_passes\":0,\"recovery_backoff_us\":0,\"tag_listen_us\":95546498.94999988}}", 0xe8ead455d72bbde8, 0x57243838edf74701),
     ("BinSplit", "{\"protocol\":\"BinSplit\",\"tags\":150,\"total_time\":1198508.4,\"breakdown\":{\"ReaderCommand\":68608.4,\"PollingVector\":0,\"IndicatorVector\":0,\"Turnaround\":64750,\"TagReply\":420000,\"WastedSlot\":645150},\"counters\":{\"reader_bits\":1832,\"tag_bits\":16800,\"vector_bits\":0,\"query_rep_bits\":1832,\"polls\":150,\"rounds\":0,\"circles\":0,\"empty_slots\":79,\"collision_slots\":229,\"lost_replies\":0,\"downlink_losses\":0,\"corrupted_replies\":0,\"desync_recoveries\":0,\"retransmissions\":0,\"recovery_passes\":0,\"recovery_backoff_us\":0,\"tag_listen_us\":92053187.60000011}}", 0xe4083352e1e2b570, 0x7a4ce21cb231613a),
-    ("Q-algo", "{\"protocol\":\"Q-algo\",\"tags\":150,\"total_time\":992667.3,\"breakdown\":{\"ReaderCommand\":305367.3,\"PollingVector\":0,\"IndicatorVector\":0,\"Turnaround\":82000,\"TagReply\":540000,\"WastedSlot\":65300},\"counters\":{\"reader_bits\":8154,\"tag_bits\":21600,\"vector_bits\":0,\"query_rep_bits\":1792,\"polls\":150,\"rounds\":119,\"circles\":0,\"empty_slots\":154,\"collision_slots\":144,\"lost_replies\":0,\"downlink_losses\":0,\"corrupted_replies\":0,\"desync_recoveries\":0,\"retransmissions\":0,\"recovery_passes\":0,\"recovery_backoff_us\":0,\"tag_listen_us\":75774107.24999999}}", 0x576e940145cc02c2, 0x7e54c16366e722a9),
+    ("Q-algo", "{\"protocol\":\"Q-algo\",\"tags\":150,\"total_time\":1012403.45,\"breakdown\":{\"ReaderCommand\":325103.45,\"PollingVector\":0,\"IndicatorVector\":0,\"Turnaround\":82000,\"TagReply\":540000,\"WastedSlot\":65300},\"counters\":{\"reader_bits\":8681,\"tag_bits\":21600,\"vector_bits\":0,\"query_rep_bits\":1792,\"polls\":150,\"rounds\":136,\"circles\":0,\"empty_slots\":154,\"collision_slots\":144,\"lost_replies\":0,\"downlink_losses\":0,\"corrupted_replies\":0,\"desync_recoveries\":0,\"retransmissions\":0,\"recovery_passes\":0,\"recovery_backoff_us\":0,\"tag_listen_us\":78681385.55000004}}", 0x27e71e57d90fcb52, 0x2348beef29b88819),
 ];
+
+/// The clean Q-algo row as captured before the lazy-frame re-pin (DESIGN.md
+/// §12): frames drew every active tag's counter at their start. The
+/// exact-clock oracle still holds this row to its f64-clock capture.
+const Q_ALGO_BEFORE_LAZY_FRAMES: Golden = ("Q-algo", "{\"protocol\":\"Q-algo\",\"tags\":150,\"total_time\":992667.3,\"breakdown\":{\"ReaderCommand\":305367.3,\"PollingVector\":0,\"IndicatorVector\":0,\"Turnaround\":82000,\"TagReply\":540000,\"WastedSlot\":65300},\"counters\":{\"reader_bits\":8154,\"tag_bits\":21600,\"vector_bits\":0,\"query_rep_bits\":1792,\"polls\":150,\"rounds\":119,\"circles\":0,\"empty_slots\":154,\"collision_slots\":144,\"lost_replies\":0,\"downlink_losses\":0,\"corrupted_replies\":0,\"desync_recoveries\":0,\"retransmissions\":0,\"recovery_passes\":0,\"recovery_backoff_us\":0,\"tag_listen_us\":75774107.24999999}}", 0x576e940145cc02c2, 0x7e54c16366e722a9);
 
 /// Same capture under an impaired channel (seed 99, 20 % downlink loss,
 /// 20 % corruption, Gilbert–Elliott uplink bursts) for the four paper
@@ -150,7 +160,15 @@ fn impaired_runs_are_bit_identical_to_pre_change_capture() {
 
 #[test]
 fn exact_clock_repin_moved_no_number_beyond_rounding() {
-    let repinned = CLEAN_GOLDEN.iter().chain(IMPAIRED_GOLDEN);
+    // The exact-clock re-pin is judged on the Q-algo row it produced,
+    // not on the lazy-frame re-pin that followed.
+    let repinned = CLEAN_GOLDEN
+        .iter()
+        .chain(IMPAIRED_GOLDEN)
+        .map(|golden| match golden.0 {
+            "Q-algo" => &Q_ALGO_BEFORE_LAZY_FRAMES,
+            _ => golden,
+        });
     assert_eq!(PRE_EXACT_CLOCK.len(), repinned.clone().count());
     for (old, &(name, new, ..)) in PRE_EXACT_CLOCK.iter().zip(repinned) {
         support::assert_numbers_within(name, old, new, 1e-9);
