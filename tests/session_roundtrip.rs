@@ -17,9 +17,10 @@
 
 use fast_rfid_polling::daemon::{all_protocols, Service};
 use fast_rfid_polling::hash::{prop, Xoshiro256};
+use fast_rfid_polling::identify::QAlgorithmConfig;
 use fast_rfid_polling::prelude::*;
 use fast_rfid_polling::system::json::{Json, ToJson};
-use fast_rfid_polling::system::{KillRule, SimConfig, SimContext};
+use fast_rfid_polling::system::{Channel, KillRule, SimConfig, SimContext};
 use fast_rfid_polling::wire::{Command, ErrorCode, OpenRequest, Response};
 
 fn impaired_fault() -> FaultModel {
@@ -110,16 +111,14 @@ fn assert_same_finish(replayed: &Finish, golden: &Finish, name: &str, kill: u64)
     );
 }
 
-/// One row: the uninterrupted run, stepped one driver step at a time to
-/// count its step boundaries, against a run killed at a boundary drawn
-/// from `kills`. Returns the uninterrupted run's finish.
-fn assert_seeded_kill_is_bit_identical(
+/// The uninterrupted run, stepped one driver step at a time: its finish
+/// and how many step boundaries it passed.
+fn uninterrupted(
     protocol: &dyn PollingProtocol,
     scenario: &Scenario,
     cfg: &SimConfig,
     policy: Option<RecoveryPolicy>,
-    kills: &mut Xoshiro256,
-) -> Finish {
+) -> (Finish, u64) {
     let name = protocol.name();
     let mut ctx = SimContext::new(scenario.build_population(), cfg);
     let mut session = open(protocol, &ctx, policy);
@@ -132,6 +131,20 @@ fn assert_seeded_kill_is_bit_identical(
     };
     let golden = finish(end, &ctx, &format!("{name}: the uninterrupted run"));
     assert!(boundaries > 0, "{name}: no step boundary to kill at");
+    (golden, boundaries)
+}
+
+/// One row: the uninterrupted run against a run killed at a boundary
+/// drawn from `kills`. Returns the uninterrupted run's finish.
+fn assert_seeded_kill_is_bit_identical(
+    protocol: &dyn PollingProtocol,
+    scenario: &Scenario,
+    cfg: &SimConfig,
+    policy: Option<RecoveryPolicy>,
+    kills: &mut Xoshiro256,
+) -> Finish {
+    let name = protocol.name();
+    let (golden, boundaries) = uninterrupted(protocol, scenario, cfg, policy);
     let kill = 1 + kills.below(boundaries);
     let replayed = killed_and_restored(protocol, scenario, cfg, policy, kill);
     assert_same_finish(&replayed, &golden, name, kill);
@@ -186,6 +199,46 @@ fn impaired_kill_restore_is_bit_identical() {
         let replayed = killed_and_restored(protocol, &scenario, &cfg, None, kill);
         assert_same_finish(&replayed, &golden, protocol.name(), kill);
     }
+}
+
+/// The Q-algorithm keeps state across frames that no snapshot holds: the
+/// set of tags its lazy frame draw has not placed yet, which equals the
+/// active set between frames and is rebuilt from it on restore. Killing at
+/// every step boundary of a 300-tag run, clean and at 15 % reply loss
+/// (where lost and collided tags go back into the set), must finish like
+/// the uninterrupted run every time.
+#[test]
+fn q_algo_kill_restore_at_every_step_is_bit_identical() {
+    let protocol = QAlgorithmConfig::default();
+    let scenario = Scenario::uniform(300, 4).with_seed(23);
+    let kill_everywhere = |channel: Channel| {
+        let cfg = SimConfig::paper(scenario.protocol_seed())
+            .with_trace()
+            .with_channel(channel);
+        let (golden, _) = uninterrupted(&protocol, &scenario, &cfg, None);
+        // One live run, snapshotted through a JSON string at each boundary;
+        // every snapshot restores into a fresh context and runs to the end.
+        let mut ctx = SimContext::new(scenario.build_population(), &cfg);
+        let mut session = Session::open(&protocol, &ctx);
+        let mut kill = 0;
+        while session.run_for(&mut ctx, 1).is_none() {
+            kill += 1;
+            let doc =
+                Json::parse(&session.snapshot(&ctx, &cfg).to_string()).expect("snapshot parses");
+            let (mut restored, mut resumed) =
+                Session::restore(&protocol, &doc).expect("snapshot restores");
+            let end = resumed.run(&mut restored);
+            let what = format!("Q-algo: the run restored at step {kill}");
+            assert_same_finish(&finish(end, &restored, &what), &golden, "Q-algo", kill);
+        }
+        assert!(kill > 100, "only {kill} step boundaries");
+    };
+    // Each restore re-parses the whole trace so far: one thread a channel.
+    std::thread::scope(|s| {
+        let lossy = s.spawn(|| kill_everywhere(Channel::lossy(0.15)));
+        kill_everywhere(Channel::perfect());
+        lossy.join().expect("the lossy run");
+    });
 }
 
 /// Killing *between recovery passes* — after backoff has been charged and
