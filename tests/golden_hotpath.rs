@@ -32,7 +32,7 @@ mod support;
 use fast_rfid_polling::daemon::all_protocols;
 use fast_rfid_polling::prelude::*;
 use fast_rfid_polling::system::json::ToJson;
-use fast_rfid_polling::system::{SimConfig, SimContext};
+use fast_rfid_polling::system::{Channel, KillRule, RoundRange, SimConfig, SimContext};
 
 /// One pinned case: protocol name, report JSON, FNV-1a of the JSONL trace,
 /// and FNV-1a of the trace with its timestamps stripped.
@@ -107,6 +107,23 @@ const IMPAIRED_GOLDEN: &[Golden] = &[
     ("MIC", "{\"protocol\":\"MIC\",\"tags\":150,\"total_time\":158677.2,\"breakdown\":{\"ReaderCommand\":58721.6,\"PollingVector\":0,\"IndicatorVector\":33255.6,\"Turnaround\":39150,\"TagReply\":15000,\"WastedSlot\":12550},\"counters\":{\"reader_bits\":2456,\"tag_bits\":600,\"vector_bits\":0,\"query_rep_bits\":1184,\"polls\":150,\"rounds\":12,\"circles\":0,\"empty_slots\":105,\"collision_slots\":0,\"lost_replies\":28,\"downlink_losses\":51,\"corrupted_replies\":41,\"desync_recoveries\":40,\"retransmissions\":0,\"recovery_passes\":0,\"recovery_backoff_us\":0,\"tag_listen_us\":11574821.600000007}}", 0x781bcbdb43649ce8, 0x1da00383d0ad2444),
 ];
 
+/// The poll path under the faults [`IMPAIRED_GOLDEN`] leaves out (seed 57):
+/// a jammed downlink in round 2 and a jammed uplink in round 4 of a
+/// scripted plan, over `Channel::lossy(0.1)`. CPP starts no rounds, so
+/// only the loss reaches it.
+const JAMMED_LOSSY_GOLDEN: &[Golden] = &[
+    ("HPP", "{\"protocol\":\"HPP\",\"tags\":150,\"total_time\":154359.8,\"breakdown\":{\"ReaderCommand\":46288.2,\"PollingVector\":58721.6,\"IndicatorVector\":0,\"Turnaround\":30400,\"TagReply\":15000,\"WastedSlot\":3950},\"counters\":{\"reader_bits\":2804,\"tag_bits\":600,\"vector_bits\":1568,\"query_rep_bits\":916,\"polls\":150,\"rounds\":10,\"circles\":0,\"empty_slots\":79,\"collision_slots\":0,\"lost_replies\":39,\"downlink_losses\":75,\"corrupted_replies\":0,\"desync_recoveries\":75,\"retransmissions\":0,\"recovery_passes\":0,\"recovery_backoff_us\":0,\"tag_listen_us\":11165434.299999999}}", 0x5733297226cf929e, 0xa472dee9fc8b9baf),
+    ("EHPP", "{\"protocol\":\"EHPP\",\"tags\":150,\"total_time\":154359.8,\"breakdown\":{\"ReaderCommand\":46288.2,\"PollingVector\":58721.6,\"IndicatorVector\":0,\"Turnaround\":30400,\"TagReply\":15000,\"WastedSlot\":3950},\"counters\":{\"reader_bits\":2804,\"tag_bits\":600,\"vector_bits\":1568,\"query_rep_bits\":916,\"polls\":150,\"rounds\":10,\"circles\":0,\"empty_slots\":79,\"collision_slots\":0,\"lost_replies\":39,\"downlink_losses\":75,\"corrupted_replies\":0,\"desync_recoveries\":75,\"retransmissions\":0,\"recovery_passes\":0,\"recovery_backoff_us\":0,\"tag_listen_us\":11165434.299999999}}", 0x5733297226cf929e, 0xa472dee9fc8b9baf),
+    ("TPP", "{\"protocol\":\"TPP\",\"tags\":150,\"total_time\":123351.4,\"breakdown\":{\"ReaderCommand\":47636.4,\"PollingVector\":26215,\"IndicatorVector\":0,\"Turnaround\":30500,\"TagReply\":15000,\"WastedSlot\":4000},\"counters\":{\"reader_bits\":1972,\"tag_bits\":600,\"vector_bits\":700,\"query_rep_bits\":920,\"polls\":150,\"rounds\":11,\"circles\":0,\"empty_slots\":80,\"collision_slots\":0,\"lost_replies\":34,\"downlink_losses\":115,\"corrupted_replies\":0,\"desync_recoveries\":115,\"retransmissions\":0,\"recovery_passes\":0,\"recovery_backoff_us\":0,\"tag_listen_us\":9902124.550000008}}", 0x8cf3baaec08f1f7a, 0xb622828721d048c3),
+    ("CPP", "{\"protocol\":\"CPP\",\"tags\":150,\"total_time\":629212.8,\"breakdown\":{\"ReaderCommand\":0,\"PollingVector\":589612.8,\"IndicatorVector\":0,\"Turnaround\":23900,\"TagReply\":15000,\"WastedSlot\":700},\"counters\":{\"reader_bits\":15744,\"tag_bits\":600,\"vector_bits\":15744,\"query_rep_bits\":0,\"polls\":150,\"rounds\":0,\"circles\":0,\"empty_slots\":14,\"collision_slots\":0,\"lost_replies\":14,\"downlink_losses\":0,\"corrupted_replies\":0,\"desync_recoveries\":0,\"retransmissions\":0,\"recovery_passes\":0,\"recovery_backoff_us\":0,\"tag_listen_us\":47434407.599999994}}", 0x1ad039fb6bc78d03, 0x6a967b29c6710b45),
+];
+
+/// A bare TPP session (no recovery policy) at seed 61 whose tag 17 is dead
+/// from the start and whose tag 40 dies after one reply, under 30 %
+/// corruption: the partial report of its `Stalled` end and both digests
+/// of its trace.
+const KILLED_STALL_GOLDEN: Golden = ("TPP", "{\"protocol\":\"TPP\",\"tags\":150,\"total_time\":523400.9,\"breakdown\":{\"ReaderCommand\":402812.2,\"PollingVector\":27188.7,\"IndicatorVector\":0,\"Turnaround\":58650,\"TagReply\":21700,\"WastedSlot\":13050},\"counters\":{\"reader_bits\":11482,\"tag_bits\":868,\"vector_bits\":726,\"query_rep_bits\":1644,\"polls\":148,\"rounds\":268,\"circles\":0,\"empty_slots\":261,\"collision_slots\":0,\"lost_replies\":0,\"downlink_losses\":0,\"corrupted_replies\":69,\"desync_recoveries\":0,\"retransmissions\":67,\"recovery_passes\":0,\"recovery_backoff_us\":0,\"tag_listen_us\":10291133.050000174}}", 0x8afec0ca14c7c827, 0x088d7fc6118988d9);
+
 /// The same cases captured under the `f64`-microsecond clock, before the
 /// exact-clock re-pin (DESIGN.md §12), clean rows then impaired rows.
 const PRE_EXACT_CLOCK: &[&str] = &[
@@ -173,4 +190,74 @@ fn exact_clock_repin_moved_no_number_beyond_rounding() {
     for (old, &(name, new, ..)) in PRE_EXACT_CLOCK.iter().zip(repinned) {
         support::assert_numbers_within(name, old, new, 1e-9);
     }
+}
+
+#[test]
+fn jammed_lossy_polls_are_bit_identical_to_pre_change_capture() {
+    let scenario = Scenario::uniform(150, 4).with_seed(57);
+    let protocols: Vec<Box<dyn PollingProtocol>> = vec![
+        Box::new(HppConfig::default()),
+        Box::new(EhppConfig::default()),
+        Box::new(TppConfig::default()),
+        Box::new(CppConfig::default()),
+    ];
+    let plan = FaultPlan {
+        drop_downlink_rounds: vec![RoundRange { from: 2, to: 2 }],
+        drop_uplink_rounds: vec![RoundRange { from: 4, to: 4 }],
+        ..FaultPlan::none()
+    };
+    for (protocol, golden) in protocols.iter().zip(JAMMED_LOSSY_GOLDEN) {
+        assert_eq!(protocol.name(), golden.0, "protocol order drifted");
+        let cfg = SimConfig::paper(scenario.protocol_seed())
+            .with_channel(Channel::lossy(0.1))
+            .with_fault(FaultModel::perfect().with_plan(plan.clone()));
+        check(protocol.as_ref(), cfg, &scenario, golden);
+    }
+}
+
+#[test]
+fn killed_tags_stall_a_bare_session_bit_identically() {
+    let scenario = Scenario::uniform(150, 4).with_seed(61);
+    let plan = FaultPlan {
+        kill_after_replies: vec![
+            KillRule {
+                tag: 17,
+                after_replies: 0,
+            },
+            KillRule {
+                tag: 40,
+                after_replies: 1,
+            },
+        ],
+        ..FaultPlan::none()
+    };
+    let fault = FaultModel::perfect().with_corruption(0.3).with_plan(plan);
+    let cfg = SimConfig::paper(scenario.protocol_seed())
+        .with_fault(fault)
+        .with_trace();
+    let mut ctx = SimContext::new(scenario.build_population(), &cfg);
+    let protocol = TppConfig::default();
+    let end = Session::open(&protocol, &ctx).run(&mut ctx);
+    assert!(
+        matches!(end, SessionEnd::Stalled(_)),
+        "a dead tag let the session end {end:?}"
+    );
+    let (name, golden_json, golden_trace, golden_untimed) = KILLED_STALL_GOLDEN;
+    assert_eq!(protocol.name(), name);
+    assert_eq!(
+        end.report().to_json().to_string(),
+        golden_json,
+        "partial report drifted from the capture"
+    );
+    support::assert_trace_folds_into(name, &ctx.log, &ctx.counters);
+    assert_eq!(
+        support::untimed_digest(&ctx.log),
+        golden_untimed,
+        "event sequence drifted from the capture"
+    );
+    assert_eq!(
+        ctx.log.digest(),
+        golden_trace,
+        "event trace drifted from the capture"
+    );
 }
