@@ -73,19 +73,9 @@ impl Channel {
     }
 
     /// Re-checks both rates — [`Channel::lossy`] validates at construction,
-    /// but struct literals and JSON can smuggle in NaN or 2.0; the simulator
-    /// calls this before every run.
-    ///
-    /// # Panics
-    /// Panics if either rate is outside `[0, 1]` (NaN fails the check too).
-    pub(crate) fn validate(&self) {
-        if let Err(msg) = self.try_validate() {
-            panic!("{msg}");
-        }
-    }
-
-    /// Non-panicking form of `Channel::validate`, for inputs that come
-    /// from untrusted bytes (session snapshots) rather than code.
+    /// but struct literals and JSON can smuggle in NaN or 2.0 (NaN fails
+    /// the check too). [`crate::SimContext::new`] panics on the message;
+    /// a snapshot restore turns it into a typed error.
     pub fn try_validate(&self) -> Result<(), String> {
         if !(0.0..=1.0).contains(&self.reply_loss_rate) {
             return Err(format!("loss rate {}", self.reply_loss_rate));
@@ -190,7 +180,8 @@ mod tests {
             capture_prob: 2.0,
             ..Channel::perfect()
         }
-        .validate();
+        .try_validate()
+        .unwrap();
     }
 
     #[test]
@@ -201,6 +192,6 @@ mod tests {
             capture_prob: f64::NAN,
             capture_any: false,
         };
-        ch.validate();
+        ch.try_validate().unwrap();
     }
 }

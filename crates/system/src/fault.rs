@@ -67,18 +67,14 @@ impl GilbertElliott {
             loss_good,
             loss_bad,
         };
-        ge.validate();
+        if let Err(msg) = ge.try_validate() {
+            panic!("{msg}");
+        }
         ge
     }
 
-    /// Checks all four probabilities; panics on any invalid one.
-    pub(crate) fn validate(&self) {
-        if let Err(msg) = self.try_validate() {
-            panic!("{msg}");
-        }
-    }
-
-    /// Non-panicking form of `GilbertElliott::validate`.
+    /// Checks all four probabilities (for models built via struct
+    /// literals or JSON).
     pub fn try_validate(&self) -> Result<(), String> {
         check_rate(self.p_enter_bad, "Gilbert-Elliott p_enter_bad")?;
         check_rate(self.p_exit_bad, "Gilbert-Elliott p_exit_bad")?;
@@ -310,8 +306,13 @@ impl FaultModel {
     }
 
     /// Enables Gilbert–Elliott burst loss on the uplink.
+    ///
+    /// # Panics
+    /// Panics if any of the burst model's probabilities is outside `[0, 1]`.
     pub fn with_burst(mut self, burst: GilbertElliott) -> Self {
-        burst.validate();
+        if let Err(msg) = burst.try_validate() {
+            panic!("{msg}");
+        }
         self.burst = Some(burst);
         self
     }
@@ -330,15 +331,7 @@ impl FaultModel {
     }
 
     /// Re-checks every rate and the scripted plan (for models built via
-    /// struct literals or JSON).
-    pub(crate) fn validate(&self) {
-        if let Err(msg) = self.try_validate() {
-            panic!("{msg}");
-        }
-    }
-
-    /// Non-panicking form of `FaultModel::validate`, for fault models
-    /// deserialized from untrusted snapshot bytes.
+    /// struct literals or JSON, such as those in untrusted snapshot bytes).
     pub fn try_validate(&self) -> Result<(), String> {
         check_rate(self.downlink_loss_rate, "downlink loss")?;
         check_rate(self.corruption_rate, "corruption")?;
