@@ -38,7 +38,7 @@ use rfid_protocols::SessionEnd;
 use rfid_system::{Json, SimConfig, SimContext, ToJson};
 use rfid_wire::{OpenRequest, SessionOutcome};
 
-use crate::service::{open_session, restore_session};
+use crate::service::{open_session, restore_session, Origin};
 
 /// Admission-control budgets for a served fleet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -307,6 +307,7 @@ impl Supervisor {
             end,
             &live.ctx,
             live.flight.then_some(&live.config),
+            live.origin,
         ))
     }
 
@@ -336,11 +337,13 @@ impl Supervisor {
 /// report bit-identical JSON for the same run. A traced context carries
 /// its trace digest. With `flight`, the config the context was built
 /// from, an end that did not complete also yields its postmortem bundle
-/// as compact JSON text (DESIGN.md §14 trigger rules).
+/// as compact JSON text (DESIGN.md §14 trigger rules), naming the
+/// population by `origin` when a scenario built it.
 pub(crate) fn outcome_from_end(
     end: SessionEnd,
     ctx: &SimContext,
     flight: Option<&SimConfig>,
+    origin: Option<Origin>,
 ) -> (SessionOutcome, Option<String>) {
     let (status, cause, bundle_cause) = match &end {
         SessionEnd::Complete { .. } => ("complete", None, None),
@@ -357,6 +360,7 @@ pub(crate) fn outcome_from_end(
             cause,
             config,
             ctx,
+            origin.map(|origin| origin.to_json()),
             report.clone(),
             passes,
             coverage,
@@ -465,7 +469,7 @@ mod tests {
         }
         let library = session.snapshot(&ctx, &config);
         let end = session.run(&mut ctx);
-        let (outcome, _) = outcome_from_end(end, &ctx, None);
+        let (outcome, _) = outcome_from_end(end, &ctx, None, None);
 
         // The same session served: the default config of this request is
         // the one above.

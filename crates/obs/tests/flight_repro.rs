@@ -2,7 +2,7 @@
 //! is that a failure seen once can be rebuilt and re-run from the bundle
 //! alone. Drive an HPP session into `Degraded` on a jammed downlink, build
 //! its postmortem bundle, restore a fresh context from
-//! *only* the bundle's config and population, and require the re-run to
+//! *only* the bundle's config and listed tags, and require the re-run to
 //! reproduce the failure — same cause, same coverage, same passes, same
 //! partial-report counters.
 
@@ -17,8 +17,11 @@ fn jammed_config(seed: u64) -> SimConfig {
         .with_fault(FaultModel::perfect().with_downlink_loss(1.0))
 }
 
-fn degraded_run(cfg: &SimConfig) -> (SessionEnd, SimContext) {
-    let pop = TagPopulation::sequential(40, |i| BitVec::from_value(i as u64, 8));
+fn population() -> TagPopulation {
+    TagPopulation::sequential(40, |i| BitVec::from_value(i as u64, 8))
+}
+
+fn degraded_run(cfg: &SimConfig, pop: TagPopulation) -> (SessionEnd, SimContext) {
     let mut ctx = SimContext::new(pop, cfg);
     let protocol = HppConfig {
         max_rounds: 3,
@@ -42,6 +45,7 @@ fn degraded_bundle(cfg: &SimConfig, ctx: &SimContext, end: &SessionEnd) -> Fligh
         cause.label(),
         cfg,
         ctx,
+        None,
         report.to_json(),
         end.passes(),
         end.coverage(),
@@ -54,7 +58,7 @@ fn degraded_bundle(cfg: &SimConfig, ctx: &SimContext, end: &SessionEnd) -> Fligh
 fn a_degraded_session_is_reproducible_from_its_bundle_alone() {
     // The failing run: jammed downlink, bounded recovery → Degraded.
     let cfg = jammed_config(90210);
-    let (end, ctx) = degraded_run(&cfg);
+    let (end, ctx) = degraded_run(&cfg, population());
     let (first_cause, first_coverage, first_passes, first_report) = match &end {
         SessionEnd::Degraded {
             cause,
@@ -80,10 +84,13 @@ fn a_degraded_session_is_reproducible_from_its_bundle_alone() {
         "the profiled run folded its pass spans"
     );
 
-    // Repro: rebuild the run from the bundle's config alone (runs are
-    // seed-deterministic, so config + population reproduce t = 0 onward)
-    // and require the identical failure.
-    let (again, _) = degraded_run(&bundle.config);
+    // Repro: rebuild the run from the bundle's config and listed tags
+    // alone (runs are seed-deterministic, so config + population
+    // reproduce t = 0 onward) and require the identical failure.
+    assert_eq!(bundle.identity.0, "tags");
+    let pop = TagPopulation::from_identity_json(&bundle.identity.1).expect("the tags rebuild");
+    assert_eq!(pop, population(), "bundle pins the failing population");
+    let (again, _) = degraded_run(&bundle.config, pop);
     match again {
         SessionEnd::Degraded {
             cause,
@@ -106,8 +113,7 @@ fn a_circuit_open_end_dumps_a_bundle_with_that_cause() {
     // Unbounded passes on a dead channel: the pass budget never runs out,
     // so the zero-progress circuit breaker is what stops the session.
     let cfg = jammed_config(777);
-    let pop = TagPopulation::sequential(40, |i| BitVec::from_value(i as u64, 8));
-    let mut ctx = SimContext::new(pop, &cfg);
+    let mut ctx = SimContext::new(population(), &cfg);
     let protocol = HppConfig {
         max_rounds: 3,
         ..HppConfig::default()

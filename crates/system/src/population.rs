@@ -277,6 +277,12 @@ impl TagPopulation {
         )
     }
 
+    /// Each tag's inventory state as a 2-bit code in handle order, packed
+    /// as hex ([`crate::packed`]): the `state` of a context snapshot.
+    pub fn packed_states(&self) -> String {
+        crate::packed::pack_codes(self.tags.iter().map(|t| t.state.code()), 2)
+    }
+
     /// Rebuilds a fresh (all-active) population from
     /// [`TagPopulation::identity_json`], rejecting a shared ID.
     pub fn from_identity_json(json: &crate::json::Json) -> Result<Self, crate::json::JsonError> {
@@ -294,27 +300,6 @@ impl TagPopulation {
     #[cfg(debug_assertions)]
     pub(crate) fn scan_epoch(&self) -> u64 {
         self.scans.get()
-    }
-}
-
-impl crate::json::ToJson for TagPopulation {
-    /// A population serializes as its tag list; the active/asleep counts,
-    /// bitset and ID cache are derived state and are rebuilt on load.
-    fn to_json(&self) -> crate::json::Json {
-        crate::json::ToJson::to_json(&self.tags)
-    }
-}
-
-impl crate::json::FromJson for TagPopulation {
-    fn from_json(json: &crate::json::Json) -> Result<Self, crate::json::JsonError> {
-        let tags: Vec<Tag> = crate::json::FromJson::from_json(json)?;
-        // Rebuild through the constructor, then replay the persisted states
-        // so the derived active/asleep counts stay consistent.
-        let states: Vec<TagState> = tags.iter().map(|t| t.state).collect();
-        let mut pop = TagPopulation::try_new(tags.into_iter().map(|t| (t.id, t.info)))
-            .map_err(|id| crate::json::JsonError(format!("duplicate tag ID {id}")))?;
-        pop.restore_states(states);
-        Ok(pop)
     }
 }
 

@@ -93,13 +93,6 @@ impl Tag {
     }
 }
 
-crate::impl_json_enum!(TagState {
-    Active,
-    Asleep,
-    Deselected
-});
-crate::impl_json_struct!(Tag { id, info, state });
-
 #[cfg(test)]
 mod tests {
     use super::*;

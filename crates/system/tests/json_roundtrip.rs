@@ -1,15 +1,16 @@
 //! JSON round-trip coverage for every `rfid-system` type that used to
 //! derive `Serialize`/`Deserialize` — the replacement must persist the
-//! same information the serde derives did. Every round trip also checks
+//! same information the serde derives did. Tags and populations persist
+//! as a session snapshot stores them: identity list plus packed states. Every round trip also checks
 //! that the direct writer (`ToJson::write_json`, behind `to_json_string`)
 //! emits exactly the bytes of the `Json` tree.
 
 use rfid_c1g2::Micros;
 use rfid_system::json::{from_json_str, to_json_string, FromJson, Json, ToJson};
 use rfid_system::{
-    BitVec, BroadcastKind, Channel, Counters, Event, EventLog, FaultModel, FaultPlan,
-    GilbertElliott, KillRule, RoundRange, SimConfig, Tag, TagId, TagPopulation, TagState,
-    TimedEvent,
+    BitVec, BroadcastKind, Channel, ContextProgress, Counters, Event, EventLog, FaultModel,
+    FaultPlan, GilbertElliott, KillRule, RoundRange, SimConfig, SimContext, Tag, TagId,
+    TagPopulation, TagState, TimedEvent,
 };
 
 fn round_trip<T>(value: &T)
@@ -171,15 +172,36 @@ fn tag_id_round_trips_as_urn() {
     assert!(from_json_str::<TagId>("\"deadbeef.0123456789abcdef\"").is_err());
 }
 
+/// `pop` persisted as a session snapshot persists it, through text: its
+/// identity as the `tags` list, and each tag's state in the context
+/// progress's packed `state`.
+fn persisted(pop: &TagPopulation) -> TagPopulation {
+    let cfg = SimConfig::paper(1);
+    let identity = Json::parse(&pop.identity_json().to_string()).unwrap();
+    let progress = Json::parse(&SimContext::new(pop.clone(), &cfg).snapshot().to_string()).unwrap();
+    let progress = ContextProgress::decode(&cfg, &progress, pop.len()).unwrap();
+    let fresh = TagPopulation::from_identity_json(&identity).unwrap();
+    SimContext::restore(&cfg, fresh, progress)
+        .unwrap()
+        .population
+}
+
 #[test]
 fn tag_and_state_round_trip() {
+    let tag = Tag::new(TagId::from_raw(7, 42), BitVec::from_str_bits("1011"));
     for state in [TagState::Active, TagState::Asleep, TagState::Deselected] {
-        round_trip(&state);
+        let mut pop = TagPopulation::new([(tag.id, tag.info.clone())]);
+        match state {
+            TagState::Active => {}
+            TagState::Asleep => pop.sleep(0),
+            TagState::Deselected => pop.deselect(0),
+        }
+        let expected = Tag {
+            state,
+            ..tag.clone()
+        };
+        assert_eq!(persisted(&pop).get(0), &expected);
     }
-    let mut tag = Tag::new(TagId::from_raw(7, 42), BitVec::from_str_bits("1011"));
-    round_trip(&tag);
-    tag.sleep();
-    round_trip(&tag);
 }
 
 #[test]
@@ -188,7 +210,7 @@ fn population_round_trips_with_mixed_states() {
     pop.sleep(1);
     pop.sleep(4);
     pop.deselect(2);
-    let back: TagPopulation = from_json_str(&to_json_string(&pop)).unwrap();
+    let back = persisted(&pop);
     assert_eq!(back, pop);
     // The derived counts must be rebuilt, not trusted from the document.
     assert_eq!(back.active_count(), pop.active_count());
@@ -198,9 +220,10 @@ fn population_round_trips_with_mixed_states() {
 
 #[test]
 fn population_rejects_duplicate_ids() {
-    let tag = Tag::new(TagId::from_raw(0, 1), BitVec::new());
-    let doc = Json::Arr(vec![tag.to_json(), tag.to_json()]);
-    assert!(from_json_str::<TagPopulation>(&doc.to_string()).is_err());
+    let one = TagPopulation::new([(TagId::from_raw(0, 1), BitVec::new())]).identity_json();
+    let tag = one.as_arr().unwrap()[0].clone();
+    let err = TagPopulation::from_identity_json(&Json::Arr(vec![tag.clone(), tag])).unwrap_err();
+    assert!(err.0.contains("duplicate tag ID"), "{err:?}");
 }
 
 #[test]

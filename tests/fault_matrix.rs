@@ -311,6 +311,7 @@ fn jammed_downlink_stalls_every_protocol_without_panicking() {
             "stalled",
             &cfg,
             &ctx,
+            None,
             report.to_json(),
             end.passes(),
             end.coverage(),
