@@ -161,8 +161,11 @@ fn chaos_case(b: &mut Bench, name: &str, kill_after: Option<u64>, mk_plan: fn(u6
 }
 
 /// Shedding pressure: more resilient clients than the admission budget
-/// allows. Every client must complete bit-identically; per-session wall
-/// latency (including Busy backoff) lands in the percentile histogram.
+/// allows. Two plain clients hold sessions that fill the budget before
+/// the resilient ones start, so those are shed until the holders close,
+/// which they do once a shed is counted. Every resilient client must
+/// complete bit-identically; per-session wall latency (including Busy
+/// backoff) lands in the percentile histogram.
 fn shed_pressure_case(b: &mut Bench, clients: usize) {
     let daemon = rfid_daemon::Daemon::bind("127.0.0.1:0")
         .expect("bind")
@@ -171,6 +174,14 @@ fn shed_pressure_case(b: &mut Bench, clients: usize) {
     let stop = daemon.stop_handle();
     let supervisor = daemon.supervisor();
     let server = std::thread::spawn(move || daemon.run());
+    let mut holders: Vec<_> = SEEDS[..2]
+        .iter()
+        .map(|&seed| {
+            let mut client = DaemonClient::connect(addr).expect("holder connects");
+            let session = client.open(open_req(seed)).expect("holder opens");
+            (client, session)
+        })
+        .collect();
 
     let outcomes: Vec<(bool, u64)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..clients)
@@ -190,11 +201,19 @@ fn shed_pressure_case(b: &mut Bench, clients: usize) {
                 })
             })
             .collect();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while supervisor.counter("sessions_shed") == 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        for (client, session) in &mut holders {
+            client.close(*session).expect("holder closes");
+        }
         handles
             .into_iter()
             .map(|h| h.join().expect("client"))
             .collect()
     });
+    drop(holders);
     stop.store(true, Ordering::Relaxed);
     server.join().expect("daemon thread").expect("daemon ok");
 
