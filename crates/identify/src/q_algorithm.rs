@@ -389,7 +389,7 @@ rfid_system::impl_json_struct!(QAlgorithmConfig {
 mod tests {
     use super::*;
     use rfid_hash::split_seed;
-    use rfid_hash::uniformity::{chi_square_homogeneity, ks_two_sample};
+    use rfid_hash::uniformity::{chi_square_critical_1pct, chi_square_homogeneity, ks_two_sample};
     use rfid_protocols::Report;
     use rfid_system::{BitVec, Channel, SimConfig};
 
@@ -595,6 +595,107 @@ mod tests {
                 .collect();
             assert_eq!(members, model, "n = {n}: bitset");
         }
+    }
+
+    /// The sampler tests' setting: 64 tags in 16-slot frames, so a slot
+    /// holds 4 tags on average and the frame's last slot takes the rest.
+    const SAMPLER_TAGS: usize = 64;
+    const SAMPLER_Q: u8 = 4;
+
+    /// Pearson's χ² of `observed` counts against `expected` ones, bins
+    /// pooled in order until each expected count is ≥ 5 (a short tail
+    /// joins the last bin): the statistic and its 1 % critical value.
+    fn chi_square_fit(observed: &[u64], expected: &[f64]) -> (f64, f64) {
+        let mut bins: Vec<(f64, f64)> = Vec::new();
+        let mut open = (0.0, 0.0);
+        for (&o, &e) in observed.iter().zip(expected) {
+            open = (open.0 + o as f64, open.1 + e);
+            if open.1 >= 5.0 {
+                bins.push(std::mem::take(&mut open));
+            }
+        }
+        let last = bins.last_mut().expect("an expected count of at least 5");
+        last.0 += open.0;
+        last.1 += open.1;
+        let statistic = bins.iter().map(|&(o, e)| (o - e) * (o - e) / e).sum();
+        (statistic, chi_square_critical_1pct(bins.len() - 1))
+    }
+
+    /// The lazy draw itself: every slot of an `F`-slot frame over `m` tags
+    /// holds Binomial(m, 1/F) of them, the first slots included. The
+    /// counts of the first four slots of 20 000 fresh frames must fit that
+    /// law. (The whole-run equivalence gate cannot see a skewed slot
+    /// probability at this size; the Q adaptation absorbs it.)
+    #[test]
+    fn lazy_slot_occupancy_is_binomial() {
+        const FRAMES: u64 = 20_000;
+        const SLOTS: u64 = 4;
+        let frame = 1u64 << SAMPLER_Q;
+        let pop = TagPopulation::sequential(SAMPLER_TAGS, |i| BitVec::from_value(i as u64, 8));
+        let mut ctx = SimContext::new(pop, &SimConfig::paper(5));
+        let mut draw = LazyFrame::default();
+        draw.rebuild(&ctx.population);
+        let mut observed = vec![0u64; SAMPLER_TAGS + 1];
+        for _ in 0..FRAMES {
+            draw.open_frame(&mut ctx, frame);
+            for slot in 0..SLOTS {
+                observed[draw.occupants(&mut ctx, slot).len()] += 1;
+            }
+            draw.close_frame(&ctx.population);
+        }
+        // Binomial(m, p) probabilities of 0..=m, each from the one before.
+        let p = 1.0 / frame as f64;
+        let mut pmf = vec![(1.0 - p).powi(SAMPLER_TAGS as i32)];
+        for k in 0..SAMPLER_TAGS {
+            pmf.push(pmf[k] * (SAMPLER_TAGS - k) as f64 / (k + 1) as f64 * p / (1.0 - p));
+        }
+        let expected: Vec<f64> = pmf.iter().map(|q| q * (FRAMES * SLOTS) as f64).collect();
+        let (statistic, critical) = chi_square_fit(&observed, &expected);
+        assert!(
+            statistic <= critical,
+            "slot occupancy χ² {statistic} over {critical}: {observed:?}"
+        );
+    }
+
+    /// The first frame at a fixed Q against its exact expectation: each of
+    /// its `F` slots is empty with probability (1 − 1/F)^m, a singleton
+    /// with (m/F)·(1 − 1/F)^(m−1), and a collision otherwise. Summed over
+    /// 5 000 runs, the three counts must fit those shares.
+    #[test]
+    fn first_frame_outcomes_match_their_expectation() {
+        const RUNS: u64 = 5_000;
+        // A C this small never moves round(Q_fp): no QueryAdjust cuts the
+        // frame short.
+        let cfg = QAlgorithmConfig {
+            initial_q: SAMPLER_Q,
+            c: 1e-9,
+            ..QAlgorithmConfig::default()
+        };
+        let frame = 1u64 << SAMPLER_Q;
+        let mut observed = [0u64; 3];
+        for seed in 0..RUNS {
+            let pop = TagPopulation::sequential(SAMPLER_TAGS, |i| BitVec::from_value(i as u64, 8));
+            let mut ctx = SimContext::new(pop, &SimConfig::paper(split_seed(3, seed)));
+            cfg.open_stepper(&ctx).step(&mut ctx);
+            let c = ctx.counters;
+            assert_eq!(c.empty_slots + c.polls + c.collision_slots, frame);
+            for (total, n) in observed
+                .iter_mut()
+                .zip([c.empty_slots, c.polls, c.collision_slots])
+            {
+                *total += n;
+            }
+        }
+        let (m, f) = (SAMPLER_TAGS as i32, frame as f64);
+        let empty = (1.0 - 1.0 / f).powi(m);
+        let single = m as f64 / f * (1.0 - 1.0 / f).powi(m - 1);
+        let slots = (RUNS * frame) as f64;
+        let expected = [empty, single, 1.0 - empty - single].map(|share| share * slots);
+        let (statistic, critical) = chi_square_fit(&observed, &expected);
+        assert!(
+            statistic <= critical,
+            "first-frame χ² {statistic} over {critical}: {observed:?} against {expected:?}"
+        );
     }
 
     /// What the equivalence gate compares of one run: slots per tag,
