@@ -348,8 +348,6 @@ fn presence_probe(ctx: &mut SimContext, repliers: &[usize], bits: u64) -> SlotOu
     ctx.slot(repliers, 0, Some(1))
 }
 
-rfid_system::impl_json_enum!(MissingStrategy { Hpp, Tpp });
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -113,13 +113,6 @@ impl DeploymentPlan {
     }
 }
 
-rfid_system::impl_json_struct!(ReaderZone { x, y, radius });
-rfid_system::impl_json_struct!(DeploymentPlan {
-    readers,
-    width,
-    height
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -133,12 +133,6 @@ impl ProtocolStepper for FsaStepper {
     }
 }
 
-rfid_system::impl_json_struct!(FsaConfig {
-    frame_factor,
-    round_init_bits,
-    max_rounds
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -95,8 +95,6 @@ impl ProtocolStepper for CpStepper {
     }
 }
 
-rfid_system::impl_json_struct!(CodedPollingConfig { max_sweeps });
-
 #[cfg(test)]
 mod tests {
     use super::*;

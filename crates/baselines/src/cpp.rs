@@ -58,11 +58,6 @@ impl ProtocolStepper for CppConfig {
     }
 }
 
-rfid_system::impl_json_struct!(CppConfig {
-    with_query_rep,
-    max_sweeps
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -106,12 +106,6 @@ impl ProtocolStepper for EcppStepper {
     }
 }
 
-rfid_system::impl_json_struct!(EcppConfig {
-    prefix_bits,
-    min_group,
-    max_sweeps
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -7,11 +7,10 @@
 //! table generation treats it uniformly.
 
 use rfid_protocols::{PollingProtocol, ProtocolStepper, StepDiscipline, StepOutcome};
-use rfid_system::{Json, SimContext, ToJson};
+use rfid_system::SimContext;
 
 /// The lower-bound pseudo-protocol: polls each tag with an empty (0-bit)
-/// polling vector behind the minimal 4-bit command. It has no parameters,
-/// so its config JSON is the empty object.
+/// polling vector behind the minimal 4-bit command. It has no parameters.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LowerBound;
 
@@ -41,12 +40,6 @@ impl ProtocolStepper for LowerBound {
         }
         ctx.recycle_scratch(handles);
         StepOutcome::Progressed
-    }
-}
-
-impl ToJson for LowerBound {
-    fn to_json(&self) -> Json {
-        Json::Obj(Vec::new())
     }
 }
 

@@ -266,13 +266,6 @@ impl ProtocolStepper for MicStepper {
     }
 }
 
-rfid_system::impl_json_struct!(MicConfig {
-    k,
-    frame_factor,
-    round_init_bits,
-    max_rounds
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;

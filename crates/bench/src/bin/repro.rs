@@ -5,17 +5,14 @@
 //! Simulated experiments (Fig. 10, Tables I–III, ablations, energy) walk
 //! the evaluation grid through the deterministic parallel sweep engine
 //! (`rfid_bench::sweep`): every cell is scheduled across cores, results
-//! are bit-identical to the serial `--workers 1` path, and cell results
-//! persist under `target/sweep-cache/` so a re-run after an unrelated edit
-//! skips unchanged cells. Each invocation appends its throughput stats
-//! (cells/sec, cache hit rate, worker count) to `target/BENCH_sweep.json`.
+//! are bit-identical to the serial `--workers 1` path. Each invocation
+//! appends its throughput stats (cells/sec, elapsed time, worker count) to
+//! `target/BENCH_sweep.json`.
 //!
 //! `--runs` (default 20) controls Monte-Carlo repetitions for the simulated
 //! experiments; `--max-n` (default 100000) caps the population sweep.
 //! Paper-reported values are printed beside measurements where the text
 //! quotes them.
-
-use std::path::PathBuf;
 
 use rfid_analysis as analysis;
 use rfid_baselines::{CppConfig, EcppConfig, LowerBound, MicConfig};
@@ -74,40 +71,26 @@ fn main() {
     report_sweep_stats(&engine);
 }
 
-/// Builds the sweep engine from the CLI flags: worker width, run-block
-/// size, and the persistent cell cache (default `target/sweep-cache/`).
+/// Builds the sweep engine from the CLI's worker width.
 fn build_engine(opts: &ReproOptions) -> SweepEngine {
-    let mut engine = SweepEngine::new().with_progress(true);
-    if let Some(workers) = opts.workers {
-        engine = engine.with_workers(workers);
+    let engine = SweepEngine::new().with_progress(true);
+    match opts.workers {
+        Some(workers) => engine.with_workers(workers),
+        None => engine,
     }
-    if let Some(block) = opts.run_block {
-        engine = engine.with_run_block(block);
-    }
-    if opts.cache {
-        let dir = opts.cache_dir.clone().unwrap_or_else(|| {
-            rfid_bench::find_target_dir()
-                .unwrap_or_else(|| PathBuf::from("target"))
-                .join("sweep-cache")
-        });
-        engine = engine.with_cache_dir(dir);
-    }
-    engine
 }
 
 /// Prints the sweep throughput line and appends the `BENCH_sweep.json`
 /// entry (the sweep bench trajectory) when any cell actually ran.
 fn report_sweep_stats(engine: &SweepEngine) {
     let stats = engine.stats();
-    if stats.jobs == 0 {
+    if stats.runs == 0 {
         return;
     }
     eprintln!(
-        "sweep: {} cells / {} jobs ({} cached, {:.0} % hit rate) on {} workers in {:.2} s ({:.1} cells/s)",
+        "sweep: {} cells / {} runs on {} workers in {:.2} s ({:.1} cells/s)",
         stats.cells,
-        stats.jobs,
-        stats.cache_hits,
-        stats.cache_hit_rate() * 100.0,
+        stats.runs,
         engine.workers(),
         stats.elapsed_s,
         stats.cells_per_sec(),
@@ -240,7 +223,7 @@ fn fig10(engine: &mut SweepEngine, opts: &ReproOptions) {
     for &n in &ns {
         let scenario = Scenario::uniform(n as usize, 1).with_seed(n);
         for &row in &rows {
-            cells.push(Cell::new(row.name(), row, scenario.clone(), opts.runs));
+            cells.push(Cell::new(row, scenario.clone(), opts.runs));
         }
     }
     let results = engine.run_cells(&cells);
@@ -312,7 +295,7 @@ fn table(engine: &mut SweepEngine, opts: &ReproOptions, l: usize) {
             } else {
                 opts.runs
             };
-            cells.push(Cell::new(row.name(), row.as_ref(), scenario, runs));
+            cells.push(Cell::new(row.as_ref(), scenario, runs));
         }
     }
     let results = engine.run_cells(&cells);
@@ -400,7 +383,7 @@ fn energy(engine: &mut SweepEngine, opts: &ReproOptions) {
         .collect();
     let cells: Vec<Cell<'_>> = rows
         .iter()
-        .map(|row| Cell::new(row.name(), row.as_ref(), scenario.clone(), runs))
+        .map(|row| Cell::new(row.as_ref(), scenario.clone(), runs))
         .collect();
     let results = engine.run_cells(&cells);
     for (row, reports) in rows.iter().zip(&results) {
@@ -433,17 +416,15 @@ fn ablations(engine: &mut SweepEngine, opts: &ReproOptions) {
         ..TppConfig::default()
     };
     let n_star = EhppConfig::default().effective_subset_size();
-    let mut rows: Vec<(&str, Box<dyn PollingProtocol>)> = vec![
-        ("TPP", Box::new(TppConfig::default())),
-        ("TPP-hpp-rule", Box::new(hpp_rule_cfg)),
-    ];
+    let mut rows: Vec<Box<dyn PollingProtocol>> =
+        vec![Box::new(TppConfig::default()), Box::new(hpp_rule_cfg)];
     let subset_sizes = [n_star / 2, n_star, n_star * 2];
     for size in subset_sizes {
         let cfg = EhppConfig {
             subset_size: Some(size),
             ..EhppConfig::default()
         };
-        rows.push(("EHPP-subset", Box::new(cfg)));
+        rows.push(Box::new(cfg));
     }
     let mic_ks = [1usize, 2, 4, 7];
     for k in mic_ks {
@@ -451,12 +432,12 @@ fn ablations(engine: &mut SweepEngine, opts: &ReproOptions) {
             k,
             ..MicConfig::default()
         };
-        rows.push(("MIC-k", Box::new(cfg)));
+        rows.push(Box::new(cfg));
     }
-    rows.push(("HPP", Box::new(HppConfig::default())));
+    rows.push(Box::new(HppConfig::default()));
     let cells: Vec<Cell<'_>> = rows
         .iter()
-        .map(|(label, protocol)| Cell::new(*label, protocol.as_ref(), scenario.clone(), runs))
+        .map(|row| Cell::new(row.as_ref(), scenario.clone(), runs))
         .collect();
     let results = engine.run_cells(&cells);
 
@@ -519,7 +500,7 @@ fn ablations(engine: &mut SweepEngine, opts: &ReproOptions) {
     for (_, dist) in &dists {
         let sc = scenario.clone().with_ids(dist.clone());
         for &row in &dist_rows {
-            dist_cells.push(Cell::new(row.name(), row, sc.clone(), runs));
+            dist_cells.push(Cell::new(row, sc.clone(), runs));
         }
     }
     let dist_results = engine.run_cells(&dist_cells);

@@ -9,8 +9,6 @@
 //! (usage prints on any bad flag), exit 2 on parse errors, and a
 //! subcommand list in the usage text.
 
-use std::path::PathBuf;
-
 /// Every experiment `repro` knows, with its one-line description. The
 /// order matches the paper's presentation and the usage message.
 pub(crate) const EXPERIMENTS: &[(&str, &str)] = &[
@@ -58,12 +56,6 @@ pub struct ReproOptions {
     pub max_n: u64,
     /// Sweep worker threads (`None` = one per core).
     pub workers: Option<usize>,
-    /// Runs per sweep job (`None` = engine default).
-    pub run_block: Option<u64>,
-    /// Whether the persistent cell cache is enabled.
-    pub cache: bool,
-    /// Cache root override (`None` = `target/sweep-cache`).
-    pub cache_dir: Option<PathBuf>,
 }
 
 impl Default for ReproOptions {
@@ -73,9 +65,6 @@ impl Default for ReproOptions {
             runs: 20,
             max_n: 100_000,
             workers: None,
-            run_block: None,
-            cache: true,
-            cache_dir: None,
         }
     }
 }
@@ -83,8 +72,7 @@ impl Default for ReproOptions {
 /// The full usage message, experiment list included.
 pub fn usage() -> String {
     let mut out = String::from(
-        "usage: repro [experiment] [--runs N] [--max-n N] [--workers N]\n\
-         \x20            [--run-block N] [--no-cache] [--cache-dir PATH]\n\n\
+        "usage: repro [experiment] [--runs N] [--max-n N] [--workers N]\n\n\
          experiments:\n",
     );
     for (name, desc) in EXPERIMENTS {
@@ -93,8 +81,7 @@ pub fn usage() -> String {
     out.push_str(
         "\n--runs (default 20) controls Monte-Carlo repetitions; --max-n\n\
          (default 100000) caps the population sweep. --workers 1 is the\n\
-         serial reference path (output is bit-identical to any width).\n\
-         Cell results persist under target/sweep-cache/ unless --no-cache.\n",
+         serial reference path (output is bit-identical to any width).\n",
     );
     out
 }
@@ -111,13 +98,6 @@ pub fn parse_args(args: &[String]) -> Result<ReproOptions, String> {
             "--max-n" => opts.max_n = parse_value(it.next(), "--max-n", |v| v >= 1)?,
             "--workers" => {
                 opts.workers = Some(parse_value(it.next(), "--workers", |v: usize| v >= 1)?)
-            }
-            "--run-block" => {
-                opts.run_block = Some(parse_value(it.next(), "--run-block", |v| v >= 1)?)
-            }
-            "--no-cache" => opts.cache = false,
-            "--cache-dir" => {
-                opts.cache_dir = Some(PathBuf::from(it.next().ok_or("--cache-dir needs a path")?))
             }
             other if !other.starts_with('-') => {
                 if let Some(first) = &experiment {
@@ -336,32 +316,11 @@ mod tests {
 
     #[test]
     fn flags_parse_in_any_order() {
-        let opts = parse(&[
-            "--workers",
-            "3",
-            "table2",
-            "--runs",
-            "5",
-            "--max-n",
-            "2000",
-            "--run-block",
-            "4",
-        ])
-        .unwrap();
+        let opts = parse(&["--workers", "3", "table2", "--runs", "5", "--max-n", "2000"]).unwrap();
         assert_eq!(opts.experiment, "table2");
         assert_eq!(opts.runs, 5);
         assert_eq!(opts.max_n, 2_000);
         assert_eq!(opts.workers, Some(3));
-        assert_eq!(opts.run_block, Some(4));
-        assert!(opts.cache);
-    }
-
-    #[test]
-    fn cache_flags_parse() {
-        let opts = parse(&["--no-cache"]).unwrap();
-        assert!(!opts.cache);
-        let opts = parse(&["--cache-dir", "/tmp/x"]).unwrap();
-        assert_eq!(opts.cache_dir, Some(PathBuf::from("/tmp/x")));
     }
 
     #[test]
@@ -372,8 +331,6 @@ mod tests {
             &["--runs", "0"],
             &["--max-n", "-3"],
             &["--workers", "0"],
-            &["--run-block", "x"],
-            &["--cache-dir"],
             // The session experiment's flags went with it.
             &["--checkpoint", "/tmp/s.json"],
             &["--resume", "/tmp/s.json"],

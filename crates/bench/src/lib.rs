@@ -1,12 +1,11 @@
 //! # rfid-bench — experiment harness shared by `repro` and the micro-benches.
 //!
-//! Provides the deterministic parallel sweep engine (grid cells scheduled
-//! work-stealing-style over std scoped threads, per-run seeds fanned out
-//! from each cell's master seed, persistent content-addressed cell cache),
-//! the Monte-Carlo runner built on it, summary statistics, a
-//! dependency-free bench harness with the one bench-report schema, the
-//! `repro` CLI parser, and the paper's anchor values for side-by-side
-//! reporting. Everything here builds offline against the standard library
+//! Provides the deterministic parallel sweep engine (one job per
+//! Monte-Carlo run of a grid cell, scheduled work-stealing-style over std
+//! scoped threads, per-run seeds fanned out from each cell's master seed),
+//! summary statistics, a dependency-free bench harness with the one
+//! bench-report schema, the `repro` CLI parser, and the paper's anchor
+//! values for side-by-side reporting. Everything here builds offline against the standard library
 //! alone.
 
 #![forbid(unsafe_code)]
@@ -15,11 +14,9 @@
 pub mod anchors;
 pub mod cli;
 pub(crate) mod harness;
-pub(crate) mod runner;
 pub(crate) mod stats;
 pub(crate) mod sweep;
 
 pub use harness::{find_target_dir, Bench, BenchRecord, Gate};
-pub use runner::montecarlo;
 pub use stats::Summary;
 pub use sweep::{Cell, SweepEngine};

@@ -5,28 +5,15 @@
 //! Query. The standard transmits the *complement* of the register and
 //! verifies by checking for the residue `0x1D0F`.
 //!
-//! It is implemented bit-serially — exactly how a tag's shift-register
-//! hardware computes it — with a table-driven fast path for the reader
-//! side, plus a 48-bit composite code used by the Coded Polling baseline
-//! reconstruction. (The Query command's CRC-5 is charged in
+//! It is implemented table-driven, byte-wise; the tests keep the bit-serial
+//! form — exactly how a tag's shift-register hardware computes it — as its
+//! oracle. There is also a 48-bit composite code used by the Coded Polling
+//! baseline reconstruction. (The Query command's CRC-5 is charged in
 //! [`crate::commands::QUERY_BITS`] and computed only by the tests.)
 
-/// Bit-serial CRC-16/CCITT over a bit slice, MSB-first: preset `0xFFFF`,
-/// polynomial `0x1021`, final one's complement (as transmitted on air).
-pub fn crc16_bits(bits: &[bool]) -> u16 {
-    let mut reg: u16 = 0xFFFF;
-    for &bit in bits {
-        let msb = (reg >> 15) & 1 == 1;
-        reg <<= 1;
-        if msb != bit {
-            reg ^= 0x1021;
-        }
-    }
-    !reg
-}
-
-/// Byte-wise CRC-16/CCITT (same parameters as [`crc16_bits`]) using a
-/// compile-time table — the reader-side fast path.
+/// Byte-wise CRC-16/CCITT, MSB-first: preset `0xFFFF`, polynomial
+/// `0x1021`, final one's complement (as transmitted on air), using a
+/// compile-time table.
 pub fn crc16(data: &[u8]) -> u16 {
     let mut reg: u16 = 0xFFFF;
     for &byte in data {
@@ -84,6 +71,21 @@ const fn build_crc16_table() -> [u16; 256] {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Bit-serial CRC-16/CCITT over a bit slice, MSB-first, with the same
+    /// parameters as [`crc16`]: the tag's shift register, and the oracle
+    /// of the table-driven form.
+    fn crc16_bits(bits: &[bool]) -> u16 {
+        let mut reg: u16 = 0xFFFF;
+        for &bit in bits {
+            let msb = (reg >> 15) & 1 == 1;
+            reg <<= 1;
+            if msb != bit {
+                reg ^= 0x1021;
+            }
+        }
+        !reg
+    }
 
     /// CRC-5 as specified in C1G2 Annex F: polynomial `0b101001` (x⁵+x³+1),
     /// register preset to `0b01001`, MSB-first, no final XOR.
@@ -143,6 +145,30 @@ mod tests {
                 let mut bad = framed.clone();
                 bad[byte] ^= 1 << bit;
                 assert_ne!(crc16(&bad), RESIDUE, "missed flip at {byte}:{bit}");
+            }
+        }
+    }
+
+    #[test]
+    fn crc16_detects_every_single_bit_flip_of_unaligned_frames() {
+        // A corrupted reply is a payload of any width (not only whole bytes)
+        // plus its transmitted CRC-16, with one bit flipped in transit; the
+        // reader recomputes the CRC over the received payload and compares.
+        for len in 0..=40usize {
+            let payload: Vec<bool> = (0..len).map(|i| (i * 7 + len) % 3 == 0).collect();
+            let crc = crc16_bits(&payload);
+            let mut frame = payload.clone();
+            frame.extend((0..16).rev().map(|i| (crc >> i) & 1 == 1));
+            for pos in 0..frame.len() {
+                let mut bad = frame.clone();
+                bad[pos] = !bad[pos];
+                let (rx_payload, rx_crc) = bad.split_at(len);
+                let rx_crc = rx_crc.iter().fold(0u16, |acc, &b| (acc << 1) | b as u16);
+                assert_ne!(
+                    crc16_bits(rx_payload),
+                    rx_crc,
+                    "missed flip at bit {pos} of a {len}-bit payload"
+                );
             }
         }
     }

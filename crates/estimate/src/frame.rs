@@ -38,13 +38,6 @@ impl FrameObservation {
     }
 }
 
-rfid_system::impl_json_struct!(FrameObservation {
-    frame,
-    empty,
-    singleton,
-    collision
-});
-
 /// A test oracle: the protocol builds its observations from the slot
 /// outcomes the reader hears.
 #[cfg(test)]

@@ -172,18 +172,6 @@ fn repliers_by_slot(
     per_slot
 }
 
-rfid_system::impl_json_struct!(EstimationConfig {
-    refinement_frames,
-    frame_size,
-    frame_init_bits,
-    geometric_slots,
-});
-rfid_system::impl_json_struct!(EstimationResult {
-    estimate,
-    coarse,
-    time
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -239,12 +239,6 @@ impl ProtocolStepper for BinSplitStepper {
     }
 }
 
-rfid_system::impl_json_struct!(BinarySplitConfig {
-    command_bits,
-    reply_crc_bits,
-    max_slots
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -379,12 +379,6 @@ impl HandleSet {
     }
 }
 
-rfid_system::impl_json_struct!(QAlgorithmConfig {
-    initial_q,
-    c,
-    max_slots
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -447,12 +441,6 @@ mod tests {
 
     /// The Q-algorithm on the eager draw.
     struct EagerQAlgorithm(QAlgorithmConfig);
-
-    impl ToJson for EagerQAlgorithm {
-        fn to_json(&self) -> Json {
-            self.0.to_json()
-        }
-    }
 
     impl PollingProtocol for EagerQAlgorithm {
         fn name(&self) -> &'static str {

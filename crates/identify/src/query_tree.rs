@@ -225,12 +225,6 @@ impl ProtocolStepper for QueryTreeStepper {
     }
 }
 
-rfid_system::impl_json_struct!(QueryTreeConfig {
-    command_bits,
-    reply_crc_bits,
-    verify_singletons
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -278,14 +278,6 @@ impl ProtocolStepper for EhppStepper {
     }
 }
 
-rfid_system::impl_json_struct!(EhppConfig {
-    circle_cmd_bits,
-    round_init_bits,
-    subset_size,
-    with_query_rep,
-    max_circles,
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -97,12 +97,6 @@ pub(crate) fn hpp_round(ctx: &mut SimContext, cfg: &HppConfig) -> usize {
     polled
 }
 
-rfid_system::impl_json_struct!(HppConfig {
-    round_init_bits,
-    with_query_rep,
-    max_rounds
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;

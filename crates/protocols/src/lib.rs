@@ -20,9 +20,7 @@
 //! A protocol is its config: each config implements [`PollingProtocol`]
 //! over a [`rfid_system::SimContext`] and produces a [`Report`], so
 //! `HppConfig::default()` *is* the paper's HPP and `TppConfig { index_rule:
-//! IndexRule::HppRule, ..Default::default() }` is an ablation of TPP. The
-//! config's JSON identifies the configured protocol wherever runs are keyed
-//! (the bench sweep cache).
+//! IndexRule::HppRule, ..Default::default() }` is an ablation of TPP.
 //!
 //! Every run goes through one [`Session`]: [`PollingProtocol::try_run`] is
 //! a bare session, while recovery passes, sim-time deadlines and
@@ -65,7 +63,7 @@ pub use tagside::{Broadcast, TagMachine};
 pub use tpp::{IndexRule, TppConfig};
 pub use tree::PollingTree;
 
-use rfid_system::{Json, JsonError, SimContext, ToJson};
+use rfid_system::{Json, JsonError, SimContext};
 
 /// A polling protocol: drives a [`SimContext`] until every active tag has
 /// been interrogated exactly once, and reports what it cost.
@@ -76,10 +74,9 @@ use rfid_system::{Json, JsonError, SimContext, ToJson};
 /// guards, recovery passes, deadlines, checkpoints); `try_run`/`run` are
 /// thin wrappers over a bare session.
 ///
-/// The implementors are the protocol configs themselves; their JSON
-/// ([`ToJson`]) identifies the configured protocol, and `Send + Sync`
+/// The implementors are the protocol configs themselves; `Send + Sync`
 /// lets one value be shared by every worker of a parallel sweep.
-pub trait PollingProtocol: ToJson + Send + Sync {
+pub trait PollingProtocol: Send + Sync {
     /// Short display name (used in tables and reports).
     fn name(&self) -> &'static str;
 

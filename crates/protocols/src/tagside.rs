@@ -132,15 +132,6 @@ impl TagMachine {
     }
 }
 
-rfid_system::impl_json_struct!(TagMachine {
-    id,
-    read,
-    h,
-    my_index,
-    a,
-    in_round
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;

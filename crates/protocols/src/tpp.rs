@@ -143,17 +143,6 @@ pub(crate) fn tpp_round(ctx: &mut SimContext, cfg: &TppConfig) -> usize {
     polled
 }
 
-rfid_system::impl_json_enum!(IndexRule {
-    Eq15Optimal,
-    HppRule
-});
-rfid_system::impl_json_struct!(TppConfig {
-    round_init_bits,
-    with_query_rep,
-    index_rule,
-    max_rounds
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -558,28 +558,6 @@ impl SimContext {
         false
     }
 
-    /// Emulates the tag-hardware CRC check on a corrupted frame: payload
-    /// plus transmitted CRC-16 with one flipped bit must fail verification.
-    /// CRC-16 detects every single-bit error, so this always returns `true`;
-    /// it is computed (not assumed) so the robustness model stays grounded
-    /// in the actual C1G2 code.
-    fn crc_rejects_corruption(&mut self, target: usize) -> bool {
-        let info = &self.population.get(target).info;
-        let mut bits: Vec<bool> = info.iter().collect();
-        let crc = rfid_c1g2::crc::crc16_bits(&bits);
-        for i in (0..16).rev() {
-            bits.push((crc >> i) & 1 == 1);
-        }
-        let pos = self.counters.corrupted_replies as usize % bits.len();
-        bits[pos] = !bits[pos];
-        let payload = &bits[..bits.len() - 16];
-        let mut rx_crc: u16 = 0;
-        for &b in &bits[bits.len() - 16..] {
-            rx_crc = (rx_crc << 1) | b as u16;
-        }
-        rfid_c1g2::crc::crc16_bits(payload) != rx_crc
-    }
-
     /// One polling exchange addressing tag `target` with a `vector_bits`-bit
     /// polling vector (optionally behind a 4-bit QueryRep).
     ///
@@ -815,11 +793,12 @@ impl SimContext {
                 !lost
             });
         }
+        // A corrupted reply always fails the reader's CRC-16 check: CRC-16
+        // detects every single-bit error (`rfid_c1g2::crc`'s tests).
         let outcome = match self.channel.resolve(&survivors, &mut self.rng) {
             SlotOutcome::Singleton(tag)
                 if self.fault.corruption_rate > 0.0
-                    && self.rng.chance(self.fault.corruption_rate)
-                    && self.crc_rejects_corruption(tag) =>
+                    && self.rng.chance(self.fault.corruption_rate) =>
             {
                 SlotOutcome::Corrupted(tag)
             }

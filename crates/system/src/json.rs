@@ -2,8 +2,8 @@
 //!
 //! The workspace's hermetic-build policy forbids crates-io dependencies, so
 //! this module replaces `serde`/`serde_json` for the two jobs the repo
-//! actually has: persisting experiment configurations (scenarios, protocol
-//! configs) next to their results, and emitting the bench harness's
+//! actually has: encoding what crosses a boundary (wire payloads, session
+//! snapshots, traces and reports), and emitting the bench harness's
 //! `BENCH_*.json` files. It is deliberately small:
 //!
 //! * [`Json`] — a JSON document tree. Numbers keep their parsed flavour
@@ -17,7 +17,7 @@
 //!   2-space-indented form for files meant to be read by humans.
 //! * [`ToJson`] / [`FromJson`] — conversion traits with impls for the std
 //!   primitives, plus the [`crate::impl_json_struct!`] and
-//!   [`crate::impl_json_enum!`] macros that give every persisted struct and
+//!   [`crate::impl_json_enum!`] macros that give every encoded struct and
 //!   enum in the workspace a one-declaration round-trip implementation
 //!   (replacing the old `#[derive(Serialize, Deserialize)]`).
 //! * [`ToJson::write_json`] — appends a value's compact text without

@@ -20,8 +20,8 @@
 //! * [`packed`] — the hex bit/varint vectors a session snapshot packs its
 //!   per-tag progress into,
 //! * [`json`] — the zero-dependency JSON writer/parser (with the
-//!   [`impl_json_struct!`] / [`impl_json_enum!`] macros) that persists
-//!   configurations and results without `serde`,
+//!   [`impl_json_struct!`] / [`impl_json_enum!`] macros) that encodes wire
+//!   payloads, snapshots, traces and reports without `serde`,
 //! * [`SimContext`] — the facility a protocol drives: it owns the clock, the
 //!   population, the channel and the counters, and exposes the composite
 //!   operations (broadcast, poll exchange, ALOHA slots) with correct C1G2

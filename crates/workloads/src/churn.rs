@@ -65,11 +65,6 @@ impl ChurnModel {
     }
 }
 
-rfid_system::impl_json_struct!(ChurnModel {
-    departure_fraction,
-    arrivals_per_epoch
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;

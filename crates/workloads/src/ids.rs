@@ -155,14 +155,6 @@ impl ZipfSampler {
     }
 }
 
-rfid_system::impl_json_enum!(IdDistribution {
-    UniformRandom,
-    Sequential { start },
-    Clustered { categories },
-    Zipf { categories, exponent },
-    SharedPrefix { prefix_bits },
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;

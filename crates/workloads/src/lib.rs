@@ -1,7 +1,7 @@
 //! # rfid-workloads — tag populations and scenarios
 //!
 //! Generators for the tag populations the evaluation runs over, and the
-//! serializable [`Scenario`] describing one experiment:
+//! [`Scenario`] describing one experiment:
 //!
 //! * [`IdDistribution`] — uniform random EPC-96 IDs (the paper's general
 //!   case, "without any assumption on the distribution of tag IDs"),

@@ -67,13 +67,6 @@ pub fn decode_temperature(info: &BitVec) -> f64 {
     (info.to_value() as f64 - 160.0) / 4.0
 }
 
-rfid_system::impl_json_enum!(PayloadKind {
-    Presence,
-    Random,
-    BatteryLevel,
-    Temperature { base_quarters },
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,9 +1,8 @@
-//! Serializable experiment scenarios.
+//! Reproducible experiment scenarios.
 //!
 //! A [`Scenario`] pins down everything that determines a tag population —
 //! size, ID distribution, payload kind and width, and the master seed — so
-//! experiments are reproducible and configurations can be stored as JSON
-//! next to their results.
+//! experiments are reproducible.
 
 use rfid_hash::{split_seed, Xoshiro256};
 use rfid_system::{TagId, TagPopulation};
@@ -124,14 +123,6 @@ impl Scenario {
     }
 }
 
-rfid_system::impl_json_struct!(Scenario {
-    n,
-    id_dist,
-    info_bits,
-    payload,
-    seed
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,17 +212,6 @@ mod tests {
         let seeds: std::collections::HashSet<u64> =
             (0..256).map(|run| a.for_run(run).seed).collect();
         assert_eq!(seeds.len(), 256);
-    }
-
-    #[test]
-    fn scenario_round_trips_through_json() {
-        let s = Scenario::uniform(42, 16)
-            .with_seed(77)
-            .with_ids(IdDistribution::Clustered { categories: 5 })
-            .with_payload(PayloadKind::BatteryLevel);
-        let json = rfid_system::to_json_string(&s);
-        let back: Scenario = rfid_system::from_json_str(&json).expect("deserialize");
-        assert_eq!(back, s);
     }
 
     #[test]

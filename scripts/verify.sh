@@ -42,12 +42,14 @@ benchmark/check.sh
 # ceiling (DESIGN.md §14) and the streamed trace-digest guards; writes
 # target/BENCH_obs.json. Profiling on/off bit identity is a `cargo test`.
 cargo bench --offline -p rfid-bench --bench obs
-# Sweep-engine smoke slice (DESIGN.md §10): a small Table I grid, once
-# cold on one worker and once cache-warm at the default width. Writes the
-# cells/sec + cache-hit-rate entries to target/BENCH_sweep.json.
-rm -rf target/sweep-cache target/BENCH_sweep.json
-cargo run --release --offline -p rfid-bench --bin repro -- table1 --runs 2 --max-n 1000 --workers 1
-cargo run --release --offline -p rfid-bench --bin repro -- table1 --runs 2 --max-n 1000
+# Sweep-engine determinism slice (DESIGN.md §10): a small Table I grid on
+# one worker and at the default width must print byte-identical tables.
+# Writes the cells/sec and wall-time entries to target/BENCH_sweep.json;
+# the two tables stay in target/ for inspection.
+rm -f target/BENCH_sweep.json
+cargo run --release --offline -q -p rfid-bench --bin repro -- table1 --runs 2 --max-n 1000 --workers 1 > target/repro_table1_serial.txt
+cargo run --release --offline -q -p rfid-bench --bin repro -- table1 --runs 2 --max-n 1000 > target/repro_table1_parallel.txt
+cmp target/repro_table1_serial.txt target/repro_table1_parallel.txt
 # Hot-path smoke slice (DESIGN.md §12): end-to-end throughput including a
 # 100k-tag run with a tags/sec floor and a 1M-tag HPP run to completion;
 # each gated case's speedup against its pre-change baseline is a gated

@@ -28,7 +28,7 @@
 //! | [`obs`] | `rfid-obs` | trace-derived metrics, span trees, postmortem bundles, exposition |
 //! | [`wire`] | `rfid-wire` | framed wire protocol: codec, transports, loopback |
 //! | [`daemon`] | `rfid-daemon` | reader-fleet daemon: TCP server, typed client |
-//! | [`bench`](mod@bench) | `rfid-bench` | parallel sweep engine, Monte-Carlo runner, micro-bench harness |
+//! | [`bench`](mod@bench) | `rfid-bench` | parallel sweep engine, micro-bench harness |
 //!
 //! ## Quickstart
 //!

@@ -23,20 +23,15 @@ use fast_rfid_polling::baselines::{CppConfig, LowerBound, MicConfig};
 use fast_rfid_polling::bench::{Cell, SweepEngine};
 use fast_rfid_polling::prelude::*;
 
-/// Every golden value is computed through the parallel engine — two workers
-/// and a small run block so the scheduler actually interleaves jobs.
+/// Every golden value is computed through the parallel engine — two workers,
+/// so the scheduler actually interleaves runs.
 fn engine() -> SweepEngine {
-    SweepEngine::new().with_workers(2).with_run_block(2)
+    SweepEngine::new().with_workers(2)
 }
 
 /// Mean simulated execution time (µs) over `runs` Monte-Carlo runs.
 fn mean_time_us(protocol: &dyn PollingProtocol, n: usize, l: usize, runs: u64) -> f64 {
-    let cell = Cell::new(
-        "golden",
-        protocol,
-        Scenario::uniform(n, l).with_seed(97),
-        runs,
-    );
+    let cell = Cell::new(protocol, Scenario::uniform(n, l).with_seed(97), runs);
     let reports = engine().run_cells(std::slice::from_ref(&cell)).remove(0);
     reports.iter().map(|r| r.total_time.as_f64()).sum::<f64>() / runs as f64
 }
@@ -48,12 +43,7 @@ fn mean_vector_bits(
     runs: u64,
     with_overhead: bool,
 ) -> f64 {
-    let cell = Cell::new(
-        "golden",
-        protocol,
-        Scenario::uniform(n, 1).with_seed(131),
-        runs,
-    );
+    let cell = Cell::new(protocol, Scenario::uniform(n, 1).with_seed(131), runs);
     let reports = engine().run_cells(std::slice::from_ref(&cell)).remove(0);
     let total: f64 = reports
         .iter()
