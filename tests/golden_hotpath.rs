@@ -118,6 +118,15 @@ const JAMMED_LOSSY_GOLDEN: &[Golden] = &[
     ("CPP", "{\"protocol\":\"CPP\",\"tags\":150,\"total_time\":629212.8,\"breakdown\":{\"ReaderCommand\":0,\"PollingVector\":589612.8,\"IndicatorVector\":0,\"Turnaround\":23900,\"TagReply\":15000,\"WastedSlot\":700},\"counters\":{\"reader_bits\":15744,\"tag_bits\":600,\"vector_bits\":15744,\"query_rep_bits\":0,\"polls\":150,\"rounds\":0,\"circles\":0,\"empty_slots\":14,\"collision_slots\":0,\"lost_replies\":14,\"downlink_losses\":0,\"corrupted_replies\":0,\"desync_recoveries\":0,\"retransmissions\":0,\"recovery_passes\":0,\"recovery_backoff_us\":0,\"tag_listen_us\":47434407.599999994}}", 0x1ad039fb6bc78d03, 0x6a967b29c6710b45),
 ];
 
+/// EHPP on `uniform(2000, 4)` at seed 43, large enough that circles open
+/// (n* = 221), so circle selection, deselection and reselection run:
+/// clean, then under 20 % downlink loss over `Channel::lossy(0.1)`, where
+/// each circle command's delivery draws walk the pre-selection active set.
+const EHPP_CIRCLES_GOLDEN: &[Golden] = &[
+    ("EHPP", "{\"protocol\":\"EHPP\",\"tags\":2000,\"total_time\":1461828.35,\"breakdown\":{\"ReaderCommand\":421836.8,\"PollingVector\":539991.55,\"IndicatorVector\":0,\"Turnaround\":300000,\"TagReply\":200000,\"WastedSlot\":0},\"counters\":{\"reader_bits\":25683,\"tag_bits\":8000,\"vector_bits\":14419,\"query_rep_bits\":8000,\"polls\":2000,\"rounds\":70,\"circles\":8,\"empty_slots\":0,\"collision_slots\":0,\"lost_replies\":0,\"downlink_losses\":0,\"corrupted_replies\":0,\"desync_recoveries\":0,\"retransmissions\":0,\"recovery_passes\":0,\"recovery_backoff_us\":0,\"tag_listen_us\":1467678061.25}}", 0xc763bac803db7739, 0x63f1e62c5196bd4c),
+    ("EHPP", "{\"protocol\":\"EHPP\",\"tags\":2000,\"total_time\":2370621.9,\"breakdown\":{\"ReaderCommand\":734319.6,\"PollingVector\":915802.3,\"IndicatorVector\":0,\"Turnaround\":447000,\"TagReply\":200000,\"WastedSlot\":73500},\"counters\":{\"reader_bits\":44062,\"tag_bits\":8000,\"vector_bits\":24454,\"query_rep_bits\":13880,\"polls\":2000,\"rounds\":147,\"circles\":8,\"empty_slots\":1470,\"collision_slots\":0,\"lost_replies\":244,\"downlink_losses\":3962,\"corrupted_replies\":0,\"desync_recoveries\":2701,\"retransmissions\":0,\"recovery_passes\":0,\"recovery_backoff_us\":0,\"tag_listen_us\":2352328229.65}}", 0xf04fac36a4495dd7, 0x8689fc6198c5e11d),
+];
+
 /// A bare TPP session (no recovery policy) at seed 61 whose tag 17 is dead
 /// from the start and whose tag 40 dies after one reply, under 30 %
 /// corruption: the partial report of its `Stalled` end and both digests
@@ -260,4 +269,21 @@ fn killed_tags_stall_a_bare_session_bit_identically() {
         golden_trace,
         "event trace drifted from the capture"
     );
+}
+
+#[test]
+fn ehpp_circles_are_bit_identical_to_pre_change_capture() {
+    let scenario = Scenario::uniform(2_000, 4).with_seed(43);
+    let clean = SimConfig::paper(scenario.protocol_seed());
+    let lossy = clean
+        .clone()
+        .with_channel(Channel::lossy(0.1))
+        .with_fault(FaultModel::perfect().with_downlink_loss(0.2));
+    for (cfg, golden) in [clean, lossy].into_iter().zip(EHPP_CIRCLES_GOLDEN) {
+        assert!(
+            !golden.1.contains("\"circles\":0,"),
+            "the EHPP capture opened no circle"
+        );
+        check(&EhppConfig::default(), cfg, &scenario, golden);
+    }
 }

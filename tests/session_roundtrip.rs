@@ -241,6 +241,52 @@ fn q_algo_kill_restore_at_every_step_is_bit_identical() {
     });
 }
 
+/// EHPP at 2,000 tags opens about nine circles, so a snapshot taken inside
+/// one carries deselected tags (state code 2) that must rejoin after the
+/// restore. Killing at every step boundary, clean and under 20 % downlink
+/// loss over a lossy channel, must finish like the uninterrupted run. The
+/// clean run is traced; the lossy one is not, since each restore re-parses
+/// the trace so far and its 164 boundaries would cost it three times the
+/// clean run's time.
+#[test]
+fn ehpp_kill_restore_at_every_step_is_bit_identical() {
+    let protocol = EhppConfig::default();
+    let scenario = Scenario::uniform(2_000, 4).with_seed(43);
+    let kill_everywhere = |cfg: SimConfig| {
+        let (golden, _) = uninterrupted(&protocol, &scenario, &cfg, None);
+        let mut ctx = SimContext::new(scenario.build_population(), &cfg);
+        let mut session = Session::open(&protocol, &ctx);
+        let (mut kill, mut deselected_kills) = (0, 0);
+        while session.run_for(&mut ctx, 1).is_none() {
+            kill += 1;
+            let doc =
+                Json::parse(&session.snapshot(&ctx, &cfg).to_string()).expect("snapshot parses");
+            let (mut restored, mut resumed) =
+                Session::restore(&protocol, &doc).expect("snapshot restores");
+            let population = &restored.population;
+            if population.active_count() < population.listening_count() {
+                deselected_kills += 1;
+            }
+            let end = resumed.run(&mut restored);
+            let what = format!("EHPP: the run restored at step {kill}");
+            assert_same_finish(&finish(end, &restored, &what), &golden, "EHPP", kill);
+        }
+        assert!(
+            deselected_kills > 50,
+            "only {deselected_kills} of {kill} snapshots held deselected tags"
+        );
+    };
+    let clean = SimConfig::paper(scenario.protocol_seed()).with_trace();
+    let lossy = SimConfig::paper(scenario.protocol_seed())
+        .with_channel(Channel::lossy(0.1))
+        .with_fault(FaultModel::perfect().with_downlink_loss(0.2));
+    std::thread::scope(|s| {
+        let lossy = s.spawn(|| kill_everywhere(lossy));
+        kill_everywhere(clean);
+        lossy.join().expect("the lossy run");
+    });
+}
+
 /// Killing *between recovery passes* — after backoff has been charged and
 /// the population reselected — must restore pass counters and the backoff
 /// RNG stream exactly.
