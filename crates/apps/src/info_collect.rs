@@ -51,7 +51,7 @@ pub fn collect(mut session: Session, ctx: &mut SimContext) -> Collection {
     let collected = ctx
         .population
         .iter()
-        .filter(|(_, tag)| tag.state == TagState::Asleep)
+        .filter(|&(handle, _)| ctx.population.state(handle) == TagState::Asleep)
         .map(|(_, tag)| (tag.id, tag.info.clone()))
         .collect();
     Collection { end, collected }

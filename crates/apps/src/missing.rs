@@ -174,7 +174,7 @@ impl MissingTagApp {
         missing: &mut Vec<TagId>,
     ) {
         match handle_of.get(&id) {
-            Some(&handle) if ctx.population.get(handle).is_active() => {
+            Some(&handle) if ctx.population.is_active(handle) => {
                 if ctx.poll_tag(vector_bits, true, handle) {
                     present.push(id);
                 } else {
@@ -287,7 +287,7 @@ impl MissingTagDetector {
             for (segment, &(_, id)) in tree.preorder_segments().iter().zip(&singles) {
                 let here = handle_of
                     .get(&id)
-                    .filter(|&&handle| ctx.population.get(handle).is_active());
+                    .filter(|&&handle| ctx.population.is_active(handle));
                 let repliers = here.map_or(&[][..], std::slice::from_ref);
                 if presence_probe(ctx, repliers, segment.len() as u64) == SlotOutcome::Empty {
                     return DetectionOutcome {

@@ -92,7 +92,7 @@ impl InventoryMonitor {
         let before: BTreeSet<TagId> = ctx
             .population
             .iter()
-            .filter(|(_, t)| t.is_active())
+            .filter(|&(handle, _)| ctx.population.is_active(handle))
             .map(|(_, t)| t.id)
             .collect();
         let mut newcomers = Vec::new();

@@ -177,7 +177,7 @@ mod tests {
         // Aliens remain active and unread.
         assert_eq!(ctx.population.active_count(), 100);
         for &k in &known {
-            assert!(!ctx.population.get(k).is_active(), "known tag {k} unread");
+            assert!(!ctx.population.is_active(k), "known tag {k} unread");
         }
     }
 

@@ -403,7 +403,7 @@ mod tests {
             let family = HashFamily::new(seed, k);
             let candidates: Vec<(usize, Vec<u64>)> = pop
                 .iter()
-                .filter(|(_, t)| t.is_active())
+                .filter(|&(h, _)| pop.is_active(h))
                 .map(|(h, t)| (h, family.slots(t.id.hi(), t.id.lo(), frame)))
                 .collect();
             let want = assign(&family, &candidates, frame);

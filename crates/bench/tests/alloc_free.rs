@@ -5,16 +5,18 @@
 //! counting `#[global_allocator]` shim proves it: the allocation count of a
 //! full HPP, FSA, binary-splitting or Q-algorithm run must stay far below
 //! its slot count, and growing the population (hence the slot count)
-//! several-fold must not grow the allocation count proportionally. The shim lives here, not in a library
-//! crate, because every workspace lib `forbid(unsafe_code)`s — an
-//! integration test is its own crate root and may implement `GlobalAlloc`.
+//! several-fold must not grow the allocation count proportionally. An EHPP
+//! run's allocation count must not grow with its circle count. The shim
+//! lives here, not in a library crate, because every workspace lib
+//! `forbid(unsafe_code)`s — an integration test is its own crate root and
+//! may implement `GlobalAlloc`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use rfid_baselines::FsaConfig;
 use rfid_identify::{BinarySplitConfig, QAlgorithmConfig};
-use rfid_protocols::{HppConfig, PollingProtocol};
+use rfid_protocols::{EhppConfig, HppConfig, PollingProtocol};
 use rfid_system::{BitVec, SimConfig, SimContext, TagPopulation};
 
 /// Counts heap acquisitions (alloc + realloc — the events arena reuse is
@@ -49,8 +51,8 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Runs a fault-free inventory of `n` tags with the counter armed only
 /// around the protocol run (population/context construction may allocate
-/// freely) and returns (allocations, slots).
-fn counted_run(protocol: &dyn PollingProtocol, n: usize) -> (u64, u64) {
+/// freely) and returns (allocations, slots, circles).
+fn counted_run(protocol: &dyn PollingProtocol, n: usize) -> (u64, u64, u64) {
     let pop = TagPopulation::sequential(n, |i| BitVec::from_value((i % 16) as u64, 4));
     let mut ctx = SimContext::new(pop, &SimConfig::paper(7));
     ACQUISITIONS.store(0, Ordering::SeqCst);
@@ -62,12 +64,14 @@ fn counted_run(protocol: &dyn PollingProtocol, n: usize) -> (u64, u64) {
     (
         ACQUISITIONS.load(Ordering::SeqCst),
         c.polls + c.empty_slots + c.collision_slots,
+        c.circles,
     )
 }
 
 /// One test drives every check — the counter is process-global and the
 /// default test harness runs `#[test]`s concurrently. HPP polls; FSA,
-/// binary splitting and the Q-algorithm resolve contention slots.
+/// binary splitting and the Q-algorithm resolve contention slots; EHPP
+/// opens circles.
 #[test]
 fn hpp_inner_loop_does_not_allocate_per_slot() {
     let protocols: [Box<dyn PollingProtocol>; 4] = [
@@ -78,7 +82,7 @@ fn hpp_inner_loop_does_not_allocate_per_slot() {
     ];
     for protocol in &protocols {
         let name = protocol.name();
-        let (small_allocs, small_slots) = counted_run(protocol.as_ref(), 2_000);
+        let (small_allocs, small_slots, _) = counted_run(protocol.as_ref(), 2_000);
         // O(rounds) arena growth plus the final report: a couple hundred
         // acquisitions at the most, never one per slot.
         assert!(
@@ -89,10 +93,24 @@ fn hpp_inner_loop_does_not_allocate_per_slot() {
         // Scaling check: 8× the tags (and ≈ 8× the slots) must not cost
         // anywhere near 8× the allocations — arenas grow to a high-water
         // mark, they are not reacquired per slot.
-        let (large_allocs, large_slots) = counted_run(protocol.as_ref(), 16_000);
+        let (large_allocs, large_slots, _) = counted_run(protocol.as_ref(), 16_000);
         assert!(
             large_allocs < small_allocs + large_slots / 8,
             "{name}: allocations scale with slots: {small_allocs} at n=2k vs {large_allocs} at n=16k"
         );
     }
+
+    // EHPP selects each circle into one reused keep-mask buffer: 8× the
+    // tags open 8× the circles, and the allocation count must not grow
+    // with them (the inner HPP rounds' arenas still grow to a larger
+    // high-water mark, a few reallocations).
+    let ehpp = EhppConfig::default();
+    let (small_allocs, _, small_circles) = counted_run(&ehpp, 2_000);
+    let (large_allocs, _, large_circles) = counted_run(&ehpp, 16_000);
+    assert!(small_circles >= 5, "EHPP opened {small_circles} circles");
+    assert!(
+        large_allocs - small_allocs < (large_circles - small_circles) / 4,
+        "EHPP: allocations grow with circles: {small_allocs} over {small_circles} circles \
+         vs {large_allocs} over {large_circles}"
+    );
 }

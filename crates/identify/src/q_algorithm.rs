@@ -285,7 +285,7 @@ impl FrameDraw for LazyFrame {
 
     fn close_frame(&mut self, population: &TagPopulation) {
         for &tag in &self.placed {
-            if population.get(tag).is_active() {
+            if population.is_active(tag) {
                 self.unplaced.insert(tag);
             }
         }
@@ -564,7 +564,7 @@ mod tests {
             }
             let mut set = HandleSet::default();
             set.rebuild(&pop);
-            let mut model: Vec<usize> = (0..n).filter(|&h| pop.get(h).is_active()).collect();
+            let mut model: Vec<usize> = (0..n).filter(|&h| pop.is_active(h)).collect();
             for _ in 0..200 {
                 assert_eq!(set.len(), model.len());
                 let absent: Vec<usize> = (0..n).filter(|h| !model.contains(h)).collect();

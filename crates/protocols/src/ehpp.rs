@@ -20,7 +20,7 @@
 
 use rfid_analysis::ehpp::optimal_subset_size_with_overhead;
 use rfid_hash::TagHash;
-use rfid_system::{Json, JsonError, SimContext, ToJson};
+use rfid_system::{Json, JsonError, SimContext, TagPopulation, ToJson};
 
 use crate::error::{StallCause, StallGuard};
 use crate::hpp::{hpp_round, HppConfig};
@@ -118,6 +118,41 @@ struct EhppStepper {
     circles: u64,
     /// `None` between circles (next step selects), `Some` inside one.
     inner: Option<InnerCircle>,
+    /// The last selection's keep-masks, one word per 64 handles, reused
+    /// across circles.
+    keep: Vec<u64>,
+}
+
+/// Fills `keep` with one mask per word of the population's active set: bit
+/// `i` is set iff tag `i` is active and `H(r, id) mod F < n*`. Returns how
+/// many tags it selects.
+fn selection_masks(
+    population: &TagPopulation,
+    selector: TagHash,
+    f_range: u64,
+    n_star: u64,
+    keep: &mut Vec<u64>,
+) -> usize {
+    let (ids_hi, ids_lo) = population.id_words();
+    keep.clear();
+    let mut selected = 0;
+    for ((&word, hi), lo) in population
+        .active_words()
+        .iter()
+        .zip(ids_hi.chunks(64))
+        .zip(ids_lo.chunks(64))
+    {
+        let mut mask = 0u64;
+        let mut bits = word;
+        while bits != 0 {
+            let bit = bits.trailing_zeros() as usize;
+            mask |= u64::from(selector.modulo(hi[bit], lo[bit], f_range) < n_star) << bit;
+            bits &= bits - 1;
+        }
+        selected += mask.count_ones() as usize;
+        keep.push(mask);
+    }
+    selected
 }
 
 impl EhppStepper {
@@ -132,6 +167,7 @@ impl EhppStepper {
             },
             circles: 0,
             inner: None,
+            keep: Vec::new(),
         }
     }
 
@@ -153,33 +189,25 @@ impl EhppStepper {
             });
             return StepOutcome::Progressed;
         }
-        // Probabilistic selection: tag joins iff H(r, id) mod F < n*.
-        // Walk only the active bitset (O(remaining), not O(n)) into a
-        // recycled scratch buffer — the selection sweep used to rescan
-        // the full population every circle.
-        let seed = ctx.draw_round_seed();
-        let selector = TagHash::new(seed);
-        let f_range = remaining;
-        let n_star = self.n_star;
-        let mut deselected = ctx.take_scratch();
-        let (ids_hi, ids_lo) = ctx.population.id_words();
-        ctx.population.for_each_active(|handle| {
-            if selector.modulo(ids_hi[handle], ids_lo[handle], f_range) >= n_star {
-                deselected.push(handle);
-            }
-        });
-        let selected = remaining as usize - deselected.len();
+        // Probabilistic selection: tag joins iff H(r, id) mod F < n*. The
+        // keep-masks are computed first, the circle command goes out over
+        // the pre-selection active set (its downlink draws walk it), and
+        // only then are the unselected tags deselected.
+        let selector = TagHash::new(ctx.draw_round_seed());
+        let selected = selection_masks(
+            &ctx.population,
+            selector,
+            remaining,
+            self.n_star,
+            &mut self.keep,
+        );
         ctx.begin_circle(selected, self.cfg.circle_cmd_bits);
         if selected == 0 {
             // Nobody joined (rare); re-draw a selection seed next step. The
             // circle command was still spent on the air.
-            ctx.recycle_scratch(deselected);
             return StepOutcome::Progressed;
         }
-        for &handle in &deselected {
-            ctx.population.deselect(handle);
-        }
-        ctx.recycle_scratch(deselected);
+        ctx.population.retain_selected(&self.keep);
         self.inner = Some(InnerCircle {
             final_drain: false,
             rounds: 0,
@@ -282,7 +310,9 @@ impl ProtocolStepper for EhppStepper {
 mod tests {
     use super::*;
     use crate::report::Report;
-    use rfid_system::{BitVec, Channel, SimConfig, TagPopulation};
+    use rfid_hash::prop::{check, Gen};
+    use rfid_hash::{prop_assert, prop_assert_eq};
+    use rfid_system::{BitVec, Channel, SimConfig, TagId};
 
     fn run(n: usize, seed: u64, cfg: EhppConfig) -> (Report, SimContext) {
         let pop = TagPopulation::sequential(n, |_| BitVec::from_value(1, 1));
@@ -388,6 +418,80 @@ mod tests {
         let (b, _) = run(800, 10, EhppConfig::default());
         assert_eq!(a.total_time, b.total_time);
         assert_eq!(a.counters.circles, b.counters.circles);
+    }
+
+    /// The per-tag selection this protocol ran before it selected a word
+    /// at a time: collect every active tag that fails the predicate, then
+    /// deselect them one by one unless nobody was selected.
+    fn per_tag_selection(
+        population: &mut TagPopulation,
+        selector: TagHash,
+        f_range: u64,
+        n_star: u64,
+    ) -> usize {
+        let mut dropped = Vec::new();
+        let (ids_hi, ids_lo) = population.id_words();
+        population.for_each_active(|handle| {
+            if selector.modulo(ids_hi[handle], ids_lo[handle], f_range) >= n_star {
+                dropped.push(handle);
+            }
+        });
+        let selected = population.active_count() - dropped.len();
+        if selected > 0 {
+            for handle in dropped {
+                population.deselect(handle);
+            }
+        }
+        selected
+    }
+
+    /// Word-wise selection leaves every tag in the state the per-tag loop
+    /// leaves it in, over random active/asleep/deselected patterns,
+    /// population sizes that are not multiples of 64, `F = 1` and
+    /// `n* ≥ F`; reselection then restores the same population too.
+    #[test]
+    fn prop_word_selection_matches_per_tag_loop() {
+        check("word-wise selection matches per-tag", 256, |g: &mut Gen| {
+            let n = g.len_in(1, 300);
+            let ids: Vec<TagId> = (0..n)
+                .map(|i| TagId::from_raw(g.u32(), (i as u64) << 32 | u64::from(g.u32())))
+                .collect();
+            let mut oracle = TagPopulation::new(ids.iter().map(|&id| (id, BitVec::new())));
+            for handle in 0..n {
+                match g.u64_below(3) {
+                    0 => oracle.sleep(handle),
+                    1 => oracle.deselect(handle),
+                    _ => {}
+                }
+            }
+            let mut words = oracle.clone();
+            let f_range = match g.u64_below(3) {
+                0 => 1,
+                1 => (oracle.active_count() as u64).max(1),
+                _ => g.u64_in(1, 2 * n as u64),
+            };
+            let n_star = g.u64_in(1, f_range + 2);
+            let selector = TagHash::new(g.u64());
+
+            let want = per_tag_selection(&mut oracle, selector, f_range, n_star);
+            let mut keep = vec![u64::MAX; 3];
+            let got = selection_masks(&words, selector, f_range, n_star, &mut keep);
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(keep.len(), n.div_ceil(64));
+            if got > 0 {
+                words.retain_selected(&keep);
+            }
+            prop_assert_eq!(words.active_count(), oracle.active_count());
+            for handle in 0..n {
+                prop_assert_eq!(words.state(handle), oracle.state(handle));
+            }
+            prop_assert!(words == oracle, "bitsets differ");
+            words.reselect_all();
+            oracle.reselect_all();
+            prop_assert!(words == oracle, "bitsets differ after reselection");
+            prop_assert_eq!(words.active_count(), oracle.active_count());
+            Ok(())
+        });
     }
 
     #[test]

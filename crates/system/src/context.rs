@@ -589,7 +589,7 @@ impl SimContext {
 
     fn poll_tag_inner(&mut self, vector_bits: u64, with_query_rep: bool, target: usize) -> bool {
         assert!(
-            self.population.get(target).is_active(),
+            self.population.is_active(target),
             "polling inactive tag {target}"
         );
         if with_query_rep {
@@ -852,10 +852,8 @@ impl SimContext {
     /// Handles of tags never successfully read (active or deselected) — the
     /// `uncollected` list of a stalled run's partial report.
     pub fn uncollected_handles(&self) -> Vec<usize> {
-        self.population
-            .iter()
-            .filter(|(_, t)| t.state != TagState::Asleep)
-            .map(|(i, _)| i)
+        (0..self.population.len())
+            .filter(|&idx| self.population.state(idx) != TagState::Asleep)
             .collect()
     }
 
@@ -1156,7 +1154,7 @@ mod tests {
         let cfg = SimConfig::paper(3).with_channel(Channel::lossy(1.0));
         let mut c = SimContext::new(pop, &cfg);
         assert!(!c.poll_tag(5, true, 0));
-        assert!(c.population.get(0).is_active());
+        assert!(c.population.is_active(0));
         assert_eq!(c.counters.lost_replies, 1);
         assert_eq!(c.counters.polls, 0);
     }
@@ -1331,7 +1329,7 @@ mod tests {
         let cfg = SimConfig::paper(9).with_fault(fault);
         let mut c = SimContext::new(pop, &cfg);
         assert!(!c.poll_tag(3, true, 0));
-        assert!(c.population.get(0).is_active());
+        assert!(c.population.is_active(0));
         assert_eq!(c.counters.corrupted_replies, 3, "initial try + 2 retries");
         assert_eq!(c.counters.retransmissions, 2);
         assert_eq!(c.counters.polls, 0);
@@ -1414,7 +1412,7 @@ mod tests {
             other => panic!("expected corrupted slot, got {other:?}"),
         }
         assert_eq!(c.counters.corrupted_replies, 1);
-        assert!(c.population.get(0).is_active());
+        assert!(c.population.is_active(0));
     }
 
     #[test]
@@ -1651,7 +1649,7 @@ mod tests {
         let killed = FaultModel::perfect().with_plan(plan);
         c.inject_fault(killed.clone()).expect("valid fault");
         assert!(!c.poll_tag(1, true, 1));
-        assert!(c.population.get(1).is_active());
+        assert!(c.population.is_active(1));
         assert!(c.poll_tag(1, true, 2), "tag 2 has no kill rule");
 
         // A snapshot taken now restores against the *updated* config.

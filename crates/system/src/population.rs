@@ -4,12 +4,14 @@
 //! population keeps tags in a dense `Vec` (index = stable handle) and tracks
 //! how many are still active so protocols can terminate without scanning.
 //!
-//! Since the hot-path rework the population also maintains an *active-set
-//! bitset* (one bit per handle, kept in sync by [`TagPopulation::sleep`],
-//! [`TagPopulation::deselect`] and [`TagPopulation::reselect_all`]) plus a
-//! structure-of-arrays cache of the raw ID words, so per-round work such as
-//! the singleton sift costs O(active) instead of O(population) and batch
-//! hashing can stream the ID blocks without touching the `Tag` structs.
+//! Each tag's inventory state lives in two bitsets, one bit per handle: the
+//! *active set* and the *deselected set* (EHPP's circle filter); a tag in
+//! neither is asleep. The bits are the only record of state, so per-round
+//! work such as the singleton sift costs O(active) instead of
+//! O(population), and a circle's selection deselects and reselects tags a
+//! 64-bit word at a time. A structure-of-arrays cache of the raw ID words
+//! lets batch hashing stream the ID blocks without touching the `Tag`
+//! structs.
 
 #[cfg(debug_assertions)]
 use std::cell::Cell;
@@ -24,16 +26,16 @@ pub struct TagPopulation {
     tags: Vec<Tag>,
     active: usize,
     asleep: usize,
-    /// Bit `i` of `active_words[i / 64]` (LSB-first) is set iff
-    /// `tags[i].is_active()` — the O(active/64) iteration substrate.
+    /// Bit `i` of `active_words[i / 64]` (LSB-first) is set iff tag `i` is
+    /// active — the O(active/64) iteration substrate.
     active_words: Vec<u64>,
+    /// Bit `i` of `deselected_words[i / 64]` is set iff tag `i` sits out
+    /// the current EHPP circle. Disjoint from `active_words`.
+    deselected_words: Vec<u64>,
     /// SoA cache of the raw EPC words, aligned with `tags` — lets the
     /// round index batch-hash ID blocks without chasing `Tag` structs.
     ids_hi: Vec<u32>,
     ids_lo: Vec<u64>,
-    /// Handles currently deselected, so `reselect_all` is O(deselected)
-    /// instead of a full-population sweep per circle.
-    deselected: Vec<usize>,
     /// Debug-only full-population scan counter; slot handlers assert it
     /// stays unchanged across a slot (no handler may rescan the population).
     #[cfg(debug_assertions)]
@@ -41,10 +43,12 @@ pub struct TagPopulation {
 }
 
 impl PartialEq for TagPopulation {
-    /// Populations compare by tag state alone; the bitset, SoA cache and
-    /// deselection stack are derived views kept consistent by construction.
+    /// Populations compare by their tags' IDs and payloads and by the state
+    /// bitsets; the counts and the SoA cache are derived from those.
     fn eq(&self, other: &Self) -> bool {
         self.tags == other.tags
+            && self.active_words == other.active_words
+            && self.deselected_words == other.deselected_words
     }
 }
 
@@ -77,6 +81,7 @@ impl TagPopulation {
                 *last = (1u64 << tail) - 1;
             }
         }
+        let deselected_words = vec![0; active_words.len()];
         let ids_hi: Vec<u32> = tags.iter().map(|t| t.id.hi()).collect();
         let ids_lo: Vec<u64> = tags.iter().map(|t| t.id.lo()).collect();
         Ok(TagPopulation {
@@ -84,9 +89,9 @@ impl TagPopulation {
             active,
             asleep: 0,
             active_words,
+            deselected_words,
             ids_hi,
             ids_lo,
-            deselected: Vec::new(),
             #[cfg(debug_assertions)]
             scans: Cell::new(0),
         })
@@ -116,6 +121,23 @@ impl TagPopulation {
     /// Immutable access to a tag by handle.
     pub fn get(&self, idx: usize) -> &Tag {
         &self.tags[idx]
+    }
+
+    /// Whether tag `idx` currently listens and replies.
+    #[inline]
+    pub fn is_active(&self, idx: usize) -> bool {
+        self.active_words[idx / 64] & (1u64 << (idx % 64)) != 0
+    }
+
+    /// Tag `idx`'s inventory state, read from the bitsets.
+    pub fn state(&self, idx: usize) -> TagState {
+        if self.is_active(idx) {
+            TagState::Active
+        } else if self.deselected_words[idx / 64] & (1u64 << (idx % 64)) != 0 {
+            TagState::Deselected
+        } else {
+            TagState::Asleep
+        }
     }
 
     /// All tags (any state), with handles. Counts as a full-population scan
@@ -166,46 +188,57 @@ impl TagPopulation {
         (&self.ids_hi, &self.ids_lo)
     }
 
-    #[inline]
-    fn clear_active_bit(&mut self, idx: usize) {
-        self.active_words[idx / 64] &= !(1u64 << (idx % 64));
-    }
-
-    #[inline]
-    fn set_active_bit(&mut self, idx: usize) {
-        self.active_words[idx / 64] |= 1u64 << (idx % 64);
-    }
-
     /// Puts tag `idx` to sleep (after a successful interrogation).
     pub fn sleep(&mut self, idx: usize) {
-        if self.tags[idx].is_active() {
-            self.tags[idx].sleep();
-            self.active -= 1;
-            self.asleep += 1;
-            self.clear_active_bit(idx);
-        } else {
-            panic!("tag {idx} slept twice");
-        }
+        assert!(self.is_active(idx), "tag {idx} slept twice");
+        self.active_words[idx / 64] &= !(1u64 << (idx % 64));
+        self.active -= 1;
+        self.asleep += 1;
     }
 
-    /// Deselects tag `idx` for the current circle.
+    /// Deselects tag `idx` for the current circle; a tag that is not
+    /// active is left as it is.
     pub fn deselect(&mut self, idx: usize) {
-        if self.tags[idx].is_active() {
-            self.tags[idx].deselect();
+        if self.is_active(idx) {
+            let bit = 1u64 << (idx % 64);
+            self.active_words[idx / 64] &= !bit;
+            self.deselected_words[idx / 64] |= bit;
             self.active -= 1;
-            self.clear_active_bit(idx);
-            self.deselected.push(idx);
         }
     }
 
-    /// Re-activates every deselected tag (start of the next circle).
-    /// O(deselected), not a population sweep.
+    /// Deselects every active tag whose bit in `keep` (one word per
+    /// 64 handles, like [`TagPopulation::active_words`]) is clear: an EHPP
+    /// circle's selection, a word at a time.
+    ///
+    /// # Panics
+    /// Panics if `keep` does not hold exactly one word per 64 handles.
+    pub fn retain_selected(&mut self, keep: &[u64]) {
+        assert_eq!(
+            keep.len(),
+            self.active_words.len(),
+            "one keep word per 64 tags"
+        );
+        for ((active, deselected), &keep) in self
+            .active_words
+            .iter_mut()
+            .zip(&mut self.deselected_words)
+            .zip(keep)
+        {
+            let dropped = *active & !keep;
+            *deselected |= dropped;
+            *active &= keep;
+            self.active -= dropped.count_ones() as usize;
+        }
+    }
+
+    /// Re-activates every deselected tag (start of the next circle): an OR
+    /// over the words.
     pub fn reselect_all(&mut self) {
-        while let Some(idx) = self.deselected.pop() {
-            debug_assert_eq!(self.tags[idx].state, TagState::Deselected);
-            self.tags[idx].reselect();
-            self.active += 1;
-            self.set_active_bit(idx);
+        for (active, deselected) in self.active_words.iter_mut().zip(&mut self.deselected_words) {
+            *active |= *deselected;
+            self.active += deselected.count_ones() as usize;
+            *deselected = 0;
         }
     }
 
@@ -213,9 +246,8 @@ impl TagPopulation {
     pub fn asleep_count(&self) -> usize {
         debug_assert_eq!(
             self.asleep,
-            self.tags
-                .iter()
-                .filter(|t| t.state == TagState::Asleep)
+            (0..self.len())
+                .filter(|&idx| self.state(idx) == TagState::Asleep)
                 .count()
         );
         self.asleep
@@ -246,7 +278,7 @@ impl TagPopulation {
     /// Replays persisted inventory states onto a freshly built (all
     /// active) population, one per handle in order, through
     /// [`TagPopulation::sleep`] and [`TagPopulation::deselect`] so the
-    /// derived counts, bitset and deselection stack stay consistent.
+    /// words and the derived counts stay consistent.
     ///
     /// # Panics
     /// Panics if there are more states than tags.
@@ -280,7 +312,7 @@ impl TagPopulation {
     /// Each tag's inventory state as a 2-bit code in handle order, packed
     /// as hex ([`crate::packed`]): the `state` of a context snapshot.
     pub fn packed_states(&self) -> String {
-        crate::packed::pack_codes(self.tags.iter().map(|t| t.state.code()), 2)
+        crate::packed::pack_codes((0..self.len()).map(|idx| self.state(idx).code()), 2)
     }
 
     /// Rebuilds a fresh (all-active) population from
@@ -344,10 +376,8 @@ mod tests {
         p.sleep(64);
         p.deselect(65);
         p.deselect(129);
-        let naive: Vec<usize> = p
-            .iter()
-            .filter(|(_, t)| t.is_active())
-            .map(|(i, _)| i)
+        let naive: Vec<usize> = (0..p.len())
+            .filter(|&i| p.state(i) == TagState::Active)
             .collect();
         let mut via_bits = Vec::new();
         p.collect_active_into(&mut via_bits);
@@ -402,6 +432,58 @@ mod tests {
     fn duplicate_ids_rejected() {
         let id = TagId::from_raw(0, 7);
         let _ = TagPopulation::new(vec![(id, BitVec::new()), (id, BitVec::new())]);
+    }
+
+    #[test]
+    fn fresh_tag_is_active() {
+        let p = pop(70);
+        assert!((0..70).all(|i| p.is_active(i) && p.state(i) == TagState::Active));
+    }
+
+    #[test]
+    fn sleep_is_terminal_for_the_inventory() {
+        let mut p = pop(1);
+        p.sleep(0);
+        assert_eq!(p.state(0), TagState::Asleep);
+        assert!(!p.is_active(0));
+        // Reselect must not wake a slept tag.
+        p.reselect_all();
+        assert_eq!(p.state(0), TagState::Asleep);
+    }
+
+    #[test]
+    fn deselect_reselect_cycle() {
+        let mut p = pop(1);
+        p.deselect(0);
+        assert_eq!(p.state(0), TagState::Deselected);
+        assert!(!p.is_active(0));
+        p.reselect_all();
+        assert!(p.is_active(0));
+    }
+
+    #[test]
+    fn deselect_ignores_sleeping_tags() {
+        let mut p = pop(1);
+        p.sleep(0);
+        p.deselect(0);
+        assert_eq!(p.state(0), TagState::Asleep);
+    }
+
+    #[test]
+    fn retain_selected_deselects_a_word_at_a_time() {
+        let mut p = pop(130);
+        p.sleep(1);
+        p.deselect(2);
+        let keep = [0b1011, 1 << 63, 0b10];
+        p.retain_selected(&keep);
+        let active: Vec<usize> = (0..130).filter(|&i| p.is_active(i)).collect();
+        assert_eq!(active, vec![0, 3, 127, 129]);
+        assert_eq!(p.active_count(), 4);
+        assert_eq!(p.state(1), TagState::Asleep);
+        assert_eq!(p.state(4), TagState::Deselected);
+        p.reselect_all();
+        assert_eq!(p.active_count(), 129);
+        assert_eq!(p.asleep_count(), 1);
     }
 
     #[test]

@@ -167,7 +167,7 @@ mod tests {
         let hash = TagHash::new(seed);
         let mut pairs: Vec<(u64, usize)> = pop
             .iter()
-            .filter(|(_, t)| t.is_active())
+            .filter(|&(i, _)| pop.is_active(i))
             .map(|(i, t)| (hash.index(t.id.hi(), t.id.lo(), h), i))
             .collect();
         pairs.sort_unstable();
@@ -189,7 +189,7 @@ mod tests {
     fn naive_bucket(pop: &TagPopulation, seed: u64, h: u32, b: u64) -> Vec<usize> {
         let hash = TagHash::new(seed);
         pop.iter()
-            .filter(|(_, t)| t.is_active())
+            .filter(|&(i, _)| pop.is_active(i))
             .filter(|(_, t)| hash.index(t.id.hi(), t.id.lo(), h) == b)
             .map(|(i, _)| i)
             .collect()

@@ -196,11 +196,9 @@ fn tag_and_state_round_trip() {
             TagState::Asleep => pop.sleep(0),
             TagState::Deselected => pop.deselect(0),
         }
-        let expected = Tag {
-            state,
-            ..tag.clone()
-        };
-        assert_eq!(persisted(&pop).get(0), &expected);
+        let back = persisted(&pop);
+        assert_eq!(back.get(0), &tag);
+        assert_eq!(back.state(0), state);
     }
 }
 

@@ -50,6 +50,12 @@ rm -f target/BENCH_sweep.json
 cargo run --release --offline -q -p rfid-bench --bin repro -- table1 --runs 2 --max-n 1000 --workers 1 > target/repro_table1_serial.txt
 cargo run --release --offline -q -p rfid-bench --bin repro -- table1 --runs 2 --max-n 1000 > target/repro_table1_parallel.txt
 cmp target/repro_table1_serial.txt target/repro_table1_parallel.txt
+# The paper reproduction itself: every table and figure `repro all` prints
+# at the default 20 runs must be byte-identical to the committed
+# repro_output.txt (~30 s on 2 vCPUs), so no change moves a paper number
+# unnoticed.
+cargo run --release --offline -q -p rfid-bench --bin repro -- all --runs 20 > target/repro_all.txt
+cmp target/repro_all.txt repro_output.txt
 # Hot-path smoke slice (DESIGN.md §12): end-to-end throughput including a
 # 100k-tag run with a tags/sec floor and a 1M-tag HPP run to completion;
 # each gated case's speedup against its pre-change baseline is a gated

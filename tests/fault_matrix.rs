@@ -409,7 +409,7 @@ fn aliens_and_faults_compose() {
     let r = run_hpp_with_aliens(&mut ctx, &known, 100_000).expect("recovers");
     assert_eq!(r.report.counters.polls, 100);
     for &k in &known {
-        assert!(!ctx.population.get(k).is_active(), "known tag {k} unread");
+        assert!(!ctx.population.is_active(k), "known tag {k} unread");
     }
     assert!(r.report.counters.downlink_losses > 0);
 }
