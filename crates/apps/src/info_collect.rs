@@ -48,11 +48,10 @@ pub fn collect(mut session: Session, ctx: &mut SimContext) -> Collection {
     if end.is_complete() {
         ctx.assert_complete();
     }
-    let collected = ctx
-        .population
-        .iter()
-        .filter(|&(handle, _)| ctx.population.state(handle) == TagState::Asleep)
-        .map(|(_, tag)| (tag.id, tag.info.clone()))
+    let population = &ctx.population;
+    let collected = (0..population.len())
+        .filter(|&handle| population.state(handle) == TagState::Asleep)
+        .map(|handle| (population.id(handle), population.info(handle).clone()))
         .collect();
     Collection { end, collected }
 }
@@ -98,13 +97,13 @@ mod tests {
         for p in &protocols {
             let outcome = run_polling(p.as_ref(), &scenario);
             assert_eq!(outcome.collected.len(), 200, "{}", p.name());
-            for (_, tag) in reference.iter() {
+            for (h, id) in reference.ids().enumerate() {
                 assert_eq!(
-                    outcome.payload_of(tag.id),
-                    Some(&tag.info),
+                    outcome.payload_of(id),
+                    Some(reference.info(h)),
                     "{} corrupted payload of {}",
                     p.name(),
-                    tag.id
+                    id
                 );
             }
         }
@@ -148,8 +147,8 @@ mod tests {
         assert!(r.end.is_complete(), "loss 0.3 must recover fully");
         assert_eq!(r.collected.len(), 300);
         let reference = scenario.build_population();
-        for (_, tag) in reference.iter() {
-            assert_eq!(r.payload_of(tag.id), Some(&tag.info));
+        for (h, id) in reference.ids().enumerate() {
+            assert_eq!(r.payload_of(id), Some(reference.info(h)));
         }
     }
 
@@ -179,8 +178,8 @@ mod tests {
         // The partial inventory still carries the right payloads.
         let reference = scenario.build_population();
         for (id, payload) in &r.collected {
-            let expected = reference.iter().find(|(_, t)| t.id == *id).unwrap().1;
-            assert_eq!(payload, &expected.info);
+            let expected = reference.ids().position(|t| t == *id).unwrap();
+            assert_eq!(payload, reference.info(expected));
         }
 
         // A generous budget collects everything.
@@ -212,7 +211,7 @@ mod tests {
         let r = collect(session, &mut ctx);
         assert!(!r.end.is_complete());
         assert_eq!(r.collected.len(), 59, "everything but the dead tag");
-        let dead_id = ctx.population.get(3).id;
+        let dead_id = ctx.population.id(3);
         assert!(r.payload_of(dead_id).is_none());
         assert!((r.end.coverage() - 59.0 / 60.0).abs() < 1e-12);
     }

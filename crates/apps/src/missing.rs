@@ -92,8 +92,9 @@ impl MissingTagApp {
     ) -> Result<MissingTagReport, PollingError> {
         let handle_of: HashMap<TagId, usize> = ctx
             .population
-            .iter()
-            .map(|(handle, tag)| (tag.id, handle))
+            .ids()
+            .enumerate()
+            .map(|(h, id)| (id, h))
             .collect();
         let mut unresolved = dedup(expected);
         let mut missing = Vec::new();
@@ -263,8 +264,9 @@ impl MissingTagDetector {
         let started = ctx.clock.total();
         let handle_of: HashMap<TagId, usize> = ctx
             .population
-            .iter()
-            .map(|(handle, tag)| (tag.id, handle))
+            .ids()
+            .enumerate()
+            .map(|(h, id)| (id, h))
             .collect();
         let expected = dedup(expected);
         let budget = self.rounds_needed();
@@ -357,8 +359,7 @@ mod tests {
     fn setup(n: usize, gone: usize, seed: u64) -> (Vec<TagId>, SimContext, Vec<TagId>) {
         let scenario = Scenario::uniform(n, 1).with_seed(seed);
         let (expected, population) = scenario.split_missing(gone);
-        let present_ids: std::collections::HashSet<TagId> =
-            population.iter().map(|(_, t)| t.id).collect();
+        let present_ids: std::collections::HashSet<TagId> = population.ids().collect();
         let truly_missing: Vec<TagId> = expected
             .iter()
             .copied()
@@ -457,7 +458,7 @@ mod tests {
     #[test]
     fn detector_names_a_tag_that_left_the_zone() {
         let (expected, population) = Scenario::uniform(400, 1).with_seed(8).split_missing(0);
-        let gone = population.get(0).id;
+        let gone = population.id(0);
         let plan = FaultPlan {
             kill_after_replies: vec![KillRule {
                 tag: 0,

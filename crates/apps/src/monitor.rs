@@ -91,9 +91,10 @@ impl InventoryMonitor {
         //    reader; a Query-Tree pass identifies them.
         let before: BTreeSet<TagId> = ctx
             .population
-            .iter()
+            .ids()
+            .enumerate()
             .filter(|&(handle, _)| ctx.population.is_active(handle))
-            .map(|(_, t)| t.id)
+            .map(|(_, id)| id)
             .collect();
         let mut newcomers = Vec::new();
         if !before.is_empty() {
@@ -129,7 +130,7 @@ mod tests {
     ) -> (Vec<TagId>, SimContext, Vec<TagId>, Vec<TagId>) {
         let base = Scenario::uniform(known + newcomers, 1).with_seed(seed);
         let all = base.build_population();
-        let ids: Vec<TagId> = all.iter().map(|(_, t)| t.id).collect();
+        let ids: Vec<TagId> = all.ids().collect();
         let (known_ids, newcomer_ids) = ids.split_at(known);
         let departed_ids: Vec<TagId> = known_ids[..departed].to_vec();
         let present = TagPopulation::new(

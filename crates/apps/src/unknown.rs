@@ -74,7 +74,7 @@ pub fn run_hpp_with_aliens(
         // Reader side: sift singletons over the *known* unread tags only.
         let hash = TagHash::new(seed);
         let index_of = |ctx: &SimContext, handle: usize| {
-            let id = ctx.population.get(handle).id;
+            let id = ctx.population.id(handle);
             hash.index(id.hi(), id.lo(), h)
         };
         let mut by_index: HashMap<u64, Vec<usize>> = HashMap::new();

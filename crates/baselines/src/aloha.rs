@@ -56,10 +56,9 @@ impl FsaStepper {
     fn open(cfg: FsaConfig, ctx: &SimContext) -> Self {
         // Framed slots are fixed-duration: an empty slot still occupies the
         // full reply window (same convention as MIC's timing model).
-        let payload_bits = ctx
-            .population
-            .iter()
-            .map(|(_, t)| t.info.len())
+        let population = &ctx.population;
+        let payload_bits = (0..population.len())
+            .map(|h| population.info(h).len())
             .max()
             .unwrap_or(0) as u64;
         FsaStepper { cfg, payload_bits }

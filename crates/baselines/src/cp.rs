@@ -58,9 +58,9 @@ impl CpStepper {
         // Reader-side validation pass: compute every tag's code and find
         // collisions (those tags must be addressed by full ID).
         let mut by_code: HashMap<u64, Vec<usize>> = HashMap::new();
-        for (handle, tag) in ctx.population.iter() {
+        for (handle, id) in ctx.population.ids().enumerate() {
             by_code
-                .entry(crc48_code(&tag.id.to_bytes()))
+                .entry(crc48_code(&id.to_bytes()))
                 .or_default()
                 .push(handle);
         }

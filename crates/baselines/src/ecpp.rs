@@ -80,7 +80,7 @@ impl ProtocolStepper for EcppStepper {
         let pop = &ctx.population;
         pop.for_each_active(|handle| {
             groups
-                .entry(pop.get(handle).id.as_u128() >> (EPC_BITS - p))
+                .entry(pop.id(handle).as_u128() >> (EPC_BITS - p))
                 .or_default()
                 .push(handle);
         });

@@ -184,10 +184,9 @@ impl MicStepper {
         // reply slot (slots are fixed-duration in framed ALOHA). This is
         // the timing model under which the paper's Table III shape holds
         // (HPP beats MIC at n = 100, l = 32).
-        let payload_bits = ctx
-            .population
-            .iter()
-            .map(|(_, t)| t.info.len())
+        let population = &ctx.population;
+        let payload_bits = (0..population.len())
+            .map(|h| population.info(h).len())
             .max()
             .unwrap_or(0) as u64;
         MicStepper {
@@ -402,9 +401,10 @@ mod tests {
             let k = 7;
             let family = HashFamily::new(seed, k);
             let candidates: Vec<(usize, Vec<u64>)> = pop
-                .iter()
+                .ids()
+                .enumerate()
                 .filter(|&(h, _)| pop.is_active(h))
-                .map(|(h, t)| (h, family.slots(t.id.hi(), t.id.lo(), frame)))
+                .map(|(h, id)| (h, family.slots(id.hi(), id.lo(), frame)))
                 .collect();
             let want = assign(&family, &candidates, frame);
             let handles: Vec<usize> = candidates.iter().map(|&(h, _)| h).collect();
@@ -425,8 +425,9 @@ mod tests {
         let family = HashFamily::new(42, 7);
         let candidates: Vec<(usize, Vec<u64>)> = ctx
             .population
-            .iter()
-            .map(|(h, t)| (h, family.slots(t.id.hi(), t.id.lo(), frame)))
+            .ids()
+            .enumerate()
+            .map(|(h, id)| (h, family.slots(id.hi(), id.lo(), frame)))
             .collect();
         let assignment = assign(&family, &candidates, frame);
         let indicator: Vec<u8> = assignment

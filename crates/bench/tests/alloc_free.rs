@@ -6,7 +6,9 @@
 //! full HPP, FSA, binary-splitting or Q-algorithm run must stay far below
 //! its slot count, and growing the population (hence the slot count)
 //! several-fold must not grow the allocation count proportionally. An EHPP
-//! run's allocation count must not grow with its circle count. The shim
+//! run's allocation count must not grow with its circle count. Opening
+//! EHPP again must not redo its subset-size search, and building a
+//! population allocates once per tag (its payload) plus a constant. The shim
 //! lives here, not in a library crate, because every workspace lib
 //! `forbid(unsafe_code)`s — an integration test is its own crate root and
 //! may implement `GlobalAlloc`.
@@ -18,6 +20,7 @@ use rfid_baselines::FsaConfig;
 use rfid_identify::{BinarySplitConfig, QAlgorithmConfig};
 use rfid_protocols::{EhppConfig, HppConfig, PollingProtocol};
 use rfid_system::{BitVec, SimConfig, SimContext, TagPopulation};
+use rfid_workloads::Scenario;
 
 /// Counts heap acquisitions (alloc + realloc — the events arena reuse is
 /// supposed to eliminate) while armed; frees are deliberately not counted.
@@ -55,17 +58,23 @@ static ALLOC: CountingAlloc = CountingAlloc;
 fn counted_run(protocol: &dyn PollingProtocol, n: usize) -> (u64, u64, u64) {
     let pop = TagPopulation::sequential(n, |i| BitVec::from_value((i % 16) as u64, 4));
     let mut ctx = SimContext::new(pop, &SimConfig::paper(7));
-    ACQUISITIONS.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
-    let report = protocol.run(&mut ctx);
-    ARMED.store(false, Ordering::SeqCst);
+    let (allocs, report) = counted(|| protocol.run(&mut ctx));
     let c = &report.counters;
     assert_eq!(c.polls, n as u64, "{}", protocol.name());
     (
-        ACQUISITIONS.load(Ordering::SeqCst),
+        allocs,
         c.polls + c.empty_slots + c.collision_slots,
         c.circles,
     )
+}
+
+/// Heap acquisitions made while running `f`.
+fn counted<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    ACQUISITIONS.store(0, Ordering::SeqCst);
+    ARMED.store(true, Ordering::SeqCst);
+    let out = f();
+    ARMED.store(false, Ordering::SeqCst);
+    (ACQUISITIONS.load(Ordering::SeqCst), out)
 }
 
 /// One test drives every check — the counter is process-global and the
@@ -100,11 +109,21 @@ fn hpp_inner_loop_does_not_allocate_per_slot() {
         );
     }
 
+    // The optimal subset size is searched once per process: a second open
+    // allocates its stepper, not the search's ~4,000 recurrence buffers.
+    let ctx = SimContext::new(
+        TagPopulation::sequential(64, |_| BitVec::new()),
+        &SimConfig::paper(7),
+    );
+    let ehpp = EhppConfig::default();
+    drop(ehpp.open_stepper(&ctx));
+    let (reopen, _) = counted(|| ehpp.open_stepper(&ctx));
+    assert!(reopen < 100, "a second EHPP open allocated {reopen} times");
+
     // EHPP selects each circle into one reused keep-mask buffer: 8× the
     // tags open 8× the circles, and the allocation count must not grow
     // with them (the inner HPP rounds' arenas still grow to a larger
     // high-water mark, a few reallocations).
-    let ehpp = EhppConfig::default();
     let (small_allocs, _, small_circles) = counted_run(&ehpp, 2_000);
     let (large_allocs, _, large_circles) = counted_run(&ehpp, 16_000);
     assert!(small_circles >= 5, "EHPP opened {small_circles} circles");
@@ -113,4 +132,14 @@ fn hpp_inner_loop_does_not_allocate_per_slot() {
         "EHPP: allocations grow with circles: {small_allocs} over {small_circles} circles \
          vs {large_allocs} over {large_circles}"
     );
+
+    // A build allocates each tag's payload block and a fixed set of
+    // columns: no per-tag copy, no column regrowth.
+    let build_allocs = |n: usize| {
+        let (allocs, population) = counted(|| Scenario::uniform(n, 4).build_population());
+        assert_eq!(population.len(), n);
+        allocs - n as u64
+    };
+    let (small, large) = (build_allocs(1_000), build_allocs(8_000));
+    assert_eq!(small, large, "a build's fixed allocations grew with n");
 }

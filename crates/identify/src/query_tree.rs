@@ -99,8 +99,9 @@ impl QueryTreeStepper {
     fn open(cfg: QueryTreeConfig, ctx: &SimContext) -> Self {
         let mut sorted: Vec<(u128, usize)> = ctx
             .population
-            .iter()
-            .map(|(h, t)| (t.id.as_u128(), h))
+            .ids()
+            .enumerate()
+            .map(|(h, id)| (id.as_u128(), h))
             .collect();
         sorted.sort_unstable();
         QueryTreeStepper {

@@ -505,8 +505,8 @@ mod tests {
                 let ctx = SimContext::new(pop, &SimConfig::paper(s));
                 let selector = TagHash::new(s * 31 + 1);
                 ctx.population
-                    .iter()
-                    .filter(|(_, t)| selector.modulo(t.id.hi(), t.id.lo(), n as u64) < n_star)
+                    .ids()
+                    .filter(|id| selector.modulo(id.hi(), id.lo(), n as u64) < n_star)
                     .count()
             })
             .collect();

@@ -78,7 +78,7 @@ impl PollingError {
         let uncollected = ctx
             .uncollected_handles()
             .into_iter()
-            .map(|h| ctx.population.get(h).id)
+            .map(|h| ctx.population.id(h))
             .collect();
         PollingError::Stalled {
             partial_report: Report::from_context(protocol, ctx),
@@ -217,7 +217,7 @@ mod tests {
         } = &err;
         assert_eq!(partial_report.counters.polls, 1);
         assert_eq!(uncollected.len(), 2);
-        assert_eq!(uncollected[0], c.population.get(0).id);
+        assert_eq!(uncollected[0], c.population.id(0));
         assert_eq!(*cause, StallCause::NoProgress);
         let msg = err.to_string();
         assert!(msg.contains("HPP stalled: 2 of 3"), "{msg}");

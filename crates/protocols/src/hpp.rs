@@ -235,12 +235,12 @@ mod tests {
         // The index every tag derives in the round: `H(r, id) mod 2^h`.
         let tag_index = |id: rfid_system::TagId| TagHash::new(seed).index(id.hi(), id.lo(), h);
         let mut counts = std::collections::HashMap::new();
-        for (_, t) in ctx.population.iter() {
-            *counts.entry(tag_index(t.id)).or_insert(0u32) += 1;
+        for id in ctx.population.ids() {
+            *counts.entry(tag_index(id)).or_insert(0u32) += 1;
         }
         for &(idx, tag) in &singles {
             assert_eq!(counts[&idx], 1, "index {idx} not a singleton");
-            assert_eq!(tag_index(ctx.population.get(tag).id), idx);
+            assert_eq!(tag_index(ctx.population.id(tag)), idx);
         }
         let expected = counts.values().filter(|&&c| c == 1).count();
         assert_eq!(singles.len(), expected);

@@ -244,7 +244,7 @@ mod tests {
         assert_eq!(decoded, direct);
         // And every decoded index matches the tag-side hash of its owner.
         for (idx, &(_, tag)) in decoded.iter().zip(&singles) {
-            let id = ctx.population.get(tag).id;
+            let id = ctx.population.id(tag);
             assert_eq!(*idx, TagHash::new(seed).index(id.hi(), id.lo(), h));
         }
     }

@@ -26,10 +26,9 @@ use crate::event::{BroadcastKind, Event, EventLog, TimedEvent};
 use crate::fault::FaultModel;
 use crate::json::{Json, JsonError, ToJson};
 use crate::packed::{pack_codes, pack_varints, unpack_codes, unpack_varints};
-use crate::population::TagPopulation;
+use crate::population::{TagPopulation, TagState};
 use crate::round_index::RoundIndex;
 use crate::span::SpanProfiler;
-use crate::tag::TagState;
 
 /// Configuration for a simulation run.
 #[derive(Debug, Clone, PartialEq)]
@@ -630,7 +629,7 @@ impl SimContext {
                 return self.poll_timeout();
             }
             // The reply arrives and occupies the air either way.
-            let info_bits = self.population.get(target).info.len() as u64;
+            let info_bits = self.population.info(target).len() as u64;
             self.advance(TimeCategory::TagReply, self.link.tag_tx(info_bits));
             self.emit(Event::TagReply {
                 tag: target,
@@ -712,7 +711,7 @@ impl SimContext {
         self.advance(TimeCategory::Turnaround, self.link.t1);
         let outcome = self.resolve_slot(repliers);
         let bits_of = |ctx: &Self, tag: usize| {
-            reply_bits.unwrap_or_else(|| ctx.population.get(tag).info.len() as u64)
+            reply_bits.unwrap_or_else(|| ctx.population.info(tag).len() as u64)
         };
         match outcome {
             SlotOutcome::Empty => {

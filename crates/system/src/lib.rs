@@ -8,8 +8,9 @@
 //! * [`TagId`] — structured 96-bit EPC identifiers,
 //! * [`BitVec`] — the compact bit vector used for polling vectors, indicator
 //!   vectors, tag payloads and the TPP tag-side array `A`,
-//! * [`Tag`] / [`TagPopulation`] — tag state (payload, awake/asleep) and
-//!   population bookkeeping,
+//! * [`TagPopulation`] — the tags' IDs and payloads as columns by handle,
+//!   with each tag's inventory state (active, asleep, deselected) in
+//!   bitsets,
 //! * [`Channel`] / [`SlotOutcome`] — slot resolution (empty / singleton /
 //!   collision) with optional reply-loss injection for robustness studies,
 //! * `RoundIndex` — the reusable per-round bucket sort of hashed tag
@@ -44,7 +45,6 @@ pub mod packed;
 pub(crate) mod population;
 pub(crate) mod round_index;
 pub(crate) mod span;
-pub(crate) mod tag;
 
 pub use bitvec::BitVec;
 pub use channel::{Channel, SlotOutcome};
@@ -53,6 +53,5 @@ pub use event::{BroadcastKind, Event, EventLog, TimedEvent};
 pub use fault::{FaultModel, FaultPlan, FaultPlanError, GilbertElliott, KillRule, RoundRange};
 pub use id::TagId;
 pub use json::{from_json_str, to_json_string, FromJson, Json, JsonError, ToJson};
-pub use population::TagPopulation;
+pub use population::{TagPopulation, TagState};
 pub use span::SpanProfiler;
-pub use tag::{Tag, TagState};

@@ -166,9 +166,10 @@ mod tests {
     fn naive_singles(pop: &TagPopulation, seed: u64, h: u32) -> Vec<(u64, usize)> {
         let hash = TagHash::new(seed);
         let mut pairs: Vec<(u64, usize)> = pop
-            .iter()
+            .ids()
+            .enumerate()
             .filter(|&(i, _)| pop.is_active(i))
-            .map(|(i, t)| (hash.index(t.id.hi(), t.id.lo(), h), i))
+            .map(|(i, id)| (hash.index(id.hi(), id.lo(), h), i))
             .collect();
         pairs.sort_unstable();
         let mut singles = Vec::new();
@@ -188,9 +189,9 @@ mod tests {
 
     fn naive_bucket(pop: &TagPopulation, seed: u64, h: u32, b: u64) -> Vec<usize> {
         let hash = TagHash::new(seed);
-        pop.iter()
-            .filter(|&(i, _)| pop.is_active(i))
-            .filter(|(_, t)| hash.index(t.id.hi(), t.id.lo(), h) == b)
+        pop.ids()
+            .enumerate()
+            .filter(|&(i, id)| pop.is_active(i) && hash.index(id.hi(), id.lo(), h) == b)
             .map(|(i, _)| i)
             .collect()
     }

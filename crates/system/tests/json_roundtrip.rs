@@ -9,8 +9,8 @@ use rfid_c1g2::Micros;
 use rfid_system::json::{from_json_str, to_json_string, FromJson, Json, ToJson};
 use rfid_system::{
     BitVec, BroadcastKind, Channel, ContextProgress, Counters, Event, EventLog, FaultModel,
-    FaultPlan, GilbertElliott, KillRule, RoundRange, SimConfig, SimContext, Tag, TagId,
-    TagPopulation, TagState, TimedEvent,
+    FaultPlan, GilbertElliott, KillRule, RoundRange, SimConfig, SimContext, TagId, TagPopulation,
+    TagState, TimedEvent,
 };
 
 fn round_trip<T>(value: &T)
@@ -188,16 +188,16 @@ fn persisted(pop: &TagPopulation) -> TagPopulation {
 
 #[test]
 fn tag_and_state_round_trip() {
-    let tag = Tag::new(TagId::from_raw(7, 42), BitVec::from_str_bits("1011"));
+    let (id, info) = (TagId::from_raw(7, 42), BitVec::from_str_bits("1011"));
     for state in [TagState::Active, TagState::Asleep, TagState::Deselected] {
-        let mut pop = TagPopulation::new([(tag.id, tag.info.clone())]);
+        let mut pop = TagPopulation::new([(id, info.clone())]);
         match state {
             TagState::Active => {}
             TagState::Asleep => pop.sleep(0),
             TagState::Deselected => pop.deselect(0),
         }
         let back = persisted(&pop);
-        assert_eq!(back.get(0), &tag);
+        assert_eq!((back.id(0), back.info(0)), (id, &info));
         assert_eq!(back.state(0), state);
     }
 }

@@ -113,11 +113,5 @@ fn main() {
 }
 
 fn rfid_polling_population(n: usize) -> TagPopulation {
-    TagPopulation::new(
-        Scenario::uniform(n, 1)
-            .with_seed(11)
-            .build_population()
-            .iter()
-            .map(|(_, t)| (t.id, t.info.clone())),
-    )
+    Scenario::uniform(n, 1).with_seed(11).build_population()
 }

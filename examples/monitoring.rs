@@ -25,11 +25,7 @@ fn main() {
 
     // The floor on day start — already identified.
     let scenario = Scenario::uniform(initial, 1).with_seed(2024);
-    let mut floor: Vec<TagId> = scenario
-        .build_population()
-        .iter()
-        .map(|(_, t)| t.id)
-        .collect();
+    let mut floor: Vec<TagId> = scenario.build_population().ids().collect();
     let mut monitor = InventoryMonitor::new(floor.clone(), MonitorConfig::default());
     let mut churn_rng = Xoshiro256::seed_from_u64(split_seed(2024, 9));
 

@@ -46,7 +46,7 @@ fn main() {
     // zone their last known position falls in — here: round-robin over
     // claims of the full expected list.
     let claims = plan.claim_tags(expected.len(), scenario.seed);
-    let present_ids: std::collections::HashSet<TagId> = present.iter().map(|(_, t)| t.id).collect();
+    let present_ids: std::collections::HashSet<TagId> = present.ids().collect();
 
     let app = MissingTagApp {
         strategy: MissingStrategy::Tpp,

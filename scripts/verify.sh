@@ -58,8 +58,8 @@ cargo run --release --offline -q -p rfid-bench --bin repro -- all --runs 20 > ta
 cmp target/repro_all.txt repro_output.txt
 # Hot-path smoke slice (DESIGN.md §12): end-to-end throughput including a
 # 100k-tag run with a tags/sec floor and a 1M-tag HPP run to completion;
-# each gated case's speedup against its pre-change baseline is a gated
-# record. Writes target/BENCH_hotpath.json.
+# each gated case's tags/sec against its floor is a gated record. Writes
+# target/BENCH_hotpath.json.
 rm -f target/BENCH_hotpath.json
 cargo bench --offline -p rfid-bench --bench hotpath
 # Daemon serving gate (DESIGN.md §15): an in-process fleet on port 0

@@ -32,7 +32,7 @@ fn estimate_identify_poll_monitor_lifecycle() {
     );
     let ident = QAlgorithmConfig::default().run(&mut ctx);
     ctx.assert_complete();
-    let known: Vec<TagId> = ctx.population.iter().map(|(_, t)| t.id).collect();
+    let known: Vec<TagId> = ctx.population.ids().collect();
     assert_eq!(known.len(), n);
 
     // 3. With IDs known, polling re-reads the floor far faster.

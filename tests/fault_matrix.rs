@@ -269,13 +269,13 @@ fn moderate_faults_collect_every_payload_intact() {
             protocol.name(),
             outcome.end
         );
-        for (_, tag) in reference.iter() {
+        for (h, id) in reference.ids().enumerate() {
             assert_eq!(
-                outcome.payload_of(tag.id),
-                Some(&tag.info),
+                outcome.payload_of(id),
+                Some(reference.info(h)),
                 "{} corrupted payload of {}",
                 protocol.name(),
-                tag.id
+                id
             );
         }
     }
@@ -340,7 +340,7 @@ fn a_killed_tag_stalls_the_run_with_exactly_one_uncollected() {
     };
     for protocol in &protocols() {
         let mut ctx = ctx_with(FaultModel::perfect().with_plan(plan.clone()), 3);
-        let killed_id = ctx.population.get(17).id;
+        let killed_id = ctx.population.id(17);
         match protocol.try_run(&mut ctx) {
             Ok(_) => panic!("{} collected a dead tag", protocol.name()),
             Err(PollingError::Stalled {

@@ -52,13 +52,13 @@ fn every_protocol_completes_on_every_distribution() {
                 protocol.name(),
                 dist
             );
-            for (_, tag) in reference.iter() {
+            for (h, id) in reference.ids().enumerate() {
                 assert_eq!(
-                    outcome.payload_of(tag.id),
-                    Some(&tag.info),
+                    outcome.payload_of(id),
+                    Some(reference.info(h)),
                     "{} corrupted {} under {:?}",
                     protocol.name(),
-                    tag.id,
+                    id,
                     dist
                 );
             }

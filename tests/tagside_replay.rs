@@ -23,7 +23,7 @@ fn tpp_fast_path_equals_tag_machine_replay() {
 
     // Fast path.
     let population = scenario.build_population();
-    let ids: Vec<TagId> = population.iter().map(|(_, t)| t.id).collect();
+    let ids: Vec<TagId> = population.ids().collect();
     let mut ctx = SimContext::new(population, &SimConfig::paper(scenario.protocol_seed()));
     let report = TppConfig::default().run(&mut ctx);
     ctx.assert_complete();
@@ -120,7 +120,7 @@ fn hpp_fast_path_equals_tag_machine_replay() {
     let scenario = Scenario::uniform(n, 1).with_seed(seed);
 
     let population = scenario.build_population();
-    let ids: Vec<TagId> = population.iter().map(|(_, t)| t.id).collect();
+    let ids: Vec<TagId> = population.ids().collect();
     let mut ctx = SimContext::new(population, &SimConfig::paper(scenario.protocol_seed()));
     let report = HppConfig::default().run(&mut ctx);
     ctx.assert_complete();
@@ -184,7 +184,7 @@ fn hpp_replay_stays_identical_under_reply_loss() {
     let scenario = Scenario::uniform(n, 1).with_seed(4242);
 
     let population = scenario.build_population();
-    let ids: Vec<TagId> = population.iter().map(|(_, t)| t.id).collect();
+    let ids: Vec<TagId> = population.ids().collect();
     let cfg = SimConfig::paper(scenario.protocol_seed())
         .with_channel(fast_rfid_polling::system::Channel::lossy(loss));
     let mut ctx = SimContext::new(population, &cfg);
