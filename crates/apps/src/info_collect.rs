@@ -51,7 +51,7 @@ pub fn collect(mut session: Session, ctx: &mut SimContext) -> Collection {
     let population = &ctx.population;
     let collected = (0..population.len())
         .filter(|&handle| population.state(handle) == TagState::Asleep)
-        .map(|handle| (population.id(handle), population.info(handle).clone()))
+        .map(|handle| (population.id(handle), population.info(handle)))
         .collect();
     Collection { end, collected }
 }
@@ -100,7 +100,7 @@ mod tests {
             for (h, id) in reference.ids().enumerate() {
                 assert_eq!(
                     outcome.payload_of(id),
-                    Some(reference.info(h)),
+                    Some(&reference.info(h)),
                     "{} corrupted payload of {}",
                     p.name(),
                     id
@@ -148,7 +148,7 @@ mod tests {
         assert_eq!(r.collected.len(), 300);
         let reference = scenario.build_population();
         for (h, id) in reference.ids().enumerate() {
-            assert_eq!(r.payload_of(id), Some(reference.info(h)));
+            assert_eq!(r.payload_of(id), Some(&reference.info(h)));
         }
     }
 
@@ -179,7 +179,7 @@ mod tests {
         let reference = scenario.build_population();
         for (id, payload) in &r.collected {
             let expected = reference.ids().position(|t| t == *id).unwrap();
-            assert_eq!(payload, reference.info(expected));
+            assert_eq!(payload, &reference.info(expected));
         }
 
         // A generous budget collects everything.

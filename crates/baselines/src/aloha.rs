@@ -39,95 +39,74 @@ impl PollingProtocol for FsaConfig {
         "FSA"
     }
 
-    // The slot padding width is a pure function of the (immutable) payload
-    // lengths, recomputed on resume rather than serialized.
-    fn open_stepper(&self, ctx: &SimContext) -> Box<dyn ProtocolStepper> {
-        Box::new(FsaStepper::open(*self, ctx))
+    fn open_stepper(&self, _ctx: &SimContext) -> Box<dyn ProtocolStepper> {
+        Box::new(*self)
     }
 }
 
-/// One step = one DFSA frame.
-struct FsaStepper {
-    cfg: FsaConfig,
-    payload_bits: u64,
-}
-
-impl FsaStepper {
-    fn open(cfg: FsaConfig, ctx: &SimContext) -> Self {
-        // Framed slots are fixed-duration: an empty slot still occupies the
-        // full reply window (same convention as MIC's timing model).
-        let population = &ctx.population;
-        let payload_bits = (0..population.len())
-            .map(|h| population.info(h).len())
-            .max()
-            .unwrap_or(0) as u64;
-        FsaStepper { cfg, payload_bits }
-    }
-}
-
-impl ProtocolStepper for FsaStepper {
+/// One step = one DFSA frame; the config itself is the stepper.
+impl ProtocolStepper for FsaConfig {
     fn discipline(&self) -> StepDiscipline {
-        StepDiscipline::budgeted(self.cfg.max_rounds)
+        StepDiscipline::budgeted(self.max_rounds)
     }
 
     fn step(&mut self, ctx: &mut SimContext) -> StepOutcome {
-        let payload_bits = self.payload_bits;
-        {
-            let unread = ctx.population.active_count() as u64;
-            let frame = ((unread as f64 * self.cfg.frame_factor).ceil() as u64).max(1);
-            let seed = ctx.draw_round_seed();
-            let hash = TagHash::new(seed);
-            ctx.begin_round(0, self.cfg.round_init_bits);
+        let unread = ctx.population.active_count() as u64;
+        let frame = ((unread as f64 * self.frame_factor).ceil() as u64).max(1);
+        let seed = ctx.draw_round_seed();
+        let hash = TagHash::new(seed);
+        ctx.begin_round(0, self.round_init_bits);
 
-            // Each tag picks its slot; the reader walks every slot. The
-            // frame is laid out as a flat counting sort over recycled
-            // buffers (handle/slot pairs, per-slot ends, slot-ordered
-            // handles) instead of one Vec per slot.
-            let mut pairs = ctx.take_scratch();
-            let mut ends = ctx.take_scratch();
-            let mut ordered = ctx.take_scratch();
-            ends.resize(frame as usize, 0);
-            {
-                let pop = &ctx.population;
-                let (ids_hi, ids_lo) = pop.id_words();
-                pop.for_each_active(|handle| {
-                    let s = hash.modulo(ids_hi[handle], ids_lo[handle], frame) as usize;
-                    pairs.push(handle);
-                    pairs.push(s);
-                    ends[s] += 1;
-                });
-            }
-            let mut acc = 0usize;
-            for c in ends.iter_mut() {
-                let n = *c;
-                *c = acc;
-                acc += n;
-            }
-            ordered.resize(acc, 0);
-            for pair in pairs.chunks_exact(2) {
-                ordered[ends[pair[1]]] = pair[0];
-                ends[pair[1]] += 1;
-            }
-            let mut start = 0usize;
-            for &end in &ends[..frame as usize] {
-                let repliers = &ordered[start..end];
-                start = end;
-                match ctx.slot(repliers, rfid_c1g2::QUERY_REP_BITS, None) {
-                    SlotOutcome::Singleton(tag) => ctx.mark_read(tag),
-                    SlotOutcome::Empty => {
-                        let pad = ctx.link.tag_tx(payload_bits);
-                        ctx.wait(rfid_c1g2::TimeCategory::WastedSlot, pad);
-                    }
-                    // A corrupted singleton already burned its slot air time
-                    // inside `slot()`; the tag stays active for the next
-                    // frame, same as a collision.
-                    SlotOutcome::Collision(_) | SlotOutcome::Corrupted(_) => {}
-                }
-            }
-            ctx.recycle_scratch(pairs);
-            ctx.recycle_scratch(ends);
-            ctx.recycle_scratch(ordered);
+        // Each tag picks its slot; the reader walks every slot. The
+        // frame is laid out as a flat counting sort over recycled
+        // buffers (handle/slot pairs, per-slot ends, slot-ordered
+        // handles) instead of one Vec per slot.
+        let mut pairs = ctx.take_scratch();
+        let mut ends = ctx.take_scratch();
+        let mut ordered = ctx.take_scratch();
+        ends.resize(frame as usize, 0);
+        {
+            let pop = &ctx.population;
+            let (ids_hi, ids_lo) = pop.id_words();
+            pop.for_each_active(|handle| {
+                let s = hash.modulo(ids_hi[handle], ids_lo[handle], frame) as usize;
+                pairs.push(handle);
+                pairs.push(s);
+                ends[s] += 1;
+            });
         }
+        let mut acc = 0usize;
+        for c in ends.iter_mut() {
+            let n = *c;
+            *c = acc;
+            acc += n;
+        }
+        ordered.resize(acc, 0);
+        for pair in pairs.chunks_exact(2) {
+            ordered[ends[pair[1]]] = pair[0];
+            ends[pair[1]] += 1;
+        }
+        let mut start = 0usize;
+        for &end in &ends[..frame as usize] {
+            let repliers = &ordered[start..end];
+            start = end;
+            match ctx.slot(repliers, rfid_c1g2::QUERY_REP_BITS, None) {
+                SlotOutcome::Singleton(tag) => ctx.mark_read(tag),
+                // Framed slots are fixed-duration: an empty slot still
+                // occupies the full reply window (as in MIC's timing model).
+                SlotOutcome::Empty => {
+                    let pad = ctx.link.tag_tx(ctx.population.info_bits() as u64);
+                    ctx.wait(rfid_c1g2::TimeCategory::WastedSlot, pad);
+                }
+                // A corrupted singleton already burned its slot air time
+                // inside `slot()`; the tag stays active for the next
+                // frame, same as a collision.
+                SlotOutcome::Collision(_) | SlotOutcome::Corrupted(_) => {}
+            }
+        }
+        ctx.recycle_scratch(pairs);
+        ctx.recycle_scratch(ends);
+        ctx.recycle_scratch(ordered);
         StepOutcome::Progressed
     }
 }

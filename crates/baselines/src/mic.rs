@@ -156,10 +156,17 @@ impl PollingProtocol for MicConfig {
     }
 
     // All serialized state is the context's; the frame buffers are per-step
-    // transients and the padding width recomputes from the (immutable)
-    // payload lengths.
-    fn open_stepper(&self, ctx: &SimContext) -> Box<dyn ProtocolStepper> {
-        Box::new(MicStepper::open(*self, ctx))
+    // transients.
+    fn open_stepper(&self, _ctx: &SimContext) -> Box<dyn ProtocolStepper> {
+        assert!(self.k >= 1, "MIC needs at least one hash function");
+        Box::new(MicStepper {
+            cfg: *self,
+            bits_per_slot: self.indicator_bits_per_slot(),
+            handles: Vec::new(),
+            cand_flat: Vec::new(),
+            assignment: Vec::new(),
+            scratch: CascadeScratch::default(),
+        })
     }
 }
 
@@ -167,38 +174,12 @@ impl PollingProtocol for MicConfig {
 struct MicStepper {
     cfg: MicConfig,
     bits_per_slot: u64,
-    payload_bits: u64,
     // Frame buffers reused across rounds: active handles, their flat
     // k-candidate lists, the per-slot assignment, and cascade scratch.
     handles: Vec<usize>,
     cand_flat: Vec<u64>,
     assignment: Vec<Option<SlotAssignment>>,
     scratch: CascadeScratch,
-}
-
-impl MicStepper {
-    fn open(cfg: MicConfig, ctx: &SimContext) -> Self {
-        assert!(cfg.k >= 1, "MIC needs at least one hash function");
-        // In a frame, the reader must wait out the full reply window before
-        // declaring a slot dead — a wasted slot costs as much air time as a
-        // reply slot (slots are fixed-duration in framed ALOHA). This is
-        // the timing model under which the paper's Table III shape holds
-        // (HPP beats MIC at n = 100, l = 32).
-        let population = &ctx.population;
-        let payload_bits = (0..population.len())
-            .map(|h| population.info(h).len())
-            .max()
-            .unwrap_or(0) as u64;
-        MicStepper {
-            cfg,
-            bits_per_slot: cfg.indicator_bits_per_slot(),
-            payload_bits,
-            handles: Vec::new(),
-            cand_flat: Vec::new(),
-            assignment: Vec::new(),
-            scratch: CascadeScratch::default(),
-        }
-    }
 }
 
 impl ProtocolStepper for MicStepper {
@@ -255,8 +236,11 @@ impl ProtocolStepper for MicStepper {
                 }
                 None => {
                     ctx.slot(&[], rfid_c1g2::QUERY_REP_BITS, None);
-                    // Pad the empty slot to the full reply window.
-                    let pad = ctx.link.tag_tx(self.payload_bits);
+                    // Pad the empty slot to the full reply window: framed
+                    // slots are fixed-duration, the timing model under
+                    // which the paper's Table III shape holds (HPP beats
+                    // MIC at n = 100, l = 32).
+                    let pad = ctx.link.tag_tx(ctx.population.info_bits() as u64);
                     ctx.wait(TimeCategory::WastedSlot, pad);
                 }
             }

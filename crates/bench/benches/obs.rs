@@ -99,10 +99,14 @@ fn main() {
     // the traced run — the disabled path is a cold branch, not a cheaper
     // serializer. Compare best-of-sample times of the two, interleaved (a
     // mean, or two separate phases, is at the mercy of scheduler noise on
-    // sub-100 µs runs); 5 % headroom absorbs the timer.
+    // sub-100 µs runs); 5 % headroom absorbs the timer. Four windows of 25
+    // rounds, 600 ms apart, sample past a slow host phase that one
+    // unbroken block of rounds can sit inside.
     if b.wants("overhead_bound") {
-        let (off_ns, on_ns) = interleaved_best(
-            100,
+        let (off_ns, on_ns) = spaced_best(
+            4,
+            25,
+            Duration::from_millis(600),
             || run_once(N, &disabled).counters.polls,
             || run_once(N, &enabled).log.len() as u64,
         );

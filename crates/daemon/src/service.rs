@@ -89,7 +89,8 @@ pub(crate) struct Origin {
 rfid_system::impl_json_struct!(Origin { n, info_bits, seed });
 
 /// The most tag bits one served session may hold: `n × (96 + info_bits)`,
-/// EPC plus payload per tag. 2^28 bits is 32 MiB of tag memory, over 130×
+/// EPC plus payload per tag, as the population stores them (its payload
+/// column holds `info_bits / 8` bytes per tag). 2^28 bits is 32 MiB, 137×
 /// the largest served workload (10,000 tags × 100 info bits = 1.96 Mbit).
 /// `Open` and a served snapshot's `origin` are checked against it before
 /// anything of size `n` is built.
@@ -643,6 +644,7 @@ pub fn serve_connection<T: Transport>(
 mod tests {
     use super::*;
     use rfid_c1g2::Micros;
+    use rfid_system::{BitVec, TagPopulation};
 
     fn open_req(n: u64) -> OpenRequest {
         OpenRequest::new("HPP", n, 4, 31)
@@ -1181,6 +1183,24 @@ mod tests {
                 ..
             }
         ));
+        // A library snapshot whose listed payloads differ in width.
+        let cfg = SimConfig::paper(1);
+        let ctx = SimContext::new(
+            TagPopulation::sequential(2, |_| BitVec::from_str_bits("101")),
+            &cfg,
+        );
+        let hpp = protocol_by_name("HPP").unwrap();
+        let listed = Session::open(hpp.as_ref(), &ctx).snapshot(&ctx, &cfg);
+        let mixed = listed
+            .to_string()
+            .replacen(r#""info":"101""#, r#""info":"10""#, 1);
+        let snapshot = Json::parse(&mixed).unwrap();
+        let responses = service.handle(Command::Resume { snapshot });
+        assert!(
+            matches!(&responses[0], Response::Error { code: ErrorCode::Rejected, message }
+                if message.contains("2-bit payload")),
+            "{responses:?}"
+        );
     }
 
     #[test]

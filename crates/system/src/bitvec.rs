@@ -61,16 +61,25 @@ impl BitVec {
     /// # Panics
     /// Panics if `n > 64` or `value` does not fit in `n` bits.
     pub fn from_value(value: u64, n: usize) -> Self {
+        let mut v = BitVec::with_capacity(n);
+        v.push_value(value, n);
+        v
+    }
+
+    /// Appends the `n`-bit big-endian representation of `value`, as
+    /// [`BitVec::from_value`] builds it.
+    ///
+    /// # Panics
+    /// Panics if `n > 64` or `value` does not fit in `n` bits.
+    pub fn push_value(&mut self, value: u64, n: usize) {
         assert!(n <= 64, "from_value supports at most 64 bits");
         assert!(
             n == 64 || value < (1u64 << n),
             "value {value} does not fit in {n} bits"
         );
-        let mut v = BitVec::with_capacity(n);
         for i in (0..n).rev() {
-            v.push((value >> i) & 1 == 1);
+            self.push((value >> i) & 1 == 1);
         }
-        v
     }
 
     /// Builds a vector from a bool iterator, first bit first.

@@ -629,7 +629,7 @@ impl SimContext {
                 return self.poll_timeout();
             }
             // The reply arrives and occupies the air either way.
-            let info_bits = self.population.info(target).len() as u64;
+            let info_bits = self.population.info_bits() as u64;
             self.advance(TimeCategory::TagReply, self.link.tag_tx(info_bits));
             self.emit(Event::TagReply {
                 tag: target,
@@ -668,8 +668,8 @@ impl SimContext {
     /// QueryRep), waits `T1`, and the given tags reply concurrently.
     ///
     /// Each reply occupies the air for `reply_bits` when given (an RN16, an
-    /// ID plus CRC, a prefix remainder), or for the replier's stored payload
-    /// when `None`. Every reply the channel or a fault drops emits
+    /// ID plus CRC, a prefix remainder), or for the population's payload
+    /// width when `None`. Every reply the channel or a fault drops emits
     /// [`Event::ReplyLost`], as in [`SimContext::poll_tag`].
     ///
     /// On a singleton the reply is received and `T2` elapses, but the tag
@@ -710,28 +710,20 @@ impl SimContext {
         }
         self.advance(TimeCategory::Turnaround, self.link.t1);
         let outcome = self.resolve_slot(repliers);
-        let bits_of = |ctx: &Self, tag: usize| {
-            reply_bits.unwrap_or_else(|| ctx.population.info(tag).len() as u64)
-        };
+        let bits = reply_bits.unwrap_or(self.population.info_bits() as u64);
         match outcome {
             SlotOutcome::Empty => {
                 self.advance(TimeCategory::WastedSlot, self.link.t3);
                 self.emit(Event::SlotEmpty);
             }
             SlotOutcome::Singleton(tag) => {
-                let bits = bits_of(self, tag);
                 self.advance(TimeCategory::TagReply, self.link.tag_tx(bits));
                 self.emit(Event::TagReply { tag, bits });
                 self.advance(TimeCategory::Turnaround, self.link.t2);
             }
             SlotOutcome::Collision(count) => {
-                // The colliding replies occupy the air for the longest
-                // burst among them, then the reader recovers with T2.
-                let bits = repliers
-                    .iter()
-                    .map(|&t| bits_of(self, t))
-                    .max()
-                    .unwrap_or(0);
+                // The colliding replies occupy the air for one reply,
+                // then the reader recovers with T2.
                 self.advance(TimeCategory::WastedSlot, self.link.tag_tx(bits));
                 self.advance(TimeCategory::Turnaround, self.link.t2);
                 self.emit(Event::SlotCollision { count });
@@ -740,7 +732,6 @@ impl SimContext {
                 // The reply filled its slot but failed the CRC; the caller
                 // sees the tag undecoded and retries it in a later frame
                 // (frame slots carry no NAK handshake).
-                let bits = bits_of(self, tag);
                 self.advance(TimeCategory::WastedSlot, self.link.tag_tx(bits));
                 self.advance(TimeCategory::Turnaround, self.link.t2);
                 self.emit(Event::ReplyCorrupted { tag });

@@ -409,29 +409,34 @@ impl EventLog {
 
     /// Serializes the trace as JSON Lines: one compact [`TimedEvent`]
     /// object per line — streamable, greppable, `from_jsonl`-round-trippable.
+    /// A first pass measures the text, so it is allocated once.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for e in &self.events {
-            e.write_json(&mut out);
-            out.push('\n');
-        }
+        let mut len = 0;
+        self.for_each_line(|line| len += line.len());
+        let mut out = String::with_capacity(len);
+        self.for_each_line(|line| out.push_str(line));
         out
     }
 
     /// The trace digest every bit-identity gate compares: FNV-1a
     /// ([`rfid_hash::fnv64`]) of [`EventLog::to_jsonl`]. It streams each
-    /// line through one reused buffer into [`rfid_hash::Fnv64`], so the
-    /// JSONL text is never built.
+    /// line into [`rfid_hash::Fnv64`], so the JSONL text is never built.
     pub fn digest(&self) -> u64 {
         let mut hash = rfid_hash::Fnv64::new();
+        self.for_each_line(|line| hash.write(line.as_bytes()));
+        hash.finish()
+    }
+
+    /// Calls `f` with each event's JSONL line, newline included, built in
+    /// one reused buffer.
+    fn for_each_line(&self, mut f: impl FnMut(&str)) {
         let mut line = String::new();
         for e in &self.events {
             line.clear();
             e.write_json(&mut line);
             line.push('\n');
-            hash.write(line.as_bytes());
+            f(&line);
         }
-        hash.finish()
     }
 
     /// Parses a JSON-Lines trace back into timed events (blank lines are
@@ -615,6 +620,7 @@ mod tests {
         );
         let text = log.to_jsonl();
         assert_eq!(text.lines().count(), 7);
+        assert_eq!(text.capacity(), text.len(), "allocated at its exact length");
         let back = EventLog::from_jsonl(&text).expect("parses");
         assert_eq!(back.len(), 7);
         for (a, b) in back.iter().zip(log.events()) {

@@ -8,9 +8,9 @@
 //! * [`TagId`] — structured 96-bit EPC identifiers,
 //! * [`BitVec`] — the compact bit vector used for polling vectors, indicator
 //!   vectors, tag payloads and the TPP tag-side array `A`,
-//! * [`TagPopulation`] — the tags' IDs and payloads as columns by handle,
-//!   with each tag's inventory state (active, asleep, deselected) in
-//!   bitsets,
+//! * [`TagPopulation`] — the tags' IDs as columns by handle and their
+//!   payloads as one bit column of a single width `m`, with each tag's
+//!   inventory state (active, asleep, deselected) in bitsets,
 //! * [`Channel`] / [`SlotOutcome`] — slot resolution (empty / singleton /
 //!   collision) with optional reply-loss injection for robustness studies,
 //! * `RoundIndex` — the reusable per-round bucket sort of hashed tag

@@ -3,8 +3,8 @@
 //! The reader "knows all tag IDs": a population is that ID list plus each
 //! tag's information payload, stored as columns by handle (index = stable
 //! handle). The raw EPC words `ids_hi`/`ids_lo` are the only ID store, so
-//! batch hashing streams them directly. IDs are distinct: building a
-//! population is the one place that is decided.
+//! batch hashing streams them directly; the `m`-bit payloads are one bit
+//! column. IDs are distinct and widths equal: building decides both.
 //!
 //! Each tag's inventory state lives in two bitsets, one bit per handle: the
 //! *active set* and the *deselected set* (EHPP's circle filter); a tag in
@@ -19,6 +19,7 @@ use std::collections::HashSet;
 
 use crate::bitvec::BitVec;
 use crate::id::TagId;
+use crate::json::{Json, JsonError, ToJson};
 
 /// Inventory state of a tag; its discriminant is the 2-bit code a
 /// snapshot packs it as.
@@ -48,8 +49,9 @@ pub struct TagPopulation {
     /// Each tag's raw EPC words, by handle.
     ids_hi: Vec<u32>,
     ids_lo: Vec<u64>,
-    /// Each tag's information payload (length = `m` bits), by handle.
-    info: Vec<BitVec>,
+    /// Every payload, by handle: tag `h`'s is bits `h·m .. (h+1)·m`.
+    info: BitVec,
+    info_bits: usize,
     active: usize,
     asleep: usize,
     /// Bit `i` of `active_words[i / 64]` (LSB-first) is set iff tag `i` is
@@ -81,7 +83,7 @@ impl TagPopulation {
     ///
     /// # Panics
     /// Panics if two tags share an ID — EPCs are unique by definition and
-    /// every protocol in the paper relies on it.
+    /// every protocol in the paper relies on it — or if payload widths differ.
     pub fn new(tags: impl IntoIterator<Item = (TagId, BitVec)>) -> Self {
         TagPopulation::try_new(tags).unwrap_or_else(|id| panic!("duplicate tag ID {id}"))
     }
@@ -89,49 +91,57 @@ impl TagPopulation {
     /// [`TagPopulation::new`] for untrusted input: the first repeated ID is
     /// returned instead of panicking.
     pub(crate) fn try_new(tags: impl IntoIterator<Item = (TagId, BitVec)>) -> Result<Self, TagId> {
-        let tags = tags.into_iter();
+        let mut tags = tags.into_iter().peekable();
         let n = tags.size_hint().0;
+        let info_bits = tags.peek().map_or(0, |(_, info)| info.len());
         let mut seen = HashSet::with_capacity(n);
         let mut repeat = None;
         let population = TagPopulation::from_columns(
             n,
+            info_bits,
             tags.map_while(|(id, info)| {
                 repeat = (!seen.insert(id)).then_some(id);
                 repeat.is_none().then_some((id, info))
             }),
+            |info: BitVec, column| info.iter().for_each(|bit| column.push(bit)),
         );
         repeat.map_or(Ok(population), Err)
     }
 
     /// Draws `n` tags with distinct IDs: IDs come from `next_id`, which is
-    /// called again for a repeated one, and each accepted ID's payload from
-    /// `info`, in order (a repeat draws no payload).
+    /// called again for a repeated one, and `fill` appends each accepted
+    /// ID's `info_bits`-bit payload, in order (a repeat draws no payload).
     pub fn draw(
         n: usize,
+        info_bits: usize,
         next_id: impl FnMut() -> TagId,
-        mut info: impl FnMut() -> BitVec,
+        mut fill: impl FnMut(&mut BitVec),
     ) -> Self {
         let mut seen = HashSet::with_capacity(n);
-        TagPopulation::from_columns(
-            n,
-            std::iter::repeat_with(next_id)
-                .filter(|&id| seen.insert(id))
-                .take(n)
-                .map(|id| (id, info())),
-        )
+        let ids = std::iter::repeat_with(next_id).filter(|&id| seen.insert(id));
+        let tags = ids.take(n).map(|id| (id, ()));
+        TagPopulation::from_columns(n, info_bits, tags, |(), column| fill(column))
     }
 
-    /// The all-active population of `tags`, whose IDs are distinct.
-    fn from_columns(capacity: usize, tags: impl Iterator<Item = (TagId, BitVec)>) -> Self {
+    /// The all-active population of `tags`, whose IDs are distinct: `fill`
+    /// appends each tag's payload, which must be `info_bits` wide.
+    fn from_columns<P>(
+        capacity: usize,
+        info_bits: usize,
+        tags: impl Iterator<Item = (TagId, P)>,
+        mut fill: impl FnMut(P, &mut BitVec),
+    ) -> Self {
         let mut ids_hi = Vec::with_capacity(capacity);
         let mut ids_lo = Vec::with_capacity(capacity);
-        let mut info = Vec::with_capacity(capacity);
-        for (id, bits) in tags {
+        let mut info = BitVec::with_capacity(capacity * info_bits);
+        for (id, payload) in tags {
+            fill(payload, &mut info);
+            let width = info.len() - ids_lo.len() * info_bits;
+            assert!(width == info_bits, "{}", width_error(id, width, info_bits));
             ids_hi.push(id.hi());
             ids_lo.push(id.lo());
-            info.push(bits);
         }
-        let n = info.len();
+        let n = ids_lo.len();
         let mut active_words = vec![u64::MAX; n.div_ceil(64)];
         if let (Some(last), tail @ 1..) = (active_words.last_mut(), n % 64) {
             *last = (1u64 << tail) - 1;
@@ -140,6 +150,7 @@ impl TagPopulation {
             ids_hi,
             ids_lo,
             info,
+            info_bits,
             active: n,
             asleep: 0,
             deselected_words: vec![0; active_words.len()],
@@ -157,12 +168,18 @@ impl TagPopulation {
 
     /// Total number of tags.
     pub fn len(&self) -> usize {
-        self.info.len()
+        self.ids_lo.len()
     }
 
     /// `true` if the population has no tags.
     pub fn is_empty(&self) -> bool {
-        self.info.is_empty()
+        self.ids_lo.is_empty()
+    }
+
+    /// Every tag's payload width `m` in bits (0 for an empty population).
+    #[inline]
+    pub fn info_bits(&self) -> usize {
+        self.info_bits
     }
 
     /// Number of tags still active (unread and not deselected).
@@ -176,9 +193,11 @@ impl TagPopulation {
         TagId::from_raw(self.ids_hi[idx], self.ids_lo[idx])
     }
 
-    /// Tag `idx`'s information payload.
-    pub fn info(&self, idx: usize) -> &BitVec {
-        &self.info[idx]
+    /// A copy of tag `idx`'s information payload.
+    pub fn info(&self, idx: usize) -> BitVec {
+        assert!(idx < self.len(), "tag {idx} out of range");
+        let start = idx * self.info_bits;
+        BitVec::from_bits((start..start + self.info_bits).map(|i| self.info.get(i)))
     }
 
     /// Whether tag `idx` currently listens and replies.
@@ -353,19 +372,13 @@ impl TagPopulation {
     /// The population's identity — each tag's ID and payload, without its
     /// inventory state — as a JSON array of `{"id", "info"}` objects: the
     /// `tags` of a library session snapshot.
-    pub fn identity_json(&self) -> crate::json::Json {
-        crate::json::Json::Arr(
+    pub fn identity_json(&self) -> Json {
+        Json::Arr(
             (0..self.len())
                 .map(|idx| {
-                    crate::json::Json::Obj(vec![
-                        (
-                            "id".to_string(),
-                            crate::json::ToJson::to_json(&self.id(idx)),
-                        ),
-                        (
-                            "info".to_string(),
-                            crate::json::ToJson::to_json(&self.info[idx]),
-                        ),
+                    Json::Obj(vec![
+                        ("id".to_string(), self.id(idx).to_json()),
+                        ("info".to_string(), self.info(idx).to_json()),
                     ])
                 })
                 .collect(),
@@ -379,15 +392,18 @@ impl TagPopulation {
     }
 
     /// Rebuilds a fresh (all-active) population from
-    /// [`TagPopulation::identity_json`], rejecting a shared ID.
-    pub fn from_identity_json(json: &crate::json::Json) -> Result<Self, crate::json::JsonError> {
+    /// [`TagPopulation::identity_json`], rejecting a shared ID or width.
+    pub fn from_identity_json(json: &Json) -> Result<Self, JsonError> {
         let tags = json
             .as_arr()?
             .iter()
             .map(|t| Ok((t.field("id")?, t.field("info")?)))
-            .collect::<Result<Vec<(TagId, BitVec)>, crate::json::JsonError>>()?;
-        TagPopulation::try_new(tags)
-            .map_err(|id| crate::json::JsonError(format!("duplicate tag ID {id}")))
+            .collect::<Result<Vec<(TagId, BitVec)>, JsonError>>()?;
+        let info_bits = tags.first().map_or(0, |(_, info)| info.len());
+        if let Some((id, info)) = tags.iter().find(|(_, info)| info.len() != info_bits) {
+            return Err(JsonError(width_error(*id, info.len(), info_bits)));
+        }
+        TagPopulation::try_new(tags).map_err(|id| JsonError(format!("duplicate tag ID {id}")))
     }
 
     /// Debug builds only: how many full-population scans have been taken.
@@ -396,6 +412,11 @@ impl TagPopulation {
     pub(crate) fn scan_epoch(&self) -> u64 {
         self.scans.get()
     }
+}
+
+/// Why tag `id`'s payload does not fit the population.
+fn width_error(id: TagId, width: usize, info_bits: usize) -> String {
+    format!("tag {id} has a {width}-bit payload in a population of {info_bits}-bit payloads")
 }
 
 #[cfg(test)]
@@ -498,6 +519,33 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "has a 3-bit payload in a population of 2-bit payloads")]
+    fn mixed_payload_widths_rejected() {
+        let _ = TagPopulation::new([
+            (TagId::from_raw(0, 1), BitVec::from_str_bits("10")),
+            (TagId::from_raw(0, 2), BitVec::from_str_bits("101")),
+        ]);
+    }
+
+    #[test]
+    fn prop_info_returns_each_payload_as_given() {
+        use rfid_hash::prop::check;
+        use rfid_hash::prop_assert_eq;
+        check("population info(h) is the payload it was given", 64, |g| {
+            let m = [1, 63, 64, 65, 100, 130][g.len_in(0, 6)];
+            let payloads: Vec<BitVec> = (0..g.len_in(0, 301))
+                .map(|_| BitVec::from_bits(g.vec_bool(m, m + 1)))
+                .collect();
+            let p = TagPopulation::sequential(payloads.len(), |h| payloads[h].clone());
+            prop_assert_eq!(p.info_bits(), if payloads.is_empty() { 0 } else { m });
+            for (h, payload) in payloads.iter().enumerate() {
+                prop_assert_eq!(&p.info(h), payload);
+            }
+            Ok(())
+        });
+    }
+
+    #[test]
     fn state_codes_round_trip_and_code_3_is_unused() {
         for state in [TagState::Active, TagState::Asleep, TagState::Deselected] {
             assert_eq!(TagState::from_code(state as u8), Some(state));
@@ -522,11 +570,12 @@ mod tests {
         let mut payloads = 0..;
         let p = TagPopulation::draw(
             3,
+            2,
             || ids.next().unwrap(),
-            || BitVec::from_value(payloads.next().unwrap(), 2),
+            |info| info.push_value(payloads.next().unwrap(), 2),
         );
         assert!(p.ids().eq([1, 2, 3].map(|lo| TagId::from_raw(0, lo))));
-        assert!((0..3).all(|h| p.info(h) == &BitVec::from_value(h as u64, 2)));
+        assert!((0..3).all(|h| p.info(h) == BitVec::from_value(h as u64, 2)));
         assert_eq!(ids.next(), Some(TagId::from_raw(0, 4)));
     }
 

@@ -197,7 +197,7 @@ fn tag_and_state_round_trip() {
             TagState::Deselected => pop.deselect(0),
         }
         let back = persisted(&pop);
-        assert_eq!((back.id(0), back.info(0)), (id, &info));
+        assert_eq!((back.id(0), &back.info(0)), (id, &info));
         assert_eq!(back.state(0), state);
     }
 }
@@ -465,4 +465,25 @@ fn counters_round_trip() {
         ..Counters::default()
     };
     round_trip(&c);
+}
+
+#[test]
+fn population_rejects_mixed_payload_widths() {
+    let tag = |lo, info| {
+        let pop = TagPopulation::new([(TagId::from_raw(0, lo), BitVec::from_str_bits(info))]);
+        pop.identity_json().as_arr().unwrap()[0].clone()
+    };
+    let same = Json::Arr(vec![tag(1, "101"), tag(2, "011")]);
+    assert_eq!(
+        TagPopulation::from_identity_json(&same)
+            .unwrap()
+            .info_bits(),
+        3
+    );
+    let mixed = Json::Arr(vec![tag(1, "101"), tag(2, "10101")]);
+    let err = TagPopulation::from_identity_json(&mixed).unwrap_err();
+    assert!(
+        err.0.contains("5-bit payload") && err.0.contains("3-bit"),
+        "{err:?}"
+    );
 }

@@ -145,7 +145,7 @@ impl ZipfSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rfid_system::{BitVec, TagPopulation};
+    use rfid_system::TagPopulation;
 
     fn rng() -> Xoshiro256 {
         Xoshiro256::seed_from_u64(11)
@@ -154,7 +154,7 @@ mod tests {
     impl IdDistribution {
         /// `n` distinct IDs, drawn as a population build draws them.
         fn generate(&self, n: usize, rng: &mut Xoshiro256) -> Vec<TagId> {
-            TagPopulation::draw(n, self.sampler(rng), BitVec::new)
+            TagPopulation::draw(n, 0, self.sampler(rng), |_| {})
                 .ids()
                 .collect()
         }

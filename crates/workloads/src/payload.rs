@@ -26,15 +26,15 @@ pub enum PayloadKind {
 }
 
 impl PayloadKind {
-    /// Generates the `bits`-long payload of one tag.
+    /// Appends the `bits`-long payload of one tag to `out`.
     ///
     /// # Panics
     /// Panics if `bits == 0` or `bits > 64` for the numeric kinds.
-    pub(crate) fn generate(&self, bits: usize, rng: &mut Xoshiro256) -> BitVec {
+    pub(crate) fn append(&self, bits: usize, rng: &mut Xoshiro256, out: &mut BitVec) {
         assert!(bits >= 1, "payloads are at least one bit (m ≥ 1)");
         match self {
-            PayloadKind::Presence => BitVec::from_bits((0..bits).map(|_| true)),
-            PayloadKind::Random => BitVec::from_bits((0..bits).map(|_| rng.chance(0.5))),
+            PayloadKind::Presence => (0..bits).for_each(|_| out.push(true)),
+            PayloadKind::Random => (0..bits).for_each(|_| out.push(rng.chance(0.5))),
             PayloadKind::BatteryLevel => {
                 assert!(bits <= 64, "battery level payload too wide");
                 let level = rng.below(101); // 0..=100 %
@@ -43,7 +43,7 @@ impl PayloadKind {
                 } else {
                     level.min((1 << bits) - 1)
                 };
-                BitVec::from_value(max, bits)
+                out.push_value(max, bits);
             }
             PayloadKind::Temperature { base_quarters } => {
                 assert!(bits <= 64, "temperature payload too wide");
@@ -56,7 +56,7 @@ impl PayloadKind {
                 } else {
                     (1 << bits) - 1
                 });
-                BitVec::from_value(capped, bits)
+                out.push_value(capped, bits);
             }
         }
     }
@@ -77,15 +77,17 @@ mod tests {
 
     #[test]
     fn presence_is_all_ones() {
-        let p = PayloadKind::Presence.generate(1, &mut rng());
+        let mut p = BitVec::new();
+        PayloadKind::Presence.append(1, &mut rng(), &mut p);
         assert_eq!(p.to_string(), "1");
-        let p = PayloadKind::Presence.generate(4, &mut rng());
-        assert_eq!(p.to_string(), "1111");
+        PayloadKind::Presence.append(4, &mut rng(), &mut p);
+        assert_eq!(p.to_string(), "11111");
     }
 
     #[test]
     fn random_payload_has_requested_width() {
-        let p = PayloadKind::Random.generate(16, &mut rng());
+        let mut p = BitVec::new();
+        PayloadKind::Random.append(16, &mut rng(), &mut p);
         assert_eq!(p.len(), 16);
     }
 
@@ -93,7 +95,8 @@ mod tests {
     fn battery_levels_decode_to_percent() {
         let mut r = rng();
         for _ in 0..100 {
-            let p = PayloadKind::BatteryLevel.generate(16, &mut r);
+            let mut p = BitVec::new();
+            PayloadKind::BatteryLevel.append(16, &mut r, &mut p);
             assert!(p.to_value() <= 100);
         }
     }
@@ -102,7 +105,8 @@ mod tests {
     fn battery_fits_narrow_payloads() {
         let mut r = rng();
         for _ in 0..50 {
-            let p = PayloadKind::BatteryLevel.generate(3, &mut r);
+            let mut p = BitVec::new();
+            PayloadKind::BatteryLevel.append(3, &mut r, &mut p);
             assert!(p.to_value() < 8);
         }
     }
@@ -112,7 +116,8 @@ mod tests {
         let mut r = rng();
         // 4 °C chilled-food base = 16 quarter-degrees.
         for _ in 0..100 {
-            let p = PayloadKind::Temperature { base_quarters: 16 }.generate(16, &mut r);
+            let mut p = BitVec::new();
+            PayloadKind::Temperature { base_quarters: 16 }.append(16, &mut r, &mut p);
             let t = decode_temperature(&p);
             assert!((t - 4.0).abs() <= 2.01, "temperature {t}");
         }
@@ -121,6 +126,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one bit")]
     fn zero_width_rejected() {
-        PayloadKind::Presence.generate(0, &mut rng());
+        PayloadKind::Presence.append(0, &mut rng(), &mut BitVec::new());
     }
 }

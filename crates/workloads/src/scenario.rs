@@ -5,7 +5,7 @@
 //! experiments are reproducible.
 
 use rfid_hash::{split_seed, Xoshiro256};
-use rfid_system::{TagId, TagPopulation};
+use rfid_system::{BitVec, TagId, TagPopulation};
 
 use crate::ids::IdDistribution;
 use crate::payload::PayloadKind;
@@ -89,9 +89,9 @@ impl Scenario {
     pub fn build_population(&self) -> TagPopulation {
         let mut id_rng = Xoshiro256::seed_from_u64(split_seed(self.seed, 0));
         let mut payload_rng = Xoshiro256::seed_from_u64(split_seed(self.seed, 1));
-        TagPopulation::draw(self.n, self.id_dist.sampler(&mut id_rng), || {
-            self.payload.generate(self.info_bits, &mut payload_rng)
-        })
+        let ids = self.id_dist.sampler(&mut id_rng);
+        let fill = |info: &mut BitVec| self.payload.append(self.info_bits, &mut payload_rng, info);
+        TagPopulation::draw(self.n, self.info_bits, ids, fill)
     }
 
     /// Builds a missing-tag variant: the reader expects all `n` IDs but only
@@ -115,7 +115,7 @@ impl Scenario {
         let present = TagPopulation::new(
             (0..self.n)
                 .filter(|&i| !gone[i])
-                .map(|i| (expected[i], full.info(i).clone())),
+                .map(|i| (expected[i], full.info(i))),
         );
         (expected, present)
     }

@@ -272,7 +272,7 @@ fn moderate_faults_collect_every_payload_intact() {
         for (h, id) in reference.ids().enumerate() {
             assert_eq!(
                 outcome.payload_of(id),
-                Some(reference.info(h)),
+                Some(&reference.info(h)),
                 "{} corrupted payload of {}",
                 protocol.name(),
                 id

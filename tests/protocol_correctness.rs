@@ -55,7 +55,7 @@ fn every_protocol_completes_on_every_distribution() {
             for (h, id) in reference.ids().enumerate() {
                 assert_eq!(
                     outcome.payload_of(id),
-                    Some(reference.info(h)),
+                    Some(&reference.info(h)),
                     "{} corrupted {} under {:?}",
                     protocol.name(),
                     id,
