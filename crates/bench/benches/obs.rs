@@ -1,7 +1,7 @@
 //! Telemetry overhead guard: a full HPP run with tracing disabled must cost
 //! the same as before the observability layer existed — `SimContext::emit`
 //! applies the event to the counters and only then branches on a cold flag
-//! before recording it. The enabled and ring variants quantify what a
+//! before recording it. The enabled variant quantifies what a
 //! consumer pays when they *do* ask for a trace, and the derive benchmarks
 //! price the trace→metrics and trace→counters replays. The digest guard
 //! holds `EventLog::digest`, which streams each event's compact JSON into
@@ -169,11 +169,6 @@ fn main() {
             b.record(r);
         }
     }
-
-    let ring = SimConfig::paper(7).with_trace_ring(256);
-    b.bench(&format!("hpp_{N}/trace_ring_256"), || {
-        black_box(run_once(N, &ring).log.dropped())
-    });
 
     let traced = run_once(N, &enabled);
     b.bench(&format!("hpp_{N}/metrics_from_log"), || {

@@ -10,7 +10,9 @@ use std::sync::Arc;
 
 use rfid_hash::prop::{self, Gen};
 use rfid_hash::prop_assert;
-use rfid_wire::{loopback, Command, ErrorCode, Frame, OpenRequest, Response, Transport};
+use rfid_wire::{
+    loopback, Command, ErrorCode, Frame, OpenRequest, Response, Transport, WIRE_VERSION,
+};
 
 use rfid_daemon::{serve_connection, DaemonClient, RunEnd, Service};
 
@@ -101,7 +103,7 @@ fn raw_garbage_yields_typed_errors_and_leaves_sessions_alive() {
             // stalling the test, not the protocol. Zero the claim's high
             // bytes and append a flushing pad larger than any capped claim.
             for i in 0..bytes.len().saturating_sub(4) {
-                if bytes[i] == 0xBB && bytes[i + 1] == 0x01 {
+                if bytes[i] == 0xBB && bytes[i + 1] == WIRE_VERSION {
                     bytes[i + 3] = 0;
                     bytes[i + 4] = 0;
                 }

@@ -12,7 +12,8 @@
 //!   with packed tag states (runs are seed-deterministic, so config +
 //!   population reproduce the run from t = 0),
 //! * the RNG stream position and sim clock at death,
-//! * the last [`LAST_EVENTS`] trace events and the drop count,
+//! * the last [`LAST_EVENTS`] trace events and how many earlier ones the
+//!   tail left out,
 //! * the folded span profile,
 //! * the partial report the protocol managed to produce.
 //!
@@ -83,10 +84,7 @@ pub fn postmortem(
         ("passes".to_string(), Json::UInt(passes)),
         ("coverage".to_string(), Json::Float(coverage)),
         ("events".to_string(), Json::Arr(tail)),
-        (
-            "events_dropped".to_string(),
-            Json::UInt(ctx.log.dropped() + skip as u64),
-        ),
+        ("events_dropped".to_string(), Json::UInt(skip as u64)),
         ("trace_enabled".to_string(), ctx.log.is_enabled().to_json()),
         ("spans".to_string(), Json::Arr(spans)),
         ("report".to_string(), report),

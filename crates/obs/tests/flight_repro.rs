@@ -12,7 +12,7 @@ use rfid_system::{BitVec, FaultModel, Json, SimConfig, SimContext, TagPopulation
 
 fn jammed_config(seed: u64) -> SimConfig {
     SimConfig::paper(seed)
-        .with_trace_ring(48)
+        .with_trace()
         .with_profile()
         .with_fault(FaultModel::perfect().with_downlink_loss(1.0))
 }
@@ -77,7 +77,7 @@ fn a_degraded_session_is_reproducible_from_its_bundle_alone() {
     assert_eq!(bundle.config, cfg, "bundle pins the full failing config");
     assert!(
         bundle.trace_enabled && !bundle.events.is_empty(),
-        "ring-traced run left an event tail"
+        "traced run left an event tail"
     );
     assert!(
         bundle.spans.iter().any(|l| l.starts_with("session;pass")),

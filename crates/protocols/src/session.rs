@@ -321,9 +321,11 @@ fn coverage_of(tags: usize, uncollected: usize) -> f64 {
 /// identity (`tags` or `origin`) from its progress (the packed per-tag
 /// vectors in `context`); version 3 carries the clock, deadlines and
 /// trace timestamps as whole nanoseconds, written as decimal µs with at
-/// most three fraction digits. A document of any other version, or of
-/// none, is a typed error naming this one.
-pub(crate) const SNAPSHOT_VERSION: u64 = 3;
+/// most three fraction digits; version 4 writes the trace as the
+/// context's `events`, present exactly when the config traces, instead of
+/// a log object that restated the config's trace mode. A document of any
+/// other version, or of none, is a typed error naming this one.
+pub(crate) const SNAPSHOT_VERSION: u64 = 4;
 
 /// A live protocol session: one stepper under the driver.
 ///

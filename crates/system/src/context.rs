@@ -41,11 +41,9 @@ pub struct SimConfig {
     pub fault: FaultModel,
     /// Master seed for all randomness in the run.
     pub seed: u64,
-    /// Whether to record an event trace.
+    /// Whether to record an event trace (every event, in order). A
+    /// snapshot carries the trace exactly when this is on.
     pub trace: bool,
-    /// Trace ring-buffer capacity: `0` keeps the full trace, a positive
-    /// value keeps only the newest events (long runs, bounded memory).
-    pub trace_ring: usize,
     /// Whether to record hierarchical profiling spans
     /// ([`crate::SpanProfiler`]).
     pub profile: bool,
@@ -60,7 +58,6 @@ impl SimConfig {
             fault: FaultModel::perfect(),
             seed,
             trace: false,
-            trace_ring: 0,
             profile: false,
         }
     }
@@ -68,14 +65,6 @@ impl SimConfig {
     /// Enables event tracing.
     pub fn with_trace(mut self) -> Self {
         self.trace = true;
-        self
-    }
-
-    /// Enables event tracing into a bounded ring buffer keeping only the
-    /// newest `capacity` events.
-    pub fn with_trace_ring(mut self, capacity: usize) -> Self {
-        self.trace = true;
-        self.trace_ring = capacity;
         self
     }
 
@@ -148,7 +137,6 @@ crate::impl_json_struct!(SimConfig {
     fault,
     seed,
     trace,
-    trace_ring,
     profile
 });
 crate::impl_json_struct!(Counters {
@@ -871,7 +859,8 @@ impl SimContext {
     ///
     /// Captures everything whose value depends on how far the run has
     /// progressed: the RNG stream position, the clock (elapsed verbatim, so
-    /// restores are bit-exact), the counters, the event trace, the
+    /// restores are bit-exact), the counters, the recorded `events` (only
+    /// when the config traces), the
     /// Gilbert–Elliott channel state, and three per-tag vectors packed as
     /// hex ([`crate::packed`]): `state` (each tag's [`TagState`] as a 2-bit
     /// code), `synced` (1 bit per tag, set while the tag hears the
@@ -893,13 +882,18 @@ impl SimContext {
             ),
             ("clock".to_string(), self.clock.to_json()),
             ("counters".to_string(), self.counters.to_json()),
-            ("log".to_string(), self.log.to_json()),
             (
                 "state".to_string(),
                 Json::Str(self.population.packed_states()),
             ),
             ("synced".to_string(), Json::Str(pack_codes(synced, 1))),
         ];
+        if self.log.is_enabled() {
+            fields.push((
+                "events".to_string(),
+                Json::Arr(self.log.events().iter().map(ToJson::to_json).collect()),
+            ));
+        }
         if self.has_kills {
             fields.push((
                 "replies_sent".to_string(),
@@ -994,18 +988,18 @@ pub struct ContextProgress {
 
 impl ContextProgress {
     /// The progress of a run over `n` tags that has not started: the
-    /// seeded RNG, a zero clock and counters, an empty trace in the
-    /// config's mode, every tag active and synchronized.
+    /// seeded RNG, a zero clock and counters, an empty trace if the config
+    /// traces, every tag active and synchronized.
     fn start(config: &SimConfig, n: usize) -> ContextProgress {
         ContextProgress {
             n,
             rng: Xoshiro256::seed_from_u64(config.seed),
             clock: Clock::new(),
             counters: Counters::default(),
-            log: match (config.trace, config.trace_ring) {
-                (false, _) => EventLog::disabled(),
-                (true, 0) => EventLog::enabled(),
-                (true, cap) => EventLog::ring(cap),
+            log: if config.trace {
+                EventLog::enabled()
+            } else {
+                EventLog::disabled()
             },
             states: Vec::new(),
             desynced_words: vec![0; n.div_ceil(64)],
@@ -1021,7 +1015,8 @@ impl ContextProgress {
     /// vectors that do not hold exactly `n` entries (bad hex digits,
     /// nonzero padding, the unused state code 3, overlong or trailing
     /// varints), a `replies_sent` vector present without kill rules or
-    /// missing with them, a clock inconsistent with its breakdown — produce
+    /// missing with them, `events` present without `config.trace` or
+    /// missing with it, a clock inconsistent with its breakdown — produce
     /// typed errors, never panics.
     pub fn decode(config: &SimConfig, json: &Json, n: usize) -> Result<ContextProgress, JsonError> {
         // The config may itself come from untrusted snapshot bytes: reject
@@ -1075,12 +1070,26 @@ impl ContextProgress {
                 ))
             }
         };
+        let log = match (config.trace, json.get("events")) {
+            (true, Some(_)) => EventLog::resumed(json.field("events")?),
+            (false, None) => EventLog::disabled(),
+            (true, None) => {
+                return Err(JsonError(
+                    "missing field 'events' under a traced config".to_string(),
+                ))
+            }
+            (false, Some(_)) => {
+                return Err(JsonError(
+                    "events present but the config does not trace".to_string(),
+                ))
+            }
+        };
         Ok(ContextProgress {
             n,
             rng: Xoshiro256::from_state(rng),
             clock: json.field("clock")?,
             counters: json.field("counters")?,
-            log: json.field("log")?,
+            log,
             states,
             desynced_words,
             replies_sent,
@@ -1574,36 +1583,32 @@ mod tests {
         };
         rejected(&with_replies, 4, "no kill rules");
 
-        // A ring log holding more events than its capacity.
-        let mut ring = EventLog::ring(2);
-        ring.record(Micros::ZERO, Event::SlotEmpty);
-        ring.record(Micros::ZERO, Event::SlotEmpty);
-        let bad = set(
-            &good,
-            "log",
-            set(&ring.to_json(), "capacity", Json::UInt(1)),
+        // `events` must be present exactly when the config traces.
+        let traced = cfg.clone().with_trace();
+        assert!(good.get("events").is_none(), "untraced");
+        let err = restore(&traced, &good, 4).unwrap_err();
+        assert!(
+            err.0
+                .contains("missing field 'events' under a traced config"),
+            "{err:?}"
         );
-        rejected(&bad, 4, "over its capacity");
-
-        // A disabled log carrying events.
-        let mut on = EventLog::enabled();
-        on.record(Micros::ZERO, Event::SlotEmpty);
-        let bad = set(
-            &good,
-            "log",
-            set(&on.to_json(), "enabled", Json::Bool(false)),
+        let mut t = SimContext::new(
+            TagPopulation::sequential(4, |i| BitVec::from_value(i as u64, 8)),
+            &traced,
         );
-        rejected(&bad, 4, "disabled event log");
+        t.poll_tag(4, true, 1);
+        let good_traced = t.snapshot();
+        rejected(
+            &good_traced,
+            4,
+            "events present but the config does not trace",
+        );
 
-        // Drops in an unbounded log, and in a ring that is not full: a live
-        // log evicts only from a full ring.
-        for log in [
-            r#"{"enabled":true,"capacity":0,"dropped":3,"events":[]}"#,
-            r#"{"enabled":true,"capacity":4,"dropped":3,"events":[{"at":0,"event":"SlotEmpty"}]}"#,
-        ] {
-            let bad = set(&good, "log", Json::parse(log).unwrap());
-            rejected(&bad, 4, "claims 3 drops");
-        }
+        // The restored log is on exactly when `config.trace` is.
+        assert!(!restore(&cfg, &good, 4).unwrap().log.is_enabled());
+        let restored = restore(&traced, &good_traced, 4).unwrap();
+        assert!(restored.log.is_enabled());
+        assert_eq!(restored.log.events(), t.log.events());
 
         // Missing field.
         let bad = Json::Obj(vec![]);

@@ -11,11 +11,10 @@
 //! exact counters the figures are built on.
 //!
 //! Every recorded event carries the C1G2 clock's microsecond timestamp
-//! ([`TimedEvent`]). The log itself has three modes: disabled (the default —
-//! Monte-Carlo sweeps must not pay for tracing), unbounded, and a bounded
-//! ring buffer that keeps the newest events and counts what it dropped.
+//! ([`TimedEvent`]). The log is on or off: disabled (the default —
+//! Monte-Carlo sweeps must not pay for tracing) or enabled, keeping every
+//! event. [`crate::SimConfig::trace`] alone decides which.
 
-use std::collections::VecDeque;
 use std::fmt;
 
 use rfid_c1g2::Micros;
@@ -328,16 +327,11 @@ impl fmt::Display for TimedEvent {
 crate::impl_json_struct!(TimedEvent { at, event });
 
 /// An optional event log. Disabled by default: large Monte-Carlo sweeps must
-/// not pay for tracing. The bounded ring mode keeps the newest `capacity`
-/// events for long runs where only the tail matters (and remembers how many
-/// it dropped, so a replay can tell a truncated trace from a whole one).
+/// not pay for tracing. An enabled log keeps every event, oldest first.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EventLog {
     enabled: bool,
-    /// Ring capacity; `0` means unbounded.
-    capacity: usize,
-    events: VecDeque<TimedEvent>,
-    dropped: u64,
+    events: Vec<TimedEvent>,
 }
 
 impl EventLog {
@@ -346,25 +340,19 @@ impl EventLog {
         EventLog::default()
     }
 
-    /// An enabled, unbounded log.
+    /// An enabled log.
     pub fn enabled() -> Self {
         EventLog {
             enabled: true,
-            ..EventLog::default()
+            events: Vec::new(),
         }
     }
 
-    /// An enabled bounded log keeping only the newest `capacity` events.
-    ///
-    /// # Panics
-    /// Panics if `capacity` is zero (use [`EventLog::disabled`] instead).
-    pub fn ring(capacity: usize) -> Self {
-        assert!(capacity > 0, "ring capacity must be positive");
+    /// An enabled log that already holds `events`: a restored trace.
+    pub(crate) fn resumed(events: Vec<TimedEvent>) -> Self {
         EventLog {
             enabled: true,
-            capacity,
-            events: VecDeque::with_capacity(capacity),
-            dropped: 0,
+            events,
         }
     }
 
@@ -377,32 +365,22 @@ impl EventLog {
     /// Records an event at sim-time `at` (no-op when disabled).
     #[inline]
     pub fn record(&mut self, at: Micros, event: Event) {
-        if !self.enabled {
-            return;
+        if self.enabled {
+            self.events.push(TimedEvent { at, event });
         }
-        if self.capacity != 0 && self.events.len() == self.capacity {
-            self.events.pop_front();
-            self.dropped += 1;
-        }
-        self.events.push_back(TimedEvent { at, event });
     }
 
     /// The recorded events, oldest first.
-    pub fn events(&self) -> &VecDeque<TimedEvent> {
+    pub fn events(&self) -> &[TimedEvent] {
         &self.events
     }
 
-    /// Number of events evicted by the ring buffer (0 when unbounded).
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Number of retained events.
+    /// Number of recorded events.
     pub fn len(&self) -> usize {
         self.events.len()
     }
 
-    /// `true` if nothing is retained.
+    /// `true` if nothing is recorded.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
@@ -449,58 +427,6 @@ impl EventLog {
     }
 }
 
-impl crate::json::ToJson for EventLog {
-    fn to_json(&self) -> crate::json::Json {
-        use crate::json::Json;
-        let events: Vec<TimedEvent> = self.events.iter().copied().collect();
-        Json::Obj(vec![
-            ("enabled".to_string(), self.enabled.to_json()),
-            ("capacity".to_string(), self.capacity.to_json()),
-            ("dropped".to_string(), self.dropped.to_json()),
-            ("events".to_string(), events.to_json()),
-        ])
-    }
-}
-
-impl crate::json::FromJson for EventLog {
-    fn from_json(json: &crate::json::Json) -> Result<Self, crate::json::JsonError> {
-        let events: Vec<TimedEvent> = json.field("events")?;
-        let log = EventLog {
-            enabled: json.field("enabled")?,
-            capacity: json.field("capacity")?,
-            dropped: json.field("dropped")?,
-            events: events.into(),
-        };
-        // `record` evicts only at `len == capacity`: a ring restored over
-        // capacity would never evict again.
-        if log.capacity > 0 && log.events.len() > log.capacity {
-            return Err(crate::json::JsonError(format!(
-                "ring event log holds {} events over its capacity of {}",
-                log.events.len(),
-                log.capacity
-            )));
-        }
-        if !log.enabled && (!log.events.is_empty() || log.dropped > 0) {
-            return Err(crate::json::JsonError(format!(
-                "disabled event log carries {} events and {} drops",
-                log.events.len(),
-                log.dropped
-            )));
-        }
-        // Only a full ring has ever evicted: a restored log with drops
-        // below capacity would record without evicting until it filled.
-        if log.dropped > 0 && (log.capacity == 0 || log.events.len() != log.capacity) {
-            return Err(crate::json::JsonError(format!(
-                "event log claims {} drops but holds {} events at capacity {}",
-                log.dropped,
-                log.events.len(),
-                log.capacity
-            )));
-        }
-        Ok(log)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -541,36 +467,6 @@ mod tests {
             Event::RoundStarted { round: 1, .. }
         ));
         assert!(log.events()[1].at > log.events()[0].at);
-    }
-
-    #[test]
-    fn ring_mode_keeps_the_newest_events() {
-        let mut log = EventLog::ring(3);
-        for i in 0..10usize {
-            log.record(
-                at(i as f64),
-                Event::TagPolled {
-                    tag: i,
-                    vector_bits: 1,
-                },
-            );
-        }
-        assert_eq!(log.len(), 3);
-        assert_eq!(log.dropped(), 7);
-        assert!(matches!(
-            log.events()[0].event,
-            Event::TagPolled { tag: 7, .. }
-        ));
-        assert!(matches!(
-            log.events()[2].event,
-            Event::TagPolled { tag: 9, .. }
-        ));
-    }
-
-    #[test]
-    #[should_panic(expected = "ring capacity")]
-    fn zero_capacity_ring_is_rejected() {
-        let _ = EventLog::ring(0);
     }
 
     #[test]
@@ -675,18 +571,15 @@ mod tests {
                 uncollected: 6,
             },
         ];
-        let mut unbounded = EventLog::enabled();
-        let mut ring = EventLog::ring(5);
+        let mut enabled = EventLog::enabled();
         let mut disabled = EventLog::disabled();
-        for log in [&mut unbounded, &mut ring, &mut disabled] {
+        for log in [&mut enabled, &mut disabled] {
             for (i, &event) in every_event.iter().enumerate() {
                 log.record(at(i as f64 * 37.45 + 0.1 + 0.2), event);
             }
         }
-        assert_eq!(ring.dropped(), 13, "the ring evicted");
-        let restored: EventLog =
-            crate::json::from_json_str(&crate::json::to_json_string(&unbounded)).unwrap();
-        for log in [&unbounded, &ring, &disabled, &restored] {
+        let restored = EventLog::resumed(EventLog::from_jsonl(&enabled.to_jsonl()).unwrap());
+        for log in [&enabled, &disabled, &restored] {
             assert_eq!(log.digest(), rfid_hash::fnv64(&log.to_jsonl()));
             // The tree encoding hashes to the same digest.
             let tree: String = log
@@ -696,8 +589,7 @@ mod tests {
                 .collect();
             assert_eq!(log.digest(), rfid_hash::fnv64(&tree));
         }
-        assert_eq!(restored.digest(), unbounded.digest());
-        assert_ne!(unbounded.digest(), ring.digest());
+        assert_eq!(restored.digest(), enabled.digest());
         assert_eq!(disabled.digest(), rfid_hash::fnv64(""));
     }
 

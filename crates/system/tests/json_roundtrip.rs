@@ -8,9 +8,9 @@
 use rfid_c1g2::Micros;
 use rfid_system::json::{from_json_str, to_json_string, FromJson, Json, ToJson};
 use rfid_system::{
-    BitVec, BroadcastKind, Channel, ContextProgress, Counters, Event, EventLog, FaultModel,
-    FaultPlan, GilbertElliott, KillRule, RoundRange, SimConfig, SimContext, TagId, TagPopulation,
-    TagState, TimedEvent,
+    BitVec, BroadcastKind, Channel, ContextProgress, Counters, Event, FaultModel, FaultPlan,
+    GilbertElliott, KillRule, RoundRange, SimConfig, SimContext, TagId, TagPopulation, TagState,
+    TimedEvent,
 };
 
 fn round_trip<T>(value: &T)
@@ -391,12 +391,15 @@ fn events_and_log_round_trip() {
         at: Micros::from_us(162.45),
         event: Event::SlotEmpty,
     });
-    let mut log = EventLog::enabled();
-    for (i, e) in events.iter().enumerate() {
-        log.record(Micros::from_us(i as f64 * 37.45), *e);
-    }
-    round_trip(&log);
-    round_trip(&EventLog::disabled());
+    let trace: Vec<TimedEvent> = events
+        .iter()
+        .enumerate()
+        .map(|(i, &event)| TimedEvent {
+            at: Micros::from_us(i as f64 * 37.45),
+            event,
+        })
+        .collect();
+    round_trip(&trace);
 }
 
 #[test]
@@ -409,22 +412,6 @@ fn broadcast_kinds_round_trip_as_strings() {
         "\"PollingVector\""
     );
     assert!(from_json_str::<BroadcastKind>("\"Telegram\"").is_err());
-}
-
-#[test]
-fn ring_log_round_trips_with_drop_count() {
-    let mut log = EventLog::ring(2);
-    for i in 0..5usize {
-        log.record(
-            Micros::from_us(i as f64),
-            Event::TagPolled {
-                tag: i,
-                vector_bits: 2,
-            },
-        );
-    }
-    assert_eq!(log.dropped(), 3);
-    round_trip(&log);
 }
 
 #[test]

@@ -8,7 +8,7 @@
 //! on air — instead of a bytewise checksum:
 //!
 //! ```text
-//! frame := SOF(0xBB) ver(0x01) kind(1B) len(4B BE) payload(len B)
+//! frame := SOF(0xBB) ver(0x02) kind(1B) len(4B BE) payload(len B)
 //!          crc16(2B BE)  EOF(0x7E)
 //! ```
 //!
@@ -29,7 +29,7 @@ pub(crate) const EOF: u8 = 0x7E;
 /// The wire-protocol version this build speaks. Payload schemas may gain
 /// fields within a version (unknown JSON keys are ignored); any change
 /// that re-frames bytes or repurposes a kind bumps it.
-pub const WIRE_VERSION: u8 = 1;
+pub const WIRE_VERSION: u8 = 2;
 /// Upper bound on a frame payload (64 MiB): large enough for a checkpoint
 /// snapshot of a million-tag session, small enough that a corrupt length
 /// field cannot ask the decoder to buffer unbounded memory.
@@ -346,11 +346,11 @@ mod tests {
 
     #[test]
     fn wrong_version_is_rejected() {
-        let mut bytes = Frame::new(3, b"v2?".to_vec()).encode();
-        bytes[1] = 2;
+        let mut bytes = Frame::new(3, b"v1?".to_vec()).encode();
+        bytes[1] = 1;
         let mut dec = Decoder::new();
         dec.push(&bytes);
-        assert_eq!(dec.next(), Err(FrameError::Version(2)));
+        assert_eq!(dec.next(), Err(FrameError::Version(1)));
     }
 
     #[test]

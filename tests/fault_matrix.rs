@@ -192,7 +192,7 @@ fn every_protocol_keeps_an_exact_clock_under_faults() {
                     .all(|(a, b)| a.at <= b.at),
                 "{label}: trace time ran backwards"
             );
-            assert!(events.back().unwrap().at <= ctx.clock.total(), "{label}");
+            assert!(events.last().unwrap().at <= ctx.clock.total(), "{label}");
             let jsonl = ctx.log.to_jsonl();
             let reimported = EventLog::from_jsonl(&jsonl).expect("trace re-parses");
             assert_eq!(

@@ -611,14 +611,14 @@ fn hostile_resumes_fail_with_typed_errors() {
             "neither 'tags' nor 'origin'",
         ),
         (
-            "version 2",
-            edit(&good, &["v"], Some(Json::UInt(2))),
-            "snapshot version 2 is not supported; expected \"v\": 3",
+            "version 3",
+            edit(&good, &["v"], Some(Json::UInt(3))),
+            "snapshot version 3 is not supported; expected \"v\": 4",
         ),
         (
             "no version",
             edit(&good, &["v"], None),
-            "snapshot version (none) is not supported; expected \"v\": 3",
+            "snapshot version (none) is not supported; expected \"v\": 4",
         ),
         (
             "a negative elapsed clock",
