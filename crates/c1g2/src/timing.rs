@@ -2,9 +2,9 @@
 //!
 //! Protocols spend time in a handful of distinguishable ways (reader command
 //! overhead, polling-vector bits, turnarounds, tag payloads, …). [`Clock`]
-//! accumulates a total alongside a per-[`TimeCategory`] breakdown so a report
-//! can show *where* the inventory time went — the decomposition behind Fig. 1
-//! and the per-protocol discussion in Section V.
+//! accumulates a per-[`TimeCategory`] breakdown whose sum is the total, so a
+//! report can show *where* the inventory time went — the decomposition
+//! behind Fig. 1 and the per-protocol discussion in Section V.
 
 use std::fmt;
 use std::ops::{Add, AddAssign};
@@ -131,10 +131,11 @@ impl fmt::Display for TimeBreakdown {
     }
 }
 
-/// An accumulating clock: total elapsed time plus the breakdown.
+/// An accumulating clock: the per-category breakdown, whose sum is the
+/// total elapsed time. Time is whole nanoseconds, so the sum is exact
+/// whatever the order the time was spent in.
 #[derive(Debug, Clone, Default)]
 pub struct Clock {
-    elapsed: Micros,
     breakdown: TimeBreakdown,
 }
 
@@ -144,38 +145,28 @@ impl Clock {
         Clock::default()
     }
 
-    /// Rebuilds a clock from checkpointed parts. Time is whole
-    /// nanoseconds, so the elapsed total equals the sum of the breakdown
-    /// exactly, whatever the order the time was spent in.
-    ///
-    /// # Panics
-    /// Panics if `elapsed` differs from the breakdown total (a corrupt
-    /// snapshot).
-    pub fn from_parts(elapsed: Micros, breakdown: TimeBreakdown) -> Self {
-        assert_eq!(
-            elapsed,
-            breakdown.total(),
-            "clock elapsed inconsistent with breakdown total"
-        );
-        Clock { elapsed, breakdown }
-    }
-
     /// Advances the clock by `dt`, attributing it to `category`.
     #[inline]
     pub fn spend(&mut self, category: TimeCategory, dt: Micros) {
-        self.elapsed += dt;
         self.breakdown.record(category, dt);
     }
 
-    /// Total elapsed time.
+    /// Total elapsed time: the sum of the breakdown.
     #[inline]
     pub fn total(&self) -> Micros {
-        self.elapsed
+        self.breakdown.total()
     }
 
     /// The per-category breakdown.
     pub fn breakdown(&self) -> &TimeBreakdown {
         &self.breakdown
+    }
+}
+
+/// A clock that has spent exactly `breakdown` (a checkpointed clock).
+impl From<TimeBreakdown> for Clock {
+    fn from(breakdown: TimeBreakdown) -> Self {
+        Clock { breakdown }
     }
 }
 
@@ -208,31 +199,6 @@ mod tests {
             c.spend(*cat, Micros::from_us((i + 1) as f64));
         }
         assert_eq!(c.breakdown().total(), c.total());
-    }
-
-    #[test]
-    fn from_parts_preserves_elapsed_bits() {
-        // An order where f64 `elapsed` and per-bucket sums would round
-        // differently: in nanoseconds they agree, and rebuild exactly.
-        let mut c = Clock::new();
-        let mut x = 0.1f64;
-        for i in 0..1_000 {
-            let cat = TimeCategory::ALL[i % TimeCategory::ALL.len()];
-            c.spend(cat, Micros::from_us(x));
-            x = (x * 1.37) % 10.0 + 0.01;
-        }
-        assert_eq!(c.total(), c.breakdown().total());
-        let back = Clock::from_parts(c.total(), *c.breakdown());
-        assert_eq!(back.total(), c.total());
-        assert_eq!(back.breakdown(), c.breakdown());
-    }
-
-    #[test]
-    #[should_panic(expected = "inconsistent with breakdown")]
-    fn from_parts_rejects_corrupt_elapsed() {
-        let mut b = TimeBreakdown::default();
-        b.record(TimeCategory::TagReply, Micros::from_us(10.0));
-        let _ = Clock::from_parts(Micros::from_us(10.001), b);
     }
 
     #[test]

@@ -384,25 +384,25 @@ impl Service {
             Ok(rs) => rs,
         };
         let mut out = Vec::new();
-        // Saturating: a budget of `u64::MAX` means "run to the end".
-        let budget_end = max_steps.map(|b| rs.session.steps_taken().saturating_add(b));
+        // The steps this `Run` may still take. A recovery pass resets the
+        // session's pass-local step count, so the budget is counted here.
+        let mut budget = max_steps;
         let end = loop {
             let now = rs.session.steps_taken();
-            // Stop at the next progress/supervise/budget boundary,
-            // whichever comes first. Targets are absolute step counts so
-            // progress frames stay on exact `progress_every` multiples
+            // Stop at the budget or the next progress/supervise boundary,
+            // whichever comes first. Boundaries are pass-local step counts
+            // so progress frames stay on exact `progress_every` multiples
             // even when the supervise cadence differs.
-            let mut target = budget_end;
+            let mut chunk = budget;
             for stride in [rs.progress_every, supervise] {
                 // A zero stride is off.
                 if let Some(done) = now.checked_div(stride) {
-                    let boundary = (done + 1) * stride;
-                    target = Some(target.map_or(boundary, |t| t.min(boundary)));
+                    let to_boundary = (done + 1) * stride - now;
+                    chunk = Some(chunk.map_or(to_boundary, |c| c.min(to_boundary)));
                 }
             }
-            let chunk = match target {
-                None => break rs.session.run(&mut rs.ctx),
-                Some(t) => t - now,
+            let Some(chunk) = chunk else {
+                break rs.session.run(&mut rs.ctx);
             };
             if chunk == 0 {
                 // A zero budget: report where we stand without stepping.
@@ -415,6 +415,7 @@ impl Service {
             match rs.session.run_for(&mut rs.ctx, chunk) {
                 Some(end) => break end,
                 None => {
+                    budget = budget.map(|b| b - chunk);
                     let now = rs.session.steps_taken();
                     if let Some(switch) = &kill {
                         if switch.should_fire(now) {
@@ -427,7 +428,7 @@ impl Service {
                     if supervise > 0 && now % supervise == 0 {
                         sup.deposit(rs.gid, rs.snapshot());
                     }
-                    if budget_end == Some(now) {
+                    if budget == Some(0) {
                         out.push(Response::Paused {
                             session,
                             steps: now,
@@ -821,6 +822,44 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    /// A `Run` budget counts the steps that `Run` takes. The session's
+    /// step count is pass-local (every recovery pass restarts it), so a
+    /// budget measured against it could be passed over and never met. A
+    /// dead tag under an unbounded policy takes three passes to open the
+    /// breaker; 300 steps end inside the second.
+    #[test]
+    fn run_budget_survives_recovery_passes() {
+        use rfid_protocols::RecoveryPolicy;
+        use rfid_system::{FaultModel, FaultPlan, KillRule};
+        let dead = FaultPlan {
+            kill_after_replies: vec![KillRule {
+                tag: 0,
+                after_replies: 0,
+            }],
+            ..FaultPlan::none()
+        };
+        let req = OpenRequest {
+            config: Some(SimConfig::paper(11).with_fault(FaultModel::perfect().with_plan(dead))),
+            policy: Some(RecoveryPolicy::unbounded()),
+            ..OpenRequest::new("HPP", 64, 4, 7)
+        };
+        let mut service = Service::new();
+        let id = opened(&mut service, req);
+        let ran = service.handle(Command::Run {
+            session: id,
+            max_steps: Some(300),
+        });
+        match ran.last() {
+            Some(Response::Paused { steps, .. }) => {
+                assert!(*steps < 300, "steps are pass-local: {steps}")
+            }
+            other => panic!("a 300-step budget must pause the session, got {other:?}"),
+        }
+        let outcome = run_to_done(&mut service, id);
+        assert_eq!(outcome.status, "degraded");
+        assert_eq!(outcome.passes, 3);
     }
 
     /// A served checkpoint resumed in place of its session finishes with

@@ -169,10 +169,12 @@ impl MetricsRegistry {
         }
         out
     }
+}
 
-    /// A self-contained JSON snapshot: `{counters: {...}, histograms:
-    /// {...}, series: {...}}`.
-    pub(crate) fn snapshot(&self) -> Json {
+/// A self-contained JSON snapshot: `{counters: {...}, histograms: {...},
+/// series: {...}}`.
+impl ToJson for MetricsRegistry {
+    fn to_json(&self) -> Json {
         let obj = |entries: Vec<(String, Json)>| Json::Obj(entries);
         Json::Obj(vec![
             (
@@ -203,12 +205,6 @@ impl MetricsRegistry {
     }
 }
 
-impl ToJson for MetricsRegistry {
-    fn to_json(&self) -> Json {
-        self.snapshot()
-    }
-}
-
 /// A Prometheus-safe metric name: sanitized and `rfid_`-prefixed.
 fn metric_name(name: &str) -> String {
     let mut out = String::with_capacity(name.len() + 5);
@@ -234,7 +230,7 @@ fn metric_name(name: &str) -> String {
 ///
 /// Replaying a stream of delta lines in order reconstructs the counters and
 /// series exactly (histograms stream summaries, not buckets; consumers that
-/// need full bucket shapes take a final `MetricsRegistry::snapshot`).
+/// need full bucket shapes take a final `MetricsRegistry::to_json`).
 #[derive(Debug, Clone, Default)]
 pub struct DeltaCursor {
     counters: Vec<(String, u64)>,
@@ -439,7 +435,7 @@ mod tests {
         m.observe("w", 3);
         m.inc("polls", 1);
         m.point("unread", Micros::from_us(2.5), 9.0);
-        let text = m.snapshot().to_string();
+        let text = m.to_json().to_string();
         let parsed: Json = rfid_system::json::from_json_str(&text).unwrap();
         let counters = parsed.field::<Json>("counters").unwrap();
         assert_eq!(counters.field::<u64>("polls").unwrap(), 1);

@@ -127,34 +127,21 @@ impl fmt::Display for PollingError {
 impl std::error::Error for PollingError {}
 
 /// Detects a stalled run by *lack of progress*: the guard trips after
-/// `DEFAULT_STALL_ROUNDS` (or a caller-chosen number of) consecutive
-/// rounds in which the poll counter did not advance. Progress of even one
-/// tag resets the streak, so slow-but-converging runs never stall.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// `DEFAULT_STALL_ROUNDS` consecutive rounds in which the poll counter did
+/// not advance. Progress of even one tag resets the streak, so
+/// slow-but-converging runs never stall.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StallGuard {
-    cap: u64,
     last_polls: u64,
     streak: u64,
 }
 
 // The guard is part of a session's serialized driver state: a restored run
 // must resume with the same idle-round streak or stall at a different round.
-rfid_system::impl_json_struct!(StallGuard {
-    cap,
-    last_polls,
-    streak
-});
+// The threshold is a constant, so no snapshot carries it.
+rfid_system::impl_json_struct!(StallGuard { last_polls, streak });
 
 impl StallGuard {
-    /// A guard tripping after `cap` consecutive no-progress rounds.
-    pub(crate) fn new(cap: u64) -> Self {
-        StallGuard {
-            cap,
-            last_polls: 0,
-            streak: 0,
-        }
-    }
-
     /// Checks progress at a round boundary; `true` means the run stalled.
     /// Each idle round leaves a [`rfid_system::Event::StallTick`] in the
     /// trace so stalls are visible long before the guard trips.
@@ -168,13 +155,7 @@ impl StallGuard {
         ctx.emit(rfid_system::Event::StallTick {
             streak: self.streak,
         });
-        self.streak >= self.cap
-    }
-}
-
-impl Default for StallGuard {
-    fn default() -> Self {
-        StallGuard::new(DEFAULT_STALL_ROUNDS)
+        self.streak >= DEFAULT_STALL_ROUNDS
     }
 }
 
@@ -191,17 +172,19 @@ mod tests {
     #[test]
     fn stall_guard_trips_only_without_progress() {
         let mut c = ctx(3);
-        let mut guard = StallGuard::new(3);
-        assert!(!guard.no_progress(&mut c));
-        assert!(!guard.no_progress(&mut c));
+        let mut guard = StallGuard::default();
+        for _ in 1..DEFAULT_STALL_ROUNDS {
+            assert!(!guard.no_progress(&mut c));
+        }
         c.poll_tag(1, true, 0);
         // Progress resets the streak.
         assert!(!guard.no_progress(&mut c));
-        assert!(!guard.no_progress(&mut c));
-        assert!(!guard.no_progress(&mut c));
+        for _ in 1..DEFAULT_STALL_ROUNDS {
+            assert!(!guard.no_progress(&mut c));
+        }
         assert!(
             guard.no_progress(&mut c),
-            "third consecutive idle round trips"
+            "the DEFAULT_STALL_ROUNDS-th consecutive idle round trips"
         );
     }
 
@@ -231,7 +214,7 @@ mod tests {
     #[test]
     fn stall_guard_round_trips_mid_streak() {
         let mut c = ctx(2);
-        let mut guard = StallGuard::new(5);
+        let mut guard = StallGuard::default();
         c.poll_tag(1, true, 0);
         assert!(!guard.no_progress(&mut c));
         assert!(!guard.no_progress(&mut c));

@@ -67,17 +67,6 @@ impl ProtocolStepper for HppConfig {
     }
 }
 
-/// Reader-side sift: the singleton indices of the current round, as sorted
-/// `(index, tag handle)` pairs. Indices picked by two or more tags
-/// (collision indices) and by none (empty indices) are skipped entirely —
-/// this is where HPP's zero slot waste comes from. Delegates to the
-/// context's reusable [`rfid_system::RoundIndex`], which bucket-sorts the
-/// hashed indices in one O(active) pass; recycle the returned buffer with
-/// [`SimContext::recycle_singletons`] to keep rounds allocation-free.
-pub(crate) fn singleton_indices(ctx: &mut SimContext, seed: u64, h: u32) -> Vec<(u64, usize)> {
-    ctx.sift_singletons(seed, h)
-}
-
 /// Runs one HPP round over the currently active tags; returns the number of
 /// tags successfully polled.
 pub(crate) fn hpp_round(ctx: &mut SimContext, cfg: &HppConfig) -> usize {
@@ -86,7 +75,9 @@ pub(crate) fn hpp_round(ctx: &mut SimContext, cfg: &HppConfig) -> usize {
     let h = index_length(n as u64);
     let seed = ctx.draw_round_seed();
     ctx.begin_round(h, cfg.round_init_bits);
-    let singles = singleton_indices(ctx, seed, h);
+    // Only indices picked by exactly one tag are polled: collision and
+    // empty indices are skipped entirely, which is HPP's zero slot waste.
+    let singles = ctx.sift_singletons(seed, h);
     let mut polled = 0;
     for &(_, tag) in &singles {
         if ctx.poll_tag(h as u64, cfg.with_query_rep, tag) {
@@ -231,7 +222,7 @@ mod tests {
         let mut ctx = SimContext::new(pop, &SimConfig::paper(11));
         let seed = 0xFEED;
         let h = 6;
-        let singles = singleton_indices(&mut ctx, seed, h);
+        let singles = ctx.sift_singletons(seed, h);
         // The index every tag derives in the round: `H(r, id) mod 2^h`.
         let tag_index = |id: rfid_system::TagId| TagHash::new(seed).index(id.hi(), id.lo(), h);
         let mut counts = std::collections::HashMap::new();

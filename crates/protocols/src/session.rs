@@ -55,10 +55,11 @@ use crate::PollingProtocol;
 /// The circuit breaker weighs evidence in *idle rounds*, not passes: a
 /// zero-progress [`StallCause::RoundCap`] pass contributes only its small
 /// round budget, a [`StallCause::NoProgress`] stall a full
-/// `DEFAULT_STALL_ROUNDS` window, and any
-/// progress resets the count. With unbounded passes, coverage therefore
-/// reaches 1.0 whenever loss < 1.0; only a dead configuration (permanent
-/// jam, killed tag) ends [`SessionEnd::Degraded`].
+/// `DEFAULT_STALL_ROUNDS` window, and any progress resets the count. It
+/// opens at `BREAKER_IDLE_ROUNDS` = 512 idle rounds, a constant no policy
+/// changes. With unbounded passes, coverage therefore reaches 1.0 whenever
+/// loss < 1.0; only a dead configuration (permanent jam, killed tag) ends
+/// [`SessionEnd::Degraded`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryPolicy {
     /// Maximum polling passes (including the initial attempt); `0` means
@@ -70,12 +71,12 @@ pub struct RecoveryPolicy {
     pub(crate) base_backoff_us: u64,
     /// Ceiling on one backoff interval, in microseconds.
     pub(crate) max_backoff_us: u64,
-    /// Circuit breaker threshold, in units of stall-guard windows: the
-    /// session gives up once `zero_progress_limit ·`
-    /// [`DEFAULT_STALL_ROUNDS`](crate::DEFAULT_STALL_ROUNDS) consecutive
-    /// idle rounds (rounds that polled nothing) accumulate across passes.
-    pub(crate) zero_progress_limit: u64,
 }
+
+/// The circuit breaker's threshold: a session under a policy gives up once
+/// this many consecutive idle rounds (rounds that polled nothing)
+/// accumulate across passes — two stall-guard windows.
+pub(crate) const BREAKER_IDLE_ROUNDS: u64 = 2 * crate::DEFAULT_STALL_ROUNDS;
 
 impl Default for RecoveryPolicy {
     fn default() -> Self {
@@ -83,7 +84,6 @@ impl Default for RecoveryPolicy {
             max_passes: 0,
             base_backoff_us: 1_000,
             max_backoff_us: 64_000,
-            zero_progress_limit: 2,
         }
     }
 }
@@ -122,7 +122,6 @@ rfid_system::impl_json_struct!(RecoveryPolicy {
     max_passes,
     base_backoff_us,
     max_backoff_us,
-    zero_progress_limit,
 });
 
 /// What one [`ProtocolStepper::step`] reported.
@@ -323,9 +322,13 @@ fn coverage_of(tags: usize, uncollected: usize) -> f64 {
 /// trace timestamps as whole nanoseconds, written as decimal µs with at
 /// most three fraction digits; version 4 writes the trace as the
 /// context's `events`, present exactly when the config traces, instead of
-/// a log object that restated the config's trace mode. A document of any
-/// other version, or of none, is a typed error naming this one.
-pub(crate) const SNAPSHOT_VERSION: u64 = 4;
+/// a log object that restated the config's trace mode; version 5 stores
+/// each fact once: the config has no `link` (always the paper's), the
+/// driver's stall guard is `{last_polls, streak}` (its threshold is the
+/// constant `DEFAULT_STALL_ROUNDS`), and the context's clock is its
+/// breakdown alone. A document of any other version, or of none, is a
+/// typed error naming this one.
+pub(crate) const SNAPSHOT_VERSION: u64 = 5;
 
 /// A live protocol session: one stepper under the driver.
 ///
@@ -513,11 +516,8 @@ impl Session {
                 StallCause::RoundCap => pass_rounds,
             };
         }
-        let idle_cap = policy
-            .zero_progress_limit
-            .saturating_mul(crate::DEFAULT_STALL_ROUNDS);
         let out_of_passes = policy.max_passes != 0 && self.passes >= policy.max_passes;
-        if out_of_passes || self.idle_rounds >= idle_cap {
+        if out_of_passes || self.idle_rounds >= BREAKER_IDLE_ROUNDS {
             ctx.note_circuit_opened(self.passes, uncollected.len());
             return Some(SessionEnd::Degraded {
                 coverage: coverage_of(partial_report.tags, uncollected.len()),
@@ -584,8 +584,8 @@ impl Session {
     /// ([`TagPopulation::identity_json`]).
     ///
     /// `config` must be the [`SimConfig`] the context was built with: the
-    /// parts of the context that are pure functions of the config (link,
-    /// channel, fault model) restore from it rather than being duplicated.
+    /// parts of the context that are pure functions of the config (channel,
+    /// fault model) restore from it rather than being duplicated.
     pub fn snapshot(&self, ctx: &SimContext, config: &SimConfig) -> Json {
         self.document(ctx, config, ("tags", ctx.population.identity_json()))
     }
@@ -843,8 +843,8 @@ mod tests {
         };
         let mut ctx = faulted(40, 11, FaultModel::perfect().with_plan(plan));
         // Default (large) round budget: each pass ends in a NoProgress
-        // stall, so the breaker opens after `zero_progress_limit` passes
-        // beyond the last progress.
+        // stall, so the breaker opens after two passes beyond the last
+        // progress.
         let protocol = HppConfig::default();
         let end = recover(&protocol, RecoveryPolicy::unbounded(), &mut ctx);
         assert!(!end.is_complete(), "a dead tag can never be collected");
@@ -918,12 +918,9 @@ mod tests {
 
     #[test]
     fn policy_round_trips_through_json() {
-        let p = RecoveryPolicy {
-            zero_progress_limit: 3,
-            ..RecoveryPolicy::unbounded()
-                .with_max_passes(9)
-                .with_backoff(500, 8_000)
-        };
+        let p = RecoveryPolicy::unbounded()
+            .with_max_passes(9)
+            .with_backoff(500, 8_000);
         let json = rfid_system::to_json_string(&p);
         let back: RecoveryPolicy = rfid_system::from_json_str(&json).expect("parses");
         assert_eq!(back, p);

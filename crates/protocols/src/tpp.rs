@@ -21,7 +21,6 @@
 use rfid_analysis::tpp::optimal_index_length;
 use rfid_system::SimContext;
 
-use crate::hpp::singleton_indices;
 use crate::session::{ProtocolStepper, StepDiscipline, StepOutcome};
 use crate::tree::PollingTree;
 use crate::PollingProtocol;
@@ -108,7 +107,7 @@ pub(crate) fn tpp_round(ctx: &mut SimContext, cfg: &TppConfig) -> usize {
     }
 
     // Phase 1: picking indices (reader precomputes the singleton sift).
-    let singles = singleton_indices(ctx, seed, h);
+    let singles = ctx.sift_singletons(seed, h);
     if singles.is_empty() {
         // No singleton this round (possible at tiny n'); retry with a new
         // seed next round — only the round initiation was spent.
@@ -228,7 +227,7 @@ mod tests {
         let mut ctx = SimContext::new(pop, &SimConfig::paper(9));
         let seed = 0xABCD;
         let h = 9;
-        let singles = singleton_indices(&mut ctx, seed, h);
+        let singles = ctx.sift_singletons(seed, h);
         let tree =
             PollingTree::from_indices(h, &singles.iter().map(|&(i, _)| i).collect::<Vec<_>>());
         let mut a = BitVec::zeros(h as usize);

@@ -41,13 +41,10 @@ pub struct Channel {
     pub reply_loss_rate: f64,
     /// Capture effect: probability that a 2-tag collision is nevertheless
     /// decoded as the stronger tag (0.0 = classical collision model).
+    /// Wider collisions are never captured: capture models the power
+    /// difference within a pair, and with many concurrent backscatters no
+    /// single tag dominates.
     pub capture_prob: f64,
-    /// When set, the capture effect also applies to collisions of *more*
-    /// than two tags (one random replier wins with `capture_prob`). Off by
-    /// default: classical capture models power differences between a pair,
-    /// and with many concurrent backscatters no single tag dominates — so
-    /// wider capture is opt-in and must be configured explicitly.
-    pub capture_any: bool,
 }
 
 impl Channel {
@@ -56,7 +53,6 @@ impl Channel {
         Channel {
             reply_loss_rate: 0.0,
             capture_prob: 0.0,
-            capture_any: false,
         }
     }
 
@@ -88,16 +84,14 @@ impl Channel {
 
     /// Resolves a slot given the handles of the replies that reached the
     /// reader (loss is applied before, by [`crate::SimContext::slot`]): a
-    /// collision the capture effect rescues decodes as one random survivor.
+    /// two-tag collision the capture effect rescues decodes as one random
+    /// survivor.
     pub(crate) fn resolve(&self, survivors: &[usize], rng: &mut Xoshiro256) -> SlotOutcome {
         match survivors.len() {
             0 => SlotOutcome::Empty,
             1 => SlotOutcome::Singleton(survivors[0]),
-            n if self.capture_prob > 0.0
-                && (n == 2 || self.capture_any)
-                && rng.chance(self.capture_prob) =>
-            {
-                SlotOutcome::Singleton(survivors[rng.below(n as u64) as usize])
+            2 if self.capture_prob > 0.0 && rng.chance(self.capture_prob) => {
+                SlotOutcome::Singleton(survivors[rng.below(2) as usize])
             }
             n => SlotOutcome::Collision(n),
         }
@@ -112,8 +106,7 @@ impl Default for Channel {
 
 crate::impl_json_struct!(Channel {
     reply_loss_rate,
-    capture_prob,
-    capture_any
+    capture_prob
 });
 
 #[cfg(test)]
@@ -152,22 +145,6 @@ mod tests {
     }
 
     #[test]
-    fn capture_any_extends_to_wider_collisions() {
-        let ch = Channel {
-            capture_prob: 1.0,
-            capture_any: true,
-            ..Channel::perfect()
-        };
-        let mut r = rng();
-        for _ in 0..100 {
-            match ch.resolve(&[1, 2, 3], &mut r) {
-                SlotOutcome::Singleton(t) => assert!([1, 2, 3].contains(&t)),
-                other => panic!("capture_any should rescue every collision, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "loss rate")]
     fn invalid_loss_rejected() {
         let _ = Channel::lossy(1.5);
@@ -190,7 +167,6 @@ mod tests {
         let ch = Channel {
             reply_loss_rate: 0.0,
             capture_prob: f64::NAN,
-            capture_any: false,
         };
         ch.try_validate().unwrap();
     }

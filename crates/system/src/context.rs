@@ -33,8 +33,6 @@ use crate::span::SpanProfiler;
 /// Configuration for a simulation run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
-    /// Link-timing parameters.
-    pub link: LinkParams,
     /// Channel model.
     pub channel: Channel,
     /// Bidirectional fault model (downlink loss, corruption, bursts, plans).
@@ -50,10 +48,10 @@ pub struct SimConfig {
 }
 
 impl SimConfig {
-    /// The paper's setting: C1G2 paper constants, perfect channel, no faults.
+    /// The paper's setting: perfect channel, no faults. The link is always
+    /// the paper's C1G2 constants ([`LinkParams::paper`]).
     pub fn paper(seed: u64) -> Self {
         SimConfig {
-            link: LinkParams::paper(),
             channel: Channel::perfect(),
             fault: FaultModel::perfect(),
             seed,
@@ -132,7 +130,6 @@ pub struct Counters {
 }
 
 crate::impl_json_struct!(SimConfig {
-    link,
     channel,
     fault,
     seed,
@@ -225,7 +222,7 @@ impl Counters {
 /// Everything a protocol needs to run once.
 #[derive(Debug)]
 pub struct SimContext {
-    /// Link-timing parameters.
+    /// Link-timing parameters: the paper's C1G2 constants.
     pub link: LinkParams,
     /// The accumulating clock.
     pub clock: Clock,
@@ -516,26 +513,13 @@ impl SimContext {
         true
     }
 
-    /// One Gilbert–Elliott step: advance the two-state chain, then decide
-    /// whether the current reply is lost. `false` when bursts are off.
+    /// One Gilbert–Elliott step for a reply attempt (see
+    /// [`crate::GilbertElliott::attempt_lost`]). `false` when bursts are off.
     fn burst_attempt_lost(&mut self) -> bool {
-        let Some(ge) = self.fault.burst else {
-            return false;
-        };
-        let p_switch = if self.ge_bad {
-            ge.p_exit_bad
-        } else {
-            ge.p_enter_bad
-        };
-        if p_switch > 0.0 && self.rng.chance(p_switch) {
-            self.ge_bad = !self.ge_bad;
+        match self.fault.burst {
+            Some(ge) => ge.attempt_lost(&mut self.ge_bad, &mut self.rng),
+            None => false,
         }
-        let p_loss = if self.ge_bad {
-            ge.loss_bad
-        } else {
-            ge.loss_good
-        };
-        p_loss > 0.0 && self.rng.chance(p_loss)
     }
 
     /// The reader's view of a silent polling slot: `T3` timeout, wasted.
@@ -858,10 +842,9 @@ impl SimContext {
     /// mutable state, not the population's identity.
     ///
     /// Captures everything whose value depends on how far the run has
-    /// progressed: the RNG stream position, the clock (elapsed verbatim, so
-    /// restores are bit-exact), the counters, the recorded `events` (only
-    /// when the config traces), the
-    /// Gilbert–Elliott channel state, and three per-tag vectors packed as
+    /// progressed: the RNG stream position, the clock (its breakdown, whose
+    /// sum is the total), the counters, the recorded `events` (only when the
+    /// config traces), the Gilbert–Elliott channel state, and three per-tag vectors packed as
     /// hex ([`crate::packed`]): `state` (each tag's [`TagState`] as a 2-bit
     /// code), `synced` (1 bit per tag, set while the tag hears the
     /// downlink) and, only when the fault plan has kill rules,
@@ -909,8 +892,9 @@ impl SimContext {
     /// wherever the caller keeps its identity. `config` must be the
     /// [`SimConfig`] `progress` was decoded against.
     ///
-    /// Everything the snapshot does not carry (link parameters, channel and
-    /// fault models, cached flags, empty arenas) is rederived from `config`;
+    /// Everything the snapshot does not carry (channel and fault models,
+    /// cached flags, empty arenas) is rederived from `config`, and the link
+    /// is the paper's;
     /// [`SimContext::new`] is this restore from `ContextProgress::start`.
     /// The restored context continues the run bit-identically: same RNG
     /// draws, same clock bits, same trace. A population of another size
@@ -935,7 +919,7 @@ impl SimContext {
             .sum();
         // Built fault-free; the config's model goes in as `inject_fault`'s does.
         let mut ctx = SimContext {
-            link: config.link,
+            link: LinkParams::paper(),
             clock: progress.clock,
             population,
             channel: config.channel,
@@ -1016,8 +1000,7 @@ impl ContextProgress {
     /// nonzero padding, the unused state code 3, overlong or trailing
     /// varints), a `replies_sent` vector present without kill rules or
     /// missing with them, `events` present without `config.trace` or
-    /// missing with it, a clock inconsistent with its breakdown — produce
-    /// typed errors, never panics.
+    /// missing with it — produce typed errors, never panics.
     pub fn decode(config: &SimConfig, json: &Json, n: usize) -> Result<ContextProgress, JsonError> {
         // The config may itself come from untrusted snapshot bytes: reject
         // smuggled NaN/out-of-range rates with an error, not a panic.

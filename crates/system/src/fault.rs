@@ -22,6 +22,8 @@
 //! the simulator consume *zero* extra RNG draws, so perfect-channel runs
 //! stay bit-identical to the paper-reproduction figures.
 
+use rfid_hash::Xoshiro256;
+
 fn check_rate(rate: f64, what: &str) -> Result<(), String> {
     // `NaN` fails both comparisons, so the message fires for it too.
     if (0.0..=1.0).contains(&rate) {
@@ -80,6 +82,23 @@ impl GilbertElliott {
         check_rate(self.p_exit_bad, "Gilbert-Elliott p_exit_bad")?;
         check_rate(self.loss_good, "Gilbert-Elliott loss_good")?;
         check_rate(self.loss_bad, "Gilbert-Elliott loss_bad")
+    }
+
+    /// One step of the walk for one attempt: the chain in state `bad`
+    /// switches with its state's switch probability, then the attempt is
+    /// lost with the new state's loss rate. A probability of 0 draws
+    /// nothing from `rng`; every seeded run's goldens pin this draw order.
+    pub fn attempt_lost(&self, bad: &mut bool, rng: &mut Xoshiro256) -> bool {
+        let p_switch = if *bad {
+            self.p_exit_bad
+        } else {
+            self.p_enter_bad
+        };
+        if p_switch > 0.0 && rng.chance(p_switch) {
+            *bad = !*bad;
+        }
+        let p_loss = if *bad { self.loss_bad } else { self.loss_good };
+        p_loss > 0.0 && rng.chance(p_loss)
     }
 }
 

@@ -6,13 +6,14 @@
 //! so every downstream crate (protocols, baselines, bench, …) picks these
 //! impls up for free.
 //!
-//! Only the types a persisted document reaches carry a codec: link timing
-//! and the C1G2 clock travel in session snapshots and reports. The reader
-//! command vocabulary (`Command`) is never persisted.
+//! Only the types a persisted document reaches carry a codec: durations
+//! and the C1G2 clock travel in session snapshots and reports. The link is
+//! always the paper's, so `LinkParams` is never persisted, nor is the
+//! reader command vocabulary (`Command`).
 
 use super::{write_milli, FromJson, Json, JsonError, ToJson};
-use crate::{impl_json_enum, impl_json_struct};
-use rfid_c1g2::{Clock, LinkParams, Micros, TimeBreakdown, TimeCategory};
+use crate::impl_json_enum;
+use rfid_c1g2::{Clock, Micros, TimeBreakdown, TimeCategory};
 
 /// A duration is decimal microseconds with at most three fraction digits
 /// (`645680.1`): the nanosecond count written with integer digits only,
@@ -52,13 +53,6 @@ impl FromJson for Micros {
     }
 }
 
-impl_json_struct!(LinkParams {
-    reader_bit,
-    tag_bit,
-    t1,
-    t2,
-    t3
-});
 impl_json_enum!(TimeCategory {
     ReaderCommand,
     PollingVector,
@@ -99,32 +93,16 @@ impl FromJson for TimeBreakdown {
     }
 }
 
+/// A clock is its breakdown; the total is the sum.
 impl ToJson for Clock {
     fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("elapsed_us".to_string(), self.total().to_json()),
-            ("breakdown".to_string(), self.breakdown().to_json()),
-        ])
+        self.breakdown().to_json()
     }
 }
 
 impl FromJson for Clock {
     fn from_json(json: &Json) -> Result<Self, JsonError> {
-        // Whole nanoseconds add exactly, so a live clock's total is the
-        // sum of its buckets; anything else is a corrupt snapshot.
-        let elapsed: Micros = json.field("elapsed_us")?;
-        let breakdown: TimeBreakdown = json.field("breakdown")?;
-        let total = breakdown
-            .iter()
-            .try_fold(0u64, |sum, (_, us)| sum.checked_add(us.as_ns()));
-        if total != Some(elapsed.as_ns()) {
-            return Err(JsonError(format!(
-                "clock elapsed_us {} is not the sum of its breakdown {}",
-                elapsed.to_json(),
-                breakdown.to_json()
-            )));
-        }
-        Ok(Clock::from_parts(elapsed, breakdown))
+        TimeBreakdown::from_json(json).map(Clock::from)
     }
 }
 
@@ -146,11 +124,6 @@ mod tests {
     fn micros_round_trip() {
         round_trip(&Micros::from_us(37.45));
         round_trip(&Micros::from_us(0.0));
-    }
-
-    #[test]
-    fn link_params_round_trip() {
-        round_trip(&LinkParams::paper());
     }
 
     #[test]
@@ -177,30 +150,14 @@ mod tests {
         let text = to_json_string(&clock);
         assert_eq!(
             text,
-            "{\"elapsed_us\":998.9,\"breakdown\":{\"ReaderCommand\":823.9,\
-             \"PollingVector\":0,\"IndicatorVector\":0,\"Turnaround\":150,\
-             \"TagReply\":25,\"WastedSlot\":0}}"
+            "{\"ReaderCommand\":823.9,\"PollingVector\":0,\"IndicatorVector\":0,\
+             \"Turnaround\":150,\"TagReply\":25,\"WastedSlot\":0}"
         );
         let back: Clock = from_json_str(&text).unwrap();
         assert_eq!(back.breakdown(), clock.breakdown());
         assert_eq!(back.total(), clock.total());
-    }
-
-    #[test]
-    fn clock_rejects_inconsistent_elapsed() {
-        for text in [
-            r#"{"elapsed_us": 500.0, "breakdown": {"TagReply": 10.0}}"#,
-            // One nanosecond off is as corrupt as any other drift.
-            r#"{"elapsed_us": 10.001, "breakdown": {"TagReply": 10}}"#,
-            // Buckets whose sum overflows cannot match any elapsed.
-            r#"{"elapsed_us": 18446744073709551.615,
-                "breakdown": {"TagReply": 18446744073709551.615, "Turnaround": 1}}"#,
-            r#"{"elapsed_us": 20, "breakdown": {"TagReply": 10, "TagReply": 10}}"#,
-        ] {
-            assert!(from_json_str::<Clock>(text).is_err(), "{text}");
-        }
-        let ok = r#"{"elapsed_us": 10.001, "breakdown": {"TagReply": 10.001}}"#;
-        assert_eq!(from_json_str::<Clock>(ok).unwrap().total().as_ns(), 10_001);
+        let twice = r#"{"TagReply": 10, "TagReply": 10}"#;
+        assert!(from_json_str::<Clock>(twice).is_err(), "{twice}");
     }
 
     #[test]

@@ -231,7 +231,6 @@ fn channel_round_trips() {
     round_trip(&Channel {
         reply_loss_rate: 0.1,
         capture_prob: 0.5,
-        capture_any: true,
     });
 }
 

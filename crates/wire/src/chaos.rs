@@ -143,22 +143,11 @@ impl ChaosCore {
             self.injected += 1;
             return ByteFault::Cut;
         }
-        let corrupt_rate = match &self.plan.burst {
-            Some(ge) => {
-                self.burst_bad = if self.burst_bad {
-                    !self.rng.chance(ge.p_exit_bad)
-                } else {
-                    self.rng.chance(ge.p_enter_bad)
-                };
-                if self.burst_bad {
-                    ge.loss_bad
-                } else {
-                    ge.loss_good
-                }
-            }
-            None => self.plan.flip_rate,
+        let corrupt = match &self.plan.burst {
+            Some(ge) => ge.attempt_lost(&mut self.burst_bad, &mut self.rng),
+            None => self.plan.flip_rate > 0.0 && self.rng.chance(self.plan.flip_rate),
         };
-        if corrupt_rate > 0.0 && self.rng.chance(corrupt_rate) {
+        if corrupt {
             self.injected += 1;
             return ByteFault::Flip(1u8 << self.rng.below(8));
         }

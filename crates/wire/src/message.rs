@@ -389,14 +389,13 @@ mod tests {
                 0x02,
                 concat!(
                     r#"{"protocol":"HPP","n":500,"info_bits":4,"seed":31,"#,
-                    r#""config":{"link":{"reader_bit":37.45,"#,
-                    r#""tag_bit":25,"t1":100,"t2":50,"t3":50},"channel":{"reply_loss_rate":0,"#,
-                    r#""capture_prob":0,"capture_any":false},"fault":{"downlink_loss_rate":0,"#,
+                    r#""config":{"channel":{"reply_loss_rate":0,"#,
+                    r#""capture_prob":0},"fault":{"downlink_loss_rate":0,"#,
                     r#""corruption_rate":0,"max_poll_retries":3,"burst":null,"#,
                     r#""plan":{"drop_downlink_rounds":[],"drop_uplink_rounds":[],"#,
                     r#""kill_after_replies":[]}},"seed":9,"trace":false,"#,
                     r#""profile":false},"policy":{"max_passes":3,"base_backoff_us":1000,"#,
-                    r#""max_backoff_us":64000,"zero_progress_limit":2},"deadline_us":1500000,"#,
+                    r#""max_backoff_us":64000},"deadline_us":1500000,"#,
                     r#""progress_every":16,"flight":true}"#,
                 ),
             ),

@@ -117,7 +117,6 @@ fn capture_effect_only_helps_aloha() {
         let cfg = SimConfig::paper(scenario.protocol_seed()).with_channel(Channel {
             reply_loss_rate: 0.0,
             capture_prob: capture,
-            capture_any: false,
         });
         let mut ctx = SimContext::new(population, &cfg);
         let fsa = FsaConfig::default();

@@ -19,7 +19,7 @@ use fast_rfid_polling::daemon::{all_protocols, Service};
 use fast_rfid_polling::hash::{prop, Xoshiro256};
 use fast_rfid_polling::identify::QAlgorithmConfig;
 use fast_rfid_polling::prelude::*;
-use fast_rfid_polling::system::json::{Json, ToJson};
+use fast_rfid_polling::system::json::{FromJson, Json, ToJson};
 use fast_rfid_polling::system::{Channel, KillRule, SimConfig, SimContext};
 use fast_rfid_polling::wire::{Command, ErrorCode, OpenRequest, Response};
 
@@ -611,64 +611,46 @@ fn hostile_resumes_fail_with_typed_errors() {
             "neither 'tags' nor 'origin'",
         ),
         (
-            "version 3",
-            edit(&good, &["v"], Some(Json::UInt(3))),
-            "snapshot version 3 is not supported; expected \"v\": 4",
+            "version 4",
+            edit(&good, &["v"], Some(Json::UInt(4))),
+            "snapshot version 4 is not supported; expected \"v\": 5",
         ),
         (
             "no version",
             edit(&good, &["v"], None),
-            "snapshot version (none) is not supported; expected \"v\": 4",
+            "snapshot version (none) is not supported; expected \"v\": 5",
         ),
         (
-            "a negative elapsed clock",
-            edit(
-                &good,
-                &["context", "clock", "elapsed_us"],
-                Some(Json::Int(-5)),
-            ),
-            "duration -5 µs is negative",
+            "a clock that is not a breakdown",
+            edit(&good, &["context", "clock"], Some(Json::Int(-5))),
+            "expected breakdown object, got -5",
         ),
         (
             "a negative breakdown bucket",
             edit(
                 &good,
-                &["context", "clock", "breakdown", "TagReply"],
+                &["context", "clock", "TagReply"],
                 Some(Json::Int(-5)),
             ),
             "duration -5 µs is negative",
         ),
         (
-            "an elapsed clock past u64 nanoseconds",
+            "a breakdown bucket past u64 nanoseconds",
             edit(
                 &good,
-                &["context", "clock", "elapsed_us"],
+                &["context", "clock", "Turnaround"],
                 Some(Json::UInt(u64::MAX / 1_000 + 1)),
             ),
             "is past the u64 nanosecond range",
         ),
         (
-            "a clock with four fraction digits",
+            "a breakdown bucket with four fraction digits",
             edit(
                 &good,
-                &["context", "clock", "elapsed_us"],
+                &["context", "clock", "ReaderCommand"],
                 Some(Json::parse("1.2345").unwrap()),
             ),
             "has more than three fraction digits",
-        ),
-        (
-            "an elapsed clock one nanosecond off its breakdown",
-            {
-                let clock = good.get("context").unwrap().get("clock").unwrap();
-                let elapsed: Micros = clock.field("elapsed_us").unwrap();
-                let off = elapsed + Micros::from_ns(1);
-                edit(
-                    &good,
-                    &["context", "clock", "elapsed_us"],
-                    Some(off.to_json()),
-                )
-            },
-            "is not the sum of its breakdown",
         ),
         (
             "a non-hex digit",
@@ -805,4 +787,65 @@ fn fuzzed_snapshot_bytes_never_panic() {
             }
         });
     }
+}
+
+/// A 64-tag HPP run whose tag 0 is dead from the start: under a policy it
+/// can only end `Degraded`, once the circuit breaker opens.
+fn dead_tag_run() -> (SimContext, SimConfig) {
+    let dead = FaultPlan {
+        kill_after_replies: vec![KillRule {
+            tag: 0,
+            after_replies: 0,
+        }],
+        ..FaultPlan::none()
+    };
+    let config = SimConfig::paper(11).with_fault(FaultModel::perfect().with_plan(dead));
+    let population = Scenario::uniform(64, 4).with_seed(7).build_population();
+    (SimContext::new(population, &config), config)
+}
+
+fn assert_breaker_opened(end: Option<SessionEnd>) {
+    assert!(
+        matches!(
+            end,
+            Some(SessionEnd::Degraded {
+                cause: DegradeCause::CircuitOpen,
+                ..
+            })
+        ),
+        "a dead tag must open the breaker within 100 000 steps: {end:?}"
+    );
+}
+
+/// The breaker's threshold is a constant: a policy that still carries the
+/// `zero_progress_limit` older peers sent decodes with that key ignored,
+/// so it cannot keep a dead session running.
+#[test]
+fn a_decoded_policy_cannot_switch_off_the_breaker() {
+    let policy = Json::parse(
+        r#"{"max_passes":0,"base_backoff_us":1000,"max_backoff_us":64000,
+            "zero_progress_limit":18446744073709551615}"#,
+    )
+    .unwrap();
+    let policy = RecoveryPolicy::from_json(&policy).unwrap();
+    let (mut ctx, _) = dead_tag_run();
+    let mut session = Session::open(&HppConfig::default(), &ctx).with_policy(policy);
+    assert_breaker_opened(session.run_for(&mut ctx, 100_000));
+}
+
+/// The stall guard's threshold is a constant: a snapshot whose driver
+/// guard still carries the `cap` older snapshots stored restores with that
+/// key ignored, so it cannot keep a dead session running.
+#[test]
+fn a_restored_guard_cannot_switch_off_the_stall_guard() {
+    let (ctx, config) = dead_tag_run();
+    let session =
+        Session::open(&HppConfig::default(), &ctx).with_policy(RecoveryPolicy::unbounded());
+    let doc = edit(
+        &session.snapshot(&ctx, &config),
+        &["driver", "guard", "cap"],
+        Some(Json::UInt(u64::MAX)),
+    );
+    let (mut ctx, mut session) = Session::restore(&HppConfig::default(), &doc).unwrap();
+    assert_breaker_opened(session.run_for(&mut ctx, 100_000));
 }
