@@ -135,10 +135,7 @@ mod tests {
         let scenario = Scenario::uniform(300, 8)
             .with_seed(21)
             .with_payload(PayloadKind::Random);
-        let protocol = HppConfig {
-            max_rounds: 8,
-            ..HppConfig::default()
-        };
+        let protocol = HppConfig { max_rounds: 8 };
         let cfg = SimConfig::paper(scenario.protocol_seed())
             .with_fault(FaultModel::perfect().with_downlink_loss(0.3));
         let mut ctx = SimContext::new(scenario.build_population(), &cfg);

@@ -33,8 +33,6 @@ pub enum MissingStrategy {
 pub struct MissingTagApp {
     /// Broadcast scheme.
     pub strategy: MissingStrategy,
-    /// Reader bits per round initiation.
-    pub round_init_bits: u64,
     /// Safety cap on rounds.
     pub max_rounds: u64,
 }
@@ -43,7 +41,6 @@ impl Default for MissingTagApp {
     fn default() -> Self {
         MissingTagApp {
             strategy: MissingStrategy::Tpp,
-            round_init_bits: 32,
             max_rounds: 1_000_000,
         }
     }
@@ -115,7 +112,7 @@ impl MissingTagApp {
                 MissingStrategy::Tpp => optimal_index_length(n),
             };
             let seed = ctx.draw_round_seed();
-            ctx.begin_round(h, self.round_init_bits);
+            ctx.begin_round(h);
             if h == 0 {
                 // One expected tag left; a bare poll resolves it.
                 let id = unresolved.pop().expect("nonempty");
@@ -218,16 +215,11 @@ impl MissingTagApp {
 pub struct MissingTagDetector {
     /// Required detection confidence `α` (e.g. 0.99).
     pub(crate) confidence: f64,
-    /// Reader bits per round initiation.
-    pub(crate) round_init_bits: u64,
 }
 
 impl Default for MissingTagDetector {
     fn default() -> Self {
-        MissingTagDetector {
-            confidence: 0.99,
-            round_init_bits: 32,
-        }
+        MissingTagDetector { confidence: 0.99 }
     }
 }
 
@@ -277,7 +269,7 @@ impl MissingTagDetector {
             }
             let h = optimal_index_length(n);
             let seed = ctx.draw_round_seed();
-            ctx.begin_round(h, self.round_init_bits);
+            ctx.begin_round(h);
             let singles = sift_singles(&expected, seed, h);
             // Broadcast via the polling tree; probe each singleton for a
             // 1-bit presence reply. Detection halts on the first silence,
@@ -507,16 +499,10 @@ mod tests {
 
     #[test]
     fn detector_round_budget_matches_confidence_math() {
-        let d99 = MissingTagDetector {
-            confidence: 0.99,
-            ..MissingTagDetector::default()
-        };
+        let d99 = MissingTagDetector { confidence: 0.99 };
         // (1 - 1/e)^k ≤ 0.01 → k = 11.
         assert_eq!(d99.rounds_needed(), 11);
-        let d9 = MissingTagDetector {
-            confidence: 0.9,
-            ..MissingTagDetector::default()
-        };
+        let d9 = MissingTagDetector { confidence: 0.9 };
         assert!(d9.rounds_needed() < d99.rounds_needed());
     }
 

@@ -69,7 +69,7 @@ pub fn run_hpp_with_aliens(
         }
         let h = (index_length(unread.len() as u64) + h_extra).min(30);
         let seed = ctx.draw_round_seed();
-        ctx.begin_round(h, 32);
+        ctx.begin_round(h);
 
         // Reader side: sift singletons over the *known* unread tags only.
         let hash = TagHash::new(seed);

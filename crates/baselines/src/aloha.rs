@@ -13,13 +13,8 @@ use rfid_protocols::{PollingProtocol, ProtocolStepper, StepDiscipline, StepOutco
 use rfid_system::{SimContext, SlotOutcome};
 
 /// Dynamic framed-slotted ALOHA, as its configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FsaConfig {
-    /// Frame size as a multiple of the unread-tag count (1.0 = optimal
-    /// load; classic DFSA).
-    pub frame_factor: f64,
-    /// Reader bits to announce each frame.
-    pub round_init_bits: u64,
     /// Safety cap on frames.
     pub max_rounds: u64,
 }
@@ -27,8 +22,6 @@ pub struct FsaConfig {
 impl Default for FsaConfig {
     fn default() -> Self {
         FsaConfig {
-            frame_factor: 1.0,
-            round_init_bits: 32,
             max_rounds: 1_000_000,
         }
     }
@@ -44,7 +37,9 @@ impl PollingProtocol for FsaConfig {
     }
 }
 
-/// One step = one DFSA frame; the config itself is the stepper.
+/// One step = one DFSA frame; the config itself is the stepper. Each frame
+/// is announced by a 32-bit round initiation and holds one slot per unread
+/// tag (the optimal load, classic DFSA).
 impl ProtocolStepper for FsaConfig {
     fn discipline(&self) -> StepDiscipline {
         StepDiscipline::budgeted(self.max_rounds)
@@ -52,10 +47,10 @@ impl ProtocolStepper for FsaConfig {
 
     fn step(&mut self, ctx: &mut SimContext) -> StepOutcome {
         let unread = ctx.population.active_count() as u64;
-        let frame = ((unread as f64 * self.frame_factor).ceil() as u64).max(1);
+        let frame = unread.max(1);
         let seed = ctx.draw_round_seed();
         let hash = TagHash::new(seed);
-        ctx.begin_round(0, self.round_init_bits);
+        ctx.begin_round(0);
 
         // Each tag picks its slot; the reader walks every slot. The
         // frame is laid out as a flat counting sort over recycled
@@ -164,21 +159,6 @@ mod tests {
             mic.total_time,
             fsa.total_time
         );
-    }
-
-    #[test]
-    fn oversized_frames_reduce_collisions_but_add_empties() {
-        let (tight, _) = run(1_000, 4, FsaConfig::default());
-        let (wide, _) = run(
-            1_000,
-            4,
-            FsaConfig {
-                frame_factor: 3.0,
-                ..FsaConfig::default()
-            },
-        );
-        assert!(wide.counters.collision_slots < tight.counters.collision_slots);
-        assert!(wide.counters.empty_slots > tight.counters.empty_slots);
     }
 
     #[test]

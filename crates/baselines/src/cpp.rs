@@ -11,10 +11,6 @@ use rfid_system::{id::EPC_BITS, SimContext};
 /// The Conventional Polling Protocol, as its configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CppConfig {
-    /// Whether the ID broadcast rides behind a 4-bit QueryRep. The paper's
-    /// CPP accounting treats the bare ID as the command (Table I's 37.70 s
-    /// = 37.45·96 + T1 + 25 + T2 per tag), so the default is `false`.
-    pub with_query_rep: bool,
     /// Safety cap on retry sweeps over a lossy channel.
     pub max_sweeps: u64,
 }
@@ -22,7 +18,6 @@ pub struct CppConfig {
 impl Default for CppConfig {
     fn default() -> Self {
         CppConfig {
-            with_query_rep: false,
             max_sweeps: 1_000_000,
         }
     }
@@ -39,7 +34,9 @@ impl PollingProtocol for CppConfig {
 }
 
 /// One step = one full sweep over the still-active ID list; the config
-/// itself is the stepper.
+/// itself is the stepper. The ID broadcast carries no QueryRep: the paper's
+/// CPP accounting treats the bare ID as the command (Table I's 37.70 s =
+/// 37.45·96 + T1 + 25 + T2 per tag).
 impl ProtocolStepper for CppConfig {
     fn discipline(&self) -> StepDiscipline {
         StepDiscipline::budgeted(self.max_sweeps)
@@ -51,7 +48,7 @@ impl ProtocolStepper for CppConfig {
         let mut handles = ctx.take_scratch();
         ctx.population.collect_active_into(&mut handles);
         for &handle in &handles {
-            ctx.poll_tag(EPC_BITS as u64, self.with_query_rep, handle);
+            ctx.poll_tag(EPC_BITS as u64, false, handle);
         }
         ctx.recycle_scratch(handles);
         StepOutcome::Progressed

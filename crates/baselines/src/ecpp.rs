@@ -22,9 +22,6 @@ pub struct EcppConfig {
     /// Prefix length used for grouping (default: the 60-bit category —
     /// header + manager + object class).
     pub prefix_bits: u32,
-    /// Groups smaller than this are polled with full IDs instead of paying
-    /// a Select (a singleton group would waste the whole command).
-    pub min_group: usize,
     /// Safety cap on retry sweeps over a lossy channel.
     pub max_sweeps: u64,
 }
@@ -33,7 +30,6 @@ impl Default for EcppConfig {
     fn default() -> Self {
         EcppConfig {
             prefix_bits: rfid_system::id::CATEGORY_BITS as u32,
-            min_group: 2,
             max_sweeps: 1_000_000,
         }
     }
@@ -49,8 +45,9 @@ impl PollingProtocol for EcppConfig {
     }
 }
 
-/// One step = one sweep: group the still-active tags by prefix, Select the
-/// big groups, poll everyone.
+/// One step = one sweep: group the still-active tags by prefix, Select each
+/// group of two or more, poll everyone. A singleton group is polled with its
+/// full ID, since a Select for one tag would waste the whole command.
 struct EcppStepper {
     cfg: EcppConfig,
     diff_bits: u64,
@@ -85,7 +82,7 @@ impl ProtocolStepper for EcppStepper {
                 .push(handle);
         });
         for (_, members) in groups {
-            if members.len() >= self.cfg.min_group {
+            if members.len() >= 2 {
                 // Select masks the shared prefix once...
                 ctx.reader_tx(
                     rfid_system::BroadcastKind::Select,

@@ -26,18 +26,10 @@ use rfid_protocols::{PollingProtocol, ProtocolStepper, StepDiscipline, StepOutco
 use rfid_system::{SimContext, SlotOutcome};
 
 /// The Multi-hash Information Collection protocol, as its configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MicConfig {
     /// Number of hash functions per tag (the paper compares against k = 7).
     pub k: usize,
-    /// Frame size as a multiple of the unresolved-tag count; MIC's frame
-    /// sizing is a free parameter of the original — the default load-1
-    /// frame (`1.0`) reproduces the paper's MIC anchors: ≈1.57× the lower
-    /// bound at `l = 1` (paper: 1.586×), ≈1.29× at `l = 32` (paper: 1.28×),
-    /// and losing to HPP at `n = 100, l = 32` (see EXPERIMENTS.md).
-    pub frame_factor: f64,
-    /// Reader bits to announce each frame (Query-style round initiation).
-    pub round_init_bits: u64,
     /// Safety cap on rounds.
     pub max_rounds: u64,
 }
@@ -46,8 +38,6 @@ impl Default for MicConfig {
     fn default() -> Self {
         MicConfig {
             k: 7,
-            frame_factor: 1.0,
-            round_init_bits: 32,
             max_rounds: 1_000_000,
         }
     }
@@ -170,7 +160,12 @@ impl PollingProtocol for MicConfig {
     }
 }
 
-/// One step = one MIC frame (cascade + indicator broadcast + slot walk).
+/// One step = one MIC frame (cascade + indicator broadcast + slot walk),
+/// announced by a 32-bit round initiation. The frame holds one slot per
+/// unresolved tag: MIC leaves its frame size free, and this load-1 frame
+/// reproduces the paper's MIC anchors — ≈1.57× the lower bound at `l = 1`
+/// (paper: 1.586×), ≈1.29× at `l = 32` (paper: 1.28×), and losing to HPP
+/// at `n = 100, l = 32` (see EXPERIMENTS.md).
 struct MicStepper {
     cfg: MicConfig,
     bits_per_slot: u64,
@@ -189,10 +184,10 @@ impl ProtocolStepper for MicStepper {
 
     fn step(&mut self, ctx: &mut SimContext) -> StepOutcome {
         let unresolved = ctx.population.active_count() as u64;
-        let frame = ((unresolved as f64 * self.cfg.frame_factor).ceil() as u64).max(1);
+        let frame = unresolved.max(1);
         let seed = ctx.draw_round_seed();
         let family = HashFamily::new(seed, self.cfg.k);
-        ctx.begin_round(0, self.cfg.round_init_bits);
+        ctx.begin_round(0);
 
         // Both sides compute candidate slots from the same hashes.
         self.handles.clear();
@@ -253,7 +248,14 @@ impl ProtocolStepper for MicStepper {
 mod tests {
     use super::*;
     use rfid_protocols::Report;
-    use rfid_system::{BitVec, Channel, SimConfig, TagPopulation};
+    use rfid_system::{BitVec, Channel, SimConfig, TagId, TagPopulation};
+
+    /// A tag's `k` candidate slots, as a list of its own.
+    fn slots(family: &HashFamily, id: TagId, frame: u64) -> Vec<u64> {
+        let mut out = Vec::new();
+        family.slots_into(id.hi(), id.lo(), frame, &mut out);
+        out
+    }
 
     /// Reader-side cascade: resolves active tags into frame slots.
     ///
@@ -388,7 +390,7 @@ mod tests {
                 .ids()
                 .enumerate()
                 .filter(|&(h, _)| pop.is_active(h))
-                .map(|(h, id)| (h, family.slots(id.hi(), id.lo(), frame)))
+                .map(|(h, id)| (h, slots(&family, id, frame)))
                 .collect();
             let want = assign(&family, &candidates, frame);
             let handles: Vec<usize> = candidates.iter().map(|&(h, _)| h).collect();
@@ -411,7 +413,7 @@ mod tests {
             .population
             .ids()
             .enumerate()
-            .map(|(h, id)| (h, family.slots(id.hi(), id.lo(), frame)))
+            .map(|(h, id)| (h, slots(&family, id, frame)))
             .collect();
         let assignment = assign(&family, &candidates, frame);
         let indicator: Vec<u8> = assignment

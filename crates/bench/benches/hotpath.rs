@@ -97,13 +97,13 @@ const CASES: &[Case] = &[
         name: "QueryTree",
         n: 20_000,
         min_tags_per_sec: Some(1_850.0),
-        make: || Box::new(QueryTreeConfig::default()),
+        make: || Box::new(QueryTreeConfig),
     },
     Case {
         name: "QueryTree",
         n: 100_000,
         min_tags_per_sec: Some(1_850.0),
-        make: || Box::new(QueryTreeConfig::default()),
+        make: || Box::new(QueryTreeConfig),
     },
     Case {
         name: "BinSplit",

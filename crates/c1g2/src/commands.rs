@@ -1,13 +1,27 @@
-//! Bit costs of the standard reader commands the protocols issue.
+//! Bit costs of the reader commands the protocols issue.
 //!
 //! The simulator charges reader air time per command. Standard C1G2 command
-//! lengths are taken from the specification; the polling-specific payloads
-//! (polling vectors, tree segments, indicator vectors, circle commands) carry
-//! their own explicit bit counts at their call sites.
+//! lengths are taken from the specification; the polling protocols' fixed
+//! commands (the 32-bit round initiation `(h, r)` and EHPP's 128-bit circle
+//! command `l_c`) and the CRC-16 on tag replies are the paper's Section-V
+//! widths, and live here too. The variable-length payloads (polling
+//! vectors, tree segments, indicator vectors) carry their own bit counts at
+//! their call sites.
 
 /// Bit length of the 4-bit `QueryRep` command that precedes each polling
 /// vector in the paper's timing model (`37.45·(4+w)` µs).
 pub const QUERY_REP_BITS: u64 = 4;
+
+/// Bit length of the `(h, r)` broadcast that opens each polling round (the
+/// Section-V simulation setting).
+pub const ROUND_INIT_BITS: u64 = 32;
+
+/// Bit length `l_c` of EHPP's circle command `(f, F, r)` (the paper sweeps
+/// 100–400 and simulates with 128).
+pub const CIRCLE_COMMAND_BITS: u64 = 128;
+
+/// Bit length of the CRC-16 a tag appends to an identification reply.
+pub const CRC16_BITS: u64 = 16;
 
 /// Bit length of the full `Query` command (22 bits incl. CRC-5).
 pub const QUERY_BITS: u64 = 22;
@@ -33,6 +47,9 @@ mod tests {
     fn standard_command_lengths() {
         assert_eq!(QUERY_BITS, 22);
         assert_eq!(QUERY_REP_BITS, 4);
+        assert_eq!(ROUND_INIT_BITS, 32);
+        assert_eq!(CIRCLE_COMMAND_BITS, 128);
+        assert_eq!(CRC16_BITS, 16);
         assert_eq!(ACK_BITS, 18);
         assert_eq!(NAK_BITS, 8);
         assert_eq!(SELECT_FIXED_BITS + 32, 77);

@@ -23,7 +23,7 @@ pub fn all_protocols() -> Vec<Box<dyn PollingProtocol>> {
         Box::new(MicConfig::default()),
         Box::new(FsaConfig::default()),
         Box::new(LowerBound),
-        Box::new(QueryTreeConfig::default()),
+        Box::new(QueryTreeConfig),
         Box::new(BinarySplitConfig::default()),
         Box::new(QAlgorithmConfig::default()),
     ]

@@ -97,9 +97,15 @@ rfid_system::impl_json_struct!(Origin { n, info_bits, seed });
 pub(crate) const MAX_SESSION_TAG_BITS: u64 = 1 << 28;
 
 impl Origin {
-    /// Rejects a population over [`MAX_SESSION_TAG_BITS`], before it is
-    /// built.
+    /// Rejects an empty population, a zero-width payload and a population
+    /// over [`MAX_SESSION_TAG_BITS`], before it is built.
     fn check_budget(&self) -> Result<(), String> {
+        if self.n == 0 {
+            return Err("population must be non-empty".into());
+        }
+        if self.info_bits == 0 {
+            return Err("payloads must be at least one bit wide".into());
+        }
         let bits = (EPC_BITS as u64)
             .checked_add(self.info_bits)
             .and_then(|per_tag| per_tag.checked_mul(self.n));
@@ -482,9 +488,6 @@ pub(crate) fn open_session(req: &OpenRequest) -> Result<Live, Response> {
             ),
         ));
     };
-    if req.n == 0 {
-        return Err(err(ErrorCode::Rejected, "population must be non-empty"));
-    }
     let origin = Origin {
         n: req.n,
         info_bits: req.info_bits,
@@ -1297,6 +1300,26 @@ mod tests {
         // The largest served workload sits far below the budget.
         assert!(10_000 * (EPC_BITS as u64 + 100) * 100 < MAX_SESSION_TAG_BITS);
         opened(&mut service, OpenRequest::new("TPP", 10_000, 100, 1));
+    }
+
+    #[test]
+    fn open_with_a_zero_width_field_is_rejected() {
+        let mut service = Service::new();
+        for (req, why) in [
+            (
+                OpenRequest::new("TPP", 0, 4, 1),
+                "population must be non-empty",
+            ),
+            (OpenRequest::new("HPP", 41, 0, 1), "at least one bit wide"),
+        ] {
+            match &service.handle(Command::Open(req))[0] {
+                Response::Error {
+                    code: ErrorCode::Rejected,
+                    message,
+                } => assert!(message.contains(why), "{message}"),
+                other => panic!("expected Rejected, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //!   reply in slot `j` with probability `2^{-(j+1)}`; the first empty slot
 //!   position tracks `log₂ n`,
 //! * [`protocol::EstimationProtocol`] — a timed, multi-frame estimation run
-//!   on the simulator that combines frames until a target precision, and
-//!   whose output can seed HPP/TPP when `n` is unknown.
+//!   on the simulator (one geometric frame, then a fixed number of
+//!   refinement frames), whose output can seed HPP/TPP when `n` is unknown.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,4 +24,4 @@ pub(crate) mod frame;
 pub(crate) mod protocol;
 
 pub use frame::FrameObservation;
-pub use protocol::{EstimationConfig, EstimationProtocol, EstimationResult};
+pub use protocol::{EstimationProtocol, EstimationResult};

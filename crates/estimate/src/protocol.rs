@@ -6,6 +6,7 @@
 //! result seeds hashed polling when the reader must size an unknown
 //! population (see `examples/estimation.rs`).
 
+use rfid_c1g2::commands::ROUND_INIT_BITS;
 use rfid_c1g2::{TimeCategory, QUERY_REP_BITS};
 use rfid_hash::TagHash;
 use rfid_system::{BroadcastKind, SimContext, SlotOutcome};
@@ -13,31 +14,16 @@ use rfid_system::{BroadcastKind, SimContext, SlotOutcome};
 use crate::estimators::{geometric_estimator, geometric_slot, zero_estimator};
 use crate::frame::FrameObservation;
 
-/// Estimation configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EstimationConfig {
-    /// Number of refinement frames after the coarse geometric frame.
-    pub refinement_frames: u32,
-    /// Slots per refinement frame. Tags *thin* their participation with a
-    /// persistence probability `p = frame / n̂` (Li et al.'s
-    /// energy-efficient scheme), so the frame stays small regardless of n.
-    pub frame_size: u64,
-    /// Reader bits to announce each frame.
-    pub frame_init_bits: u64,
-    /// Slots in the coarse geometric frame.
-    pub geometric_slots: u32,
-}
+/// Number of refinement frames after the coarse geometric frame.
+const REFINEMENT_FRAMES: u32 = 8;
 
-impl Default for EstimationConfig {
-    fn default() -> Self {
-        EstimationConfig {
-            refinement_frames: 8,
-            frame_size: 128,
-            frame_init_bits: 32,
-            geometric_slots: 48,
-        }
-    }
-}
+/// Slots per refinement frame. Tags *thin* their participation with a
+/// persistence probability `p = frame / n̂` (Li et al.'s energy-efficient
+/// scheme), so the frame stays small regardless of n.
+const FRAME_SIZE: u64 = 128;
+
+/// Slots in the coarse geometric frame.
+const GEOMETRIC_SLOTS: u32 = 48;
 
 /// Result of one estimation run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,18 +41,13 @@ fn mix_seed(seed: u64, salt: u64) -> u64 {
     rfid_hash::split_seed(seed, salt)
 }
 
-/// Multi-frame cardinality estimation.
-#[derive(Debug, Clone, Default)]
-pub struct EstimationProtocol {
-    cfg: EstimationConfig,
-}
+/// Multi-frame cardinality estimation: one coarse geometric frame of 48
+/// slots, then 8 refinement frames of 128 slots, each frame announced by a
+/// 32-bit initiation.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct EstimationProtocol;
 
 impl EstimationProtocol {
-    /// Creates the protocol with the given configuration.
-    pub fn new(cfg: EstimationConfig) -> Self {
-        EstimationProtocol { cfg }
-    }
-
     /// Runs estimation over the context's *active* tags. Tags are not read
     /// or slept — estimation precedes inventory.
     pub fn run(&self, ctx: &mut SimContext) -> EstimationResult {
@@ -79,11 +60,11 @@ impl EstimationProtocol {
         let hash = TagHash::new(seed);
         ctx.reader_tx(
             BroadcastKind::FrameInit,
-            self.cfg.frame_init_bits,
+            ROUND_INIT_BITS,
             TimeCategory::ReaderCommand,
         );
-        let last = self.cfg.geometric_slots - 1;
-        let per_slot = repliers_by_slot(ctx, self.cfg.geometric_slots as usize, |hi, lo| {
+        let last = GEOMETRIC_SLOTS - 1;
+        let per_slot = repliers_by_slot(ctx, GEOMETRIC_SLOTS as usize, |hi, lo| {
             Some(geometric_slot(hash.hash(hi, lo)).min(last) as usize)
         });
         let mut first_empty = last;
@@ -101,19 +82,19 @@ impl EstimationProtocol {
         // so the air time per frame is O(frame), not O(n). The per-frame
         // estimate `-f·ln(p₀) / p` feeds a running mean; a saturated frame
         // halves `p` instead of contributing.
-        let frame = self.cfg.frame_size.max(8);
+        let frame = FRAME_SIZE;
         let mut estimate = coarse;
         let mut p_override: Option<f64> = None;
         let mut contributions: Vec<f64> = Vec::new();
         const JOIN_RANGE: u64 = 1 << 30;
-        for _ in 0..self.cfg.refinement_frames {
+        for _ in 0..REFINEMENT_FRAMES {
             let p = p_override.unwrap_or_else(|| (frame as f64 / estimate.max(1.0)).min(1.0));
             let seed = ctx.draw_round_seed();
             let join_hash = TagHash::new(mix_seed(seed, 1));
             let slot_hash = TagHash::new(mix_seed(seed, 2));
             ctx.reader_tx(
                 BroadcastKind::FrameInit,
-                self.cfg.frame_init_bits,
+                ROUND_INIT_BITS,
                 TimeCategory::ReaderCommand,
             );
             let join_threshold = (p * JOIN_RANGE as f64) as u64;
@@ -180,7 +161,7 @@ mod tests {
     fn estimate(n: usize, seed: u64) -> EstimationResult {
         let pop = TagPopulation::sequential(n, |_| BitVec::from_value(1, 1));
         let mut ctx = SimContext::new(pop, &SimConfig::paper(seed));
-        EstimationProtocol::default().run(&mut ctx)
+        EstimationProtocol.run(&mut ctx)
     }
 
     #[test]
@@ -207,7 +188,7 @@ mod tests {
         for seed in 0..20 {
             let pop = TagPopulation::sequential(20, |i| BitVec::from_value(i as u64, 16));
             let mut ctx = SimContext::new(pop, &SimConfig::paper(seed));
-            EstimationProtocol::default().run(&mut ctx);
+            EstimationProtocol.run(&mut ctx);
             // Every slot opens with a QueryRep prefix; each decoded one
             // adds its reply's bits, so 1-bit replies sum to the count.
             let c = ctx.counters;
@@ -223,7 +204,7 @@ mod tests {
     fn estimation_does_not_consume_tags() {
         let pop = TagPopulation::sequential(100, |_| BitVec::from_value(1, 1));
         let mut ctx = SimContext::new(pop, &SimConfig::paper(1));
-        let _ = EstimationProtocol::default().run(&mut ctx);
+        let _ = EstimationProtocol.run(&mut ctx);
         assert_eq!(ctx.population.active_count(), 100);
         assert_eq!(ctx.counters.polls, 0);
     }
@@ -274,10 +255,9 @@ mod tests {
 
     #[test]
     fn every_walked_slot_reaches_counters_and_trace() {
-        let cfg = EstimationConfig::default();
         let pop = TagPopulation::sequential(5_000, |_| BitVec::from_value(1, 1));
         let mut ctx = SimContext::new(pop, &SimConfig::paper(3).with_trace());
-        EstimationProtocol::new(cfg).run(&mut ctx);
+        EstimationProtocol.run(&mut ctx);
         // Fold the trace frame by frame: each announcement opens a frame.
         let events: Vec<&TimedEvent> = ctx.log.events().iter().collect();
         let frames: Vec<Counters> = events
@@ -285,24 +265,24 @@ mod tests {
                 te.event
                     == Event::ReaderBroadcast {
                         what: BroadcastKind::FrameInit,
-                        bits: cfg.frame_init_bits,
+                        bits: ROUND_INIT_BITS,
                     }
             })
             .skip(1)
             .map(|frame| Counters::from_events(frame.iter().copied()))
             .collect();
-        assert_eq!(frames.len(), 1 + cfg.refinement_frames as usize);
+        assert_eq!(frames.len(), 1 + REFINEMENT_FRAMES as usize);
         // A slot opens with a QueryRep prefix and ends in one outcome; with
         // 1-bit replies, each decoded slot adds one tag bit.
         let walked = |c: &Counters| c.query_rep_bits / QUERY_REP_BITS;
         let heard = |c: &Counters| c.empty_slots + c.collision_slots + c.tag_bits;
         assert!(frames.iter().all(|c| heard(c) == walked(c)));
         let geometric = walked(&frames[0]);
-        assert!((1..=u64::from(cfg.geometric_slots)).contains(&geometric));
-        assert!(frames[1..].iter().all(|c| walked(c) == cfg.frame_size));
+        assert!((1..=u64::from(GEOMETRIC_SLOTS)).contains(&geometric));
+        assert!(frames[1..].iter().all(|c| walked(c) == FRAME_SIZE));
         assert_eq!(
             heard(&ctx.counters),
-            geometric + u64::from(cfg.refinement_frames) * cfg.frame_size
+            geometric + u64::from(REFINEMENT_FRAMES) * FRAME_SIZE
         );
     }
 
@@ -311,7 +291,7 @@ mod tests {
         let pop = TagPopulation::sequential(5_000, |_| BitVec::from_value(1, 1));
         let cfg = SimConfig::paper(3).with_channel(rfid_system::Channel::lossy(0.5));
         let mut ctx = SimContext::new(pop, &cfg);
-        let r = EstimationProtocol::default().run(&mut ctx);
+        let r = EstimationProtocol.run(&mut ctx);
         // Losing half the replies empties slots, so the zero estimator
         // reads a thinner field than the clean one.
         assert!(r.estimate < 0.8 * estimate(5_000, 3).estimate, "{r:?}");

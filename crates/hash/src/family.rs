@@ -37,16 +37,8 @@ impl HashFamily {
         self.members.is_empty()
     }
 
-    /// All `k` candidate slots for a tag in a frame of the given size.
-    pub fn slots(&self, id_hi: u32, id_lo: u64, frame: u64) -> Vec<u64> {
-        self.members
-            .iter()
-            .map(|h| h.modulo(id_hi, id_lo, frame))
-            .collect()
-    }
-
-    /// Appends all `k` candidate slots for a tag to `out` — the allocation-
-    /// free form of [`HashFamily::slots`] for flat per-frame buffers.
+    /// Appends all `k` candidate slots for a tag in a frame of the given
+    /// size to `out`, so one flat buffer holds a whole frame's candidates.
     pub fn slots_into(&self, id_hi: u32, id_lo: u64, frame: u64, out: &mut Vec<u64>) {
         out.extend(self.members.iter().map(|h| h.modulo(id_hi, id_lo, frame)));
     }
@@ -72,32 +64,39 @@ mod tests {
 
     #[test]
     fn deterministic_across_instances() {
-        let a = HashFamily::new(7, 3);
-        let b = HashFamily::new(7, 3);
-        for j in 0..3 {
-            assert_eq!(a.slots(1, 2, 97)[j], b.slots(1, 2, 97)[j]);
-        }
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        HashFamily::new(7, 3).slots_into(1, 2, 97, &mut a);
+        HashFamily::new(7, 3).slots_into(1, 2, 97, &mut b);
+        assert_eq!(a.len(), 3);
+        assert_eq!(a, b);
     }
 
     #[test]
     fn slots_within_frame() {
         let fam = HashFamily::new(1, 5);
+        let mut flat = Vec::new();
         for id in 0..100u64 {
-            for s in fam.slots(0, id, 37) {
-                assert!(s < 37);
-            }
+            fam.slots_into(0, id, 37, &mut flat);
         }
+        assert_eq!(flat.len(), 500);
+        assert!(flat.iter().all(|&s| s < 37));
     }
 
     #[test]
     fn slots_into_matches_slots() {
+        // Each tag's chunk holds its slot under every member, in order.
         let fam = HashFamily::new(9, 7);
         let mut flat = Vec::new();
         for id in 0..20u64 {
             fam.slots_into(1, id, 53, &mut flat);
         }
         for (i, chunk) in flat.chunks_exact(7).enumerate() {
-            assert_eq!(chunk, fam.slots(1, i as u64, 53));
+            let want: Vec<u64> = fam
+                .members
+                .iter()
+                .map(|h| h.modulo(1, i as u64, 53))
+                .collect();
+            assert_eq!(chunk, want);
         }
     }
 

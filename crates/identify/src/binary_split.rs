@@ -7,11 +7,14 @@
 //!   at 0, tails go to 1; everyone else increments,
 //! * **success / empty** — everyone decrements.
 //!
-//! The reader only broadcasts a feedback trit (modelled as a 4-bit slot
-//! command), and the random coins come from the tags — unlike Query Tree,
+//! The reader only broadcasts a feedback trit (modelled as the 4-bit
+//! QueryRep slot command), tags reply with their ID plus a CRC-16, and the
+//! random coins come from the tags — unlike Query Tree,
 //! no prefix is transmitted, at the price of tag-side state. Expected slot
 //! count is ≈ 2.89 per tag, like QT, but the slot layout differs.
 
+use rfid_c1g2::commands::CRC16_BITS;
+use rfid_c1g2::QUERY_REP_BITS;
 use rfid_protocols::{PollingProtocol, ProtocolStepper, StallCause, StepDiscipline, StepOutcome};
 use rfid_system::id::EPC_BITS;
 use rfid_system::{Json, JsonError, SimContext, SlotOutcome, ToJson};
@@ -19,10 +22,6 @@ use rfid_system::{Json, JsonError, SimContext, SlotOutcome, ToJson};
 /// The binary-splitting identification protocol, as its configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BinarySplitConfig {
-    /// Feedback/command bits per slot.
-    pub command_bits: u64,
-    /// CRC bits appended to ID replies.
-    pub reply_crc_bits: u64,
     /// Safety cap on slots.
     pub max_slots: u64,
 }
@@ -30,8 +29,6 @@ pub struct BinarySplitConfig {
 impl Default for BinarySplitConfig {
     fn default() -> Self {
         BinarySplitConfig {
-            command_bits: 4,
-            reply_crc_bits: 16,
             max_slots: 100_000_000,
         }
     }
@@ -144,7 +141,7 @@ impl BinSplitStepper {
         let remaining = first.len();
         BinSplitStepper {
             cfg,
-            reply_bits: EPC_BITS as u64 + cfg.reply_crc_bits,
+            reply_bits: EPC_BITS as u64 + CRC16_BITS,
             groups: vec![first],
             pool: Vec::new(),
             remaining,
@@ -176,7 +173,7 @@ impl ProtocolStepper for BinSplitStepper {
             self.groups
                 .last()
                 .expect("unidentified tags live in some group"),
-            self.cfg.command_bits,
+            QUERY_REP_BITS,
             Some(self.reply_bits),
         );
         match outcome {

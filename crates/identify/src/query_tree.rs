@@ -11,37 +11,23 @@
 //!
 //! Tags need no state beyond their ID (memoryless); the expected query
 //! count on uniform IDs is ≈ 2.89 per tag.
+//!
+//! On a lossy channel a collision whose other replies were all lost looks
+//! exactly like a singleton, and pruning its prefix strands the masked tags:
+//! the pass stalls once its stack drains, and a recovery pass restarts from
+//! the root.
 
-use rfid_c1g2::TimeCategory;
+use rfid_c1g2::commands::CRC16_BITS;
+use rfid_c1g2::{TimeCategory, QUERY_REP_BITS};
 use rfid_protocols::{PollingProtocol, ProtocolStepper, StallCause, StepDiscipline, StepOutcome};
 use rfid_system::id::EPC_BITS;
 use rfid_system::{BroadcastKind, Event, Json, JsonError, SimContext, SlotOutcome, ToJson};
 
-/// The Query Tree identification protocol, as its configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QueryTreeConfig {
-    /// Fixed command overhead preceding each prefix broadcast.
-    pub command_bits: u64,
-    /// CRC bits appended to every tag reply.
-    pub reply_crc_bits: u64,
-    /// Re-query a prefix after reading a singleton from it. On a perfect
-    /// channel this wastes one empty slot per tag; on a lossy channel it
-    /// keeps one pass complete — a collision whose other replies were all
-    /// lost looks exactly like a singleton, and pruning the prefix strands
-    /// the masked tags. Without it such a pass stalls once its stack
-    /// drains, and a recovery pass restarts from the root.
-    pub verify_singletons: bool,
-}
-
-impl Default for QueryTreeConfig {
-    fn default() -> Self {
-        QueryTreeConfig {
-            command_bits: 4,
-            reply_crc_bits: 16,
-            verify_singletons: false,
-        }
-    }
-}
+/// The Query Tree identification protocol. It has nothing to configure:
+/// each prefix rides behind a 4-bit slot command, and each reply carries a
+/// CRC-16.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct QueryTreeConfig;
 
 impl PollingProtocol for QueryTreeConfig {
     fn name(&self) -> &'static str {
@@ -49,7 +35,7 @@ impl PollingProtocol for QueryTreeConfig {
     }
 
     fn open_stepper(&self, ctx: &SimContext) -> Box<dyn ProtocolStepper> {
-        Box::new(QueryTreeStepper::open(*self, ctx))
+        Box::new(QueryTreeStepper::open(ctx))
     }
 
     fn resume_stepper(
@@ -57,7 +43,7 @@ impl PollingProtocol for QueryTreeConfig {
         ctx: &SimContext,
         state: &Json,
     ) -> Result<Box<dyn ProtocolStepper>, JsonError> {
-        let mut stepper = QueryTreeStepper::open(*self, ctx);
+        let mut stepper = QueryTreeStepper::open(ctx);
         stepper.queries = state.field("queries")?;
         let rows: Vec<Vec<u64>> = state.field("stack")?;
         stepper.stack.clear();
@@ -81,7 +67,6 @@ impl PollingProtocol for QueryTreeConfig {
 
 /// One step = one prefix query (one pop off the LIFO).
 struct QueryTreeStepper {
-    cfg: QueryTreeConfig,
     /// Reader-side index: IDs sorted as 96-bit values. A prefix `p` of
     /// length `L` matches exactly the sorted range
     /// `[p·2^(96-L), (p+1)·2^(96-L))`, so each query resolves its repliers
@@ -96,7 +81,7 @@ struct QueryTreeStepper {
 }
 
 impl QueryTreeStepper {
-    fn open(cfg: QueryTreeConfig, ctx: &SimContext) -> Self {
+    fn open(ctx: &SimContext) -> Self {
         let mut sorted: Vec<(u128, usize)> = ctx
             .population
             .ids()
@@ -105,7 +90,6 @@ impl QueryTreeStepper {
             .collect();
         sorted.sort_unstable();
         QueryTreeStepper {
-            cfg,
             sorted,
             repliers: Vec::new(),
             stack: vec![(1, 1), (0, 1)],
@@ -157,12 +141,12 @@ impl ProtocolStepper for QueryTreeStepper {
         self.repliers.sort_unstable();
         let repliers = &self.repliers;
 
-        // The query costs the command overhead plus the prefix bits.
+        // The query costs the 4-bit slot command plus the prefix bits.
         // The prefix is a `Probe`: its bits are charged to the vector
         // metric only when the slot decodes a singleton (below).
         ctx.reader_tx(
             BroadcastKind::SlotPrefix,
-            self.cfg.command_bits,
+            QUERY_REP_BITS,
             TimeCategory::ReaderCommand,
         );
         ctx.reader_tx(
@@ -172,7 +156,7 @@ impl ProtocolStepper for QueryTreeStepper {
         );
 
         // Matching tags backscatter the rest of their ID plus the CRC.
-        let reply_bits = (EPC_BITS as u32 - len) as u64 + self.cfg.reply_crc_bits;
+        let reply_bits = (EPC_BITS as u32 - len) as u64 + CRC16_BITS;
         match ctx.slot(repliers, 0, Some(reply_bits)) {
             SlotOutcome::Empty => {
                 if !repliers.is_empty() {
@@ -183,9 +167,6 @@ impl ProtocolStepper for QueryTreeStepper {
             SlotOutcome::Singleton(tag) => {
                 ctx.emit(Event::VectorCharged { bits: len as u64 });
                 ctx.mark_read(tag);
-                if self.cfg.verify_singletons {
-                    self.stack.push(prefix);
-                }
             }
             SlotOutcome::Collision(_) => {
                 debug_assert!(
@@ -229,7 +210,7 @@ impl ProtocolStepper for QueryTreeStepper {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rfid_system::{BitVec, Channel, SimConfig, TagId, TagPopulation};
+    use rfid_system::{BitVec, SimConfig, TagId, TagPopulation};
 
     fn random_population(n: usize, seed: u64) -> TagPopulation {
         let mut rng = rfid_hash::Xoshiro256::seed_from_u64(seed);
@@ -247,7 +228,7 @@ mod tests {
     #[test]
     fn identifies_every_tag() {
         let mut ctx = SimContext::new(random_population(300, 1), &SimConfig::paper(1));
-        let report = QueryTreeConfig::default().run(&mut ctx);
+        let report = QueryTreeConfig.run(&mut ctx);
         ctx.assert_complete();
         assert_eq!(report.counters.polls, 300);
     }
@@ -257,7 +238,7 @@ mod tests {
         // The classical expected query count for QT on uniform IDs.
         let n = 2_000;
         let mut ctx = SimContext::new(random_population(n, 2), &SimConfig::paper(2));
-        let report = QueryTreeConfig::default().run(&mut ctx);
+        let report = QueryTreeConfig.run(&mut ctx);
         let queries =
             report.counters.polls + report.counters.empty_slots + report.counters.collision_slots;
         let per_tag = queries as f64 / n as f64;
@@ -274,7 +255,7 @@ mod tests {
             .map(|i| (TagId::from_fields(0x30, 1, 1, i), BitVec::from_value(1, 1)))
             .collect();
         let mut ctx = SimContext::new(TagPopulation::new(tags), &SimConfig::paper(3));
-        let report = QueryTreeConfig::default().run(&mut ctx);
+        let report = QueryTreeConfig.run(&mut ctx);
         ctx.assert_complete();
         assert_eq!(report.counters.polls, 200);
     }
@@ -282,41 +263,9 @@ mod tests {
     #[test]
     fn single_tag_identified_without_collisions() {
         let mut ctx = SimContext::new(random_population(1, 4), &SimConfig::paper(4));
-        let report = QueryTreeConfig::default().run(&mut ctx);
+        let report = QueryTreeConfig.run(&mut ctx);
         assert_eq!(report.counters.polls, 1);
         assert_eq!(report.counters.collision_slots, 0);
-    }
-
-    #[test]
-    fn survives_reply_loss_with_verification() {
-        // Without verification a masked collision (all-but-one replies
-        // lost) prunes a subtree that still holds tags; with it, one pass
-        // stays complete under 20 % reply loss.
-        let cfg = SimConfig::paper(5).with_channel(Channel::lossy(0.2));
-        let mut ctx = SimContext::new(random_population(150, 5), &cfg);
-        let qt = QueryTreeConfig {
-            verify_singletons: true,
-            ..QueryTreeConfig::default()
-        };
-        let report = qt.run(&mut ctx);
-        ctx.assert_complete();
-        assert_eq!(report.counters.polls, 150);
-        assert!(report.counters.lost_replies > 0);
-    }
-
-    #[test]
-    fn verification_costs_one_extra_query_per_tag_when_clean() {
-        let n = 400;
-        let mut ctx = SimContext::new(random_population(n, 9), &SimConfig::paper(9));
-        let plain = QueryTreeConfig::default().run(&mut ctx);
-        let mut ctx2 = SimContext::new(random_population(n, 9), &SimConfig::paper(9));
-        let verified = QueryTreeConfig {
-            verify_singletons: true,
-            ..QueryTreeConfig::default()
-        }
-        .run(&mut ctx2);
-        let extra = verified.counters.empty_slots - plain.counters.empty_slots;
-        assert_eq!(extra, n as u64, "one verification query per read tag");
     }
 
     #[test]
@@ -324,7 +273,7 @@ mod tests {
         // The paper's premise in one assertion.
         let n = 500;
         let mut ctx = SimContext::new(random_population(n, 6), &SimConfig::paper(6));
-        let qt = QueryTreeConfig::default().run(&mut ctx);
+        let qt = QueryTreeConfig.run(&mut ctx);
         let pop = random_population(n, 6);
         let mut ctx2 = SimContext::new(pop, &SimConfig::paper(6));
         let tpp = rfid_protocols::TppConfig::default().run(&mut ctx2);

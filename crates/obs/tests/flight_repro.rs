@@ -23,10 +23,7 @@ fn population() -> TagPopulation {
 
 fn degraded_run(cfg: &SimConfig, pop: TagPopulation) -> (SessionEnd, SimContext) {
     let mut ctx = SimContext::new(pop, cfg);
-    let protocol = HppConfig {
-        max_rounds: 3,
-        ..HppConfig::default()
-    };
+    let protocol = HppConfig { max_rounds: 3 };
     let end = Session::open(&protocol, &ctx)
         .with_policy(RecoveryPolicy::unbounded().with_max_passes(2))
         .run(&mut ctx);
@@ -114,10 +111,7 @@ fn a_circuit_open_end_dumps_a_bundle_with_that_cause() {
     // so the zero-progress circuit breaker is what stops the session.
     let cfg = jammed_config(777);
     let mut ctx = SimContext::new(population(), &cfg);
-    let protocol = HppConfig {
-        max_rounds: 3,
-        ..HppConfig::default()
-    };
+    let protocol = HppConfig { max_rounds: 3 };
     let end = Session::open(&protocol, &ctx)
         .with_policy(RecoveryPolicy::unbounded())
         .run(&mut ctx);

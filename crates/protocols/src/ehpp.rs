@@ -19,27 +19,21 @@
 //! circle command.
 
 use rfid_analysis::ehpp::optimal_subset_size_with_overhead;
+use rfid_c1g2::commands::{CIRCLE_COMMAND_BITS, ROUND_INIT_BITS};
 use rfid_hash::TagHash;
 use rfid_system::{Json, JsonError, SimContext, TagPopulation, ToJson};
 
 use crate::error::{StallCause, StallGuard};
-use crate::hpp::{hpp_round, HppConfig};
+use crate::hpp::hpp_round;
 use crate::session::{ProtocolStepper, StepDiscipline, StepOutcome};
 use crate::PollingProtocol;
 
 /// The Enhanced Hash Polling Protocol, as its configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EhppConfig {
-    /// Circle-command length `l_c` in bits (the paper sweeps 100–400 and
-    /// simulates with 128).
-    pub circle_cmd_bits: u64,
-    /// Reader bits to initiate each HPP round inside a circle (paper: 32).
-    pub round_init_bits: u64,
     /// Fixed subset size; `None` uses the Theorem-1 numeric optimum for the
-    /// configured overheads.
+    /// paper's `l_c` = 128-bit circle command and 32-bit round initiation.
     pub subset_size: Option<u64>,
-    /// Whether polling vectors ride behind a 4-bit QueryRep.
-    pub with_query_rep: bool,
     /// Safety cap on circles.
     pub max_circles: u64,
 }
@@ -47,10 +41,7 @@ pub struct EhppConfig {
 impl Default for EhppConfig {
     fn default() -> Self {
         EhppConfig {
-            circle_cmd_bits: 128,
-            round_init_bits: 32,
             subset_size: None,
-            with_query_rep: true,
             max_circles: 1_000_000,
         }
     }
@@ -61,7 +52,7 @@ impl EhppConfig {
     pub fn effective_subset_size(&self) -> u64 {
         self.subset_size
             .unwrap_or_else(|| {
-                optimal_subset_size_with_overhead(self.circle_cmd_bits, self.round_init_bits)
+                optimal_subset_size_with_overhead(CIRCLE_COMMAND_BITS, ROUND_INIT_BITS)
             })
             .max(1)
     }
@@ -97,6 +88,10 @@ impl PollingProtocol for EhppConfig {
     }
 }
 
+/// Safety cap on HPP rounds inside one circle (each circle gets a fresh
+/// budget).
+const CIRCLE_MAX_ROUNDS: u64 = 1_000_000;
+
 /// The HPP run inside the current circle.
 struct InnerCircle {
     /// The final circle runs over *everyone* (no selection happened), so
@@ -114,7 +109,6 @@ struct InnerCircle {
 struct EhppStepper {
     cfg: EhppConfig,
     n_star: u64,
-    hpp_cfg: HppConfig,
     circles: u64,
     /// `None` between circles (next step selects), `Some` inside one.
     inner: Option<InnerCircle>,
@@ -160,11 +154,6 @@ impl EhppStepper {
         EhppStepper {
             cfg: *cfg,
             n_star: cfg.effective_subset_size(),
-            hpp_cfg: HppConfig {
-                round_init_bits: cfg.round_init_bits,
-                with_query_rep: cfg.with_query_rep,
-                max_rounds: 1_000_000,
-            },
             circles: 0,
             inner: None,
             keep: Vec::new(),
@@ -201,7 +190,7 @@ impl EhppStepper {
             self.n_star,
             &mut self.keep,
         );
-        ctx.begin_circle(selected, self.cfg.circle_cmd_bits);
+        ctx.begin_circle(selected);
         if selected == 0 {
             // Nobody joined (rare); re-draw a selection seed next step. The
             // circle command was still spent on the air.
@@ -232,10 +221,9 @@ impl EhppStepper {
             self.inner = None;
             return StepOutcome::Progressed;
         }
-        let hpp_cfg = self.hpp_cfg;
         let circle = self.inner.as_mut().expect("checked above");
         circle.rounds += 1;
-        if circle.rounds > hpp_cfg.max_rounds {
+        if circle.rounds > CIRCLE_MAX_ROUNDS {
             // Reselect first so the partial report sees the true
             // uncollected set, then surface the stall.
             if !final_drain {
@@ -243,7 +231,7 @@ impl EhppStepper {
             }
             return StepOutcome::Stalled(StallCause::RoundCap);
         }
-        hpp_round(ctx, &hpp_cfg);
+        hpp_round(ctx);
         let stalled = self
             .inner
             .as_mut()
@@ -309,6 +297,7 @@ impl ProtocolStepper for EhppStepper {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hpp::HppConfig;
     use crate::report::Report;
     use rfid_hash::prop::{check, Gen};
     use rfid_hash::{prop_assert, prop_assert_eq};

@@ -22,12 +22,6 @@ use crate::PollingProtocol;
 /// The Hash Polling Protocol, as its configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HppConfig {
-    /// Reader bits charged to initiate each round (broadcasting `(h, r)`).
-    /// The Section-V simulation setting charges 32.
-    pub round_init_bits: u64,
-    /// Whether each polling vector rides behind a 4-bit QueryRep (the
-    /// paper's `37.45·(4+w)` accounting).
-    pub with_query_rep: bool,
     /// Safety cap on rounds (loops can only persist on a pathologically
     /// lossy channel).
     pub max_rounds: u64,
@@ -36,8 +30,6 @@ pub struct HppConfig {
 impl Default for HppConfig {
     fn default() -> Self {
         HppConfig {
-            round_init_bits: 32,
-            with_query_rep: true,
             max_rounds: 1_000_000,
         }
     }
@@ -62,25 +54,27 @@ impl ProtocolStepper for HppConfig {
     }
 
     fn step(&mut self, ctx: &mut SimContext) -> StepOutcome {
-        hpp_round(ctx, self);
+        hpp_round(ctx);
         StepOutcome::Progressed
     }
 }
 
 /// Runs one HPP round over the currently active tags; returns the number of
-/// tags successfully polled.
-pub(crate) fn hpp_round(ctx: &mut SimContext, cfg: &HppConfig) -> usize {
+/// tags successfully polled. The round opens with the 32-bit `(h, r)`
+/// broadcast, and each polling vector rides behind a 4-bit QueryRep (the
+/// paper's `37.45·(4+w)` accounting).
+pub(crate) fn hpp_round(ctx: &mut SimContext) -> usize {
     let n = ctx.population.active_count();
     debug_assert!(n > 0, "round over an empty population");
     let h = index_length(n as u64);
     let seed = ctx.draw_round_seed();
-    ctx.begin_round(h, cfg.round_init_bits);
+    ctx.begin_round(h);
     // Only indices picked by exactly one tag are polled: collision and
     // empty indices are skipped entirely, which is HPP's zero slot waste.
     let singles = ctx.sift_singletons(seed, h);
     let mut polled = 0;
     for &(_, tag) in &singles {
-        if ctx.poll_tag(h as u64, cfg.with_query_rep, tag) {
+        if ctx.poll_tag(h as u64, true, tag) {
             polled += 1;
         }
     }
@@ -93,6 +87,8 @@ mod tests {
     use super::*;
     use crate::error::{PollingError, StallCause};
     use crate::report::Report;
+    use rfid_c1g2::commands::ROUND_INIT_BITS;
+    use rfid_c1g2::{LinkParams, TimeCategory};
     use rfid_hash::TagHash;
     use rfid_system::{BitVec, Channel, SimConfig, TagPopulation};
 
@@ -145,7 +141,7 @@ mod tests {
         // 36.8 %–60.7 % of tags are read in a round (Section III-A).
         let pop = TagPopulation::sequential(4_096, |_| BitVec::from_value(1, 1));
         let mut ctx = SimContext::new(pop, &SimConfig::paper(3));
-        let polled = hpp_round(&mut ctx, &HppConfig::default());
+        let polled = hpp_round(&mut ctx);
         let frac = polled as f64 / 4_096.0;
         assert!((0.33..=0.64).contains(&frac), "first-round fraction {frac}");
     }
@@ -251,7 +247,7 @@ mod tests {
             if ctx.population.active_count() == 0 {
                 break;
             }
-            let polled = hpp_round(&mut ctx, &HppConfig::default());
+            let polled = hpp_round(&mut ctx);
             asleep += polled;
             assert_eq!(ctx.population.asleep_count(), asleep);
             assert_eq!(ctx.population.active_count(), 4 - asleep);
@@ -262,17 +258,22 @@ mod tests {
 
     #[test]
     fn round_init_bits_increase_time_but_not_vector_metric() {
-        let (with, _) = run(100, 13, HppConfig::default());
-        let (without, _) = run(
-            100,
-            13,
-            HppConfig {
-                round_init_bits: 0,
-                ..HppConfig::default()
-            },
+        // Each round's `(h, r)` broadcast is reader air time and counts in
+        // the overhead-inclusive `w`, but not in the plain vector metric.
+        let (report, ctx) = run(100, 13, HppConfig::default());
+        let c = report.counters;
+        assert!(c.rounds > 1);
+        let init_bits = c.rounds * ROUND_INIT_BITS;
+        assert_eq!(
+            ctx.clock.breakdown().get(TimeCategory::ReaderCommand),
+            LinkParams::paper().reader_tx(c.query_rep_bits + init_bits)
         );
-        assert!(with.total_time > without.total_time);
-        assert_eq!(with.mean_vector_bits(), without.mean_vector_bits());
-        assert!(with.mean_vector_bits_with_overhead() > with.mean_vector_bits());
+        assert_eq!(c.reader_bits, c.query_rep_bits + c.vector_bits + init_bits);
+        let polls = c.polls as f64;
+        assert_eq!(report.mean_vector_bits(), c.vector_bits as f64 / polls);
+        assert_eq!(
+            report.mean_vector_bits_with_overhead(),
+            (c.vector_bits + init_bits) as f64 / polls
+        );
     }
 }

@@ -161,7 +161,7 @@ mod tests {
     fn overhead_variant_strips_query_reps() {
         let mut ctx = finished_ctx();
         // Simulate a 32-bit round-init broadcast on top.
-        ctx.begin_round(3, 32);
+        ctx.begin_round(3);
         let r = Report::from_context("test", &ctx);
         // reader bits = 4+3 + 4+5 + 32 = 48; minus 8 QueryRep = 40; /2 = 20.
         assert_eq!(r.mean_vector_bits_with_overhead(), 20.0);

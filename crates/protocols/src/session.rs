@@ -763,10 +763,7 @@ mod tests {
     fn small_budget_hpp() -> HppConfig {
         // A tiny per-pass round budget forces multi-pass recovery even at
         // moderate loss, exercising the backoff and merge paths.
-        HppConfig {
-            max_rounds: 4,
-            ..HppConfig::default()
-        }
+        HppConfig { max_rounds: 4 }
     }
 
     fn faulted(n: usize, seed: u64, fault: FaultModel) -> SimContext {

@@ -41,10 +41,6 @@ pub enum IndexRule {
 /// The Tree-based Polling Protocol, as its configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TppConfig {
-    /// Reader bits charged to initiate each round (broadcasting `(h, r)`).
-    pub round_init_bits: u64,
-    /// Whether each tree segment rides behind a 4-bit QueryRep.
-    pub with_query_rep: bool,
     /// Index-length rule (Eq. (15) optimum by default).
     pub index_rule: IndexRule,
     /// Safety cap on rounds.
@@ -54,8 +50,6 @@ pub struct TppConfig {
 impl Default for TppConfig {
     fn default() -> Self {
         TppConfig {
-            round_init_bits: 32,
-            with_query_rep: true,
             index_rule: IndexRule::Eq15Optimal,
             max_rounds: 1_000_000,
         }
@@ -87,6 +81,8 @@ impl ProtocolStepper for TppConfig {
 }
 
 /// Runs one TPP round; returns the number of tags successfully polled.
+/// Like HPP's, the round opens with the 32-bit `(h, r)` broadcast and each
+/// tree segment rides behind a 4-bit QueryRep.
 pub(crate) fn tpp_round(ctx: &mut SimContext, cfg: &TppConfig) -> usize {
     let n = ctx.population.active_count();
     debug_assert!(n > 0, "round over an empty population");
@@ -95,7 +91,7 @@ pub(crate) fn tpp_round(ctx: &mut SimContext, cfg: &TppConfig) -> usize {
         IndexRule::HppRule => rfid_analysis::hpp::index_length(n as u64),
     };
     let seed = ctx.draw_round_seed();
-    ctx.begin_round(h, cfg.round_init_bits);
+    ctx.begin_round(h);
 
     if h == 0 {
         // One tag left: the bare QueryRep addresses it (0-bit vector).
@@ -103,7 +99,7 @@ pub(crate) fn tpp_round(ctx: &mut SimContext, cfg: &TppConfig) -> usize {
             .population
             .first_active()
             .expect("a nonempty round has an active tag");
-        return ctx.poll_tag(0, cfg.with_query_rep, handle) as usize;
+        return ctx.poll_tag(0, true, handle) as usize;
     }
 
     // Phase 1: picking indices (reader precomputes the singleton sift).
@@ -133,7 +129,7 @@ pub(crate) fn tpp_round(ctx: &mut SimContext, cfg: &TppConfig) -> usize {
     debug_assert_eq!(seg_lens.len(), singles.len());
     let mut polled = 0;
     for (&bits, &(_, tag)) in seg_lens.iter().zip(&singles) {
-        if ctx.poll_tag(bits as u64, cfg.with_query_rep, tag) {
+        if ctx.poll_tag(bits as u64, true, tag) {
             polled += 1;
         }
     }

@@ -18,6 +18,7 @@
 //! the paper's metrics (average polling-vector length, total execution
 //! time, slot-waste fractions).
 
+use rfid_c1g2::commands::{CIRCLE_COMMAND_BITS, ROUND_INIT_BITS};
 use rfid_c1g2::{Clock, LinkParams, Micros, TimeCategory};
 use rfid_hash::Xoshiro256;
 
@@ -403,37 +404,34 @@ impl SimContext {
         self.emit(Event::ReaderBroadcast { what: kind, bits });
     }
 
-    /// Records the start of an inventory round with index length `h`.
-    pub fn begin_round(&mut self, h: u32, round_init_bits: u64) {
+    /// Records the start of an inventory round with index length `h`,
+    /// charging the [`ROUND_INIT_BITS`]-bit `(h, r)` broadcast.
+    pub fn begin_round(&mut self, h: u32) {
         self.emit(Event::RoundStarted {
             round: self.counters.rounds as usize + 1,
             h,
             unread: self.population.active_count(),
         });
-        if round_init_bits > 0 {
-            self.reader_tx(
-                BroadcastKind::RoundInit,
-                round_init_bits,
-                TimeCategory::ReaderCommand,
-            );
-        }
+        self.reader_tx(
+            BroadcastKind::RoundInit,
+            ROUND_INIT_BITS,
+            TimeCategory::ReaderCommand,
+        );
         self.downlink_broadcast();
     }
 
     /// Records the start of an EHPP circle of `selected` tags, charging the
-    /// `l_c`-bit circle command.
-    pub fn begin_circle(&mut self, selected: usize, circle_cmd_bits: u64) {
+    /// [`CIRCLE_COMMAND_BITS`]-bit circle command `l_c`.
+    pub fn begin_circle(&mut self, selected: usize) {
         self.emit(Event::CircleStarted {
             circle: self.counters.circles as usize + 1,
             selected,
         });
-        if circle_cmd_bits > 0 {
-            self.reader_tx(
-                BroadcastKind::CircleCommand,
-                circle_cmd_bits,
-                TimeCategory::ReaderCommand,
-            );
-        }
+        self.reader_tx(
+            BroadcastKind::CircleCommand,
+            CIRCLE_COMMAND_BITS,
+            TimeCategory::ReaderCommand,
+        );
         self.downlink_broadcast();
     }
 
@@ -1286,7 +1284,7 @@ mod tests {
         };
         let cfg = SimConfig::paper(5).with_fault(FaultModel::perfect().with_plan(plan));
         let mut c = SimContext::new(pop, &cfg);
-        c.begin_round(1, 8);
+        c.begin_round(1);
         assert!(!c.is_synced(0) && !c.is_synced(1));
         assert_eq!(c.counters.downlink_losses, 2);
         // Desynchronized tags are silent; the poll times out without a
@@ -1295,7 +1293,7 @@ mod tests {
         assert_eq!(c.counters.lost_replies, 0);
         assert_eq!(c.counters.empty_slots, 1);
         // The next (unjammed) round re-joins both tags.
-        c.begin_round(1, 8);
+        c.begin_round(1);
         assert!(c.is_synced(0) && c.is_synced(1));
         assert_eq!(c.counters.desync_recoveries, 2);
         assert!(c.poll_tag(1, true, 0));
@@ -1409,8 +1407,8 @@ mod tests {
     #[test]
     fn round_and_circle_overheads_are_charged() {
         let mut c = ctx(1, 1);
-        c.begin_round(4, 32);
-        c.begin_circle(1, 128);
+        c.begin_round(4);
+        c.begin_circle(1);
         assert_eq!(c.counters.rounds, 1);
         assert_eq!(c.counters.circles, 1);
         assert_eq!(c.counters.reader_bits, 160);
@@ -1462,7 +1460,7 @@ mod tests {
         let mut live = SimContext::new(pop, &cfg);
         for round in 0..3 {
             let _ = round;
-            live.begin_round(6, 32);
+            live.begin_round(6);
             for t in active(&live.population) {
                 live.poll_tag(6, true, t);
             }
@@ -1473,7 +1471,7 @@ mod tests {
         let mut restored = restore(&cfg, &parsed, 64).expect("snapshot restores");
         // Drive both a further faulted round and compare everything.
         for c in [&mut live, &mut restored] {
-            c.begin_round(6, 32);
+            c.begin_round(6);
             for t in active(&c.population) {
                 c.poll_tag(6, true, t);
             }

@@ -291,7 +291,7 @@ mod tests {
             // real mid-protocol state (some asleep, some desynchronized).
             for _ in 0..g.u64_in(1, 4) {
                 let seed = ctx.draw_round_seed();
-                ctx.begin_round(h, 32);
+                ctx.begin_round(h);
                 let singles = ctx.sift_singletons(seed, h);
                 prop_assert_eq!(&singles, &naive_singles(&ctx.population, seed, h));
                 slots_match(&ctx.population, seed, h, &singles)?;

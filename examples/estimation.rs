@@ -11,7 +11,7 @@
 //! initial frame of a dynamic ALOHA identification pass.
 
 use fast_rfid_polling::baselines::FsaConfig;
-use fast_rfid_polling::estimate::{EstimationConfig, EstimationProtocol};
+use fast_rfid_polling::estimate::EstimationProtocol;
 use fast_rfid_polling::prelude::*;
 use fast_rfid_polling::system::{SimConfig, SimContext};
 
@@ -27,7 +27,7 @@ fn main() {
             scenario.build_population(),
             &SimConfig::paper(scenario.protocol_seed()),
         );
-        let result = EstimationProtocol::new(EstimationConfig::default()).run(&mut ctx);
+        let result = EstimationProtocol.run(&mut ctx);
         let err = (result.estimate - n as f64).abs() / n as f64 * 100.0;
         println!(
             "{n:>8} {:>12.0} {:>12.0} {err:>7.1}% {:>12}",
@@ -45,7 +45,7 @@ fn main() {
         scenario.build_population(),
         &SimConfig::paper(scenario.protocol_seed()),
     );
-    let est = EstimationProtocol::default().run(&mut ctx);
+    let est = EstimationProtocol.run(&mut ctx);
     println!(
         "\nseeding DFSA identification of {n} unknown tags with n̂ = {:.0}:",
         est.estimate

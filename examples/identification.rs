@@ -25,7 +25,7 @@ fn main() {
 
     let identifiers: Vec<(&str, Box<dyn PollingProtocol>)> = vec![
         ("Q-algo", Box::new(QAlgorithmConfig::default())),
-        ("QueryTree", Box::new(QueryTreeConfig::default())),
+        ("QueryTree", Box::new(QueryTreeConfig)),
         ("BinSplit", Box::new(BinarySplitConfig::default())),
     ];
 

@@ -370,7 +370,7 @@ fn query_tree_stalls_instead_of_completing_with_tags_unread() {
         let scenario = Scenario::uniform(N, 4).with_seed(seed);
         let cfg = SimConfig::paper(scenario.protocol_seed()).with_channel(Channel::lossy(0.2));
         let mut ctx = SimContext::new(scenario.build_population(), &cfg);
-        match QueryTreeConfig::default().try_run(&mut ctx) {
+        match QueryTreeConfig.try_run(&mut ctx) {
             Ok(report) => assert_eq!(report.counters.polls as usize, N, "seed {seed}"),
             Err(PollingError::Stalled {
                 partial_report,
@@ -387,7 +387,7 @@ fn query_tree_stalls_instead_of_completing_with_tags_unread() {
             }
         }
         let mut ctx = SimContext::new(scenario.build_population(), &cfg);
-        let end = Session::open(&QueryTreeConfig::default(), &ctx)
+        let end = Session::open(&QueryTreeConfig, &ctx)
             .with_policy(RecoveryPolicy::unbounded())
             .run(&mut ctx);
         assert!(end.is_complete(), "seed {seed}: {end:?}");

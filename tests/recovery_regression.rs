@@ -55,10 +55,7 @@ fn recovered_passes(protocol: &dyn PollingProtocol, fault: FaultModel) -> u64 {
 
 #[test]
 fn hpp_passes_to_completion_are_pinned() {
-    let hpp = HppConfig {
-        max_rounds: 12,
-        ..HppConfig::default()
-    };
+    let hpp = HppConfig { max_rounds: 12 };
     let got: Vec<u64> = faults()
         .into_iter()
         .map(|fault| recovered_passes(&hpp, fault))
@@ -108,10 +105,7 @@ fn tpp_passes_to_completion_are_pinned() {
 fn pass_counts_are_stable_across_reruns() {
     // The same (protocol, loss, seed) triple must give the same pass count
     // on every invocation — no hidden global state.
-    let hpp = HppConfig {
-        max_rounds: 24,
-        ..HppConfig::default()
-    };
+    let hpp = HppConfig { max_rounds: 24 };
     let lossy = || FaultModel::perfect().with_downlink_loss(0.2);
     assert_eq!(
         recovered_passes(&hpp, lossy()),

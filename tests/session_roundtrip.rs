@@ -21,7 +21,7 @@ use fast_rfid_polling::identify::QAlgorithmConfig;
 use fast_rfid_polling::prelude::*;
 use fast_rfid_polling::system::json::{FromJson, Json, ToJson};
 use fast_rfid_polling::system::{Channel, KillRule, SimConfig, SimContext};
-use fast_rfid_polling::wire::{Command, ErrorCode, OpenRequest, Response};
+use fast_rfid_polling::wire::{Command, ErrorCode, FrameError, OpenRequest, Response};
 
 fn impaired_fault() -> FaultModel {
     FaultModel::perfect()
@@ -294,10 +294,7 @@ fn ehpp_kill_restore_at_every_step_is_bit_identical() {
 fn mid_recovery_kill_restore_is_bit_identical() {
     // A 2-round budget on 150 tags forces several deterministic recovery
     // passes even on a clean channel.
-    let protocol = HppConfig {
-        max_rounds: 2,
-        ..HppConfig::default()
-    };
+    let protocol = HppConfig { max_rounds: 2 };
     let scenario = Scenario::uniform(150, 4).with_seed(31);
     let cfg = SimConfig::paper(scenario.protocol_seed()).with_trace();
     let policy = RecoveryPolicy::unbounded();
@@ -596,6 +593,16 @@ fn hostile_resumes_fail_with_typed_errors() {
             "41 tags of 96 + 1099511627776 bits exceed the per-session budget",
         ),
         (
+            "zero tags",
+            edit(&good, &["origin", "n"], Some(Json::UInt(0))),
+            "population must be non-empty",
+        ),
+        (
+            "zero info bits per tag",
+            edit(&good, &["origin", "info_bits"], Some(Json::UInt(0))),
+            "payloads must be at least one bit wide",
+        ),
+        (
             "u64::MAX tags",
             edit(&good, &["origin", "n"], Some(Json::UInt(u64::MAX))),
             "exceed the per-session budget",
@@ -728,6 +735,30 @@ fn hostile_resumes_fail_with_typed_errors() {
     assert!(Session::restore(&hpp, &library).is_ok());
     // A library snapshot is also servable: it keeps its tag list.
     assert!(matches!(resume(library, 1), Response::Opened { .. }));
+}
+
+/// A served snapshot whose text names a key twice is refused where its
+/// `Resume` frame is decoded, before the service sees it (the daemon
+/// answers `BadPayload`): a decoder reads the first of a repeated key, so
+/// the repeat would otherwise be ignored. The repeated clock bucket comes
+/// first at 0.
+#[test]
+fn a_served_snapshot_naming_a_key_twice_is_refused() {
+    let good = served_snapshot(41);
+    let mut frame = Command::Resume {
+        snapshot: good.clone(),
+    }
+    .to_frame();
+    assert!(Command::from_frame(&frame).is_ok());
+    assert!(matches!(resume(good, 1), Response::Opened { .. }));
+    let text = String::from_utf8(frame.payload).unwrap();
+    let twice = text.replacen("\"TagReply\":", "\"TagReply\":0,\"TagReply\":", 1);
+    assert_ne!(twice, text);
+    frame.payload = twice.into_bytes();
+    match Command::from_frame(&frame) {
+        Err(FrameError::Payload(e)) => assert!(e.0.contains("\"TagReply\" twice"), "{e}"),
+        other => panic!("expected a payload error, got {other:?}"),
+    }
 }
 
 /// Hostile-input gate: mutate random bytes of a valid mid-run snapshot.
