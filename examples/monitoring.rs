@@ -12,7 +12,7 @@
 //! newcomers — the complete identify-once, poll-forever workflow the paper
 //! advocates.
 
-use fast_rfid_polling::apps::monitor::{InventoryMonitor, MonitorConfig};
+use fast_rfid_polling::apps::monitor::InventoryMonitor;
 use fast_rfid_polling::hash::{split_seed, Xoshiro256};
 use fast_rfid_polling::prelude::*;
 use fast_rfid_polling::system::{SimConfig, SimContext};
@@ -26,7 +26,7 @@ fn main() {
     // The floor on day start — already identified.
     let scenario = Scenario::uniform(initial, 1).with_seed(2024);
     let mut floor: Vec<TagId> = scenario.build_population().ids().collect();
-    let mut monitor = InventoryMonitor::new(floor.clone(), MonitorConfig::default());
+    let mut monitor = InventoryMonitor::new(floor.clone());
     let mut churn_rng = Xoshiro256::seed_from_u64(split_seed(2024, 9));
 
     println!("warehouse day: {initial} tags, busy-dock churn, {epochs} hourly epochs\n");
