@@ -241,22 +241,8 @@ impl<T: Transport> DaemonClient<T> {
 
     /// Fetches the session's metrics as Prometheus text.
     pub fn metrics_text(&mut self, session: u64) -> Result<String, ClientError> {
-        match self.request(&Command::Metrics {
-            session,
-            delta: false,
-        })? {
+        match self.request(&Command::Metrics { session })? {
             Response::MetricsText { text, .. } => Ok(text),
-            other => Err(unexpected(&other)),
-        }
-    }
-
-    /// Fetches delta-JSONL of metrics changed since the last delta fetch.
-    pub fn metrics_delta(&mut self, session: u64) -> Result<Option<String>, ClientError> {
-        match self.request(&Command::Metrics {
-            session,
-            delta: true,
-        })? {
-            Response::MetricsDelta { jsonl, .. } => Ok(jsonl),
             other => Err(unexpected(&other)),
         }
     }

@@ -4,9 +4,10 @@
 //! [`rfid_wire`] protocol: a warehouse controller opens hundreds of
 //! concurrent virtual reader sessions, drives each through the resumable
 //! [`rfid_protocols::Session`] engine, checkpoints and resumes them
-//! across process lives, injects faults mid-flight, and scrapes metrics
-//! and flight bundles — all over plain `std::net` TCP or an in-memory
-//! loopback pipe.
+//! across process lives, injects faults mid-flight, and scrapes
+//! Prometheus metrics and the postmortem bundle every session that ends
+//! `stalled` or `degraded` keeps — all over plain `std::net` TCP or an
+//! in-memory loopback pipe.
 //!
 //! * `registry` — wire names → the twelve servable protocols,
 //! * `service` — the per-connection dispatcher ([`Service`]) and the

@@ -16,7 +16,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use rfid_obs::{metrics_from_log, DeltaCursor};
+use rfid_obs::metrics_from_log;
 use rfid_protocols::Session;
 use rfid_system::id::EPC_BITS;
 use rfid_system::{FromJson, Json, JsonError, SimConfig, SimContext, ToJson};
@@ -33,46 +33,22 @@ use crate::supervisor::{
 /// What the server calls itself in the `Hello` handshake.
 pub(crate) const SERVER_NAME: &str = "rfid-daemon/0.1";
 
-/// One virtual reader session: the resumable engine plus the bookkeeping
-/// the wire verbs need around it.
+/// One virtual reader session: the session its verb built, plus the
+/// bookkeeping the wire verbs need around it.
 struct ReaderSession {
-    session: Session,
-    ctx: SimContext,
+    /// The engine, its context and config (the config is updated on fault
+    /// injection, so later checkpoints restore against the live model).
+    live: Live,
     /// Supervisor-global session id (admission, deposits, retirement).
     gid: u64,
-    /// The config the context was built with — updated on fault injection
-    /// so later checkpoints restore against the live model.
-    config: SimConfig,
     /// Emit a progress frame every this many driver steps (0 = never).
     progress_every: u64,
-    /// Delta-JSONL cursor for `Metrics { delta: true }`.
-    cursor: DeltaCursor,
-    /// Whether the session's `Open` asked for a postmortem bundle.
-    flight: bool,
     /// Set once the session ended; further `Run`/`Checkpoint` are
     /// `BadState`, but metrics and the bundle stay fetchable.
     done: bool,
-    /// The postmortem bundle as compact JSON text, kept when a `flight`
-    /// session ends without completing; `Flight` serves it.
+    /// The postmortem bundle as compact JSON text, kept when the session
+    /// ends `stalled` or `degraded`; `Flight` serves it.
     bundle: Option<String>,
-    /// Where the population comes from, if a scenario built it: every
-    /// served snapshot names it instead of listing the tags.
-    origin: Option<Origin>,
-}
-
-impl ReaderSession {
-    /// The session's served snapshot: its population named by `origin`
-    /// when it has one (always, unless it was resumed from a library
-    /// snapshot that lists its tags).
-    fn snapshot(&self) -> Json {
-        match self.origin {
-            Some(origin) => {
-                self.session
-                    .snapshot_with_origin(&self.ctx, &self.config, origin.to_json())
-            }
-            None => self.session.snapshot(&self.ctx, &self.config),
-        }
-    }
 }
 
 /// The scenario fields of the `Open` that built a served session:
@@ -224,7 +200,7 @@ impl Service {
     /// fleet's work survives the listener closing.
     pub(crate) fn drain(&mut self) {
         for rs in self.sessions.values().filter(|rs| !rs.done) {
-            self.supervisor.drain_session(rs.gid, rs.snapshot());
+            self.supervisor.drain_session(rs.gid, rs.live.snapshot());
         }
         self.sessions.clear();
     }
@@ -243,49 +219,33 @@ impl Service {
             }],
             Command::Run { session, max_steps } => self.run(session, max_steps),
             Command::Checkpoint { session } => vec![self.checkpoint(session)],
-            Command::Resume { snapshot } => vec![match restore_session(&snapshot, false) {
-                Ok(live) => self.admit(
-                    live,
-                    RecoveryPoint::Resume {
-                        snapshot,
-                        flight: false,
-                    },
-                ),
+            Command::Resume { snapshot } => vec![match restore_session(&snapshot) {
+                Ok(live) => self.admit(live, RecoveryPoint::Resume(snapshot)),
                 Err(e) => e,
             }],
             Command::Inject { session, fault } => {
                 let sup = Arc::clone(&self.supervisor);
                 vec![match self.unfinished(session) {
                     Err(e) => e,
-                    Ok(rs) => match rs.ctx.inject_fault(fault.clone()) {
+                    Ok(rs) => match rs.live.ctx.inject_fault(fault.clone()) {
                         Ok(()) => {
-                            rs.config.fault = fault;
+                            rs.live.config.fault = fault;
                             // Neither the request nor an older checkpoint
                             // recreates the injected model: deposit one that
                             // does.
-                            sup.deposit(rs.gid, rs.snapshot());
+                            sup.deposit(rs.gid, rs.live.snapshot());
                             Response::Opened { session }
                         }
                         Err(msg) => err(ErrorCode::Rejected, format!("fault rejected: {msg}")),
                     },
                 }]
             }
-            Command::Metrics { session, delta } => vec![match self.get(session) {
+            Command::Metrics { session } => vec![match self.get(session) {
                 Err(e) => e,
-                Ok(rs) => {
-                    let registry = metrics_from_log(&rs.ctx.log);
-                    if delta {
-                        Response::MetricsDelta {
-                            session,
-                            jsonl: rs.cursor.delta(&registry),
-                        }
-                    } else {
-                        Response::MetricsText {
-                            session,
-                            text: registry.expose_text(),
-                        }
-                    }
-                }
+                Ok(rs) => Response::MetricsText {
+                    session,
+                    text: metrics_from_log(&rs.live.ctx.log).expose_text(),
+                },
             }],
             Command::Flight { session } => vec![match self.get(session) {
                 Err(e) => e,
@@ -323,7 +283,7 @@ impl Service {
         // Snapshots carry no progress cadence: only an `Open` asks for one.
         let progress_every = match &record {
             RecoveryPoint::Open(req) => req.progress_every.unwrap_or(0),
-            RecoveryPoint::Resume { .. } => 0,
+            RecoveryPoint::Resume(_) => 0,
         };
         let gid = match self.supervisor.admit(record) {
             Ok(gid) => gid,
@@ -334,16 +294,11 @@ impl Service {
         self.sessions.insert(
             id,
             ReaderSession {
-                session: live.session,
-                ctx: live.ctx,
+                live,
                 gid,
-                config: live.config,
                 progress_every,
-                cursor: DeltaCursor::new(),
-                flight: live.flight,
                 done: false,
                 bundle: None,
-                origin: live.origin,
             },
         );
         Response::Opened { session: id }
@@ -367,7 +322,7 @@ impl Service {
         match self.unfinished(session) {
             Err(e) => e,
             Ok(rs) => {
-                let snapshot = rs.snapshot();
+                let snapshot = rs.live.snapshot();
                 // A client-requested checkpoint is also the freshest
                 // possible recovery point — deposit it.
                 sup.deposit(rs.gid, snapshot.clone());
@@ -389,12 +344,13 @@ impl Service {
             Err(e) => return vec![e],
             Ok(rs) => rs,
         };
+        let live = &mut rs.live;
         let mut out = Vec::new();
         // The steps this `Run` may still take. A recovery pass resets the
         // session's pass-local step count, so the budget is counted here.
         let mut budget = max_steps;
         let end = loop {
-            let now = rs.session.steps_taken();
+            let now = live.session.steps_taken();
             // Stop at the budget or the next progress/supervise boundary,
             // whichever comes first. Boundaries are pass-local step counts
             // so progress frames stay on exact `progress_every` multiples
@@ -408,7 +364,7 @@ impl Service {
                 }
             }
             let Some(chunk) = chunk else {
-                break rs.session.run(&mut rs.ctx);
+                break live.session.run(&mut live.ctx);
             };
             if chunk == 0 {
                 // A zero budget: report where we stand without stepping.
@@ -418,11 +374,11 @@ impl Service {
                 });
                 return out;
             }
-            match rs.session.run_for(&mut rs.ctx, chunk) {
+            match live.session.run_for(&mut live.ctx, chunk) {
                 Some(end) => break end,
                 None => {
                     budget = budget.map(|b| b - chunk);
-                    let now = rs.session.steps_taken();
+                    let now = live.session.steps_taken();
                     if let Some(switch) = &kill {
                         if switch.should_fire(now) {
                             // A deliberate chaos crash: unwind without
@@ -432,7 +388,7 @@ impl Service {
                         }
                     }
                     if supervise > 0 && now % supervise == 0 {
-                        sup.deposit(rs.gid, rs.snapshot());
+                        sup.deposit(rs.gid, live.snapshot());
                     }
                     if budget == Some(0) {
                         out.push(Response::Paused {
@@ -445,9 +401,9 @@ impl Service {
                         out.push(Response::Progress {
                             session,
                             steps: now,
-                            polls: rs.ctx.counters.polls,
-                            rounds: rs.ctx.counters.rounds,
-                            clock_us: rs.ctx.clock.total().as_f64(),
+                            polls: live.ctx.counters.polls,
+                            rounds: live.ctx.counters.rounds,
+                            clock_us: live.ctx.clock.total().as_f64(),
                         });
                     }
                 }
@@ -455,8 +411,7 @@ impl Service {
         };
         rs.done = true;
         sup.retire(rs.gid, Retire::Completed);
-        let flight = rs.flight.then_some(&rs.config);
-        let (outcome, bundle) = outcome_from_end(end, &rs.ctx, flight, rs.origin);
+        let (outcome, bundle) = outcome_from_end(end, &rs.live);
         rs.bundle = bundle;
         out.push(Response::Done { session, outcome });
         out
@@ -464,19 +419,34 @@ impl Service {
 }
 
 /// A built or restored session with the config its context was built
-/// from, whether it keeps a postmortem bundle, and the origin of its
-/// population.
+/// from and the origin of its population.
 pub(crate) struct Live {
     pub(crate) ctx: SimContext,
     pub(crate) session: Session,
     pub(crate) config: SimConfig,
-    pub(crate) flight: bool,
+    /// Where the population comes from, if a scenario built it: every
+    /// served snapshot names it instead of listing the tags.
     pub(crate) origin: Option<Origin>,
+}
+
+impl Live {
+    /// The session's served snapshot: its population named by `origin`
+    /// when it has one (always, unless it was resumed from a library
+    /// snapshot that lists its tags).
+    fn snapshot(&self) -> Json {
+        match self.origin {
+            Some(origin) => {
+                self.session
+                    .snapshot_with_origin(&self.ctx, &self.config, origin.to_json())
+            }
+            None => self.session.snapshot(&self.ctx, &self.config),
+        }
+    }
 }
 
 /// Builds the session an `Open` request describes. The `Open` verb and
 /// the resurrection of a never-checkpointed session both call it, so a
-/// resurrected session is the one its request built, `flight` included.
+/// resurrected session is the one its request built.
 pub(crate) fn open_session(req: &OpenRequest) -> Result<Live, Response> {
     let Some(protocol) = protocol_by_name(&req.protocol) else {
         return Err(err(
@@ -525,20 +495,18 @@ pub(crate) fn open_session(req: &OpenRequest) -> Result<Live, Response> {
         ctx,
         session,
         config,
-        flight: req.flight,
         origin: Some(origin),
     })
 }
 
-/// Restores the session a snapshot describes, keeping a postmortem
-/// bundle if `flight`. The `Resume` verb and the resurrection of a
-/// checkpointed session both call it.
+/// Restores the session a snapshot describes. The `Resume` verb and the
+/// resurrection of a checkpointed session both call it.
 ///
 /// A served snapshot names its population by `origin`; it is rebuilt from
 /// that scenario only after [`Session::restore_from`] has checked every
 /// packed progress vector against `origin.n`. A library snapshot that
 /// lists its `tags` restores through the same body.
-pub(crate) fn restore_session(snapshot: &Json, flight: bool) -> Result<Live, Response> {
+pub(crate) fn restore_session(snapshot: &Json) -> Result<Live, Response> {
     let name: String = snapshot
         .field("protocol")
         .map_err(|e| err(ErrorCode::BadPayload, format!("snapshot: {e}")))?;
@@ -563,7 +531,6 @@ pub(crate) fn restore_session(snapshot: &Json, flight: bool) -> Result<Live, Res
         ctx,
         session,
         config,
-        flight,
         origin,
     })
 }
@@ -677,13 +644,7 @@ mod tests {
         assert!(outcome.trace_digest.is_some(), "default config traces");
 
         // A dead channel with no recovery policy stalls the session.
-        let mut req = open_req(64);
-        req.config = Some(
-            SimConfig::paper(31)
-                .with_trace()
-                .with_channel(rfid_system::Channel::lossy(1.0)),
-        );
-        let id = opened(&mut service, req);
+        let id = opened(&mut service, dead(64));
         let responses = service.handle(Command::Run {
             session: id,
             max_steps: None,
@@ -698,23 +659,26 @@ mod tests {
         assert!(outcome.trace_digest.is_some(), "traced config digests");
     }
 
-    /// Two stalled `flight` sessions of one protocol and seed each keep
-    /// their own bundle; a `flight` session that completes, and a stalled
-    /// one without `flight`, have none.
-    #[test]
-    fn two_flight_sessions_keep_their_own_bundles() {
-        let dead = |n: u64, flight: bool| OpenRequest {
+    /// An `n`-tag HPP session on a dead channel: with no recovery policy
+    /// it ends `stalled`.
+    fn dead(n: u64) -> OpenRequest {
+        OpenRequest {
             config: Some(
                 SimConfig::paper(31)
                     .with_trace()
                     .with_channel(rfid_system::Channel::lossy(1.0)),
             ),
-            flight,
             ..open_req(n)
-        };
+        }
+    }
+
+    /// Two stalled sessions of one protocol and seed each keep their own
+    /// bundle; a session that completes has none.
+    #[test]
+    fn two_flight_sessions_keep_their_own_bundles() {
         let mut service = Service::new();
         let ids = [64, 32].map(|n| {
-            let id = opened(&mut service, dead(n, true));
+            let id = opened(&mut service, dead(n));
             assert_eq!(run_to_done(&mut service, id).status, "stalled");
             (n, id)
         });
@@ -731,18 +695,34 @@ mod tests {
                 "a served bundle names its origin"
             );
         }
-        let complete = OpenRequest {
-            flight: true,
-            ..open_req(8)
+        let id = opened(&mut service, open_req(8));
+        assert_eq!(run_to_done(&mut service, id).status, "complete");
+        assert!(
+            flight(&mut service, id).is_none(),
+            "a complete session has a bundle"
+        );
+    }
+
+    /// A session the `Resume` verb built keeps its postmortem bundle like
+    /// one an `Open` built, and the bundle names the population's origin.
+    #[test]
+    fn a_resumed_session_keeps_its_bundle() {
+        let mut service = Service::new();
+        let id = opened(&mut service, dead(64));
+        let (snapshot, _) = checkpoint(&mut service, id);
+        service.handle(Command::Close { session: id });
+        let id = match service.handle(Command::Resume { snapshot }).remove(0) {
+            Response::Opened { session } => session,
+            other => panic!("expected Opened, got {other:?}"),
         };
-        for req in [complete, dead(64, false)] {
-            let id = opened(&mut service, req);
-            run_to_done(&mut service, id);
-            assert!(
-                flight(&mut service, id).is_none(),
-                "session {id} has a bundle"
-            );
-        }
+        assert_eq!(run_to_done(&mut service, id).status, "stalled");
+        let bundle = flight(&mut service, id).expect("a resumed stalled session keeps a bundle");
+        let bundle = rfid_obs::FlightBundle::parse(&bundle).expect("bundle parses");
+        assert_eq!((bundle.cause.as_str(), bundle.tag_count), ("stalled", 64));
+        assert_eq!(
+            bundle.identity.0, "origin",
+            "a served bundle names its origin"
+        );
     }
 
     /// A served bundle names its population by `origin` and packs each
@@ -765,7 +745,6 @@ mod tests {
                     .with_trace()
                     .with_fault(FaultModel::perfect().with_plan(dead_tag)),
             ),
-            flight: true,
             ..OpenRequest::new("TPP", 10_000, 100, 31)
         };
         let mut service = Service::new();
@@ -1094,9 +1073,7 @@ mod tests {
     fn flight_bundle_records_the_injected_fault() {
         use rfid_system::FaultModel;
         let mut service = Service::new();
-        let mut req = open_req(64);
-        req.flight = true;
-        let id = opened(&mut service, req);
+        let id = opened(&mut service, open_req(64));
         let fault = FaultModel::perfect().with_downlink_loss(1.0);
         let responses = service.handle(Command::Inject {
             session: id,
@@ -1112,14 +1089,7 @@ mod tests {
     #[test]
     fn checkpointed_resurrection_keeps_its_flight_recorder() {
         let mut service = Service::new();
-        let mut req = open_req(64);
-        req.config = Some(
-            SimConfig::paper(31)
-                .with_trace()
-                .with_channel(rfid_system::Channel::lossy(1.0)),
-        );
-        req.flight = true;
-        let id = opened(&mut service, req);
+        let id = opened(&mut service, dead(64));
         // The checkpoint turns the recovery point into a `Resume`.
         assert!(matches!(
             service
@@ -1163,7 +1133,6 @@ mod tests {
                 config: Some(impaired_config.clone()),
                 policy: Some(RecoveryPolicy::default()),
                 deadline_us: Some(Micros::from_secs(2.0)),
-                flight: true,
                 ..plain.clone()
             };
             for req in [plain, impaired] {
@@ -1180,7 +1149,7 @@ mod tests {
                 );
                 assert_eq!(
                     resurrected.bundle.is_some(),
-                    req.flight && expected.cause.is_some(),
+                    expected.cause.is_some(),
                     "the resurrected {name} run lost its bundle"
                 );
                 let bundle = resurrected.bundle.map(|text| Json::parse(&text).unwrap());
@@ -1246,38 +1215,18 @@ mod tests {
     }
 
     #[test]
-    fn metrics_expose_and_delta_stream() {
+    fn metrics_expose_prometheus_text() {
         let mut service = Service::new();
         let id = opened(&mut service, open_req(32));
         service.handle(Command::Run {
             session: id,
             max_steps: None,
         });
-        let responses = service.handle(Command::Metrics {
-            session: id,
-            delta: false,
-        });
+        let responses = service.handle(Command::Metrics { session: id });
         let Response::MetricsText { text, .. } = &responses[0] else {
             panic!("expected MetricsText, got {responses:?}");
         };
         assert!(text.contains("# TYPE"), "Prometheus exposition expected");
-        // First delta carries everything; a second immediate delta is empty.
-        let responses = service.handle(Command::Metrics {
-            session: id,
-            delta: true,
-        });
-        let Response::MetricsDelta { jsonl, .. } = &responses[0] else {
-            panic!("expected MetricsDelta, got {responses:?}");
-        };
-        assert!(jsonl.is_some());
-        let responses = service.handle(Command::Metrics {
-            session: id,
-            delta: true,
-        });
-        let Response::MetricsDelta { jsonl, .. } = &responses[0] else {
-            panic!("expected MetricsDelta, got {responses:?}");
-        };
-        assert!(jsonl.is_none(), "nothing changed since the last delta");
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! digest the uninterrupted run would have produced (the resilience gate
 //! pins this). If a recovery point cannot be replayed, the supervisor
 //! keeps a failure document for the postmortem instead of dying quietly.
-//! A resurrected session that asked for `flight` and did not complete
-//! carries its postmortem bundle, as a served one does.
+//! A resurrected session that did not complete carries its postmortem
+//! bundle, as a served one does.
 //!
 //! Shutdown is a *drain*: the serving loop deposits one final checkpoint
 //! per live session before the listener closes, so a controller can
@@ -35,10 +35,10 @@ use std::sync::Mutex;
 
 use rfid_obs::{postmortem, wire_counters, MetricsRegistry};
 use rfid_protocols::SessionEnd;
-use rfid_system::{Json, SimConfig, SimContext, ToJson};
+use rfid_system::{Json, ToJson};
 use rfid_wire::{OpenRequest, SessionOutcome};
 
-use crate::service::{open_session, restore_session, Origin};
+use crate::service::{open_session, restore_session, Live};
 
 /// Admission-control budgets for a served fleet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,26 +83,8 @@ impl FleetLimits {
 pub(crate) enum RecoveryPoint {
     /// No checkpoint yet: replay the `Open` that built the session.
     Open(Box<OpenRequest>),
-    /// The last deposited checkpoint: replay a `Resume` of it, with the
-    /// `flight` the session's `Open` asked for (a snapshot does not carry
-    /// it).
-    Resume {
-        /// The checkpoint.
-        snapshot: Json,
-        /// Whether the rebuilt session keeps a postmortem bundle.
-        flight: bool,
-    },
-}
-
-impl RecoveryPoint {
-    /// Whether the session this point recreates keeps a postmortem
-    /// bundle.
-    fn flight(&self) -> bool {
-        match self {
-            RecoveryPoint::Open(req) => req.flight,
-            RecoveryPoint::Resume { flight, .. } => *flight,
-        }
-    }
+    /// The last deposited checkpoint: replay a `Resume` of it.
+    Resume(Json),
 }
 
 /// One resurrected orphan: which global session, and how its restored
@@ -114,7 +96,7 @@ pub struct Resurrection {
     /// The outcome of running the rebuilt session to completion.
     pub outcome: SessionOutcome,
     /// The run's postmortem bundle as compact JSON text, if the session
-    /// asked for `flight` and did not complete.
+    /// did not complete.
     pub bundle: Option<String>,
 }
 
@@ -191,10 +173,7 @@ impl Supervisor {
     pub(crate) fn deposit(&self, gid: u64, checkpoint: Json) {
         let mut s = self.lock();
         if let Some(slot) = s.live.get_mut(&gid) {
-            *slot = RecoveryPoint::Resume {
-                snapshot: checkpoint,
-                flight: slot.flight(),
-            };
+            *slot = RecoveryPoint::Resume(checkpoint);
             s.metrics.inc("supervisor_checkpoints", 1);
         }
     }
@@ -299,16 +278,11 @@ impl Supervisor {
     fn resurrect(&self, record: &RecoveryPoint) -> Option<(SessionOutcome, Option<String>)> {
         let mut live = match record {
             RecoveryPoint::Open(req) => open_session(req),
-            RecoveryPoint::Resume { snapshot, flight } => restore_session(snapshot, *flight),
+            RecoveryPoint::Resume(snapshot) => restore_session(snapshot),
         }
         .ok()?;
         let end = live.session.run(&mut live.ctx);
-        Some(outcome_from_end(
-            end,
-            &live.ctx,
-            live.flight.then_some(&live.config),
-            live.origin,
-        ))
+        Some(outcome_from_end(end, &live))
     }
 
     /// The conservation law: every admitted session is accounted for
@@ -335,16 +309,11 @@ impl Supervisor {
 /// Builds the serializable outcome for a finished session — shared by
 /// the per-connection dispatcher and supervisor resurrection so both
 /// report bit-identical JSON for the same run. A traced context carries
-/// its trace digest. With `flight`, the config the context was built
-/// from, an end that did not complete also yields its postmortem bundle
-/// as compact JSON text (DESIGN.md §14 trigger rules), naming the
-/// population by `origin` when a scenario built it.
-pub(crate) fn outcome_from_end(
-    end: SessionEnd,
-    ctx: &SimContext,
-    flight: Option<&SimConfig>,
-    origin: Option<Origin>,
-) -> (SessionOutcome, Option<String>) {
+/// its trace digest. An end that did not complete also yields its
+/// postmortem bundle as compact JSON text (DESIGN.md §14 trigger rules),
+/// naming the population by `origin` when a scenario built it.
+pub(crate) fn outcome_from_end(end: SessionEnd, live: &Live) -> (SessionOutcome, Option<String>) {
+    let ctx = &live.ctx;
     let (status, cause, bundle_cause) = match &end {
         SessionEnd::Complete { .. } => ("complete", None, None),
         SessionEnd::Stalled(e) => ("stalled", Some(e.cause().label()), Some("stalled")),
@@ -353,14 +322,14 @@ pub(crate) fn outcome_from_end(
         }
     };
     let report = end.report().to_json();
-    let bundle = flight.zip(bundle_cause).map(|(config, cause)| {
+    let bundle = bundle_cause.map(|cause| {
         let (protocol, passes, coverage) = (&end.report().protocol, end.passes(), end.coverage());
         postmortem(
             protocol,
             cause,
-            config,
+            &live.config,
             ctx,
-            origin.map(|origin| origin.to_json()),
+            live.origin.map(|origin| origin.to_json()),
             report.clone(),
             passes,
             coverage,
@@ -438,20 +407,13 @@ mod tests {
     use crate::registry::protocol_by_name;
     use crate::Service;
     use rfid_protocols::Session;
-    use rfid_system::SimConfig;
+    use rfid_system::{SimConfig, SimContext};
     use rfid_wire::{Command, Response};
     use rfid_workloads::Scenario;
 
     /// A record the admission tests never replay.
     fn open_record() -> RecoveryPoint {
         RecoveryPoint::Open(Box::new(OpenRequest::new("TPP", 8, 1, 1)))
-    }
-
-    fn resume_record(snapshot: Json) -> RecoveryPoint {
-        RecoveryPoint::Resume {
-            snapshot,
-            flight: false,
-        }
     }
 
     /// A TPP session checkpointed after `steps` driver steps, in both
@@ -462,14 +424,23 @@ mod tests {
         let scenario = Scenario::uniform(48, 4).with_seed(9);
         let config = SimConfig::paper(scenario.protocol_seed()).with_trace();
         let protocol = protocol_by_name("TPP").unwrap();
-        let mut ctx = SimContext::new(scenario.build_population(), &config);
-        let mut session = Session::open(protocol.as_ref(), &ctx);
+        let ctx = SimContext::new(scenario.build_population(), &config);
+        let session = Session::open(protocol.as_ref(), &ctx);
+        let mut live = Live {
+            ctx,
+            session,
+            config,
+            origin: None,
+        };
         if steps > 0 {
-            assert!(session.run_for(&mut ctx, steps).is_none(), "ended early");
+            assert!(
+                live.session.run_for(&mut live.ctx, steps).is_none(),
+                "ended early"
+            );
         }
-        let library = session.snapshot(&ctx, &config);
-        let end = session.run(&mut ctx);
-        let (outcome, _) = outcome_from_end(end, &ctx, None, None);
+        let library = live.session.snapshot(&live.ctx, &live.config);
+        let end = live.session.run(&mut live.ctx);
+        let (outcome, _) = outcome_from_end(end, &live);
 
         // The same session served: the default config of this request is
         // the one above.
@@ -502,7 +473,7 @@ mod tests {
             let (snapshots, reference) = checkpoints_at(steps);
             for (form, snapshot) in ["library", "served"].into_iter().zip(snapshots) {
                 let sup = Supervisor::unlimited();
-                let gid = sup.admit(resume_record(snapshot.clone())).unwrap();
+                let gid = sup.admit(RecoveryPoint::Resume(snapshot.clone())).unwrap();
                 sup.deposit(gid, snapshot);
                 sup.connection_lost(&[gid]);
                 let records = sup.resurrections();
@@ -546,13 +517,15 @@ mod tests {
         let (snapshots, reference) = checkpoints_at(3);
         for (form, snapshot) in ["library", "served"].into_iter().zip(snapshots) {
             let sup = Supervisor::unlimited();
-            let gid = sup.admit(resume_record(snapshot.clone())).unwrap();
+            let gid = sup.admit(RecoveryPoint::Resume(snapshot.clone())).unwrap();
             sup.drain_session(gid, snapshot);
             assert_eq!(sup.counter(wire_counters::DRAIN_CHECKPOINTS), 1);
             let drained = sup.drained();
             assert_eq!(drained.len(), 1);
             // The drained snapshot must still finish bit-identically.
-            let (outcome, _) = sup.resurrect(&resume_record(drained[0].1.clone())).unwrap();
+            let (outcome, _) = sup
+                .resurrect(&RecoveryPoint::Resume(drained[0].1.clone()))
+                .unwrap();
             assert_eq!(outcome, reference, "{form} snapshot drifted");
             sup.reconcile().unwrap();
         }
@@ -562,7 +535,7 @@ mod tests {
     fn unrestorable_checkpoint_counts_a_failed_resurrection() {
         let sup = Supervisor::unlimited();
         let bogus = Json::Obj(vec![("protocol".to_string(), Json::str("TPP"))]);
-        let gid = sup.admit(resume_record(bogus)).unwrap();
+        let gid = sup.admit(RecoveryPoint::Resume(bogus)).unwrap();
         sup.connection_lost(&[gid]);
         assert_eq!(sup.counter("sessions_resurrect_failed"), 1);
         assert!(sup.resurrections().is_empty());

@@ -162,7 +162,7 @@ impl ProtocolStepper for BinSplitStepper {
     }
 
     fn step(&mut self, ctx: &mut SimContext) -> StepOutcome {
-        self.slots += 1;
+        self.slots = self.slots.wrapping_add(1);
         if self.slots >= self.cfg.max_slots {
             return StepOutcome::Stalled(StallCause::RoundCap);
         }

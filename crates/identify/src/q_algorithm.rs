@@ -147,7 +147,7 @@ impl<D: FrameDraw> ProtocolStepper for QAlgorithmStepper<D> {
             TimeCategory::ReaderCommand,
         );
         ctx.emit(Event::RoundStarted {
-            round: ctx.counters.rounds as usize + 1,
+            round: (ctx.counters.rounds as usize).wrapping_add(1),
             h: q,
             unread: ctx.population.active_count(),
         });
@@ -156,7 +156,7 @@ impl<D: FrameDraw> ProtocolStepper for QAlgorithmStepper<D> {
 
         let mut slot = 0u64;
         loop {
-            self.slots_total += 1;
+            self.slots_total = self.slots_total.wrapping_add(1);
             if self.slots_total >= self.cfg.max_slots {
                 self.draw.close_frame(&ctx.population);
                 return StepOutcome::Stalled(StallCause::RoundCap);

@@ -118,7 +118,7 @@ impl ProtocolStepper for QueryTreeStepper {
             return StepOutcome::Stalled(StallCause::NoProgress);
         };
         let (value, len) = prefix;
-        self.queries += 1;
+        self.queries = self.queries.wrapping_add(1);
         if self.queries >= 100_000_000 {
             // A lossy channel or a dead tag keeps the stack from draining.
             return StepOutcome::Stalled(StallCause::RoundCap);

@@ -28,7 +28,7 @@
 //!   JSON document for a session that ended `Stalled`/`Degraded`, and
 //!   [`flight::FlightBundle`] parses it back into a repro artifact,
 //! * [`metrics::MetricsRegistry::expose_text`] — Prometheus-style text
-//!   exposition plus [`metrics::DeltaCursor`] delta-JSONL streaming.
+//!   exposition.
 
 pub(crate) mod flight;
 pub(crate) mod histogram;
@@ -38,6 +38,6 @@ pub(crate) mod trace;
 
 pub use flight::{postmortem, FlightBundle};
 pub use histogram::Log2Histogram;
-pub use metrics::{wire_counters, DeltaCursor, MetricsRegistry};
+pub use metrics::{wire_counters, MetricsRegistry};
 pub use span::{folded_stacks, render_flame};
 pub use trace::metrics_from_log;

@@ -219,97 +219,6 @@ fn metric_name(name: &str) -> String {
     out
 }
 
-/// Incremental snapshot cursor for delta-JSONL streaming.
-///
-/// A daemon polls a live registry periodically; shipping the full snapshot
-/// every tick is O(total history) for time series. A [`DeltaCursor`]
-/// remembers what it has already emitted and [`DeltaCursor::delta`] returns
-/// one JSONL line holding only what changed since the previous call —
-/// counter values that moved, `{count, sum}` for histograms that absorbed
-/// samples, and the *new* series points — or `None` when nothing changed.
-///
-/// Replaying a stream of delta lines in order reconstructs the counters and
-/// series exactly (histograms stream summaries, not buckets; consumers that
-/// need full bucket shapes take a final `MetricsRegistry::to_json`).
-#[derive(Debug, Clone, Default)]
-pub struct DeltaCursor {
-    counters: Vec<(String, u64)>,
-    histograms: Vec<(String, (u64, u64))>,
-    series_seen: Vec<(String, usize)>,
-}
-
-impl DeltaCursor {
-    /// A cursor that has seen nothing (the first delta is a full snapshot).
-    pub fn new() -> Self {
-        DeltaCursor::default()
-    }
-
-    fn remembered<T: Copy>(seen: &[(String, T)], name: &str) -> Option<T> {
-        seen.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
-    }
-
-    fn remember<T: Copy>(seen: &mut Vec<(String, T)>, name: &str, value: T) {
-        if let Some((_, v)) = seen.iter_mut().find(|(n, _)| n == name) {
-            *v = value;
-        } else {
-            seen.push((name.to_string(), value));
-        }
-    }
-
-    /// One JSONL line of changes since the previous call, or `None` if the
-    /// registry is unchanged. Fields present only when non-empty:
-    /// `{"counters": {...}, "histograms": {name: {count, sum}},
-    /// "series": {name: [points…]}}`.
-    pub fn delta(&mut self, m: &MetricsRegistry) -> Option<String> {
-        let mut counters = Vec::new();
-        for (name, &value) in m.counters.iter().map(|(n, c)| (n, c)) {
-            if Self::remembered(&self.counters, name) != Some(value) {
-                counters.push((name.clone(), Json::UInt(value)));
-                Self::remember(&mut self.counters, name, value);
-            }
-        }
-        let mut histograms = Vec::new();
-        for (name, h) in &m.histograms {
-            let now = (h.count(), h.sum());
-            if Self::remembered(&self.histograms, name) != Some(now) {
-                histograms.push((
-                    name.clone(),
-                    Json::Obj(vec![
-                        ("count".to_string(), Json::UInt(now.0)),
-                        ("sum".to_string(), Json::UInt(now.1)),
-                    ]),
-                ));
-                Self::remember(&mut self.histograms, name, now);
-            }
-        }
-        let mut series = Vec::new();
-        for (name, s) in &m.series {
-            let seen = Self::remembered(&self.series_seen, name).unwrap_or(0);
-            if s.points.len() > seen {
-                series.push((
-                    name.clone(),
-                    Json::Arr(s.points[seen..].iter().map(|p| p.to_json()).collect()),
-                ));
-                Self::remember(&mut self.series_seen, name, s.points.len());
-            }
-        }
-        if counters.is_empty() && histograms.is_empty() && series.is_empty() {
-            return None;
-        }
-        let mut fields = Vec::new();
-        if !counters.is_empty() {
-            fields.push(("counters".to_string(), Json::Obj(counters)));
-        }
-        if !histograms.is_empty() {
-            fields.push(("histograms".to_string(), Json::Obj(histograms)));
-        }
-        if !series.is_empty() {
-            fields.push(("series".to_string(), Json::Obj(series)));
-        }
-        Some(Json::Obj(fields).to_string())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -382,51 +291,6 @@ mod tests {
     #[test]
     fn expose_text_of_empty_registry_is_empty() {
         assert_eq!(MetricsRegistry::default().expose_text(), "");
-    }
-
-    #[test]
-    fn delta_cursor_streams_only_changes() {
-        let mut m = MetricsRegistry::default();
-        let mut cur = DeltaCursor::new();
-        assert_eq!(cur.delta(&m), None, "nothing recorded, nothing streamed");
-
-        m.inc("polls", 2);
-        m.observe("w", 5);
-        m.point("unread", Micros::from_us(0.0), 9.0);
-        let first = cur.delta(&m).expect("first delta is the full state");
-        let json: Json = rfid_system::json::from_json_str(&first).unwrap();
-        let counters = json.field::<Json>("counters").unwrap();
-        assert_eq!(counters.field::<u64>("polls").unwrap(), 2);
-        let hists = json.field::<Json>("histograms").unwrap();
-        let w = hists.field::<Json>("w").unwrap();
-        assert_eq!(w.field::<u64>("count").unwrap(), 1);
-        assert_eq!(w.field::<u64>("sum").unwrap(), 5);
-
-        assert_eq!(cur.delta(&m), None, "unchanged registry streams nothing");
-
-        m.inc("polls", 1);
-        m.point("unread", Micros::from_us(3.0), 8.0);
-        let second = cur.delta(&m).expect("changes stream");
-        let json: Json = rfid_system::json::from_json_str(&second).unwrap();
-        let counters = json.field::<Json>("counters").unwrap();
-        assert_eq!(counters.field::<u64>("polls").unwrap(), 3);
-        assert!(
-            json.field::<Json>("histograms").is_err(),
-            "untouched histogram omitted from the delta"
-        );
-        let series = json.field::<Json>("series").unwrap();
-        let pts = series.field::<Vec<SeriesPoint>>("unread").unwrap();
-        assert_eq!(pts.len(), 1, "only the new point streams");
-        assert_eq!(pts[0].value, 8.0);
-    }
-
-    #[test]
-    fn delta_lines_are_single_line_jsonl() {
-        let mut m = MetricsRegistry::default();
-        m.inc("a", 1);
-        m.observe("b", 2);
-        let line = DeltaCursor::new().delta(&m).unwrap();
-        assert!(!line.contains('\n'));
     }
 
     #[test]

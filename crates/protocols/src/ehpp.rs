@@ -67,9 +67,13 @@ impl PollingProtocol for EhppConfig {
         Box::new(EhppStepper::open(self))
     }
 
+    /// A tag is deselected only inside a selected circle, so a restored
+    /// population with deselected tags in any other state is refused: a
+    /// forged `final_drain` would otherwise end `complete` with those tags
+    /// never read.
     fn resume_stepper(
         &self,
-        _ctx: &SimContext,
+        ctx: &SimContext,
         state: &Json,
     ) -> Result<Box<dyn ProtocolStepper>, JsonError> {
         let mut stepper = EhppStepper::open(self);
@@ -84,6 +88,21 @@ impl PollingProtocol for EhppConfig {
             }),
             other => return Err(JsonError(format!("unknown EHPP stepper mode '{other}'"))),
         };
+        // Everyone not yet read listens; the active ones are the rest.
+        let deselected = ctx.population.listening_count() - ctx.population.active_count();
+        let selected_circle = matches!(
+            stepper.inner,
+            Some(InnerCircle {
+                final_drain: false,
+                ..
+            })
+        );
+        if deselected > 0 && !selected_circle {
+            return Err(JsonError(format!(
+                "{deselected} tags are deselected outside a selected circle \
+                 (EHPP deselects only in mode \"inner\" with final_drain false)"
+            )));
+        }
         Ok(Box::new(stepper))
     }
 }
@@ -163,7 +182,7 @@ impl EhppStepper {
     /// Opens the next circle: probabilistic selection, or the final drain
     /// when everyone left fits into one circle.
     fn select_step(&mut self, ctx: &mut SimContext) -> StepOutcome {
-        self.circles += 1;
+        self.circles = self.circles.wrapping_add(1);
         if self.circles > self.cfg.max_circles {
             return StepOutcome::Stalled(StallCause::RoundCap);
         }
@@ -222,7 +241,7 @@ impl EhppStepper {
             return StepOutcome::Progressed;
         }
         let circle = self.inner.as_mut().expect("checked above");
-        circle.rounds += 1;
+        circle.rounds = circle.rounds.wrapping_add(1);
         if circle.rounds > CIRCLE_MAX_ROUNDS {
             // Reselect first so the partial report sees the true
             // uncollected set, then surface the stall.

@@ -464,7 +464,8 @@ impl Session {
             }
         }
         let discipline = self.stepper.discipline();
-        self.steps += 1;
+        // Wraps like the counters: a restored step count may be any u64.
+        self.steps = self.steps.wrapping_add(1);
         let stalled = if discipline.max_steps.is_some_and(|cap| self.steps > cap) {
             Some(StallCause::RoundCap)
         } else {

@@ -163,33 +163,38 @@ impl Counters {
     /// other counter is an event count. The single event→counter mapping —
     /// [`SimContext::emit`] applies it live, and [`Counters::from_events`]
     /// folds it over a recorded log. `tag_listen_us` is a continuous
-    /// integral, not an event, and is never touched here.
+    /// integral, not an event, and is never touched here. Every charge
+    /// wraps, as [`Micros`] does: a restored snapshot may carry any count,
+    /// and a debug build must not panic where a release build wraps.
     #[inline]
     pub(crate) fn apply(&mut self, event: &Event) {
+        fn add(counter: &mut u64, by: u64) {
+            *counter = counter.wrapping_add(by);
+        }
         match *event {
-            Event::RoundStarted { .. } => self.rounds += 1,
-            Event::CircleStarted { .. } => self.circles += 1,
+            Event::RoundStarted { .. } => add(&mut self.rounds, 1),
+            Event::CircleStarted { .. } => add(&mut self.circles, 1),
             Event::ReaderBroadcast { what, bits } => {
-                self.reader_bits += bits;
+                add(&mut self.reader_bits, bits);
                 if what.counts_as_query_rep() {
-                    self.query_rep_bits += bits;
+                    add(&mut self.query_rep_bits, bits);
                 }
                 if what.counts_as_vector() {
-                    self.vector_bits += bits;
+                    add(&mut self.vector_bits, bits);
                 }
             }
-            Event::TagPolled { .. } => self.polls += 1,
-            Event::TagReply { bits, .. } => self.tag_bits += bits,
-            Event::VectorCharged { bits } => self.vector_bits += bits,
-            Event::SlotEmpty => self.empty_slots += 1,
-            Event::SlotCollision { .. } => self.collision_slots += 1,
-            Event::ReplyLost { .. } => self.lost_replies += 1,
-            Event::DownlinkLost { .. } => self.downlink_losses += 1,
-            Event::ReplyCorrupted { .. } => self.corrupted_replies += 1,
-            Event::Retransmission { .. } => self.retransmissions += 1,
-            Event::DesyncRecovered { .. } => self.desync_recoveries += 1,
-            Event::RecoveryPassStarted { .. } => self.recovery_passes += 1,
-            Event::BackoffWaited { us, .. } => self.recovery_backoff_us += us,
+            Event::TagPolled { .. } => add(&mut self.polls, 1),
+            Event::TagReply { bits, .. } => add(&mut self.tag_bits, bits),
+            Event::VectorCharged { bits } => add(&mut self.vector_bits, bits),
+            Event::SlotEmpty => add(&mut self.empty_slots, 1),
+            Event::SlotCollision { .. } => add(&mut self.collision_slots, 1),
+            Event::ReplyLost { .. } => add(&mut self.lost_replies, 1),
+            Event::DownlinkLost { .. } => add(&mut self.downlink_losses, 1),
+            Event::ReplyCorrupted { .. } => add(&mut self.corrupted_replies, 1),
+            Event::Retransmission { .. } => add(&mut self.retransmissions, 1),
+            Event::DesyncRecovered { .. } => add(&mut self.desync_recoveries, 1),
+            Event::RecoveryPassStarted { .. } => add(&mut self.recovery_passes, 1),
+            Event::BackoffWaited { us, .. } => add(&mut self.recovery_backoff_us, us),
             Event::StallTick { .. }
             | Event::CircuitOpened { .. }
             | Event::DeadlineReached { .. } => {}
@@ -408,7 +413,7 @@ impl SimContext {
     /// charging the [`ROUND_INIT_BITS`]-bit `(h, r)` broadcast.
     pub fn begin_round(&mut self, h: u32) {
         self.emit(Event::RoundStarted {
-            round: self.counters.rounds as usize + 1,
+            round: (self.counters.rounds as usize).wrapping_add(1),
             h,
             unread: self.population.active_count(),
         });
@@ -424,7 +429,7 @@ impl SimContext {
     /// [`CIRCLE_COMMAND_BITS`]-bit circle command `l_c`.
     pub fn begin_circle(&mut self, selected: usize) {
         self.emit(Event::CircleStarted {
-            circle: self.counters.circles as usize + 1,
+            circle: (self.counters.circles as usize).wrapping_add(1),
             selected,
         });
         self.reader_tx(

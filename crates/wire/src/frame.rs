@@ -8,7 +8,7 @@
 //! on air — instead of a bytewise checksum:
 //!
 //! ```text
-//! frame := SOF(0xBB) ver(0x03) kind(1B) len(4B BE) payload(len B)
+//! frame := SOF(0xBB) ver(0x04) kind(1B) len(4B BE) payload(len B)
 //!          crc16(2B BE)  EOF(0x7E)
 //! ```
 //!
@@ -29,7 +29,7 @@ pub(crate) const EOF: u8 = 0x7E;
 /// The wire-protocol version this build speaks. Payload schemas may gain
 /// fields within a version (unknown JSON keys are ignored); any change
 /// that re-frames bytes or repurposes a kind bumps it.
-pub const WIRE_VERSION: u8 = 3;
+pub const WIRE_VERSION: u8 = 4;
 /// Upper bound on a frame payload (64 MiB): large enough for a checkpoint
 /// snapshot of a million-tag session, small enough that a corrupt length
 /// field cannot ask the decoder to buffer unbounded memory.
@@ -347,10 +347,10 @@ mod tests {
     #[test]
     fn wrong_version_is_rejected() {
         let mut bytes = Frame::new(3, b"v1?".to_vec()).encode();
-        bytes[1] = 1;
+        bytes[1] = 3;
         let mut dec = Decoder::new();
         dec.push(&bytes);
-        assert_eq!(dec.next(), Err(FrameError::Version(1)));
+        assert_eq!(dec.next(), Err(FrameError::Version(3)));
     }
 
     #[test]

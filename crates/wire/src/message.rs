@@ -12,8 +12,8 @@
 //! open an inventory session (protocol + [`SimConfig`]), run it (with
 //! optional step budgets and streamed progress), checkpoint/resume it
 //! across process lives, inject a [`FaultModel`] mid-flight, and fetch
-//! metrics (Prometheus text or delta-JSONL) and postmortem flight
-//! bundles.
+//! metrics as Prometheus text and the postmortem bundle of a session that
+//! ended `stalled` or `degraded`.
 
 use rfid_c1g2::Micros;
 use rfid_protocols::RecoveryPolicy;
@@ -43,8 +43,6 @@ pub struct OpenRequest {
     /// Emit a [`Response::Progress`] frame every this many driver steps
     /// while running (deterministic: counted in steps, not host time).
     pub progress_every: Option<u64>,
-    /// Record postmortem flight bundles for non-complete ends.
-    pub flight: bool,
 }
 
 impl OpenRequest {
@@ -59,7 +57,6 @@ impl OpenRequest {
             policy: None,
             deadline_us: None,
             progress_every: None,
-            flight: false,
         }
     }
 }
@@ -73,7 +70,6 @@ rfid_system::impl_json_struct!(OpenRequest {
     policy,
     deadline_us,
     progress_every,
-    flight,
 });
 
 /// How a wire-driven session ended — the serializable mirror of
@@ -251,13 +247,10 @@ wire_messages! {
             /// The replacement fault model.
             fault: FaultModel,
         },
-        /// Fetch session metrics.
+        /// Fetch the session's metrics as Prometheus text.
         Metrics = 0x07 {
             /// Session id.
             session: u64,
-            /// `false` = full Prometheus text, `true` = delta-JSONL since the
-            /// session's last delta fetch.
-            delta: bool,
         },
         /// Fetch the session's most recent postmortem flight bundle.
         Flight = 0x08 {
@@ -332,13 +325,6 @@ wire_messages! {
             /// The exposition body.
             text: String,
         },
-        /// Delta-JSONL of metrics changed since the last delta fetch.
-        MetricsDelta = 0x88 {
-            /// Session id.
-            session: u64,
-            /// The delta lines; `None` when nothing changed.
-            jsonl: Option<String>,
-        },
         /// The session's most recent flight bundle.
         FlightInfo = 0x89 {
             /// Session id.
@@ -381,7 +367,6 @@ mod tests {
         open.policy = Some(RecoveryPolicy::unbounded().with_max_passes(3));
         open.deadline_us = Some(Micros::from_secs(1.5));
         open.progress_every = Some(16);
-        open.flight = true;
         vec![
             (Command::Hello, 0x01, r#"{}"#),
             (
@@ -396,7 +381,7 @@ mod tests {
                     r#""kill_after_replies":[]}},"seed":9,"trace":false,"#,
                     r#""profile":false},"policy":{"max_passes":3,"base_backoff_us":1000,"#,
                     r#""max_backoff_us":64000},"deadline_us":1500000,"#,
-                    r#""progress_every":16,"flight":true}"#,
+                    r#""progress_every":16}"#,
                 ),
             ),
             (
@@ -404,8 +389,7 @@ mod tests {
                 0x02,
                 concat!(
                     r#"{"protocol":"TPP","n":64,"info_bits":1,"seed":7,"config":null,"#,
-                    r#""policy":null,"deadline_us":null,"progress_every":null,"#,
-                    r#""flight":false}"#,
+                    r#""policy":null,"deadline_us":null,"progress_every":null}"#,
                 ),
             ),
             (
@@ -444,14 +428,7 @@ mod tests {
                     r#""drop_uplink_rounds":[],"kill_after_replies":[]}}}"#,
                 ),
             ),
-            (
-                Command::Metrics {
-                    session: 6,
-                    delta: true,
-                },
-                0x07,
-                r#"{"session":6,"delta":true}"#,
-            ),
+            (Command::Metrics { session: 6 }, 0x07, r#"{"session":6}"#),
             (Command::Flight { session: 7 }, 0x08, r#"{"session":7}"#),
             (Command::Close { session: 8 }, 0x09, r#"{"session":8}"#),
             (Command::Shutdown, 0x0A, r#"{}"#),
@@ -523,14 +500,6 @@ mod tests {
                 r#"{"session":1,"text":"rfid_polls_total 3\n"}"#,
             ),
             (
-                Response::MetricsDelta {
-                    session: 1,
-                    jsonl: None,
-                },
-                0x88,
-                r#"{"session":1,"jsonl":null}"#,
-            ),
-            (
                 Response::FlightInfo {
                     session: 1,
                     bundle: Some(Json::parse(r#"{"why":"stall"}"#).unwrap()),
@@ -596,7 +565,7 @@ mod tests {
         );
         assert_eq!(
             check(response_rows(), Response::to_frame, Response::from_frame),
-            13,
+            12,
             "one row per Response variant"
         );
     }
@@ -641,7 +610,6 @@ mod tests {
         req.policy = Some(RecoveryPolicy::unbounded().with_max_passes(3));
         req.deadline_us = Some(Micros::from_secs(1.5));
         req.progress_every = Some(16);
-        req.flight = true;
         let cmd = Command::Open(req);
         assert_eq!(Command::from_frame(&cmd.to_frame()).unwrap(), cmd);
     }

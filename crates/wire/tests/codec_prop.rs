@@ -72,7 +72,6 @@ fn arb_open(g: &mut Gen) -> OpenRequest {
     if g.bool() {
         req.progress_every = Some(1 + g.u64_below(64));
     }
-    req.flight = g.bool();
     req
 }
 
@@ -92,10 +91,7 @@ fn arb_command(g: &mut Gen) -> Command {
             session: g.u64(),
             fault: arb_fault(g),
         },
-        6 => Command::Metrics {
-            session: g.u64(),
-            delta: g.bool(),
-        },
+        6 => Command::Metrics { session: g.u64() },
         7 => Command::Flight { session: g.u64() },
         8 => Command::Close { session: g.u64() },
         _ => Command::Shutdown,
@@ -114,7 +110,7 @@ fn arb_outcome(g: &mut Gen) -> SessionOutcome {
 }
 
 fn arb_response(g: &mut Gen) -> Response {
-    match g.u64_below(12) {
+    match g.u64_below(11) {
         0 => Response::HelloOk {
             version: g.u8(),
             server: format!("srv-{}", g.u64_below(100)),
@@ -143,11 +139,7 @@ fn arb_response(g: &mut Gen) -> Response {
             session: g.u64(),
             text: format!("# TYPE x counter\nx {}\n", g.u64()),
         },
-        7 => Response::MetricsDelta {
-            session: g.u64(),
-            jsonl: g.bool().then(|| format!("{{\"v\":{}}}\n", g.u64())),
-        },
-        8 => Response::FlightInfo {
+        7 => Response::FlightInfo {
             session: g.u64(),
             // A real bundle is always a JSON object; `Some(Null)` would be
             // wire-ambiguous with `None` (both serialize as `null`).
@@ -155,8 +147,8 @@ fn arb_response(g: &mut Gen) -> Response {
                 .bool()
                 .then(|| Json::Obj(vec![("bundle".to_string(), arb_json(g, 2))])),
         },
-        9 => Response::Closed { session: g.u64() },
-        10 => Response::ShuttingDown,
+        8 => Response::Closed { session: g.u64() },
+        9 => Response::ShuttingDown,
         _ => Response::Error {
             code: rfid_wire::ErrorCode::BadState,
             message: format!("err {}", g.u64_below(100)),

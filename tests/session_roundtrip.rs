@@ -820,6 +820,149 @@ fn fuzzed_snapshot_bytes_never_panic() {
     }
 }
 
+/// EHPP deselects tags only inside a selected circle. A served 3,000-tag
+/// checkpoint taken inside one, forged to claim the final drain (or no
+/// circle at all), is refused: resumed, the forged final drain would end
+/// `complete` with the deselected tags never read.
+#[test]
+fn ehpp_rejects_a_forged_final_drain() {
+    let scenario = Scenario::uniform(3_000, 4).with_seed(17);
+    let mut req = OpenRequest::new("EHPP", 3_000, 4, 17);
+    req.config = Some(SimConfig::paper(scenario.protocol_seed()));
+    let mut service = Service::new();
+    let Response::Opened { session } = service.handle(Command::Open(req)).remove(0) else {
+        panic!("open failed");
+    };
+    let snapshot = loop {
+        let ran = service.handle(Command::Run {
+            session,
+            max_steps: Some(1),
+        });
+        assert!(
+            matches!(ran.last(), Some(Response::Paused { .. })),
+            "no circle opened"
+        );
+        let Response::Snapshot { snapshot, .. } =
+            service.handle(Command::Checkpoint { session }).remove(0)
+        else {
+            panic!("checkpoint failed");
+        };
+        let stepper = snapshot.get("stepper").unwrap();
+        if stepper.get("final_drain") == Some(&Json::Bool(false)) {
+            break snapshot;
+        }
+    };
+    assert!(matches!(
+        resume(snapshot.clone(), 1),
+        Response::Opened { .. }
+    ));
+    for (what, forged) in [
+        (
+            "a final drain",
+            edit(
+                &snapshot,
+                &["stepper", "final_drain"],
+                Some(Json::Bool(true)),
+            ),
+        ),
+        (
+            "no circle",
+            edit(&snapshot, &["stepper", "mode"], Some(Json::str("select"))),
+        ),
+    ] {
+        match resume(forged, 1) {
+            Response::Error {
+                code: ErrorCode::Rejected,
+                message,
+            } => assert!(
+                message.contains("deselected outside a selected circle"),
+                "{what}: {message}"
+            ),
+            other => panic!("{what}: expected a Rejected error, got {other:?}"),
+        }
+    }
+}
+
+/// Sets the `k`-th unsigned integer leaf of `doc` (depth first, skipping
+/// the trace's `events`) to `u64::MAX` and returns its path, or `None`
+/// once `doc` has fewer than `k + 1` such leaves.
+fn max_out_uint(doc: &mut Json, k: &mut usize, path: &str) -> Option<String> {
+    match doc {
+        Json::UInt(v) => {
+            if *k == 0 {
+                *v = u64::MAX;
+                return Some(path.to_string());
+            }
+            *k -= 1;
+            None
+        }
+        Json::Arr(items) => items
+            .iter_mut()
+            .enumerate()
+            .find_map(|(i, item)| max_out_uint(item, k, &format!("{path}[{i}]"))),
+        Json::Obj(fields) => fields
+            .iter_mut()
+            .filter(|(key, _)| key != "events")
+            .find_map(|(key, value)| max_out_uint(value, k, &format!("{path}.{key}"))),
+        _ => None,
+    }
+}
+
+/// A restored integer at `u64::MAX` never panics a debug build: for every
+/// protocol, a served 300-tag snapshot under downlink loss, corruption and
+/// bursts is resumed with one integer leaf at a time set to `u64::MAX`.
+/// Each must be refused with a typed error, or resume and run a bounded
+/// number of steps. Counters and step counts that a restored value may
+/// carry add with wrapping arithmetic, as a release build does.
+#[test]
+fn a_restored_integer_at_u64_max_never_panics() {
+    let mut panicked = Vec::new();
+    let mut mutations = 0;
+    for protocol in all_protocols() {
+        let name = protocol.name();
+        let scenario = Scenario::uniform(300, 4).with_seed(13);
+        let mut req = OpenRequest::new(name, 300, 4, 13);
+        req.config = Some(
+            SimConfig::paper(scenario.protocol_seed())
+                .with_trace()
+                .with_fault(impaired_fault()),
+        );
+        req.policy = Some(RecoveryPolicy::default());
+        let mut service = Service::new();
+        let Response::Opened { session } = service.handle(Command::Open(req)).remove(0) else {
+            panic!("{name}: open failed");
+        };
+        let ran = service.handle(Command::Run {
+            session,
+            max_steps: Some(5),
+        });
+        assert!(
+            matches!(ran.last(), Some(Response::Paused { .. })),
+            "{name}"
+        );
+        let Response::Snapshot { snapshot, .. } =
+            service.handle(Command::Checkpoint { session }).remove(0)
+        else {
+            panic!("{name}: checkpoint failed");
+        };
+        for k in 0.. {
+            let (mut doc, mut skip) = (snapshot.clone(), k);
+            let Some(path) = max_out_uint(&mut doc, &mut skip, "") else {
+                break;
+            };
+            mutations += 1;
+            let reply = std::panic::catch_unwind(|| resume(doc, 20));
+            match reply {
+                Ok(Response::Opened { .. } | Response::Error { .. }) => {}
+                Ok(other) => panic!("{name}{path}: unexpected reply {other:?}"),
+                Err(_) => panicked.push(format!("{name}{path}")),
+            }
+        }
+    }
+    assert!(mutations > 12 * 20, "only {mutations} leaves mutated");
+    assert!(panicked.is_empty(), "u64::MAX panicked at {panicked:?}");
+}
+
 /// A 64-tag HPP run whose tag 0 is dead from the start: under a policy it
 /// can only end `Degraded`, once the circuit breaker opens.
 fn dead_tag_run() -> (SimContext, SimConfig) {
